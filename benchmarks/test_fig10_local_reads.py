@@ -7,13 +7,13 @@ speeds up local reads by 20 % (128 B), 53 % (1 KB), up to 2.1x (8 KB).
 
 from conftest import run_once, show
 
-from repro.harness.fig10 import run_fig10
-from repro.harness.report import format_table
+from repro.experiments import registry, run_sweep
 
 
 def test_fig10_local_reads(benchmark, scale):
-    headers, rows = run_once(benchmark, run_fig10, scale=scale)
-    show("Fig. 10: local read throughput (GB/s)", format_table(headers, rows))
+    result = run_once(benchmark, run_sweep, registry.get("fig10"), scale=scale)
+    rows = result.rows
+    show("Fig. 10: local read throughput (GB/s)", result.table())
     by_size = {r["object_size"]: r for r in rows}
     assert 1.05 <= by_size[128]["speedup"] <= 1.5  # paper: 1.20
     assert 1.2 <= by_size[1024]["speedup"] <= 1.8  # paper: 1.53

@@ -7,13 +7,13 @@ and grows nearly linearly, reaching about half the latency at 8 KB.
 
 from conftest import run_once, show
 
-from repro.harness.fig1 import run_fig1
-from repro.harness.report import format_table
+from repro.experiments import registry, run_sweep
 
 
 def test_fig1_software_overhead(benchmark, scale):
-    headers, rows = run_once(benchmark, run_fig1, scale=scale)
-    show("Fig. 1: FaRM perCL-version read latency breakdown", format_table(headers, rows))
+    result = run_once(benchmark, run_sweep, registry.get("fig1"), scale=scale)
+    rows = result.rows
+    show("Fig. 1: FaRM perCL-version read latency breakdown", result.table())
     by_size = {r["object_size"]: r for r in rows}
     small, large = by_size[128], by_size[8192]
     # Shares grow monotonically from ~10 % to ~half.

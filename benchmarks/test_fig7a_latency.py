@@ -9,13 +9,13 @@ above 2 KB.
 
 from conftest import run_once, show
 
-from repro.harness.fig7 import run_fig7a
-from repro.harness.report import format_table
+from repro.experiments import registry, run_sweep
 
 
 def test_fig7a_latency(benchmark, scale):
-    headers, rows = run_once(benchmark, run_fig7a, scale=scale)
-    show("Fig. 7a: one-sided operation latency (ns)", format_table(headers, rows))
+    result = run_once(benchmark, run_sweep, registry.get("fig7a"), scale=scale)
+    rows = result.rows
+    show("Fig. 7a: one-sided operation latency (ns)", result.table())
     by_size = {r["object_size"]: r for r in rows}
 
     single = by_size[64]

@@ -7,13 +7,13 @@ reach the fabric-limited peak for large objects.
 
 from conftest import run_once, show
 
-from repro.harness.fig7 import run_fig7b
-from repro.harness.report import format_table
+from repro.experiments import registry, run_sweep
 
 
 def test_fig7b_throughput(benchmark, scale):
-    headers, rows = run_once(benchmark, run_fig7b, scale=scale)
-    show("Fig. 7b: async throughput (GB/s)", format_table(headers, rows))
+    result = run_once(benchmark, run_sweep, registry.get("fig7b"), scale=scale)
+    rows = result.rows
+    show("Fig. 7b: async throughput (GB/s)", result.table())
     for row in rows:
         assert row["sabre_gbps"] >= 0.8 * row["remote_read_gbps"]
         assert row["sabre_gbps"] <= 1.2 * row["remote_read_gbps"]

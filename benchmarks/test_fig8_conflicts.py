@@ -7,15 +7,19 @@ object size (15-97 % across 128 B-8 KB).
 
 from conftest import run_once, show
 
-from repro.harness.fig8 import run_fig8
-from repro.harness.report import format_table
+from repro.experiments import registry, run_sweep
 
 
 def test_fig8_conflicts(benchmark, scale):
-    headers, rows = run_once(
-        benchmark, run_fig8, scale=scale, writer_counts=(0, 8, 16)
+    result = run_once(
+        benchmark,
+        run_sweep,
+        registry.get("fig8"),
+        scale=scale,
+        axes={"writers": (0, 8, 16)},
     )
-    show("Fig. 8: throughput vs writer threads (GB/s)", format_table(headers, rows))
+    rows = result.rows
+    show("Fig. 8: throughput vs writer threads (GB/s)", result.table())
     by_key = {(r["object_size"], r["writers"]): r for r in rows}
 
     for row in rows:

@@ -8,13 +8,13 @@ footprint), the application component grows (LLC- vs L1-resident).
 
 from conftest import run_once, show
 
-from repro.harness.fig9 import run_fig9a
-from repro.harness.report import format_table
+from repro.experiments import registry, run_sweep
 
 
 def test_fig9a_farm_latency(benchmark, scale):
-    headers, rows = run_once(benchmark, run_fig9a, scale=scale)
-    show("Fig. 9a: FaRM lookup latency breakdown (ns)", format_table(headers, rows))
+    result = run_once(benchmark, run_sweep, registry.get("fig9a"), scale=scale)
+    rows = result.rows
+    show("Fig. 9a: FaRM lookup latency breakdown (ns)", result.table())
     by = {(r["object_size"], r["build"]): r for r in rows}
 
     for size in (128, 8192):

@@ -6,15 +6,21 @@ than the per-cache-line-versions baseline, across 128 B-8 KB objects.
 
 from conftest import run_once, show
 
-from repro.harness.fig9 import run_fig9b
-from repro.harness.report import format_table
+from repro.experiments import registry, run_sweep
 
 SIZES = (128, 512, 1024, 4096, 8192)
 
 
 def test_fig9b_farm_throughput(benchmark, scale):
-    headers, rows = run_once(benchmark, run_fig9b, scale=scale, sizes=SIZES)
-    show("Fig. 9b: FaRM KV throughput (GB/s)", format_table(headers, rows))
+    result = run_once(
+        benchmark,
+        run_sweep,
+        registry.get("fig9b"),
+        scale=scale,
+        axes={"object_size": SIZES},
+    )
+    rows = result.rows
+    show("Fig. 9b: FaRM KV throughput (GB/s)", result.table())
     for row in rows:
         assert 0.15 <= row["improvement"] <= 0.9  # paper: 0.30-0.60
     improvements = {r["object_size"]: round(r["improvement"], 3) for r in rows}

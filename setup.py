@@ -21,8 +21,6 @@ setup(
             "repro-campaign=repro.experiments.campaign_cli:main",
             "repro-serve=repro.serve.cli:main",
             "repro-load=repro.loadgen.cli:main",
-            # Historical name, kept for compatibility.
-            "sabres-experiments=repro.harness.cli:main",
         ]
     },
 )

@@ -27,10 +27,8 @@ from repro.experiments.campaign import (
     load_campaign,
 )
 from repro.experiments.context import (
-    CacheContext,
     CampaignContext,
     MemoryContext,
-    PointCache,
     RunContext,
     point_key,
 )
@@ -58,7 +56,6 @@ from repro.experiments.spec import (
 )
 
 __all__ = [
-    "CacheContext",
     "CampaignContext",
     "CampaignRunner",
     "CampaignSpec",
@@ -67,7 +64,6 @@ __all__ = [
     "ExperimentSpec",
     "MemoryContext",
     "Point",
-    "PointCache",
     "PointContext",
     "PoolExecutor",
     "QaCheck",

@@ -66,7 +66,8 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--qa-gate",
         action="store_true",
-        help="exit 3 when any stage's QA verdict is FAIL",
+        help="exit 3 when any stage's QA verdict is FAIL (warns when no "
+        "stage carries a check)",
     )
 
 
@@ -114,6 +115,10 @@ def _execute(
     _print_result(result)
     if args.qa_gate and result.verdict == "fail":
         return 3
+    if args.qa_gate and result.verdict == "none":
+        # A gate that checked nothing must not read as a gate that
+        # passed; the exit code stays 0 so no campaign starts failing.
+        print("warning: --qa-gate with no QA checks evaluated", file=sys.stderr)
     return 0
 
 

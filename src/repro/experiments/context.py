@@ -2,23 +2,22 @@
 
 A *run context* answers two questions for the sweep/campaign machinery:
 "has this point already been computed?" and "remember this fragment".
-Three implementations cover the spectrum:
+Two implementations cover the spectrum:
 
 * :class:`MemoryContext` — nothing persists; plain one-shot runs.
-* :class:`CacheContext` — the PR-1 :class:`PointCache` behind the
-  context interface: one JSON file per point, shared across runs and
-  campaigns that happen to hit the same points.
 * :class:`CampaignContext` — a campaign directory with an append-only
   JSONL *journal* of completed point keys + fragments, the campaign
   request, per-stage artifacts, and the HTML report.  A killed
   campaign resumes from exactly the unfinished points: every fragment
   is journaled (and flushed) the moment it completes, and corrupt or
   truncated journal lines — the signature of a SIGKILL mid-write —
-  are skipped, so those points simply recompute.
+  are skipped, so those points simply recompute.  ``--cache-dir`` /
+  ``SweepRunner(cache_dir=...)`` open one of these on the given
+  directory: the journal is the only resumable point store.
 
 Keys come from :func:`point_key`: a content hash of the spec name,
-variant, scale, seed, and full parameter dict, so a journal or cache
-can never serve a fragment to a point it wasn't computed for.
+variant, scale, seed, and full parameter dict, so a journal can never
+serve a fragment to a point it wasn't computed for.
 """
 
 from __future__ import annotations
@@ -106,66 +105,6 @@ class MemoryContext(RunContext):
     def _load(self, key: str) -> Optional[Dict[str, Any]]:
         fragment = self._fragments.get(key)
         return dict(fragment) if fragment is not None else None
-
-
-class PointCache:
-    """Completed-point cache: one JSON file per point, keyed by a hash
-    of the spec name, scale, seed, variant, and full parameter dict.
-
-    Values must be JSON-serializable (all built-in specs emit plain
-    numbers/strings); anything else is silently not cached."""
-
-    def __init__(self, root: str):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(spec_name: str, point: Point, scale: float) -> str:
-        return point_key(spec_name, point, scale)
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.json")
-
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._path(key)) as fh:
-                fragment = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(fragment, dict):
-            # Garbage that happens to parse (e.g. a bare number from a
-            # corrupted entry) must recompute, never flow into rows.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return fragment
-
-    def store(self, key: str, fragment: Dict[str, Any]) -> None:
-        try:
-            blob = json.dumps(fragment)
-        except (TypeError, ValueError):
-            return  # not serializable: skip caching, never fail the run
-        tmp = self._path(key) + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(blob)
-        os.replace(tmp, self._path(key))
-
-
-class CacheContext(RunContext):
-    """The point cache behind the context interface (no journal)."""
-
-    def __init__(self, cache: PointCache):
-        super().__init__()
-        self.cache = cache
-
-    def record(self, key: str, fragment: Dict[str, Any], stage: str = "") -> None:
-        self.cache.store(key, fragment)
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        return self.cache.load(key)
 
 
 class CampaignContext(RunContext):

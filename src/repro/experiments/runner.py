@@ -7,7 +7,7 @@ pieces (PR 9 split the old monolith):
 * an :class:`~repro.experiments.executors.Executor` turns pending
   points into fragments (in-process, pool, or multi-host workers);
 * a :class:`~repro.experiments.context.RunContext` remembers completed
-  fragments (point cache, or a campaign's crash-resumable journal).
+  fragments (in memory, or in a campaign's crash-resumable journal).
 
 Determinism: every point re-seeds the worker's global RNG from a seed
 derived from ``(spec seed, spec name, point index, variant)``, and all
@@ -25,24 +25,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.experiments.context import (
-    CacheContext,
-    PointCache,
-    RunContext,
-    point_key,
-)
+from repro.experiments.context import CampaignContext, RunContext, point_key
 from repro.experiments.executors import (
     Executor,
     PoolExecutor,
     SerialExecutor,
     SubprocessExecutor,
-    execute_point,
 )
 from repro.experiments.spec import ExperimentSpec, Point
 from repro.harness.report import format_table
-
-# Backward-compatible aliases: these lived here before the split.
-_execute_point = execute_point
 
 # ----------------------------------------------------------------------
 # result assembly (shared by SweepRunner and CampaignRunner)
@@ -169,8 +160,9 @@ class SweepRunner:
     overrides:
         Parameter overrides merged over defaults/axis/variant values.
     cache_dir:
-        Enable the on-disk completed-point cache rooted here.  Ignored
-        when an explicit ``context`` is given.
+        Journal completed points under this directory (a
+        :class:`CampaignContext`) and serve them to later runs.
+        Ignored when an explicit ``context`` is given.
     base_seed:
         Override the spec's seed root for per-point worker seeding.
     executor:
@@ -211,15 +203,8 @@ class SweepRunner:
         elif isinstance(executor, SubprocessExecutor):
             self.jobs = executor.workers
         if context is None and cache_dir:
-            context = CacheContext(PointCache(cache_dir))
+            context = CampaignContext(cache_dir)
         self.context = context
-
-    # Kept for callers/tests that poke the cache object directly.
-    @property
-    def cache(self) -> Optional[PointCache]:
-        if isinstance(self.context, CacheContext):
-            return self.context.cache
-        return None
 
     # ------------------------------------------------------------------
     def run(self) -> SweepResult:

@@ -5,7 +5,12 @@ the SABRes argument must survive but :class:`~repro.objstore.failover.
 FailurePlan` alone does not exercise."""
 
 from repro.faults.injector import FaultInjector, FaultStats
-from repro.faults.schedule import FAULT_KINDS, FaultSchedule, FaultWindow
+from repro.faults.schedule import (
+    FAULT_KINDS,
+    FaultSchedule,
+    FaultWindow,
+    cycle_fault_schedule,
+)
 
 __all__ = [
     "FAULT_KINDS",
@@ -13,4 +18,5 @@ __all__ = [
     "FaultSchedule",
     "FaultStats",
     "FaultWindow",
+    "cycle_fault_schedule",
 ]

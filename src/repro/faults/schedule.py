@@ -249,3 +249,43 @@ class FaultSchedule:
             )
             t += width_ns + gap_ns
         return cls(windows)
+
+
+def cycle_fault_schedule(
+    kind: str,
+    n_shards: int,
+    count: int,
+    duration_ns: float,
+    first_frac: float,
+    width_frac: float,
+    gap_frac: float,
+    multiplier: float,
+    drop: bool = True,
+    latency_mult: float = 1.0,
+    bw_mult: float = 1.0,
+) -> FaultSchedule:
+    """The service workloads' fault lane: ``count`` windows of ``kind``
+    round-robining over shard nodes ``0..n_shards-1``, placed as
+    fractions of ``duration_ns`` so a config scales with ``--scale``
+    without the windows falling off the end of the run.  Partition
+    windows isolate one shard at a time (every ingress link);
+    ``kind="none"`` or ``count <= 0`` is the empty schedule."""
+    if kind == "none" or count <= 0:
+        return FaultSchedule()
+    placement = dict(
+        first_ns=first_frac * duration_ns,
+        width_ns=width_frac * duration_ns,
+        gap_ns=gap_frac * duration_ns,
+        count=count,
+    )
+    if kind == "partition":
+        return FaultSchedule.partition_cycles(
+            [(None, shard) for shard in range(n_shards)],
+            drop=drop,
+            latency_mult=latency_mult,
+            bw_mult=bw_mult,
+            **placement,
+        )
+    return FaultSchedule.gray_cycles(
+        list(range(n_shards)), multiplier=multiplier, kind=kind, **placement
+    )

@@ -15,8 +15,6 @@ Usage::
 ``all`` runs through the campaign layer (one stage per registered
 experiment), so ``--campaign-dir`` makes it resumable after a crash
 and ``repro-campaign report`` can render the results.
-
-(Also installed as ``sabres-experiments`` for backward compatibility.)
 """
 
 from __future__ import annotations
@@ -28,23 +26,10 @@ import sys
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.experiments import SweepRunner, registry
+from repro.experiments import registry
 from repro.experiments.campaign import CampaignRunner, CampaignSpec, CampaignStage
 from repro.experiments.context import CampaignContext
 from repro.harness.report import format_table
-
-
-def run_experiment(
-    name: str,
-    scale: float,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> str:
-    """Run one registered experiment and render its result table."""
-    result = SweepRunner(
-        registry.get(name), scale=scale, jobs=jobs, cache_dir=cache_dir
-    ).run()
-    return result.table()
 
 
 def _parse_value(text: str) -> Any:
@@ -117,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="cache completed sweep points on disk (keyed by config hash)",
+        help="journal completed sweep points under DIR and reuse them "
+        "(keyed by config hash; the same store as --campaign-dir)",
     )
     parser.add_argument(
         "--base-seed",
@@ -183,12 +169,8 @@ def main(argv=None) -> int:
             ],
         )
         context = None
-        if args.campaign_dir:
-            context = CampaignContext(args.campaign_dir)
-        elif args.cache_dir:
-            from repro.experiments.context import CacheContext, PointCache
-
-            context = CacheContext(PointCache(args.cache_dir))
+        if args.campaign_dir or args.cache_dir:
+            context = CampaignContext(args.campaign_dir or args.cache_dir)
         from repro.experiments.executors import make_executor
 
         runner = CampaignRunner(

@@ -9,9 +9,9 @@ for 8 KB objects, while the soNUMA transfer itself scales sublinearly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
-from repro.experiments import ExperimentSpec, SweepRunner, register
+from repro.experiments import ExperimentSpec, register
 from repro.harness.common import objects_for_memory_residency
 from repro.harness.report import scaled_duration
 from repro.objstore.farm import FarmConfig, run_farm
@@ -61,16 +61,3 @@ FIG1_SPEC = register(
         point_fn=_fig1_point,
     )
 )
-
-
-def run_fig1(
-    scale: float = 1.0, sizes: Sequence[int] = FIG1_SIZES, seed: int = 1
-) -> Tuple[Sequence[str], List[Dict]]:
-    """One FaRM reader, baseline (per-cache-line versions) build."""
-    result = SweepRunner(
-        FIG1_SPEC,
-        scale=scale,
-        axes={"object_size": sizes},
-        overrides={"seed": seed},
-    ).run()
-    return HEADERS, result.rows

@@ -7,9 +7,9 @@ read-only key-value lookup kernel on local memory).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
-from repro.experiments import ExperimentSpec, SweepRunner, Variant, register
+from repro.experiments import ExperimentSpec, Variant, register
 from repro.harness.report import scaled_duration
 from repro.objstore.local import LocalReadConfig, run_local_reads
 from repro.workloads.generators import FIG1_SIZES
@@ -55,18 +55,3 @@ FIG10_SPEC = register(
         base_seed=9,
     )
 )
-
-
-def run_fig10(
-    scale: float = 1.0,
-    sizes: Sequence[int] = FIG1_SIZES,
-    seed: int = 9,
-    readers: int = 15,
-) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
-        FIG10_SPEC,
-        scale=scale,
-        axes={"object_size": sizes},
-        overrides={"seed": seed, "readers": readers},
-    ).run()
-    return HEADERS, result.rows

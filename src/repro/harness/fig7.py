@@ -13,10 +13,10 @@ identical throughput curves, reaching the fabric-limited peak.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
 from repro.common.config import ClusterConfig, SabreMode
-from repro.experiments import ExperimentSpec, SweepRunner, Variant, register
+from repro.experiments import ExperimentSpec, Variant, register
 from repro.harness.common import objects_for_memory_residency
 from repro.harness.report import scaled_duration
 from repro.workloads.generators import FIG7_SIZES
@@ -104,31 +104,3 @@ FIG7B_SPEC = register(
         base_seed=5,
     )
 )
-
-
-def run_fig7a(
-    scale: float = 1.0, sizes: Sequence[int] = FIG7_SIZES, seed: int = 5
-) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
-        FIG7A_SPEC,
-        scale=scale,
-        axes={"object_size": sizes},
-        overrides={"seed": seed},
-    ).run()
-    return HEADERS_7A, result.rows
-
-
-def run_fig7b(
-    scale: float = 1.0,
-    sizes: Sequence[int] = FIG7_SIZES,
-    seed: int = 5,
-    readers: int = 16,
-    window: int = 8,
-) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
-        FIG7B_SPEC,
-        scale=scale,
-        axes={"object_size": sizes},
-        overrides={"seed": seed, "readers": readers, "window": window},
-    ).run()
-    return HEADERS_7B, result.rows

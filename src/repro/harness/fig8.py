@@ -10,9 +10,9 @@ size-proportional strip).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
-from repro.experiments import ExperimentSpec, SweepRunner, Variant, register
+from repro.experiments import ExperimentSpec, Variant, register
 from repro.harness.common import objects_for_llc_residency
 from repro.harness.report import scaled_duration
 from repro.workloads.generators import FIG8_SIZES
@@ -85,18 +85,3 @@ FIG8_SPEC = register(
         base_seed=11,
     )
 )
-
-
-def run_fig8(
-    scale: float = 1.0,
-    sizes: Sequence[int] = FIG8_SIZES,
-    writer_counts: Sequence[int] = WRITER_COUNTS,
-    seed: int = 11,
-) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
-        FIG8_SPEC,
-        scale=scale,
-        axes={"object_size": sizes, "writers": writer_counts},
-        overrides={"seed": seed},
-    ).run()
-    return HEADERS, result.rows

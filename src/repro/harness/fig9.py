@@ -11,9 +11,9 @@ component grows (the object is LLC- rather than L1-resident).  Net:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
-from repro.experiments import ExperimentSpec, SweepRunner, Variant, register
+from repro.experiments import ExperimentSpec, Variant, register
 from repro.harness.common import objects_for_memory_residency
 from repro.harness.report import scaled_duration
 from repro.objstore.farm import FarmConfig, run_farm
@@ -105,30 +105,3 @@ FIG9B_SPEC = register(
         base_seed=3,
     )
 )
-
-
-def run_fig9a(
-    scale: float = 1.0, sizes: Sequence[int] = FIG1_SIZES, seed: int = 3
-) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
-        FIG9A_SPEC,
-        scale=scale,
-        axes={"object_size": sizes},
-        overrides={"seed": seed},
-    ).run()
-    return HEADERS_9A, result.rows
-
-
-def run_fig9b(
-    scale: float = 1.0,
-    sizes: Sequence[int] = FIG1_SIZES,
-    seed: int = 3,
-    readers: int = 15,
-) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
-        FIG9B_SPEC,
-        scale=scale,
-        axes={"object_size": sizes},
-        overrides={"seed": seed, "readers": readers},
-    ).run()
-    return HEADERS_9B, result.rows

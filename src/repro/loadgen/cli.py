@@ -30,7 +30,8 @@ from repro.loadgen.sweep import SweepConfig, run_sweep, write_artifact
 from repro.loadgen.trace import TraceConfig, build_trace
 from repro.serve.bridge import SimBridge
 from repro.serve.settings import ServeSettings
-from repro.workloads.ycsb import DISTRIBUTIONS, YCSB_MIXES
+from repro.workloads.generators import DISTRIBUTIONS
+from repro.workloads.ycsb import YCSB_MIXES
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,8 +24,8 @@ from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.objstore.sharded import ShardedKV
 from repro.serve.ops import ArrivalTrace, TimedOp
-from repro.workloads.generators import UniformPicker, ZipfianPicker
-from repro.workloads.ycsb import DISTRIBUTIONS, YCSB_MIXES
+from repro.workloads.generators import DISTRIBUTIONS, make_picker
+from repro.workloads.ycsb import YCSB_MIXES
 
 
 @dataclass
@@ -80,15 +80,6 @@ class TraceConfig:
         return self.n_ops
 
 
-def _picker(cfg: TraceConfig):
-    ids = range(cfg.n_objects)
-    if cfg.distribution == "zipfian":
-        return ZipfianPicker(
-            ids, cfg.seed, theta=cfg.zipf_theta, label="loadgen"
-        )
-    return UniformPicker(ids, cfg.seed, label="loadgen")
-
-
 def _txn_keys(cfg: TraceConfig, pick) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """Distinct keys for one transaction, still popularity-weighted:
     draw from the picker, skipping repeats (bounded, then fall back to
@@ -118,7 +109,9 @@ def build_trace(cfg: TraceConfig) -> ArrivalTrace:
     cfg.validate()
     arrivals = make_rng(cfg.seed, "loadgen-arrivals")
     mix = make_rng(cfg.seed, "loadgen-mix")
-    pick = _picker(cfg)
+    pick = make_picker(
+        cfg.n_objects, cfg.seed, cfg.distribution, cfg.zipf_theta, "loadgen"
+    )
     rate_per_ns = cfg.qps / 1e9
     ops: List[TimedOp] = []
     t = 0.0

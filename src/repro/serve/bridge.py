@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.common.errors import ConfigError
-from repro.objstore.sharded import ReaderSession, ShardedKV
-from repro.objstore.txn import TxnManager, TxnSession
+from repro.objstore.sharded import ShardedKV
+from repro.objstore.txn import TxnManager
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.ops import ArrivalTrace, TimedOp
 from repro.serve.settings import ServeSettings
@@ -125,6 +125,42 @@ class ReplayReport:
         }
 
 
+class _SessionPool:
+    """A bounded FIFO pool of client sessions — one of the simulated
+    server's "thread pools".  Sessions are materialized on demand by
+    ``factory()`` up to ``limit``; beyond it, requests queue for a
+    release in arrival order, counted on ``waits{pool=label}``."""
+
+    def __init__(self, sim, waits, factory, limit: int, label: str):
+        self._sim = sim
+        self._waits = waits
+        self._factory = factory
+        self._limit = limit
+        self._label = label
+        self._idle: List[Any] = []
+        self._live = 0
+        self._waiters: Deque = deque()
+
+    def acquire(self):
+        """Check a session out, queueing FIFO when all ``limit`` are
+        busy (a simulation generator)."""
+        while True:
+            if self._idle:
+                return self._idle.pop()
+            if self._live < self._limit:
+                self._live += 1
+                return self._factory()
+            waiter = self._sim.event()
+            self._waiters.append(waiter)
+            self._waits.inc(pool=self._label)
+            yield waiter
+
+    def release(self, session) -> None:
+        self._idle.append(session)
+        if self._waiters:
+            self._waiters.popleft().succeed()
+
+
 class SimBridge:
     """Owns the simulated cluster and injects requests into it."""
 
@@ -136,12 +172,6 @@ class SimBridge:
         self.sim = self.kv.cluster.sim
         self.ready = False
 
-        self._reader_pool: List[ReaderSession] = []
-        self._txn_pool: List[TxnSession] = []
-        self._reader_live = 0
-        self._txn_live = 0
-        self._reader_waiters: Deque = deque()
-        self._txn_waiters: Deque = deque()
         self._next_client = 0
         self.sessions_created = 0
 
@@ -176,6 +206,18 @@ class SimBridge:
         )
         m.add_collector(self._collect_cluster)
 
+        def pool(make, label: str) -> _SessionPool:
+            return _SessionPool(
+                self.sim,
+                self._session_waits,
+                lambda: self._new_session(make),
+                settings.max_sessions,
+                label,
+            )
+
+        self._readers = pool(self.kv.reader_session, "reader")
+        self._txns = pool(self.txn.session, "txn")
+
     # ------------------------------------------------------------------
     # bounded session pools (the simulated server's "thread pools")
     # ------------------------------------------------------------------
@@ -184,45 +226,10 @@ class SimBridge:
         self._next_client += 1
         return client
 
-    def _acquire_reader(self):
-        """Check a reader session out, queueing FIFO when all
-        ``max_sessions`` are busy (a simulation generator)."""
-        while True:
-            if self._reader_pool:
-                return self._reader_pool.pop()
-            if self._reader_live < self.settings.max_sessions:
-                self._reader_live += 1
-                self.sessions_created += 1
-                self._sessions_gauge.set(self.sessions_created)
-                return self.kv.reader_session(self._spread_client())
-            waiter = self.sim.event()
-            self._reader_waiters.append(waiter)
-            self._session_waits.inc(pool="reader")
-            yield waiter
-
-    def _release_reader(self, session: ReaderSession) -> None:
-        self._reader_pool.append(session)
-        if self._reader_waiters:
-            self._reader_waiters.popleft().succeed()
-
-    def _acquire_txn(self):
-        while True:
-            if self._txn_pool:
-                return self._txn_pool.pop()
-            if self._txn_live < self.settings.max_sessions:
-                self._txn_live += 1
-                self.sessions_created += 1
-                self._sessions_gauge.set(self.sessions_created)
-                return self.txn.session(self._spread_client())
-            waiter = self.sim.event()
-            self._txn_waiters.append(waiter)
-            self._session_waits.inc(pool="txn")
-            yield waiter
-
-    def _release_txn(self, session: TxnSession) -> None:
-        self._txn_pool.append(session)
-        if self._txn_waiters:
-            self._txn_waiters.popleft().succeed()
+    def _new_session(self, make):
+        self.sessions_created += 1
+        self._sessions_gauge.set(self.sessions_created)
+        return make(self._spread_client())
 
     # ------------------------------------------------------------------
     # warmup / readiness
@@ -245,13 +252,13 @@ class SimBridge:
         consumed = {"n": 0}
 
         def warm_proc(key: str):
-            session = yield from self._acquire_reader()
+            session = yield from self._readers.acquire()
             try:
                 ok = yield from session.lookup(
                     key, self.sim.now + self.settings.request_timeout_ns
                 )
             finally:
-                self._release_reader(session)
+                self._readers.release(session)
             if ok:
                 consumed["n"] += 1
 
@@ -266,16 +273,16 @@ class SimBridge:
     # op execution (simulation generators)
     # ------------------------------------------------------------------
     def _run_get(self, op: TimedOp, detail: Dict[str, Any], t_end: float):
-        session = yield from self._acquire_reader()
+        session = yield from self._readers.acquire()
         if self.sim.now >= t_end:
             # The whole budget went to queueing for a session.
-            self._release_reader(session)
+            self._readers.release(session)
             return "timeout"
         before = [len(s.op_latency) for s in session.stats]
         try:
             ok = yield from session.lookup(op.key, t_end)
         finally:
-            self._release_reader(session)
+            self._readers.release(session)
         if not ok:
             return "timeout"
         for shard, stats in enumerate(session.stats):
@@ -294,9 +301,9 @@ class SimBridge:
         return "ok"
 
     def _run_txn(self, op: TimedOp, detail: Dict[str, Any], t_end: float):
-        session = yield from self._acquire_txn()
+        session = yield from self._txns.acquire()
         if self.sim.now >= t_end:
-            self._release_txn(session)
+            self._txns.release(session)
             return "timeout"
         try:
             outcome = yield from session.run(
@@ -306,7 +313,7 @@ class SimBridge:
                 max_attempts=self.settings.txn_max_attempts,
             )
         finally:
-            self._release_txn(session)
+            self._txns.release(session)
         detail["attempts"] = outcome.attempts
         detail["aborts"] = outcome.aborts
         if outcome.committed:

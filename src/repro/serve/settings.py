@@ -19,6 +19,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.common.errors import ConfigError
 from repro.objstore.sharded import ShardedConfig
+from repro.workloads.mix import sharded_config
 
 ENV_PREFIX = "REPRO_SERVE_"
 
@@ -117,14 +118,9 @@ class ServeSettings:
         self.sharded_config().validate()
 
     def sharded_config(self) -> ShardedConfig:
-        return ShardedConfig(
-            n_shards=self.n_shards,
-            n_clients=self.n_clients,
+        return sharded_config(
+            self,
             replication=min(self.replication, self.n_shards),
-            mechanism=self.mechanism,
-            object_size=self.object_size,
-            n_objects=self.n_objects,
-            seed=self.seed,
             fallback_after_ns=self.fallback_after_ns,
         )
 

@@ -41,14 +41,12 @@ exercises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError
 from repro.experiments import ExperimentSpec, QaCheck, Variant, register
-from repro.faults import FaultInjector, FaultSchedule
-from repro.harness.report import scaled_duration
+from repro.faults import FaultInjector
 from repro.objstore.reshard import (
     DEFAULT_DRAIN_NS,
     DEFAULT_HANDOFF_FIXED_NS,
@@ -59,14 +57,17 @@ from repro.objstore.reshard import (
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.sim.stats import Samples
-from repro.workloads.generators import UniformPicker, ZipfianPicker
-
-#: Fault kinds an elastic config can overlap with the migration.
-ELASTIC_FAULT_KINDS = ("none", "gray", "straggler", "partition")
-
+from repro.workloads.mix import (
+    ServiceMixConfig,
+    max_over_mean,
+    service_roles,
+    service_totals,
+    spawn_clients,
+)
+from repro.workloads.protocols import DETECTING_VARIANTS
 
 @dataclass
-class ElasticConfig:
+class ElasticConfig(ServiceMixConfig):
     """One elastic run: a mixed load plus a planned topology change.
 
     ``target_shards`` above ``n_shards`` is a scale-out (spare slots
@@ -75,31 +76,17 @@ class ElasticConfig:
     scheduled at ``scale_at_frac`` of ``duration_ns``; the post-
     convergence window opens at ``post_frac``.  ``n_clients`` is an
     absolute count (not per-shard) so the elastic run and its fresh-
-    target baseline drive identical load."""
+    target baseline drive identical load.  The fault lane (PR 7
+    schedules) overlaps the migration window by default."""
 
-    mechanism: str = "sabre"
-    n_shards: int = 4
     target_shards: int = 8
     n_clients: int = 4
-    readers_per_client: int = 2
-    writers_per_client: int = 1
     txn_sessions_per_client: int = 0
-    txn_size: int = 3
-    writes_per_txn: int = 1
-    replication: int = 2
-    object_size: int = 512
     n_objects: int = 96
     duration_ns: float = 240_000.0
     warmup_ns: float = 5_000.0
     scale_at_frac: float = 0.30
     post_frac: float = 0.60
-    write_pause_ns: float = 150.0
-    fallback_after_ns: float = 0.0
-    distribution: str = "uniform"
-    zipf_theta: float = 0.99
-    seed: int = 1
-    version_bits: int = 16
-    vnodes: int = 64
     handoff_fixed_ns: float = DEFAULT_HANDOFF_FIXED_NS
     drain_ns: float = DEFAULT_DRAIN_NS
     #: Hotspot policy: off by default; when on, the promote/demote loop
@@ -110,31 +97,19 @@ class ElasticConfig:
     cool_share: float = 0.02
     max_extra_replicas: int = 2
     min_interval_reads: int = 32
-    #: Fault windows overlapping the migration (PR 7 schedules),
-    #: expressed as fractions of ``duration_ns``.
-    fault_kind: str = "none"
-    fault_windows: int = 0
     fault_first_frac: float = 0.30
-    fault_width_frac: float = 0.15
-    fault_gap_frac: float = 0.05
-    gray_multiplier: float = 8.0
-    partition_drop: bool = True
     #: Run the fresh-target baseline over the same post window and
     #: report ``convergence_ratio`` (doubles the run cost; the parity
     #: artifacts and fuzz lanes switch it off).
     compare_baseline: bool = True
-    costs: SoftwareCosts = field(default_factory=lambda: DEFAULT_COSTS)
 
     def validate(self) -> None:
+        super().validate()
         if self.n_clients < 1:
             raise ConfigError(
                 "elastic runs pin an absolute client count >= 1 (the "
                 "fresh-target baseline must drive identical load)"
             )
-        if self.readers_per_client < 1:
-            raise ConfigError("need at least one reader per client")
-        if self.writers_per_client < 0 or self.txn_sessions_per_client < 0:
-            raise ConfigError("process counts cannot be negative")
         if self.target_shards < self.replication:
             raise ConfigError(
                 f"target_shards={self.target_shards} below "
@@ -145,39 +120,13 @@ class ElasticConfig:
                 "need 0 < scale_at_frac < post_frac <= 1, got "
                 f"{self.scale_at_frac}/{self.post_frac}"
             )
-        if not 0 <= self.warmup_ns < self.scale_at_frac * self.duration_ns:
+        if self.warmup_ns >= self.scale_at_frac * self.duration_ns:
             raise ConfigError("warmup must end before the topology change")
-        if self.distribution not in ("uniform", "zipfian"):
-            raise ConfigError(f"unknown distribution {self.distribution!r}")
-        if self.fault_kind not in ELASTIC_FAULT_KINDS:
-            raise ConfigError(
-                f"unknown fault_kind {self.fault_kind!r}; pick from "
-                f"{ELASTIC_FAULT_KINDS}"
-            )
-        if self.fault_windows < 0:
-            raise ConfigError("fault_windows cannot be negative")
-        if self.txn_sessions_per_client:
-            if not 1 <= self.txn_size <= self.n_objects:
-                raise ConfigError("txn_size must be in [1, n_objects]")
-            if not 0 <= self.writes_per_txn <= self.txn_size:
-                raise ConfigError("writes_per_txn must be in [0, txn_size]")
         self.rebalance_config().validate()
-        self.to_sharded().validate()
 
     def to_sharded(self) -> ShardedConfig:
-        return ShardedConfig(
-            n_shards=self.n_shards,
-            max_shards=max(self.n_shards, self.target_shards),
-            n_clients=self.n_clients,
-            replication=self.replication,
-            mechanism=self.mechanism,
-            object_size=self.object_size,
-            n_objects=self.n_objects,
-            version_bits=self.version_bits,
-            vnodes=self.vnodes,
-            seed=self.seed,
-            fallback_after_ns=self.fallback_after_ns,
-            costs=self.costs,
+        return super().to_sharded(
+            max_shards=max(self.n_shards, self.target_shards)
         )
 
     def rebalance_config(self) -> RebalanceConfig:
@@ -187,34 +136,6 @@ class ElasticConfig:
             cool_share=self.cool_share,
             max_extra=self.max_extra_replicas,
             min_reads=self.min_interval_reads,
-        )
-
-    def fault_schedule(self) -> FaultSchedule:
-        """Gray/straggler/partition windows over the *starting* member
-        shards, overlapping the migration window by default."""
-        if self.fault_kind == "none" or self.fault_windows == 0:
-            return FaultSchedule()
-        first = self.fault_first_frac * self.duration_ns
-        width = self.fault_width_frac * self.duration_ns
-        gap = self.fault_gap_frac * self.duration_ns
-        shards = range(self.n_shards)
-        if self.fault_kind == "partition":
-            return FaultSchedule.partition_cycles(
-                [(None, shard) for shard in shards],
-                first_ns=first,
-                width_ns=width,
-                gap_ns=gap,
-                count=self.fault_windows,
-                drop=self.partition_drop,
-            )
-        return FaultSchedule.gray_cycles(
-            list(shards),
-            first_ns=first,
-            width_ns=width,
-            gap_ns=gap,
-            count=self.fault_windows,
-            multiplier=self.gray_multiplier,
-            kind=self.fault_kind,
         )
 
 
@@ -272,15 +193,9 @@ class ElasticResult:
     @property
     def shard_imbalance(self) -> float:
         """Max-over-mean routed reads across *member* shards."""
-        routed = [
-            row["reads_routed"]
-            for row in self.shard_rows
-            if row["member"]
-        ]
-        mean = sum(routed) / len(routed) if routed else 0.0
-        if mean <= 0:
-            return math.nan
-        return max(routed) / mean
+        return max_over_mean(
+            [row["reads_routed"] for row in self.shard_rows if row["member"]]
+        )
 
 
 def run_elastic(cfg: ElasticConfig) -> ElasticResult:
@@ -333,64 +248,28 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
             return "mid"
         return "post"
 
-    def picker(client: int, role: str, thread: int):
-        if cfg.distribution == "zipfian":
-            return ZipfianPicker(
-                range(cfg.n_objects),
-                cfg.seed,
-                theta=cfg.zipf_theta,
-                label=(role, client, thread),
-            )
-        return UniformPicker(
-            range(cfg.n_objects), cfg.seed, label=(role, client, thread)
-        )
+    def on_read(ok, t0: float) -> None:
+        p = phase()
+        if ok and p:
+            phase_reads[p] += 1
+            latency[p].add(sim.now - t0)
+            if manager.any_migrating():
+                migration_reads[0] += 1
 
-    def reader_proc(session, client: int, thread: int):
-        pick = picker(client, "reader", thread)
-        while sim.now < t_end:
-            key = kv.key_name(pick.pick())
-            t0 = sim.now
-            ok = yield from session.lookup(key, t_end)
-            p = phase()
-            if ok and p:
-                phase_reads[p] += 1
-                latency[p].add(sim.now - t0)
-                if manager.any_migrating():
-                    migration_reads[0] += 1
+    def on_write(ack) -> None:
+        p = phase()
+        if ack is not None and p:
+            phase_writes[p] += 1
 
-    def writer_proc(client: int, thread: int):
-        pick = picker(client, "writer", thread)
-        while sim.now < t_end:
-            key = kv.key_name(pick.pick())
-            ack = yield kv.put(client, key, t_end)
-            p = phase()
-            if ack is not None and p:
-                phase_writes[p] += 1
-            yield sim.timeout(cfg.write_pause_ns)
+    def on_txn(outcome, _t0, _write_keys) -> None:
+        if phase():
+            commits[0] += int(outcome.committed)
 
-    def txn_proc(session, client: int, thread: int):
-        pick = picker(client, "txn", thread)
-        while sim.now < t_end:
-            chosen: List[int] = []
-            while len(chosen) < cfg.txn_size:
-                idx = pick.pick()
-                if idx not in chosen:
-                    chosen.append(idx)
-            keys = [kv.key_name(idx) for idx in chosen]
-            outcome = yield from session.run(
-                keys, keys[: cfg.writes_per_txn], t_end
-            )
-            if phase():
-                commits[0] += int(outcome.committed)
-
-    for client in range(kv.cfg.clients):
-        for thread in range(cfg.readers_per_client):
-            sim.process(reader_proc(kv.reader_session(client), client, thread))
-        for thread in range(cfg.writers_per_client):
-            sim.process(writer_proc(client, thread))
-        if txns is not None:
-            for thread in range(cfg.txn_sessions_per_client):
-                sim.process(txn_proc(txns.session(client), client, thread))
+    spawn_clients(
+        sim,
+        kv.cfg.clients,
+        service_roles(kv, txns, cfg, on_read, on_write, on_txn),
+    )
 
     sim.run()
     manager.stop_rebalancer()
@@ -405,8 +284,7 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
         )
         baseline_post = run_elastic(fresh).post_reads
 
-    reader_stats = kv.all_reader_stats()
-    write_stats = kv.write_stats
+    totals = service_totals(kv)
     return ElasticResult(
         config=cfg,
         pre_reads=phase_reads["pre"],
@@ -420,18 +298,16 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
         post_latency=latency["post"],
         reads_during_migration=migration_reads[0],
         commits=commits[0],
-        undetected_violations=sum(
-            s.undetected_violations for s in reader_stats
-        ),
+        undetected_violations=totals["undetected_violations"],
         torn_reads_observed=(
             txns.merged_stats().torn_reads_observed if txns else 0
         ),
-        retries=sum(s.retries for s in reader_stats),
-        write_retries=sum(ws.write_retries for ws in write_stats),
-        busy_rejects=sum(ws.busy_rejects for ws in write_stats),
-        fenced_rejects=sum(ws.fenced_rejects for ws in write_stats),
-        reshard_redirects=sum(ws.reshard_redirects for ws in write_stats),
-        crash_redirects=sum(ws.crash_redirects for ws in write_stats),
+        retries=totals["retries"],
+        write_retries=totals["write_retries"],
+        busy_rejects=totals["busy_rejects"],
+        fenced_rejects=totals["fenced_rejects"],
+        reshard_redirects=totals["reshard_redirects"],
+        crash_redirects=totals["crash_redirects"],
         reshard=manager.stats,
         hot_keys_promoted=len(kv.hot_replicas),
         shard_rows=kv.shard_load(),
@@ -444,15 +320,6 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
 # registered experiments
 # ----------------------------------------------------------------------
 
-#: Mechanisms whose consumed reads must never be torn (mirrors
-#: :data:`repro.workloads.availability.DETECTING_VARIANTS`).
-DETECTING_VARIANTS = (
-    ("sabre", "sabre"),
-    ("percl", "percl_versions"),
-    ("checksum", "checksum"),
-    ("drtm", "drtm_lock"),
-)
-
 ELASTIC_HEADERS = (
     "target_shards",
     *(f"{label}_violations" for label, _ in DETECTING_VARIANTS),
@@ -462,31 +329,8 @@ ELASTIC_HEADERS = (
 )
 
 
-def _elastic_cfg_from_params(p, scale: float) -> ElasticConfig:
-    return ElasticConfig(
-        mechanism=p["mechanism"],
-        n_shards=p["n_shards"],
-        target_shards=p["target_shards"],
-        n_clients=p["n_clients"],
-        readers_per_client=p["readers_per_client"],
-        writers_per_client=p["writers_per_client"],
-        txn_sessions_per_client=p["txn_sessions_per_client"],
-        replication=p["replication"],
-        object_size=p["object_size"],
-        n_objects=p["n_objects"],
-        duration_ns=scaled_duration(p["duration_ns"], scale),
-        warmup_ns=p["warmup_ns"],
-        fallback_after_ns=p["fallback_after_ns"],
-        distribution=p["distribution"],
-        rebalance=p["rebalance"],
-        max_extra_replicas=p["max_extra_replicas"],
-        compare_baseline=p["compare_baseline"],
-        seed=p["seed"],
-    )
-
-
 def _elastic_point(ctx) -> Dict[str, float]:
-    result = run_elastic(_elastic_cfg_from_params(ctx.params, ctx.scale))
+    result = run_elastic(ElasticConfig.from_params(ctx.params, ctx.scale))
     v = ctx.variant
     return {
         f"{v}_violations": result.undetected_violations,
@@ -496,27 +340,6 @@ def _elastic_point(ctx) -> Dict[str, float]:
         f"{v}_tail_blip": result.tail_blip,
         f"{v}_redirects": result.reshard_redirects,
     }
-
-
-_ELASTIC_DEFAULTS = {
-    "mechanism": "sabre",
-    "n_shards": 4,
-    "target_shards": 8,
-    "n_clients": 4,
-    "readers_per_client": 2,
-    "writers_per_client": 1,
-    "txn_sessions_per_client": 0,
-    "replication": 2,
-    "object_size": 512,
-    "n_objects": 96,
-    "duration_ns": 240_000.0,
-    "warmup_ns": 5_000.0,
-    "fallback_after_ns": 0.0,
-    "distribution": "uniform",
-    "rebalance": False,
-    "max_extra_replicas": 2,
-    "compare_baseline": True,
-}
 
 
 ELASTIC_SCALING_SPEC = register(
@@ -532,7 +355,7 @@ ELASTIC_SCALING_SPEC = register(
             Variant(label, {"mechanism": name})
             for label, name in DETECTING_VARIANTS
         ),
-        defaults={**_ELASTIC_DEFAULTS, "seed": 43},
+        defaults={"seed": 43},
         headers=ELASTIC_HEADERS,
         point_fn=_elastic_point,
         base_seed=43,
@@ -556,9 +379,7 @@ HOTKEY_HEADERS = (
 
 
 def _hotkey_point(ctx) -> Dict[str, float]:
-    p = dict(ctx.params)
-    cfg = _elastic_cfg_from_params(p, ctx.scale)
-    result = run_elastic(cfg)
+    result = run_elastic(ElasticConfig.from_params(ctx.params, ctx.scale))
     return {
         "reads": result.pre_reads + result.mid_reads + result.post_reads,
         "shard_imbalance": result.shard_imbalance,
@@ -579,7 +400,6 @@ HOTKEY_REBALANCE_SPEC = register(
         ),
         axes={"max_extra_replicas": (0, 2)},
         defaults={
-            **_ELASTIC_DEFAULTS,
             # No topology change: the policy loop is the event.
             "target_shards": 4,
             "distribution": "zipfian",

@@ -21,6 +21,14 @@ from repro.objstore.failover import FailoverManager, FailurePlan
 from repro.objstore.reshard import ReshardManager
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
+from repro.workloads.mix import (
+    reader_proc,
+    service_totals,
+    txn_proc,
+    unmetered,
+    writer_proc,
+)
+from repro.workloads.protocols import DETECTING_VARIANTS
 
 #: RPC watchdog armed for fault-lane rounds (when no FailoverManager
 #: already chose one): short enough that gray windows make watchdogs
@@ -28,28 +36,27 @@ from repro.objstore.txn import TxnManager
 FAULT_LANE_RPC_TIMEOUT_NS = 8_000.0
 
 #: Mechanisms whose consumed reads must never be torn.
-DETECTING = ("sabre", "percl_versions", "checksum", "drtm_lock")
+DETECTING = tuple(name for _label, name in DETECTING_VARIANTS)
 
 
 class FuzzOutcome:
     """Aggregated counters of one fuzz round."""
 
     def __init__(self, kv, manager, injector=None, faults=None, reshard=None):
-        reader_stats = kv.all_reader_stats()
+        totals = service_totals(kv)
         txn = manager.merged_stats()
-        self.undetected_violations = sum(
-            s.undetected_violations for s in reader_stats
-        )
+        self.undetected_violations = totals["undetected_violations"]
         self.torn_reads_observed = txn.torn_reads_observed
-        self.reads_consumed = sum(len(s.op_latency) for s in reader_stats)
+        self.reads_consumed = totals["reads_consumed"]
         self.commits = txn.commits
         self.detected_conflicts = (
-            sum(s.sabre_aborts + s.software_conflicts + s.retries
-                for s in reader_stats)
+            totals["sabre_aborts"]
+            + totals["software_conflicts"]
+            + totals["retries"]
             + txn.lock_conflicts
             + txn.validation_aborts
         )
-        self.writes = sum(ws.primary_updates for ws in kv.write_stats)
+        self.writes = totals["primary_updates"]
         self.crashes = injector.stats.crashes if injector else 0
         self.recoveries = injector.stats.recoveries if injector else 0
         self.promotions = injector.stats.promotions if injector else 0
@@ -68,19 +75,15 @@ class FuzzOutcome:
         self.partition_windows = (
             faults.stats.partition_windows if faults else 0
         )
-        self.partition_refusals = kv.cluster.fabric.partition_refusals
-        self.watchdog_rearms = sum(
-            e.watchdog_rearms for e in kv.all_endpoints()
-        )
+        self.partition_refusals = totals["partition_refusals"]
+        self.watchdog_rearms = totals["watchdog_rearms"]
         self.shards_added = reshard.stats.shards_added if reshard else 0
         self.keys_migrated = reshard.stats.keys_migrated if reshard else 0
         self.vnode_handoffs = reshard.stats.vnode_handoffs if reshard else 0
         self.migration_retries = (
             reshard.stats.migration_retries if reshard else 0
         )
-        self.reshard_redirects = sum(
-            ws.reshard_redirects for ws in kv.write_stats
-        )
+        self.reshard_redirects = totals["reshard_redirects"]
         self.fingerprint = (
             self.undetected_violations,
             self.torn_reads_observed,
@@ -101,7 +104,7 @@ class FuzzOutcome:
             self.vnode_handoffs,
             self.migration_retries,
             self.reshard_redirects,
-            [s.retries for s in reader_stats],
+            [s.retries for s in kv.all_reader_stats()],
             manager.txn_rows(),
             kv.shard_load(),
         )
@@ -231,33 +234,42 @@ def fuzz_round(
     keys = kv.keys()
     t_end = duration_ns
 
-    def reader_proc(session, label):
-        pick = make_rng(seed, "fuzz-reader", label)
-        while sim.now < t_end:
-            key = keys[pick.randrange(len(keys))]
-            yield from session.lookup(key, t_end)
+    def random_key(pick):
+        return lambda: keys[pick.randrange(len(keys))]
 
-    def writer_proc(client, label):
-        pick = make_rng(seed, "fuzz-writer", label)
-        while sim.now < t_end:
-            key = keys[pick.randrange(len(keys))]
-            yield kv.put(client, key, t_end)
-            yield sim.timeout(pick.uniform(10.0, 200.0))
+    def reader(i: int):
+        pick = make_rng(seed, "fuzz-reader", i)
+        session = kv.reader_session(i % cfg.clients)
+        return reader_proc(sim, session, random_key(pick), t_end, unmetered)
 
-    def txn_proc(session, label):
-        pick = make_rng(seed, "fuzz-txn", label)
-        while sim.now < t_end:
+    def writer(i: int):
+        pick = make_rng(seed, "fuzz-writer", i)
+        return writer_proc(
+            sim,
+            kv,
+            i % cfg.clients,
+            random_key(pick),
+            lambda: pick.uniform(10.0, 200.0),
+            t_end,
+            unmetered,
+        )
+
+    def txn(i: int):
+        pick = make_rng(seed, "fuzz-txn", i)
+
+        def next_txn():
             size = pick.randint(2, min(4, len(keys)))
             chosen = pick.sample(keys, size)
-            writes = chosen[: pick.randint(0, size)]
-            yield from session.run(chosen, writes, t_end)
+            return chosen, chosen[: pick.randint(0, size)]
 
-    for i in range(rng.randint(1, 2)):
-        sim.process(reader_proc(kv.reader_session(i % cfg.clients), i))
-    for i in range(rng.randint(1, 2)):
-        sim.process(writer_proc(i % cfg.clients, i))
-    for i in range(rng.randint(1, 2)):
-        sim.process(txn_proc(manager.session(i % cfg.clients), i))
+        session = manager.session(i % cfg.clients)
+        return txn_proc(sim, session, next_txn, t_end, unmetered)
+
+    # Role-major, not client-major like ``spawn_clients``: the process
+    # *counts* are part of the seed-derived schedule.
+    for role in (reader, writer, txn):
+        for i in range(rng.randint(1, 2)):
+            sim.process(role(i))
 
     sim.run()
     return FuzzOutcome(kv, manager, injector, faults, reshard)

@@ -15,6 +15,9 @@ FIG7_SIZES: Sequence[int] = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
 #: Fig. 8 studies three representative sizes.
 FIG8_SIZES: Sequence[int] = (128, 1024, 8192)
 
+#: Key-popularity distributions :func:`make_picker` builds.
+DISTRIBUTIONS = ("uniform", "zipfian")
+
 
 class UniformPicker:
     """Readers access all objects uniformly at random (§7.2)."""
@@ -129,3 +132,15 @@ class ZipfianPicker:
             return 0.0
         top_n = min(top_n, len(self._cdf))
         return self._cdf[top_n - 1] / self._total
+
+
+def make_picker(
+    n_objects: int, seed: int, distribution: str, theta: float, label: object
+):
+    """The picker over object ids ``0..n_objects-1`` every workload
+    draws keys from.  ``label`` names the RNG stream, so two pickers
+    with one seed are independent exactly when their labels differ."""
+    ids = range(n_objects)
+    if distribution == "zipfian":
+        return ZipfianPicker(ids, seed, theta=theta, label=label)
+    return UniformPicker(ids, seed, label=label)

@@ -26,7 +26,7 @@ from repro.objstore.store import ObjectStore
 from repro.sim.resources import FifoResource
 from repro.sim.stats import Samples, ThroughputMeter
 from repro.sonuma.node import Cluster, SoNode
-from repro.workloads.generators import CrewPartition, UniformPicker, ZipfianPicker
+from repro.workloads.generators import CrewPartition, make_picker
 from repro.workloads.protocols import get_protocol, protocol_names
 
 #: Mechanisms the microbenchmark understands — the registered
@@ -213,11 +213,10 @@ class Microbenchmark:
     # ------------------------------------------------------------------
     def _picker(self, label):
         cfg = self.cfg
-        if cfg.zipf_theta > 0.0:
-            return ZipfianPicker(
-                range(cfg.n_objects), cfg.seed, theta=cfg.zipf_theta, label=label
-            )
-        return UniformPicker(range(cfg.n_objects), cfg.seed, label=label)
+        distribution = "zipfian" if cfg.zipf_theta > 0.0 else "uniform"
+        return make_picker(
+            cfg.n_objects, cfg.seed, distribution, cfg.zipf_theta, label
+        )
 
     # ------------------------------------------------------------------
     def _async_thread(self, thread: int, t_end: float):

@@ -319,3 +319,21 @@ class DrtmLockProtocol(ReadProtocol):
             self.stats.transfer_latency.add(read.timings.end_to_end_ns)
             self.stats.meter.record(cfg.payload_len)
             return
+
+
+#: Experiment-variant label -> registered protocol name, in
+#: registration (Table 1) order; the per-mechanism service specs
+#: build their variants and column headers from it.
+PROTOCOL_VARIANTS = (
+    ("remote", "remote_read"),
+    ("sabre", "sabre"),
+    ("percl", "percl_versions"),
+    ("checksum", "checksum"),
+    ("drtm", "drtm_lock"),
+)
+
+#: The mechanisms whose consumed reads must never be torn (the
+#: ``remote_read`` baseline is excluded by design: it tears).
+DETECTING_VARIANTS = tuple(
+    (label, name) for label, name in PROTOCOL_VARIANTS if name != "remote_read"
+)

@@ -29,44 +29,38 @@ Two experiments register with the framework:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.experiments import ExperimentSpec, Variant, register
-from repro.harness.report import scaled_duration
-from repro.objstore.sharded import ShardedConfig, ShardedKV
-from repro.objstore.txn import TxnManager, TxnStats
+from repro.objstore.sharded import ShardedKV
+from repro.objstore.txn import TxnManager
 from repro.sim.stats import Samples
-from repro.workloads.generators import UniformPicker, ZipfianPicker
-
-DISTRIBUTIONS = ("uniform", "zipfian")
+from repro.workloads.mix import (
+    DeploymentConfig,
+    derive_shard_scaling,
+    distinct_keys,
+    meter_window,
+    service_totals,
+    spawn_clients,
+    txn_proc,
+)
+from repro.workloads.protocols import PROTOCOL_VARIANTS
 
 
 @dataclass
-class TxnMixConfig:
+class TxnMixConfig(DeploymentConfig):
     """One transactional-mix run against a sharded deployment."""
 
     txn_size: int = 4
     writes_per_txn: int = 2
     rmw_fraction: float = 0.5
-    distribution: str = "uniform"
-    zipf_theta: float = 0.99
-    mechanism: str = "sabre"
-    n_shards: int = 4
-    n_clients: int = 0  # 0 = one client node per shard
     sessions_per_client: int = 2
-    replication: int = 2
     object_size: int = 256
     n_objects: int = 128
-    duration_ns: float = 200_000.0
     warmup_ns: float = 20_000.0
-    seed: int = 1
-    version_bits: int = 16
-    vnodes: int = 64
-    costs: SoftwareCosts = field(default_factory=lambda: DEFAULT_COSTS)
 
     def validate(self) -> None:
         if self.txn_size < 1:
@@ -82,34 +76,9 @@ class TxnMixConfig:
             )
         if not 0.0 <= self.rmw_fraction <= 1.0:
             raise ConfigError(f"rmw_fraction must be in [0, 1]: {self.rmw_fraction}")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ConfigError(
-                f"unknown distribution {self.distribution!r}; "
-                f"choose from {DISTRIBUTIONS}"
-            )
-        if not 0.0 < self.zipf_theta < 2.0:
-            raise ConfigError(f"zipf_theta must be in (0, 2): {self.zipf_theta}")
         if self.sessions_per_client < 1:
             raise ConfigError("need at least one session per client")
-        if self.warmup_ns < 0:
-            raise ConfigError("warmup cannot be negative")
-        if self.warmup_ns >= self.duration_ns:
-            raise ConfigError("warmup must end before the run does")
-        self.to_sharded().validate()
-
-    def to_sharded(self) -> ShardedConfig:
-        return ShardedConfig(
-            n_shards=self.n_shards,
-            n_clients=self.n_clients,
-            replication=self.replication,
-            mechanism=self.mechanism,
-            object_size=self.object_size,
-            n_objects=self.n_objects,
-            version_bits=self.version_bits,
-            vnodes=self.vnodes,
-            seed=self.seed,
-            costs=self.costs,
-        )
+        super().validate()
 
 
 @dataclass
@@ -158,6 +127,7 @@ def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
     t_end = cfg.duration_ns
 
     commit_latency = Samples("txn_commit_ns")
+    # In-window counters, keyed by the TxnMixResult field they fill.
     window = {
         "commits": 0,
         "rmw_commits": 0,
@@ -169,79 +139,47 @@ def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
         "retries": 0,
     }
 
-    def picker(client: int, thread: int):
-        label = (client, thread)
-        ids = range(cfg.n_objects)
-        if cfg.distribution == "zipfian":
-            return ZipfianPicker(ids, cfg.seed, theta=cfg.zipf_theta, label=label)
-        return UniformPicker(ids, cfg.seed, label=label)
+    def observe(outcome, t0: float, write_keys) -> None:
+        if not cfg.warmup_ns <= sim.now <= t_end:
+            return
+        window["attempts"] += outcome.attempts
+        window["lock_aborts"] += outcome.lock_aborts
+        window["validation_aborts"] += outcome.validation_aborts
+        window["timeouts"] += int(outcome.timed_out)
+        # Transaction-level retry count (an attempt after an abort),
+        # not the per-shard attribution the manager keeps — a 4-shard
+        # txn retrying once is 1 retry here.
+        window["retries"] += outcome.attempts - 1
+        if outcome.committed:
+            commit_latency.add(sim.now - t0)
+            window["commits"] += 1
+            window["rmw_commits" if write_keys else "ro_commits"] += 1
 
-    def pick_keys(pick) -> List[str]:
-        chosen: List[int] = []
-        while len(chosen) < cfg.txn_size:
-            idx = pick.pick()
-            if idx not in chosen:
-                chosen.append(idx)
-        return [kv.key_name(idx) for idx in chosen]
-
-    def client_proc(session, client: int, thread: int):
+    def client(client: int, thread: int):
         rng = make_rng(cfg.seed, "txn-mix", client, thread)
-        pick = picker(client, thread)
-        while sim.now < t_end:
-            keys = pick_keys(pick)
+        pick = cfg.picker((client, thread))
+
+        def next_txn():
+            keys = distinct_keys(kv, pick, cfg.txn_size)
             rmw = cfg.writes_per_txn > 0 and rng.random() < cfg.rmw_fraction
-            write_keys = keys[: cfg.writes_per_txn] if rmw else []
-            t0 = sim.now
-            outcome = yield from session.run(keys, write_keys, t_end)
-            in_window = cfg.warmup_ns <= sim.now <= t_end
-            if in_window:
-                window["attempts"] += outcome.attempts
-                window["lock_aborts"] += outcome.lock_aborts
-                window["validation_aborts"] += outcome.validation_aborts
-                window["timeouts"] += int(outcome.timed_out)
-                # Transaction-level retry count (an attempt after an
-                # abort), not the per-shard attribution the manager
-                # keeps — a 4-shard txn retrying once is 1 retry here.
-                window["retries"] += outcome.attempts - 1
-            if outcome.committed and in_window:
-                commit_latency.add(sim.now - t0)
-                window["commits"] += 1
-                window["rmw_commits" if rmw else "ro_commits"] += 1
+            return keys, (keys[: cfg.writes_per_txn] if rmw else [])
 
-    for client in range(kv.cfg.clients):
-        for thread in range(cfg.sessions_per_client):
-            session = manager.session(client)
-            sim.process(client_proc(session, client, thread))
+        return txn_proc(sim, manager.session(client), next_txn, t_end, observe)
 
-    def metering():
-        yield sim.timeout(cfg.warmup_ns)
-        for stats in kv.all_reader_stats():
-            stats.meter.start(sim.now)
-        yield sim.timeout(t_end - cfg.warmup_ns)
-        for stats in kv.all_reader_stats():
-            stats.meter.stop(sim.now)
-
-    sim.process(metering())
+    spawn_clients(sim, kv.cfg.clients, [(cfg.sessions_per_client, client)])
+    sim.process(meter_window(sim, kv, cfg.warmup_ns, t_end))
     sim.run()
 
-    reader_stats = kv.all_reader_stats()
-    merged: TxnStats = manager.merged_stats()
+    totals = service_totals(kv)
     return TxnMixResult(
         config=cfg,
         commit_latency=commit_latency,
-        commits=window["commits"],
-        rmw_commits=window["rmw_commits"],
-        ro_commits=window["ro_commits"],
-        attempts=window["attempts"],
-        lock_aborts=window["lock_aborts"],
-        validation_aborts=window["validation_aborts"],
-        timeouts=window["timeouts"],
-        retries=window["retries"],
-        sabre_aborts=sum(s.sabre_aborts for s in reader_stats),
-        software_conflicts=sum(s.software_conflicts for s in reader_stats),
-        read_retries=sum(s.retries for s in reader_stats),
-        undetected_violations=sum(s.undetected_violations for s in reader_stats),
-        torn_reads_observed=merged.torn_reads_observed,
+        **window,
+        sabre_aborts=totals["sabre_aborts"],
+        software_conflicts=totals["software_conflicts"],
+        read_retries=totals["retries"],
+        undetected_violations=totals["undetected_violations"],
+        torn_reads_observed=manager.merged_stats().torn_reads_observed,
         txn_rows=manager.txn_rows(),
         shard_rows=kv.shard_load(),
     )
@@ -251,14 +189,8 @@ def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
 # registered experiments
 # ----------------------------------------------------------------------
 
-#: Variant label -> registered protocol name.
-PROTOCOL_VARIANTS = (
-    ("remote", "remote_read"),
-    ("sabre", "sabre"),
-    ("percl", "percl_versions"),
-    ("checksum", "checksum"),
-    ("drtm", "drtm_lock"),
-)
+#: Both specs shorten the config's default run.
+_TXN_SPEC_WINDOW = {"duration_ns": 120_000.0, "warmup_ns": 15_000.0}
 
 ABORT_HEADERS = (
     "rmw_fraction",
@@ -279,27 +211,8 @@ SCALING_HEADERS = (
 )
 
 
-def _cfg_from_params(p, scale: float) -> TxnMixConfig:
-    return TxnMixConfig(
-        txn_size=p["txn_size"],
-        writes_per_txn=p["writes_per_txn"],
-        rmw_fraction=p["rmw_fraction"],
-        distribution=p["distribution"],
-        mechanism=p["mechanism"],
-        n_shards=p["n_shards"],
-        n_clients=p.get("n_clients", 0),
-        sessions_per_client=p["sessions_per_client"],
-        replication=p["replication"],
-        object_size=p["object_size"],
-        n_objects=p["n_objects"],
-        duration_ns=scaled_duration(p["duration_ns"], scale),
-        warmup_ns=p["warmup_ns"],
-        seed=p["seed"],
-    )
-
-
 def _abort_rate_point(ctx) -> Dict[str, float]:
-    result = run_txn_mix(_cfg_from_params(ctx.params, ctx.scale))
+    result = run_txn_mix(TxnMixConfig.from_params(ctx.params, ctx.scale))
     v = ctx.variant
     return {
         f"{v}_abort_rate": result.abort_rate,
@@ -318,20 +231,7 @@ TXN_ABORT_RATE_SPEC = register(
             Variant(label, {"mechanism": name})
             for label, name in PROTOCOL_VARIANTS
         ),
-        defaults={
-            "txn_size": 4,
-            "writes_per_txn": 2,
-            "distribution": "zipfian",
-            "mechanism": "sabre",
-            "n_shards": 4,
-            "sessions_per_client": 2,
-            "replication": 2,
-            "object_size": 256,
-            "n_objects": 128,
-            "duration_ns": 120_000.0,
-            "warmup_ns": 15_000.0,
-            "seed": 17,
-        },
+        defaults={**_TXN_SPEC_WINDOW, "distribution": "zipfian", "seed": 17},
         headers=ABORT_HEADERS,
         point_fn=_abort_rate_point,
         base_seed=17,
@@ -339,18 +239,8 @@ TXN_ABORT_RATE_SPEC = register(
 )
 
 
-def _derive_scaling(params: Dict) -> Dict:
-    out = dict(params)
-    shards = out.pop("shards")
-    out["n_shards"] = shards
-    # One client node per shard: load generators grow with the rack.
-    out["n_clients"] = shards
-    out["replication"] = min(out["replication"], shards)
-    return out
-
-
 def _txn_scaling_point(ctx) -> Dict[str, float]:
-    result = run_txn_mix(_cfg_from_params(ctx.params, ctx.scale))
+    result = run_txn_mix(TxnMixConfig.from_params(ctx.params, ctx.scale))
     return {
         "commits_per_us": result.commits_per_us,
         "commit_ns": result.mean_commit_ns,
@@ -369,20 +259,11 @@ TXN_SHARD_SCALING_SPEC = register(
         description="Txn commit throughput under SABRes as shards grow 1->8",
         axes={"shards": (1, 2, 4, 8)},
         defaults={
-            "txn_size": 4,
-            "writes_per_txn": 2,
-            "rmw_fraction": 0.5,
-            "distribution": "uniform",
-            "mechanism": "sabre",
-            "sessions_per_client": 2,
-            "replication": 2,
-            "object_size": 256,
-            "n_objects": 128,
-            "duration_ns": 120_000.0,
-            "warmup_ns": 15_000.0,
+            **_TXN_SPEC_WINDOW,
+            "replication": 2,  # capped at the shard count by derive
             "seed": 19,
         },
-        derive=_derive_scaling,
+        derive=derive_shard_scaling,
         headers=SCALING_HEADERS,
         point_fn=_txn_scaling_point,
         base_seed=19,

@@ -32,45 +32,41 @@ Two experiments register with the framework:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.experiments import ExperimentSpec, QaCheck, Variant, register
-from repro.harness.report import scaled_duration
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.sim.stats import Samples
-from repro.workloads.generators import UniformPicker, ZipfianPicker
+from repro.workloads.generators import DISTRIBUTIONS
+from repro.workloads.mix import (
+    DeploymentConfig,
+    derive_shard_scaling,
+    max_over_mean,
+    meter_window,
+    read_update_proc,
+    service_totals,
+    spawn_clients,
+)
 
 #: Core YCSB mixes: workload letter -> write fraction.
 YCSB_MIXES: Dict[str, float] = {"A": 0.5, "B": 0.05, "C": 0.0}
 
-DISTRIBUTIONS = ("uniform", "zipfian")
-
 
 @dataclass
-class YcsbConfig:
+class YcsbConfig(DeploymentConfig):
     """One YCSB run against a sharded deployment."""
 
     workload: str = "B"
     distribution: str = "zipfian"
-    zipf_theta: float = 0.99
-    mechanism: str = "sabre"
-    n_shards: int = 4
-    n_clients: int = 0  # 0 = one client node per shard
     readers_per_client: int = 2
-    replication: int = 2
     object_size: int = 1024
     n_objects: int = 512
     duration_ns: float = 150_000.0
     warmup_ns: float = 15_000.0
     fallback_after_ns: float = 0.0
-    seed: int = 1
-    version_bits: int = 16
-    vnodes: int = 64
-    costs: SoftwareCosts = field(default_factory=lambda: DEFAULT_COSTS)
 
     def validate(self) -> None:
         if self.workload not in YCSB_MIXES:
@@ -78,39 +74,16 @@ class YcsbConfig:
                 f"unknown YCSB workload {self.workload!r}; "
                 f"choose from {sorted(YCSB_MIXES)}"
             )
-        if self.distribution not in DISTRIBUTIONS:
-            raise ConfigError(
-                f"unknown distribution {self.distribution!r}; "
-                f"choose from {DISTRIBUTIONS}"
-            )
-        if not 0.0 < self.zipf_theta < 2.0:
-            raise ConfigError(f"zipf_theta must be in (0, 2): {self.zipf_theta}")
         if self.readers_per_client < 1:
             raise ConfigError("need at least one reader per client")
-        if self.warmup_ns < 0:
-            raise ConfigError("warmup cannot be negative")
-        if self.warmup_ns >= self.duration_ns:
-            raise ConfigError("warmup must end before the run does")
-        self.to_sharded().validate()
+        super().validate()
 
     @property
     def write_fraction(self) -> float:
         return YCSB_MIXES[self.workload]
 
     def to_sharded(self) -> ShardedConfig:
-        return ShardedConfig(
-            n_shards=self.n_shards,
-            n_clients=self.n_clients,
-            replication=self.replication,
-            mechanism=self.mechanism,
-            object_size=self.object_size,
-            n_objects=self.n_objects,
-            version_bits=self.version_bits,
-            vnodes=self.vnodes,
-            seed=self.seed,
-            fallback_after_ns=self.fallback_after_ns,
-            costs=self.costs,
-        )
+        return super().to_sharded(fallback_after_ns=self.fallback_after_ns)
 
 
 @dataclass
@@ -141,11 +114,7 @@ class YcsbResult:
     def shard_imbalance(self) -> float:
         """Max-over-mean routed reads across shards (1.0 = perfectly
         balanced; grows with Zipfian skew and shard count)."""
-        routed = [row["reads_routed"] for row in self.shard_rows]
-        mean = sum(routed) / len(routed) if routed else 0.0
-        if mean <= 0:
-            return math.nan
-        return max(routed) / mean
+        return max_over_mean([row["reads_routed"] for row in self.shard_rows])
 
 
 def run_ycsb(cfg: YcsbConfig) -> YcsbResult:
@@ -159,50 +128,38 @@ def run_ycsb(cfg: YcsbConfig) -> YcsbResult:
     read_latency = Samples("ycsb_read_ns")
     window = {"writes": 0}
 
-    def picker(client: int, thread: int):
-        label = (client, thread)
-        ids = range(cfg.n_objects)
-        if cfg.distribution == "zipfian":
-            return ZipfianPicker(ids, cfg.seed, theta=cfg.zipf_theta, label=label)
-        return UniformPicker(ids, cfg.seed, label=label)
+    def on_read(ok, t0: float) -> None:
+        if ok:
+            read_latency.add(sim.now - t0)
 
-    def client_proc(session, client: int, thread: int):
+    def on_update(t0: float) -> None:
+        kv.write_latency.add(sim.now - t0)
+        if cfg.warmup_ns <= sim.now <= t_end:
+            window["writes"] += 1
+
+    def client(client: int, thread: int):
         rng = make_rng(cfg.seed, "ycsb-mix", client, thread)
-        pick = picker(client, thread)
-        while sim.now < t_end:
-            key = kv.key_name(pick.pick())
-            t0 = sim.now
-            if write_frac > 0.0 and rng.random() < write_frac:
-                yield kv.put(session.client_index, key)
-                kv.write_latency.add(sim.now - t0)
-                if cfg.warmup_ns <= sim.now <= t_end:
-                    window["writes"] += 1
-            else:
-                ok = yield from session.lookup(key, t_end)
-                if ok:
-                    read_latency.add(sim.now - t0)
+        pick = cfg.picker((client, thread)).pick
+        return read_update_proc(
+            sim,
+            kv,
+            kv.reader_session(client),
+            lambda: kv.key_name(pick()),
+            lambda: write_frac > 0.0 and rng.random() < write_frac,
+            t_end,
+            on_read,
+            on_update,
+        )
 
-    for client in range(kv.cfg.clients):
-        for thread in range(cfg.readers_per_client):
-            session = kv.reader_session(client)
-            sim.process(client_proc(session, client, thread))
-
-    def metering():
-        yield sim.timeout(cfg.warmup_ns)
-        for stats in kv.all_reader_stats():
-            stats.meter.start(sim.now)
-        yield sim.timeout(t_end - cfg.warmup_ns)
-        for stats in kv.all_reader_stats():
-            stats.meter.stop(sim.now)
-
-    sim.process(metering())
+    spawn_clients(sim, kv.cfg.clients, [(cfg.readers_per_client, client)])
+    sim.process(meter_window(sim, kv, cfg.warmup_ns, t_end))
     sim.run()
 
     reader_stats = kv.all_reader_stats()
+    totals = service_totals(kv)
     window_ns = t_end - cfg.warmup_ns
     bytes_measured = sum(s.meter.bytes_total for s in reader_stats)
     reads_measured = sum(s.meter.ops_total for s in reader_stats)
-    shard_rows = kv.shard_load()
     return YcsbResult(
         config=cfg,
         read_latency=read_latency,
@@ -211,12 +168,12 @@ def run_ycsb(cfg: YcsbConfig) -> YcsbResult:
         writes_completed=window["writes"],
         read_goodput_gbps=bytes_measured / window_ns,
         ops_per_us=(reads_measured + window["writes"]) / window_ns * 1e3,
-        retries=sum(s.retries for s in reader_stats),
-        sabre_aborts=sum(s.sabre_aborts for s in reader_stats),
-        software_conflicts=sum(s.software_conflicts for s in reader_stats),
-        undetected_violations=sum(s.undetected_violations for s in reader_stats),
-        fallback_reads=sum(s.fallback_reads for s in reader_stats),
-        shard_rows=shard_rows,
+        retries=totals["retries"],
+        sabre_aborts=totals["sabre_aborts"],
+        software_conflicts=totals["software_conflicts"],
+        undetected_violations=totals["undetected_violations"],
+        fallback_reads=totals["fallback_reads"],
+        shard_rows=kv.shard_load(),
     )
 
 
@@ -247,24 +204,8 @@ SCALING_HEADERS = (
 )
 
 
-def _cfg_from_params(p, scale: float) -> YcsbConfig:
-    return YcsbConfig(
-        workload=p["workload"],
-        distribution=p["distribution"],
-        mechanism=p["mechanism"],
-        n_shards=p["n_shards"],
-        n_clients=p.get("n_clients", 0),
-        readers_per_client=p["readers_per_client"],
-        replication=p["replication"],
-        object_size=p["object_size"],
-        n_objects=p["n_objects"],
-        duration_ns=scaled_duration(p["duration_ns"], scale),
-        seed=p["seed"],
-    )
-
-
 def _ycsb_latency_point(ctx) -> Dict[str, float]:
-    result = run_ycsb(_cfg_from_params(ctx.params, ctx.scale))
+    result = run_ycsb(YcsbConfig.from_params(ctx.params, ctx.scale))
     v = ctx.variant
     return {
         f"{v}_read_ns": result.mean_read_ns,
@@ -292,16 +233,7 @@ YCSB_LATENCY_SPEC = register(
             Variant("percl", {"mechanism": "percl_versions"}),
             Variant("sabre", {"mechanism": "sabre"}),
         ),
-        defaults={
-            "mechanism": "sabre",
-            "n_shards": 4,
-            "readers_per_client": 2,
-            "replication": 2,
-            "object_size": 1024,
-            "n_objects": 512,
-            "duration_ns": 150_000.0,
-            "seed": 11,
-        },
+        defaults={"seed": 11},
         finalize_row=_latency_finalize,
         headers=LATENCY_HEADERS,
         point_fn=_ycsb_latency_point,
@@ -314,18 +246,8 @@ YCSB_LATENCY_SPEC = register(
 )
 
 
-def _derive_scaling(params: Dict) -> Dict:
-    out = dict(params)
-    shards = out.pop("shards")
-    out["n_shards"] = shards
-    # One client node per shard: load generators grow with the rack.
-    out["n_clients"] = shards
-    out["replication"] = min(out["replication"], shards)
-    return out
-
-
 def _ycsb_scaling_point(ctx) -> Dict[str, float]:
-    result = run_ycsb(_cfg_from_params(ctx.params, ctx.scale))
+    result = run_ycsb(YcsbConfig.from_params(ctx.params, ctx.scale))
     return {
         "read_gbps": result.read_goodput_gbps,
         "ops_per_us": result.ops_per_us,
@@ -346,15 +268,10 @@ YCSB_SHARD_SCALING_SPEC = register(
         defaults={
             "workload": "A",
             "distribution": "uniform",
-            "mechanism": "sabre",
-            "readers_per_client": 2,
-            "replication": 2,
-            "object_size": 1024,
-            "n_objects": 512,
-            "duration_ns": 150_000.0,
+            "replication": 2,  # capped at the shard count by derive
             "seed": 13,
         },
-        derive=_derive_scaling,
+        derive=derive_shard_scaling,
         headers=SCALING_HEADERS,
         point_fn=_ycsb_scaling_point,
         base_seed=13,

@@ -26,7 +26,6 @@ from repro.experiments import (
     CampaignStage,
     ExperimentSpec,
     MemoryContext,
-    PointCache,
     PoolExecutor,
     QaCheck,
     SerialExecutor,
@@ -242,16 +241,31 @@ class TestJournal:
         assert repr(result.stages[0].result.rows) == repr(clean.stages[0].result.rows)
         assert result.stages[0].journal_hits == 1
 
-    def test_point_cache_corruption_recomputes(self, tmp_path):
+    def test_cache_dir_corruption_recomputes(self, tmp_path):
+        """``cache_dir`` is a journal: a damaged line — truncated, or a
+        fragment that parses but is not a dict — costs exactly that
+        point, which recomputes to byte-identical rows."""
         cache_dir = tmp_path / "cache"
         first = SweepRunner(MIX_SPEC, cache_dir=str(cache_dir)).run()
-        entries = sorted(cache_dir.glob("*.json"))
-        assert entries
-        entries[0].write_text('{"truncated": ')  # invalid JSON
-        entries[1].write_text("17")  # valid JSON, not a fragment dict
-        again = SweepRunner(MIX_SPEC, cache_dir=str(cache_dir)).run()
-        assert repr(first.rows) == repr(again.rows)
-        assert again.points_cached == len(entries) - 2
+        journal = cache_dir / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        assert len(lines) == first.points_total > 2
+        lines[0] = lines[0][: len(lines[0]) // 2]  # killed mid-write
+        entry = json.loads(lines[1])
+        entry["fragment"] = 17  # valid JSON, not a fragment dict
+        lines[1] = json.dumps(entry)
+        journal.write_text("\n".join(lines) + "\n")
+        runner = SweepRunner(MIX_SPEC, cache_dir=str(cache_dir))
+        again = runner.run()
+        assert runner.context.journal_lines_skipped == 2
+        assert (runner.context.hits, runner.context.misses) == (
+            len(lines) - 2,
+            2,
+        )
+        assert again.points_cached == len(lines) - 2
+        assert json.dumps(first.rows_json_dict()) == json.dumps(
+            again.rows_json_dict()
+        )
 
     def test_unserializable_fragment_skips_journal(self, tmp_path):
         spec = ExperimentSpec(
@@ -548,6 +562,24 @@ class TestCampaignCli:
             campaign_cli.main(["resume", root, "--qa-gate"]) == 3
         )
         assert campaign_cli.main(["status", str(tmp_path / "nope")]) == 2
+
+    def test_qa_gate_warns_when_nothing_was_checked(self, tmp_path, capsys):
+        """A campaign whose stages carry no QA checks rolls up to
+        verdict ``none``: the gate still exits 0, but says on stderr
+        that it gated nothing.  A campaign with a passing check does
+        not warn."""
+        warning = "warning: --qa-gate with no QA checks evaluated"
+        for name, checks, warns in (
+            ("unchecked", [], True),
+            ("checked", [{"column": "a_value", "agg": "min", "lo": 0}], False),
+        ):
+            path = tmp_path / f"{name}.json"
+            stage = {"experiment": MIX_REF, "name": "mix", "qa": checks}
+            path.write_text(json.dumps({"campaign": name, "stages": [stage]}))
+            root = str(tmp_path / name)
+            argv = ["run", str(path), "--dir", root, "--qa-gate"]
+            assert campaign_cli.main(argv) == 0
+            assert (warning in capsys.readouterr().err) is warns
 
     @pytest.mark.smoke
     def test_sigkill_then_resume_byte_identical(self, tmp_path):

@@ -15,7 +15,7 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.harness.cli import main
-from repro.harness.fig7 import FIG7A_SPEC, run_fig7a
+from repro.harness.fig7 import FIG7A_SPEC
 
 
 def _echo_point(ctx):
@@ -101,17 +101,27 @@ class TestSweepRunner:
 
     def test_cache_round_trip(self, tmp_path):
         cache = str(tmp_path / "cache")
-        first = SweepRunner(ECHO_SPEC, cache_dir=cache).run()
-        second = SweepRunner(ECHO_SPEC, cache_dir=cache).run()
+        cold = SweepRunner(ECHO_SPEC, cache_dir=cache)
+        first = cold.run()
+        warm = SweepRunner(ECHO_SPEC, cache_dir=cache)
+        second = warm.run()
+        assert (cold.context.hits, cold.context.misses) == (0, 6)
+        assert (warm.context.hits, warm.context.misses) == (6, 0)
         assert first.points_cached == 0
         assert second.points_cached == second.points_total == 6
-        assert first.rows == second.rows
+        assert json.dumps(first.rows_json_dict()) == json.dumps(
+            second.rows_json_dict()
+        )
+        # One store: the cache directory is a campaign journal.
+        journal = (tmp_path / "cache" / "journal.jsonl").read_text()
+        assert len(journal.splitlines()) == 6
 
     def test_cache_key_depends_on_scale(self, tmp_path):
         cache = str(tmp_path / "cache")
         SweepRunner(ECHO_SPEC, scale=1.0, cache_dir=cache).run()
-        other = SweepRunner(ECHO_SPEC, scale=0.5, cache_dir=cache).run()
-        assert other.points_cached == 0
+        other = SweepRunner(ECHO_SPEC, scale=0.5, cache_dir=cache)
+        assert other.run().points_cached == 0
+        assert (other.context.hits, other.context.misses) == (0, 6)
 
     def test_json_artifact(self, tmp_path):
         path = tmp_path / "echo.json"
@@ -154,16 +164,14 @@ class TestFigureSpecs:
         parallel = SweepRunner(FIG7A_SPEC, scale=0.1, axes=axes, jobs=2).run()
         assert repr(serial.rows) == repr(parallel.rows)
 
-    def test_wrapper_matches_direct_sweep(self):
-        headers, rows = run_fig7a(scale=0.1, sizes=(64, 512))
+    def test_registry_sweep_matches_direct_sweep(self):
+        axes = {"object_size": (64, 512)}
+        named = run_sweep(registry.get("fig7a"), scale=0.1, axes=axes)
         direct = SweepRunner(
-            FIG7A_SPEC,
-            scale=0.1,
-            axes={"object_size": (64, 512)},
-            overrides={"seed": 5},
+            FIG7A_SPEC, scale=0.1, axes=axes, overrides={"seed": 5}
         ).run()
-        assert tuple(headers) == direct.headers
-        assert repr(rows) == repr(direct.rows)
+        assert named.headers == direct.headers
+        assert repr(named.rows) == repr(direct.rows)
 
 
 class TestCliExtensions:
@@ -187,6 +195,10 @@ class TestCliExtensions:
     def test_cache_dir_flag(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         assert main(["table2", "--cache-dir", cache]) == 0
+        cold = capsys.readouterr().out
         assert main(["table2", "--cache-dir", cache]) == 0
-        out = capsys.readouterr().out
-        assert "9/9 points cached" in out
+        warm = capsys.readouterr().out
+        assert "0/9 points cached" in cold
+        assert "9/9 points cached" in warm
+        # Served from the journal, the table is byte-identical.
+        assert cold.split("===\n", 1)[1] == warm.split("===\n", 1)[1]

@@ -5,17 +5,19 @@ import math
 
 import pytest
 
-from repro.harness.cli import main, run_experiment
-from repro.harness.fig1 import run_fig1
-from repro.harness.fig7 import run_fig7a, run_fig7b
-from repro.harness.fig8 import run_fig8
-from repro.harness.fig9 import run_fig9a, run_fig9b
-from repro.harness.fig10 import run_fig10
+from repro.experiments import registry, run_sweep
+from repro.harness.cli import main
 from repro.harness.report import format_table, scaled_duration
 from repro.harness.tables import table1, table2_rows
 
 SCALE = 0.25  # small measurement windows: fast but still meaningful
 SIZES = (128, 1024, 4096)
+
+
+def sweep_rows(name, axes, **overrides):
+    """Rows of registered spec ``name`` over ``axes`` at ``SCALE``."""
+    spec = registry.get(name)
+    return run_sweep(spec, scale=SCALE, axes=axes, overrides=overrides).rows
 
 
 class TestReport:
@@ -62,21 +64,21 @@ class TestTables:
 
 class TestFig1:
     def test_stripping_share_grows_with_size(self):
-        headers, rows = run_fig1(scale=SCALE, sizes=SIZES)
+        rows = sweep_rows("fig1", {"object_size": SIZES})
         shares = [r["stripping_share"] for r in rows]
         assert shares == sorted(shares)
         assert shares[0] < 0.25
         assert shares[-1] > 0.35
 
     def test_transfer_scales_sublinearly(self):
-        headers, rows = run_fig1(scale=SCALE, sizes=(128, 4096))
+        rows = sweep_rows("fig1", {"object_size": (128, 4096)})
         ratio = rows[1]["transfer_ns"] / rows[0]["transfer_ns"]
         assert ratio < 32  # 32x the bytes in far less than 32x the time
 
 
 class TestFig7:
     def test_fig7a_claims(self):
-        headers, rows = run_fig7a(scale=SCALE, sizes=(64, 1024, 8192))
+        rows = sweep_rows("fig7a", {"object_size": (64, 1024, 8192)})
         single = rows[0]
         # Single-block: all three variants equal (within noise).
         assert single["sabre_ns"] == pytest.approx(
@@ -92,7 +94,7 @@ class TestFig7:
             assert row["sabre_ns"] <= 1.20 * row["remote_read_ns"]
 
     def test_fig7b_identical_curves(self):
-        headers, rows = run_fig7b(scale=SCALE, sizes=(512, 8192))
+        rows = sweep_rows("fig7b", {"object_size": (512, 8192)})
         for row in rows:
             assert row["sabre_gbps"] == pytest.approx(
                 row["remote_read_gbps"], rel=0.15
@@ -104,8 +106,8 @@ class TestFig7:
 
 class TestFig8:
     def test_sabre_always_ahead_and_gap_grows_with_size(self):
-        headers, rows = run_fig8(
-            scale=SCALE, sizes=(128, 8192), writer_counts=(0, 8)
+        rows = sweep_rows(
+            "fig8", {"object_size": (128, 8192), "writers": (0, 8)}
         )
         by_key = {(r["object_size"], r["writers"]): r for r in rows}
         for row in rows:
@@ -116,8 +118,8 @@ class TestFig8:
         )
 
     def test_throughput_degrades_with_writers(self):
-        headers, rows = run_fig8(
-            scale=SCALE, sizes=(1024,), writer_counts=(0, 16)
+        rows = sweep_rows(
+            "fig8", {"object_size": (1024,), "writers": (0, 16)}
         )
         assert rows[1]["sabre_gbps"] < rows[0]["sabre_gbps"]
         assert rows[1]["percl_gbps"] < rows[0]["percl_gbps"]
@@ -127,7 +129,7 @@ class TestFig8:
 
 class TestFig9:
     def test_fig9a_improvement_band(self):
-        headers, rows = run_fig9a(scale=SCALE, sizes=(128, 8192))
+        rows = sweep_rows("fig9a", {"object_size": (128, 8192)})
         by = {(r["object_size"], r["build"]): r for r in rows}
         small = by[(128, "percl")]["total_ns"] / by[(128, "sabre")]["total_ns"]
         large = by[(8192, "percl")]["total_ns"] / by[(8192, "sabre")]["total_ns"]
@@ -136,21 +138,21 @@ class TestFig9:
         assert by[(8192, "sabre")]["stripping_ns"] == 0.0
 
     def test_fig9b_improvement_in_paper_band(self):
-        headers, rows = run_fig9b(scale=SCALE, sizes=(1024,), readers=4)
+        rows = sweep_rows("fig9b", {"object_size": (1024,)}, readers=4)
         assert 0.15 <= rows[0]["improvement"] <= 0.9  # paper: 0.30-0.60
 
 
 class TestFig10:
     def test_speedup_band(self):
-        headers, rows = run_fig10(scale=SCALE, sizes=(128, 8192))
+        rows = sweep_rows("fig10", {"object_size": (128, 8192)})
         assert 1.05 <= rows[0]["speedup"] <= 1.5  # paper: 1.2
         assert 1.6 <= rows[1]["speedup"] <= 2.6  # paper: 2.1
 
 
 class TestCli:
     def test_run_experiment_table(self):
-        assert "SABRes" in run_experiment("table1", scale=1.0)
-        assert "DDR4" in run_experiment("table2", scale=1.0)
+        assert "SABRes" in run_sweep(registry.get("table1")).table()
+        assert "DDR4" in run_sweep(registry.get("table2")).table()
 
     def test_cli_main_runs_figure(self, capsys):
         assert main(["fig10", "--scale", "0.2"]) == 0

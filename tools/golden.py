@@ -1,0 +1,188 @@
+#!/usr/bin/env python3
+"""Golden artifacts for the KV service workloads.
+
+Every service spec's ``rows.json``, every fuzz fingerprint and the
+``SimBridge.replay`` metrics snapshot are pure functions of their seed,
+so a refactor of the client loops, configs or pickers is correct
+exactly when these hashes do not move.  ``--write`` records them (run
+it on the commit you trust), ``--check`` recomputes and compares.
+
+Usage::
+
+    python tools/golden.py --check              # seed 1 (tier-1 / CI smoke)
+    python tools/golden.py --check --all-seeds  # seeds 1, 7, 23
+    python tools/golden.py --write              # all seeds, rewrite the file
+
+The file also stores the hash of a fixed ``math.pow``/``math.log``/
+``random.Random(1)`` vector: the Zipfian alias table and the arrival
+traces are built from exactly those calls, so on a libm that rounds
+them differently every hash moves for a reason that is not a code
+change.  ``--check`` then exits 3 (and the test skips, loudly) instead
+of reporting drift.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import random
+import sys
+from typing import Callable, Dict, Iterator, Sequence, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_PATH = os.path.join(ROOT, "tests", "golden", "service_sha256.json")
+
+SEEDS = (1, 7, 23)
+SCALE = 0.02
+
+#: The registered specs that run the closed-loop client driver, the
+#: deployment configs or the picker factory.
+SPECS = (
+    "ycsb_latency",
+    "ycsb_shard_scaling",
+    "txn_abort_rate",
+    "txn_shard_scaling",
+    "failover_availability",
+    "failover_atomicity",
+    "gray_availability",
+    "partition_availability",
+    "elastic_scaling",
+    "hotkey_rebalance",
+    "serve_load_sweep",
+    "ablation_skewed_access",
+)
+
+#: Fuzz lane -> ``fuzz_round`` keyword arguments.
+FUZZ_LANES: Dict[str, Dict[str, float]] = {
+    "crash": {"crash_cycles": 3, "duration_ns": 45_000.0},
+    "gray": {"gray_windows": 2},
+    "partition": {"partition_windows": 2},
+    "skew": {"crash_cycles": 1, "gray_windows": 1, "skew_max_ns": 1_000.0},
+    "reshard": {"reshard_adds": 2, "gray_windows": 1},
+}
+
+
+def _sha(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def canary_hash() -> str:
+    """Hash of the libm / Mersenne-Twister calls the hashes depend on."""
+    rng = random.Random(1)
+    vector = [repr(math.pow(rank, 0.99)) for rank in range(1, 65)]
+    vector += [repr(math.log(1.0 + rank / 7.0)) for rank in range(1, 65)]
+    vector += [repr(rng.random()) for _ in range(16)]
+    vector += [repr(rng.expovariate(0.004)) for _ in range(16)]
+    return _sha(vector)
+
+
+def spec_hash(name: str, seed: int) -> str:
+    from repro.experiments import registry, run_sweep
+
+    result = run_sweep(
+        registry.get(name),
+        scale=SCALE,
+        overrides={"seed": seed},
+        base_seed=seed,
+    )
+    return _sha(result.rows_json_dict())
+
+
+def fuzz_hash(lane: str, seed: int) -> str:
+    from repro.workloads.fuzz import fuzz_round
+
+    outcome = fuzz_round("sabre", 4, seed=seed, **FUZZ_LANES[lane])
+    return _sha(outcome.fingerprint)
+
+
+def replay_hash() -> str:
+    from repro.loadgen.trace import TraceConfig, build_trace
+    from repro.serve.bridge import SimBridge
+    from repro.serve.settings import ServeSettings
+
+    bridge = SimBridge(ServeSettings(seed=7))
+    bridge.warm()
+    bridge.replay(
+        build_trace(
+            TraceConfig(
+                qps=8_000_000.0,
+                n_ops=400,
+                workload="A",
+                txn_fraction=0.1,
+                seed=7,
+            )
+        )
+    )
+    return _sha(bridge.metrics_snapshot())
+
+
+def entries(seeds: Sequence[int]) -> Iterator[Tuple[str, Callable[[], str]]]:
+    """``(key, compute)`` for every golden hash over ``seeds`` (the
+    seed-independent replay snapshot rides with the first seed)."""
+    for name in SPECS:
+        for seed in seeds:
+            yield f"spec/{name}/{seed}", lambda n=name, s=seed: spec_hash(n, s)
+    for lane in FUZZ_LANES:
+        for seed in seeds:
+            yield f"fuzz/{lane}/{seed}", lambda l=lane, s=seed: fuzz_hash(l, s)
+    if SEEDS[0] in seeds:
+        yield "replay", replay_hash
+
+
+def load_golden() -> Dict[str, str]:
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true")
+    mode.add_argument("--check", action="store_true")
+    parser.add_argument(
+        "--all-seeds",
+        action="store_true",
+        help=f"check seeds {SEEDS}, not only seed {SEEDS[0]}",
+    )
+    args = parser.parse_args(argv)
+
+    if args.write:
+        golden = {"canary": canary_hash()}
+        for key, compute in entries(SEEDS):
+            golden[key] = compute()
+            print(f"{key}  {golden[key][:16]}")
+        os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+        with open(GOLDEN_PATH, "w") as fh:
+            json.dump(golden, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {len(golden)} hashes to {GOLDEN_PATH}")
+        return 0
+
+    golden = load_golden()
+    if golden["canary"] != canary_hash():
+        print(
+            "golden: SKIPPED — this platform's math.pow/math.log/random "
+            "differ from the one the hashes were written on",
+            file=sys.stderr,
+        )
+        return 3
+    drifted = []
+    for key, compute in entries(SEEDS if args.all_seeds else SEEDS[:1]):
+        ok = compute() == golden[key]
+        print(f"{'ok   ' if ok else 'DRIFT'}  {key}")
+        if not ok:
+            drifted.append(key)
+    if drifted:
+        print(f"golden: {len(drifted)} hash(es) drifted", file=sys.stderr)
+        return 1
+    print("golden: all hashes match")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sys.exit(main())
