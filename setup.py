@@ -17,7 +17,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro-harness=repro.harness.cli:main",
-            "repro-perf=repro.perf.cli:main",
             "repro-campaign=repro.experiments.campaign_cli:main",
             "repro-serve=repro.serve.cli:main",
             "repro-load=repro.loadgen.cli:main",

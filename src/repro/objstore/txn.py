@@ -405,11 +405,17 @@ class TxnManager:
                 committed = commit_version(current)
                 data = stamped_payload(committed, cfg.payload_len)
                 steps, _version = store.commit_steps(obj, data)
-                for addr, chunk in steps:
-                    block_ns = node.chip.write_block(core, addr, chunk)
+                unlock = steps[-1]
+                for step in steps:
+                    block_ns = node.chip.write_block(core, *step)
+                    if step is unlock:
+                        # The header just went even.  Ownership ends in
+                        # this same step: whoever locks the object
+                        # during the yield below records its own token,
+                        # which a later delete here would destroy.
+                        del owners[obj]
                     yield max(block_ns, cfg.costs.writer_block_ns)
                 ws.primary_updates += 1
-                del owners[obj]
                 applied.append(obj)
             for obj in applied:
                 replica_payload = (

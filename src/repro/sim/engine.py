@@ -241,9 +241,10 @@ _REFILL_TOO_BIG = 256
 _REFILL_TOO_SMALL = 16
 
 #: When set to a list, every new :class:`Simulator` appends itself here.
-#: The perf-benchmark harness (:mod:`repro.perf.bench`) uses this to
-#: aggregate event counts across all simulators a scenario builds; it is
-#: ``None`` (one pointer check per Simulator construction) otherwise.
+#: The repo benchmark (``bench/run.py``) and the golden event counts
+#: (``tools/golden.py``) use this to aggregate event counts across all
+#: simulators a run builds; it is ``None`` (one pointer check per
+#: Simulator construction) otherwise.
 TRACKED_SIMULATORS: Optional[list] = None
 
 

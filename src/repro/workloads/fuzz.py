@@ -8,9 +8,9 @@ along, crashing and recovering shards mid-flight.  The whole schedule
 derives from ``seed``, so rounds are reproducible interleavings.
 
 The correctness assertions over the outcome live in
-``tests/test_atomicity_fuzz.py``; the perf suite
-(:mod:`repro.perf.scenarios`) times rounds of the crash lane to track
-fuzz throughput (interleavings per second).
+``tests/test_atomicity_fuzz.py``; the repo benchmark's
+``chaos_elastic`` workload (``bench/workloads.py``) times rounds of the
+crash lane.
 """
 
 from __future__ import annotations

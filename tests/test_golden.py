@@ -1,8 +1,9 @@
 """Golden artifacts: every service spec's ``rows.json``, the fuzz
 fingerprints and a replay metrics snapshot must hash to the values
 committed in ``tests/golden/service_sha256.json`` (written by
-``tools/golden.py --write``).  Seed 1 runs in tier-1, the other seeds
-under ``-m slow``."""
+``tools/golden.py --write``), and every service spec must schedule
+exactly the committed number of simulator callbacks (``events/*``).
+Seed 1 runs in tier-1, the other seeds under ``-m slow``."""
 
 import importlib.util
 import os
@@ -59,6 +60,22 @@ def test_perturbed_rng_label_changes_the_hash(monkeypatch):
     monkeypatch.setattr(
         generators, "make_rng", lambda seed, *label: real(seed, *label, "x")
     )
-    assert golden.spec_hash("ycsb_shard_scaling", 1) != (
-        GOLDEN["spec/ycsb_shard_scaling/1"]
-    )
+    rows_hash, _events = golden.spec_run("ycsb_shard_scaling", 1)
+    assert rows_hash != GOLDEN["spec/ycsb_shard_scaling/1"]
+
+
+def test_one_extra_callback_moves_the_event_count_only(monkeypatch):
+    """Anti-vacuity: work that leaves every row unchanged still shows
+    in ``events/*``."""
+    from repro.sim.engine import Simulator
+
+    real = Simulator.run
+
+    def run_with_a_noop(sim, *args, **kwargs):
+        sim.call_soon(lambda: None)
+        return real(sim, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", run_with_a_noop)
+    rows_hash, events = golden.spec_run("txn_shard_scaling", 1)
+    assert rows_hash == GOLDEN["spec/txn_shard_scaling/1"]
+    assert events > GOLDEN["events/txn_shard_scaling/1"]

@@ -1,18 +1,23 @@
 """Cross-protocol invariants: for one ``(seed, workload)`` every read
 mechanism must agree with the committed ground truth; placement must
-be byte-identical run to run (and across interpreter hash seeds); and
-virtual-node placement must stay load-balanced."""
+be byte-identical run to run (and across interpreter hash seeds);
+virtual-node placement must stay load-balanced; and a finished run
+leaves no object locked and no lock owner recorded."""
 
 import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
-from repro.objstore.layout import stamped_payload
+from repro.objstore.layout import is_locked, stamped_payload
 from repro.objstore.sharded import HashRing, ShardedConfig, ShardedKV
-from repro.objstore.txn import TxnManager
+from repro.objstore.txn import TxnManager, _encode_u64s
+from repro.workloads.elastic import ElasticConfig, run_elastic
 from repro.workloads.protocols import protocol_names
+from repro.workloads.txn_mix import TxnMixConfig, run_txn_mix
 
 DETECTING = ("sabre", "percl_versions", "checksum", "drtm_lock")
 
@@ -165,3 +170,138 @@ class TestVnodeBalance:
             lightest = max(min(counts.values()), 1)
             worst = max(worst, max(counts.values()) / lightest)
         assert worst > 2.0
+
+
+@pytest.fixture
+def services(monkeypatch):
+    """Every ``ShardedKV`` a workload runner builds during the test."""
+    built = []
+    real_init = ShardedKV.__init__
+
+    def init(kv, *args, **kwargs):
+        real_init(kv, *args, **kwargs)
+        built.append(kv)
+
+    monkeypatch.setattr(ShardedKV, "__init__", init)
+    return built
+
+
+def assert_at_rest(kv: ShardedKV) -> None:
+    """After a drained run no hosted object is odd and nobody owns a
+    lock: an orphaned lock would show as either."""
+    for shard, store in enumerate(kv.stores):
+        locked = [
+            obj
+            for obj in store.object_ids()
+            if is_locked(store.current_version(obj))
+        ]
+        assert not locked, f"shard {shard} left objects {locked} locked"
+        assert not kv.lock_owners[shard], (
+            f"shard {shard} left owners {kv.lock_owners[shard]}"
+        )
+
+
+@contextmanager
+def wall_deadline(seconds: int):
+    """Turn a run that never terminates into a failure."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestLockOwnership:
+    """A commit's unlocking write and the end of its ownership are one
+    step: the object is never unlocked-but-owned, so whoever locks it
+    next keeps its own token."""
+
+    def test_acquirer_during_commit_unlock_keeps_its_token(self):
+        kv = ShardedKV(
+            ShardedConfig(
+                n_shards=2,
+                replication=1,
+                mechanism="sabre",
+                object_size=256,
+                n_objects=16,
+                seed=9,
+            )
+        )
+        manager = TxnManager(kv)
+        obj = 3
+        shard = kv.current_primary_by_index(obj)
+        store = kv.stores[shard]
+        owners = kv.lock_owners[shard]
+        lock = manager._make_lock_handler(shard)
+        commit = manager._make_commit_handler(shard)
+
+        def try_lock(token: int) -> None:
+            next(
+                lock(
+                    kv.epoch.to_bytes(8, "little")
+                    + token.to_bytes(8, "little")
+                    + _encode_u64s([obj])
+                )
+            )
+
+        try_lock(1)
+        assert owners[obj] == 1
+        committing = commit((1).to_bytes(8, "little") + _encode_u64s([obj]))
+        for _block_time in committing:
+            if not is_locked(store.current_version(obj)):
+                break  # suspended in the unlocking write's yield
+        else:
+            pytest.fail("the commit handler never unlocked the object")
+        try_lock(2)
+        assert owners[obj] == 2
+        for _block_time in committing:
+            pass
+        assert owners[obj] == 2
+        assert is_locked(store.current_version(obj))
+
+    def test_zipfian_txn_mix_leaves_no_lock_behind(self, services):
+        """Seed 15 of the skewed mix used to orphan a hot key's lock a
+        third of the way in; every transaction touching it then aborted
+        until the run ended."""
+        result = run_txn_mix(
+            TxnMixConfig(
+                txn_size=4,
+                writes_per_txn=2,
+                rmw_fraction=0.5,
+                distribution="zipfian",
+                mechanism="sabre",
+                n_shards=4,
+                replication=2,
+                object_size=256,
+                n_objects=2048,
+                duration_ns=300_000.0,
+                seed=15,
+            )
+        )
+        assert result.commits >= 400
+        assert result.undetected_violations == 0
+        (kv,) = services
+        assert_at_rest(kv)
+
+    def test_migration_racing_a_commit_terminates(self, services):
+        """Seed 5: a key's migration locks it inside a commit's final
+        yield.  With its token deleted under it the migration spun on
+        its own lock forever."""
+        with wall_deadline(30):
+            result = run_elastic(
+                ElasticConfig(
+                    duration_ns=60_000.0,
+                    txn_sessions_per_client=1,
+                    seed=5,
+                    compare_baseline=False,
+                )
+            )
+        assert result.undetected_violations == 0
+        (kv,) = services
+        assert_at_rest(kv)

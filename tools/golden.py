@@ -7,6 +7,12 @@ so a refactor of the client loops, configs or pickers is correct
 exactly when these hashes do not move.  ``--write`` records them (run
 it on the commit you trust), ``--check`` recomputes and compares.
 
+Beside each spec's rows hash sits ``events/<spec>/<seed>``: the number
+of callbacks the run scheduled, summed over every ``Simulator`` it
+built.  It is exact for a seed, so it is compared at 0 % tolerance — a
+change that makes an operation cost more callbacks fails by name while
+the rows stay identical, and no wall clock is consulted.
+
 Usage::
 
     python tools/golden.py --check              # seed 1 (tier-1 / CI smoke)
@@ -24,13 +30,14 @@ of reporting drift.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import random
 import sys
-from typing import Callable, Dict, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Sequence, Tuple, Union
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_PATH = os.path.join(ROOT, "tests", "golden", "service_sha256.json")
@@ -80,16 +87,31 @@ def canary_hash() -> str:
     return _sha(vector)
 
 
-def spec_hash(name: str, seed: int) -> str:
+def spec_run(name: str, seed: int) -> Tuple[str, int]:
+    """One sweep of a service spec: its rows hash and the callbacks it
+    scheduled over every ``Simulator`` it built."""
     from repro.experiments import registry, run_sweep
+    from repro.sim import engine
 
-    result = run_sweep(
-        registry.get(name),
-        scale=SCALE,
-        overrides={"seed": seed},
-        base_seed=seed,
+    sims: list = []
+    engine.TRACKED_SIMULATORS = sims
+    try:
+        result = run_sweep(
+            registry.get(name),
+            scale=SCALE,
+            overrides={"seed": seed},
+            base_seed=seed,
+        )
+    finally:
+        engine.TRACKED_SIMULATORS = None
+    return (
+        _sha(result.rows_json_dict()),
+        sum(sim.events_scheduled for sim in sims),
     )
-    return _sha(result.rows_json_dict())
+
+
+#: ``spec/*`` and ``events/*`` of one ``(spec, seed)`` come from one run.
+_spec_run_once = functools.lru_cache(maxsize=None)(spec_run)
 
 
 def fuzz_hash(lane: str, seed: int) -> str:
@@ -120,12 +142,17 @@ def replay_hash() -> str:
     return _sha(bridge.metrics_snapshot())
 
 
-def entries(seeds: Sequence[int]) -> Iterator[Tuple[str, Callable[[], str]]]:
-    """``(key, compute)`` for every golden hash over ``seeds`` (the
+def entries(
+    seeds: Sequence[int],
+) -> Iterator[Tuple[str, Callable[[], Union[str, int]]]]:
+    """``(key, compute)`` for every golden value over ``seeds`` (the
     seed-independent replay snapshot rides with the first seed)."""
     for name in SPECS:
         for seed in seeds:
-            yield f"spec/{name}/{seed}", lambda n=name, s=seed: spec_hash(n, s)
+            for part, kind in enumerate(("spec", "events")):
+                yield f"{kind}/{name}/{seed}", (
+                    lambda n=name, s=seed, p=part: _spec_run_once(n, s)[p]
+                )
     for lane in FUZZ_LANES:
         for seed in seeds:
             yield f"fuzz/{lane}/{seed}", lambda l=lane, s=seed: fuzz_hash(l, s)
@@ -133,7 +160,7 @@ def entries(seeds: Sequence[int]) -> Iterator[Tuple[str, Callable[[], str]]]:
         yield "replay", replay_hash
 
 
-def load_golden() -> Dict[str, str]:
+def load_golden() -> Dict[str, Union[str, int]]:
     with open(GOLDEN_PATH) as fh:
         return json.load(fh)
 
@@ -154,12 +181,12 @@ def main(argv=None) -> int:
         golden = {"canary": canary_hash()}
         for key, compute in entries(SEEDS):
             golden[key] = compute()
-            print(f"{key}  {golden[key][:16]}")
+            print(f"{key}  {str(golden[key])[:16]}")
         os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
         with open(GOLDEN_PATH, "w") as fh:
             json.dump(golden, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"wrote {len(golden)} hashes to {GOLDEN_PATH}")
+        print(f"wrote {len(golden)} values to {GOLDEN_PATH}")
         return 0
 
     golden = load_golden()
@@ -172,14 +199,16 @@ def main(argv=None) -> int:
         return 3
     drifted = []
     for key, compute in entries(SEEDS if args.all_seeds else SEEDS[:1]):
-        ok = compute() == golden[key]
-        print(f"{'ok   ' if ok else 'DRIFT'}  {key}")
-        if not ok:
+        got = compute()
+        if got == golden[key]:
+            print(f"ok     {key}")
+        else:
+            print(f"DRIFT  {key}  {str(golden[key])[:16]} -> {str(got)[:16]}")
             drifted.append(key)
     if drifted:
-        print(f"golden: {len(drifted)} hash(es) drifted", file=sys.stderr)
+        print(f"golden: {len(drifted)} value(s) drifted", file=sys.stderr)
         return 1
-    print("golden: all hashes match")
+    print("golden: all values match")
     return 0
 
 
