@@ -1,30 +1,17 @@
 """Event loop, events, and generator-based processes.
 
-Two interchangeable schedulers back the loop:
-
-* The default **calendar scheduler** exploits the near-future event
-  pattern of RPC and transfer completions: zero-delay callbacks (event
-  dispatch, process starts) ride a FIFO *immediate lane* with no
-  ordering work at all, short delays land in a sorted *near window*,
-  and everything past the adaptive horizon sits unsorted in a *far
-  bucket* that is batch-sorted into the near window when the horizon
-  advances.
-* The legacy **binary-heap scheduler** (``REPRO_SIM_SCHEDULER=heap`` or
-  ``Simulator(scheduler="heap")``) is kept for one release as the
-  determinism reference.
-
-Both dispatch strictly in ``(time, sequence)`` order, so the same seeds
-produce the same event order — and byte-identical sweep artifacts —
-under either implementation (pinned by
-``tests/test_engine_determinism.py``).
+The loop dispatches callbacks strictly in ``(time, sequence)`` order,
+so the same seeds produce the same event order and byte-identical
+sweep artifacts.  Zero-delay callbacks (event dispatch, process
+starts) ride a FIFO deque with no ordering work at all; every other
+callback sits in one binary heap.  See :class:`Simulator`.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-from bisect import bisect_right, insort
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.common.errors import SimulationError
@@ -102,7 +89,7 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative timeout: {delay}")
         # Fields set directly (not via Event.__init__): timeouts are
         # the most-allocated event type on the hot path.
@@ -197,8 +184,7 @@ class AllOf(Event):
 
 #: A scheduled callback: ``[when, seq, fn, args]``.  ``fn`` is set to
 #: ``None`` on cancellation; the entry stays in the scheduler until the
-#: run loop (or a compaction) reaps it.  (The calendar scheduler's near
-#: lane stores ``when``/``seq`` negated; handles are opaque either way.)
+#: run loop (or a compaction) reaps it.
 ScheduledCall = list
 
 #: Compaction policy: rebuild the pending set once at least this many
@@ -209,14 +195,10 @@ ScheduledCall = list
 #: pending set without bound.
 _COMPACT_MIN_CANCELLED = 64
 
-#: Env var selecting the default scheduler implementation.
-SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
-
 #: Env var selecting the block-stream kernel: ``batched`` (default)
 #: schedules whole runs of per-block callbacks through
 #: :meth:`Simulator.schedule_batch`; ``stepwise`` keeps the original
-#: one-``call_at``-per-block path as the determinism reference (the
-#: same pattern as the heap-vs-calendar scheduler switch).
+#: one-``call_at``-per-block path as the determinism reference.
 BLOCKS_ENV = "REPRO_SIM_BLOCKS"
 
 
@@ -232,13 +214,6 @@ def block_mode() -> str:
         )
     return mode
 
-#: Calendar tuning: starting near-window width (ns) and the refill
-#: batch sizes that widen/narrow it.  Pure throughput knobs — the
-#: dispatch order is (time, seq) regardless, so these never affect
-#: simulation results.
-_NEAR_WINDOW_START_NS = 256.0
-_REFILL_TOO_BIG = 256
-_REFILL_TOO_SMALL = 16
 
 #: When set to a list, every new :class:`Simulator` appends itself here.
 #: The repo benchmark (``bench/run.py``) and the golden event counts
@@ -251,30 +226,22 @@ TRACKED_SIMULATORS: Optional[list] = None
 class Simulator:
     """The event loop.  Time is in nanoseconds.
 
-    This is the calendar scheduler.  Pending callbacks live in one of
-    three lanes, all holding ``[when, seq, fn]`` entries and together
-    dispatching in strict ``(when, seq)`` order:
+    Pending callbacks are ``[when, seq, fn, args]`` entries in one of
+    two containers that together dispatch in strict ``(when, seq)``
+    order:
 
-    * ``_imm`` — zero-delay callbacks, a plain FIFO deque.  Because
-      simulation time and the sequence counter are both non-decreasing,
-      the deque is already sorted by ``(when, seq)``; scheduling and
-      consuming cost no comparisons at all.
-    * ``_near`` — callbacks due before ``_horizon``, kept sorted on
-      *negated* ``(-when, -seq)`` keys so the next entry to fire sits at
-      the list **end**: consuming is an O(1) ``pop()``, and the
-      dominant insert pattern (a delay that fires soon) lands near the
-      end too, so ``insort`` barely moves memory.
-    * ``_far`` — everything at or past the horizon, unsorted, appended
-      in O(1).  When the near window drains, a batch of the earliest
-      far entries is moved over and sorted once (C timsort), and the
-      window width adapts toward a target batch size.
+    * ``_imm`` — zero-delay callbacks (event dispatch, process starts),
+      a plain FIFO deque.  Every entry is stamped with ``now`` when it
+      is appended, and simulation time and the sequence counter are
+      both non-decreasing, so the deque is already sorted by
+      ``(when, seq)``: scheduling and consuming cost no comparisons.
+    * ``_heap`` — everything else, a binary heap (``heapq``) ordered by
+      the entries themselves; ``seq`` is unique, so a comparison never
+      reaches ``fn``.
 
-    All three lanes mutate **in place** (never rebound), so the run
-    loop can hold direct references across callbacks that schedule,
-    cancel, or compact.
-
-    ``Simulator(scheduler="heap")`` — or ``REPRO_SIM_SCHEDULER=heap`` —
-    constructs the legacy binary-heap implementation instead.
+    The run loop fires whichever head is smaller.  Both containers
+    mutate **in place** (never rebound), so the loop can hold direct
+    references across callbacks that schedule, cancel, or compact.
     """
 
     __slots__ = (
@@ -286,24 +253,10 @@ class Simulator:
         "events_fired",
         "events_cancelled",
         "_imm",
-        "_near",
-        "_far",
-        "_horizon",
-        "_width",
+        "_heap",
     )
 
-    def __new__(cls, scheduler: Optional[str] = None) -> "Simulator":
-        if cls is Simulator:
-            chosen = scheduler or os.environ.get(SCHEDULER_ENV, "calendar")
-            if chosen == "heap":
-                return object.__new__(_HeapSimulator)
-            if chosen != "calendar":
-                raise SimulationError(
-                    f"unknown scheduler {chosen!r}; use 'calendar' or 'heap'"
-                )
-        return object.__new__(cls)
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
         self._running = False
@@ -316,10 +269,7 @@ class Simulator:
         #: ``events_fired`` divergence in cancellation-heavy scenarios.
         self.events_cancelled = 0
         self._imm: deque[ScheduledCall] = deque()
-        self._near: list[ScheduledCall] = []
-        self._far: list[ScheduledCall] = []
-        self._horizon = 0.0
-        self._width = _NEAR_WINDOW_START_NS
+        self._heap: list[ScheduledCall] = []
         if TRACKED_SIMULATORS is not None:
             TRACKED_SIMULATORS.append(self)
 
@@ -329,7 +279,8 @@ class Simulator:
 
     @property
     def scheduler(self) -> str:
-        """Which scheduler implementation backs this simulator."""
+        # A provenance label bench/run.py prints and its smoke test
+        # pins; the next benchmark PR drops the field.
         return "calendar"
 
     @property
@@ -348,51 +299,35 @@ class Simulator:
         completions) schedule bound methods with their arguments.
         Returns the scheduled-call handle; pass it to
         :meth:`cancel_call` to cancel before it fires."""
-        if delay < 0:
+        # Written so that NaN is rejected too: it would sit in the heap
+        # comparing false against everything.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
         self._seq = seq = self._seq + 1
-        when = self._now + delay
+        entry: ScheduledCall = [self._now + delay, seq, fn, args]
         if delay == 0.0:
-            entry: ScheduledCall = [when, seq, fn, args]
             self._imm.append(entry)
-        elif when < self._horizon:
-            # Near entries carry negated keys (see the class docstring).
-            entry = [-when, -seq, fn, args]
-            near = self._near
-            # Soonest-yet entries (the common completion pattern) sort
-            # to the very end: plain append instead of a bisect.
-            if near and entry > near[-1]:
-                near.append(entry)
-            else:
-                insort(near, entry)
         else:
-            entry = [when, seq, fn, args]
-            self._far.append(entry)
+            heappush(self._heap, entry)
         return entry
 
     def call_at(
         self, when: float, fn: Callable[..., None], *args: Any
     ) -> ScheduledCall:
         now = self._now
-        if when < now:
-            raise SimulationError(f"cannot schedule in the past: {when}")
         # Same arithmetic as call_later (now + (when - now)): the two
         # entry points must produce bit-identical times.
-        when = now + (when - now)
+        at = now + (when - now)
+        # NaN-rejecting, like call_later's guard; checked after the
+        # normalisation because inf - inf is NaN too.
+        if not at >= now:
+            raise SimulationError(f"cannot schedule in the past: {when}")
         self._seq = seq = self._seq + 1
-        if when == now:
-            entry: ScheduledCall = [when, seq, fn, args]
+        entry: ScheduledCall = [at, seq, fn, args]
+        if at == now:
             self._imm.append(entry)
-        elif when < self._horizon:
-            entry = [-when, -seq, fn, args]
-            near = self._near
-            if near and entry > near[-1]:
-                near.append(entry)
-            else:
-                insort(near, entry)
         else:
-            entry = [when, seq, fn, args]
-            self._far.append(entry)
+            heappush(self._heap, entry)
         return entry
 
     def call_soon(
@@ -410,81 +345,30 @@ class Simulator:
 
         Exactly equivalent to issuing one :meth:`call_at` per entry, in
         order, from the current callback — same time normalization,
-        same consecutive sequence numbers, same lane placement — minus
-        the per-call overhead.  This is the batched block-stream
-        kernel's primitive: a transfer's unroll or issue burst computes
-        its per-block timestamps in one pass (they are presorted and
-        consecutive by construction) and lands here as one injection.
+        same consecutive sequence numbers — minus the per-call
+        overhead.  This is the batched block-stream kernel's primitive:
+        a transfer's unroll or issue burst computes its per-block
+        timestamps in one pass and lands here as one injection.
 
         Returns the scheduled-call handles, in entry order.
         """
         now = self._now
         seq = self._seq
         imm = self._imm
-        near = self._near
-        far = self._far
-        horizon = self._horizon
+        heap = self._heap
         handles = []
-        append_handle = handles.append
-        n = len(entries)
-        i = 0
-        while i < n:
-            when, fn, args = entries[i]
-            if when < now:
+        for when, fn, args in entries:
+            at = now + (when - now)
+            if not at >= now:
                 self._seq = seq
                 raise SimulationError(f"cannot schedule in the past: {when}")
-            # Same arithmetic as call_later (now + (when - now)): every
-            # entry point must produce bit-identical times.
-            when = now + (when - now)
             seq += 1
-            i += 1
-            if when == now:
-                entry: ScheduledCall = [when, seq, fn, args]
+            entry: ScheduledCall = [at, seq, fn, args]
+            if at == now:
                 imm.append(entry)
-                append_handle(entry)
-                continue
-            if when >= horizon:
-                entry = [when, seq, fn, args]
-                far.append(entry)
-                append_handle(entry)
-                continue
-            entry = [-when, -seq, fn, args]
-            if not near or entry > near[-1]:
-                near.append(entry)
-                append_handle(entry)
-                continue
-            # Sorted-run splice: batch entries are presorted by (when,
-            # seq), so in the near lane's negated keys each subsequent
-            # entry sorts at or before this one's insertion point.  As
-            # long as they stay *inside the same gap* between existing
-            # entries, the whole run goes in with one list splice
-            # instead of one insort (bisect + memmove) per entry.  The
-            # lane contents end up identical to sequential insorts.
-            pos = bisect_right(near, entry)
-            lower = near[pos - 1] if pos else None
-            run = [entry]
-            append_handle(entry)
-            while i < n:
-                when2, fn2, args2 = entries[i]
-                if when2 < now:
-                    near[pos:pos] = run[::-1]
-                    self._seq = seq
-                    raise SimulationError(
-                        f"cannot schedule in the past: {when2}"
-                    )
-                when2 = now + (when2 - now)
-                if when2 == now or when2 >= horizon:
-                    break
-                e2: ScheduledCall = [-when2, -(seq + 1), fn2, args2]
-                if not e2 < run[-1]:
-                    break  # out-of-order input: general path re-handles it
-                if lower is not None and not e2 > lower:
-                    break  # leaves the gap: general path re-handles it
-                seq += 1
-                i += 1
-                run.append(e2)
-                append_handle(e2)
-            near[pos:pos] = run[::-1]
+            else:
+                heappush(heap, entry)
+            handles.append(entry)
         self._seq = seq
         return handles
 
@@ -506,22 +390,21 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from every lane, in place (the run
-        loop holds references to the lane containers)."""
+        """Drop cancelled entries, in place (the run loop holds
+        references to both containers)."""
         live_imm = [e for e in self._imm if e[2] is not None]
         self._imm.clear()
         self._imm.extend(live_imm)
-        self._near[:] = [e for e in self._near if e[2] is not None]
-        self._far[:] = [e for e in self._far if e[2] is not None]
+        self._heap[:] = [e for e in self._heap if e[2] is not None]
+        heapify(self._heap)
         self._cancelled = 0
         self.compactions += 1
 
     @property
     def heap_size(self) -> int:
         """Total pending entries, including not-yet-reaped
-        cancellations (named for the original heap scheduler; it is the
-        pending-set size under either implementation)."""
-        return len(self._imm) + len(self._near) + len(self._far)
+        cancellations."""
+        return len(self._imm) + len(self._heap)
 
     @property
     def live_calls(self) -> int:
@@ -541,49 +424,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    # -- calendar internals ----------------------------------------------
-    def _refill(self) -> bool:
-        """Advance the horizon: move the earliest batch of far entries
-        into the (drained) near window and sort it once.  Returns False
-        when no live far entries remain."""
-        far = self._far
-        earliest = None
-        for e in far:
-            if e[2] is not None and (earliest is None or e[0] < earliest):
-                earliest = e[0]
-        if earliest is None:
-            # Only cancelled residue (if anything): reap it.
-            if far:
-                self._cancelled -= len(far)
-                del far[:]
-            return False
-        cutoff = earliest + self._width
-        # Inclusive bound: with earliest at float('inf') (or so large
-        # that adding the width is lost to rounding) cutoff == earliest
-        # and a strict '<' would move nothing, spinning the run loop on
-        # refill forever.  '<=' always moves at least the minimum.
-        moved: list[ScheduledCall] = []
-        keep: list[ScheduledCall] = []
-        for e in far:
-            if e[2] is None:
-                self._cancelled -= 1
-            elif e[0] <= cutoff:
-                e[0] = -e[0]  # flip to the near lane's negated keys
-                e[1] = -e[1]
-                moved.append(e)
-            else:
-                keep.append(e)
-        self._far[:] = keep
-        moved.sort()
-        self._near[:] = moved
-        self._horizon = cutoff
-        # Adapt the window toward the target batch size.
-        if len(moved) > _REFILL_TOO_BIG:
-            self._width = max(self._width * 0.5, 1e-3)
-        elif len(moved) < _REFILL_TOO_SMALL:
-            self._width = min(self._width * 2.0, 1e15)
-        return True
-
     # -- execution --------------------------------------------------------
     def run(self, until: float = float("inf")) -> float:
         """Run until the queue drains or simulated time reaches ``until``.
@@ -599,59 +439,40 @@ class Simulator:
             return self._now
         self._running = True
         fired = 0
-        # The lane containers only ever mutate in place, so these
-        # references stay valid across compactions and refills.
+        # Both containers only ever mutate in place, so these
+        # references stay valid across compactions.
         imm = self._imm
-        near = self._near
+        heap = self._heap
         pop_imm = imm.popleft
-        pop_near = near.pop
         try:
             while True:
-                # Reap cancelled lane heads (next-to-fire positions).
-                while near and near[-1][2] is None:
-                    pop_near()
-                    self._cancelled -= 1
-                while imm and imm[0][2] is None:
-                    pop_imm()
-                    self._cancelled -= 1
-                if near:
-                    entry = near[-1]
-                    when = -entry[0]
-                    if imm:
-                        head = imm[0]
-                        hw = head[0]
-                        # Strict (when, seq) order across lanes.
-                        if hw < when or (hw == when and head[1] < -entry[1]):
-                            entry = head
-                            when = hw
-                            if when > until:
-                                self._now = until
-                                break
-                            pop_imm()
-                        else:
-                            if when > until:
-                                self._now = until
-                                break
-                            pop_near()
-                    else:
-                        if when > until:
-                            self._now = until
-                            break
-                        pop_near()
-                elif imm:
-                    entry = imm[0]
+                # Strict (when, seq) order: entries compare as lists.
+                if heap and not (imm and imm[0] < heap[0]):
+                    entry = heap[0]
+                    fn = entry[2]
+                    if fn is None:  # cancelled: reap and keep going
+                        heappop(heap)
+                        self._cancelled -= 1
+                        continue
                     when = entry[0]
                     if when > until:
                         self._now = until
                         break
-                    pop_imm()
-                else:
-                    if self._refill():
+                    heappop(heap)
+                elif imm:
+                    # No ``until`` check: an immediate entry carries the
+                    # ``now`` it was appended at, which never passes
+                    # ``until`` while this loop runs.
+                    entry = pop_imm()
+                    fn = entry[2]
+                    if fn is None:
+                        self._cancelled -= 1
                         continue
+                    when = entry[0]
+                else:
                     if until != float("inf"):
                         self._now = until
                     break
-                fn = entry[2]
                 # Mark consumed so a late cancel_call on this handle is
                 # a clean no-op instead of skewing the cancelled count.
                 entry[2] = None
@@ -673,126 +494,11 @@ class Simulator:
         while imm and imm[0][2] is None:
             imm.popleft()
             self._cancelled -= 1
-        near = self._near
-        while near and near[-1][2] is None:
-            near.pop()
-            self._cancelled -= 1
-        best = float("inf")
-        if imm:
-            best = imm[0][0]
-        if near and -near[-1][0] < best:
-            best = -near[-1][0]
-        for e in self._far:
-            if e[2] is not None and e[0] < best:
-                best = e[0]
-        return best
-
-
-class _HeapSimulator(Simulator):
-    """The original global binary-heap scheduler, kept (for one
-    release) as the determinism reference behind
-    ``REPRO_SIM_SCHEDULER=heap`` / ``Simulator(scheduler="heap")``."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        super().__init__()
-        self._heap: list[ScheduledCall] = []
-
-    @property
-    def scheduler(self) -> str:
-        return "heap"
-
-    # -- scheduling -----------------------------------------------------
-    def call_later(
-        self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> ScheduledCall:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        self._seq += 1
-        entry: ScheduledCall = [self._now + delay, self._seq, fn, args]
-        heapq.heappush(self._heap, entry)
-        return entry
-
-    def call_at(
-        self, when: float, fn: Callable[..., None], *args: Any
-    ) -> ScheduledCall:
-        if when < self._now:
-            raise SimulationError(f"cannot schedule in the past: {when}")
-        return self.call_later(when - self._now, fn, *args)
-
-    def call_soon(
-        self, fn: Callable[..., None], *args: Any
-    ) -> ScheduledCall:
-        return self.call_later(0.0, fn, *args)
-
-    def schedule_batch(self, entries: list) -> list:
-        """Reference implementation: one heap push per entry, with the
-        exact time normalization and sequence numbering of
-        :meth:`call_at`."""
-        handles = []
-        now = self._now
-        heap = self._heap
-        for when, fn, args in entries:
-            if when < now:
-                raise SimulationError(f"cannot schedule in the past: {when}")
-            self._seq += 1
-            entry: ScheduledCall = [now + (when - now), self._seq, fn, args]
-            heapq.heappush(heap, entry)
-            handles.append(entry)
-        return handles
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place (the run
-        loop holds a reference to the heap list)."""
-        self._heap[:] = [e for e in self._heap if e[2] is not None]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-        self.compactions += 1
-
-    @property
-    def heap_size(self) -> int:
-        return len(self._heap)
-
-    # -- execution --------------------------------------------------------
-    def run(self, until: float = float("inf")) -> float:
-        if self._running:
-            raise SimulationError("simulator is already running")
-        if until < self._now:
-            return self._now  # no-op, as on the calendar scheduler
-        self._running = True
-        try:
-            heap = self._heap
-            while heap:
-                entry = heap[0]
-                when, _seq, fn, args = entry
-                if fn is None:  # cancelled: reap and keep going
-                    heapq.heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                if when > until:
-                    self._now = until
-                    break
-                heapq.heappop(heap)
-                # Mark consumed so a late cancel_call on this handle is
-                # a clean no-op instead of skewing the cancelled count.
-                entry[2] = None
-                self._now = when
-                self.events_fired += 1
-                if args:
-                    fn(*args)
-                else:
-                    fn()
-            else:
-                if until != float("inf"):
-                    self._now = until
-        finally:
-            self._running = False
-        return self._now
-
-    def peek(self) -> float:
         heap = self._heap
         while heap and heap[0][2] is None:
-            heapq.heappop(heap)
+            heappop(heap)
             self._cancelled -= 1
-        return heap[0][0] if heap else float("inf")
+        best = heap[0][0] if heap else float("inf")
+        if imm and imm[0][0] < best:
+            best = imm[0][0]
+        return best

@@ -10,9 +10,8 @@ violation fingerprints unchanged.
 
 The tier-1 lane covers the flagship spec subset at a tiny scale across
 >=3 seeds; the ``slow`` (nightly) lane sweeps every registered spec.
-A direct unit test pins :meth:`schedule_batch` itself to per-entry
-``call_at`` semantics, including the sorted-run splice fast path's
-edge cases.
+Direct unit tests pin :meth:`schedule_batch` itself to per-entry
+``call_at`` semantics.
 """
 
 import json
@@ -27,7 +26,7 @@ from repro.workloads.fuzz import fuzz_round
 
 SEEDS = (1, 7, 23)
 
-#: Tier-1 subset, matching test_engine_determinism's smoke matrix.
+#: Tier-1 subset: the flagship service workloads plus one figure spec.
 SMOKE_SPECS = (
     "ycsb_latency",
     "txn_abort_rate",
@@ -148,13 +147,11 @@ def _dispatch_order(schedule):
     """Dispatch order of ``schedule(sim, order)`` driven to completion.
 
     ``schedule`` runs *inside* a callback (the realistic caller: the
-    batched kernel always schedules from within event dispatch, with
-    lanes and horizon in their steady state).
+    batched kernel always schedules from within event dispatch).
     """
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     order = []
-    # Prime the calendar: land some entries in every lane so the near
-    # window has real content and a nonzero horizon before the batch.
+    # Prime the scheduler: pending entries on both sides of the batch.
     for d in (0.0, 10.0, 50.0, 90.0, 5_000.0, 9_000.0):
         sim.call_later(d, _record, order, sim, f"prime@{d}")
     sim.call_later(20.0, schedule, sim, order)
@@ -185,14 +182,14 @@ def _assert_batch_equivalent(entries):
 
 
 def test_schedule_batch_presorted_run():
-    # The kernel's common case: consecutive block timestamps, all
-    # inside the near window, landing in one gap (splice fast path).
+    # The kernel's common case: consecutive block timestamps landing
+    # in one gap between pending entries.
     _assert_batch_equivalent([(21.0 + 2.0 * i, f"b{i}") for i in range(8)])
 
 
 def test_schedule_batch_spans_all_lanes():
-    # Immediate (when == now at schedule time 20.0), near, and far
-    # entries in one batch.
+    # Immediate (when == now at schedule time 20.0), soon and
+    # far-future entries in one batch.
     _assert_batch_equivalent(
         [(20.0, "imm"), (25.0, "near1"), (30.0, "near2"), (8_000.0, "far")]
     )
@@ -200,16 +197,14 @@ def test_schedule_batch_spans_all_lanes():
 
 def test_schedule_batch_run_leaves_the_gap():
     # A run that starts between two existing entries (prime@50, prime@90)
-    # and then crosses below the lower neighbor: the splice must stop at
-    # the gap edge and the rest go through the general path.
+    # and then passes the later one.
     _assert_batch_equivalent(
         [(60.0, "in-gap1"), (65.0, "in-gap2"), (95.0, "past-gap")]
     )
 
 
 def test_schedule_batch_out_of_order_input():
-    # Not presorted: the splice fast path must bail to per-entry
-    # handling without corrupting lane order.
+    # Not presorted: dispatch order is still (when, seq).
     _assert_batch_equivalent(
         [(40.0, "x"), (22.0, "y"), (70.0, "z"), (22.0, "y2"), (41.0, "w")]
     )
@@ -221,7 +216,7 @@ def test_schedule_batch_equal_times_fifo():
 
 
 def test_schedule_batch_past_time_raises_and_preserves_state():
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     order = []
     boom = []
 
@@ -241,13 +236,13 @@ def test_schedule_batch_past_time_raises_and_preserves_state():
     sim.call_later(20.0, schedule, sim, order)
     sim.run()
     assert boom and "past" in boom[0]
-    # The pre-raise entry was injected and fires; lanes stay consistent.
+    # The pre-raise entry was injected and fires; nothing is duplicated.
     assert (25.0, "ok") in order
     assert [tag for _, tag in order].count("prime@50.0") == 1
 
 
 def test_schedule_batch_returns_cancellable_handles():
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     order = []
 
     def schedule(sim, order):
@@ -264,19 +259,3 @@ def test_schedule_batch_returns_cancellable_handles():
     sim.run()
     assert [tag for _, tag in order] == ["keep", "keep2"]
     assert sim.events_cancelled == 1
-
-
-def test_schedule_batch_matches_on_heap_scheduler_too():
-    entries = [(21.0 + 3.0 * i, f"b{i}") for i in range(5)]
-
-    def run(scheduler, via):
-        sim = Simulator(scheduler=scheduler)
-        order = []
-        sim.call_later(20.0, via(entries), sim, order)
-        sim.run()
-        return order
-
-    assert run("heap", _batch_via_call_at) == run("heap", _batch_via_schedule_batch)
-    assert run("heap", _batch_via_schedule_batch) == run(
-        "calendar", _batch_via_schedule_batch
-    )

@@ -428,11 +428,7 @@ class TestMixDeterminismAndHeap:
         # Lazy deletion alone would leave one dead watchdog per served
         # RPC (thousands here); the pending set must stay within a
         # small multiple of the live process count and drain to zero.
-        # The heap scheduler gets there through compaction; the
-        # calendar scheduler also reaps cancelled entries as they reach
-        # a lane head, so it may bound the set without ever compacting.
-        if sim.scheduler == "heap":
-            assert sim.compactions >= 1
+        assert sim.compactions >= 1
         assert peak["heap"] < 2_000
         assert sim.heap_size == 0
 

@@ -1,9 +1,10 @@
-"""Golden artifacts: every service spec's ``rows.json``, the fuzz
-fingerprints and a replay metrics snapshot must hash to the values
+"""Golden artifacts: every service and figure spec's ``rows.json``, the
+fuzz fingerprints and a replay metrics snapshot must hash to the values
 committed in ``tests/golden/service_sha256.json`` (written by
-``tools/golden.py --write``), and every service spec must schedule
+``tools/golden.py --write``), and every one of those specs must schedule
 exactly the committed number of simulator callbacks (``events/*``).
-Seed 1 runs in tier-1, the other seeds under ``-m slow``."""
+Seed 1 runs in tier-1 (but for the two heavy figures), the other seeds
+under ``-m slow``."""
 
 import importlib.util
 import os
@@ -18,10 +19,22 @@ _spec.loader.exec_module(golden)
 GOLDEN = golden.load_golden()
 
 
-def _params(seeds):
+#: ~15-20 s each even at the golden scale: their seed 1 rides with the
+#: slow lane, and with CI's ``tools/golden.py --check`` step.
+HEAVY_SPECS = ("fig7b", "fig8")
+
+
+def _is_heavy(key):
+    return any(f"/{name}/" in key for name in HEAVY_SPECS)
+
+
+def _params(seeds, heavy=None):
+    """Every entry over ``seeds``, or only the ``HEAVY_SPECS`` ones
+    (``heavy=True``), or only the rest (``heavy=False``)."""
     return [
         pytest.param(compute, GOLDEN[key], id=key)
         for key, compute in golden.entries(seeds)
+        if heavy is None or _is_heavy(key) == heavy
     ]
 
 
@@ -40,8 +53,18 @@ def test_every_golden_key_is_checked_by_some_lane():
     assert keys | {"canary"} == set(GOLDEN)
 
 
-@pytest.mark.parametrize("compute,expected", _params(golden.SEEDS[:1]))
+@pytest.mark.parametrize(
+    "compute,expected", _params(golden.SEEDS[:1], heavy=False)
+)
 def test_seed_1_matches_golden(compute, expected):
+    assert compute() == expected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "compute,expected", _params(golden.SEEDS[:1], heavy=True)
+)
+def test_seed_1_heavy_figures_match_golden(compute, expected):
     assert compute() == expected
 
 

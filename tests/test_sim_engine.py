@@ -1,19 +1,26 @@
 """Unit tests for the discrete-event kernel.
 
-The ``sim`` fixture parametrizes every test over both scheduler
-implementations (calendar and the legacy heap), so the kernel contract
-is pinned identically for each.
+The example tests pin the kernel contract case by case; the property
+test at the end drives random programs against a reference model kept
+in this file.
 """
 
+import math
+import random
+import signal
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import Interrupt, Simulator
+from repro.sim.engine import _COMPACT_MIN_CANCELLED, Interrupt, Simulator
 
 
-@pytest.fixture(params=["calendar", "heap"])
-def sim(request) -> Simulator:
-    return Simulator(scheduler=request.param)
+@pytest.fixture
+def sim() -> Simulator:
+    return Simulator()
 
 
 def test_time_starts_at_zero():
@@ -324,8 +331,8 @@ def test_compaction_during_run_is_safe():
 
 
 # ----------------------------------------------------------------------
-# self-cancellation during fire (regression: must be a clean no-op on
-# both schedulers, not a double-compaction accounting bug)
+# self-cancellation during fire (regression: must be a clean no-op,
+# not a double-compaction accounting bug)
 # ----------------------------------------------------------------------
 
 
@@ -378,7 +385,7 @@ class TestSelfCancelDuringFire:
 
     def test_cancel_sibling_scheduled_at_same_time(self, sim):
         """Cancelling a same-timestamp later sibling from inside a
-        firing callback must suppress it on both schedulers."""
+        firing callback must suppress it."""
         fired = []
         sibling = {}
 
@@ -419,8 +426,8 @@ class TestSelfCancelDuringFire:
 
 def test_run_until_past_time_is_a_noop(sim):
     """``run(until)`` with ``until`` before ``now`` must not move the
-    clock backwards (the calendar's immediate lane is sorted only
-    because time is non-decreasing)."""
+    clock backwards (the immediate lane is sorted only because time
+    is non-decreasing)."""
     fired = []
     sim.call_later(20.0, lambda: fired.append("a"))
     sim.run()
@@ -435,11 +442,271 @@ def test_run_until_past_time_is_a_noop(sim):
 
 
 def test_infinite_delay_fires_and_run_terminates(sim):
-    """A ``float('inf')`` deadline must fire (at t=inf) rather than
-    spin the refill loop forever."""
+    """A ``float('inf')`` deadline must fire (at t=inf) and the run
+    must end."""
     fired = []
     sim.call_later(float("inf"), lambda: fired.append("end-of-time"))
     sim.call_later(3.0, lambda: fired.append("soon"))
     sim.run()
     assert fired == ["soon", "end-of-time"]
     assert sim.heap_size == 0
+
+
+@pytest.fixture
+def alarm():
+    """A hang is a failure: SIGALRM aborts the test after 10 s."""
+
+    def on_alarm(signum, frame):
+        raise AssertionError("simulator hung")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_nan_times_are_rejected_not_scheduled(sim, alarm):
+    """Regression: ``call_later(nan)`` passed the ``delay < 0`` guard
+    and ``run()`` then spun forever on an entry no comparison could
+    order.  Every entry point must refuse NaN — including the NaN that
+    ``call_at(inf)`` makes of ``inf - inf`` once the clock is at inf."""
+    nan = float("nan")
+    fired = []
+    for schedule in (
+        lambda: sim.call_later(nan, fired.append, "later"),
+        lambda: sim.call_at(nan, fired.append, "at"),
+        lambda: sim.timeout(nan),
+        lambda: sim.schedule_batch(
+            [(1.0, fired.append, ("ok",)), (nan, fired.append, ("batch",))]
+        ),
+    ):
+        with pytest.raises(SimulationError):
+            schedule()
+    assert sim.run() == 1.0
+    assert fired == ["ok"]  # the batch entry ahead of the NaN landed
+    sim.call_later(float("inf"), fired.append, "end")
+    assert sim.run() == float("inf")
+    with pytest.raises(SimulationError):
+        sim.call_at(float("inf"), fired.append, "nan")
+    sim.run()
+    assert fired == ["ok", "end"]
+    assert sim.heap_size == 0 and not math.isnan(sim.now)
+
+
+def test_deep_pending_set_drains_in_order_through_run_slices(alarm):
+    """The large-object regime: tens of thousands of pending timers,
+    new work scheduled while they drain, ``run(until)`` in slices."""
+    sim = Simulator()
+    rng = random.Random(16)
+    fired = []
+
+    def fire(tag, respawn):
+        fired.append((sim.now, tag))
+        if respawn:
+            sim.call_later(rng.choice((0.0, 3.0, 40_000.0)), fire, -tag, False)
+
+    expected = []
+    for tag in range(1, 24_001):
+        when = float(rng.randrange(1_000, 1_000_000))  # many equal times
+        sim.call_at(when, fire, tag, tag % 7 == 0)
+        expected.append((when, tag))
+    assert sim.peek() == min(expected)[0]
+    for edge in range(0, 1_100_000, 50_000):
+        assert sim.run(until=float(edge)) == float(edge)
+        assert all(when <= edge for when, _ in fired)
+        assert sim.peek() > edge
+    assert sim.live_calls == sim.heap_size == 0
+    assert sim.events_fired == len(fired) == 24_000 + 24_000 // 7
+    # Equal times fire in scheduling order, so sorted() is the oracle.
+    assert [f for f in fired if f[1] > 0] == sorted(expected)
+    assert fired == sorted(fired, key=lambda f: f[0])
+
+
+# ----------------------------------------------------------------------
+# property test: random programs against a reference model
+# ----------------------------------------------------------------------
+
+INF = float("inf")
+
+
+class ModelSimulator:
+    """The reference scheduler: one list, stably re-sorted by
+    ``(when, seq)`` on every insert; cancelling removes the entry."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_scheduled = self.events_fired = 0
+        self.pending = []
+
+    def _push(self, when, fn, args):
+        if not when >= self.now:
+            raise SimulationError(f"cannot schedule in the past: {when}")
+        self.events_scheduled += 1
+        entry = [when, self.events_scheduled, fn, args]
+        self.pending.append(entry)
+        self.pending.sort(key=lambda e: (e[0], e[1]))
+        return entry
+
+    def call_later(self, delay, fn, *args):
+        return self._push(self.now + delay, fn, args)
+
+    def call_at(self, when, fn, *args):
+        return self._push(self.now + (when - self.now), fn, args)
+
+    def call_soon(self, fn, *args):
+        return self._push(self.now, fn, args)
+
+    def schedule_batch(self, entries):
+        return [self.call_at(when, fn, *args) for when, fn, args in entries]
+
+    def cancel_call(self, handle):
+        self.pending = [e for e in self.pending if e is not handle]
+
+    def peek(self):
+        return self.pending[0][0] if self.pending else INF
+
+    def run(self, until=INF):
+        if until < self.now:
+            return self.now
+        while self.pending and self.pending[0][0] <= until:
+            self.now, _seq, fn, args = self.pending.pop(0)
+            self.events_fired += 1
+            fn(*args)
+        if until != INF:
+            self.now = until
+        return self.now
+
+    @property
+    def live_calls(self):
+        return len(self.pending)
+
+    heap_size = live_calls
+
+
+#: Zero, repeated values (equal times), a delay that vanishes against a
+#: large clock, a far horizon, and the end of time.
+DELAYS = st.one_of(
+    st.sampled_from([0.0, 1.0, 1.0, 7.0, 7.0, 1e-9, 1e12, INF]),
+    st.floats(0.0, 50.0),
+)
+
+
+def _scripts(children):
+    """What a callback does when it fires: schedule more callbacks
+    (each running ``children``), cancel earlier handles, peek."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("later"), DELAYS, children),
+            st.tuples(st.just("at"), DELAYS, children),
+            st.tuples(st.just("soon"), children),
+            st.tuples(st.just("batch"), st.lists(DELAYS, max_size=5), children),
+            st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+            st.tuples(st.just("peek")),
+        ),
+        max_size=4,
+    )
+
+
+SCRIPTS = st.recursive(st.just([]), _scripts, max_leaves=10)
+
+
+def _fire(sim, log, handles, tag, script):
+    log.append((sim.now, tag))
+    _execute(sim, log, handles, script)
+
+
+def _execute(sim, log, handles, script):
+    """Run ``script`` against ``sim`` — the engine or the model; both
+    see the same calls and must leave the same ``log``."""
+    ctx = (sim, log, handles)
+    for op, *rest in script:
+        tag = len(handles)
+        try:
+            if op == "later":
+                delay, child = rest
+                handles.append(sim.call_later(delay, _fire, *ctx, tag, child))
+            elif op == "at":
+                offset, child = rest
+                handles.append(
+                    sim.call_at(sim.now + offset, _fire, *ctx, tag, child)
+                )
+            elif op == "soon":
+                handles.append(sim.call_soon(_fire, *ctx, tag, rest[0]))
+            elif op == "batch":
+                offsets, child = rest
+                handles.extend(
+                    sim.schedule_batch(
+                        [
+                            (sim.now + off, _fire, (*ctx, tag + i, child))
+                            for i, off in enumerate(offsets)
+                        ]
+                    )
+                )
+            elif op == "cancel":
+                if handles:
+                    sim.cancel_call(handles[rest[0] % len(handles)])
+                    # The compaction policy's bound, where it is applied.
+                    assert sim.heap_size <= 2 * sim.live_calls + 64
+            else:
+                log.append(("peek", sim.peek()))
+        except SimulationError:
+            # inf - inf: scheduling "at inf" once the clock is there.
+            log.append(("rejected", op))
+
+
+class SchedulerMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.sides = [(Simulator(), [], []), (ModelSimulator(), [], [])]
+
+    @rule(script=SCRIPTS)
+    def schedule(self, script):
+        for sim, log, handles in self.sides:
+            _execute(sim, log, handles, script)
+
+    @rule(
+        count=st.integers(_COMPACT_MIN_CANCELLED, 3 * _COMPACT_MIN_CANCELLED),
+        keep_every=st.integers(2, 9),
+        delay=st.sampled_from([5.0, 1e6]),
+    )
+    def watchdog_storm(self, count, keep_every, delay):
+        """Arm many timers and cancel most: crosses the compaction
+        threshold with live entries interleaved among the dead."""
+        arm = [("later", delay + i % 3, [("peek",)]) for i in range(count)]
+        for sim, log, handles in self.sides:
+            first = len(handles)
+            _execute(sim, log, handles, arm)
+            disarm = [
+                ("cancel", first + i) for i in range(count) if i % keep_every
+            ]
+            _execute(sim, log, handles, disarm)
+
+    @rule(offset=st.one_of(st.just(-1.0), DELAYS))
+    def run_until(self, offset):
+        ends = [sim.run(until=sim.now + offset) for sim, _, _ in self.sides]
+        assert ends[0] == ends[1]
+
+    @rule()
+    def run_to_completion(self):
+        for sim, _, _ in self.sides:
+            sim.run()
+            assert sim.heap_size == 0
+
+    @invariant()
+    def engine_matches_model(self):
+        (sim, log, _), (model, model_log, _) = self.sides
+        assert log == model_log
+        assert sim.now == model.now
+        assert sim.events_fired == model.events_fired
+        assert sim.events_scheduled == model.events_scheduled
+        assert sim.live_calls == model.live_calls
+        assert sim.peek() == model.peek()
+
+
+SchedulerMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=25, deadline=None
+)
+test_random_programs_match_the_model = SchedulerMachine.TestCase

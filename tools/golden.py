@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Golden artifacts for the KV service workloads.
+"""Golden artifacts for the KV service workloads and the paper figures.
 
-Every service spec's ``rows.json``, every fuzz fingerprint and the
-``SimBridge.replay`` metrics snapshot are pure functions of their seed,
-so a refactor of the client loops, configs or pickers is correct
-exactly when these hashes do not move.  ``--write`` records them (run
-it on the commit you trust), ``--check`` recomputes and compares.
+Every service and figure spec's ``rows.json``, every fuzz fingerprint
+and the ``SimBridge.replay`` metrics snapshot are pure functions of
+their seed, so a refactor of the client loops, configs, pickers or the
+event engine is correct exactly when these hashes do not move.
+``--write`` records them (run it on the commit you trust), ``--check``
+recomputes and compares.
 
 Beside each spec's rows hash sits ``events/<spec>/<seed>``: the number
 of callbacks the run scheduled, summed over every ``Simulator`` it
@@ -46,7 +47,7 @@ SEEDS = (1, 7, 23)
 SCALE = 0.02
 
 #: The registered specs that run the closed-loop client driver, the
-#: deployment configs or the picker factory.
+#: deployment configs or the picker factory, then the figure specs.
 SPECS = (
     "ycsb_latency",
     "ycsb_shard_scaling",
@@ -60,6 +61,18 @@ SPECS = (
     "hotkey_rebalance",
     "serve_load_sweep",
     "ablation_skewed_access",
+    # The paper's figures (what bench/ runs as ``paper_figs``) and the
+    # two ablations that stress the per-block chain: the multi-block,
+    # deep-pending-set regime no service spec reaches.
+    "fig1",
+    "fig7a",
+    "fig7b",
+    "fig8",
+    "fig9a",
+    "fig9b",
+    "fig10",
+    "ablation_stream_buffer_depth",
+    "ablation_r2p2_distribution",
 )
 
 #: Fuzz lane -> ``fuzz_round`` keyword arguments.
@@ -88,7 +101,7 @@ def canary_hash() -> str:
 
 
 def spec_run(name: str, seed: int) -> Tuple[str, int]:
-    """One sweep of a service spec: its rows hash and the callbacks it
+    """One sweep of a spec: its rows hash and the callbacks it
     scheduled over every ``Simulator`` it built."""
     from repro.experiments import registry, run_sweep
     from repro.sim import engine
