@@ -600,9 +600,9 @@ class R2P2Engine:
             # PhysicalMemory.read's region fast path, inlined.
             phys = self._phys
             addr = entry.base_addr + offset * CACHE_BLOCK
-            base, end, buf = phys._last
-            if base <= addr and addr + size <= end:
-                off = addr - base
+            lo, hi, buf, origin = phys._last
+            if lo <= addr and addr + size <= hi:
+                off = addr - origin
                 payload = bytes(buf[off : off + size])
             else:
                 payload = phys.read(addr, size)

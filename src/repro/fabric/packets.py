@@ -9,7 +9,6 @@ payload-free reply carrying atomicity success/failure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
@@ -56,9 +55,6 @@ for _kind, _route, _rep in (
 del _kind, _route, _rep
 
 
-_packet_seq = itertools.count()
-
-
 @dataclass(slots=True)
 class Packet:
     """One fabric packet.
@@ -76,7 +72,6 @@ class Packet:
     size_bytes: int = 0
     payload: Optional[bytes] = None
     meta: dict[str, Any] = field(default_factory=dict)
-    seq: int = field(default_factory=_packet_seq.__next__)
 
     def wire_bytes(self, header_bytes: int) -> int:
         """Total bytes this packet occupies on a link."""

@@ -236,9 +236,9 @@ class ChipMemorySystem:
             # PhysicalMemory.write's region fast path, inlined (one
             # byte-store per modeled block write).
             phys = self.phys
-            base, end, buf = phys._last
-            if base <= block_addr and block_addr + size <= end:
-                off = block_addr - base
+            lo, hi, buf, origin = phys._last
+            if lo <= block_addr and block_addr + size <= hi:
+                off = block_addr - origin
                 buf[off : off + size] = data
             else:
                 phys.write(block_addr, data)

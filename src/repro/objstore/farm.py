@@ -102,11 +102,12 @@ class FarmKV:
             RawLayout() if cfg.use_sabre else PerCacheLineLayout(cfg.version_bits)
         )
         self.store = ObjectStore(self.owner.phys, layout, name="farm")
-        self._keys: Dict[str, int] = {}
-        for i in range(cfg.n_objects):
-            key = f"key-{i}"
-            self.store.create(i, stamped_payload(0, cfg.payload_len))
-            self._keys[key] = i
+        self.store.populate(
+            range(cfg.n_objects), stamped_payload(0, cfg.payload_len)
+        )
+        self._keys: Dict[str, int] = {
+            f"key-{i}": i for i in range(cfg.n_objects)
+        }
         self.breakdown = Breakdown(COMPONENTS)
         self.op_latency = Samples("farm_op_ns")
         self.meter = ThroughputMeter()

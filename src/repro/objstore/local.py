@@ -90,17 +90,15 @@ def run_local_reads(cfg: LocalReadConfig) -> LocalReadResult:
         # remote accesses missing in the LLC; we mirror that locally).
         llc_bytes = cluster.cfg.node.caches.llc_bytes
         n_objects = max(16, (4 * llc_bytes) // wire)
-    for i in range(n_objects):
-        store.create(i, stamped_payload(0, cfg.payload_len))
+    store.populate(range(n_objects), stamped_payload(0, cfg.payload_len))
 
     meter = ThroughputMeter()
     latency = Samples("local_read_ns")
 
     def reader(thread: int):
         rng = make_rng(cfg.seed, "local-reader", thread)
-        ids = list(range(n_objects))
         while sim.now < cfg.duration_ns:
-            obj_id = rng.choice(ids)
+            obj_id = rng.randrange(n_objects)
             handle = store.handle(obj_id)
             t0 = sim.now
             yield sim.timeout(costs.local_fixed_ns)

@@ -679,13 +679,17 @@ class ShardedKV:
 
         self._keys: Dict[str, int] = {}
         self._placement: List[Tuple[int, ...]] = []
+        held: List[List[int]] = [[] for _ in self.stores]
         for idx in range(cfg.n_objects):
             key = self.key_name(idx)
             replicas = self.ring.replicas(key, cfg.replication)
             self._keys[key] = idx
             self._placement.append(replicas)
             for shard in replicas:
-                self.stores[shard].create(idx, stamped_payload(0, cfg.payload_len))
+                held[shard].append(idx)
+        payload = stamped_payload(0, cfg.payload_len)
+        for store, ids in zip(self.stores, held):
+            store.populate(ids, payload)
 
         self.write_stats = [ShardWriteStats() for _ in range(self.provisioned)]
         self.write_latency = Samples("sharded_write_ns")

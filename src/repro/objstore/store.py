@@ -13,7 +13,7 @@ that coherence invalidations fire in the right order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_BLOCK
@@ -80,6 +80,38 @@ class ObjectStore:
         self._objects[obj_id] = handle
         self.phys.write(base, self.layout.pack(version, data))
         return handle
+
+    def populate(
+        self, obj_ids: Iterable[int], data: bytes, version: int = 0
+    ) -> List[ObjectHandle]:
+        """Create every object of ``obj_ids`` with the same committed
+        image, at the addresses one :meth:`create` per id would have
+        used: the image is packed once and the objects are the cells of
+        one memory region.  Refuses before it allocates anything."""
+        ids = list(obj_ids)
+        if is_locked(version):
+            raise SimulationError("initial version must be even (committed)")
+        fresh = set(ids)
+        if len(fresh) != len(ids):
+            raise SimulationError("populate: obj_ids repeats an id")
+        taken = fresh & self._objects.keys()
+        if taken:
+            raise SimulationError(f"object {min(taken)} already exists")
+        if not ids:
+            return []
+        wire = self.layout.wire_size(len(data))
+        addrs = self.phys.allocate_cells(
+            len(ids),
+            max(wire, CACHE_BLOCK),
+            CACHE_BLOCK,
+            self.layout.pack(version, data),
+        )
+        handles = [
+            ObjectHandle(obj_id, base, len(data), wire)
+            for obj_id, base in zip(ids, addrs)
+        ]
+        self._objects.update(zip(ids, handles))
+        return handles
 
     def handle(self, obj_id: int) -> ObjectHandle:
         try:

@@ -513,6 +513,12 @@ class SoNode:
     # RCP: reply processing and completion (§5.2)
     # ------------------------------------------------------------------
     def _on_reply(self, pkt: Packet) -> None:
+        """Account one reply at its arrival: reserve its slot in the
+        backend's RCP, then do the bookkeeping the RCP performs by the
+        time the reply leaves it.  The RCP is a private FIFO and
+        nothing reads a transfer's buffer or counters before its CQ
+        entry is delivered, so only the reply that completes the
+        transfer — the last one out — needs an event at its exit."""
         transfer = self._transfers.get(pkt.transfer_id)
         if transfer is None or transfer.completed:
             if pkt.transfer_id in self._aborted:
@@ -525,7 +531,7 @@ class SoNode:
         # BandwidthServer.request inlined (once per reply packet).
         rcp = self._rcp[transfer.backend]
         sim = self.sim
-        start = sim._now
+        now = start = sim._now
         next_free = rcp._next_free
         if next_free > start:
             start = next_free
@@ -534,13 +540,9 @@ class SoNode:
         rcp._next_free = next_free
         rcp._busy_ns += service
         rcp._bytes += self._rmc_cycle
-        sim.call_at(next_free, self._process_reply, transfer, pkt)
-
-    def _process_reply(self, transfer: SourceTransfer, pkt: Packet) -> None:
-        if transfer.completed:
-            # Crash-aborted while this reply sat in the RCP pipeline:
-            # the CQ entry already failed, drop the reply.
-            return
+        # The clock reading at the reply's RCP exit: call_at's
+        # arithmetic, so the value is the one an event there would see.
+        exit_at = now + (next_free - now)
         kind = pkt.kind
         if kind is PacketKind.SABRE_REPLY or kind is PacketKind.READ_REPLY:
             # Hot path first: the unrolled data replies.
@@ -550,14 +552,14 @@ class SoNode:
                 phys = self.phys
                 addr = transfer.local_addr + pkt.block_offset * CACHE_BLOCK
                 size = len(payload)
-                base, end, buf = phys._last
-                if base <= addr and addr + size <= end:
-                    off = addr - base
+                lo, hi, buf, origin = phys._last
+                if lo <= addr and addr + size <= hi:
+                    off = addr - origin
                     buf[off : off + size] = payload
                 else:
                     phys.write(addr, payload)
             transfer.replies_received += 1
-            transfer.timings.last_reply = self.sim._now
+            transfer.timings.last_reply = exit_at
         elif kind is PacketKind.SABRE_VALIDATION:
             transfer.validation = pkt.meta["success"]
             transfer.remote_version = pkt.meta.get("version")
@@ -565,14 +567,21 @@ class SoNode:
             transfer.cas_old_value = pkt.meta["old_value"]
             transfer.cas_swapped = pkt.meta["swapped"]
             transfer.replies_received += 1
-            transfer.timings.last_reply = self.sim._now
+            transfer.timings.last_reply = exit_at
         else:  # WRITE_ACK
             transfer.replies_received += 1
-            transfer.timings.last_reply = self.sim._now
+            transfer.timings.last_reply = exit_at
         # transfer.done inlined (property call per reply adds up).
         if transfer.replies_received >= transfer.total_blocks and (
             transfer.op is not OpKind.SABRE or transfer.validation is not None
         ):
+            sim.call_at(next_free, self._rcp_exit, transfer)
+
+    def _rcp_exit(self, transfer: SourceTransfer) -> None:
+        """The completing reply leaves the RCP."""
+        if not transfer.completed:
+            # Else crash-aborted while that reply sat in the pipeline:
+            # the CQ entry already failed.
             self._complete(transfer)
 
     def _complete(self, transfer: SourceTransfer) -> None:

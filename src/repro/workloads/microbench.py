@@ -190,8 +190,9 @@ class Microbenchmark:
         self.mechanism = protocol_cls.make_mechanism(cfg)
         layout = self.mechanism.layout if self.mechanism else RawLayout()
         self.store = ObjectStore(self.dst.phys, layout, name="microbench")
-        for obj_id in range(cfg.n_objects):
-            self.store.create(obj_id, stamped_payload(0, cfg.payload_len))
+        self.store.populate(
+            range(cfg.n_objects), stamped_payload(0, cfg.payload_len)
+        )
         self.stats = _ReaderStats()
         self.writers: List[TimedWriter] = []
         self.protocol = protocol_cls(self)

@@ -102,3 +102,34 @@ def test_one_extra_callback_moves_the_event_count_only(monkeypatch):
     rows_hash, events = golden.spec_run("txn_shard_scaling", 1)
     assert rows_hash == GOLDEN["spec/txn_shard_scaling/1"]
     assert events > GOLDEN["events/txn_shard_scaling/1"]
+
+
+def test_only_events_rewrite_refuses_any_other_drift(monkeypatch, tmp_path):
+    """``--write --only-events`` is a perf PR's regeneration: it may
+    lower ``events/*`` and nothing else.  A forged rows hash makes it
+    exit 1 with the file untouched."""
+    import json
+
+    path = tmp_path / "golden.json"
+    on_file = {
+        "canary": golden.canary_hash(),
+        "spec/a/1": "rows-hash",
+        "events/a/1": 10,
+    }
+    path.write_text(json.dumps(on_file))
+    computed = {"spec/a/1": "rows-hash", "events/a/1": 7}
+    monkeypatch.setattr(golden, "GOLDEN_PATH", str(path))
+    monkeypatch.setattr(
+        golden,
+        "entries",
+        lambda seeds: [(key, lambda k=key: computed[k]) for key in computed],
+    )
+
+    assert golden.main(["--write", "--only-events"]) == 0
+    assert json.loads(path.read_text()) == {**on_file, "events/a/1": 7}
+
+    computed["events/a/1"] = 5
+    computed["spec/a/1"] = "forged"
+    before = path.read_text()
+    assert golden.main(["--write", "--only-events"]) == 1
+    assert path.read_text() == before

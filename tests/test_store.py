@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.common.errors import SimulationError
 from repro.mem.backing import PhysicalMemory
 from repro.objstore.layout import (
+    ChecksumLayout,
     PerCacheLineLayout,
     RawLayout,
     is_locked,
@@ -124,3 +125,96 @@ class TestHandles:
         store.create(9, b"y")
         assert sorted(store.object_ids()) == [5, 9]
         assert len(store) == 2
+
+
+LAYOUTS = {
+    "raw": RawLayout,
+    "percl16": lambda: PerCacheLineLayout(16),
+    "checksum": ChecksumLayout,
+}
+
+
+def _aged_memory(prior):
+    """A memory whose bump pointer sits wherever a few odd-sized
+    allocations left it."""
+    phys = PhysicalMemory()
+    for size in prior:
+        phys.allocate(size, align=8)
+    return phys
+
+
+class TestPopulate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.sampled_from(sorted(LAYOUTS)),
+        payload_len=st.integers(min_value=8, max_value=9000),
+        n=st.integers(min_value=1, max_value=40),
+        prior=st.lists(st.integers(min_value=1, max_value=300), max_size=4),
+    )
+    def test_populate_is_the_create_loop(self, layout, payload_len, n, prior):
+        data = stamped_payload(0, payload_len)
+        looped = ObjectStore(_aged_memory(prior), LAYOUTS[layout]())
+        for i in range(n):
+            looped.create(i, data)
+        bulk = ObjectStore(_aged_memory(prior), LAYOUTS[layout]())
+        handles = bulk.populate(range(n), data)
+
+        assert handles == [looped.handle(i) for i in range(n)]
+        assert bulk.object_ids() == looped.object_ids()
+        for i in range(n):
+            assert bulk.read_raw(i) == looped.read_raw(i)
+            assert bulk.read(i).ok
+        assert bulk.phys._next == looped.phys._next
+        assert bulk.phys.allocate(100) == looped.phys.allocate(100)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_access_may_not_run_into_the_neighbour(self, layout):
+        store = ObjectStore(PhysicalMemory(), LAYOUTS[layout]())
+        first, second, last = store.populate(range(3), stamped_payload(0, 100))
+        phys = store.phys
+        straddle = second.base_addr - 8
+        with pytest.raises(SimulationError):
+            phys.read(straddle, 16)
+        with pytest.raises(SimulationError):
+            phys.write(straddle, bytes(16))
+        # Warm the last-cell shortcut on the first object, then leave it.
+        phys.read(first.base_addr, first.wire_size)
+        with pytest.raises(SimulationError):
+            phys.read(first.base_addr, second.base_addr - first.base_addr + 1)
+        end = last.base_addr + max(last.wire_size, 64)
+        assert len(phys.read(end - 8, 8)) == 8
+        with pytest.raises(SimulationError):
+            phys.read(end - 8, 16)
+        with pytest.raises(SimulationError):
+            phys.read(end, 1)
+        # Neither refused access disturbed the neighbours' bytes.
+        assert store.read_raw(0) == store.read_raw(1) == store.read_raw(2)
+
+    def test_padding_between_cells_is_not_addressable(self):
+        store = ObjectStore(PhysicalMemory(), RawLayout())
+        first, _second = store.populate(range(2), bytes(92))  # wire 100
+        with pytest.raises(SimulationError):
+            store.phys.read(first.base_addr + first.wire_size, 1)
+
+    def test_refuses_before_it_allocates(self):
+        store = ObjectStore(PhysicalMemory(), RawLayout())
+        store.populate([5], b"x" * 16)
+        before = (len(store), store.phys._next)
+        for ids, version in (
+            ([1, 2, 1], 0),  # duplicate within the call
+            ([4, 5], 0),  # duplicate against the store
+            ([1, 2], 3),  # odd (locked) initial version
+            ([], 3),  # nothing to create is no licence for bad arguments
+        ):
+            with pytest.raises(SimulationError):
+                store.populate(ids, b"y" * 16, version=version)
+            assert (len(store), store.phys._next) == before
+        assert store.populate([], b"y" * 16) == []
+        assert (len(store), store.phys._next) == before
+
+    def test_populated_objects_take_updates(self):
+        store = ObjectStore(PhysicalMemory(), PerCacheLineLayout(16))
+        store.populate(range(4), stamped_payload(0, 200), version=2)
+        assert store.write(2, stamped_payload(4, 200)) == 4
+        assert store.read(2).data == stamped_payload(4, 200)
+        assert store.read(1).version == store.read(3).version == 2

@@ -12,13 +12,21 @@ Beside each spec's rows hash sits ``events/<spec>/<seed>``: the number
 of callbacks the run scheduled, summed over every ``Simulator`` it
 built.  It is exact for a seed, so it is compared at 0 % tolerance — a
 change that makes an operation cost more callbacks fails by name while
-the rows stay identical, and no wall clock is consulted.
+the rows stay identical, and no wall clock is consulted.  The replay
+snapshot is split the same way: ``replay`` hashes it without its two
+``repro_sim_events_*`` series and ``events/replay`` holds the scheduled
+count, so a change that only makes operations cheaper moves
+``events/*`` and nothing else.
 
 Usage::
 
     python tools/golden.py --check              # seed 1 (tier-1 / CI smoke)
     python tools/golden.py --check --all-seeds  # seeds 1, 7, 23
     python tools/golden.py --write              # all seeds, rewrite the file
+    python tools/golden.py --write --only-events
+        # a perf PR's regeneration: recompute everything, rewrite the
+        # events/* keys, refuse (exit 1, file untouched) if any other
+        # value differs from the file
 
 The file also stores the hash of a fixed ``math.pow``/``math.log``/
 ``random.Random(1)`` vector: the Zipfian alias table and the arrival
@@ -134,7 +142,18 @@ def fuzz_hash(lane: str, seed: int) -> str:
     return _sha(outcome.fingerprint)
 
 
-def replay_hash() -> str:
+#: The snapshot's event counters: kept out of the ``replay`` hash,
+#: recorded as ``events/replay``.
+_REPLAY_EVENT_SERIES = (
+    "repro_sim_events_fired_total",
+    "repro_sim_events_scheduled_total",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def replay_run() -> Tuple[str, int]:
+    """The replay snapshot's hash without its event-counter series,
+    and the callbacks the replay scheduled."""
     from repro.loadgen.trace import TraceConfig, build_trace
     from repro.serve.bridge import SimBridge
     from repro.serve.settings import ServeSettings
@@ -152,7 +171,12 @@ def replay_hash() -> str:
             )
         )
     )
-    return _sha(bridge.metrics_snapshot())
+    kept = [
+        line
+        for line in bridge.metrics_snapshot().splitlines()
+        if not any(series in line for series in _REPLAY_EVENT_SERIES)
+    ]
+    return _sha("\n".join(kept)), bridge.sim.events_scheduled
 
 
 def entries(
@@ -170,7 +194,8 @@ def entries(
         for seed in seeds:
             yield f"fuzz/{lane}/{seed}", lambda l=lane, s=seed: fuzz_hash(l, s)
     if SEEDS[0] in seeds:
-        yield "replay", replay_hash
+        yield "replay", lambda: replay_run()[0]
+        yield "events/replay", lambda: replay_run()[1]
 
 
 def load_golden() -> Dict[str, Union[str, int]]:
@@ -184,17 +209,43 @@ def main(argv=None) -> int:
     mode.add_argument("--write", action="store_true")
     mode.add_argument("--check", action="store_true")
     parser.add_argument(
+        "--only-events",
+        action="store_true",
+        help="with --write: refuse unless only events/* values moved",
+    )
+    parser.add_argument(
         "--all-seeds",
         action="store_true",
         help=f"check seeds {SEEDS}, not only seed {SEEDS[0]}",
     )
     args = parser.parse_args(argv)
+    if args.only_events and not args.write:
+        parser.error("--only-events goes with --write")
 
     if args.write:
         golden = {"canary": canary_hash()}
         for key, compute in entries(SEEDS):
             golden[key] = compute()
             print(f"{key}  {str(golden[key])[:16]}")
+        if args.only_events:
+            on_file = load_golden()
+            moved = sorted(
+                key
+                for key in golden.keys() | on_file.keys()
+                if golden.get(key) != on_file.get(key)
+            )
+            refused = [key for key in moved if not key.startswith("events/")]
+            if refused:
+                for key in refused:
+                    print(f"DRIFT  {key}", file=sys.stderr)
+                print(
+                    f"golden: {len(refused)} non-event value(s) differ from "
+                    "the file; nothing written",
+                    file=sys.stderr,
+                )
+                return 1
+            for key in moved:
+                print(f"moved  {key}  {on_file.get(key)} -> {golden.get(key)}")
         os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
         with open(GOLDEN_PATH, "w") as fh:
             json.dump(golden, fh, indent=2, sort_keys=True)
