@@ -146,9 +146,6 @@ class SabreConfig:
     mode: SabreMode = SabreMode.SPECULATIVE
     stream_buffers: int = 16
     stream_buffer_depth: int = 32
-    #: Whether a SABRe is pinned to a single R2P2 (§5.1's final choice)
-    #: or striped across all R2P2s (rejected design; kept for ablation).
-    pin_to_single_r2p2: bool = True
     #: Hardware retry on abort (rejected design, §5.1) vs exposing the
     #: failure to software through the CQ success field.  Retries are
     #: only possible before any reply has been sent (request-reply

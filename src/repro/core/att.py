@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.core.stream_buffer import StreamBuffer
+from repro.mem.backing import NO_CELL
 
 #: (source node, request-generation pipeline id, transfer id) — §5.1.
 SabreId = Tuple[int, int, int]
@@ -48,6 +49,10 @@ class AttEntry:
     subscribed_blocks: List[int] = field(default_factory=list)
     lock_held: bool = False  # LOCKING variant bookkeeping
     snoop_cb: Optional[Callable[[int, object], None]] = None
+    #: The memory cell the object lies in, as ``PhysicalMemory._locate``
+    #: caches it, found at the SABRe's first access (see
+    #: ``SourceTransfer.landing_cell``).
+    cell: Tuple[int, int, bytearray, int] = NO_CELL
 
     @property
     def window_open(self) -> bool:

@@ -22,7 +22,7 @@ a final payload-free validation packet reports atomicity success.
 
 from __future__ import annotations
 
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Set
 from collections import deque
 
 from repro.atomicity.locks import ReaderWriterLockTable
@@ -36,7 +36,6 @@ from repro.fabric.packets import (
     PacketKind,
     block_payload_size,
     cas_reply,
-    read_reply,
     sabre_reply,
     sabre_validation,
     write_ack,
@@ -54,7 +53,7 @@ SendPacket = Callable[[Packet], None]
 class R2P2Engine:
     """One LightSABRes-enhanced R2P2 backend."""
 
-    __slots__ = ("sim", "cfg", "chip", "node_id", "index", "tile", "send_packet", "lock_table", "counters", "mode", "att", "_pending_registrations", "_pending_requests", "_cycle", "_block_cost", "issue_server", "reply_server", "_version_offset", "_batched", "_att_lookup", "_issue_service", "_reply_service", "_phys")
+    __slots__ = ("sim", "cfg", "chip", "node_id", "index", "tile", "send_packet", "lock_table", "counters", "mode", "att", "_pending_registrations", "_queued_sabres", "_pending_requests", "_cycle", "_block_cost", "issue_server", "reply_server", "_version_offset", "_batched", "_att_lookup", "_issue_service", "_reply_service", "_phys")
 
     def __init__(
         self,
@@ -84,6 +83,8 @@ class R2P2Engine:
             sabre.stream_buffers, sabre.stream_buffer_depth
         )
         self._pending_registrations: Deque[Packet] = deque()
+        # Whose registrations those are (the per-request membership test).
+        self._queued_sabres: Set[SabreId] = set()
         # Data requests that arrived while their registration is still
         # queued behind ATT backpressure (counted, replayed on register).
         self._pending_requests: Dict[SabreId, int] = {}
@@ -129,23 +130,27 @@ class R2P2Engine:
     # ------------------------------------------------------------------
     def _handle_read_request(self, pkt: Packet) -> None:
         self.counters.add("read_requests")
-        addr = pkt.meta["addr"]
-        size = pkt.meta["size"]
         t_issue = self.issue_server.request(self._block_cost)
+        self.sim.call_at(t_issue, self._start_remote_read, pkt)
 
-        def start_read() -> None:
-            done, _tier = self.chip.read_block(self.tile, addr)
-            self.sim.call_at(done, finish_read)
+    def _start_remote_read(self, pkt: Packet) -> None:
+        done, _tier = self.chip.read_block(self.tile, pkt.meta["addr"])
+        self.sim.call_at(done, self._finish_remote_read, pkt)
 
-        def finish_read() -> None:
-            payload = self.chip.read_bytes(addr, size)
-            t_reply = self.reply_server.request(self._cycle)
-            reply = read_reply(
-                self.node_id, pkt.src_node, pkt.transfer_id, pkt.block_offset, payload
-            )
-            self.sim.call_at(t_reply, self.send_packet, reply)
-
-        self.sim.call_at(t_issue, start_read)
+    def _finish_remote_read(self, pkt: Packet) -> None:
+        meta = pkt.meta
+        payload = self._phys.read(meta["addr"], meta["size"])
+        t_reply = self.reply_server.request(self._cycle)
+        reply = Packet(
+            PacketKind.READ_REPLY,
+            self.node_id,
+            pkt.src_node,
+            pkt.transfer_id,
+            pkt.block_offset,
+            size_bytes=len(payload),
+            payload=payload,
+        )
+        self.sim.call_at(t_reply, self.send_packet, reply)
 
     # ------------------------------------------------------------------
     # stateless one-sided writes and remote CAS (original soNUMA/RDMA
@@ -210,11 +215,15 @@ class R2P2Engine:
         if not self.att.has_free_entry():
             self.counters.add("att_backpressure")
             self._pending_registrations.append(pkt)
+            self._queued_sabres.add(
+                (pkt.src_node, pkt.meta.get("rgp", 0), pkt.transfer_id)
+            )
             return
         self._register(pkt)
 
     def _register(self, pkt: Packet) -> None:
         sid: SabreId = (pkt.src_node, pkt.meta.get("rgp", 0), pkt.transfer_id)
+        self._queued_sabres.discard(sid)
         entry = self.att.register(
             sid,
             base_addr=pkt.meta["addr"],
@@ -235,10 +244,7 @@ class R2P2Engine:
         sid: SabreId = (pkt.src_node, pkt.meta.get("rgp", 0), pkt.transfer_id)
         entry = self._att_lookup(sid)
         if entry is None:
-            if any(
-                (p.src_node, p.meta.get("rgp", 0), p.transfer_id) == sid
-                for p in self._pending_registrations
-            ):
+            if sid in self._queued_sabres:
                 self._pending_requests[sid] = (
                     self._pending_requests.get(sid, 0) + 1
                 )
@@ -429,9 +435,17 @@ class R2P2Engine:
         self._maybe_finish(entry)
 
     def _consume_version(self, entry: AttEntry) -> None:
-        version = self.chip.phys.read_u64(
-            entry.base_addr + self._version_offset
-        )
+        # Through the entry's cell, like _reply_data: whichever of the
+        # two comes first for a SABRe does its one memory lookup.
+        addr = entry.base_addr + self._version_offset
+        lo, hi, buf, origin = entry.cell
+        if lo <= addr and addr + 8 <= hi:
+            off = addr - origin
+            version = int.from_bytes(buf[off : off + 8], "little")
+        else:
+            phys = self._phys
+            version = phys.read_u64(addr)
+            entry.cell = phys._last
         if self.mode is not SabreMode.NAIVE_UNSAFE and is_locked(version):
             self._abort(entry, "locked_version")
             return
@@ -597,15 +611,17 @@ class R2P2Engine:
         if junk:
             payload = bytes(size)
         else:
-            # PhysicalMemory.read's region fast path, inlined.
-            phys = self._phys
+            # PhysicalMemory.read's cell fast path, inlined over the
+            # entry's own cell.
             addr = entry.base_addr + offset * CACHE_BLOCK
-            lo, hi, buf, origin = phys._last
+            lo, hi, buf, origin = entry.cell
             if lo <= addr and addr + size <= hi:
                 off = addr - origin
                 payload = bytes(buf[off : off + size])
             else:
+                phys = self._phys
                 payload = phys.read(addr, size)
+                entry.cell = phys._last
         src, _rgp, tid = entry.sabre_id
         pkt = Packet(
             PacketKind.SABRE_REPLY,

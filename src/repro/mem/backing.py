@@ -16,6 +16,11 @@ from typing import List, Tuple
 from repro.common.errors import SimulationError
 
 
+#: ``(lo, hi, buffer, address of buffer[0])`` of a cell that contains
+#: no address: what a cached cell is before its first lookup.
+NO_CELL: Tuple[int, int, bytearray, int] = (1, 0, bytearray(), 0)
+
+
 class PhysicalMemory:
     """Sparse physical memory made of bump-allocated regions."""
 
@@ -33,7 +38,7 @@ class PhysicalMemory:
         #: address of buffer[0])`` — accesses cluster on one object
         #: (block-by-block reads/writes), so this short-circuits the
         #: bisect on the common case.
-        self._last: Tuple[int, int, bytearray, int] = (1, 0, bytearray(), 0)
+        self._last = NO_CELL
 
     def allocate(self, size: int, align: int = 0) -> int:
         """Allocate ``size`` zeroed bytes; returns the base address."""

@@ -400,6 +400,23 @@ class Simulator:
         self._cancelled = 0
         self.compactions += 1
 
+    def drop_pending(self) -> None:
+        """Abandon every pending callback: none of them will run.
+
+        For a simulation that ends before its queue drains (a run that
+        stops at its measurement instant).  The containers empty in
+        place, which releases what the callbacks' arguments held now
+        instead of whenever the cyclic garbage of a dead simulation is
+        collected; the handles read as consumed, so a late
+        :meth:`cancel_call` on one stays a no-op."""
+        for entry in self._imm:
+            entry[2] = None
+        for entry in self._heap:
+            entry[2] = None
+        self._imm.clear()
+        self._heap.clear()
+        self._cancelled = 0
+
     @property
     def heap_size(self) -> int:
         """Total pending entries, including not-yet-reaped

@@ -112,6 +112,11 @@ class ThroughputMeter:
             self._ops += 1
 
     @property
+    def recording(self) -> bool:
+        """Started and not yet stopped."""
+        return self._recording
+
+    @property
     def elapsed_ns(self) -> float:
         return max(0.0, self._window_end - self._window_start)
 

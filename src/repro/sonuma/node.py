@@ -313,7 +313,6 @@ class SoNode:
         transfer.timings.pickup = now
         rgp = self._rgp[transfer.backend]
         dest_backends = self.cfg.rmc.backends
-        sabre = self.cfg.sabre
         send = self.fabric.send
         tid = transfer.transfer_id
         dst = transfer.dst_node
@@ -341,27 +340,17 @@ class SoNode:
             busy += service
             nbytes += self._rmc_cycle
             entries.append((next_free, send, (reg,)))
-            # Pinned SABRes share one immutable meta dict across the
-            # whole request run (nobody mutates request meta).
-            shared_meta = (
-                {"r2p2": r2p2, "rgp": transfer.backend}
-                if sabre.pin_to_single_r2p2
-                else None
-            )
+            # A SABRe stays pinned to one R2P2 (§5.1), so its whole
+            # request run shares one meta dict (nobody mutates it).
+            sabre_meta = {"r2p2": r2p2, "rgp": transfer.backend}
 
         req_cost = self._rmc_cycle * self.cfg.rmc.rgp_request_cycles
         service = req_cost / rate
         for offset in range(transfer.total_blocks):
             if op is OpKind.SABRE:
-                meta = shared_meta
-                if meta is None:
-                    meta = {
-                        "r2p2": offset % dest_backends,
-                        "rgp": transfer.backend,
-                    }
                 pkt = Packet(
                     PacketKind.SABRE_REQUEST, self.node_id, dst, tid,
-                    offset, size_bytes=8, meta=meta,
+                    offset, size_bytes=8, meta=sabre_meta,
                 )
             elif op is OpKind.REMOTE_WRITE:
                 addr = transfer.remote_addr + offset * CACHE_BLOCK
@@ -380,13 +369,16 @@ class SoNode:
                 )
             else:
                 addr = transfer.remote_addr + offset * CACHE_BLOCK
+                size = transfer.size_bytes - offset * CACHE_BLOCK
+                if size > CACHE_BLOCK:
+                    size = CACHE_BLOCK
                 pkt = Packet(
                     PacketKind.READ_REQUEST, self.node_id, dst, tid,
                     offset,
                     size_bytes=8,
                     meta={
                         "addr": addr,
-                        "size": self._payload_size(transfer, offset),
+                        "size": size,
                         # Remote reads balance across R2P2s per block
                         # (§7.1): steer by block *address*.
                         "r2p2": (addr // CACHE_BLOCK) % dest_backends,
@@ -411,7 +403,6 @@ class SoNode:
         transfer.timings.pickup = self.sim.now
         rgp = self._rgp[transfer.backend]
         dest_backends = self.cfg.rmc.backends
-        sabre = self.cfg.sabre
 
         if transfer.op is OpKind.SABRE:
             r2p2 = transfer.transfer_id % dest_backends
@@ -435,13 +426,7 @@ class SoNode:
                 pkt = sabre_request(
                     self.node_id, transfer.dst_node, transfer.transfer_id, offset
                 )
-                # Pinned to a single R2P2 (§5.1) unless the rejected
-                # striping design is being ablated.
-                pkt.meta["r2p2"] = (
-                    transfer.transfer_id % dest_backends
-                    if sabre.pin_to_single_r2p2
-                    else offset % dest_backends
-                )
+                pkt.meta["r2p2"] = r2p2  # pinned to one R2P2 (§5.1)
                 pkt.meta["rgp"] = transfer.backend
             elif transfer.op is OpKind.REMOTE_WRITE:
                 addr = transfer.remote_addr + offset * CACHE_BLOCK
@@ -548,16 +533,18 @@ class SoNode:
             # Hot path first: the unrolled data replies.
             payload = pkt.payload
             if payload is not None and pkt.size_bytes:
-                # PhysicalMemory.write's region fast path, inlined.
-                phys = self.phys
+                # PhysicalMemory.write's cell fast path, inlined over
+                # the transfer's own cell.
                 addr = transfer.local_addr + pkt.block_offset * CACHE_BLOCK
                 size = len(payload)
-                lo, hi, buf, origin = phys._last
+                lo, hi, buf, origin = transfer.landing_cell
                 if lo <= addr and addr + size <= hi:
                     off = addr - origin
                     buf[off : off + size] = payload
                 else:
+                    phys = self.phys
                     phys.write(addr, payload)
+                    transfer.landing_cell = phys._last
             transfer.replies_received += 1
             transfer.timings.last_reply = exit_at
         elif kind is PacketKind.SABRE_VALIDATION:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+from repro.mem.backing import NO_CELL
 
 #: How long the id of a crash-failed RPC/transfer is remembered so its
 #: straggler replies can be dropped instead of tripping the
@@ -103,6 +105,11 @@ class SourceTransfer:
     payload: Optional[bytes] = None  # outbound data for REMOTE_WRITE
     cas_old_value: Optional[int] = None
     cas_swapped: Optional[bool] = None
+    #: The source-memory cell the landing buffer lies in, as
+    #: ``PhysicalMemory._locate`` caches it, found when the first reply
+    #: lands: replies of many transfers interleave, so the memory's own
+    #: one-entry cache would miss on nearly every one of them.
+    landing_cell: Tuple[int, int, bytearray, int] = NO_CELL
 
     @property
     def data_done(self) -> bool:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import List, Sequence
 
@@ -58,11 +57,8 @@ class ZipfianPicker:
 
     Sampling uses a precomputed **alias table** (Vose's method): O(n)
     construction, then O(1) per draw with exactly one ``rng.random()``
-    call — replacing the per-sample CDF binary search.  The legacy CDF
-    sampler survives behind ``method="cdf"`` as the distributional
-    reference the chi-squared tests pin the alias table against (the
-    two consume the identical RNG stream but map draws to ranks
-    differently, so they agree in distribution, not draw-for-draw).
+    call.  The chi-squared tests pin the table against the analytic
+    Zipf probabilities.
     """
 
     def __init__(
@@ -71,14 +67,11 @@ class ZipfianPicker:
         seed: int,
         theta: float = 0.99,
         label: object = "",
-        method: str = "alias",
     ):
         if not object_ids:
             raise ValueError("need at least one object")
         if not 0.0 < theta < 2.0:
             raise ValueError(f"theta out of range: {theta}")
-        if method not in ("alias", "cdf"):
-            raise ValueError(f"unknown sampling method {method!r}")
         self._ids = list(object_ids)
         self._rng = make_rng(seed, "zipfian", theta, label)
         n = len(self._ids)
@@ -89,7 +82,6 @@ class ZipfianPicker:
             total += w
             self._cdf.append(total)
         self._total = total
-        self._method = method
         # Vose alias construction: scale each probability by n, split
         # into sub-unit ("small") and super-unit ("large") columns, and
         # let each column donate its excess to fill one small column.
@@ -116,9 +108,6 @@ class ZipfianPicker:
         self._alias = alias
 
     def pick(self) -> int:
-        if self._method == "cdf":
-            point = self._rng.random() * self._total
-            return self._ids[bisect.bisect_left(self._cdf, point)]
         # One uniform draw supplies both the column and the coin flip.
         u = self._rng.random() * len(self._ids)
         i = int(u)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.common.config import ClusterConfig, SabreMode
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import make_rng
 from repro.objstore.layout import RawLayout, is_locked, stamped_payload
 from repro.objstore.store import ObjectStore
@@ -43,6 +43,14 @@ class MicrobenchConfig:
     """``object_size`` is the total in-store object footprint including
     its 8 B version header (so a 64 B object is a true single-block
     transfer, as in Fig. 7a); the application payload is 8 bytes less.
+
+    ``duration_ns`` is ``t_end``, the instant the throughput meter
+    stops.  A synchronous run (``async_window == 1``) then lets every
+    reader finish the operation it is in, whose latency is a sample
+    like any other.  An asynchronous run (``async_window > 1``, the
+    peak-bandwidth mode) ends at ``t_end``: the transfers still in its
+    windows are abandoned, and everything it reports covers
+    ``[0, t_end]``.
     """
 
     mechanism: str = "sabre"
@@ -80,6 +88,12 @@ class MicrobenchConfig:
 
 @dataclass
 class MicrobenchResult:
+    """``goodput_gbps`` and ``ops_completed`` cover the meter's window
+    ``[warmup_ns, t_end]``.  The latency samples and every counter
+    cover the whole run: ``[0, t_end]`` plus each reader's last
+    operation when synchronous, exactly ``[0, t_end]`` when
+    ``async_window > 1`` (see :class:`MicrobenchConfig`)."""
+
     config: MicrobenchConfig
     op_latency: Samples
     transfer_latency: Samples
@@ -284,21 +298,36 @@ class Microbenchmark:
             self.writers.append(writer)
             sim.process(writer.process(t_end))
 
+        meter = self.stats.meter
+        warmup, window = cfg.warmup_ns, t_end - cfg.warmup_ns
+
         def metering():
-            yield sim.timeout(cfg.warmup_ns)
-            self.stats.meter.start(sim.now)
-            yield sim.timeout(t_end - cfg.warmup_ns)
-            self.stats.meter.stop(sim.now)
+            yield sim.timeout(warmup)
+            meter.start(sim.now)
+            yield sim.timeout(window)
+            meter.stop(sim.now)
 
         sim.process(metering())
-        sim.run()
+        if cfg.async_window > 1:
+            # The stop instant as the two timeouts above reach it, which
+            # need not equal ``t_end`` bit for bit.  Past it there is
+            # only the drain of the windows' in-flight transfers, which
+            # the (stopped) meter ignores: end the run there.
+            sim.run(until=(sim.now + warmup) + window)
+            sim.drop_pending()
+        else:
+            sim.run()
+        if meter.recording:
+            raise SimulationError(
+                f"run ended at {sim.now} ns with the meter still recording"
+            )
 
         return MicrobenchResult(
             config=cfg,
             op_latency=self.stats.op_latency,
             transfer_latency=self.stats.transfer_latency,
-            goodput_gbps=self.stats.meter.gbps,
-            ops_completed=self.stats.meter.ops_total,
+            goodput_gbps=meter.gbps,
+            ops_completed=meter.ops_total,
             sabre_aborts=self.stats.sabre_aborts,
             software_conflicts=self.stats.software_conflicts,
             retries=self.stats.retries,

@@ -1,12 +1,8 @@
 """Distributional tests for the workload generators.
 
-The alias-method Zipfian sampler replaced the per-sample CDF search on
-the hot path; these tests *pin* it to the legacy sampler's
-distribution with chi-squared goodness-of-fit over the theta grid —
-same seed stream, same id space — plus boundary cases for the uniform
-picker.  (The two samplers consume the identical RNG stream but map
-draws to ranks differently, so they must agree in distribution, never
-draw-for-draw.)
+The alias-method Zipfian sampler is pinned to the analytic Zipf
+probabilities with chi-squared goodness-of-fit over the theta grid,
+plus boundary cases for the uniform picker.
 """
 
 import math
@@ -61,23 +57,6 @@ class TestAliasZipfianDistribution:
         stat = chi2_stat(observed, expected)
         assert stat < chi2_critical(self.N - 1), (theta, stat)
 
-    @pytest.mark.parametrize("theta", THETA_GRID)
-    def test_alias_pinned_to_cdf_sampler(self, theta):
-        """Two-sample chi-squared: the alias sampler against the legacy
-        CDF sampler on the *same seed stream* — the regression pin that
-        would catch a mis-built alias table even if it were still
-        approximately Zipfian."""
-        alias = ZipfianPicker(range(self.N), seed=11, theta=theta)
-        legacy = ZipfianPicker(range(self.N), seed=11, theta=theta,
-                               method="cdf")
-        a = counts_of(alias, self.DRAWS, self.N)
-        b = counts_of(legacy, self.DRAWS, self.N)
-        # Pearson two-sample statistic with equal sample sizes.
-        stat = sum(
-            (ai - bi) ** 2 / (ai + bi) for ai, bi in zip(a, b) if ai + bi
-        )
-        assert stat < chi2_critical(self.N - 1), (theta, stat)
-
     def test_alias_table_is_a_valid_partition(self):
         """Structural invariant: every column's kept+donated mass
         reconstructs the exact scaled probabilities."""
@@ -106,17 +85,6 @@ class TestAliasZipfianDistribution:
         for _ in range(100):
             picker.pick()
         assert calls["n"] == 100
-
-    def test_cdf_method_unchanged(self):
-        """The legacy sampler still produces its historical stream."""
-        legacy = ZipfianPicker(range(50), seed=7, method="cdf")
-        first = [legacy.pick() for _ in range(10)]
-        again = ZipfianPicker(range(50), seed=7, method="cdf")
-        assert [again.pick() for _ in range(10)] == first
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            ZipfianPicker(range(5), seed=1, method="bogus")
 
     def test_single_object(self):
         picker = ZipfianPicker([99], seed=5)

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.common.config import ClusterConfig, SabreMode
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
+from repro.sim.engine import Simulator
+from repro.sim.stats import ThroughputMeter
 from repro.workloads.generators import CrewPartition, UniformPicker
 from repro.workloads.microbench import (
+    Microbenchmark,
     MicrobenchConfig,
     run_microbench,
 )
@@ -143,3 +146,104 @@ class TestContendedRuns:
         result = quick("sabre", async_window=4, readers=4)
         assert result.ops_completed > 20
         assert result.goodput_gbps > 0
+
+
+def stamped(cfg):
+    """A benchmark whose op-latency samples are stamped with the time
+    they were taken: ``(bench, stamps)``."""
+    bench = Microbenchmark(cfg)
+    sim, stamps = bench.cluster.sim, []
+    add = bench.stats.op_latency.add
+
+    def stamped_add(value):
+        stamps.append(sim.now)
+        add(value)
+
+    bench.stats.op_latency.add = stamped_add
+    return bench, stamps
+
+
+class TestRunEndsWithItsMeasurement:
+    """An asynchronous run stops at the instant its meter does; a
+    synchronous one lets every reader finish its last operation."""
+
+    ASYNC = dict(
+        mechanism="sabre",
+        object_size=1024,
+        n_objects=32,
+        readers=4,
+        async_window=4,
+        duration_ns=20_000.0,
+        warmup_ns=4_000.0,
+        seed=3,
+    )
+
+    def test_async_run_stops_at_the_meter(self, monkeypatch):
+        cfg = MicrobenchConfig(**self.ASYNC)
+        bench, stamps = stamped(cfg)
+        result = bench.run()
+        sim = bench.cluster.sim
+        assert sim.now == cfg.duration_ns
+        assert sim.heap_size == 0 and sim.live_calls == 0
+        assert stamps and max(stamps) <= sim.now
+        assert len(result.op_latency) == len(stamps)
+
+        # The reference drains the queue: same benchmark, plain run().
+        drain = Simulator.run
+        monkeypatch.setattr(Simulator, "run", lambda sim, until=None: drain(sim))
+        ref_bench, ref_stamps = stamped(cfg)
+        ref = ref_bench.run()
+        assert ref_bench.cluster.sim.now > cfg.duration_ns
+        assert ref_bench.cluster.sim.events_fired > sim.events_fired
+
+        # What the meter reports does not depend on the drain ...
+        assert result.goodput_gbps == ref.goodput_gbps > 0
+        assert result.ops_completed == ref.ops_completed > 20
+        # ... and the samples are the reference's up to the stop: the
+        # drain's completions (a window per reader, plus the read a
+        # thread inside its issue gap at the stop still posts) are the
+        # rest.
+        n = len(stamps)
+        assert ref_stamps[:n] == stamps
+        assert ref.op_latency.values[:n] == result.op_latency.values
+        in_flight = cfg.readers * cfg.async_window
+        assert in_flight <= len(ref_stamps) - n <= in_flight + cfg.readers
+        assert min(ref_stamps[n:]) > cfg.duration_ns
+
+    def test_sync_run_finishes_every_readers_last_operation(self):
+        cfg = MicrobenchConfig(**{**self.ASYNC, "async_window": 1})
+        bench, stamps = stamped(cfg)
+        result = bench.run()
+        sim = bench.cluster.sim
+        assert sim.now > cfg.duration_ns
+        assert sim.heap_size == 0
+        assert sum(t >= cfg.duration_ns for t in stamps) == cfg.readers
+        assert len(result.op_latency) == len(stamps)
+        assert sim.now == max(stamps)
+
+    @pytest.mark.parametrize(
+        "w,d",
+        [
+            (874.3470064201256, 9727.264281274141),  # stops an ulp early
+            (856.7696144955071, 11612.729292333452),  # an ulp late
+        ],
+    )
+    def test_stop_instant_is_the_metering_process_arithmetic(self, w, d):
+        """``warmup + (duration - warmup)`` is one ulp off ``duration``
+        for these pairs; where it is later, stopping at ``duration``
+        itself would leave the meter running and the goodput 0.0."""
+        assert w + (d - w) != d
+        bench = Microbenchmark(
+            MicrobenchConfig(**{**self.ASYNC, "warmup_ns": w, "duration_ns": d})
+        )
+        result = bench.run()
+        assert bench.cluster.sim.now == w + (d - w)
+        assert result.goodput_gbps > 0 and result.ops_completed > 0
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_meter_left_recording_is_an_error(self, monkeypatch, window):
+        monkeypatch.setattr(ThroughputMeter, "stop", lambda meter, now: None)
+        with pytest.raises(SimulationError, match="still recording"):
+            run_microbench(
+                MicrobenchConfig(**{**self.ASYNC, "async_window": window})
+            )

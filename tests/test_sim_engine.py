@@ -330,6 +330,30 @@ def test_compaction_during_run_is_safe():
     assert sim.now == 100.0
 
 
+def test_drop_pending_during_run_is_safe():
+    """Dropping from inside a callback empties both lanes under the run
+    loop; what the callback schedules afterwards still fires, and the
+    dropped handles (live or already cancelled) are inert."""
+    sim = Simulator()
+    fired = []
+    doomed = [sim.call_later(5.0 + i, fired.append, "dead") for i in range(100)]
+    sim.cancel_call(doomed[0])
+
+    def dropper():
+        doomed.append(sim.call_soon(fired.append, "dead"))
+        sim.drop_pending()
+        sim.call_later(2.0, fired.append, "after")
+
+    sim.call_later(1.0, dropper)
+    scheduled = sim.events_scheduled
+    sim.run()
+    assert fired == ["after"] and sim.now == 3.0
+    assert sim.events_scheduled == scheduled + 2
+    for handle in doomed:
+        sim.cancel_call(handle)
+    assert sim.heap_size == sim.live_calls == 0 and sim.events_cancelled == 1
+
+
 # ----------------------------------------------------------------------
 # self-cancellation during fire (regression: must be a clean no-op,
 # not a double-compaction accounting bug)
@@ -568,6 +592,9 @@ class ModelSimulator:
     def peek(self):
         return self.pending[0][0] if self.pending else INF
 
+    def drop_pending(self):
+        self.pending = []
+
     def run(self, until=INF):
         if until < self.now:
             return self.now
@@ -688,6 +715,17 @@ class SchedulerMachine(RuleBasedStateMachine):
     def run_until(self, offset):
         ends = [sim.run(until=sim.now + offset) for sim, _, _ in self.sides]
         assert ends[0] == ends[1]
+
+    @rule()
+    def drop_pending(self):
+        """Abandon the pending set between runs; later ``cancel`` ops
+        that name a dropped handle must stay no-ops."""
+        for sim, _, _ in self.sides:
+            scheduled = sim.events_scheduled
+            sim.drop_pending()
+            assert sim.heap_size == sim.live_calls == 0
+            assert sim.events_scheduled == scheduled
+        assert self.sides[0][0]._cancelled == 0
 
     @rule()
     def run_to_completion(self):

@@ -2,12 +2,15 @@
 timing invariants, protocol bookkeeping)."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from repro.common.config import ClusterConfig, SabreMode
 from repro.common.errors import ProtocolError, SimulationError
+from repro.core.r2p2 import R2P2Engine
 from repro.fabric.packets import PacketKind, sabre_reply, sabre_validation
+from repro.mem.backing import PhysicalMemory
 from repro.objstore.layout import RawLayout, stamped_payload
 from repro.objstore.store import ObjectStore
 from repro.sonuma.node import Cluster, SoNode
@@ -180,6 +183,9 @@ class TestSabre:
         cluster.run()
         assert done == [True] * 4
         assert cluster.node(0).counters.get("att_backpressure") > 0
+        (r2p2,) = cluster.node(0).r2p2s
+        assert not r2p2._pending_registrations and not r2p2._queued_sabres
+        assert not r2p2._pending_requests
 
     def test_concurrent_sabres_all_complete(self):
         cluster = two_nodes()
@@ -332,13 +338,12 @@ class TestRcpAccounting:
             src._handle_packet(sabre_reply(0, 1, tid + 1, 0, bytes(64)))
 
     def test_validation_overtaking_data_replies_completes_once(self):
-        """With SABRe requests striped over the R2P2s (the rejected
-        design, ``pin_to_single_r2p2=False``) the validation can reach
-        the source before the last data reply.  The destination side of
-        striping is not modeled (the registration lives at one R2P2),
-        so the requests go nowhere and the replies are injected at the
-        source NI in that order."""
-        cluster = two_nodes(pin_to_single_r2p2=False)
+        """Were SABRe requests striped over the R2P2s (§5.1's rejected
+        design) the validation could reach the source before the last
+        data reply.  Striping is not modeled (a SABRe is pinned to the
+        R2P2 holding its registration), so the requests go nowhere and
+        the replies are injected at the source NI in that order."""
+        cluster = two_nodes()
         cluster.fabric.send = lambda pkt: 0.0
         src, sim = cluster.node(1), cluster.sim
         rmc = cluster.cfg.node.rmc
@@ -370,3 +375,107 @@ class TestRcpAccounting:
         assert when == pytest.approx(exits[-1] + rmc.cq_write_ns + rmc.cq_poll_ns)
         assert src.read_local(buf, 128) == first + second
         assert src.in_flight == 0
+
+
+class TestCellPerTransfer:
+    """Each transfer remembers the memory cell it works in — the landing
+    buffer at the source, the object at the destination R2P2 — so
+    interleaved transfers do not pay a lookup per block, and a block
+    outside that cell still goes through ``PhysicalMemory``'s checks."""
+
+    PAYLOAD = 1000  # 16 blocks on the wire
+
+    @pytest.fixture
+    def locates(self, monkeypatch):
+        """``_locate`` calls per ``PhysicalMemory`` (keyed by identity)."""
+        calls = Counter()
+        real = PhysicalMemory._locate
+
+        def counting(phys, addr, size):
+            calls[id(phys)] += 1
+            return real(phys, addr, size)
+
+        monkeypatch.setattr(PhysicalMemory, "_locate", counting)
+        return calls
+
+    @staticmethod
+    def switches(sequence):
+        return sum(a != b for a, b in zip(sequence, sequence[1:]))
+
+    @pytest.mark.parametrize("op_name", ["sabre_read", "remote_read"])
+    def test_interleaved_transfers_look_memory_up_once_each(
+        self, monkeypatch, locates, op_name
+    ):
+        cluster = two_nodes()
+        dst, src = cluster.node(0), cluster.node(1)
+        store = ObjectStore(dst.phys, RawLayout())
+        images = {
+            obj: stamped_payload(2 * obj + 2, self.PAYLOAD) for obj in (0, 1)
+        }
+        for obj, image in images.items():
+            store.create(obj, image, version=2 * obj + 2)
+        handles = [store.handle(obj) for obj in images]
+        wire = handles[0].wire_size
+        bufs = [src.alloc_buffer(wire) for _ in handles]
+
+        landed, served = [], []
+        on_reply, reply_data = SoNode._on_reply, R2P2Engine._reply_data
+
+        def spy_reply(node, pkt):
+            if pkt.payload is not None:
+                landed.append(pkt.transfer_id)
+            on_reply(node, pkt)
+
+        def spy_reply_data(r2p2, entry, offset, junk=False):
+            served.append(entry.sabre_id)
+            reply_data(r2p2, entry, offset, junk)
+
+        monkeypatch.setattr(SoNode, "_on_reply", spy_reply)
+        monkeypatch.setattr(R2P2Engine, "_reply_data", spy_reply_data)
+
+        op = getattr(src, op_name)
+        done = [op(0, h.base_addr, wire, buf) for h, buf in zip(handles, bufs)]
+        locates.clear()
+        cluster.run()
+        found = dict(locates)
+
+        for completion, handle, buf, image in zip(
+            done, handles, bufs, images.values()
+        ):
+            assert completion.value.success
+            raw = src.read_local(buf, wire)
+            assert RawLayout().unpack(raw, self.PAYLOAD).data == image
+        # Both sides really alternate between the two transfers (with
+        # the memory's one-entry cache each switch is a lookup) ...
+        blocks = handles[0].num_blocks
+        assert len(landed) == 2 * blocks and self.switches(landed) >= blocks
+        # ... and a transfer costs one lookup at most.
+        assert found.get(id(src.phys), 0) <= 2
+        if op_name == "sabre_read":
+            assert len(served) == 2 * blocks and self.switches(served) >= 4
+            assert found.get(id(dst.phys), 0) <= 2
+
+    def test_reply_block_crossing_its_landing_cell_is_refused(self):
+        cluster = two_nodes()
+        _store, handle = make_object(cluster, payload_len=120)
+        src = cluster.node(1)
+        assert handle.wire_size == 128
+        buf = src.alloc_buffer(96)  # block 1 would land on [64, 128)
+        src.alloc_buffer(64)  # mapped right behind it: no hole to hit
+        src.remote_read(0, handle.base_addr, 128, buf)
+        with pytest.raises(SimulationError, match="overruns region"):
+            cluster.run()
+
+    def test_sabre_range_crossing_its_object_cell_is_refused(self):
+        cluster = two_nodes()
+        store = ObjectStore(cluster.node(0).phys, RawLayout())
+        store.populate(range(2), stamped_payload(0, 192))  # 200 B cells
+        handle = store.handle(0)
+        assert handle.wire_size == 200
+        assert store.handle(1).base_addr - handle.base_addr == 256
+        src = cluster.node(1)
+        buf = src.alloc_buffer(256)
+        # Block 3 is [192, 256): past the object's 200 bytes.
+        src.sabre_read(0, handle.base_addr, 256, buf)
+        with pytest.raises(SimulationError, match="overruns region"):
+            cluster.run()

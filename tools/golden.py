@@ -70,8 +70,10 @@ SPECS = (
     "serve_load_sweep",
     "ablation_skewed_access",
     # The paper's figures (what bench/ runs as ``paper_figs``) and the
-    # two ablations that stress the per-block chain: the multi-block,
-    # deep-pending-set regime no service spec reaches.
+    # ablations that stress the per-block chain: the multi-block,
+    # deep-pending-set regime no service spec reaches.  With fig7b,
+    # ``ablation_stream_buffer_count`` is the asynchronous
+    # (``async_window > 1``) microbenchmark.
     "fig1",
     "fig7a",
     "fig7b",
@@ -80,6 +82,7 @@ SPECS = (
     "fig9b",
     "fig10",
     "ablation_stream_buffer_depth",
+    "ablation_stream_buffer_count",
     "ablation_r2p2_distribution",
 )
 
