@@ -17,6 +17,8 @@ Walks the elastic subsystem end to end:
 Run:  PYTHONPATH=src python examples/elastic_scaling.py
 """
 
+from contextlib import closing
+
 from repro.common.rng import make_rng
 from repro.objstore.reshard import ReshardManager
 from repro.objstore.sharded import HashRing, ShardedConfig, ShardedKV
@@ -34,50 +36,50 @@ def demo_scale_out() -> None:
         object_size=256,
         seed=11,
     )
-    kv = ShardedKV(cfg)
-    manager = ReshardManager(kv)
-    chosen = manager.scale_out(4, at_ns=8_000.0)
-    print(f"members {kv.member_shards()} + spares {chosen} joining at t=8000")
+    with closing(ShardedKV(cfg)) as kv:
+        manager = ReshardManager(kv)
+        chosen = manager.scale_out(4, at_ns=8_000.0)
+        print(f"members {kv.member_shards()} + spares {chosen} joining at t=8000")
 
-    sim = kv.cluster.sim
-    t_end = 40_000.0
-    keys = kv.keys()
+        sim = kv.cluster.sim
+        t_end = 40_000.0
+        keys = kv.keys()
 
-    def reader(session, label):
-        pick = make_rng(5, "demo-reader", label)
-        while sim.now < t_end:
-            yield from session.lookup(keys[pick.randrange(len(keys))], t_end)
+        def reader(session, label):
+            pick = make_rng(5, "demo-reader", label)
+            while sim.now < t_end:
+                yield from session.lookup(keys[pick.randrange(len(keys))], t_end)
 
-    def writer(client, label):
-        pick = make_rng(5, "demo-writer", label)
-        while sim.now < t_end:
-            yield kv.put(client, keys[pick.randrange(len(keys))], t_end)
-            yield sim.timeout(pick.uniform(20.0, 120.0))
+        def writer(client, label):
+            pick = make_rng(5, "demo-writer", label)
+            while sim.now < t_end:
+                yield kv.put(client, keys[pick.randrange(len(keys))], t_end)
+                yield sim.timeout(pick.uniform(20.0, 120.0))
 
-    for i in range(2):
-        sim.process(reader(kv.reader_session(i), i))
-        sim.process(writer(i, i))
-    sim.run()
+        for i in range(2):
+            sim.process(reader(kv.reader_session(i), i))
+            sim.process(writer(i, i))
+        sim.run()
 
-    stats = manager.stats
-    fresh = HashRing(range(8), vnodes=cfg.vnodes, seed=cfg.seed)
-    identical = all(
-        kv._placement[idx] == fresh.replicas(kv.key_name(idx), cfg.replication)
-        for idx in range(cfg.n_objects)
-    )
-    violations = sum(s.undetected_violations for s in kv.all_reader_stats())
-    print(
-        f"members now               : {kv.member_shards()}\n"
-        f"vnode handoffs / keys     : {stats.vnode_handoffs} / "
-        f"{stats.keys_migrated} migrated ({stats.replica_copies} copies)\n"
-        f"writer redirects          : "
-        f"{sum(w.reshard_redirects for w in kv.write_stats)} "
-        f"(fenced mid-migration, re-issued with remaining budget)\n"
-        f"placement == fresh 8-shard: {identical}\n"
-        f"undetected violations     : {violations}"
-    )
-    for t, event, shard in manager.events:
-        print(f"  t={t:8.0f}  {event} shard {shard}")
+        stats = manager.stats
+        fresh = HashRing(range(8), vnodes=cfg.vnodes, seed=cfg.seed)
+        identical = all(
+            kv._placement[idx] == fresh.replicas(kv.key_name(idx), cfg.replication)
+            for idx in range(cfg.n_objects)
+        )
+        violations = sum(s.undetected_violations for s in kv.all_reader_stats())
+        print(
+            f"members now               : {kv.member_shards()}\n"
+            f"vnode handoffs / keys     : {stats.vnode_handoffs} / "
+            f"{stats.keys_migrated} migrated ({stats.replica_copies} copies)\n"
+            f"writer redirects          : "
+            f"{sum(w.reshard_redirects for w in kv.write_stats)} "
+            f"(fenced mid-migration, re-issued with remaining budget)\n"
+            f"placement == fresh 8-shard: {identical}\n"
+            f"undetected violations     : {violations}"
+        )
+        for t, event, shard in manager.events:
+            print(f"  t={t:8.0f}  {event} shard {shard}")
 
 
 def demo_elastic_mix() -> None:

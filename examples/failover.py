@@ -15,6 +15,8 @@ Walks the failover subsystem end to end:
 Run:  PYTHONPATH=src python examples/failover.py
 """
 
+from contextlib import closing
+
 from repro.objstore.failover import FailoverManager, FailurePlan
 from repro.objstore.sharded import REPLY_FENCED, ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
@@ -23,79 +25,77 @@ from repro.workloads.availability import FailoverMixConfig, run_failover_mix
 
 def demo_crash_promote_recover() -> None:
     print("--- crash, promotion, recovery, re-sync ---")
-    kv = ShardedKV(
-        ShardedConfig(n_shards=4, replication=2, n_objects=32, object_size=256)
-    )
-    fm = FailoverManager(kv)
-    sim = kv.cluster.sim
-    key = kv.keys()[0]
-    idx = kv.key_index(key)
-    primary, backup = kv.replicas_of(key)
-    print(f"{key}: primary shard {primary}, backup shard {backup}")
+    cfg = ShardedConfig(n_shards=4, replication=2, n_objects=32, object_size=256)
+    with closing(ShardedKV(cfg)) as kv:
+        fm = FailoverManager(kv)
+        sim = kv.cluster.sim
+        key = kv.keys()[0]
+        idx = kv.key_index(key)
+        primary, backup = kv.replicas_of(key)
+        print(f"{key}: primary shard {primary}, backup shard {backup}")
 
-    log = []
+        log = []
 
-    def client():
-        yield kv.put(0, key)
-        log.append(f"t={sim.now:8.0f}  put #1 acked (healthy primary)")
-        fm.crash(primary)
-        log.append(f"t={sim.now:8.0f}  shard {primary} crashed; epoch={kv.epoch}")
-        session = kv.reader_session(0)
-        ok = yield from session.lookup(key, t_end=sim.now + 50_000.0)
-        served = kv.current_primary(key)
-        log.append(
-            f"t={sim.now:8.0f}  read ok={ok} served by promoted shard {served}"
+        def client():
+            yield kv.put(0, key)
+            log.append(f"t={sim.now:8.0f}  put #1 acked (healthy primary)")
+            fm.crash(primary)
+            log.append(f"t={sim.now:8.0f}  shard {primary} crashed; epoch={kv.epoch}")
+            session = kv.reader_session(0)
+            ok = yield from session.lookup(key, t_end=sim.now + 50_000.0)
+            served = kv.current_primary(key)
+            log.append(
+                f"t={sim.now:8.0f}  read ok={ok} served by promoted shard {served}"
+            )
+            yield kv.put(0, key)
+            log.append(
+                f"t={sim.now:8.0f}  put #2 acked by promotee "
+                f"(version {kv.stores[served].current_version(idx)})"
+            )
+            fm.recover(primary)
+            log.append(f"t={sim.now:8.0f}  shard {primary} rejoining (re-sync)")
+
+        sim.process(client())
+        sim.run()
+        for line in log:
+            print(line)
+        print(
+            f"after re-sync: shard {primary} serving={kv.serving[primary]}, "
+            f"version there {kv.stores[primary].current_version(idx)} "
+            f"(caught up), primary is still shard {kv.current_primary(key)}"
         )
-        yield kv.put(0, key)
-        log.append(
-            f"t={sim.now:8.0f}  put #2 acked by promotee "
-            f"(version {kv.stores[served].current_version(idx)})"
-        )
-        fm.recover(primary)
-        log.append(f"t={sim.now:8.0f}  shard {primary} rejoining (re-sync)")
-
-    sim.process(client())
-    sim.run()
-    for line in log:
-        print(line)
-    print(
-        f"after re-sync: shard {primary} serving={kv.serving[primary]}, "
-        f"version there {kv.stores[primary].current_version(idx)} "
-        f"(caught up), primary is still shard {kv.current_primary(key)}"
-    )
-    print(f"failover events: {[(round(t), e, s) for t, e, s in fm.events]}")
+        print(f"failover events: {[(round(t), e, s) for t, e, s in fm.events]}")
 
 
 def demo_fencing() -> None:
     print("\n--- fencing: a stale-epoch request is refused ---")
-    kv = ShardedKV(
-        ShardedConfig(n_shards=2, replication=2, n_objects=16, object_size=256)
-    )
-    FailoverManager(kv)
-    key = kv.keys()[0]
-    idx = kv.key_index(key)
-    primary = kv.primary_of(key)
-    kv.epoch += 2  # the view moved on; this client's epoch did not
-    forged = (0).to_bytes(8, "little") + idx.to_bytes(8, "little") + bytes(
-        kv.cfg.payload_len
-    )
-    replies = []
-
-    def stale_client():
-        reply = yield kv.client_rpc(0).call(
-            kv.shards[primary].node_id, "shard_put", forged
+    cfg = ShardedConfig(n_shards=2, replication=2, n_objects=16, object_size=256)
+    with closing(ShardedKV(cfg)) as kv:
+        FailoverManager(kv)
+        key = kv.keys()[0]
+        idx = kv.key_index(key)
+        primary = kv.primary_of(key)
+        kv.epoch += 2  # the view moved on; this client's epoch did not
+        forged = (0).to_bytes(8, "little") + idx.to_bytes(8, "little") + bytes(
+            kv.cfg.payload_len
         )
-        replies.append(reply)
+        replies = []
 
-    kv.cluster.sim.process(stale_client())
-    kv.cluster.sim.run()
-    print(
-        f"forged epoch-0 put against epoch-{kv.epoch} view -> "
-        f"fenced={replies[0] == REPLY_FENCED}, "
-        f"object untouched (version "
-        f"{kv.stores[primary].current_version(idx)}), "
-        f"fenced_rejects={kv.write_stats[primary].fenced_rejects}"
-    )
+        def stale_client():
+            reply = yield kv.client_rpc(0).call(
+                kv.shards[primary].node_id, "shard_put", forged
+            )
+            replies.append(reply)
+
+        kv.cluster.sim.process(stale_client())
+        kv.cluster.sim.run()
+        print(
+            f"forged epoch-0 put against epoch-{kv.epoch} view -> "
+            f"fenced={replies[0] == REPLY_FENCED}, "
+            f"object untouched (version "
+            f"{kv.stores[primary].current_version(idx)}), "
+            f"fenced_rejects={kv.write_stats[primary].fenced_rejects}"
+        )
 
 
 def demo_availability_mix() -> None:

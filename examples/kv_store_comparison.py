@@ -10,7 +10,9 @@ Writes go to the data owner over an RPC in both builds.
 Run:  python examples/kv_store_comparison.py
 """
 
-from repro import FarmConfig, FarmKV
+from contextlib import closing
+
+from repro import FarmConfig, FarmKV, run_farm
 
 
 def demo_reads(object_size: int) -> None:
@@ -24,7 +26,7 @@ def demo_reads(object_size: int) -> None:
             duration_ns=120_000.0,
             warmup_ns=15_000.0,
         )
-        result = FarmKV(cfg).run_readonly()
+        result = run_farm(cfg)
         build = "SABRe   " if use_sabre else "baseline"
         means = result.breakdown.means()
         print(
@@ -40,19 +42,19 @@ def demo_reads(object_size: int) -> None:
 def demo_writes() -> None:
     print("\n--- writes ship to the data owner over RPC (§2.1) ---")
     cfg = FarmConfig(use_sabre=True, object_size=256, n_objects=16)
-    kv = FarmKV(cfg)
-    sim = kv.cluster.sim
+    with closing(FarmKV(cfg)) as kv:
+        sim = kv.cluster.sim
 
-    def client():
-        t0 = sim.now
-        yield kv.put("key-7", b"fresh value".ljust(cfg.payload_len, b"\x00"))
-        print(f"put(key-7) completed in {sim.now - t0:.1f} ns")
-        result = kv.store.read(7)
-        print(f"owner now holds version {result.version}: "
-              f"{result.data[:11]!r}")
+        def client():
+            t0 = sim.now
+            yield kv.put("key-7", b"fresh value".ljust(cfg.payload_len, b"\x00"))
+            print(f"put(key-7) completed in {sim.now - t0:.1f} ns")
+            result = kv.store.read(7)
+            print(f"owner now holds version {result.version}: "
+                  f"{result.data[:11]!r}")
 
-    sim.process(client())
-    sim.run()
+        sim.process(client())
+        sim.run()
 
 
 def main() -> None:

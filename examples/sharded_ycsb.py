@@ -12,18 +12,21 @@ FaRM deployment:
 Run:  PYTHONPATH=src python examples/sharded_ycsb.py
 """
 
+from contextlib import closing
+
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.workloads.ycsb import YcsbConfig, run_ycsb
 
 
 def demo_placement() -> None:
     print("--- consistent-hash placement (4 shards, replication 2) ---")
-    kv = ShardedKV(ShardedConfig(n_shards=4, replication=2, n_objects=8))
-    for key in kv.keys():
-        primary, backup = kv.replicas_of(key)
-        print(f"{key:8s} -> primary shard {primary}, backup shard {backup}")
-    per_shard = [len(store) for store in kv.stores]
-    print(f"objects per shard: {per_shard}")
+    cfg = ShardedConfig(n_shards=4, replication=2, n_objects=8)
+    with closing(ShardedKV(cfg)) as kv:
+        for key in kv.keys():
+            primary, backup = kv.replicas_of(key)
+            print(f"{key:8s} -> primary shard {primary}, backup shard {backup}")
+        per_shard = [len(store) for store in kv.stores]
+        print(f"objects per shard: {per_shard}")
 
 
 def demo_mixes() -> None:
@@ -74,37 +77,36 @@ def demo_shard_stats() -> None:
 
 def demo_fallback() -> None:
     print("\n--- read fallback: primary copy wedged mid-update ---")
-    kv = ShardedKV(
-        ShardedConfig(
-            n_shards=2,
-            replication=2,
-            mechanism="percl_versions",
-            n_objects=8,
-            fallback_after_ns=2_000.0,
-        )
+    cfg = ShardedConfig(
+        n_shards=2,
+        replication=2,
+        mechanism="percl_versions",
+        n_objects=8,
+        fallback_after_ns=2_000.0,
     )
-    key = kv.keys()[0]
-    idx = kv.key_index(key)
-    primary, backup = kv.replicas_of(key)
-    store = kv.stores[primary]
-    locked = store.current_version(idx) + 1
-    store.phys.write(store.version_addr(idx), locked.to_bytes(8, "little"))
-    print(f"{key}: primary shard {primary} locked (odd version {locked})")
+    with closing(ShardedKV(cfg)) as kv:
+        key = kv.keys()[0]
+        idx = kv.key_index(key)
+        primary, backup = kv.replicas_of(key)
+        store = kv.stores[primary]
+        locked = store.current_version(idx) + 1
+        store.phys.write(store.version_addr(idx), locked.to_bytes(8, "little"))
+        print(f"{key}: primary shard {primary} locked (odd version {locked})")
 
-    session = kv.reader_session(0)
-    sim = kv.cluster.sim
+        session = kv.reader_session(0)
+        sim = kv.cluster.sim
 
-    def reader():
-        ok = yield from session.lookup(key, t_end=50_000.0)
-        print(
-            f"lookup ok={ok} after {sim.now:.0f} ns: "
-            f"{session.stats[primary].retries} primary retries, "
-            f"served by backup shard {backup} "
-            f"(fallback_reads={session.stats[backup].fallback_reads})"
-        )
+        def reader():
+            ok = yield from session.lookup(key, t_end=50_000.0)
+            print(
+                f"lookup ok={ok} after {sim.now:.0f} ns: "
+                f"{session.stats[primary].retries} primary retries, "
+                f"served by backup shard {backup} "
+                f"(fallback_reads={session.stats[backup].fallback_reads})"
+            )
 
-    sim.process(reader())
-    sim.run()
+        sim.process(reader())
+        sim.run()
 
 
 def main() -> None:

@@ -16,6 +16,8 @@ Walks the transaction layer end to end:
 Run:  PYTHONPATH=src python examples/txn_mix.py
 """
 
+from contextlib import closing
+
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.workloads.txn_mix import PROTOCOL_VARIANTS, TxnMixConfig, run_txn_mix
@@ -23,71 +25,69 @@ from repro.workloads.txn_mix import PROTOCOL_VARIANTS, TxnMixConfig, run_txn_mix
 
 def demo_commit() -> None:
     print("--- one read-modify-write transaction, step by step ---")
-    kv = ShardedKV(
-        ShardedConfig(n_shards=2, replication=2, n_objects=16, object_size=256)
-    )
-    manager = TxnManager(kv)
-    session = manager.session(0)
-    sim = kv.cluster.sim
-    keys = ["key-0", "key-1", "key-2"]
+    cfg = ShardedConfig(n_shards=2, replication=2, n_objects=16, object_size=256)
+    with closing(ShardedKV(cfg)) as kv:
+        manager = TxnManager(kv)
+        session = manager.session(0)
+        sim = kv.cluster.sim
+        keys = ["key-0", "key-1", "key-2"]
 
-    def txn():
-        outcome = yield from session.run(keys, keys[:2], t_end=200_000.0)
-        print(f"committed={outcome.committed} in {outcome.attempts} attempt(s)")
-        for key, entry in sorted(outcome.reads.items()):
+        def txn():
+            outcome = yield from session.run(keys, keys[:2], t_end=200_000.0)
+            print(f"committed={outcome.committed} in {outcome.attempts} attempt(s)")
+            for key, entry in sorted(outcome.reads.items()):
+                print(
+                    f"  read {key}: shard {entry.shard}, "
+                    f"observed version {entry.version}, torn={entry.torn}"
+                )
+
+        sim.process(txn())
+        sim.run()
+        for key in keys[:2]:
+            idx = kv.key_index(key)
+            versions = [
+                kv.stores[shard].current_version(idx)
+                for shard in kv.replicas_of(key)
+            ]
+            print(f"  {key}: versions across replicas now {versions}")
+        for row in manager.txn_rows():
             print(
-                f"  read {key}: shard {entry.shard}, "
-                f"observed version {entry.version}, torn={entry.torn}"
+                f"  shard {row['shard']}: commits={row['commits']} "
+                f"lock_rpcs={row['lock_rpcs']} validate_rpcs={row['validate_rpcs']}"
             )
-
-    sim.process(txn())
-    sim.run()
-    for key in keys[:2]:
-        idx = kv.key_index(key)
-        versions = [
-            kv.stores[shard].current_version(idx)
-            for shard in kv.replicas_of(key)
-        ]
-        print(f"  {key}: versions across replicas now {versions}")
-    for row in manager.txn_rows():
-        print(
-            f"  shard {row['shard']}: commits={row['commits']} "
-            f"lock_rpcs={row['lock_rpcs']} validate_rpcs={row['validate_rpcs']}"
-        )
 
 
 def demo_conflict() -> None:
     print("\n--- a conflicting writer forces an abort and a retry ---")
-    kv = ShardedKV(
-        ShardedConfig(n_shards=2, replication=2, n_objects=16, object_size=256)
-    )
-    manager = TxnManager(kv)
-    session = manager.session(0)
-    sim = kv.cluster.sim
-    key = "key-0"
-    primary = kv.primary_of(key)
+    cfg = ShardedConfig(n_shards=2, replication=2, n_objects=16, object_size=256)
+    with closing(ShardedKV(cfg)) as kv:
+        manager = TxnManager(kv)
+        session = manager.session(0)
+        sim = kv.cluster.sim
+        key = "key-0"
+        primary = kv.primary_of(key)
 
-    def txn():
-        outcome = yield from session.run([key], [key], t_end=200_000.0)
-        print(
-            f"committed={outcome.committed} after {outcome.attempts} attempts "
-            f"({outcome.validation_aborts} validation abort(s))"
-        )
+        def txn():
+            outcome = yield from session.run([key], [key], t_end=200_000.0)
+            print(
+                f"committed={outcome.committed} after {outcome.attempts} attempts "
+                f"({outcome.validation_aborts} validation abort(s))"
+            )
 
-    def racer():
-        # Wait for the transaction's read, then commit a conflicting
-        # update before its lock lands.
-        while not session.reader.stats[primary].op_latency.values:
-            yield sim.timeout(50.0)
-        idx = kv.key_index(key)
-        from repro.objstore.layout import stamped_payload
+        def racer():
+            # Wait for the transaction's read, then commit a conflicting
+            # update before its lock lands.
+            while not session.reader.stats[primary].op_latency.values:
+                yield sim.timeout(50.0)
+            idx = kv.key_index(key)
+            from repro.objstore.layout import stamped_payload
 
-        kv.stores[primary].write(idx, stamped_payload(2, kv.cfg.payload_len))
-        print("racer committed version 2 between read and lock")
+            kv.stores[primary].write(idx, stamped_payload(2, kv.cfg.payload_len))
+            print("racer committed version 2 between read and lock")
 
-    sim.process(txn())
-    sim.process(racer())
-    sim.run()
+        sim.process(txn())
+        sim.process(racer())
+        sim.run()
 
 
 def demo_mix() -> None:

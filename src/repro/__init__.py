@@ -23,21 +23,21 @@ Quick start::
 
     from repro import Cluster, ObjectStore, RawLayout
 
-    cluster = Cluster()
-    store = ObjectStore(cluster.node(0).phys, RawLayout())
-    store.create(1, b"hello world")
-    handle = store.handle(1)
+    with Cluster() as cluster:  # closing a rack frees its memory now
+        store = ObjectStore(cluster.node(0).phys, RawLayout())
+        store.create(1, b"hello world")
+        handle = store.handle(1)
 
-    src = cluster.node(1)
-    buf = src.alloc_buffer(handle.wire_size)
+        src = cluster.node(1)
+        buf = src.alloc_buffer(handle.wire_size)
 
-    def reader():
-        result = yield src.sabre_read(0, handle.base_addr,
-                                      handle.wire_size, buf)
-        print("atomic:", result.success)
+        def reader():
+            result = yield src.sabre_read(0, handle.base_addr,
+                                          handle.wire_size, buf)
+            print("atomic:", result.success)
 
-    cluster.sim.process(reader())
-    cluster.run()
+        cluster.sim.process(reader())
+        cluster.run()
 """
 
 from repro.atomicity.mechanisms import (

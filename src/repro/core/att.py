@@ -147,5 +147,10 @@ class ActiveTransfersTable:
         entry.stream_buffer.release()
         self._free_buffers.append(entry.stream_buffer)
 
+    def release(self) -> None:
+        """Forget every live entry, in place (``lookup_fast`` is bound
+        to this dict); their stream buffers are not returned."""
+        self._entries.clear()
+
     def entries(self) -> List[AttEntry]:
         return list(self._entries.values())

@@ -105,6 +105,14 @@ class R2P2Engine:
         self._issue_service = self._block_cost / self.issue_server.rate
         self._reply_service = self._cycle / self.reply_server.rate
 
+    def release(self) -> None:
+        """Drop every SABRe this pipeline knows of: the ATT entries and
+        the registrations and requests queued behind them."""
+        self.att.release()
+        self._pending_registrations.clear()
+        self._queued_sabres.clear()
+        self._pending_requests.clear()
+
     # ------------------------------------------------------------------
     # packet entry point (called by the node's NI dispatch)
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -174,6 +175,11 @@ class StageResult:
     result: SweepResult
     qa: QaReport
     journal_hits: int
+    #: High-water mark of this process's resident set when the stage
+    #: finished (MiB): non-decreasing across stages, so the stage that
+    #: raised it is the first to show the new value.  Pool and
+    #: subprocess workers are not in it.
+    peak_rss_mb: float = 0.0
 
     @property
     def verdict(self) -> str:
@@ -259,6 +265,10 @@ class CampaignRunner:
             )
             result = runner.run()
             hits = (context.hits - hits_before) if context is not None else 0
+            # ru_maxrss is in KiB on Linux.
+            peak_rss_mb = round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
+            )
             checks = [*spec.qa_checks, *stage.qa]
             report = qa_mod.evaluate(stage.name, checks, result.rows)
             if isinstance(context, CampaignContext):
@@ -274,6 +284,7 @@ class CampaignRunner:
                         "points_total": result.points_total,
                         "journal_hits": hits,
                         "elapsed_s": round(result.elapsed_s, 3),
+                        "peak_rss_mb": peak_rss_mb,
                     },
                     qa_payload=report.to_dict(),
                 )
@@ -282,6 +293,7 @@ class CampaignRunner:
                 result=result,
                 qa=report,
                 journal_hits=hits,
+                peak_rss_mb=peak_rss_mb,
             )
         if isinstance(context, CampaignContext):
             context.close()

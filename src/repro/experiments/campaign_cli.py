@@ -131,7 +131,8 @@ def _print_result(result: CampaignResult) -> None:
         )
         print(
             f"=== {stage.stage} "
-            f"({stage.result.elapsed_s:.1f}s{hits}, QA {stage.verdict}) ==="
+            f"({stage.result.elapsed_s:.1f}s, peak RSS "
+            f"{stage.peak_rss_mb:.0f} MiB{hits}, QA {stage.verdict}) ==="
         )
         print(stage.result.table())
         for outcome in stage.qa.outcomes:

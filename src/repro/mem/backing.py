@@ -76,6 +76,18 @@ class PhysicalMemory:
         self._regions.append((base, buf, stride, size))
         return range(base, base + count * stride, stride)
 
+    def release(self) -> None:
+        """Give every region's bytes back and unmap everything: each
+        later access raises the unmapped-address error.  The buffers
+        are emptied in place, so the cells that transfers and ATT
+        entries cached (``(lo, hi, buffer, origin)``, like ``_last``)
+        cannot keep the bytes alive."""
+        for _base, buf, _stride, _cell in self._regions:
+            buf.clear()
+        self._starts.clear()
+        self._regions.clear()
+        self._last = NO_CELL
+
     def _locate(self, addr: int, size: int) -> Tuple[bytearray, int]:
         lo, hi, buf, origin = self._last
         if lo <= addr and addr + size <= hi:

@@ -106,6 +106,14 @@ class ChipMemorySystem:
         self._svc_mult = multiplier
         self._svc_slow = multiplier != 1.0
 
+    def release(self) -> None:
+        """Empty the residency, ownership and snoop tables in place —
+        the state that grows with the blocks a run touched."""
+        self.llc._blocks.clear()
+        self._l1.clear()
+        self._owner.clear()
+        self._subs.clear()
+
     # ------------------------------------------------------------------
     # snooping
     # ------------------------------------------------------------------

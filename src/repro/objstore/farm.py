@@ -19,6 +19,7 @@ Figs. 1 and 9a directly.  Writes ship to the data owner over an RPC
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -117,6 +118,11 @@ class FarmKV:
         self._rpc_client = RpcEndpoint(self.client, workers=2, costs=cfg.costs)
         self._rpc_owner.register("farm_put", self._serve_put)
 
+    def close(self) -> None:
+        """Close the rack this deployment built (see
+        :meth:`~repro.sonuma.node.Cluster.close`)."""
+        self.cluster.close()
+
     # ------------------------------------------------------------------
     # write path: RPC to the data owner (§2.1)
     # ------------------------------------------------------------------
@@ -146,7 +152,7 @@ class FarmKV:
         costs = cfg.costs
         layout = self.store.layout
         rng = make_rng(cfg.seed, "farm-reader", thread)
-        object_ids = list(range(cfg.n_objects))
+        object_ids = range(cfg.n_objects)
         wire = layout.wire_size(cfg.payload_len)
         buf = self.client.alloc_buffer(wire)
 
@@ -236,4 +242,5 @@ class FarmKV:
 
 
 def run_farm(cfg: FarmConfig) -> FarmResult:
-    return FarmKV(cfg).run_readonly()
+    with closing(FarmKV(cfg)) as kv:
+        return kv.run_readonly()

@@ -76,65 +76,65 @@ def _bulk_dram(node, addr: int, nbytes: int) -> float:
 
 def run_local_reads(cfg: LocalReadConfig) -> LocalReadResult:
     cfg.validate()
-    cluster = Cluster(cfg.cluster or ClusterConfig())
-    node = cluster.node(0)
-    sim = cluster.sim
-    costs = cfg.costs
-    layout = PerCacheLineLayout() if cfg.percl_layout else RawLayout()
-    store = ObjectStore(node.phys, layout, name="local")
+    with Cluster(cfg.cluster or ClusterConfig()) as cluster:
+        node = cluster.node(0)
+        sim = cluster.sim
+        costs = cfg.costs
+        layout = PerCacheLineLayout() if cfg.percl_layout else RawLayout()
+        store = ObjectStore(node.phys, layout, name="local")
 
-    wire = layout.wire_size(cfg.payload_len)
-    n_objects = cfg.n_objects
-    if n_objects == 0:
-        # Working set 4x the LLC so reads are memory-bound (§7.3 keeps
-        # remote accesses missing in the LLC; we mirror that locally).
-        llc_bytes = cluster.cfg.node.caches.llc_bytes
-        n_objects = max(16, (4 * llc_bytes) // wire)
-    store.populate(range(n_objects), stamped_payload(0, cfg.payload_len))
+        wire = layout.wire_size(cfg.payload_len)
+        n_objects = cfg.n_objects
+        if n_objects == 0:
+            # Working set 4x the LLC so reads are memory-bound (§7.3 keeps
+            # remote accesses missing in the LLC; we mirror that locally).
+            llc_bytes = cluster.cfg.node.caches.llc_bytes
+            n_objects = max(16, (4 * llc_bytes) // wire)
+        store.populate(range(n_objects), stamped_payload(0, cfg.payload_len))
 
-    meter = ThroughputMeter()
-    latency = Samples("local_read_ns")
+        meter = ThroughputMeter()
+        latency = Samples("local_read_ns")
 
-    def reader(thread: int):
-        rng = make_rng(cfg.seed, "local-reader", thread)
-        while sim.now < cfg.duration_ns:
-            obj_id = rng.randrange(n_objects)
-            handle = store.handle(obj_id)
-            t0 = sim.now
-            yield sim.timeout(costs.local_fixed_ns)
-            if cfg.percl_layout:
-                # Strip+check reads the inflated wire image and writes a
-                # clean copy.  Traffic: the wire image in, plus the
-                # clean copy's write-allocate fill (RFO) and its dirty
-                # write-back when it ages out of the cache.
-                compute = costs.strip_cost_ns(wire)
-                traffic = wire + 2 * cfg.payload_len
-            else:
-                # Unmodified store: the application walks the object in
-                # place; traffic is just the object itself.
-                compute = cfg.payload_len * costs.local_read_ns_per_byte
-                traffic = cfg.object_size
-            mem_done = _bulk_dram(node, handle.base_addr, traffic)
-            compute_done = sim.now + compute
-            finish = max(mem_done, compute_done)
-            yield sim.timeout(finish - sim.now)
-            latency.add(sim.now - t0)
-            meter.record(cfg.payload_len)
+        def reader(thread: int):
+            rng = make_rng(cfg.seed, "local-reader", thread)
+            while sim.now < cfg.duration_ns:
+                obj_id = rng.randrange(n_objects)
+                handle = store.handle(obj_id)
+                t0 = sim.now
+                yield sim.timeout(costs.local_fixed_ns)
+                if cfg.percl_layout:
+                    # Strip+check reads the inflated wire image and writes a
+                    # clean copy.  Traffic: the wire image in, plus the
+                    # clean copy's write-allocate fill (RFO) and its dirty
+                    # write-back when it ages out of the cache.
+                    compute = costs.strip_cost_ns(wire)
+                    traffic = wire + 2 * cfg.payload_len
+                else:
+                    # Unmodified store: the application walks the object in
+                    # place; traffic is just the object itself.
+                    compute = cfg.payload_len * costs.local_read_ns_per_byte
+                    traffic = cfg.object_size
+                mem_done = _bulk_dram(node, handle.base_addr, traffic)
+                compute_done = sim.now + compute
+                finish = max(mem_done, compute_done)
+                yield sim.timeout(finish - sim.now)
+                latency.add(sim.now - t0)
+                meter.record(cfg.payload_len)
 
-    for t in range(cfg.readers):
-        sim.process(reader(t))
+        for t in range(cfg.readers):
+            sim.process(reader(t))
 
-    def metering():
-        yield sim.timeout(cfg.warmup_ns)
-        meter.start(sim.now)
-        yield sim.timeout(cfg.duration_ns - cfg.warmup_ns)
-        meter.stop(sim.now)
+        def metering():
+            yield sim.timeout(cfg.warmup_ns)
+            meter.start(sim.now)
+            yield sim.timeout(cfg.duration_ns - cfg.warmup_ns)
+            meter.stop(sim.now)
 
-    sim.process(metering())
-    sim.run()
-    return LocalReadResult(
-        config=cfg,
-        goodput_gbps=meter.gbps,
-        ops_completed=meter.ops_total,
-        op_latency=latency,
-    )
+        sim.process(metering())
+        sim.run()
+        return LocalReadResult(
+            config=cfg,
+            goodput_gbps=meter.gbps,
+            ops_completed=meter.ops_total,
+            op_latency=latency,
+        )

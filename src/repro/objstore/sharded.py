@@ -760,6 +760,11 @@ class ShardedKV:
                 "shard_replicate", self._make_update_handler(shard, replicate=False)
             )
 
+    def close(self) -> None:
+        """Close the rack this service built (see
+        :meth:`~repro.sonuma.node.Cluster.close`)."""
+        self.cluster.close()
+
     # ------------------------------------------------------------------
     # key space and placement
     # ------------------------------------------------------------------

@@ -215,6 +215,11 @@ def block_mode() -> str:
     return mode
 
 
+class _RunClosed(Exception):
+    """Unwinds :meth:`Simulator.run` when :meth:`Simulator.close` is
+    called from inside one of its callbacks."""
+
+
 #: When set to a list, every new :class:`Simulator` appends itself here.
 #: The repo benchmark (``bench/run.py``) and the golden event counts
 #: (``tools/golden.py``) use this to aggregate event counts across all
@@ -248,6 +253,7 @@ class Simulator:
         "_now",
         "_seq",
         "_running",
+        "_closed",
         "_cancelled",
         "compactions",
         "events_fired",
@@ -260,6 +266,7 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._running = False
+        self._closed = False
         self._cancelled = 0
         self.compactions = 0
         self.events_fired = 0
@@ -417,6 +424,26 @@ class Simulator:
         self._heap.clear()
         self._cancelled = 0
 
+    def close(self) -> None:
+        """End this simulation for good: drop what is pending and
+        refuse every later :meth:`run`.  The clock and the counters
+        stay readable.
+
+        Called from inside a callback, the run in progress returns as
+        soon as that callback does, at the current time.  The loop
+        tests no flag per event for this: the one entry left behind
+        sorts before anything the closing callback goes on to schedule
+        (it takes the current sequence number without consuming one)
+        and unwinds the loop when it fires."""
+        self.drop_pending()
+        self._closed = True
+        if self._running:
+            self._imm.append([self._now, self._seq, self._end_run, ()])
+
+    def _end_run(self) -> None:
+        self.drop_pending()
+        raise _RunClosed
+
     @property
     def heap_size(self) -> int:
         """Total pending entries, including not-yet-reaped
@@ -449,6 +476,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        if self._closed:
+            raise SimulationError("simulator is closed")
         if until < self._now:
             # Running "until" a past time is a no-op; silently moving
             # the clock backwards would corrupt the immediate lane's
@@ -500,6 +529,8 @@ class Simulator:
                     fn(*args)
                 else:
                     fn()
+        except _RunClosed:
+            fired -= 1  # the entry close() left is not an event
         finally:
             self._running = False
             self.events_fired += fired

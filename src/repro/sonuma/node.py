@@ -609,9 +609,30 @@ class SoNode:
     def in_flight(self) -> int:
         return len(self._transfers)
 
+    def release(self) -> None:
+        """Empty, in place, everything here whose size grew with the
+        run: memory, the chip's tables, the R2P2s' SABRe state, the
+        transfer books and the RPC endpoint's call tables.  Counters
+        stay readable; memory reads as unmapped."""
+        self.phys.release()
+        self.chip.release()
+        for r2p2 in self.r2p2s:
+            r2p2.release()
+        self._transfers.clear()
+        self._completions.clear()
+        self._aborted.clear()
+        if self.rpc_endpoint is not None:
+            self.rpc_endpoint.release()
+
 
 class Cluster:
-    """A soNUMA rack: N nodes on a lossless fabric (paper: N=2)."""
+    """A soNUMA rack: N nodes on a lossless fabric (paper: N=2).
+
+    Whoever builds a rack closes it when its results are out
+    (:meth:`close`, or ``with Cluster(cfg) as cluster:``): a rack is
+    cyclic garbage the moment it is dropped, and everything it held —
+    the object stores' bytes first — would otherwise stay allocated
+    until the next full collection."""
 
     def __init__(self, cfg: Optional[ClusterConfig] = None):
         self.cfg = cfg or ClusterConfig()
@@ -628,3 +649,19 @@ class Cluster:
 
     def run(self, until: float = float("inf")) -> float:
         return self.sim.run(until)
+
+    def close(self) -> None:
+        """End of life, idempotent: the pending callbacks are dropped
+        and every node's run-sized state is emptied in place.  A later
+        :meth:`run` raises :class:`SimulationError` and a memory access
+        the unmapped-address error; ``sim.now``, the event counts and
+        the counters stay readable."""
+        self.sim.close()
+        for node in self.nodes:
+            node.release()
+
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

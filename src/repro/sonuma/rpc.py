@@ -82,6 +82,12 @@ class RpcEndpoint:
     def register(self, name: str, handler: RpcHandler) -> None:
         self._handlers[name] = handler
 
+    def release(self) -> None:
+        """Forget every call in flight and every remembered failure;
+        the watchdogs go with the simulator's pending set."""
+        self._pending.clear()
+        self._failed.clear()
+
     # ------------------------------------------------------------------
     def call(
         self,

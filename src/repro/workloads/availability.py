@@ -30,6 +30,7 @@ Two experiments register with the framework:
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -183,93 +184,93 @@ def run_failover_mix(cfg: FailoverMixConfig) -> FailoverResult:
     """Build the service + txn layer + fault injector and run the
     closed-loop mix to ``duration_ns``."""
     cfg.validate()
-    kv = ShardedKV(cfg.to_sharded())
-    manager = TxnManager(kv)
-    injector = FailoverManager(kv, cfg.plan())
-    faults = FaultInjector(
-        kv.cluster, cfg.fault_schedule(len(kv.cluster.nodes)), kv=kv
-    )
-    sim = kv.cluster.sim
-    t_end = cfg.duration_ns
+    with closing(ShardedKV(cfg.to_sharded())) as kv:
+        manager = TxnManager(kv)
+        injector = FailoverManager(kv, cfg.plan())
+        faults = FaultInjector(
+            kv.cluster, cfg.fault_schedule(len(kv.cluster.nodes)), kv=kv
+        )
+        sim = kv.cluster.sim
+        t_end = cfg.duration_ns
 
-    read_latency = Samples("failover_read_ns")
-    # In-window counters, keyed by the FailoverResult field they fill.
-    window = {
-        "reads_completed": 0,
-        "reads_during_outage": 0,
-        "reads_during_fault": 0,
-        "writes_completed": 0,
-        "writes_during_outage": 0,
-        "writes_during_fault": 0,
-        "commits": 0,
-        "crash_aborts": 0,
-        "lock_aborts": 0,
-        "validation_aborts": 0,
-    }
+        read_latency = Samples("failover_read_ns")
+        # In-window counters, keyed by the FailoverResult field they fill.
+        window = {
+            "reads_completed": 0,
+            "reads_during_outage": 0,
+            "reads_during_fault": 0,
+            "writes_completed": 0,
+            "writes_during_outage": 0,
+            "writes_during_fault": 0,
+            "commits": 0,
+            "crash_aborts": 0,
+            "lock_aborts": 0,
+            "validation_aborts": 0,
+        }
 
-    def in_window() -> bool:
-        return cfg.warmup_ns <= sim.now <= t_end
+        def in_window() -> bool:
+            return cfg.warmup_ns <= sim.now <= t_end
 
-    def on_read(ok, t0: float) -> None:
-        if ok and in_window():
-            read_latency.add(sim.now - t0)
-            window["reads_completed"] += 1
-            if injector.any_down():
-                window["reads_during_outage"] += 1
-            if faults.any_active():
-                window["reads_during_fault"] += 1
+        def on_read(ok, t0: float) -> None:
+            if ok and in_window():
+                read_latency.add(sim.now - t0)
+                window["reads_completed"] += 1
+                if injector.any_down():
+                    window["reads_during_outage"] += 1
+                if faults.any_active():
+                    window["reads_during_fault"] += 1
 
-    def on_write(ack) -> None:
-        if ack is not None and in_window():
-            window["writes_completed"] += 1
-            if injector.any_down():
-                window["writes_during_outage"] += 1
-            if faults.any_active():
-                window["writes_during_fault"] += 1
+        def on_write(ack) -> None:
+            if ack is not None and in_window():
+                window["writes_completed"] += 1
+                if injector.any_down():
+                    window["writes_during_outage"] += 1
+                if faults.any_active():
+                    window["writes_during_fault"] += 1
 
-    def on_txn(outcome, _t0, _write_keys) -> None:
-        if in_window():
-            window["commits"] += int(outcome.committed)
-            window["crash_aborts"] += outcome.crash_aborts
-            window["lock_aborts"] += outcome.lock_aborts
-            window["validation_aborts"] += outcome.validation_aborts
+        def on_txn(outcome, _t0, _write_keys) -> None:
+            if in_window():
+                window["commits"] += int(outcome.committed)
+                window["crash_aborts"] += outcome.crash_aborts
+                window["lock_aborts"] += outcome.lock_aborts
+                window["validation_aborts"] += outcome.validation_aborts
 
-    spawn_clients(
-        sim,
-        kv.cfg.clients,
-        service_roles(kv, manager, cfg, on_read, on_write, on_txn),
-    )
-    sim.run()
+        spawn_clients(
+            sim,
+            kv.cfg.clients,
+            service_roles(kv, manager, cfg, on_read, on_write, on_txn),
+        )
+        sim.run()
 
-    totals = service_totals(kv)
-    fo = injector.stats
-    return FailoverResult(
-        config=cfg,
-        read_latency=read_latency,
-        **window,
-        retries=totals["retries"],
-        write_retries=totals["write_retries"],
-        busy_rejects=totals["busy_rejects"],
-        fenced_rejects=totals["fenced_rejects"],
-        crash_redirects=totals["crash_redirects"],
-        undetected_violations=totals["undetected_violations"],
-        torn_reads_observed=manager.merged_stats().torn_reads_observed,
-        crashes=fo.crashes,
-        recoveries=fo.recoveries,
-        promotions=fo.promotions,
-        failed_rpcs=fo.failed_rpcs,
-        failed_transfers=fo.failed_transfers,
-        resynced_objects=fo.resynced_objects,
-        shard_rows=kv.shard_load(),
-        txn_rows=manager.txn_rows(),
-        fault_windows=(
-            faults.stats.gray_windows
-            + faults.stats.straggler_windows
-            + faults.stats.partition_windows
-        ),
-        watchdog_rearms=totals["watchdog_rearms"],
-        partition_refusals=totals["partition_refusals"],
-    )
+        totals = service_totals(kv)
+        fo = injector.stats
+        return FailoverResult(
+            config=cfg,
+            read_latency=read_latency,
+            **window,
+            retries=totals["retries"],
+            write_retries=totals["write_retries"],
+            busy_rejects=totals["busy_rejects"],
+            fenced_rejects=totals["fenced_rejects"],
+            crash_redirects=totals["crash_redirects"],
+            undetected_violations=totals["undetected_violations"],
+            torn_reads_observed=manager.merged_stats().torn_reads_observed,
+            crashes=fo.crashes,
+            recoveries=fo.recoveries,
+            promotions=fo.promotions,
+            failed_rpcs=fo.failed_rpcs,
+            failed_transfers=fo.failed_transfers,
+            resynced_objects=fo.resynced_objects,
+            shard_rows=kv.shard_load(),
+            txn_rows=manager.txn_rows(),
+            fault_windows=(
+                faults.stats.gray_windows
+                + faults.stats.straggler_windows
+                + faults.stats.partition_windows
+            ),
+            watchdog_rearms=totals["watchdog_rearms"],
+            partition_refusals=totals["partition_refusals"],
+        )
 
 
 # ----------------------------------------------------------------------

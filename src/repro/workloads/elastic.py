@@ -41,6 +41,7 @@ exercises.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -202,118 +203,118 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
     """Build the service + reshard manager (+ optional txn layer and
     fault injector) and run the phased closed-loop mix."""
     cfg.validate()
-    kv = ShardedKV(cfg.to_sharded())
-    manager = ReshardManager(
-        kv,
-        handoff_fixed_ns=cfg.handoff_fixed_ns,
-        drain_ns=cfg.drain_ns,
-    )
-    txns = TxnManager(kv) if cfg.txn_sessions_per_client else None
-    faults = FaultInjector(kv.cluster, cfg.fault_schedule(), kv=kv)
-    sim = kv.cluster.sim
-    t_end = cfg.duration_ns
-    t_scale = cfg.scale_at_frac * cfg.duration_ns
-    t_post = cfg.post_frac * cfg.duration_ns
-
-    if cfg.target_shards > cfg.n_shards:
-        manager.scale_out(cfg.target_shards - cfg.n_shards, at_ns=t_scale)
-    elif cfg.target_shards < cfg.n_shards:
-        manager.scale_in(
-            list(range(cfg.target_shards, cfg.n_shards)), at_ns=t_scale
+    with closing(ShardedKV(cfg.to_sharded())) as kv:
+        manager = ReshardManager(
+            kv,
+            handoff_fixed_ns=cfg.handoff_fixed_ns,
+            drain_ns=cfg.drain_ns,
         )
-    if cfg.rebalance:
-        sim.call_at(
-            cfg.warmup_ns,
-            lambda: manager.start_rebalancer(
-                cfg.rebalance_config(), until_ns=t_end
+        txns = TxnManager(kv) if cfg.txn_sessions_per_client else None
+        faults = FaultInjector(kv.cluster, cfg.fault_schedule(), kv=kv)
+        sim = kv.cluster.sim
+        t_end = cfg.duration_ns
+        t_scale = cfg.scale_at_frac * cfg.duration_ns
+        t_post = cfg.post_frac * cfg.duration_ns
+
+        if cfg.target_shards > cfg.n_shards:
+            manager.scale_out(cfg.target_shards - cfg.n_shards, at_ns=t_scale)
+        elif cfg.target_shards < cfg.n_shards:
+            manager.scale_in(
+                list(range(cfg.target_shards, cfg.n_shards)), at_ns=t_scale
+            )
+        if cfg.rebalance:
+            sim.call_at(
+                cfg.warmup_ns,
+                lambda: manager.start_rebalancer(
+                    cfg.rebalance_config(), until_ns=t_end
+                ),
+            )
+
+        phase_reads = {"pre": 0, "mid": 0, "post": 0}
+        phase_writes = {"pre": 0, "mid": 0, "post": 0}
+        latency = {
+            "pre": Samples("elastic_read_pre_ns"),
+            "mid": Samples("elastic_read_mid_ns"),
+            "post": Samples("elastic_read_post_ns"),
+        }
+        migration_reads = [0]
+        commits = [0]
+
+        def phase() -> Optional[str]:
+            if sim.now < cfg.warmup_ns or sim.now > t_end:
+                return None
+            if sim.now < t_scale:
+                return "pre"
+            if sim.now < t_post:
+                return "mid"
+            return "post"
+
+        def on_read(ok, t0: float) -> None:
+            p = phase()
+            if ok and p:
+                phase_reads[p] += 1
+                latency[p].add(sim.now - t0)
+                if manager.any_migrating():
+                    migration_reads[0] += 1
+
+        def on_write(ack) -> None:
+            p = phase()
+            if ack is not None and p:
+                phase_writes[p] += 1
+
+        def on_txn(outcome, _t0, _write_keys) -> None:
+            if phase():
+                commits[0] += int(outcome.committed)
+
+        spawn_clients(
+            sim,
+            kv.cfg.clients,
+            service_roles(kv, txns, cfg, on_read, on_write, on_txn),
+        )
+
+        sim.run()
+        manager.stop_rebalancer()
+
+        baseline_post: Optional[int] = None
+        if cfg.compare_baseline and cfg.target_shards != cfg.n_shards:
+            fresh = replace(
+                cfg,
+                n_shards=cfg.target_shards,
+                target_shards=cfg.target_shards,
+                compare_baseline=False,
+            )
+            baseline_post = run_elastic(fresh).post_reads
+
+        totals = service_totals(kv)
+        return ElasticResult(
+            config=cfg,
+            pre_reads=phase_reads["pre"],
+            mid_reads=phase_reads["mid"],
+            post_reads=phase_reads["post"],
+            pre_writes=phase_writes["pre"],
+            mid_writes=phase_writes["mid"],
+            post_writes=phase_writes["post"],
+            pre_latency=latency["pre"],
+            mid_latency=latency["mid"],
+            post_latency=latency["post"],
+            reads_during_migration=migration_reads[0],
+            commits=commits[0],
+            undetected_violations=totals["undetected_violations"],
+            torn_reads_observed=(
+                txns.merged_stats().torn_reads_observed if txns else 0
             ),
+            retries=totals["retries"],
+            write_retries=totals["write_retries"],
+            busy_rejects=totals["busy_rejects"],
+            fenced_rejects=totals["fenced_rejects"],
+            reshard_redirects=totals["reshard_redirects"],
+            crash_redirects=totals["crash_redirects"],
+            reshard=manager.stats,
+            hot_keys_promoted=len(kv.hot_replicas),
+            shard_rows=kv.shard_load(),
+            events=list(manager.events),
+            baseline_post_reads=baseline_post,
         )
-
-    phase_reads = {"pre": 0, "mid": 0, "post": 0}
-    phase_writes = {"pre": 0, "mid": 0, "post": 0}
-    latency = {
-        "pre": Samples("elastic_read_pre_ns"),
-        "mid": Samples("elastic_read_mid_ns"),
-        "post": Samples("elastic_read_post_ns"),
-    }
-    migration_reads = [0]
-    commits = [0]
-
-    def phase() -> Optional[str]:
-        if sim.now < cfg.warmup_ns or sim.now > t_end:
-            return None
-        if sim.now < t_scale:
-            return "pre"
-        if sim.now < t_post:
-            return "mid"
-        return "post"
-
-    def on_read(ok, t0: float) -> None:
-        p = phase()
-        if ok and p:
-            phase_reads[p] += 1
-            latency[p].add(sim.now - t0)
-            if manager.any_migrating():
-                migration_reads[0] += 1
-
-    def on_write(ack) -> None:
-        p = phase()
-        if ack is not None and p:
-            phase_writes[p] += 1
-
-    def on_txn(outcome, _t0, _write_keys) -> None:
-        if phase():
-            commits[0] += int(outcome.committed)
-
-    spawn_clients(
-        sim,
-        kv.cfg.clients,
-        service_roles(kv, txns, cfg, on_read, on_write, on_txn),
-    )
-
-    sim.run()
-    manager.stop_rebalancer()
-
-    baseline_post: Optional[int] = None
-    if cfg.compare_baseline and cfg.target_shards != cfg.n_shards:
-        fresh = replace(
-            cfg,
-            n_shards=cfg.target_shards,
-            target_shards=cfg.target_shards,
-            compare_baseline=False,
-        )
-        baseline_post = run_elastic(fresh).post_reads
-
-    totals = service_totals(kv)
-    return ElasticResult(
-        config=cfg,
-        pre_reads=phase_reads["pre"],
-        mid_reads=phase_reads["mid"],
-        post_reads=phase_reads["post"],
-        pre_writes=phase_writes["pre"],
-        mid_writes=phase_writes["mid"],
-        post_writes=phase_writes["post"],
-        pre_latency=latency["pre"],
-        mid_latency=latency["mid"],
-        post_latency=latency["post"],
-        reads_during_migration=migration_reads[0],
-        commits=commits[0],
-        undetected_violations=totals["undetected_violations"],
-        torn_reads_observed=(
-            txns.merged_stats().torn_reads_observed if txns else 0
-        ),
-        retries=totals["retries"],
-        write_retries=totals["write_retries"],
-        busy_rejects=totals["busy_rejects"],
-        fenced_rejects=totals["fenced_rejects"],
-        reshard_redirects=totals["reshard_redirects"],
-        crash_redirects=totals["crash_redirects"],
-        reshard=manager.stats,
-        hot_keys_promoted=len(kv.hot_replicas),
-        shard_rows=kv.shard_load(),
-        events=list(manager.events),
-        baseline_post_reads=baseline_post,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ crash lane.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 from repro.common.rng import derive_seed, make_rng
 from repro.faults import FaultInjector, FaultSchedule, FaultWindow
 from repro.objstore.failover import FailoverManager, FailurePlan
@@ -156,120 +158,120 @@ def fuzz_round(
         n_objects=rng.randint(4, 8),  # hot: conflicts are the point
         seed=derive_seed(seed, "fuzz-deploy", mechanism, n_shards),
     )
-    kv = ShardedKV(cfg)
-    manager = TxnManager(kv)
-    reshard = None
-    if reshard_adds:
-        reshard = ReshardManager(kv)
-        reshard.scale_out(
-            reshard_adds, at_ns=duration_ns * rng.uniform(0.2, 0.5)
-        )
-    injector = None
-    if crash_cycles:
-        assert n_shards >= 2, "crash fuzzing needs a backup to promote"
-        period = duration_ns / (crash_cycles + 1)
-        downtime = period * rng.uniform(0.25, 0.5)
-        injector = FailoverManager(
-            kv,
-            FailurePlan.cycles(
-                range(n_shards),
-                first_crash_ns=period * rng.uniform(0.3, 0.7),
-                downtime_ns=downtime,
-                uptime_ns=period - downtime,
-                count=crash_cycles,
-            ),
-        )
-    fault_windows = []
-    if gray_windows:
-        period = duration_ns / (gray_windows + 1)
-        for i in range(gray_windows):
-            width = period * rng.uniform(0.3, 0.6)
-            start = period * (i + rng.uniform(0.3, 0.7))
-            fault_windows.append(
-                FaultWindow(
-                    "gray" if rng.random() < 0.7 else "straggler",
-                    start_ns=start,
-                    end_ns=start + width,
-                    node=rng.randrange(n_shards),
-                    multiplier=rng.uniform(3.0, 12.0),
+    with closing(ShardedKV(cfg)) as kv:
+        manager = TxnManager(kv)
+        reshard = None
+        if reshard_adds:
+            reshard = ReshardManager(kv)
+            reshard.scale_out(
+                reshard_adds, at_ns=duration_ns * rng.uniform(0.2, 0.5)
+            )
+        injector = None
+        if crash_cycles:
+            assert n_shards >= 2, "crash fuzzing needs a backup to promote"
+            period = duration_ns / (crash_cycles + 1)
+            downtime = period * rng.uniform(0.25, 0.5)
+            injector = FailoverManager(
+                kv,
+                FailurePlan.cycles(
+                    range(n_shards),
+                    first_crash_ns=period * rng.uniform(0.3, 0.7),
+                    downtime_ns=downtime,
+                    uptime_ns=period - downtime,
+                    count=crash_cycles,
+                ),
+            )
+        fault_windows = []
+        if gray_windows:
+            period = duration_ns / (gray_windows + 1)
+            for i in range(gray_windows):
+                width = period * rng.uniform(0.3, 0.6)
+                start = period * (i + rng.uniform(0.3, 0.7))
+                fault_windows.append(
+                    FaultWindow(
+                        "gray" if rng.random() < 0.7 else "straggler",
+                        start_ns=start,
+                        end_ns=start + width,
+                        node=rng.randrange(n_shards),
+                        multiplier=rng.uniform(3.0, 12.0),
+                    )
                 )
-            )
-    if partition_windows:
-        period = duration_ns / (partition_windows + 1)
-        for i in range(partition_windows):
-            width = period * rng.uniform(0.25, 0.5)
-            start = period * (i + rng.uniform(0.3, 0.7))
-            shard_node = rng.randrange(n_shards)
-            # Half the windows fully isolate the shard; half sever a
-            # single client->shard link (the asymmetric case, where
-            # everyone else still reaches it).
-            src = (
-                None
-                if rng.random() < 0.5
-                else n_shards + rng.randrange(cfg.n_clients)
-            )
-            fault_windows.append(
-                FaultWindow(
-                    "partition",
-                    start_ns=start,
-                    end_ns=start + width,
-                    src=src,
-                    dst=shard_node,
-                    drop=True,
+        if partition_windows:
+            period = duration_ns / (partition_windows + 1)
+            for i in range(partition_windows):
+                width = period * rng.uniform(0.25, 0.5)
+                start = period * (i + rng.uniform(0.3, 0.7))
+                shard_node = rng.randrange(n_shards)
+                # Half the windows fully isolate the shard; half sever a
+                # single client->shard link (the asymmetric case, where
+                # everyone else still reaches it).
+                src = (
+                    None
+                    if rng.random() < 0.5
+                    else n_shards + rng.randrange(cfg.n_clients)
                 )
+                fault_windows.append(
+                    FaultWindow(
+                        "partition",
+                        start_ns=start,
+                        end_ns=start + width,
+                        src=src,
+                        dst=shard_node,
+                        drop=True,
+                    )
+                )
+        skews = {}
+        if skew_max_ns > 0:
+            for node_id in range(n_shards + cfg.n_clients):
+                skews[node_id] = rng.uniform(0.0, skew_max_ns)
+        faults = None
+        if fault_windows or skews:
+            faults = FaultInjector(
+                kv.cluster,
+                FaultSchedule(fault_windows, skews),
+                kv=kv,
+                rpc_timeout_ns=FAULT_LANE_RPC_TIMEOUT_NS,
             )
-    skews = {}
-    if skew_max_ns > 0:
-        for node_id in range(n_shards + cfg.n_clients):
-            skews[node_id] = rng.uniform(0.0, skew_max_ns)
-    faults = None
-    if fault_windows or skews:
-        faults = FaultInjector(
-            kv.cluster,
-            FaultSchedule(fault_windows, skews),
-            kv=kv,
-            rpc_timeout_ns=FAULT_LANE_RPC_TIMEOUT_NS,
-        )
-    sim = kv.cluster.sim
-    keys = kv.keys()
-    t_end = duration_ns
+        sim = kv.cluster.sim
+        keys = kv.keys()
+        t_end = duration_ns
 
-    def random_key(pick):
-        return lambda: keys[pick.randrange(len(keys))]
+        def random_key(pick):
+            return lambda: keys[pick.randrange(len(keys))]
 
-    def reader(i: int):
-        pick = make_rng(seed, "fuzz-reader", i)
-        session = kv.reader_session(i % cfg.clients)
-        return reader_proc(sim, session, random_key(pick), t_end, unmetered)
+        def reader(i: int):
+            pick = make_rng(seed, "fuzz-reader", i)
+            session = kv.reader_session(i % cfg.clients)
+            return reader_proc(sim, session, random_key(pick), t_end, unmetered)
 
-    def writer(i: int):
-        pick = make_rng(seed, "fuzz-writer", i)
-        return writer_proc(
-            sim,
-            kv,
-            i % cfg.clients,
-            random_key(pick),
-            lambda: pick.uniform(10.0, 200.0),
-            t_end,
-            unmetered,
-        )
+        def writer(i: int):
+            pick = make_rng(seed, "fuzz-writer", i)
+            return writer_proc(
+                sim,
+                kv,
+                i % cfg.clients,
+                random_key(pick),
+                lambda: pick.uniform(10.0, 200.0),
+                t_end,
+                unmetered,
+            )
 
-    def txn(i: int):
-        pick = make_rng(seed, "fuzz-txn", i)
+        def txn(i: int):
+            pick = make_rng(seed, "fuzz-txn", i)
 
-        def next_txn():
-            size = pick.randint(2, min(4, len(keys)))
-            chosen = pick.sample(keys, size)
-            return chosen, chosen[: pick.randint(0, size)]
+            def next_txn():
+                size = pick.randint(2, min(4, len(keys)))
+                chosen = pick.sample(keys, size)
+                return chosen, chosen[: pick.randint(0, size)]
 
-        session = manager.session(i % cfg.clients)
-        return txn_proc(sim, session, next_txn, t_end, unmetered)
+            session = manager.session(i % cfg.clients)
+            return txn_proc(sim, session, next_txn, t_end, unmetered)
 
-    # Role-major, not client-major like ``spawn_clients``: the process
-    # *counts* are part of the seed-derived schedule.
-    for role in (reader, writer, txn):
-        for i in range(rng.randint(1, 2)):
-            sim.process(role(i))
+        # Role-major, not client-major like ``spawn_clients``: the process
+        # *counts* are part of the seed-derived schedule.
+        for role in (reader, writer, txn):
+            for i in range(rng.randint(1, 2)):
+                sim.process(role(i))
 
-    sim.run()
-    return FuzzOutcome(kv, manager, injector, faults, reshard)
+        sim.run()
+        return FuzzOutcome(kv, manager, injector, faults, reshard)

@@ -24,7 +24,9 @@ class UniformPicker:
     def __init__(self, object_ids: Sequence[int], seed: int, label: object = ""):
         if not object_ids:
             raise ValueError("need at least one object")
-        self._ids = list(object_ids)
+        # Kept as given, not copied: ``make_picker`` hands every picker
+        # of a run the same ``range``.
+        self._ids = object_ids
         self._rng = make_rng(seed, "uniform", label)
 
     def pick(self) -> int:
@@ -72,7 +74,7 @@ class ZipfianPicker:
             raise ValueError("need at least one object")
         if not 0.0 < theta < 2.0:
             raise ValueError(f"theta out of range: {theta}")
-        self._ids = list(object_ids)
+        self._ids = object_ids
         self._rng = make_rng(seed, "zipfian", theta, label)
         n = len(self._ids)
         weights = [1.0 / math.pow(rank, theta) for rank in range(1, n + 1)]

@@ -14,6 +14,7 @@ the reader loops here are mechanism-agnostic and dispatch through the
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -211,6 +212,11 @@ class Microbenchmark:
         self.writers: List[TimedWriter] = []
         self.protocol = protocol_cls(self)
 
+    def close(self) -> None:
+        """Close the rack this benchmark built (see
+        :meth:`~repro.sonuma.node.Cluster.close`)."""
+        self.cluster.close()
+
     # ------------------------------------------------------------------
     def _reader_slot(self, thread: int, slot: int, t_end: float):
         """Fig. 7a-style synchronous loop: pick, read atomically via the
@@ -339,4 +345,5 @@ class Microbenchmark:
 
 def run_microbench(cfg: MicrobenchConfig) -> MicrobenchResult:
     """Build and run one microbenchmark configuration."""
-    return Microbenchmark(cfg).run()
+    with closing(Microbenchmark(cfg)) as bench:
+        return bench.run()

@@ -29,6 +29,7 @@ Two experiments register with the framework:
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -121,68 +122,72 @@ class TxnMixResult:
 def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
     """Build the sharded service + txn layer and run the closed loop."""
     cfg.validate()
-    kv = ShardedKV(cfg.to_sharded())
-    manager = TxnManager(kv)
-    sim = kv.cluster.sim
-    t_end = cfg.duration_ns
+    with closing(ShardedKV(cfg.to_sharded())) as kv:
+        manager = TxnManager(kv)
+        sim = kv.cluster.sim
+        t_end = cfg.duration_ns
 
-    commit_latency = Samples("txn_commit_ns")
-    # In-window counters, keyed by the TxnMixResult field they fill.
-    window = {
-        "commits": 0,
-        "rmw_commits": 0,
-        "ro_commits": 0,
-        "attempts": 0,
-        "lock_aborts": 0,
-        "validation_aborts": 0,
-        "timeouts": 0,
-        "retries": 0,
-    }
+        commit_latency = Samples("txn_commit_ns")
+        # In-window counters, keyed by the TxnMixResult field they fill.
+        window = {
+            "commits": 0,
+            "rmw_commits": 0,
+            "ro_commits": 0,
+            "attempts": 0,
+            "lock_aborts": 0,
+            "validation_aborts": 0,
+            "timeouts": 0,
+            "retries": 0,
+        }
 
-    def observe(outcome, t0: float, write_keys) -> None:
-        if not cfg.warmup_ns <= sim.now <= t_end:
-            return
-        window["attempts"] += outcome.attempts
-        window["lock_aborts"] += outcome.lock_aborts
-        window["validation_aborts"] += outcome.validation_aborts
-        window["timeouts"] += int(outcome.timed_out)
-        # Transaction-level retry count (an attempt after an abort),
-        # not the per-shard attribution the manager keeps — a 4-shard
-        # txn retrying once is 1 retry here.
-        window["retries"] += outcome.attempts - 1
-        if outcome.committed:
-            commit_latency.add(sim.now - t0)
-            window["commits"] += 1
-            window["rmw_commits" if write_keys else "ro_commits"] += 1
+        def observe(outcome, t0: float, write_keys) -> None:
+            if not cfg.warmup_ns <= sim.now <= t_end:
+                return
+            window["attempts"] += outcome.attempts
+            window["lock_aborts"] += outcome.lock_aborts
+            window["validation_aborts"] += outcome.validation_aborts
+            window["timeouts"] += int(outcome.timed_out)
+            # Transaction-level retry count (an attempt after an abort),
+            # not the per-shard attribution the manager keeps — a 4-shard
+            # txn retrying once is 1 retry here.
+            window["retries"] += outcome.attempts - 1
+            if outcome.committed:
+                commit_latency.add(sim.now - t0)
+                window["commits"] += 1
+                window["rmw_commits" if write_keys else "ro_commits"] += 1
 
-    def client(client: int, thread: int):
-        rng = make_rng(cfg.seed, "txn-mix", client, thread)
-        pick = cfg.picker((client, thread))
+        def client(client: int, thread: int):
+            rng = make_rng(cfg.seed, "txn-mix", client, thread)
+            pick = cfg.picker((client, thread))
 
-        def next_txn():
-            keys = distinct_keys(kv, pick, cfg.txn_size)
-            rmw = cfg.writes_per_txn > 0 and rng.random() < cfg.rmw_fraction
-            return keys, (keys[: cfg.writes_per_txn] if rmw else [])
+            def next_txn():
+                keys = distinct_keys(kv, pick, cfg.txn_size)
+                rmw = (
+                    cfg.writes_per_txn > 0 and rng.random() < cfg.rmw_fraction
+                )
+                return keys, (keys[: cfg.writes_per_txn] if rmw else [])
 
-        return txn_proc(sim, manager.session(client), next_txn, t_end, observe)
+            return txn_proc(
+                sim, manager.session(client), next_txn, t_end, observe
+            )
 
-    spawn_clients(sim, kv.cfg.clients, [(cfg.sessions_per_client, client)])
-    sim.process(meter_window(sim, kv, cfg.warmup_ns, t_end))
-    sim.run()
+        spawn_clients(sim, kv.cfg.clients, [(cfg.sessions_per_client, client)])
+        sim.process(meter_window(sim, kv, cfg.warmup_ns, t_end))
+        sim.run()
 
-    totals = service_totals(kv)
-    return TxnMixResult(
-        config=cfg,
-        commit_latency=commit_latency,
-        **window,
-        sabre_aborts=totals["sabre_aborts"],
-        software_conflicts=totals["software_conflicts"],
-        read_retries=totals["retries"],
-        undetected_violations=totals["undetected_violations"],
-        torn_reads_observed=manager.merged_stats().torn_reads_observed,
-        txn_rows=manager.txn_rows(),
-        shard_rows=kv.shard_load(),
-    )
+        totals = service_totals(kv)
+        return TxnMixResult(
+            config=cfg,
+            commit_latency=commit_latency,
+            **window,
+            sabre_aborts=totals["sabre_aborts"],
+            software_conflicts=totals["software_conflicts"],
+            read_retries=totals["retries"],
+            undetected_violations=totals["undetected_violations"],
+            torn_reads_observed=manager.merged_stats().torn_reads_observed,
+            txn_rows=manager.txn_rows(),
+            shard_rows=kv.shard_load(),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ Two experiments register with the framework:
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -120,61 +121,61 @@ class YcsbResult:
 def run_ycsb(cfg: YcsbConfig) -> YcsbResult:
     """Build the sharded service and run the closed-loop YCSB mix."""
     cfg.validate()
-    kv = ShardedKV(cfg.to_sharded())
-    sim = kv.cluster.sim
-    t_end = cfg.duration_ns
-    write_frac = cfg.write_fraction
+    with closing(ShardedKV(cfg.to_sharded())) as kv:
+        sim = kv.cluster.sim
+        t_end = cfg.duration_ns
+        write_frac = cfg.write_fraction
 
-    read_latency = Samples("ycsb_read_ns")
-    window = {"writes": 0}
+        read_latency = Samples("ycsb_read_ns")
+        window = {"writes": 0}
 
-    def on_read(ok, t0: float) -> None:
-        if ok:
-            read_latency.add(sim.now - t0)
+        def on_read(ok, t0: float) -> None:
+            if ok:
+                read_latency.add(sim.now - t0)
 
-    def on_update(t0: float) -> None:
-        kv.write_latency.add(sim.now - t0)
-        if cfg.warmup_ns <= sim.now <= t_end:
-            window["writes"] += 1
+        def on_update(t0: float) -> None:
+            kv.write_latency.add(sim.now - t0)
+            if cfg.warmup_ns <= sim.now <= t_end:
+                window["writes"] += 1
 
-    def client(client: int, thread: int):
-        rng = make_rng(cfg.seed, "ycsb-mix", client, thread)
-        pick = cfg.picker((client, thread)).pick
-        return read_update_proc(
-            sim,
-            kv,
-            kv.reader_session(client),
-            lambda: kv.key_name(pick()),
-            lambda: write_frac > 0.0 and rng.random() < write_frac,
-            t_end,
-            on_read,
-            on_update,
+        def client(client: int, thread: int):
+            rng = make_rng(cfg.seed, "ycsb-mix", client, thread)
+            pick = cfg.picker((client, thread)).pick
+            return read_update_proc(
+                sim,
+                kv,
+                kv.reader_session(client),
+                lambda: kv.key_name(pick()),
+                lambda: write_frac > 0.0 and rng.random() < write_frac,
+                t_end,
+                on_read,
+                on_update,
+            )
+
+        spawn_clients(sim, kv.cfg.clients, [(cfg.readers_per_client, client)])
+        sim.process(meter_window(sim, kv, cfg.warmup_ns, t_end))
+        sim.run()
+
+        reader_stats = kv.all_reader_stats()
+        totals = service_totals(kv)
+        window_ns = t_end - cfg.warmup_ns
+        bytes_measured = sum(s.meter.bytes_total for s in reader_stats)
+        reads_measured = sum(s.meter.ops_total for s in reader_stats)
+        return YcsbResult(
+            config=cfg,
+            read_latency=read_latency,
+            write_latency=kv.write_latency,
+            reads_completed=reads_measured,
+            writes_completed=window["writes"],
+            read_goodput_gbps=bytes_measured / window_ns,
+            ops_per_us=(reads_measured + window["writes"]) / window_ns * 1e3,
+            retries=totals["retries"],
+            sabre_aborts=totals["sabre_aborts"],
+            software_conflicts=totals["software_conflicts"],
+            undetected_violations=totals["undetected_violations"],
+            fallback_reads=totals["fallback_reads"],
+            shard_rows=kv.shard_load(),
         )
-
-    spawn_clients(sim, kv.cfg.clients, [(cfg.readers_per_client, client)])
-    sim.process(meter_window(sim, kv, cfg.warmup_ns, t_end))
-    sim.run()
-
-    reader_stats = kv.all_reader_stats()
-    totals = service_totals(kv)
-    window_ns = t_end - cfg.warmup_ns
-    bytes_measured = sum(s.meter.bytes_total for s in reader_stats)
-    reads_measured = sum(s.meter.ops_total for s in reader_stats)
-    return YcsbResult(
-        config=cfg,
-        read_latency=read_latency,
-        write_latency=kv.write_latency,
-        reads_completed=reads_measured,
-        writes_completed=window["writes"],
-        read_goodput_gbps=bytes_measured / window_ns,
-        ops_per_us=(reads_measured + window["writes"]) / window_ns * 1e3,
-        retries=totals["retries"],
-        sabre_aborts=totals["sabre_aborts"],
-        software_conflicts=totals["software_conflicts"],
-        undetected_violations=totals["undetected_violations"],
-        fallback_reads=totals["fallback_reads"],
-        shard_rows=kv.shard_load(),
-    )
 
 
 # ----------------------------------------------------------------------

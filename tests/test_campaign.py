@@ -314,6 +314,34 @@ class TestMergeAndArtifacts:
             bad.write_json(str(path))
         assert path.read_bytes() == original
 
+    def test_stage_meta_records_peak_rss(self, tmp_path, capsys):
+        """Each stage's ``meta.json`` carries the process's RSS
+        high-water mark at the stage's end (so it cannot fall from one
+        stage to the next), the stage line prints it, and ``rows.json``
+        does not know about it."""
+        campaign = CampaignSpec(
+            name="rss",
+            scale=0.5,
+            stages=[
+                CampaignStage(MIX_REF, name=name) for name in ("s1", "s2", "s3")
+            ],
+        )
+        context = CampaignContext(str(tmp_path / "rss"))
+        result = CampaignRunner(campaign, context=context).run()
+        peaks = []
+        for stage in result.stages:
+            meta = json.loads(
+                Path(context.meta_artifact_path(stage.stage)).read_text()
+            )
+            assert meta["peak_rss_mb"] == stage.peak_rss_mb
+            assert "elapsed_s" in meta
+            peaks.append(meta["peak_rss_mb"])
+            rows = Path(context.rows_artifact_path(stage.stage)).read_text()
+            assert "peak_rss_mb" not in rows
+        assert peaks[0] > 0 and peaks == sorted(peaks)
+        campaign_cli._print_result(result)
+        assert f"peak RSS {peaks[0]:.0f} MiB" in capsys.readouterr().out
+
 
 class TestQa:
     def test_bounds_and_aggregates(self):

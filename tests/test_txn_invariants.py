@@ -174,16 +174,19 @@ class TestVnodeBalance:
 
 @pytest.fixture
 def services(monkeypatch):
-    """Every ``ShardedKV`` a workload runner builds during the test."""
-    built = []
-    real_init = ShardedKV.__init__
+    """Every ``ShardedKV`` a workload runner closes during the test,
+    each audited by :func:`assert_at_rest` on its way into ``close()``:
+    a closed service has no bytes left to audit."""
+    audited = []
+    real_close = ShardedKV.close
 
-    def init(kv, *args, **kwargs):
-        real_init(kv, *args, **kwargs)
-        built.append(kv)
+    def close(kv):
+        assert_at_rest(kv)
+        audited.append(kv)
+        real_close(kv)
 
-    monkeypatch.setattr(ShardedKV, "__init__", init)
-    return built
+    monkeypatch.setattr(ShardedKV, "close", close)
+    return audited
 
 
 def assert_at_rest(kv: ShardedKV) -> None:
@@ -286,8 +289,7 @@ class TestLockOwnership:
         )
         assert result.commits >= 400
         assert result.undetected_violations == 0
-        (kv,) = services
-        assert_at_rest(kv)
+        assert len(services) == 1  # audited at rest, then closed
 
     def test_migration_racing_a_commit_terminates(self, services):
         """Seed 5: a key's migration locks it inside a commit's final
@@ -303,5 +305,4 @@ class TestLockOwnership:
                 )
             )
         assert result.undetected_violations == 0
-        (kv,) = services
-        assert_at_rest(kv)
+        assert len(services) == 1  # audited at rest, then closed
