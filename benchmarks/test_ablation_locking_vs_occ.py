@@ -8,14 +8,16 @@ it never aborts.
 Runs the registered ``ablation_locking_vs_occ`` experiment spec.
 """
 
-from conftest import bench_scale, run_once, show
+from conftest import run_once, show
 
-from repro.experiments.ablations import run_ablation
+from repro.experiments import registry, run_sweep
 from repro.harness.report import format_table
 
 
 def test_locking_vs_occ(benchmark, scale):
-    rows = run_once(benchmark, run_ablation, "ablation_locking_vs_occ", bench_scale())
+    rows = run_once(
+        benchmark, run_sweep, registry.get("ablation_locking_vs_occ"), scale=scale
+    ).rows
     show(
         "Ablation: destination-side OCC vs locking (8 readers, 2 writers)",
         format_table(

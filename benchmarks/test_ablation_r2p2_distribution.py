@@ -11,16 +11,16 @@ Runs the registered ``ablation_r2p2_distribution`` experiment spec
 (which reuses the fig7a point function on a 3-size grid).
 """
 
-from conftest import bench_scale, run_once, show
+from conftest import run_once, show
 
-from repro.experiments.ablations import run_ablation
+from repro.experiments import registry, run_sweep
 from repro.harness.report import format_table
 
 
 def test_r2p2_distribution(benchmark, scale):
     rows = run_once(
-        benchmark, run_ablation, "ablation_r2p2_distribution", bench_scale()
-    )
+        benchmark, run_sweep, registry.get("ablation_r2p2_distribution"), scale=scale
+    ).rows
     show(
         "Ablation: single-R2P2 pinning vs striped lower bound",
         format_table(

@@ -9,14 +9,16 @@ but cannot eliminate retries and keeps the R2P2 busy longer.
 Runs the registered ``ablation_retry_policy`` experiment spec.
 """
 
-from conftest import bench_scale, run_once, show
+from conftest import run_once, show
 
-from repro.experiments.ablations import run_ablation
+from repro.experiments import registry, run_sweep
 from repro.harness.report import format_table
 
 
 def test_retry_policy(benchmark, scale):
-    rows = run_once(benchmark, run_ablation, "ablation_retry_policy", bench_scale())
+    rows = run_once(
+        benchmark, run_sweep, registry.get("ablation_retry_policy"), scale=scale
+    ).rows
     show(
         "Ablation: abort exposure policy under contention",
         format_table(

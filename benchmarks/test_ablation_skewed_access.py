@@ -9,16 +9,18 @@ atomicity still holds.
 Runs the registered ``ablation_skewed_access`` experiment spec.
 """
 
-from conftest import bench_scale, run_once, show
+from conftest import run_once, show
 
-from repro.experiments.ablations import run_ablation
+from repro.experiments import registry, run_sweep
 from repro.harness.report import format_table
 
 THETAS = (0.0, 0.99)
 
 
 def test_skewed_access(benchmark, scale):
-    rows = run_once(benchmark, run_ablation, "ablation_skewed_access", bench_scale())
+    rows = run_once(
+        benchmark, run_sweep, registry.get("ablation_skewed_access"), scale=scale
+    ).rows
     show(
         "Ablation: uniform vs Zipfian key popularity (1 KB, 8 writers)",
         format_table(

@@ -7,9 +7,9 @@ size and break zero-copy.  LightSABRes remove the check entirely.
 Runs the registered ``ablation_software_mechanisms`` experiment spec.
 """
 
-from conftest import bench_scale, run_once, show
+from conftest import run_once, show
 
-from repro.experiments.ablations import run_ablation
+from repro.experiments import registry, run_sweep
 from repro.harness.report import format_table
 
 MECHANISMS = ("sabre", "percl_versions", "checksum")
@@ -17,8 +17,8 @@ MECHANISMS = ("sabre", "percl_versions", "checksum")
 
 def test_software_mechanism_ladder(benchmark, scale):
     rows = run_once(
-        benchmark, run_ablation, "ablation_software_mechanisms", bench_scale()
-    )
+        benchmark, run_sweep, registry.get("ablation_software_mechanisms"), scale=scale
+    ).rows
     show(
         "Ablation: atomicity mechanism cost ladder (2 KB objects)",
         format_table(("mechanism", "mean_latency_ns", "goodput_gbps"), rows),

@@ -9,16 +9,18 @@ become the bottleneck too, hardware SABRes.
 Runs the registered ``ablation_source_locking`` experiment spec.
 """
 
-from conftest import bench_scale, run_once, show
+from conftest import run_once, show
 
-from repro.experiments.ablations import run_ablation
+from repro.experiments import registry, run_sweep
 from repro.harness.report import format_table
 
 MECHANISMS = ("sabre", "percl_versions", "drtm_lock")
 
 
 def test_source_locking_vs_alternatives(benchmark, scale):
-    rows = run_once(benchmark, run_ablation, "ablation_source_locking", bench_scale())
+    rows = run_once(
+        benchmark, run_sweep, registry.get("ablation_source_locking"), scale=scale
+    ).rows
     show(
         "Ablation: Table 1 cells on one workload (512 B, 4 readers, 2 writers)",
         format_table(

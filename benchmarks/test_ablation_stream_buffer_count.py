@@ -7,16 +7,16 @@ backpressure and throughput collapse; the paper provisions 16.
 Runs the registered ``ablation_stream_buffer_count`` experiment spec.
 """
 
-from conftest import bench_scale, run_once, show
+from conftest import run_once, show
 
-from repro.experiments.ablations import run_ablation
+from repro.experiments import registry, run_sweep
 from repro.harness.report import format_table
 
 
 def test_stream_buffer_count_sweep(benchmark, scale):
     rows = run_once(
-        benchmark, run_ablation, "ablation_stream_buffer_count", bench_scale()
-    )
+        benchmark, run_sweep, registry.get("ablation_stream_buffer_count"), scale=scale
+    ).rows
     show(
         "Ablation: stream buffer count vs 128 B SABRe throughput",
         format_table(

@@ -9,16 +9,16 @@ SABRes; depth beyond the bandwidth-delay product buys nothing.
 Runs the registered ``ablation_stream_buffer_depth`` experiment spec.
 """
 
-from conftest import bench_scale, run_once, show
+from conftest import run_once, show
 
-from repro.experiments.ablations import run_ablation
+from repro.experiments import registry, run_sweep
 from repro.harness.report import format_table
 
 
 def test_stream_buffer_depth_sweep(benchmark, scale):
     rows = run_once(
-        benchmark, run_ablation, "ablation_stream_buffer_depth", bench_scale()
-    )
+        benchmark, run_sweep, registry.get("ablation_stream_buffer_depth"), scale=scale
+    ).rows
     show(
         "Ablation: stream buffer depth vs 8 KB SABRe latency",
         format_table(("depth", "sabre_8kb_latency_ns"), rows),

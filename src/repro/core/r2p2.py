@@ -42,7 +42,7 @@ from repro.fabric.packets import (
 )
 from repro.mem.system import ChipMemorySystem, InvalidationCause
 from repro.objstore.layout import is_locked
-from repro.sim.engine import Simulator, block_mode
+from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthServer
 from repro.sim.stats import Counter
 
@@ -53,7 +53,7 @@ SendPacket = Callable[[Packet], None]
 class R2P2Engine:
     """One LightSABRes-enhanced R2P2 backend."""
 
-    __slots__ = ("sim", "cfg", "chip", "node_id", "index", "tile", "send_packet", "lock_table", "counters", "mode", "att", "_pending_registrations", "_queued_sabres", "_pending_requests", "_cycle", "_block_cost", "issue_server", "reply_server", "_version_offset", "_batched", "_att_lookup", "_issue_service", "_reply_service", "_phys")
+    __slots__ = ("sim", "cfg", "chip", "node_id", "index", "tile", "send_packet", "lock_table", "counters", "mode", "att", "_pending_registrations", "_queued_sabres", "_pending_requests", "_cycle", "_block_cost", "issue_server", "reply_server", "_version_offset", "_att_lookup", "_issue_service", "_reply_service", "_phys")
 
     def __init__(
         self,
@@ -96,7 +96,6 @@ class R2P2Engine:
         self.issue_server = BandwidthServer(sim, 1.0, f"r2p2[{index}].issue")
         self.reply_server = BandwidthServer(sim, 1.0, f"r2p2[{index}].reply")
         self._version_offset = 0  # driver-registered header offset (§4.2)
-        self._batched = block_mode() == "batched"
         self._att_lookup = self.att.lookup_fast
         self._phys = chip.phys
         # Per-block service times are loop invariants of the whole run:
@@ -274,20 +273,16 @@ class R2P2Engine:
     def _pump(self, entry: AttEntry) -> None:
         """Issue loads while conditions hold.
 
-        The batched kernel precomputes the whole issue run's timestamps
-        from the (private, serial) issue server in one pass and injects
-        them with one ``schedule_batch`` call; ``_may_issue`` stays the
-        single authority over issue eligibility and stall accounting, so
-        both block modes see the exact same decision sequence."""
+        A run's timestamps are precomputed from the (private, serial)
+        issue server in one pass and injected with one
+        ``schedule_batch`` call; ``_may_issue`` is the single authority
+        over issue eligibility and stall accounting, consulted once per
+        block."""
         if entry.aborted or entry.finished:
             return
         total = entry.total_blocks
         req = entry.req_counter
         limit = total if total < req else req
-        if not self._batched:
-            while entry.issue_count < limit and self._may_issue(entry):
-                self._issue(entry, entry.issue_count)
-            return
         offset = entry.issue_count
         if offset >= limit or not self._may_issue(entry):
             return
@@ -299,8 +294,7 @@ class R2P2Engine:
         service = self._issue_service
 
         # First block inline — the common case is a single issue per
-        # arriving request packet, which must stay as cheap as the
-        # stepwise path it replaces.
+        # arriving request packet, which must not pay for a batch.
         addr = entry.base_addr + offset * CACHE_BLOCK
         entry.issue_count = offset + 1
         if (spec or mode is SabreMode.NO_SPECULATION) and (
@@ -380,27 +374,6 @@ class R2P2Engine:
             self.counters.add("page_boundary_stalls")
             return False
         return True
-
-    def _issue(self, entry: AttEntry, offset: int) -> None:
-        addr = entry.base_addr + offset * CACHE_BLOCK
-        entry.issue_count += 1
-        mode = self.mode
-        if mode is SabreMode.SPECULATIVE or mode is SabreMode.NO_SPECULATION:
-            subscribe = (
-                mode is SabreMode.SPECULATIVE and entry.speculative
-            ) or offset == 0
-            if subscribe:
-                self.chip.subscribe(addr, entry.snoop_cb)
-                entry.subscribed_blocks.append(addr)
-        if mode is SabreMode.SPECULATIVE and entry.speculative:
-            # can_issue + mark_issued inlined (offset is never negative).
-            sb = entry.stream_buffer
-            if sb._base_block is not None and offset < sb._tracked:
-                sb._issued_bits |= 1 << offset
-        t_issue = self.issue_server.request(self._block_cost)
-        self.sim.call_at(
-            t_issue, self._start_read, entry, addr, offset, entry.epoch
-        )
 
     def _start_read(
         self, entry: AttEntry, addr: int, offset: int, epoch: int
@@ -550,56 +523,9 @@ class R2P2Engine:
     def _flush_junk(self, entry: AttEntry) -> None:
         """Reply to received-but-never-issued requests after an abort so
         the one-reply-per-request flow-control invariant holds."""
-        total = entry.total_blocks
-        req = entry.req_counter
-        limit = total if total < req else req
-        first = entry.issue_count
-        if first >= limit:
-            return
-        if not self._batched:
-            for offset in range(first, limit):
-                self._reply_data(entry, offset, junk=True)
-            return
-        # Batched: one pass over the junk run, one schedule_batch.
-        sim = self.sim
-        now = sim._now
-        server = self.reply_server
-        next_free = server._next_free
-        busy = server._busy_ns
-        nbytes = server._bytes
-        cycle = self._cycle
-        service = self._reply_service
-        send = self.send_packet
-        src, _rgp, tid = entry.sabre_id
-        nid = self.node_id
-        size_bytes = entry.size_bytes
-        replied_bits = entry.replied_bits
-        entries = []
-        for offset in range(first, limit):
-            if replied_bits >> offset & 1:
-                continue
-            replied_bits |= 1 << offset
-            entry.replied_count += 1
-            size = size_bytes - offset * CACHE_BLOCK
-            if size > CACHE_BLOCK:
-                size = CACHE_BLOCK
-            elif size < 0:
-                size = 0
-            pkt = Packet(
-                PacketKind.SABRE_REPLY, nid, src, tid, offset,
-                size_bytes=size, payload=bytes(size),
-            )
-            start = next_free if next_free > now else now
-            next_free = start + service
-            busy += service
-            nbytes += cycle
-            entries.append((next_free, send, (pkt,)))
-        entry.replied_bits = replied_bits
-        if entries:
-            server._next_free = next_free
-            server._busy_ns = busy
-            server._bytes = nbytes
-            sim.schedule_batch(entries)
+        limit = min(entry.total_blocks, entry.req_counter)
+        for offset in range(entry.issue_count, limit):
+            self._reply_data(entry, offset, junk=True)
 
     # ------------------------------------------------------------------
     # reply path

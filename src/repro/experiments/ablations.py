@@ -10,21 +10,13 @@ are registered, so the CLI can run any of them with ``--jobs``/
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.common.config import ClusterConfig, SabreMode
 from repro.experiments.registry import register
-from repro.experiments.runner import SweepRunner
 from repro.experiments.spec import ExperimentSpec, Variant
 from repro.harness.report import scaled_duration
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
-
-
-def run_ablation(name: str, scale: float = 1.0, jobs: int = 1) -> List[Dict]:
-    """Run one registered ablation and return its rows."""
-    from repro.experiments import registry
-
-    return SweepRunner(registry.get(name), scale=scale, jobs=jobs).run().rows
 
 
 def _cluster_with_sabre(**fields: Any) -> ClusterConfig:

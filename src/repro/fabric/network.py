@@ -49,8 +49,9 @@ class LinkFault:
 
 
 class Link:
-    """One direction of a node-to-node link: serialization at the link
-    bandwidth plus fixed propagation per hop."""
+    """One direction of a node-to-node link: the serializer at the link
+    bandwidth, the fixed propagation per hop and the packet count.
+    :meth:`Fabric.send` does the per-packet arithmetic over them."""
 
     __slots__ = ("sim", "cfg", "hops", "server", "packets_sent", "_floor_ns", "_header_bytes")
 
@@ -69,30 +70,6 @@ class Link:
 
     def latency_floor_ns(self) -> float:
         return self._floor_ns
-
-    def send(self, packet: Packet, deliver: PacketHandler) -> float:
-        """Enqueue ``packet``; ``deliver`` runs at arrival time.
-
-        Returns the arrival time.
-        """
-        self.packets_sent += 1
-        # BandwidthServer.request inlined (this runs once per packet on
-        # the wire and the call shows up in profiles).
-        server = self.server
-        sim = self.sim
-        wire = self._header_bytes + packet.size_bytes
-        start = sim._now
-        next_free = server._next_free
-        if next_free > start:
-            start = next_free
-        service = wire / server.rate
-        next_free = start + service
-        server._next_free = next_free
-        server._busy_ns += service
-        server._bytes += wire
-        arrival = next_free + self._floor_ns
-        sim.call_at(arrival, deliver, packet)
-        return arrival
 
 
 class Fabric:
@@ -353,13 +330,12 @@ class Fabric:
                 link = self.link(src, dst)
             route = (link, handler, link.server, link._header_bytes, link._floor_ns)
             self._routes[key] = route
-        # Link.send inlined — this is the per-packet hot path and the
-        # extra method dispatch is measurable at fleet event rates.
+        # The link's serialization + propagation arithmetic lives here,
+        # on the per-packet hot path, not behind a Link method: the
+        # extra dispatch is measurable at fleet event rates.
         # Degradation costs one flag test while the fabric is healthy;
         # the multipliers apply at *send-fire time*, so a window that
-        # opens mid-transfer slows exactly the packets sent inside it —
-        # identically in batched and stepwise block modes, which both
-        # route every packet through here at the same timestamps.
+        # opens mid-transfer slows exactly the packets sent inside it.
         link, deliver, server, header, floor = route
         if self._faulty:
             eff = self._degraded.get(key)

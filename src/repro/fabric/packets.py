@@ -153,21 +153,6 @@ def block_payload_size(total_size: int, block_offset: int) -> int:
     return max(0, min(CACHE_BLOCK, remaining))
 
 
-def write_request(
-    src: int, dst: int, transfer_id: int, block_offset: int, payload: bytes
-) -> Packet:
-    """One unrolled cache-block-sized one-sided write."""
-    return Packet(
-        PacketKind.WRITE_REQUEST,
-        src,
-        dst,
-        transfer_id,
-        block_offset,
-        size_bytes=len(payload) + 8,
-        payload=payload,
-    )
-
-
 def write_ack(src: int, dst: int, transfer_id: int, block_offset: int) -> Packet:
     return Packet(
         PacketKind.WRITE_ACK, src, dst, transfer_id, block_offset, size_bytes=0

@@ -9,7 +9,6 @@ callback sits in one binary heap.  See :class:`Simulator`.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -195,24 +194,12 @@ ScheduledCall = list
 #: pending set without bound.
 _COMPACT_MIN_CANCELLED = 64
 
-#: Env var selecting the block-stream kernel: ``batched`` (default)
-#: schedules whole runs of per-block callbacks through
-#: :meth:`Simulator.schedule_batch`; ``stepwise`` keeps the original
-#: one-``call_at``-per-block path as the determinism reference.
-BLOCKS_ENV = "REPRO_SIM_BLOCKS"
-
 
 def block_mode() -> str:
-    """The configured block-stream mode: ``batched`` or ``stepwise``.
-
-    Read once at component construction (nodes, R2P2 engines), so a
-    simulation never changes mode mid-flight."""
-    mode = os.environ.get(BLOCKS_ENV, "batched")
-    if mode not in ("batched", "stepwise"):
-        raise SimulationError(
-            f"unknown block mode {mode!r}; use 'batched' or 'stepwise'"
-        )
-    return mode
+    # A provenance label bench/run.py prints and its smoke test pins,
+    # like Simulator.scheduler: there is one block chain, nothing
+    # selects it, and the next benchmark PR drops the field.
+    return "batched"
 
 
 class _RunClosed(Exception):

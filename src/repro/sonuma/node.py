@@ -23,15 +23,12 @@ from repro.fabric.packets import (
     Packet,
     PacketKind,
     cas_request,
-    read_request,
     sabre_registration,
-    sabre_request,
-    write_request,
 )
 from repro.mem.backing import PhysicalMemory
 from repro.mem.system import ChipMemorySystem
 from repro.noc.mesh import Mesh
-from repro.sim.engine import Event, Simulator, block_mode
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import BandwidthServer
 from repro.sim.stats import Counter
 from repro.sonuma.transfer import (
@@ -55,7 +52,7 @@ CRASH_NOTICE_NS = 40.0
 class SoNode:
     """One rack node: chip + memory + RMC + NI."""
 
-    __slots__ = ("sim", "node_id", "cfg", "cluster_cfg", "fabric", "mesh", "phys", "chip", "counters", "lock_table", "r2p2s", "_tid", "_transfers", "_completions", "_aborted", "_rgp", "_rcp", "_rmc_cycle", "_rcp_service", "_rpc_handler", "_alive_vec", "_batched", "rpc_endpoint")
+    __slots__ = ("sim", "node_id", "cfg", "cluster_cfg", "fabric", "mesh", "phys", "chip", "counters", "lock_table", "r2p2s", "_tid", "_transfers", "_completions", "_aborted", "_rgp", "_rcp", "_rmc_cycle", "_rcp_service", "_rpc_handler", "_alive_vec", "rpc_endpoint")
 
     def __init__(
         self,
@@ -125,7 +122,6 @@ class SoNode:
         # direct reference keeps the per-packet dead-NI check one list
         # index instead of two attribute hops and a method call.
         self._alive_vec = fabric._alive
-        self._batched = block_mode() == "batched"
         fabric.attach(node_id, self._handle_packet)
 
     @property
@@ -300,14 +296,10 @@ class SoNode:
     def _unroll(self, transfer: SourceTransfer) -> None:
         """Unroll one WQ entry into its registration/request packets.
 
-        The batched kernel computes the whole run's send timestamps in
-        one pass — the RGP is a private serial server, so its
-        per-request completion times are pure arithmetic — and injects
-        them with one :meth:`~repro.sim.engine.Simulator.schedule_batch`
-        call.  ``REPRO_SIM_BLOCKS=stepwise`` keeps the original
-        one-``call_at``-per-block reference path."""
-        if not self._batched:
-            return self._unroll_stepwise(transfer)
+        The whole run's send timestamps are computed in one pass — the
+        RGP is a private serial server, so its per-request completion
+        times are pure arithmetic — and injected with one
+        :meth:`~repro.sim.engine.Simulator.schedule_batch` call."""
         sim = self.sim
         now = sim._now
         transfer.timings.pickup = now
@@ -398,69 +390,6 @@ class SoNode:
         rgp._busy_ns = busy
         rgp._bytes = nbytes
         sim.schedule_batch(entries)
-
-    def _unroll_stepwise(self, transfer: SourceTransfer) -> None:
-        transfer.timings.pickup = self.sim.now
-        rgp = self._rgp[transfer.backend]
-        dest_backends = self.cfg.rmc.backends
-
-        if transfer.op is OpKind.SABRE:
-            r2p2 = transfer.transfer_id % dest_backends
-            reg = sabre_registration(
-                self.node_id,
-                transfer.dst_node,
-                transfer.transfer_id,
-                transfer.total_blocks,
-            )
-            reg.meta.update(
-                addr=transfer.remote_addr,
-                size=transfer.size_bytes,
-                r2p2=r2p2,
-                rgp=transfer.backend,
-            )
-            t = rgp.request(self._rmc_cycle)
-            self.sim.call_at(t, self.fabric.send, reg)
-
-        for offset in range(transfer.total_blocks):
-            if transfer.op is OpKind.SABRE:
-                pkt = sabre_request(
-                    self.node_id, transfer.dst_node, transfer.transfer_id, offset
-                )
-                pkt.meta["r2p2"] = r2p2  # pinned to one R2P2 (§5.1)
-                pkt.meta["rgp"] = transfer.backend
-            elif transfer.op is OpKind.REMOTE_WRITE:
-                addr = transfer.remote_addr + offset * CACHE_BLOCK
-                lo = offset * CACHE_BLOCK
-                hi = min(len(transfer.payload), lo + CACHE_BLOCK)
-                pkt = write_request(
-                    self.node_id,
-                    transfer.dst_node,
-                    transfer.transfer_id,
-                    offset,
-                    transfer.payload[lo:hi],
-                )
-                pkt.meta["addr"] = addr
-                pkt.meta["r2p2"] = (addr // CACHE_BLOCK) % dest_backends
-            else:
-                pkt = read_request(
-                    self.node_id, transfer.dst_node, transfer.transfer_id, offset
-                )
-                addr = transfer.remote_addr + offset * CACHE_BLOCK
-                pkt.meta["addr"] = addr
-                pkt.meta["size"] = self._payload_size(transfer, offset)
-                # Remote reads balance across R2P2s per block (§7.1):
-                # steer by block *address* so single-block transfers to
-                # different objects also spread across the R2P2s.
-                pkt.meta["r2p2"] = (addr // CACHE_BLOCK) % dest_backends
-            t = rgp.request(self._rmc_cycle * self.cfg.rmc.rgp_request_cycles)
-            if offset == 0:
-                transfer.timings.first_request = max(t, self.sim.now)
-            self.sim.call_at(t, self.fabric.send, pkt)
-
-    @staticmethod
-    def _payload_size(transfer: SourceTransfer, offset: int) -> int:
-        remaining = transfer.size_bytes - offset * CACHE_BLOCK
-        return max(0, min(CACHE_BLOCK, remaining))
 
     # ------------------------------------------------------------------
     # NI dispatch

@@ -53,20 +53,22 @@ class TestPackets:
 class TestLink:
     def test_fixed_hop_latency(self):
         sim = Simulator()
-        link = Link(sim, FabricConfig(), hops=1)
+        fabric = Fabric(sim, FabricConfig(), nodes=2)
         arrivals = []
+        fabric.attach(1, lambda p: arrivals.append(sim.now))
         pkt = sabre_validation(0, 1, 1, True)  # 0-byte payload
-        link.send(pkt, lambda p: arrivals.append(sim.now))
+        assert fabric.send(pkt) == pytest.approx(35.16)
         sim.run()
         # 16 B header at 100 GBps = 0.16 ns + 35 ns propagation.
         assert arrivals[0] == pytest.approx(35.16)
 
     def test_serialization_queues_packets(self):
         sim = Simulator()
-        link = Link(sim, FabricConfig(), hops=1)
+        fabric = Fabric(sim, FabricConfig(), nodes=2)
         arrivals = []
+        fabric.attach(1, lambda p: arrivals.append(sim.now))
         for i in range(3):
-            link.send(read_reply(0, 1, 1, i, b"p" * 64), lambda p: arrivals.append(sim.now))
+            fabric.send(read_reply(0, 1, 1, i, b"p" * 64))
         sim.run()
         assert len(arrivals) == 3
         # Each 80-byte packet serializes for 0.8 ns.

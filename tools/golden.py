@@ -84,6 +84,13 @@ SPECS = (
     "ablation_stream_buffer_depth",
     "ablation_stream_buffer_count",
     "ablation_r2p2_distribution",
+    # The remaining simulator-running ablations: destination locking,
+    # software retry policy, the software atomicity mechanisms and the
+    # Table 1 cells (source locking / source OCC / SABRes).
+    "ablation_locking_vs_occ",
+    "ablation_retry_policy",
+    "ablation_software_mechanisms",
+    "ablation_source_locking",
 )
 
 #: Fuzz lane -> ``fuzz_round`` keyword arguments.
@@ -93,6 +100,15 @@ FUZZ_LANES: Dict[str, Dict[str, float]] = {
     "partition": {"partition_windows": 2},
     "skew": {"crash_cycles": 1, "gray_windows": 1, "skew_max_ns": 1_000.0},
     "reshard": {"reshard_adds": 2, "gray_windows": 1},
+    # Every fault family at once: windows open and close while
+    # multi-block SABRes stream and crashes cancel them mid-flight.
+    "faultmix": {
+        "crash_cycles": 2,
+        "gray_windows": 2,
+        "partition_windows": 2,
+        "skew_max_ns": 1_000.0,
+        "duration_ns": 40_000.0,
+    },
 }
 
 
