@@ -67,7 +67,11 @@ class Samples:
         if lo == hi:
             return ordered[lo]
         frac = rank - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
+        a, b = ordered[lo], ordered[hi]
+        # Clamped to its two neighbours: the interpolation leaves
+        # ``[a, b]`` by underflow for subnormals and by one ulp when
+        # ``a == b``.
+        return min(max(a * (1 - frac) + b * frac, a), b)
 
     @property
     def p50(self) -> float:

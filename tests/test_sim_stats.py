@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.sim.stats import Breakdown, Counter, Samples, ThroughputMeter
@@ -60,6 +60,7 @@ class TestSamples:
         assert s.max == 9.0
 
     @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1))
+    @example([5e-324, 5e-324])
     def test_percentile_within_range(self, values):
         s = Samples()
         s.extend(values)
