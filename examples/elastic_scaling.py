@@ -21,7 +21,8 @@ from contextlib import closing
 
 from repro.common.rng import make_rng
 from repro.objstore.reshard import ReshardManager
-from repro.objstore.sharded import HashRing, ShardedConfig, ShardedKV
+from repro.objstore.ring import HashRing
+from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.workloads.elastic import ElasticConfig, run_elastic
 
 
@@ -64,7 +65,7 @@ def demo_scale_out() -> None:
         stats = manager.stats
         fresh = HashRing(range(8), vnodes=cfg.vnodes, seed=cfg.seed)
         identical = all(
-            kv._placement[idx] == fresh.replicas(kv.key_name(idx), cfg.replication)
+            kv.placement(idx) == fresh.replicas(kv.key_name(idx), cfg.replication)
             for idx in range(cfg.n_objects)
         )
         violations = sum(s.undetected_violations for s in kv.all_reader_stats())

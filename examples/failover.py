@@ -43,7 +43,7 @@ def demo_crash_promote_recover() -> None:
             log.append(f"t={sim.now:8.0f}  shard {primary} crashed; epoch={kv.epoch}")
             session = kv.reader_session(0)
             ok = yield from session.lookup(key, t_end=sim.now + 50_000.0)
-            served = kv.current_primary(key)
+            served = kv.current_primary(idx)
             log.append(
                 f"t={sim.now:8.0f}  read ok={ok} served by promoted shard {served}"
             )
@@ -62,7 +62,7 @@ def demo_crash_promote_recover() -> None:
         print(
             f"after re-sync: shard {primary} serving={kv.serving[primary]}, "
             f"version there {kv.stores[primary].current_version(idx)} "
-            f"(caught up), primary is still shard {kv.current_primary(key)}"
+            f"(caught up), primary is still shard {kv.current_primary(idx)}"
         )
         print(f"failover events: {[(round(t), e, s) for t, e, s in fm.events]}")
 
@@ -75,7 +75,8 @@ def demo_fencing() -> None:
         key = kv.keys()[0]
         idx = kv.key_index(key)
         primary = kv.primary_of(key)
-        kv.epoch += 2  # the view moved on; this client's epoch did not
+        for _ in range(2):  # the view moved on; this client's epoch did not
+            kv.advance_epoch()
         forged = (0).to_bytes(8, "little") + idx.to_bytes(8, "little") + bytes(
             kv.cfg.payload_len
         )

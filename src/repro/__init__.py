@@ -65,7 +65,8 @@ from repro.objstore.layout import (
     torn_words,
 )
 from repro.objstore.local import LocalReadConfig, run_local_reads
-from repro.objstore.sharded import HashRing, ShardedConfig, ShardedKV
+from repro.objstore.ring import HashRing
+from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.store import ObjectHandle, ObjectStore
 from repro.sonuma.node import Cluster, SoNode
 from repro.sonuma.rpc import RpcEndpoint

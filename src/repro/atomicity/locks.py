@@ -69,9 +69,6 @@ class ReaderWriterLockTable:
     def readers_of(self, key: int) -> int:
         return self._state(key).readers
 
-    def write_locked(self, key: int) -> bool:
-        return self._state(key).writer
-
 
 @dataclass
 class _Lease:

@@ -54,10 +54,6 @@ class AttEntry:
     #: ``SourceTransfer.landing_cell``).
     cell: Tuple[int, int, bytearray, int] = NO_CELL
 
-    @property
-    def window_open(self) -> bool:
-        return self.speculative and not self.aborted
-
     def mark_received(self, offset: int) -> None:
         self.received_bits |= 1 << offset
 

@@ -11,9 +11,10 @@ Two implementations cover the spectrum:
   campaign resumes from exactly the unfinished points: every fragment
   is journaled (and flushed) the moment it completes, and corrupt or
   truncated journal lines — the signature of a SIGKILL mid-write —
-  are skipped, so those points simply recompute.  ``--cache-dir`` /
-  ``SweepRunner(cache_dir=...)`` open one of these on the given
-  directory: the journal is the only resumable point store.
+  are skipped, so those points simply recompute.  ``--campaign-dir`` /
+  ``SweepRunner(context=CampaignContext(directory))`` open one of
+  these on the given directory: the journal is the only resumable
+  point store.
 
 Keys come from :func:`point_key`: a content hash of the spec name,
 variant, scale, seed, and full parameter dict, so a journal can never

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.experiments.context import CampaignContext, RunContext, point_key
+from repro.experiments.context import RunContext, point_key
 from repro.experiments.executors import (
     Executor,
     PoolExecutor,
@@ -159,10 +159,6 @@ class SweepRunner:
         Per-run axis overrides (e.g. a subset of object sizes).
     overrides:
         Parameter overrides merged over defaults/axis/variant values.
-    cache_dir:
-        Journal completed points under this directory (a
-        :class:`CampaignContext`) and serve them to later runs.
-        Ignored when an explicit ``context`` is given.
     base_seed:
         Override the spec's seed root for per-point worker seeding.
     executor:
@@ -170,7 +166,8 @@ class SweepRunner:
         ``multiprocessing`` pool.
     context:
         Completed-fragment store consulted before executing and fed as
-        fragments complete (e.g. a campaign journal).
+        fragments complete (e.g. ``CampaignContext(directory)``, the
+        journal that serves finished points to later runs).
     """
 
     def __init__(
@@ -180,7 +177,6 @@ class SweepRunner:
         jobs: int = 1,
         axes: Optional[Mapping[str, Sequence[Any]]] = None,
         overrides: Optional[Mapping[str, Any]] = None,
-        cache_dir: Optional[str] = None,
         base_seed: Optional[int] = None,
         executor: Optional[Executor] = None,
         context: Optional[RunContext] = None,
@@ -202,8 +198,6 @@ class SweepRunner:
             self.jobs = executor.jobs
         elif isinstance(executor, SubprocessExecutor):
             self.jobs = executor.workers
-        if context is None and cache_dir:
-            context = CampaignContext(cache_dir)
         self.context = context
 
     # ------------------------------------------------------------------

@@ -68,9 +68,6 @@ class Link:
         self._floor_ns = hops * cfg.hop_latency_ns
         self._header_bytes = cfg.header_bytes
 
-    def latency_floor_ns(self) -> float:
-        return self._floor_ns
-
 
 class Fabric:
     """All-pairs connectivity for a small rack of nodes.

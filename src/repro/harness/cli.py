@@ -7,7 +7,7 @@ Usage::
     repro-harness fig7a                      # full-size serial run
     repro-harness fig8 --scale 0.3 --jobs 8  # faster, parallel sweep
     repro-harness all --scale 0.2 --json-out results.json
-    repro-harness fig7b --cache-dir .sweep-cache   # reuse finished points
+    repro-harness fig7b --campaign-dir .sweep-cache  # reuse finished points
     repro-harness fig7a --axes object_size=64,512  # axis subset
     repro-harness fig10 --overrides seed=7 --base-seed 3
     repro-harness all --campaign-dir runs/all      # journaled + resumable
@@ -99,13 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write results as a JSON artifact",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="journal completed sweep points under DIR and reuse them "
-        "(keyed by config hash; the same store as --campaign-dir)",
-    )
-    parser.add_argument(
         "--base-seed",
         type=int,
         default=None,
@@ -169,8 +162,8 @@ def main(argv=None) -> int:
             ],
         )
         context = None
-        if args.campaign_dir or args.cache_dir:
-            context = CampaignContext(args.campaign_dir or args.cache_dir)
+        if args.campaign_dir:
+            context = CampaignContext(args.campaign_dir)
         from repro.experiments.executors import make_executor
 
         runner = CampaignRunner(
@@ -183,7 +176,7 @@ def main(argv=None) -> int:
             result = stage_result.result
             cached = (
                 f", {result.points_cached}/{result.points_total} points cached"
-                if (args.cache_dir or args.campaign_dir)
+                if args.campaign_dir
                 else ""
             )
             print(f"=== {stage_result.stage} ({result.elapsed_s:.1f}s{cached}) ===")

@@ -37,11 +37,6 @@ TABLE1_SPEC = register(
 )
 
 
-def table1_rows() -> Tuple[Sequence[str], List[Dict]]:
-    """Table 1 as uniform row dicts (the CLI/JSON shape)."""
-    return TABLE1_HEADERS, SweepRunner(TABLE1_SPEC).run().rows
-
-
 TABLE2_HEADERS = ("component", "parameters")
 
 #: Component name -> parameter-string formatter over the live config.

@@ -30,8 +30,9 @@ under *real* crashes instead of only under contention:
   NI-up and re-sync-end are fenced — a rejoining shard can never serve
   stale data.
 
-Readers keep reading through promotions (:meth:`ReaderSession.lookup`
-routes over serving replicas), writers redirect to the promotee
+Readers keep reading through promotions (:meth:`~repro.objstore.
+session.ReaderSession.lookup` routes over serving replicas), writers
+redirect to the promotee
 (:meth:`ShardedKV.put` retries on the typed error), and transactions
 see crashed shards as forced aborts with the distinct ``abort_crash``
 reason (:class:`~repro.objstore.txn.TxnStats.crash_aborts`).
@@ -153,18 +154,6 @@ class FailurePlan:
                 end = max(end, fault.recover_ns)
         return end
 
-    def downtime_windows(self) -> List[Tuple[float, float, int]]:
-        """``(crash_ns, recover_or_inf, shard)`` per fault — the
-        availability workloads meter reads against these windows."""
-        return [
-            (
-                f.crash_ns,
-                float("inf") if f.recover_ns is None else f.recover_ns,
-                f.shard,
-            )
-            for f in self.faults
-        ]
-
 
 # ----------------------------------------------------------------------
 # the manager
@@ -283,7 +272,7 @@ class FailoverManager:
         """Simulated time shard ``shard``'s re-sync takes — constant,
         because replica *membership* never changes (promotions only
         reorder it)."""
-        hosted = sum(1 for place in self.kv._placement if shard in place)
+        hosted = len(self.kv.hosted_on(shard))
         return self.resync_fixed_ns + self.resync_ns_per_object * hosted
 
     # ------------------------------------------------------------------

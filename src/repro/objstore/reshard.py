@@ -76,12 +76,9 @@ from repro.objstore.failover import (
     DEFAULT_RPC_TIMEOUT_NS,
 )
 from repro.objstore.layout import is_locked, lock_version, stamped_payload
-from repro.objstore.sharded import (
-    LOCK_SPIN_NS,
-    OUTAGE_POLL_NS,
-    RangeDelta,
-    ShardedKV,
-)
+from repro.objstore.ring import RangeDelta
+from repro.objstore.session import OUTAGE_POLL_NS
+from repro.objstore.sharded import LOCK_SPIN_NS, ShardedKV
 
 #: Fixed per-vnode handoff handshake (ownership-transfer metadata, the
 #: coordination a FaRM-style reconfiguration round costs) charged
@@ -393,11 +390,12 @@ class ReshardManager:
         for idx in range(kv.cfg.n_objects):
             key = kv.key_name(idx)
             new_place = kv.ring.replicas(key, kv.cfg.replication)
-            if tuple(new_place) == tuple(kv._placement[idx][: len(new_place)]):
+            place = kv.placement(idx)
+            if tuple(new_place) == tuple(place[: len(new_place)]):
                 # Placement prefix unchanged — but a scale-in still has
                 # to migrate keys keeping the leaver only in a promoted
                 # tail; those are pruned with the rest below.
-                if affected not in kv._placement[idx]:
+                if affected not in place:
                     continue
             h = kv.ring.key_hash(key)
             batch = backup_batch
@@ -417,13 +415,13 @@ class ReshardManager:
             if batch != current_batch:
                 if current_batch is not None:
                     # Close the previous batch: redirect its writers.
-                    kv.epoch += 1
+                    kv.advance_epoch()
                 current_batch = batch
                 self.stats.vnode_handoffs += 1
                 yield sim.timeout(self.handoff_fixed_ns)
             yield from self._migrate_key(idx, new_place)
         if current_batch is not None:
-            kv.epoch += 1
+            kv.advance_epoch()
 
     def _drain_and_prune(self, moved: List[int]):
         """Double-read grace, then collapse the moved keys' placements
@@ -432,14 +430,11 @@ class ReshardManager:
         sim = kv.cluster.sim
         yield sim.timeout(self.drain_ns)
         for idx in moved:
-            new_place = kv.ring.replicas(
-                kv.key_name(idx), kv.cfg.replication
-            )
-            kv._placement[idx] = tuple(new_place)
+            kv.collapse(idx)
             kv.double_read.discard(idx)
             kv.hot_replicas.pop(idx, None)
         if moved:
-            kv.epoch += 1
+            kv.advance_epoch()
 
     # ------------------------------------------------------------------
     # per-key migration
@@ -455,26 +450,19 @@ class ReshardManager:
         kv = self.kv
         sim = kv.cluster.sim
         while True:
-            src = kv.current_primary_by_index(idx)
+            src = kv.current_primary(idx)
             if src is None:
                 yield sim.timeout(OUTAGE_POLL_NS)
                 continue
-            store = kv.stores[src]
-            version = store.current_version(idx)
+            version = kv.stores[src].current_version(idx)
             if is_locked(version):
                 self.stats.lock_waits += 1
                 yield sim.timeout(LOCK_SPIN_NS)
                 continue
             token = next(self._tokens)
-            kv.lock_owners[src][idx] = token
-            node = kv.shards[src]
             core = kv.next_writer_core(src)
             floor = kv.cfg.costs.writer_block_ns
-            latency = node.chip.write_block(
-                core,
-                store.version_addr(idx),
-                lock_version(version).to_bytes(8, "little"),
-            )
+            latency = kv.lock_object(src, idx, core, version, token)
             # Readers may observe the odd version from here on: the key
             # is in its double-read window before the first yield, so a
             # detecting protocol always has a committed copy to walk to.
@@ -486,7 +474,7 @@ class ReshardManager:
 
             lost = False
             for dest in new_place:
-                if dest in kv._placement[idx] and idx in kv.stores[dest]:
+                if dest in kv.placement(idx) and idx in kv.stores[dest]:
                     # A current placement member is replicated-to, so
                     # its copy is already the committed image.  Anyone
                     # else — including a shard that hosted this key on
@@ -518,19 +506,11 @@ class ReshardManager:
                 self.stats.migration_retries += 1
                 continue
 
-            old_place = kv._placement[idx]
-            kv._placement[idx] = tuple(new_place) + tuple(
-                s for s in old_place if s not in new_place
-            )
+            kv.flip(idx, new_place)
             # Unlock the source: committed version back, token dropped.
             # (Functionally first — the token check above means no one
             # else wrote the header while we held it.)
-            del kv.lock_owners[src][idx]
-            latency = node.chip.write_block(
-                core,
-                store.version_addr(idx),
-                version.to_bytes(8, "little"),
-            )
+            latency = kv.unlock_object(src, idx, core, version)
             yield sim.timeout(max(latency, floor))
             self.stats.keys_migrated += 1
             return
@@ -538,7 +518,7 @@ class ReshardManager:
     def _still_mine(self, src: int, idx: int, token: int) -> bool:
         return (
             self.kv.serving[src]
-            and self.kv.lock_owners[src].get(idx) == token
+            and self.kv.lock_holders[src].get(idx) == token
         )
 
     def _copy_object(self, idx: int, dest: int, version: int):
@@ -657,7 +637,7 @@ class ReshardManager:
         extras = kv.hot_replicas.get(idx, [])
         if len(extras) >= cfg.max_extra:
             return
-        placed = set(kv._placement[idx])
+        placed = kv.placement(idx)
         # Coldest serving member over the *sampling interval* first:
         # the interval's routed-read delta is the load signal, so a
         # promotion lands where pressure is low right now — lifetime
@@ -678,14 +658,12 @@ class ReshardManager:
         dest = candidates[0]
         self._busy = True
         try:
-            yield from self._migrate_key(
-                idx, tuple(kv._placement[idx]) + (dest,)
-            )
+            yield from self._migrate_key(idx, placed + (dest,))
         finally:
             self._busy = False
         kv.double_read.discard(idx)
         kv.hot_replicas.setdefault(idx, []).append(dest)
-        kv.epoch += 1
+        kv.advance_epoch()
         self.stats.hot_promotions += 1
         self.events.append((kv.cluster.sim.now, "promote", idx))
 
@@ -703,7 +681,7 @@ class ReshardManager:
         extras = kv.hot_replicas.pop(idx, [])
         if not extras:
             return
-        kv.epoch += 1
+        kv.advance_epoch()
         self.stats.hot_demotions += 1
         self.events.append((kv.cluster.sim.now, "demote", idx))
         kv.cluster.sim.process(self._prune_demoted(idx, set(extras)))
@@ -719,10 +697,6 @@ class ReshardManager:
         fresh = set(
             kv.ring.replicas(kv.key_name(idx), kv.cfg.replication)
         )
-        drop = gone - fresh - set(kv.hot_replicas.get(idx, ()))
-        pruned = tuple(
-            s for s in kv._placement[idx] if s not in drop
+        kv.drop_holders(
+            idx, gone - fresh - set(kv.hot_replicas.get(idx, ()))
         )
-        if pruned != kv._placement[idx]:
-            kv._placement[idx] = pruned
-            kv.epoch += 1

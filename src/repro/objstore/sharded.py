@@ -6,9 +6,10 @@ shard and serves one-sided reads for it.  This module scales the
 two-node :mod:`repro.objstore.farm` deployment out to N storage shards
 plus a set of client nodes on one lossless fabric:
 
-* **Placement** is consistent hashing (:class:`HashRing`) with virtual
-  nodes, so shards receive near-equal key ranges and routing is a pure
-  function of ``(seed, key)`` — deterministic run to run.
+* **Placement** is consistent hashing (:class:`~repro.objstore.ring.
+  HashRing`) with virtual nodes, so shards receive near-equal key
+  ranges and routing is a pure function of ``(seed, key)`` —
+  deterministic run to run.
 * **Replication** is primary/backup: each key lives on ``replication``
   distinct shards (the ring walk order).  Writes ship to the primary
   over an RPC (§2.1), run the odd/even version protocol through the
@@ -19,29 +20,33 @@ plus a set of client nodes on one lossless fabric:
   protocols.ReadProtocol` strategies unchanged: every Table 1
   mechanism (``remote_read``, ``sabre``, ``percl_versions``,
   ``checksum``, ``drtm_lock``) works against the sharded store.  A
-  :class:`ReaderSession` binds one client reader to every shard and
-  optionally *falls back* to a backup replica when the primary keeps
-  failing the atomicity check (e.g. a hot object under heavy writes).
+  :class:`~repro.objstore.session.ReaderSession` binds one client
+  reader to every shard and optionally *falls back* to a backup
+  replica when the primary keeps failing the atomicity check (e.g. a
+  hot object under heavy writes).
 * **Stats** are tracked per shard: routed load, retries/aborts,
   fallback reads, replica writes, and the ground-truth torn-read audit
   (``undetected_violations``) every consumed read performs.
 
-The module is workload-agnostic: it owns placement, the write path,
-and the per-read machinery; timed open/closed loops live in the
-workload layer (see :mod:`repro.workloads.ycsb`).
+The module is workload-agnostic and the one owner of the *service
+view* (placement, membership, serving flags, epoch, lock owners):
+:mod:`~repro.objstore.failover`, :mod:`~repro.objstore.reshard` and
+:mod:`~repro.objstore.txn` change it only through :class:`ShardedKV`.
+Timed loops live in the workload layer (:mod:`repro.workloads.ycsb`).
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
+from functools import partial
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import ClusterConfig, FabricConfig, NodeConfig
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError, ShardCrashedError
-from repro.common.rng import derive_seed, make_rng
+from repro.common.rng import make_rng
 from repro.objstore.layout import (
     RawLayout,
     commit_version,
@@ -49,13 +54,17 @@ from repro.objstore.layout import (
     lock_version,
     stamped_payload,
 )
+from repro.objstore.ring import HashRing
+from repro.objstore.session import (
+    OUTAGE_POLL_NS,
+    ReaderSession,
+    ShardStats,
+    _BoundConfig,
+)
 from repro.objstore.store import ObjectStore
-from repro.sim.stats import Samples, ThroughputMeter
-from repro.sonuma.node import Cluster, SoNode
+from repro.sim.stats import Samples
+from repro.sonuma.node import Cluster
 from repro.sonuma.rpc import RpcEndpoint
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.workloads.protocols import ReadProtocol
 
 
 def _get_protocol(name: str):
@@ -89,11 +98,6 @@ PUT_SPIN_LIMIT = 64
 PUT_BACKOFF_BASE_NS = 50.0
 PUT_BACKOFF_CAP_NS = 1_600.0
 
-#: How long a client waits before re-checking the view when *no*
-#: replica of a key is serving (total outage, e.g. replication=1 and
-#: the only copy crashed).
-OUTAGE_POLL_NS = 500.0
-
 #: RPC reply tags shared by the put path and the transaction layer.
 REPLY_OK = b"\x01"
 REPLY_BUSY = b"\x00"
@@ -101,202 +105,6 @@ REPLY_BUSY = b"\x00"
 #: receiver no longer (or does not yet) own the object -- the fencing
 #: that keeps a demoted primary from serving after a promotion.
 REPLY_FENCED = b"\x02"
-
-
-# ----------------------------------------------------------------------
-# consistent hashing
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RangeDelta:
-    """One moved arc of the ring: key hashes in the cyclic half-open
-    interval ``[lo, hi)`` changed primary owner from ``old_shard`` to
-    ``new_shard`` because ``new_shard``'s virtual node ``vnode`` was
-    inserted (or removed — then the names read the other way: the
-    departing vnode's arc is handed *to* ``new_shard``).  ``lo >= hi``
-    means the arc wraps through zero.  Incremental
-    :meth:`HashRing.add_shard` / :meth:`HashRing.remove_shard` report
-    exactly these arcs, and only these arcs, so a migration plan can
-    touch only the keys that actually moved."""
-
-    lo: int
-    hi: int
-    old_shard: int
-    new_shard: int
-    vnode: int
-
-    def covers(self, h: int) -> bool:
-        """Whether key hash ``h`` lies on this arc."""
-        if self.lo < self.hi:
-            return self.lo <= h < self.hi
-        return h >= self.lo or h < self.hi
-
-
-class HashRing:
-    """Consistent-hash ring with virtual nodes.
-
-    Every shard contributes ``vnodes`` points to a 64-bit ring; a key
-    is owned by the first point at or after its hash (wrapping).  All
-    hashes come from :func:`repro.common.rng.derive_seed`, so the
-    mapping is a deterministic function of ``(seed, shard ids, key)``
-    — identical across runs, processes, and worker pools.
-
-    Points are kept as ``(hash, shard, vnode)`` triples sorted on the
-    *full* tuple: two vnodes colliding on the same 64-bit hash order by
-    ``(shard, vnode)``, never by construction accident, so the mapping
-    survives incremental :meth:`add_shard` / :meth:`remove_shard` in
-    any order — the incremental ring is always point-for-point
-    identical to a fresh build over the same member set (the property
-    that makes a finished migration indistinguishable from a fresh
-    deployment).
-    """
-
-    def __init__(self, shard_ids: Iterable[int], vnodes: int = 64, seed: int = 1):
-        shard_ids = list(shard_ids)
-        if not shard_ids:
-            raise ConfigError("hash ring needs at least one shard")
-        if vnodes < 1:
-            raise ConfigError(f"vnodes must be >= 1: {vnodes}")
-        self.seed = seed
-        self.vnodes = vnodes
-        self.shard_ids = shard_ids
-        points: List[Tuple[int, int, int]] = []
-        for shard in shard_ids:
-            for v in range(vnodes):
-                points.append((self._point(shard, v), shard, v))
-        points.sort()
-        self._points = points
-        self._hashes = [p[0] for p in points]
-
-    def _point(self, shard: int, vnode: int) -> int:
-        """The 64-bit ring position of one virtual node (overridable so
-        the collision regression tests can force equal points)."""
-        return derive_seed(self.seed, "ring", shard, vnode)
-
-    def key_hash(self, key: str) -> int:
-        """The 64-bit ring position of ``key`` (what
-        :class:`RangeDelta` arcs cover)."""
-        return derive_seed(self.seed, "ring-key", key)
-
-    def _slot(self, key: str) -> int:
-        return bisect.bisect_right(self._hashes, self.key_hash(key)) % len(
-            self._points
-        )
-
-    def primary(self, key: str) -> int:
-        """The shard owning ``key``."""
-        return self._points[self._slot(key)][1]
-
-    def replicas(self, key: str, n: int) -> Tuple[int, ...]:
-        """``min(n, shards)`` distinct shards for ``key``, primary
-        first, in ring walk order (the standard consistent-hashing
-        successor list).
-
-        ``n`` is clamped to the shard count rather than rejected: a
-        successor list can never name more distinct shards than exist,
-        and callers sizing replication against a shrinking deployment
-        want the longest valid list, not an error.  The walk covers
-        every ring point, so even adversarial vnode placements (all of
-        one shard's points clustered, hash collisions between shards'
-        points) cannot make the list shorter than that."""
-        if n < 1:
-            raise ConfigError(f"replication must be >= 1: {n}")
-        want = min(n, len(self.shard_ids))
-        seen = set()
-        out: List[int] = []
-        start = self._slot(key)
-        for step in range(len(self._points)):
-            shard = self._points[(start + step) % len(self._points)][1]
-            if shard not in seen:
-                seen.add(shard)
-                out.append(shard)
-                if len(out) == want:
-                    break
-        if len(out) != want:  # pragma: no cover - full walk finds all
-            raise ConfigError(
-                f"ring walk found {len(out)} shards, wanted {want}"
-            )
-        return tuple(out)
-
-    # ------------------------------------------------------------------
-    # incremental membership (live resharding)
-    # ------------------------------------------------------------------
-    def add_shard(self, shard: int) -> List[RangeDelta]:
-        """Insert ``shard``'s vnode points incrementally and report the
-        exact arcs whose primary owner changed.
-
-        Only the moved ranges are recomputed: each of the ``vnodes``
-        new points takes over the arc between its predecessor point and
-        itself, *iff* it becomes the head of its hash run (the lookup
-        is ``bisect_right``, so within a run of equal hashes only the
-        tuple-smallest point ever owns keys — a collision-shadowed
-        point owns nothing and reports nothing).  Arcs already handed
-        to an earlier vnode of the same new shard are skipped too, so
-        the deltas name every key whose primary moved exactly once."""
-        if shard in self.shard_ids:
-            raise ConfigError(f"shard {shard} is already a ring member")
-        deltas: List[RangeDelta] = []
-        for v in range(self.vnodes):
-            point = (self._point(shard, v), shard, v)
-            i = bisect.bisect_left(self._points, point)
-            head = i == 0 or self._points[i - 1][0] < point[0]
-            old_owner = self._points[i % len(self._points)][1]
-            self._points.insert(i, point)
-            self._hashes.insert(i, point[0])
-            if head and old_owner != shard:
-                lo = self._points[(i - 1) % len(self._points)][0]
-                deltas.append(
-                    RangeDelta(
-                        lo=lo,
-                        hi=point[0],
-                        old_shard=old_owner,
-                        new_shard=shard,
-                        vnode=v,
-                    )
-                )
-        self.shard_ids.append(shard)
-        return deltas
-
-    def remove_shard(self, shard: int) -> List[RangeDelta]:
-        """Remove ``shard``'s vnode points incrementally and report the
-        exact arcs handed to their successors.
-
-        The per-vnode deltas compose: when several of the departing
-        shard's points are ring-adjacent, the intermediate self-handoffs
-        are elided and the surviving delta's arc reaches back over the
-        whole run, so coverage stays exact."""
-        if shard not in self.shard_ids:
-            raise ConfigError(f"shard {shard} is not a ring member")
-        if len(self.shard_ids) == 1:
-            raise ConfigError("cannot remove the last ring member")
-        deltas: List[RangeDelta] = []
-        for v in range(self.vnodes):
-            point = (self._point(shard, v), shard, v)
-            i = bisect.bisect_left(self._points, point)
-            if i >= len(self._points) or self._points[i] != point:
-                raise ConfigError(  # pragma: no cover - internal invariant
-                    f"ring point for shard {shard} vnode {v} missing"
-                )
-            head = i == 0 or self._points[i - 1][0] < point[0]
-            del self._points[i]
-            del self._hashes[i]
-            if head:
-                n = len(self._points)
-                new_owner = self._points[i % n][1]
-                if new_owner != shard:
-                    lo = self._points[(i - 1) % n][0]
-                    deltas.append(
-                        RangeDelta(
-                            lo=lo,
-                            hi=point[0],
-                            old_shard=shard,
-                            new_shard=new_owner,
-                            vnode=v,
-                        )
-                    )
-        self.shard_ids.remove(shard)
-        return deltas
 
 
 # ----------------------------------------------------------------------
@@ -383,64 +191,9 @@ class ShardedConfig:
         return ClusterConfig(**kwargs)
 
 
-@dataclass
-class _BoundConfig:
-    """The slice of :class:`~repro.workloads.microbench.MicrobenchConfig`
-    the :class:`ReadProtocol` strategies actually consume, so they run
-    against the sharded store without modification."""
-
-    mechanism: str
-    object_size: int
-    version_bits: int
-    costs: SoftwareCosts
-
-    @property
-    def payload_len(self) -> int:
-        return self.object_size - 8
-
-
 # ----------------------------------------------------------------------
 # statistics
 # ----------------------------------------------------------------------
-
-
-class ShardStats:
-    """Read-side stats for one shard as seen by one reader session.
-
-    Field names match what the protocols record into (the microbench
-    ``_ReaderStats`` contract), plus routing/fallback load counters.
-    Sessions keep private instances (so a reader can detect its own
-    op's outcome without races); :meth:`merge` folds them together.
-    """
-
-    def __init__(self) -> None:
-        self.op_latency = Samples("shard_op_ns")
-        self.transfer_latency = Samples("shard_transfer_ns")
-        self.meter = ThroughputMeter()
-        self.sabre_aborts = 0
-        self.software_conflicts = 0
-        self.retries = 0
-        self.undetected_violations = 0
-        self.reads_routed = 0
-        #: Attempts *issued* against this shard as a non-first replica
-        #: (the walk reached it); compare with ``fallback_reads``, which
-        #: counts only the attempts that actually consumed a read — the
-        #: split is what makes a deadline expiring mid-attempt visible
-        #: instead of silently inflating the fallback-success count.
-        self.fallback_attempts = 0
-        self.fallback_reads = 0
-
-    def merge(self, other: "ShardStats") -> None:
-        self.op_latency.extend(other.op_latency.values)
-        self.transfer_latency.extend(other.transfer_latency.values)
-        self.meter.absorb(other.meter)
-        self.sabre_aborts += other.sabre_aborts
-        self.software_conflicts += other.software_conflicts
-        self.retries += other.retries
-        self.undetected_violations += other.undetected_violations
-        self.reads_routed += other.reads_routed
-        self.fallback_attempts += other.fallback_attempts
-        self.fallback_reads += other.fallback_reads
 
 
 @dataclass
@@ -476,169 +229,6 @@ class ShardWriteStats:
     reshard_redirects: int = 0
 
 
-class _ShardBinding:
-    """Adapter presenting one ``(client node, shard)`` pair through the
-    host interface :class:`ReadProtocol` expects of a microbenchmark."""
-
-    def __init__(
-        self,
-        kv: "ShardedKV",
-        shard: int,
-        client_node: SoNode,
-        stats: ShardStats,
-    ):
-        self.cluster = kv.cluster
-        self.cfg = kv.bound_cfg
-        self.stats = stats
-        self.src = client_node
-        self.dst = kv.shards[shard]
-        self.store = kv.stores[shard]
-        self.mechanism = kv.mechanism
-
-
-class ReaderSession:
-    """One client reader's bindings: a protocol instance and private
-    stats per shard, plus a reusable landing buffer.
-
-    Create one session per reader process; the private stats are what
-    make the fallback decision race-free (a session observes only its
-    own completions between yields)."""
-
-    def __init__(self, kv: "ShardedKV", client_index: int):
-        if not 0 <= client_index < len(kv.clients):
-            raise ConfigError(f"no client node {client_index}")
-        self.kv = kv
-        self.client_index = client_index
-        node = kv.clients[client_index]
-        self._wire = kv.layout.wire_size(kv.cfg.payload_len)
-        self._buf = node.alloc_buffer(self._wire)
-        self.stats: List[ShardStats] = [
-            ShardStats() for _ in range(kv.provisioned)
-        ]
-        self._protocols: List["ReadProtocol"] = [
-            kv.protocol_cls(_ShardBinding(kv, shard, node, self.stats[shard]))
-            for shard in range(kv.provisioned)
-        ]
-        # Round-robin cursor over a hot key's promoted replica set
-        # (private per session, so rotation stays deterministic).
-        self._hot_rr = 0
-
-    def attempt(self, shard: int, idx: int, deadline: float):
-        """One protocol read of object ``idx``'s copy on ``shard`` (a
-        simulation generator).  Returns ``True`` iff a read was
-        consumed; the consumed observation is then available through
-        :meth:`last_read`.  Every consumed read — primary or fallback —
-        goes through the same protocol instance, so retry bookkeeping,
-        latency/meter recording, and the ground-truth torn-read audit
-        land in this session's per-shard stats identically."""
-        stats = self.stats[shard]
-        handle = self.kv.stores[shard].handle(idx)
-        completed_before = len(stats.op_latency)
-        yield from self._protocols[shard].read_once(
-            handle, self._buf, self._wire, deadline
-        )
-        consumed = len(stats.op_latency) > completed_before
-        if consumed:
-            self.kv.key_reads[idx] += 1
-        return consumed
-
-    def last_read(self, shard: int) -> Tuple[Optional[int], Optional[bytes]]:
-        """The ``(version, payload)`` observation of the most recent
-        consumed read against ``shard`` (the read-set entry a
-        transaction records)."""
-        protocol = self._protocols[shard]
-        return protocol.last_version, protocol.last_data
-
-    def lookup(self, key: str, t_end: float):
-        """One atomic lookup of ``key`` as a simulation generator.
-
-        Routes to the current primary (the promoted backup after a
-        crash); with fallback enabled, gives the primary
-        ``fallback_after_ns`` of retries, then walks the serving backup
-        replicas (each getting the same grace period, the last one the
-        full remaining time).  Returns ``True`` on a consumed read,
-        ``False`` when ``t_end`` arrived first.
-
-        Accounting contract (pinned by the fallback regression tests):
-        ``reads_routed``/``fallback_attempts`` count attempts *issued*
-        per shard; ``fallback_reads`` counts only the fallback attempt
-        that actually *consumed* a read; latency samples and the
-        torn-read audit land exactly once, on the consuming shard —
-        a deadline expiring mid-attempt leaves retries behind but never
-        a phantom fallback read or a double-counted audit.
-
-        With a failover manager attached (finite ``reroute_check_ns``),
-        every attempt's deadline is additionally bounded so a crash
-        mid-attempt re-routes to the promoted view instead of spinning
-        against a dead shard until ``t_end``.
-        """
-        kv = self.kv
-        sim = kv.cluster.sim
-        idx = kv.key_index(key)
-        fallback_ns = kv.cfg.fallback_after_ns
-        reroute_ns = kv.reroute_check_ns
-        while sim.now < t_end:
-            route = kv.read_route_by_index(idx)
-            if not route:
-                # Total outage for this key: every replica is down.
-                # Wait out a slice of it (bounded by the deadline).
-                yield sim.timeout(min(OUTAGE_POLL_NS, t_end - sim.now))
-                continue
-            # During a migration's double-read window every reader must
-            # consult both owners, even with fallback disabled: the walk
-            # covers old and new placement so a read is never served a
-            # half-migrated image without the protocol's detection pass.
-            order = (
-                route
-                if fallback_ns > 0 or idx in kv.double_read
-                else route[:1]
-            )
-            promoted = kv.hot_replicas.get(idx)
-            if promoted:
-                # Hot key: rotate the first attempt across the primary
-                # and its promoted read replicas (deterministic per
-                # session; losers keep their walk position).
-                cands = [route[0]] + [
-                    s for s in promoted if s in route and s != route[0]
-                ]
-                if len(cands) > 1:
-                    head = cands[self._hot_rr % len(cands)]
-                    self._hot_rr += 1
-                    if head != order[0]:
-                        order = (head,) + tuple(
-                            s for s in order if s != head
-                        )
-            epoch = kv.epoch
-            for attempt, shard in enumerate(order):
-                stats = self.stats[shard]
-                stats.reads_routed += 1
-                if attempt > 0:
-                    stats.fallback_attempts += 1
-                # Non-final attempts get a grace slice; with fallback
-                # disabled (double-read walk) the reroute bound serves
-                # as the slice so earlier owners still yield the floor.
-                grace = fallback_ns if fallback_ns > 0 else reroute_ns
-                deadline = (
-                    t_end
-                    if attempt == len(order) - 1
-                    else min(t_end, sim.now + grace)
-                )
-                deadline = min(deadline, sim.now + reroute_ns)
-                ok = yield from self.attempt(shard, idx, deadline)
-                if ok:
-                    if attempt > 0:
-                        stats.fallback_reads += 1
-                    return True
-                if sim.now >= t_end:
-                    return False
-                if kv.epoch != epoch:
-                    # View changed mid-walk: recompute the route.
-                    break
-            # Walk exhausted before t_end (only possible when reroute
-            # bounding is active): loop re-reads the current view.
-        return False
-
-
 # ----------------------------------------------------------------------
 # the service
 # ----------------------------------------------------------------------
@@ -666,11 +256,8 @@ class ShardedKV:
         #: spare slots a live scale-out can activate.
         self.provisioned = cfg.provisioned_shards
         self.cluster = Cluster(cfg.cluster_config())
-        self.shards = [self.cluster.node(i) for i in range(self.provisioned)]
-        self.clients = [
-            self.cluster.node(self.provisioned + i)
-            for i in range(cfg.clients)
-        ]
+        self.shards = self.cluster.nodes[: self.provisioned]
+        self.clients = self.cluster.nodes[self.provisioned :]
         self.ring = HashRing(range(cfg.n_shards), vnodes=cfg.vnodes, seed=cfg.seed)
         self.stores = [
             ObjectStore(node.phys, self.layout, name=f"shard{node.node_id}")
@@ -697,8 +284,7 @@ class ShardedKV:
         self._wcore = [0] * self.provisioned
         self._put_seq = itertools.count()
 
-        # -- failover/reshard view (mutated only by objstore.failover
-        #    and objstore.reshard) --------------------------------------
+        # -- the service view: assigned only through the operations below
         #: Configuration epoch: bumped on every crash/rejoin and every
         #: resharding step; stamped into write and lock RPCs, checked by
         #: every handler (fencing).
@@ -712,6 +298,18 @@ class ShardedKV:
         #: Spare (non-member) slots are not serving either — their
         #: handlers fence everything until activation.
         self.serving = [i < cfg.n_shards for i in range(self.provisioned)]
+        #: Per-shard lock ownership: object id -> owner token of the
+        #: transaction or migration currently holding it.  Bare odd/even
+        #: versions are ABA-vulnerable across a crash + re-sync (the
+        #: re-sync restores the pre-crash committed version, so the next
+        #: locker republishes the identical odd value); commit/release
+        #: verify the token so a straggler can never act on someone
+        #: else's lock.  Written by ``lock_object``, ``unlock_object`` and
+        #: ``resync_shard`` only; the rest read the ``lock_holders`` views.
+        self._lock_owners: List[Dict[int, int]] = [{} for _ in self.shards]
+        self.lock_holders = [MappingProxyType(o) for o in self._lock_owners]
+        # -- two plain attributes: objstore.reshard is their only writer,
+        #    the reader session their only reader ----------------------
         #: Object ids currently inside a migration's double-read
         #: window: readers walk *all* serving copies (old and new
         #: owners) for these even with fallback disabled, so the window
@@ -733,16 +331,6 @@ class ShardedKV:
         #: Client-side watchdog for write/lock RPCs (None disables);
         #: the failover manager sets it to model lease timeouts.
         self.rpc_timeout_ns: Optional[float] = None
-        #: Per-shard lock ownership: object id -> owner token of the
-        #: transaction currently holding it.  Bare odd/even versions
-        #: are ABA-vulnerable across a crash + re-sync (the re-sync
-        #: restores the pre-crash committed version, so the next locker
-        #: republishes the identical odd value); commit/release verify
-        #: the token so a straggler can never act on someone else's
-        #: lock.  Cleared per shard by :meth:`resync_shard`.
-        self.lock_owners: List[Dict[int, int]] = [
-            {} for _ in range(self.provisioned)
-        ]
 
         self._shard_rpc = [
             RpcEndpoint(node, workers=cfg.rpc_workers, costs=cfg.costs)
@@ -752,17 +340,12 @@ class ShardedKV:
             RpcEndpoint(node, workers=cfg.rpc_workers, costs=cfg.costs)
             for node in self.clients
         ]
-        for shard in range(self.provisioned):
-            self._shard_rpc[shard].register(
-                "shard_put", self._make_update_handler(shard, replicate=True)
-            )
-            self._shard_rpc[shard].register(
-                "shard_replicate", self._make_update_handler(shard, replicate=False)
-            )
+        for shard, rpc in enumerate(self._shard_rpc):
+            rpc.register("shard_put", partial(self._apply_update, shard, True))
+            rpc.register("shard_replicate", partial(self._apply_update, shard, False))
 
     def close(self) -> None:
-        """Close the rack this service built (see
-        :meth:`~repro.sonuma.node.Cluster.close`)."""
+        """Close the rack this service built (``Cluster.close``)."""
         self.cluster.close()
 
     # ------------------------------------------------------------------
@@ -788,9 +371,19 @@ class ShardedKV:
         return self._placement[self.key_index(key)]
 
     # ------------------------------------------------------------------
-    # failover view: who serves what right now
+    # the service view, by object index: failover, reshard and txn call
+    # these and never assign placement, members, serving or the epoch
     # ------------------------------------------------------------------
-    def current_primary_by_index(self, idx: int) -> Optional[int]:
+    def placement(self, idx: int) -> Tuple[int, ...]:
+        """The shards holding object ``idx``, primary first (serving or
+        not; a migration's old owners and promoted extras on the tail)."""
+        return self._placement[idx]
+
+    def hosted_on(self, shard: int) -> List[int]:
+        """The objects whose placement names ``shard``, ascending."""
+        return [i for i, place in enumerate(self._placement) if shard in place]
+
+    def current_primary(self, idx: int) -> Optional[int]:
         """The first *serving* replica of object ``idx`` (writes and
         try-locks go here), or ``None`` during a total outage."""
         for shard in self._placement[idx]:
@@ -798,15 +391,38 @@ class ShardedKV:
                 return shard
         return None
 
-    def current_primary(self, key: str) -> Optional[int]:
-        return self.current_primary_by_index(self.key_index(key))
-
-    def read_route_by_index(self, idx: int) -> Tuple[int, ...]:
+    def read_route(self, idx: int) -> Tuple[int, ...]:
         """The serving replicas of object ``idx`` in promotion order."""
         return tuple(s for s in self._placement[idx] if self.serving[s])
 
-    def read_route(self, key: str) -> Tuple[int, ...]:
-        return self.read_route_by_index(self.key_index(key))
+    def advance_epoch(self) -> None:
+        """Fence every request stamped with the current epoch."""
+        self.epoch += 1
+
+    def flip(self, idx: int, holders: Iterable[int]) -> None:
+        """Hand object ``idx`` to ``holders`` (primary first); old
+        holders not among them stay on the tail, replicated-to and
+        readable, until :meth:`collapse` or :meth:`drop_holders`.  A
+        promoted extra joins as ``placement(idx) + (shard,)``."""
+        holders = tuple(holders)
+        self._placement[idx] = holders + tuple(
+            s for s in self._placement[idx] if s not in holders
+        )
+
+    def collapse(self, idx: int) -> None:
+        """Cut object ``idx``'s placement back to exactly the ring's
+        replica list (the end of a migration's double-read grace)."""
+        self._placement[idx] = self.ring.replicas(
+            self.key_name(idx), self.cfg.replication
+        )
+
+    def drop_holders(self, idx: int, gone: Iterable[int]) -> None:
+        """Drop ``gone`` (demoted extras past their grace) from object
+        ``idx``'s placement; the epoch advances iff any was there."""
+        pruned = tuple(s for s in self._placement[idx] if s not in gone)
+        if pruned != self._placement[idx]:
+            self._placement[idx] = pruned
+            self.epoch += 1
 
     def mark_down(self, shard: int) -> int:
         """Take ``shard`` out of the view: stop routing to it, promote
@@ -816,13 +432,10 @@ class ShardedKV:
         Returns how many keys changed primaries."""
         self.serving[shard] = False
         promoted = 0
-        for idx, place in enumerate(self._placement):
-            if shard in place:
-                if place[0] == shard:
-                    promoted += 1
-                self._placement[idx] = tuple(
-                    s for s in place if s != shard
-                ) + (shard,)
+        for idx in self.hosted_on(shard):
+            place = self._placement[idx]
+            promoted += place[0] == shard
+            self._placement[idx] = tuple(s for s in place if s != shard) + (shard,)
         self.epoch += 1
         return promoted
 
@@ -832,9 +445,6 @@ class ShardedKV:
         self.serving[shard] = True
         self.epoch += 1
 
-    # ------------------------------------------------------------------
-    # elastic membership (mutated only by objstore.reshard)
-    # ------------------------------------------------------------------
     def member_shards(self) -> List[int]:
         """The current ring members, ascending (spares excluded)."""
         return [s for s in range(self.provisioned) if self.members[s]]
@@ -842,16 +452,11 @@ class ShardedKV:
     def all_members_serving(self) -> bool:
         """False while any ring *member* is crashed or re-syncing
         (spare slots are always non-serving and don't count)."""
-        return all(
-            self.serving[s]
-            for s in range(self.provisioned)
-            if self.members[s]
-        )
+        return all(self.serving[s] for s in self.member_shards())
 
     def activate_shard(self, shard: int) -> None:
-        """Admit spare slot ``shard`` as a serving ring member and bump
-        the epoch (the ring itself is grown by the reshard manager,
-        which then migrates the moved keys onto the new member)."""
+        """Admit spare slot ``shard`` as a serving member and bump the
+        epoch (the reshard manager grows the ring and migrates keys)."""
         if not 0 <= shard < self.provisioned:
             raise ConfigError(f"no provisioned shard slot {shard}")
         if self.members[shard]:
@@ -865,11 +470,11 @@ class ShardedKV:
         drained it (no placement may still route to it)."""
         if not self.members[shard]:
             raise ConfigError(f"shard {shard} is not a member")
-        for idx, place in enumerate(self._placement):
-            if shard in place:
-                raise ConfigError(
-                    f"shard {shard} still hosts object {idx}; migrate first"
-                )
+        hosted = self.hosted_on(shard)
+        if hosted:
+            raise ConfigError(
+                f"shard {shard} still hosts object {hosted[0]}; migrate first"
+            )
         self.members[shard] = False
         self.serving[shard] = False
         self.epoch += 1
@@ -885,12 +490,10 @@ class ShardedKV:
         number of objects re-synced."""
         store = self.stores[shard]
         # Locks (and therefore their owners) did not survive the crash.
-        self.lock_owners[shard].clear()
-        copied = 0
-        for idx, place in enumerate(self._placement):
-            if shard not in place:
-                continue
-            src = self.current_primary_by_index(idx)
+        self._lock_owners[shard].clear()
+        hosted = self.hosted_on(shard)
+        for idx in hosted:
+            src = self.current_primary(idx)
             if src is None or src == shard:
                 # No peer to copy from (every other replica is down
                 # too): self-heal from the local copy instead.  This
@@ -904,17 +507,41 @@ class ShardedKV:
                 committed, stamped_payload(committed, self.cfg.payload_len)
             )
             store.phys.write(store.handle(idx).base_addr, image)
-            copied += 1
-        return copied
+        return len(hosted)
 
+    def _store_version(self, shard: int, obj: int, core: int, version: int) -> float:
+        return self.shards[shard].chip.write_block(
+            core,
+            self.stores[shard].version_addr(obj),
+            version.to_bytes(8, "little"),
+        )
+
+    def lock_object(
+        self, shard: int, obj: int, core: int, version: int, token: int
+    ) -> float:
+        """Lock ``obj``'s copy on ``shard`` for ``token``: the header
+        goes from even ``version`` (just read by the caller, no yield
+        since) to odd through the timed chip, and the token is recorded
+        in the same step.  Returns the store's latency to charge."""
+        self._lock_owners[shard][obj] = token
+        return self._store_version(shard, obj, core, lock_version(version))
+
+    def unlock_object(self, shard: int, obj: int, core: int, version: int) -> float:
+        """Publish even ``version`` and end the holder's ownership in
+        the same step: whoever locks ``obj`` during the caller's next
+        yield records its own token, which a later delete would destroy.
+        The caller has checked ``lock_holders`` names its token."""
+        del self._lock_owners[shard][obj]
+        return self._store_version(shard, obj, core, version)
+
+    # ------------------------------------------------------------------
+    # endpoints, cores and reader sessions
+    # ------------------------------------------------------------------
     def all_endpoints(self) -> List[RpcEndpoint]:
         """Every RPC endpoint in the deployment, shards then clients
         (deterministic order — the failover crash path iterates it)."""
         return [*self._shard_rpc, *self._client_rpc]
 
-    # ------------------------------------------------------------------
-    # endpoints and cores
-    # ------------------------------------------------------------------
     def shard_rpc(self, shard: int) -> RpcEndpoint:
         """The RPC endpoint of storage shard ``shard`` (extra services,
         e.g. the transaction layer, register their handlers here)."""
@@ -932,9 +559,6 @@ class ShardedKV:
         self._wcore[shard] += 1
         return core
 
-    # ------------------------------------------------------------------
-    # read path
-    # ------------------------------------------------------------------
     def reader_session(self, client_index: int) -> ReaderSession:
         session = ReaderSession(self, client_index)
         self.sessions.append(session)
@@ -978,7 +602,7 @@ class ShardedKV:
             bounces = 0
             backoff_rng = None  # built on the first bounce only
             while True:
-                primary = self.current_primary_by_index(idx)
+                primary = self.current_primary(idx)
                 if primary is None:
                     # Total outage: every replica is down.  Poll the
                     # view until a shard rejoins or the deadline hits.
@@ -1008,7 +632,7 @@ class ShardedKV:
                     # Deadline check first: a put redirected mid-
                     # migration carries its *remaining* budget — a
                     # permanently-migrating key must not spin forever.
-                    if self.current_primary_by_index(idx) != primary:
+                    if self.current_primary(idx) != primary:
                         ws.reshard_redirects += 1
                     if sim.now >= t_end:
                         return None
@@ -1033,13 +657,7 @@ class ShardedKV:
 
         return self.cluster.sim.process(retrying_put())
 
-    def _make_update_handler(self, shard: int, replicate: bool):
-        def handler(payload: bytes):
-            return self._apply_update(shard, payload, replicate)
-
-        return handler
-
-    def _apply_update(self, shard: int, payload: bytes, replicate: bool):
+    def _apply_update(self, shard: int, replicate: bool, payload: bytes):
         """Owner-side update under the odd/even version protocol.
 
         The new image goes through the shard's *timed* chip memory
@@ -1055,9 +673,7 @@ class ShardedKV:
         (ownership of a backup copy is implied by the sender being the
         primary of that epoch).
         """
-        sim = self.cluster.sim
         cfg = self.cfg
-        node = self.shards[shard]
         store = self.stores[shard]
         ws = self.write_stats[shard]
         epoch = int.from_bytes(payload[:8], "little")
@@ -1078,15 +694,10 @@ class ShardedKV:
         # is always a legitimate in-flight replication that raced an
         # unrelated view change — fencing it would silently strand the
         # backup behind an acked write.
-        if replicate:
-            stale = (
-                epoch != self.epoch
-                or not self.serving[shard]
-                or self.current_primary_by_index(obj_id) != shard
-            )
-        else:
-            stale = not self.serving[shard]
-        if stale:
+        if not self.serving[shard] or (
+            replicate
+            and (epoch != self.epoch or self.current_primary(obj_id) != shard)
+        ):
             ws.fenced_rejects += 1
             return REPLY_FENCED, cfg.costs.writer_block_ns
 
@@ -1123,7 +734,7 @@ class ShardedKV:
         # (where readers can observe partial images) cost one scheduled
         # callback each instead of a Timeout event.
         block_floor = cfg.costs.writer_block_ns
-        chip = node.chip
+        chip = self.shards[shard].chip
         addr, chunk = steps[0]
         latency = chip.write_block(core, addr, chunk)
         yield max(latency, block_floor)
@@ -1169,31 +780,20 @@ class ShardedKV:
     def shard_load(self) -> List[Dict[str, float]]:
         """Per-shard load/conflict table: one row per shard combining
         read routing, conflict, audit, and write/replication counters."""
-        rows: List[Dict[str, float]] = []
-        for shard, stats in enumerate(self.merged_shard_stats()):
-            ws = self.write_stats[shard]
-            rows.append(
-                {
-                    "shard": shard,
-                    "objects": len(self.stores[shard]),
-                    "reads_routed": stats.reads_routed,
-                    "fallback_attempts": stats.fallback_attempts,
-                    "fallback_reads": stats.fallback_reads,
-                    "retries": stats.retries,
-                    "sabre_aborts": stats.sabre_aborts,
-                    "software_conflicts": stats.software_conflicts,
-                    "undetected_violations": stats.undetected_violations,
-                    "writes_routed": ws.writes_routed,
-                    "primary_updates": ws.primary_updates,
-                    "replica_updates": ws.replica_updates,
-                    "lock_spins": ws.lock_spins,
-                    "busy_rejects": ws.busy_rejects,
-                    "write_retries": ws.write_retries,
-                    "fenced_rejects": ws.fenced_rejects,
-                    "crash_redirects": ws.crash_redirects,
-                    "reshard_redirects": ws.reshard_redirects,
-                    "serving": int(self.serving[shard]),
-                    "member": int(self.members[shard]),
-                }
-            )
-        return rows
+        return [
+            {
+                "shard": shard,
+                "objects": len(self.stores[shard]),
+                "reads_routed": stats.reads_routed,
+                "fallback_attempts": stats.fallback_attempts,
+                "fallback_reads": stats.fallback_reads,
+                "retries": stats.retries,
+                "sabre_aborts": stats.sabre_aborts,
+                "software_conflicts": stats.software_conflicts,
+                "undetected_violations": stats.undetected_violations,
+                **vars(self.write_stats[shard]),
+                "serving": int(self.serving[shard]),
+                "member": int(self.members[shard]),
+            }
+            for shard, stats in enumerate(self.merged_shard_stats())
+        ]

@@ -229,9 +229,6 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # region metadata (driver registration, §4.2)
     # ------------------------------------------------------------------
-    def region_of(self, obj_id: int) -> AddressRange:
-        return self.handle(obj_id).range
-
     def find_by_base(self, base_addr: int) -> Optional[ObjectHandle]:
         for h in self._objects.values():
             if h.base_addr == base_addr:

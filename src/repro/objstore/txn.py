@@ -66,12 +66,11 @@ from repro.objstore.layout import (
     stamped_payload,
     torn_words,
 )
+from repro.objstore.session import OUTAGE_POLL_NS, ReaderSession
 from repro.objstore.sharded import (
-    OUTAGE_POLL_NS,
     REPLY_BUSY,
     REPLY_FENCED,
     REPLY_OK,
-    ReaderSession,
     ShardedKV,
 )
 
@@ -286,19 +285,15 @@ class TxnManager:
             recorded per object so commit/release act only on locks
             this very attempt acquired (bare version values are
             ABA-vulnerable across a crash + re-sync)."""
-            sim = kv.cluster.sim
             costs = kv.cfg.costs
             store = kv.stores[shard]
-            node = kv.shards[shard]
             epoch = int.from_bytes(payload[:8], "little")
             token = int.from_bytes(payload[8:16], "little")
             ids = _decode_u64s(payload[16:])
             if (
                 epoch != kv.epoch
                 or not kv.serving[shard]
-                or any(
-                    kv.current_primary_by_index(obj) != shard for obj in ids
-                )
+                or any(kv.current_primary(obj) != shard for obj in ids)
             ):
                 self.stats[shard].fenced_locks += 1
                 return _FENCED, costs.writer_block_ns
@@ -314,12 +309,7 @@ class TxnManager:
             core = kv.next_writer_core(shard)
             latency = 0.0
             for obj, version in zip(ids, pre):
-                kv.lock_owners[shard][obj] = token
-                block_ns = node.chip.write_block(
-                    core,
-                    store.version_addr(obj),
-                    lock_version(version).to_bytes(8, "little"),
-                )
+                block_ns = kv.lock_object(shard, obj, core, version, token)
                 latency += max(block_ns, costs.writer_block_ns)
             # Lock hold time is simulated time: the timed stores above
             # (plus the writer's fixed overhead) are charged before the
@@ -377,12 +367,11 @@ class TxnManager:
             re-sync, and possibly someone else locked it since) is
             skipped — its committed image is already the re-synced
             one, and another holder's lock must not be touched."""
-            sim = kv.cluster.sim
             cfg = kv.cfg
             store = kv.stores[shard]
             node = kv.shards[shard]
             ws = kv.write_stats[shard]
-            owners = kv.lock_owners[shard]
+            owners = kv.lock_holders[shard]
             token = int.from_bytes(payload[:8], "little")
             ids = _decode_u64s(payload[8:])
             if not kv.serving[shard]:
@@ -405,16 +394,13 @@ class TxnManager:
                 committed = commit_version(current)
                 data = stamped_payload(committed, cfg.payload_len)
                 steps, _version = store.commit_steps(obj, data)
-                unlock = steps[-1]
-                for step in steps:
+                for step in steps[:-1]:
                     block_ns = node.chip.write_block(core, *step)
-                    if step is unlock:
-                        # The header just went even.  Ownership ends in
-                        # this same step: whoever locks the object
-                        # during the yield below records its own token,
-                        # which a later delete here would destroy.
-                        del owners[obj]
                     yield max(block_ns, cfg.costs.writer_block_ns)
+                # The last step is the header going even; ownership
+                # ends in that same step, before the yield.
+                block_ns = kv.unlock_object(shard, obj, core, committed)
+                yield max(block_ns, cfg.costs.writer_block_ns)
                 ws.primary_updates += 1
                 applied.append(obj)
             for obj in applied:
@@ -423,7 +409,7 @@ class TxnManager:
                     + obj.to_bytes(8, "little")
                     + bytes(cfg.payload_len)
                 )
-                for backup in kv.replicas_of(kv.key_name(obj))[1:]:
+                for backup in kv.placement(obj)[1:]:
                     kv.shard_rpc(shard).call(
                         kv.shards[backup].node_id,
                         "shard_replicate",
@@ -451,11 +437,9 @@ class TxnManager:
             the old version back would regress the object or unlock
             someone else's critical section, so the stale restore is
             skipped instead."""
-            sim = kv.cluster.sim
             costs = kv.cfg.costs
             store = kv.stores[shard]
-            node = kv.shards[shard]
-            owners = kv.lock_owners[shard]
+            owners = kv.lock_holders[shard]
             token = int.from_bytes(payload[:8], "little")
             words = _decode_u64s(payload[8:])
             core = kv.next_writer_core(shard)
@@ -467,10 +451,7 @@ class TxnManager:
                     or store.current_version(obj) != lock_version(restore)
                 ):
                     continue
-                del owners[obj]
-                block_ns = node.chip.write_block(
-                    core, store.version_addr(obj), restore.to_bytes(8, "little")
-                )
+                block_ns = kv.unlock_object(shard, obj, core, restore)
                 latency += max(block_ns, costs.writer_block_ns)
             yield latency
             return _OK, 0.0
@@ -486,7 +467,7 @@ class TxnManager:
 class TxnSession:
     """One client's transaction endpoint.
 
-    Owns a :class:`~repro.objstore.sharded.ReaderSession` (so read-set
+    Owns a :class:`~repro.objstore.session.ReaderSession` (so read-set
     reads share the per-shard stats, audit, and retry machinery with
     plain lookups) and drives the commit protocol over the client
     node's RPC endpoint.  Create one per transactional process.
@@ -512,7 +493,7 @@ class TxnSession:
         sim = kv.cluster.sim
         idx = kv.key_index(key)
         while True:
-            shard = kv.current_primary_by_index(idx)
+            shard = kv.current_primary(idx)
             if shard is None:
                 # Total outage for this key: poll the view.
                 if sim.now >= t_end:
@@ -577,7 +558,7 @@ class TxnSession:
         token = next(self.manager._tokens)
         by_shard: Dict[int, List[str]] = {}
         for key in sorted(write_set, key=kv.key_index):
-            shard = kv.current_primary(key)
+            shard = kv.current_primary(kv.key_index(key))
             if shard is None:  # total outage for this key
                 self.manager.stats[kv.primary_of(key)].crash_aborts += 1
                 return "abort_crash", reads
@@ -617,7 +598,7 @@ class TxnSession:
         # -- validate phase: read-only keys ----------------------------
         ro_by_shard: Dict[int, List[str]] = {}
         for key in sorted(set(read_keys) - write_set, key=kv.key_index):
-            shard = kv.current_primary(key)
+            shard = kv.current_primary(kv.key_index(key))
             if shard is None:
                 self.manager.stats[kv.primary_of(key)].crash_aborts += 1
                 yield from self._release(locked, token)

@@ -26,7 +26,7 @@ deterministic: same seed + same trace => byte-identical metrics
 snapshot (``tests/test_serve.py`` pins this).
 
 Concurrency within the simulation is served by *session pools*:
-:class:`~repro.objstore.sharded.ReaderSession` holds a private landing
+:class:`~repro.objstore.session.ReaderSession` holds a private landing
 buffer (two concurrent lookups on one session would collide), so the
 bridge checks sessions out per request and returns them on completion.
 Pools grow on demand and allocation order is deterministic under
@@ -278,26 +278,23 @@ class SimBridge:
             # The whole budget went to queueing for a session.
             self._readers.release(session)
             return "timeout"
-        before = [len(s.op_latency) for s in session.stats]
         try:
             ok = yield from session.lookup(op.key, t_end)
         finally:
             self._readers.release(session)
         if not ok:
             return "timeout"
-        for shard, stats in enumerate(session.stats):
-            if len(stats.op_latency) > before[shard]:
-                version, _data = session.last_read(shard)
-                detail["shard"] = shard
-                detail["version"] = version
-                break
+        shard = session.served_by
+        version, _data = session.last_read(shard)
+        detail["shard"] = shard
+        detail["version"] = version
         return "ok"
 
     def _run_put(self, op: TimedOp, detail: Dict[str, Any], t_end: float):
         reply = yield self.kv.put(self._spread_client(), op.key, t_end=t_end)
         if reply is None:
             return "timeout"
-        detail["primary"] = self.kv.current_primary(op.key)
+        detail["primary"] = self.kv.current_primary(self.kv.key_index(op.key))
         return "ok"
 
     def _run_txn(self, op: TimedOp, detail: Dict[str, Any], t_end: float):

@@ -27,10 +27,6 @@ class FifoResource:
         self._waiters: deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queued(self) -> int:
         return len(self._waiters)
 
@@ -174,9 +170,6 @@ class MultiChannel:
         self, addr: int, nbytes: float, extra_latency: float = 0.0
     ) -> float:
         return self.channel_for(addr).request(nbytes, extra_latency)
-
-    def least_loaded(self) -> BandwidthServer:
-        return min(self.channels, key=lambda ch: ch.next_free)
 
     @property
     def bytes_served(self) -> int:

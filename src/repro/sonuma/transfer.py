@@ -58,10 +58,6 @@ class TransferTimings:
     def end_to_end_ns(self) -> float:
         return self.completed - self.posted
 
-    @property
-    def unroll_to_last_reply_ns(self) -> float:
-        return self.last_reply - self.pickup
-
 
 @dataclass(slots=True)
 class TransferResult:

@@ -63,7 +63,7 @@ class ReadProtocol:
     check), ``hardware`` (issue SABRes vs plain remote reads), and
     either the :meth:`complete` hook or — for protocols with a wholly
     different wire dance, like DrTM source locking — :meth:`read_once`
-    itself.
+    itself (which reports whether it consumed a read).
     """
 
     #: registry key; also the ``MicrobenchConfig.mechanism`` value.
@@ -122,7 +122,8 @@ class ReadProtocol:
     # -- synchronous reader loop ---------------------------------------
     def read_once(self, handle, buf: int, wire: int, t_end: float):
         """One complete operation (including §7.2's retry-same-object
-        policy), as a simulation generator."""
+        policy), as a simulation generator returning whether a read was
+        consumed (``False``: ``t_end`` arrived first)."""
         sim = self.bench.cluster.sim
         t0 = sim.now
         while True:
@@ -135,7 +136,7 @@ class ReadProtocol:
                 # caller re-routes once its deadline slice expires.
                 self.stats.retries += 1
                 if sim.now >= t_end:
-                    return
+                    return False
                 continue
             ok, data = yield from self.complete(result, buf, wire)
             if ok:
@@ -143,10 +144,10 @@ class ReadProtocol:
                 self.stats.op_latency.add(sim.now - t0)
                 self.stats.transfer_latency.add(result.timings.end_to_end_ns)
                 self.stats.meter.record(self.cfg.payload_len)
-                return
+                return True
             self.stats.retries += 1
             if sim.now >= t_end:
-                return
+                return False
 
     def complete(self, result, buf: int, wire: int):
         """Post-transfer handling; yields any software-check simulation
@@ -278,14 +279,14 @@ class DrtmLockProtocol(ReadProtocol):
             if probe.crashed:
                 self.stats.retries += 1
                 if sim.now >= t_end:
-                    return
+                    return False
                 continue
             observed = int.from_bytes(self.src.read_local(buf, 8), "little")
             if observed % 2 == 1:
                 # Version word already locked (or mid-update): retry.
                 self.stats.retries += 1
                 if sim.now >= t_end:
-                    return
+                    return False
                 continue
             cas = yield self.src.remote_cas(
                 self.dst.node_id, version_addr, observed, observed + 1
@@ -293,7 +294,7 @@ class DrtmLockProtocol(ReadProtocol):
             if not cas.success:
                 self.stats.retries += 1
                 if sim.now >= t_end:
-                    return
+                    return False
                 continue
             read = yield self.src.remote_read(
                 self.dst.node_id, handle.base_addr, wire, buf
@@ -304,7 +305,7 @@ class DrtmLockProtocol(ReadProtocol):
                 # image), so just retry elsewhere after the deadline.
                 self.stats.retries += 1
                 if sim.now >= t_end:
-                    return
+                    return False
                 continue
             raw = self.src.read_local(buf, wire)
             # Restore the pre-lock version (pure read: no version bump).
@@ -318,7 +319,7 @@ class DrtmLockProtocol(ReadProtocol):
             self.stats.op_latency.add(sim.now - t0)
             self.stats.transfer_latency.add(read.timings.end_to_end_ns)
             self.stats.meter.record(cfg.payload_len)
-            return
+            return True
 
 
 #: Experiment-variant label -> registered protocol name, in

@@ -242,11 +242,13 @@ class TestJournal:
         assert result.stages[0].journal_hits == 1
 
     def test_cache_dir_corruption_recomputes(self, tmp_path):
-        """``cache_dir`` is a journal: a damaged line — truncated, or a
+        """A point cache is a journal: a damaged line — truncated, or a
         fragment that parses but is not a dict — costs exactly that
         point, which recomputes to byte-identical rows."""
         cache_dir = tmp_path / "cache"
-        first = SweepRunner(MIX_SPEC, cache_dir=str(cache_dir)).run()
+        first = SweepRunner(
+            MIX_SPEC, context=CampaignContext(str(cache_dir))
+        ).run()
         journal = cache_dir / "journal.jsonl"
         lines = journal.read_text().splitlines()
         assert len(lines) == first.points_total > 2
@@ -255,7 +257,9 @@ class TestJournal:
         entry["fragment"] = 17  # valid JSON, not a fragment dict
         lines[1] = json.dumps(entry)
         journal.write_text("\n".join(lines) + "\n")
-        runner = SweepRunner(MIX_SPEC, cache_dir=str(cache_dir))
+        runner = SweepRunner(
+            MIX_SPEC, context=CampaignContext(str(cache_dir))
+        )
         again = runner.run()
         assert runner.context.journal_lines_skipped == 2
         assert (runner.context.hits, runner.context.misses) == (

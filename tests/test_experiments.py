@@ -8,6 +8,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.experiments import (
+    CampaignContext,
     ExperimentSpec,
     SweepRunner,
     Variant,
@@ -101,9 +102,9 @@ class TestSweepRunner:
 
     def test_cache_round_trip(self, tmp_path):
         cache = str(tmp_path / "cache")
-        cold = SweepRunner(ECHO_SPEC, cache_dir=cache)
+        cold = SweepRunner(ECHO_SPEC, context=CampaignContext(cache))
         first = cold.run()
-        warm = SweepRunner(ECHO_SPEC, cache_dir=cache)
+        warm = SweepRunner(ECHO_SPEC, context=CampaignContext(cache))
         second = warm.run()
         assert (cold.context.hits, cold.context.misses) == (0, 6)
         assert (warm.context.hits, warm.context.misses) == (6, 0)
@@ -118,8 +119,12 @@ class TestSweepRunner:
 
     def test_cache_key_depends_on_scale(self, tmp_path):
         cache = str(tmp_path / "cache")
-        SweepRunner(ECHO_SPEC, scale=1.0, cache_dir=cache).run()
-        other = SweepRunner(ECHO_SPEC, scale=0.5, cache_dir=cache)
+        SweepRunner(
+            ECHO_SPEC, scale=1.0, context=CampaignContext(cache)
+        ).run()
+        other = SweepRunner(
+            ECHO_SPEC, scale=0.5, context=CampaignContext(cache)
+        )
         assert other.run().points_cached == 0
         assert (other.context.hits, other.context.misses) == (0, 6)
 
@@ -192,11 +197,11 @@ class TestCliExtensions:
         assert payload["jobs"] == 2
         assert {"object_size", "speedup"} <= set(payload["rows"][0])
 
-    def test_cache_dir_flag(self, tmp_path, capsys):
+    def test_campaign_dir_flag(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
-        assert main(["table2", "--cache-dir", cache]) == 0
+        assert main(["table2", "--campaign-dir", cache]) == 0
         cold = capsys.readouterr().out
-        assert main(["table2", "--cache-dir", cache]) == 0
+        assert main(["table2", "--campaign-dir", cache]) == 0
         warm = capsys.readouterr().out
         assert "0/9 points cached" in cold
         assert "9/9 points cached" in warm

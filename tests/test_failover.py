@@ -116,7 +116,7 @@ class TestCrash:
         # The promotee serves as *primary* of the new view, not as a
         # fallback read.
         assert session.stats[backup].fallback_reads == 0
-        assert kv.current_primary(key) == backup
+        assert kv.current_primary(kv.key_index(key)) == backup
 
     def test_promotion_is_permanent_after_recovery(self):
         kv = small_kv()
@@ -130,7 +130,7 @@ class TestCrash:
         assert kv.serving[primary]
         # Recovered shard rejoined as a backup; the promotee keeps the
         # keys it took over.
-        assert kv.current_primary(key) == backup
+        assert kv.current_primary(kv.key_index(key)) == backup
         assert kv.replicas_of(key)[0] == backup
         assert fm.stats.recoveries == 1
 
@@ -159,7 +159,7 @@ class TestFencing:
         key = kv.keys()[0]
         idx = kv.key_index(key)
         primary = kv.primary_of(key)
-        kv.epoch += 1  # view moved on; the forged request did not
+        kv.advance_epoch()  # view moved on; the forged request did not
         stale = (0).to_bytes(8, "little") + idx.to_bytes(8, "little") + bytes(
             kv.cfg.payload_len
         )
@@ -207,7 +207,8 @@ class TestFencing:
         key = kv.keys()[0]
         idx = kv.key_index(key)
         primary = kv.primary_of(key)
-        kv.epoch += 3
+        for _ in range(3):
+            kv.advance_epoch()
         payload = (0).to_bytes(8, "little") + idx.to_bytes(8, "little")
 
         def forged():
@@ -297,7 +298,7 @@ class TestResync:
         fm.crash(2)
         fm.recover(2)
         sim.run()
-        hosted = sum(1 for place in kv._placement if 2 in place)
+        hosted = len(kv.hosted_on(2))
         assert sim.now >= 1_000.0 + 10.0 * hosted
         assert fm.stats.resync_ns == 1_000.0 + 10.0 * hosted
 
@@ -333,7 +334,7 @@ class TestTxnForcedAborts:
         assert outcome.crash_aborts >= 1
         assert sum(s.crash_aborts for s in manager.stats) >= 1
         # The commit landed on the promoted primary.
-        promoted = kv.current_primary(key)
+        promoted = kv.current_primary(kv.key_index(key))
         assert promoted != primary
         assert kv.stores[promoted].current_version(kv.key_index(key)) >= 2
 
@@ -634,8 +635,8 @@ class TestReviewRegressions:
             # primary... but the ABA hazard is on the *same* store, so
             # forge owner B's lock directly at the recovered shard
             # after promoting it back for this key.
-            fm.crash(kv.current_primary(key))
-            assert kv.current_primary(key) == shard
+            fm.crash(kv.current_primary(kv.key_index(key)))
+            assert kv.current_primary(kv.key_index(key)) == shard
             reply = yield kv.client_rpc(0).call(
                 kv.shards[shard].node_id,
                 "txn_lock",

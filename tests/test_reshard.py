@@ -17,7 +17,8 @@ from repro.objstore.reshard import (
     ReshardManager,
     ReshardOp,
 )
-from repro.objstore.sharded import HashRing, ShardedConfig, ShardedKV
+from repro.objstore.ring import HashRing
+from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.workloads.elastic import (
     ELASTIC_SCALING_SPEC,
     HOTKEY_REBALANCE_SPEC,
@@ -69,6 +70,11 @@ def run_mixed_load(kv, t_end, n_readers=2, n_writers=2, seed=5):
         sim.process(writer(i % kv.cfg.clients, i))
     sim.run()
     return acked[0]
+
+
+def placements(kv):
+    """Every object's holder list, in object order."""
+    return [kv.placement(idx) for idx in range(kv.cfg.n_objects)]
 
 
 def audit_at_rest(kv):
@@ -273,7 +279,7 @@ class TestReshardManager:
         audit_at_rest(kv)
         # Placement-identical to a deployment that *started* at 8.
         fresh = ShardedKV(elastic_cfg(mechanism=mechanism, n_shards=8))
-        assert kv._placement == fresh._placement
+        assert placements(kv) == placements(fresh)
 
     def test_scale_in_returns_members_to_spares(self):
         cfg = elastic_cfg(n_shards=6, max_shards=6)
@@ -289,10 +295,10 @@ class TestReshardManager:
         ) == 0
         audit_at_rest(kv)
         fresh = ShardedKV(elastic_cfg(n_shards=4, max_shards=6))
-        assert kv._placement == fresh._placement
+        assert placements(kv) == placements(fresh)
         # The departed shards hold no routed state anymore.
         for idx in range(cfg.n_objects):
-            assert not set(kv._placement[idx]) & {4, 5}
+            assert not set(kv.placement(idx)) & {4, 5}
 
     def test_scale_out_needs_enough_spares(self):
         kv = ShardedKV(elastic_cfg(n_shards=4, max_shards=5))
@@ -355,9 +361,9 @@ class TestReshardManager:
         assert manager.stats.shards_removed == 1
         assert kv.member_shards() == [0, 1, 2, 3]
         for idx in range(cfg.n_objects):
-            v_primary = kv.stores[kv._placement[idx][0]].current_version(idx)
+            v_primary = kv.stores[kv.placement(idx)[0]].current_version(idx)
             # Every routed replica converged to the primary's version.
-            for s in kv._placement[idx]:
+            for s in kv.placement(idx):
                 assert kv.stores[s].current_version(idx) == v_primary
             # No stale (or regressed) image anywhere outruns the key.
             for s in range(kv.provisioned):
@@ -411,7 +417,7 @@ class TestMigrationWriteAccounting:
         kv = self._kv()
         sim = kv.cluster.sim
         key = kv.key_name(0)
-        src, dst = kv._placement[0][0], kv._placement[0][1]
+        src, dst = kv.placement(0)
         acks = []
 
         def driver():
@@ -421,8 +427,8 @@ class TestMigrationWriteAccounting:
         sim.process(driver())
 
         def flip():
-            kv._placement[0] = (dst, src)
-            kv.epoch += 1
+            kv.flip(0, (dst, src))
+            kv.advance_epoch()
 
         sim.call_at(0.5, flip)  # put issued, not yet served
         sim.run()
@@ -453,7 +459,7 @@ class TestMigrationWriteAccounting:
             acks.append(ack)
 
         sim.process(driver())
-        sim.call_at(0.5, lambda: setattr(kv, "epoch", kv.epoch + 1))
+        sim.call_at(0.5, kv.advance_epoch)
         sim.run()
         assert acks and acks[0] is not None
         assert sum(w.fenced_rejects for w in kv.write_stats) == 1
@@ -474,9 +480,9 @@ class TestMigrationWriteAccounting:
             # so every re-issued put arrives already stale.  Bounded
             # well past the deadline so the heap still drains.
             while sim.now < 12_000.0:
-                p = kv._placement[idx]
-                kv._placement[idx] = (p[1], p[0]) + p[2:]
-                kv.epoch += 1
+                p = kv.placement(idx)
+                kv.flip(idx, (p[1], p[0]))
+                kv.advance_epoch()
                 yield sim.timeout(1.0)
 
         sim.process(flipper())
@@ -524,7 +530,7 @@ class TestHotspotPolicy:
         )
         sim = kv.cluster.sim
         t_hot_end = 30_000.0
-        base_width = len(kv._placement[0])
+        base_width = len(kv.placement(0))
 
         def reader(session, label):
             pick = make_rng(3, "hot-reader", label)
@@ -540,7 +546,7 @@ class TestHotspotPolicy:
         assert any(e[1] == "promote" and e[2] == 0 for e in manager.events)
         # Load is gone, so the extras are gone too.
         assert kv.hot_replicas == {}
-        assert len(kv._placement[0]) == base_width
+        assert len(kv.placement(0)) == base_width
         assert sum(
             s.undetected_violations for s in kv.all_reader_stats()
         ) == 0
@@ -564,7 +570,7 @@ class TestHotspotPolicy:
             extra = kv.hot_replicas[idx][0]
             manager._demote(idx)
             yield sim.timeout(1_000.0)  # past the drain: extra pruned
-            assert extra not in kv._placement[idx]
+            assert extra not in kv.placement(idx)
             stale = kv.stores[extra].current_version(idx)
             for _ in range(3):
                 ack = yield kv.put(0, key, t_end=sim.now + 50_000.0)
@@ -572,7 +578,7 @@ class TestHotspotPolicy:
             yield sim.timeout(2_000.0)  # replication fan-out drains
             yield from manager._promote(idx, cfg)
             assert kv.hot_replicas[idx] == [extra]
-            v_primary = kv.stores[kv._placement[idx][0]].current_version(
+            v_primary = kv.stores[kv.placement(idx)[0]].current_version(
                 idx
             )
             assert v_primary > stale
@@ -602,17 +608,17 @@ class TestHotspotPolicy:
             # Routing stopped at once ...
             assert kv.hot_replicas == {}
             # ... but the ex-extra is still placed during the grace,
-            assert extra in kv._placement[idx]
+            assert extra in kv.placement(idx)
             # ... and still covered by the replication fan-out:
             ack = yield kv.put(0, kv.key_name(idx), t_end=sim.now + 10_000.0)
             assert ack is not None
             yield sim.timeout(1_000.0)  # replication drains (< grace)
-            v_primary = kv.stores[kv._placement[idx][0]].current_version(
+            v_primary = kv.stores[kv.placement(idx)[0]].current_version(
                 idx
             )
             assert kv.stores[extra].current_version(idx) == v_primary
             yield sim.timeout(2_000.0)  # past the grace: now pruned
-            assert extra not in kv._placement[idx]
+            assert extra not in kv.placement(idx)
             done.append(True)
 
         sim.process(driver())

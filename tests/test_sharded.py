@@ -6,12 +6,9 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.objstore.layout import is_locked, stamped_payload
-from repro.objstore.sharded import (
-    HashRing,
-    ShardedConfig,
-    ShardedKV,
-    ShardStats,
-)
+from repro.objstore.ring import HashRing
+from repro.objstore.session import ShardStats
+from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.workloads.ycsb import YcsbConfig, run_ycsb
 
 

@@ -13,7 +13,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.objstore.layout import is_locked, stamped_payload
-from repro.objstore.sharded import HashRing, ShardedConfig, ShardedKV
+from repro.objstore.ring import HashRing
+from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager, _encode_u64s
 from repro.workloads.elastic import ElasticConfig, run_elastic
 from repro.workloads.protocols import protocol_names
@@ -117,7 +118,7 @@ class TestPlacementDeterminism:
         process with a different PYTHONHASHSEED produces the identical
         ring bytes."""
         script = (
-            "from repro.objstore.sharded import HashRing;"
+            "from repro.objstore.ring import HashRing;"
             "ring = HashRing(range(4), vnodes=64, seed=5);"
             "import sys;"
             "blob = b''.join(h.to_bytes(8, 'little') + s.to_bytes(2, 'little')"
@@ -172,19 +173,49 @@ class TestVnodeBalance:
         assert worst > 2.0
 
 
+#: Simulated time between two mid-run censuses of the lock tokens —
+#: shorter than one timed block store, so no yield goes unsampled for
+#: long in a run of hundreds of commits.
+CENSUS_EVERY_NS = 40.0
+
+
 @pytest.fixture
 def services(monkeypatch):
-    """Every ``ShardedKV`` a workload runner closes during the test,
-    each audited by :func:`assert_at_rest` on its way into ``close()``:
-    a closed service has no bytes left to audit."""
+    """Every ``ShardedKV`` a workload runner builds and closes during
+    the test.  While it runs, a census process samples its lock tokens
+    every ``CENSUS_EVERY_NS``: a token may exist for ``(shard, obj)``
+    only while that header is odd.  On its way into ``close()`` — a
+    closed service has no bytes left to audit — it must have shown the
+    census held tokens and no orphan, and pass :func:`assert_at_rest`."""
     audited = []
-    real_close = ShardedKV.close
+    real_init, real_close = ShardedKV.__init__, ShardedKV.close
+
+    def init(kv, cfg):
+        real_init(kv, cfg)
+        kv.census_held, kv.census_orphans = 0, []
+        sim = kv.cluster.sim
+
+        def census():
+            while sim.peek() != float("inf"):  # the run is still going
+                for shard, holders in enumerate(kv.lock_holders):
+                    for obj, token in holders.items():
+                        kv.census_held += 1
+                        if not is_locked(kv.stores[shard].current_version(obj)):
+                            kv.census_orphans.append((sim.now, shard, obj, token))
+                yield sim.timeout(CENSUS_EVERY_NS)
+
+        sim.process(census())
 
     def close(kv):
+        assert kv.census_held > 0, "the census never saw a held lock"
+        assert not kv.census_orphans, (
+            f"tokens without an odd header: {kv.census_orphans[:5]}"
+        )
         assert_at_rest(kv)
         audited.append(kv)
         real_close(kv)
 
+    monkeypatch.setattr(ShardedKV, "__init__", init)
     monkeypatch.setattr(ShardedKV, "close", close)
     return audited
 
@@ -199,8 +230,8 @@ def assert_at_rest(kv: ShardedKV) -> None:
             if is_locked(store.current_version(obj))
         ]
         assert not locked, f"shard {shard} left objects {locked} locked"
-        assert not kv.lock_owners[shard], (
-            f"shard {shard} left owners {kv.lock_owners[shard]}"
+        assert not kv.lock_holders[shard], (
+            f"shard {shard} left owners {dict(kv.lock_holders[shard])}"
         )
 
 
@@ -238,9 +269,9 @@ class TestLockOwnership:
         )
         manager = TxnManager(kv)
         obj = 3
-        shard = kv.current_primary_by_index(obj)
+        shard = kv.current_primary(obj)
         store = kv.stores[shard]
-        owners = kv.lock_owners[shard]
+        owners = kv.lock_holders[shard]
         lock = manager._make_lock_handler(shard)
         commit = manager._make_commit_handler(shard)
 

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.experiments import SweepRunner, registry
 from repro.harness.cli import main
-from repro.objstore.sharded import HashRing
+from repro.objstore.ring import HashRing
 from repro.workloads.ycsb import (
     YCSB_MIXES,
     YCSB_SHARD_SCALING_SPEC,
