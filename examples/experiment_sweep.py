@@ -14,7 +14,6 @@ Run:  PYTHONPATH=src python examples/experiment_sweep.py
 """
 
 from repro.experiments import ExperimentSpec, Variant, register, run_sweep
-from repro.harness.report import scaled_duration
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 from repro.workloads.protocols import HardwareSabreProtocol, register_protocol
 
@@ -31,24 +30,16 @@ class BeltAndSuspendersProtocol(HardwareSabreProtocol):
         if ok:
             # Redundant paranoia pass over the received bytes, charged
             # at Pilaf's checksum rate.
-            yield self.bench.cluster.sim.timeout(
-                self.costs.checksum_cost_ns(self.cfg.payload_len)
+            yield self.sim.timeout(
+                self.costs.checksum_cost_ns(self.payload_len)
             )
         return ok, data
 
 
 def _point(ctx):
-    result = run_microbench(
-        MicrobenchConfig(
-            mechanism=ctx.params["mechanism"],
-            object_size=ctx.params["object_size"],
-            n_objects=64,
-            readers=2,
-            duration_ns=scaled_duration(60_000.0, ctx.scale),
-            warmup_ns=8_000.0,
-            seed=7,
-        )
-    )
+    # The point's parameters layered over MicrobenchConfig's defaults:
+    # the spec below states only what this experiment changes.
+    result = run_microbench(MicrobenchConfig.from_params(ctx.params, ctx.scale))
     return {ctx.variant: result.mean_op_latency_ns}
 
 
@@ -61,6 +52,13 @@ SPEC = register(
             Variant("sabre_ns", {"mechanism": "sabre"}),
             Variant("checked_ns", {"mechanism": "sabre_checked"}),
         ),
+        defaults={
+            "n_objects": 64,
+            "readers": 2,
+            "duration_ns": 60_000.0,  # multiplied by the sweep's scale
+            "warmup_ns": 8_000.0,
+            "seed": 7,
+        },
         headers=("object_size", "sabre_ns", "checked_ns"),
         point_fn=_point,
     )

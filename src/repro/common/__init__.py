@@ -5,12 +5,14 @@ from repro.common.config import (
     ClusterConfig,
     CoreConfig,
     FabricConfig,
+    LayeredConfig,
     MemoryConfig,
     NocConfig,
     NodeConfig,
     RmcConfig,
     SabreConfig,
     SabreMode,
+    scaled_duration,
 )
 from repro.common.errors import (
     AtomicityError,
@@ -39,6 +41,7 @@ __all__ = [
     "ConfigError",
     "CoreConfig",
     "FabricConfig",
+    "LayeredConfig",
     "MemoryConfig",
     "NocConfig",
     "NodeConfig",
@@ -50,4 +53,5 @@ __all__ = [
     "cycles_to_ns",
     "gbps_to_bytes_per_ns",
     "ns_to_cycles",
+    "scaled_duration",
 ]

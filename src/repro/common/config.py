@@ -3,7 +3,9 @@
 Every dataclass below corresponds to one row group of Table 2
 ("System parameters for simulation on Flexus").  Default values are the
 paper's values; experiments override individual fields through
-``dataclasses.replace``.
+``dataclasses.replace``.  The last section is how a *run* config (the
+microbenchmark, the FaRM build, a KV deployment) is layered over an
+experiment point.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Any, Mapping
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHE_BLOCK, KB, MB
@@ -233,3 +236,33 @@ def default_cluster() -> ClusterConfig:
     cfg = ClusterConfig()
     cfg.validate()
     return cfg
+
+
+# ----------------------------------------------------------------------
+# run configs layered over experiment points
+# ----------------------------------------------------------------------
+
+
+def scaled_duration(base_ns: float, scale: float, floor_ns: float = 30_000.0) -> float:
+    """Scale an experiment duration, keeping a useful minimum window."""
+    return max(floor_ns, base_ns * scale)
+
+
+class LayeredConfig:
+    """Mixin for the run-config dataclasses (anything with a
+    ``duration_ns`` field) an experiment point is turned into."""
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Any], scale: float, **extra):
+        """Layer an experiment point over the config defaults: every
+        parameter naming a field overrides it — so a spec's
+        ``defaults`` state only what the experiment changes —
+        ``duration_ns`` is scaled by the sweep's ``scale``, and
+        ``extra`` wins over both."""
+        names = {f.name for f in dataclasses.fields(cls)}
+        values = {k: v for k, v in params.items() if k in names}
+        values["duration_ns"] = scaled_duration(
+            params.get("duration_ns", cls.duration_ns), scale
+        )
+        values.update(extra)
+        return cls(**values)

@@ -15,7 +15,6 @@ from typing import Any, Dict
 from repro.common.config import ClusterConfig, SabreMode
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec, Variant
-from repro.harness.report import scaled_duration
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
 
@@ -36,19 +35,7 @@ def _cluster_with_sabre(**fields: Any) -> ClusterConfig:
 
 
 def _source_locking_point(ctx) -> Dict:
-    result = run_microbench(
-        MicrobenchConfig(
-            mechanism=ctx.params["mechanism"],
-            object_size=512,
-            n_objects=64,
-            readers=4,
-            writers=2,
-            writer_think_ns=800.0,
-            duration_ns=scaled_duration(100_000.0, ctx.scale),
-            warmup_ns=12_000.0,
-            seed=ctx.params["seed"],
-        )
-    )
+    result = run_microbench(MicrobenchConfig.from_params(ctx.params, ctx.scale))
     return {
         "mean_latency_ns": result.mean_op_latency_ns,
         "goodput_gbps": result.goodput_gbps,
@@ -65,7 +52,16 @@ register(
         description="Table 1 cells on one workload: source locking (DrTM) "
         "vs source OCC (FaRM) vs destination hardware (SABRes)",
         axes={"mechanism": ("sabre", "percl_versions", "drtm_lock")},
-        defaults={"seed": 13},
+        defaults={
+            "seed": 13,
+            "object_size": 512,
+            "n_objects": 64,
+            "readers": 4,
+            "writers": 2,
+            "writer_think_ns": 800.0,
+            "duration_ns": 100_000.0,
+            "warmup_ns": 12_000.0,
+        },
         headers=(
             "mechanism",
             "mean_latency_ns",
@@ -85,20 +81,7 @@ register(
 
 
 def _skewed_access_point(ctx) -> Dict:
-    result = run_microbench(
-        MicrobenchConfig(
-            mechanism=ctx.params["mechanism"],
-            object_size=1024,
-            n_objects=100,
-            readers=16,
-            writers=8,
-            writer_think_ns=1500.0,
-            zipf_theta=ctx.params["zipf_theta"],
-            duration_ns=scaled_duration(100_000.0, ctx.scale),
-            warmup_ns=12_000.0,
-            seed=ctx.params["seed"],
-        )
-    )
+    result = run_microbench(MicrobenchConfig.from_params(ctx.params, ctx.scale))
     return {
         "goodput_gbps": result.goodput_gbps,
         "conflicts": result.sabre_aborts + result.software_conflicts,
@@ -116,7 +99,14 @@ register(
             "zipf_theta": (0.0, 0.99),
             "mechanism": ("sabre", "percl_versions"),
         },
-        defaults={"seed": 41},
+        defaults={
+            "seed": 41,
+            "readers": 16,
+            "writers": 8,
+            "writer_think_ns": 1500.0,
+            "duration_ns": 100_000.0,
+            "warmup_ns": 12_000.0,
+        },
         headers=(
             "zipf_theta",
             "mechanism",
@@ -137,16 +127,7 @@ register(
 
 
 def _software_mechanisms_point(ctx) -> Dict:
-    result = run_microbench(
-        MicrobenchConfig(
-            mechanism=ctx.params["mechanism"],
-            object_size=2048,
-            n_objects=256,
-            readers=2,
-            duration_ns=scaled_duration(80_000.0, ctx.scale),
-            warmup_ns=10_000.0,
-        )
-    )
+    result = run_microbench(MicrobenchConfig.from_params(ctx.params, ctx.scale))
     return {
         "mean_latency_ns": result.mean_op_latency_ns,
         "goodput_gbps": result.goodput_gbps,
@@ -159,6 +140,13 @@ register(
         description="atomicity mechanism cost ladder: SABRe vs perCL "
         "versions vs Pilaf checksums (2 KB objects)",
         axes={"mechanism": ("sabre", "percl_versions", "checksum")},
+        defaults={
+            "object_size": 2048,
+            "n_objects": 256,
+            "readers": 2,
+            "duration_ns": 80_000.0,
+            "warmup_ns": 10_000.0,
+        },
         headers=("mechanism", "mean_latency_ns", "goodput_gbps"),
         point_fn=_software_mechanisms_point,
     )
@@ -176,19 +164,7 @@ def _locking_vs_occ_derive(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _locking_vs_occ_point(ctx) -> Dict:
-    result = run_microbench(
-        MicrobenchConfig(
-            mechanism="sabre",
-            object_size=1024,
-            n_objects=64,
-            readers=8,
-            writers=2,
-            writer_think_ns=1000.0,
-            duration_ns=scaled_duration(100_000.0, ctx.scale),
-            warmup_ns=12_000.0,
-            cluster=ctx.params["cluster"],
-        )
-    )
+    result = run_microbench(MicrobenchConfig.from_params(ctx.params, ctx.scale))
     return {
         "goodput_gbps": result.goodput_gbps,
         "mean_latency_ns": result.mean_op_latency_ns,
@@ -204,6 +180,14 @@ register(
         description="destination-side OCC (speculative SABRes) vs "
         "destination-side locking under contention",
         axes={"mode": (SabreMode.SPECULATIVE.value, SabreMode.LOCKING.value)},
+        defaults={
+            "n_objects": 64,
+            "readers": 8,
+            "writers": 2,
+            "writer_think_ns": 1000.0,
+            "duration_ns": 100_000.0,
+            "warmup_ns": 12_000.0,
+        },
         derive=_locking_vs_occ_derive,
         headers=(
             "mode",
@@ -231,18 +215,7 @@ def _retry_policy_derive(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _retry_policy_point(ctx) -> Dict:
-    result = run_microbench(
-        MicrobenchConfig(
-            mechanism="sabre",
-            object_size=512,
-            n_objects=24,
-            readers=8,
-            writers=6,
-            duration_ns=scaled_duration(100_000.0, ctx.scale),
-            warmup_ns=12_000.0,
-            cluster=ctx.params["cluster"],
-        )
-    )
+    result = run_microbench(MicrobenchConfig.from_params(ctx.params, ctx.scale))
     return {
         "goodput_gbps": result.goodput_gbps,
         "cq_failures": result.sabre_aborts,
@@ -257,6 +230,14 @@ register(
         description="abort exposure policy under contention: software-"
         "exposed CQ failures vs transparent hardware retry",
         axes={"policy": ("software_abort", "hardware_retry")},
+        defaults={
+            "object_size": 512,
+            "n_objects": 24,
+            "readers": 8,
+            "writers": 6,
+            "duration_ns": 100_000.0,
+            "warmup_ns": 12_000.0,
+        },
         derive=_retry_policy_derive,
         headers=(
             "policy",
@@ -285,7 +266,8 @@ def _r2p2_distribution_finalize(row: Dict) -> Dict:
 
 
 def _register_r2p2_distribution() -> None:
-    # Reuses fig7a's point function and variants on a 3-size grid.
+    # Reuses fig7a's point function, defaults, derive hook and variants
+    # on a 3-size grid.
     from repro.harness.fig7 import FIG7A_SPEC
 
     register(
@@ -301,7 +283,8 @@ def _register_r2p2_distribution() -> None:
                 for v in FIG7A_SPEC.variants
                 if v.name in ("remote_read_ns", "sabre_ns")
             ),
-            defaults=dict(FIG7A_SPEC.defaults),
+            defaults=FIG7A_SPEC.defaults,
+            derive=FIG7A_SPEC.derive,
             finalize_row=_r2p2_distribution_finalize,
             headers=(
                 "object_size",
@@ -331,18 +314,7 @@ def _stream_buffer_count_derive(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _stream_buffer_count_point(ctx) -> Dict:
-    result = run_microbench(
-        MicrobenchConfig(
-            mechanism="sabre",
-            object_size=128,
-            n_objects=256,
-            readers=16,
-            async_window=8,
-            duration_ns=scaled_duration(60_000.0, ctx.scale),
-            warmup_ns=8_000.0,
-            cluster=ctx.params["cluster"],
-        )
-    )
+    result = run_microbench(MicrobenchConfig.from_params(ctx.params, ctx.scale))
     return {
         "small_sabre_gbps": result.goodput_gbps,
         "att_backpressure_events": result.destination_counters.get(
@@ -357,6 +329,14 @@ register(
         description="stream-buffer count vs concurrent small-SABRe "
         "throughput (DG2)",
         axes={"stream_buffers": (1, 4, 16)},
+        defaults={
+            "object_size": 128,
+            "n_objects": 256,
+            "readers": 16,
+            "async_window": 8,
+            "duration_ns": 60_000.0,
+            "warmup_ns": 8_000.0,
+        },
         derive=_stream_buffer_count_derive,
         headers=(
             "stream_buffers",
@@ -374,17 +354,7 @@ def _stream_buffer_depth_derive(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _stream_buffer_depth_point(ctx) -> Dict:
-    result = run_microbench(
-        MicrobenchConfig(
-            mechanism="sabre",
-            object_size=8192,
-            n_objects=512,
-            readers=1,
-            duration_ns=scaled_duration(60_000.0, ctx.scale),
-            warmup_ns=5_000.0,
-            cluster=ctx.params["cluster"],
-        )
-    )
+    result = run_microbench(MicrobenchConfig.from_params(ctx.params, ctx.scale))
     return {"sabre_8kb_latency_ns": result.mean_transfer_latency_ns}
 
 
@@ -393,6 +363,12 @@ register(
         name="ablation_stream_buffer_depth",
         description="stream-buffer depth vs single 8 KB SABRe latency (DG1)",
         axes={"depth": (2, 8, 32, 128)},
+        defaults={
+            "object_size": 8192,
+            "n_objects": 512,
+            "duration_ns": 60_000.0,
+            "warmup_ns": 5_000.0,
+        },
         derive=_stream_buffer_depth_derive,
         headers=("depth", "sabre_8kb_latency_ns"),
         point_fn=_stream_buffer_depth_point,

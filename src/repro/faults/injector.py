@@ -28,7 +28,7 @@ inside the fabric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -48,14 +48,7 @@ class FaultStats:
     skewed_nodes: int = 0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "gray_windows": self.gray_windows,
-            "straggler_windows": self.straggler_windows,
-            "partition_windows": self.partition_windows,
-            "windows_closed": self.windows_closed,
-            "links_degraded": self.links_degraded,
-            "skewed_nodes": self.skewed_nodes,
-        }
+        return asdict(self)
 
 
 class FaultInjector:

@@ -260,15 +260,12 @@ def cycle_fault_schedule(
     width_frac: float,
     gap_frac: float,
     multiplier: float,
-    drop: bool = True,
-    latency_mult: float = 1.0,
-    bw_mult: float = 1.0,
 ) -> FaultSchedule:
     """The service workloads' fault lane: ``count`` windows of ``kind``
     round-robining over shard nodes ``0..n_shards-1``, placed as
     fractions of ``duration_ns`` so a config scales with ``--scale``
     without the windows falling off the end of the run.  Partition
-    windows isolate one shard at a time (every ingress link);
+    windows isolate one shard at a time (every ingress link dropped);
     ``kind="none"`` or ``count <= 0`` is the empty schedule."""
     if kind == "none" or count <= 0:
         return FaultSchedule()
@@ -280,11 +277,7 @@ def cycle_fault_schedule(
     )
     if kind == "partition":
         return FaultSchedule.partition_cycles(
-            [(None, shard) for shard in range(n_shards)],
-            drop=drop,
-            latency_mult=latency_mult,
-            bw_mult=bw_mult,
-            **placement,
+            [(None, shard) for shard in range(n_shards)], **placement
         )
     return FaultSchedule.gray_cycles(
         list(range(n_shards)), multiplier=multiplier, kind=kind, **placement

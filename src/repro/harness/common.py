@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from repro.common.config import ClusterConfig
 
@@ -16,9 +16,11 @@ def objects_for_memory_residency(
     return min(8192, max(64, (4 * llc) // max(object_size, 64)))
 
 
-def objects_for_llc_residency(cluster: Optional[ClusterConfig] = None) -> int:
-    """Fig. 8 limits the store to 100 objects so all accesses are
-    LLC-resident at the destination (§7.2).  The count is size- and
-    cluster-independent; ``cluster`` is accepted for signature symmetry
-    with :func:`objects_for_memory_residency`."""
-    return 100
+def derive_memory_resident(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Derived-config hook: size the store for the point's
+    ``object_size`` (:func:`objects_for_memory_residency`) unless the
+    point states an ``n_objects`` itself."""
+    params.setdefault(
+        "n_objects", objects_for_memory_residency(params["object_size"])
+    )
+    return params

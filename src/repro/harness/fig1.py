@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments import ExperimentSpec, register
-from repro.harness.common import objects_for_memory_residency
-from repro.harness.report import scaled_duration
+from repro.harness.common import derive_memory_resident
 from repro.objstore.farm import FarmConfig, run_farm
 from repro.workloads.generators import FIG1_SIZES
 
@@ -28,17 +27,7 @@ HEADERS = (
 
 
 def _fig1_point(ctx) -> Dict:
-    p = ctx.params
-    size = p["object_size"]
-    cfg = FarmConfig(
-        use_sabre=False,
-        object_size=size,
-        n_objects=objects_for_memory_residency(size),
-        readers=1,
-        duration_ns=scaled_duration(150_000.0, ctx.scale),
-        warmup_ns=10_000.0,
-        seed=p["seed"],
-    )
+    cfg = FarmConfig.from_params(ctx.params, ctx.scale)
     means = run_farm(cfg).breakdown.means()
     framework_app = means["framework"] + means["application"]
     total = means["transfer"] + framework_app + means["stripping"]
@@ -56,7 +45,8 @@ FIG1_SPEC = register(
         name="fig1",
         description="FaRM perCL-version read latency breakdown vs object size",
         axes={"object_size": FIG1_SIZES},
-        defaults={"seed": 1},
+        defaults={"duration_ns": 150_000.0, "warmup_ns": 10_000.0},
+        derive=derive_memory_resident,
         headers=HEADERS,
         point_fn=_fig1_point,
     )

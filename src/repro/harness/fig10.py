@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments import ExperimentSpec, Variant, register
-from repro.harness.report import scaled_duration
 from repro.objstore.local import LocalReadConfig, run_local_reads
 from repro.workloads.generators import FIG1_SIZES
 
@@ -18,15 +17,7 @@ HEADERS = ("object_size", "percl_gbps", "unmodified_gbps", "speedup")
 
 
 def _fig10_point(ctx) -> Dict:
-    p = ctx.params
-    cfg = LocalReadConfig(
-        percl_layout=p["percl_layout"],
-        object_size=p["object_size"],
-        readers=p["readers"],
-        duration_ns=scaled_duration(120_000.0, ctx.scale),
-        warmup_ns=15_000.0,
-        seed=p["seed"],
-    )
+    cfg = LocalReadConfig.from_params(ctx.params, ctx.scale)
     return {ctx.variant: run_local_reads(cfg).goodput_gbps}
 
 
@@ -46,9 +37,9 @@ FIG10_SPEC = register(
         axes={"object_size": FIG1_SIZES},
         variants=(
             Variant("percl_gbps", {"percl_layout": True}),
-            Variant("unmodified_gbps", {"percl_layout": False}),
+            Variant("unmodified_gbps"),
         ),
-        defaults={"seed": 9, "readers": 15},
+        defaults={"seed": 9, "duration_ns": 120_000.0, "warmup_ns": 15_000.0},
         finalize_row=_fig10_finalize,
         headers=HEADERS,
         point_fn=_fig10_point,

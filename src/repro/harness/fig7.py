@@ -13,12 +13,11 @@ identical throughput curves, reaching the fabric-limited peak.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
 from repro.common.config import ClusterConfig, SabreMode
 from repro.experiments import ExperimentSpec, Variant, register
-from repro.harness.common import objects_for_memory_residency
-from repro.harness.report import scaled_duration
+from repro.harness.common import derive_memory_resident
 from repro.workloads.generators import FIG7_SIZES
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
@@ -26,20 +25,13 @@ HEADERS_7A = ("object_size", "remote_read_ns", "sabre_no_spec_ns", "sabre_ns")
 HEADERS_7B = ("object_size", "remote_read_gbps", "sabre_gbps")
 
 
+def _fig7a_derive(params: Dict[str, Any]) -> Dict[str, Any]:
+    params["cluster"] = ClusterConfig().with_sabre_mode(params["mode"])
+    return derive_memory_resident(params)
+
+
 def _fig7a_point(ctx) -> Dict:
-    p = ctx.params
-    size = p["object_size"]
-    cfg = MicrobenchConfig(
-        mechanism=p["mechanism"],
-        object_size=size,
-        n_objects=objects_for_memory_residency(size),
-        readers=1,
-        writers=0,
-        duration_ns=scaled_duration(60_000.0, ctx.scale),
-        warmup_ns=5_000.0,
-        seed=p["seed"],
-        cluster=ClusterConfig().with_sabre_mode(p["mode"]),
-    )
+    cfg = MicrobenchConfig.from_params(ctx.params, ctx.scale)
     return {ctx.variant: run_microbench(cfg).mean_transfer_latency_ns}
 
 
@@ -63,7 +55,8 @@ FIG7A_SPEC = register(
                 {"mechanism": "sabre", "mode": SabreMode.SPECULATIVE},
             ),
         ),
-        defaults={"seed": 5},
+        defaults={"seed": 5, "duration_ns": 60_000.0, "warmup_ns": 5_000.0},
+        derive=_fig7a_derive,
         headers=HEADERS_7A,
         point_fn=_fig7a_point,
         base_seed=5,
@@ -72,19 +65,7 @@ FIG7A_SPEC = register(
 
 
 def _fig7b_point(ctx) -> Dict:
-    p = ctx.params
-    size = p["object_size"]
-    cfg = MicrobenchConfig(
-        mechanism=p["mechanism"],
-        object_size=size,
-        n_objects=objects_for_memory_residency(size),
-        readers=p["readers"],
-        writers=0,
-        async_window=p["window"],
-        duration_ns=scaled_duration(80_000.0, ctx.scale),
-        warmup_ns=10_000.0,
-        seed=p["seed"],
-    )
+    cfg = MicrobenchConfig.from_params(ctx.params, ctx.scale)
     return {ctx.variant: run_microbench(cfg).goodput_gbps}
 
 
@@ -98,7 +79,14 @@ FIG7B_SPEC = register(
             Variant("remote_read_gbps", {"mechanism": "remote_read"}),
             Variant("sabre_gbps", {"mechanism": "sabre"}),
         ),
-        defaults={"seed": 5, "readers": 16, "window": 8},
+        defaults={
+            "seed": 5,
+            "readers": 16,
+            "async_window": 8,
+            "duration_ns": 80_000.0,
+            "warmup_ns": 10_000.0,
+        },
+        derive=derive_memory_resident,
         headers=HEADERS_7B,
         point_fn=_fig7b_point,
         base_seed=5,

@@ -13,8 +13,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments import ExperimentSpec, Variant, register
-from repro.harness.common import objects_for_llc_residency
-from repro.harness.report import scaled_duration
 from repro.workloads.generators import FIG8_SIZES
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
@@ -32,23 +30,8 @@ WRITER_COUNTS = (0, 4, 8, 12, 16)
 
 
 def _fig8_point(ctx) -> Dict:
-    p = ctx.params
-    cfg = MicrobenchConfig(
-        mechanism=p["mechanism"],
-        object_size=p["object_size"],
-        n_objects=objects_for_llc_residency(),
-        readers=16,
-        writers=p["writers"],
-        duration_ns=scaled_duration(120_000.0, ctx.scale),
-        warmup_ns=15_000.0,
-        seed=p["seed"],
-        # Writers pace themselves (the paper's writer loop has its own
-        # application work); keeps conflict rates in the regime Fig. 8
-        # explores rather than saturating.
-        writer_think_ns=1500.0,
-    )
-    result = run_microbench(cfg)
-    if p["mechanism"] == "sabre":
+    result = run_microbench(MicrobenchConfig.from_params(ctx.params, ctx.scale))
+    if ctx.params["mechanism"] == "sabre":
         return {
             "sabre_gbps": result.goodput_gbps,
             "sabre_aborts": result.sabre_aborts,
@@ -78,7 +61,19 @@ FIG8_SPEC = register(
             Variant("sabre", {"mechanism": "sabre"}),
             Variant("percl", {"mechanism": "percl_versions"}),
         ),
-        defaults={"seed": 11},
+        defaults={
+            "seed": 11,
+            # The store is limited to 100 objects so all accesses are
+            # LLC-resident at the destination (§7.2), whatever the size.
+            "n_objects": 100,
+            "readers": 16,
+            "duration_ns": 120_000.0,
+            "warmup_ns": 15_000.0,
+            # Writers pace themselves (the paper's writer loop has its
+            # own application work); keeps conflict rates in the regime
+            # Fig. 8 explores rather than saturating.
+            "writer_think_ns": 1500.0,
+        },
         finalize_row=_fig8_finalize,
         headers=HEADERS,
         point_fn=_fig8_point,

@@ -11,11 +11,10 @@ component grows (the object is LLC- rather than L1-resident).  Net:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
 from repro.experiments import ExperimentSpec, Variant, register
-from repro.harness.common import objects_for_memory_residency
-from repro.harness.report import scaled_duration
+from repro.harness.common import derive_memory_resident
 from repro.objstore.farm import FarmConfig, run_farm
 from repro.workloads.generators import FIG1_SIZES
 
@@ -31,24 +30,17 @@ HEADERS_9A = (
 HEADERS_9B = ("object_size", "percl_gbps", "sabre_gbps", "improvement")
 
 
-def _farm_cfg(size: int, use_sabre: bool, readers: int, scale: float, seed: int):
-    return FarmConfig(
-        use_sabre=use_sabre,
-        object_size=size,
-        n_objects=objects_for_memory_residency(size),
-        readers=readers,
-        duration_ns=scaled_duration(150_000.0, scale),
-        warmup_ns=10_000.0,
-        seed=seed,
-    )
+#: Both panels run FaRM's lookup loop over the same window.
+_FIG9_DEFAULTS = {"seed": 3, "duration_ns": 150_000.0, "warmup_ns": 10_000.0}
+
+
+def _fig9a_derive(params: Dict[str, Any]) -> Dict[str, Any]:
+    params["use_sabre"] = params["build"] == "sabre"
+    return derive_memory_resident(params)
 
 
 def _fig9a_point(ctx) -> Dict:
-    p = ctx.params
-    use_sabre = p["build"] == "sabre"
-    result = run_farm(
-        _farm_cfg(p["object_size"], use_sabre, 1, ctx.scale, p["seed"])
-    )
+    result = run_farm(FarmConfig.from_params(ctx.params, ctx.scale))
     means = result.breakdown.means()
     return {
         "transfer_ns": means["transfer"],
@@ -64,7 +56,8 @@ FIG9A_SPEC = register(
         name="fig9a",
         description="FaRM KV lookup latency breakdown: perCL vs SABRe builds",
         axes={"object_size": FIG1_SIZES, "build": ("percl", "sabre")},
-        defaults={"seed": 3},
+        defaults=_FIG9_DEFAULTS,
+        derive=_fig9a_derive,
         headers=HEADERS_9A,
         point_fn=_fig9a_point,
         base_seed=3,
@@ -73,13 +66,7 @@ FIG9A_SPEC = register(
 
 
 def _fig9b_point(ctx) -> Dict:
-    p = ctx.params
-    result = run_farm(
-        _farm_cfg(
-            p["object_size"], ctx.variant == "sabre", p["readers"], ctx.scale,
-            p["seed"],
-        )
-    )
+    result = run_farm(FarmConfig.from_params(ctx.params, ctx.scale))
     return {f"{ctx.variant}_gbps": result.goodput_gbps}
 
 
@@ -97,8 +84,9 @@ FIG9B_SPEC = register(
         name="fig9b",
         description="FaRM KV throughput: perCL vs SABRe builds",
         axes={"object_size": FIG1_SIZES},
-        variants=(Variant("percl"), Variant("sabre")),
-        defaults={"seed": 3, "readers": 15},
+        variants=(Variant("percl"), Variant("sabre", {"use_sabre": True})),
+        defaults={**_FIG9_DEFAULTS, "readers": 15},
+        derive=derive_memory_resident,
         finalize_row=_fig9b_finalize,
         headers=HEADERS_9B,
         point_fn=_fig9b_point,

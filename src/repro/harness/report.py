@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
+from repro.common import scaled_duration  # noqa: F401 - bench/ imports it from here
+
 
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
@@ -27,7 +29,3 @@ def format_table(headers: Sequence[str], rows: List[Dict[str, Any]]) -> str:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row_cells, widths)))
     return "\n".join(lines)
 
-
-def scaled_duration(base_ns: float, scale: float, floor_ns: float = 30_000.0) -> float:
-    """Scale an experiment duration, keeping a useful minimum window."""
-    return max(floor_ns, base_ns * scale)

@@ -46,7 +46,7 @@ version), so failover runs are byte-identical under parallel sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
@@ -178,15 +178,7 @@ class FailoverStats:
     resync_ns: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "promotions": self.promotions,
-            "failed_rpcs": self.failed_rpcs,
-            "failed_transfers": self.failed_transfers,
-            "resynced_objects": self.resynced_objects,
-            "resync_ns": self.resync_ns,
-        }
+        return asdict(self)
 
 
 class FailoverManager:

@@ -23,7 +23,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.common.config import ClusterConfig
+from repro.common.config import ClusterConfig, LayeredConfig
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
@@ -34,7 +34,7 @@ from repro.objstore.layout import (
     torn_words,
 )
 from repro.objstore.store import ObjectStore
-from repro.sim.stats import Breakdown, Samples, ThroughputMeter
+from repro.sim.stats import Breakdown, Samples, ThroughputMeter, meter_window
 from repro.sonuma.node import Cluster
 from repro.sonuma.rpc import RpcEndpoint
 
@@ -43,7 +43,7 @@ COMPONENTS = ("transfer", "framework", "stripping", "application")
 
 
 @dataclass
-class FarmConfig:
+class FarmConfig(LayeredConfig):
     """One FaRM experiment configuration.
 
     ``object_size`` is the total object footprint including the 8 B
@@ -221,14 +221,9 @@ class FarmKV:
         cfg = self.cfg
         for thread in range(cfg.readers):
             sim.process(self.reader_process(thread, cfg.duration_ns))
-
-        def metering():
-            yield sim.timeout(cfg.warmup_ns)
-            self.meter.start(sim.now)
-            yield sim.timeout(cfg.duration_ns - cfg.warmup_ns)
-            self.meter.stop(sim.now)
-
-        sim.process(metering())
+        sim.process(
+            meter_window(sim, [self.meter], cfg.warmup_ns, cfg.duration_ns)
+        )
         sim.run()
         return FarmResult(
             config=cfg,

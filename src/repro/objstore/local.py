@@ -18,19 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.common.config import ClusterConfig
+from repro.common.config import ClusterConfig, LayeredConfig
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.common.units import CACHE_BLOCK
 from repro.objstore.layout import PerCacheLineLayout, RawLayout, stamped_payload
 from repro.objstore.store import ObjectStore
-from repro.sim.stats import Samples, ThroughputMeter
+from repro.sim.stats import Samples, ThroughputMeter, meter_window
 from repro.sonuma.node import Cluster
 
 
 @dataclass
-class LocalReadConfig:
+class LocalReadConfig(LayeredConfig):
     """``object_size`` includes the 8 B header, as elsewhere."""
 
     percl_layout: bool = False
@@ -123,14 +123,7 @@ def run_local_reads(cfg: LocalReadConfig) -> LocalReadResult:
 
         for t in range(cfg.readers):
             sim.process(reader(t))
-
-        def metering():
-            yield sim.timeout(cfg.warmup_ns)
-            meter.start(sim.now)
-            yield sim.timeout(cfg.duration_ns - cfg.warmup_ns)
-            meter.stop(sim.now)
-
-        sim.process(metering())
+        sim.process(meter_window(sim, [meter], cfg.warmup_ns, cfg.duration_ns))
         sim.run()
         return LocalReadResult(
             config=cfg,

@@ -1,5 +1,5 @@
 """The client read path of the sharded store: one reader's per-shard
-protocol bindings, its private stats, and the lookup walk.
+protocols, its private stats, and the lookup walk.
 
 A :class:`ReaderSession` only *reads* the service view
 (:class:`~repro.objstore.sharded.ShardedKV` owns it): the route, the
@@ -8,13 +8,10 @@ epoch, the double-read and hot-replica marks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.common.costs import SoftwareCosts
 from repro.common.errors import ConfigError
-from repro.sim.stats import Samples, ThroughputMeter
-from repro.sonuma.node import SoNode
+from repro.sim.stats import ReadStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.objstore.sharded import ShardedKV
@@ -26,24 +23,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 OUTAGE_POLL_NS = 500.0
 
 
-class ShardStats:
-    """Read-side stats for one shard as seen by one reader session.
-
-    Field names match what the protocols record into (the microbench
-    ``_ReaderStats`` contract), plus routing/fallback load counters.
+class ShardStats(ReadStats):
+    """Read-side stats for one shard as seen by one reader session:
+    what the protocol records, plus routing/fallback load counters.
     Sessions keep private instances (a reader's counters are its own
     whatever interleaves between its yields); :meth:`merge` folds them
     together.
     """
 
     def __init__(self) -> None:
-        self.op_latency = Samples("shard_op_ns")
-        self.transfer_latency = Samples("shard_transfer_ns")
-        self.meter = ThroughputMeter()
-        self.sabre_aborts = 0
-        self.software_conflicts = 0
-        self.retries = 0
-        self.undetected_violations = 0
+        super().__init__()
         self.reads_routed = 0
         #: Attempts *issued* against this shard as a non-first replica
         #: (the walk reached it); compare with ``fallback_reads``, which
@@ -66,45 +55,9 @@ class ShardStats:
         self.fallback_reads += other.fallback_reads
 
 
-@dataclass
-class _BoundConfig:
-    """The slice of :class:`~repro.workloads.microbench.MicrobenchConfig`
-    the :class:`ReadProtocol` strategies actually consume, so they run
-    against the sharded store without modification."""
-
-    mechanism: str
-    object_size: int
-    version_bits: int
-    costs: SoftwareCosts
-
-    @property
-    def payload_len(self) -> int:
-        return self.object_size - 8
-
-
-class _ShardBinding:
-    """Adapter presenting one ``(client node, shard)`` pair through the
-    host interface :class:`ReadProtocol` expects of a microbenchmark."""
-
-    def __init__(
-        self,
-        kv: "ShardedKV",
-        shard: int,
-        client_node: SoNode,
-        stats: ShardStats,
-    ):
-        self.cluster = kv.cluster
-        self.cfg = kv.bound_cfg
-        self.stats = stats
-        self.src = client_node
-        self.dst = kv.shards[shard]
-        self.store = kv.stores[shard]
-        self.mechanism = kv.mechanism
-
-
 class ReaderSession:
-    """One client reader's bindings: a protocol instance and private
-    stats per shard, plus a reusable landing buffer.
+    """One client reader: a protocol instance and private stats per
+    shard, plus a reusable landing buffer.
 
     Create one session per reader process: the landing buffer, the
     protocols' last-read observation and ``served_by`` belong to one
@@ -122,7 +75,16 @@ class ReaderSession:
             ShardStats() for _ in range(kv.provisioned)
         ]
         self._protocols: List["ReadProtocol"] = [
-            kv.protocol_cls(_ShardBinding(kv, shard, node, self.stats[shard]))
+            kv.protocol_cls(
+                sim=kv.cluster.sim,
+                src=node,
+                dst=kv.shards[shard],
+                store=kv.stores[shard],
+                mechanism=kv.mechanism,
+                payload_len=kv.cfg.payload_len,
+                costs=kv.cfg.costs,
+                stats=self.stats[shard],
+            )
             for shard in range(kv.provisioned)
         ]
         # Round-robin cursor over a hot key's promoted replica set

@@ -59,7 +59,6 @@ from repro.objstore.session import (
     OUTAGE_POLL_NS,
     ReaderSession,
     ShardStats,
-    _BoundConfig,
 )
 from repro.objstore.store import ObjectStore
 from repro.sim.stats import Samples
@@ -97,6 +96,9 @@ PUT_SPIN_LIMIT = 64
 #: shard's worker pool saturated with retries.
 PUT_BACKOFF_BASE_NS = 50.0
 PUT_BACKOFF_CAP_NS = 1_600.0
+
+#: Worker threads serving each shard's (and each client's) RPC endpoint.
+RPC_WORKERS = 2
 
 #: RPC reply tags shared by the put path and the transaction layer.
 REPLY_OK = b"\x01"
@@ -140,7 +142,6 @@ class ShardedConfig:
     #: Time a read gives the primary before falling back to a backup
     #: replica (0 disables fallback; reads then retry the primary only).
     fallback_after_ns: float = 0.0
-    rpc_workers: int = 2
     costs: SoftwareCosts = field(default_factory=lambda: DEFAULT_COSTS)
     node: Optional[NodeConfig] = None
     fabric: Optional[FabricConfig] = None
@@ -161,8 +162,6 @@ class ShardedConfig:
             raise ConfigError("need at least one object")
         if self.vnodes < 1:
             raise ConfigError("need at least one virtual node per shard")
-        if self.rpc_workers < 1:
-            raise ConfigError("need at least one RPC worker per shard")
         if self.max_shards and self.max_shards < self.n_shards:
             raise ConfigError(
                 f"max_shards {self.max_shards} cannot be below n_shards "
@@ -243,13 +242,7 @@ class ShardedKV:
         cfg.validate()
         self.cfg = cfg
         self.protocol_cls = _get_protocol(cfg.mechanism)
-        self.bound_cfg = _BoundConfig(
-            mechanism=cfg.mechanism,
-            object_size=cfg.object_size,
-            version_bits=cfg.version_bits,
-            costs=cfg.costs,
-        )
-        self.mechanism = self.protocol_cls.make_mechanism(self.bound_cfg)
+        self.mechanism = self.protocol_cls.make_mechanism(cfg.version_bits)
         self.layout = self.mechanism.layout if self.mechanism else RawLayout()
 
         #: Shard slots built into the cluster: ring members first, then
@@ -333,11 +326,11 @@ class ShardedKV:
         self.rpc_timeout_ns: Optional[float] = None
 
         self._shard_rpc = [
-            RpcEndpoint(node, workers=cfg.rpc_workers, costs=cfg.costs)
+            RpcEndpoint(node, workers=RPC_WORKERS, costs=cfg.costs)
             for node in self.shards
         ]
         self._client_rpc = [
-            RpcEndpoint(node, workers=cfg.rpc_workers, costs=cfg.costs)
+            RpcEndpoint(node, workers=RPC_WORKERS, costs=cfg.costs)
             for node in self.clients
         ]
         for shard, rpc in enumerate(self._shard_rpc):

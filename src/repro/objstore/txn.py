@@ -51,7 +51,7 @@ audit stays byte-exact across protocols, shards, and replicas.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
@@ -143,36 +143,11 @@ class TxnStats:
     torn_reads_observed: int = 0
 
     def merge(self, other: "TxnStats") -> None:
-        self.commits += other.commits
-        self.validation_aborts += other.validation_aborts
-        self.lock_conflicts += other.lock_conflicts
-        self.retries += other.retries
-        self.lock_rpcs += other.lock_rpcs
-        self.validate_rpcs += other.validate_rpcs
-        self.commit_rpcs += other.commit_rpcs
-        self.release_rpcs += other.release_rpcs
-        self.release_retries += other.release_retries
-        self.crash_aborts += other.crash_aborts
-        self.fenced_locks += other.fenced_locks
-        self.partial_commits += other.partial_commits
-        self.torn_reads_observed += other.torn_reads_observed
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "commits": self.commits,
-            "validation_aborts": self.validation_aborts,
-            "lock_conflicts": self.lock_conflicts,
-            "retries": self.retries,
-            "lock_rpcs": self.lock_rpcs,
-            "validate_rpcs": self.validate_rpcs,
-            "commit_rpcs": self.commit_rpcs,
-            "release_rpcs": self.release_rpcs,
-            "release_retries": self.release_retries,
-            "crash_aborts": self.crash_aborts,
-            "fenced_locks": self.fenced_locks,
-            "partial_commits": self.partial_commits,
-            "torn_reads_observed": self.torn_reads_observed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

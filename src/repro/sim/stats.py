@@ -161,6 +161,34 @@ class ThroughputMeter:
                 self._window_end = max(self._window_end, other._window_end)
 
 
+def meter_window(sim, meters, warmup_ns: float, t_end: float):
+    """Process body: start every meter in ``meters`` at the end of
+    warm-up and stop it at ``t_end`` (reached as two timeouts, so the
+    stop instant is ``(now + warmup_ns) + (t_end - warmup_ns)``)."""
+    yield sim.timeout(warmup_ns)
+    for meter in meters:
+        meter.start(sim.now)
+    yield sim.timeout(t_end - warmup_ns)
+    for meter in meters:
+        meter.stop(sim.now)
+
+
+class ReadStats:
+    """What a read protocol records about the reads of one reader (or
+    one reader's view of one shard): every
+    :class:`~repro.workloads.protocols.ReadProtocol` writes these seven
+    and nothing else."""
+
+    def __init__(self) -> None:
+        self.op_latency = Samples("op_latency_ns")
+        self.transfer_latency = Samples("transfer_latency_ns")
+        self.meter = ThroughputMeter()
+        self.sabre_aborts = 0
+        self.software_conflicts = 0
+        self.retries = 0
+        self.undetected_violations = 0
+
+
 class Breakdown:
     """Accumulates named latency components across operations, for the
     paper's stacked-bar figures (Figs. 1 and 9a)."""

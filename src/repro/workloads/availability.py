@@ -50,12 +50,17 @@ from repro.workloads.mix import (
 from repro.workloads.protocols import DETECTING_VARIANTS
 
 
+#: Healthy time between one shard's recovery and the next crash, as a
+#: fraction of ``duration_ns``.
+UPTIME_FRAC = 0.10
+
+
 @dataclass
 class FailoverMixConfig(ServiceMixConfig):
     """One failover run: a mixed read/write/txn load plus a cycle plan.
 
     The crash schedule is expressed as *fractions* of ``duration_ns``
-    (``first_crash_frac``, ``downtime_frac``, ``uptime_frac``) so the
+    (``first_crash_frac``, ``downtime_frac``, :data:`UPTIME_FRAC`) so the
     same config scales with ``--scale`` sweeps without the plan falling
     off the end of the run; the fault lane beyond crash cycles
     (``fault_kind`` and friends) is placed the same way."""
@@ -63,9 +68,6 @@ class FailoverMixConfig(ServiceMixConfig):
     cycles: int = 3
     first_crash_frac: float = 0.15
     downtime_frac: float = 0.12
-    uptime_frac: float = 0.10
-    partition_latency_mult: float = 1.0
-    partition_bw_mult: float = 1.0
     #: Clock skew applied to every *client* node's lease view (shards
     #: stay synchronous): clients observe crashes late and their RPC
     #: watchdogs stretch accordingly.
@@ -82,10 +84,8 @@ class FailoverMixConfig(ServiceMixConfig):
             )
         if not 0 < self.first_crash_frac < 1:
             raise ConfigError("first_crash_frac must be in (0, 1)")
-        if self.downtime_frac <= 0 or self.uptime_frac < 0:
-            raise ConfigError(
-                "downtime_frac must be positive, uptime_frac non-negative"
-            )
+        if self.downtime_frac <= 0:
+            raise ConfigError("downtime_frac must be positive")
         if self.plan().end_ns() > self.duration_ns:
             raise ConfigError(
                 "crash/recover plan extends past the run; shrink cycles or "
@@ -106,7 +106,7 @@ class FailoverMixConfig(ServiceMixConfig):
             range(self.n_shards),
             first_crash_ns=self.first_crash_frac * self.duration_ns,
             downtime_ns=self.downtime_frac * self.duration_ns,
-            uptime_ns=self.uptime_frac * self.duration_ns,
+            uptime_ns=UPTIME_FRAC * self.duration_ns,
             count=self.cycles,
         )
 
@@ -114,10 +114,7 @@ class FailoverMixConfig(ServiceMixConfig):
         """The fault lane's windows (partition windows isolate one
         shard at a time: every ingress link dropped) plus — when
         ``n_nodes`` is known — the client clock-skew map."""
-        schedule = super().fault_schedule(
-            latency_mult=self.partition_latency_mult,
-            bw_mult=self.partition_bw_mult,
-        )
+        schedule = super().fault_schedule()
         if self.clock_skew_ns > 0 and n_nodes > self.n_shards:
             skews = {
                 node: self.clock_skew_ns

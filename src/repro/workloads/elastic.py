@@ -50,7 +50,6 @@ from repro.experiments import ExperimentSpec, QaCheck, Variant, register
 from repro.faults import FaultInjector
 from repro.objstore.reshard import (
     DEFAULT_DRAIN_NS,
-    DEFAULT_HANDOFF_FIXED_NS,
     RebalanceConfig,
     ReshardManager,
     ReshardStats,
@@ -88,16 +87,13 @@ class ElasticConfig(ServiceMixConfig):
     warmup_ns: float = 5_000.0
     scale_at_frac: float = 0.30
     post_frac: float = 0.60
-    handoff_fixed_ns: float = DEFAULT_HANDOFF_FIXED_NS
     drain_ns: float = DEFAULT_DRAIN_NS
     #: Hotspot policy: off by default; when on, the promote/demote loop
     #: runs from warmup to the end of the run.
     rebalance: bool = False
-    rebalance_interval_ns: float = 20_000.0
     hot_share: float = 0.06
     cool_share: float = 0.02
     max_extra_replicas: int = 2
-    min_interval_reads: int = 32
     fault_first_frac: float = 0.30
     #: Run the fresh-target baseline over the same post window and
     #: report ``convergence_ratio`` (doubles the run cost; the parity
@@ -132,11 +128,9 @@ class ElasticConfig(ServiceMixConfig):
 
     def rebalance_config(self) -> RebalanceConfig:
         return RebalanceConfig(
-            interval_ns=self.rebalance_interval_ns,
             hot_share=self.hot_share,
             cool_share=self.cool_share,
             max_extra=self.max_extra_replicas,
-            min_reads=self.min_interval_reads,
         )
 
 
@@ -204,11 +198,7 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
     fault injector) and run the phased closed-loop mix."""
     cfg.validate()
     with closing(ShardedKV(cfg.to_sharded())) as kv:
-        manager = ReshardManager(
-            kv,
-            handoff_fixed_ns=cfg.handoff_fixed_ns,
-            drain_ns=cfg.drain_ns,
-        )
+        manager = ReshardManager(kv, drain_ns=cfg.drain_ns)
         txns = TxnManager(kv) if cfg.txn_sessions_per_client else None
         faults = FaultInjector(kv.cluster, cfg.fault_schedule(), kv=kv)
         sim = kv.cluster.sim

@@ -18,14 +18,14 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.common.config import ClusterConfig, SabreMode
+from repro.common.config import ClusterConfig, LayeredConfig, SabreMode
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import make_rng
 from repro.objstore.layout import RawLayout, is_locked, stamped_payload
 from repro.objstore.store import ObjectStore
 from repro.sim.resources import FifoResource
-from repro.sim.stats import Samples, ThroughputMeter
+from repro.sim.stats import ReadStats, Samples, meter_window
 from repro.sonuma.node import Cluster, SoNode
 from repro.workloads.generators import CrewPartition, make_picker
 from repro.workloads.protocols import get_protocol, protocol_names
@@ -40,7 +40,7 @@ MECHANISMS = protocol_names()
 
 
 @dataclass
-class MicrobenchConfig:
+class MicrobenchConfig(LayeredConfig):
     """``object_size`` is the total in-store object footprint including
     its 8 B version header (so a 64 B object is a true single-block
     transfer, as in Fig. 7a); the application payload is 8 bytes less.
@@ -181,17 +181,6 @@ class TimedWriter:
                 yield sim.timeout(self.think_ns)
 
 
-class _ReaderStats:
-    def __init__(self) -> None:
-        self.op_latency = Samples("op_latency_ns")
-        self.transfer_latency = Samples("transfer_latency_ns")
-        self.meter = ThroughputMeter()
-        self.sabre_aborts = 0
-        self.software_conflicts = 0
-        self.retries = 0
-        self.undetected_violations = 0
-
-
 class Microbenchmark:
     """Builds the 2-node system and runs the reader/writer mix."""
 
@@ -202,15 +191,24 @@ class Microbenchmark:
         self.cluster = Cluster(cfg.cluster or ClusterConfig())
         self.dst = self.cluster.node(0)  # data owner
         self.src = self.cluster.node(1)  # readers
-        self.mechanism = protocol_cls.make_mechanism(cfg)
+        self.mechanism = protocol_cls.make_mechanism(cfg.version_bits)
         layout = self.mechanism.layout if self.mechanism else RawLayout()
         self.store = ObjectStore(self.dst.phys, layout, name="microbench")
         self.store.populate(
             range(cfg.n_objects), stamped_payload(0, cfg.payload_len)
         )
-        self.stats = _ReaderStats()
+        self.stats = ReadStats()
         self.writers: List[TimedWriter] = []
-        self.protocol = protocol_cls(self)
+        self.protocol = protocol_cls(
+            sim=self.cluster.sim,
+            src=self.src,
+            dst=self.dst,
+            store=self.store,
+            mechanism=self.mechanism,
+            payload_len=cfg.payload_len,
+            costs=cfg.costs,
+            stats=self.stats,
+        )
 
     def close(self) -> None:
         """Close the rack this benchmark built (see
@@ -305,21 +303,14 @@ class Microbenchmark:
             sim.process(writer.process(t_end))
 
         meter = self.stats.meter
-        warmup, window = cfg.warmup_ns, t_end - cfg.warmup_ns
-
-        def metering():
-            yield sim.timeout(warmup)
-            meter.start(sim.now)
-            yield sim.timeout(window)
-            meter.stop(sim.now)
-
-        sim.process(metering())
+        sim.process(meter_window(sim, [meter], cfg.warmup_ns, t_end))
         if cfg.async_window > 1:
-            # The stop instant as the two timeouts above reach it, which
-            # need not equal ``t_end`` bit for bit.  Past it there is
-            # only the drain of the windows' in-flight transfers, which
-            # the (stopped) meter ignores: end the run there.
-            sim.run(until=(sim.now + warmup) + window)
+            # The stop instant as ``meter_window``'s two timeouts reach
+            # it, which need not equal ``t_end`` bit for bit.  Past it
+            # there is only the drain of the windows' in-flight
+            # transfers, which the (stopped) meter ignores: end the run
+            # there.
+            sim.run(until=(sim.now + cfg.warmup_ns) + (t_end - cfg.warmup_ns))
             sim.drop_pending()
         else:
             sim.run()

@@ -29,13 +29,13 @@ declared once with defaults that each workload config overrides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Sequence, Tuple
 
+from repro.common.config import LayeredConfig
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError
 from repro.faults import FAULT_KINDS, FaultSchedule, cycle_fault_schedule
-from repro.harness.report import scaled_duration
 from repro.objstore.sharded import ShardedConfig
 from repro.workloads.generators import DISTRIBUTIONS, make_picker
 
@@ -64,7 +64,7 @@ def sharded_config(cfg, **extra) -> ShardedConfig:
 
 
 @dataclass
-class DeploymentConfig:
+class DeploymentConfig(LayeredConfig):
     """What every closed-loop service run configures: the deployment,
     the key popularity, and the run/warm-up window.  Workload configs
     subclass it, redeclaring only the defaults they change."""
@@ -115,24 +115,14 @@ class DeploymentConfig:
             self.n_objects, self.seed, self.distribution, self.zipf_theta, label
         )
 
-    @classmethod
-    def from_params(cls, params: Mapping[str, Any], scale: float, **extra):
-        """Layer an experiment point over the config defaults: every
-        parameter naming a field overrides it — so a spec's
-        ``defaults`` state only what the experiment changes —
-        ``duration_ns`` is scaled by the sweep's ``scale``, and
-        ``extra`` wins over both."""
-        names = {f.name for f in fields(cls)}
-        values = {k: v for k, v in params.items() if k in names}
-        values["duration_ns"] = scaled_duration(
-            params.get("duration_ns", cls.duration_ns), scale
-        )
-        values.update(extra)
-        return cls(**values)
-
 
 #: Fault lanes a mixed load can schedule on top of its own event.
 LANE_FAULT_KINDS = ("none", *FAULT_KINDS)
+
+#: Width of each fault-lane window and the healthy gap between two,
+#: as fractions of ``duration_ns``.
+FAULT_WIDTH_FRAC = 0.15
+FAULT_GAP_FRAC = 0.05
 
 
 @dataclass
@@ -152,10 +142,7 @@ class ServiceMixConfig(DeploymentConfig):
     fault_kind: str = "none"
     fault_windows: int = 0
     fault_first_frac: float = 0.2
-    fault_width_frac: float = 0.15
-    fault_gap_frac: float = 0.05
     gray_multiplier: float = 8.0
-    partition_drop: bool = True
 
     def validate(self) -> None:
         super().validate()
@@ -183,21 +170,18 @@ class ServiceMixConfig(DeploymentConfig):
             fallback_after_ns=self.fallback_after_ns, **extra
         )
 
-    def fault_schedule(self, **partition) -> FaultSchedule:
+    def fault_schedule(self) -> FaultSchedule:
         """The fault lane's windows over the *starting* member shards
-        (node ids ``0..n_shards-1``); ``partition`` forwards link
-        degradation (``latency_mult`` / ``bw_mult``)."""
+        (node ids ``0..n_shards-1``)."""
         return cycle_fault_schedule(
             self.fault_kind,
             self.n_shards,
             self.fault_windows,
             self.duration_ns,
             self.fault_first_frac,
-            self.fault_width_frac,
-            self.fault_gap_frac,
+            FAULT_WIDTH_FRAC,
+            FAULT_GAP_FRAC,
             self.gray_multiplier,
-            self.partition_drop,
-            **partition,
         )
 
 
@@ -363,17 +347,6 @@ def service_roles(kv, txns, cfg, on_read, on_write, on_txn) -> List[Role]:
         (cfg.writers_per_client, writer),
         (cfg.txn_sessions_per_client, txn),
     ]
-
-
-def meter_window(sim, kv, warmup_ns: float, t_end: float):
-    """Process body: open every reader session's goodput meter at the
-    end of warm-up and close it at ``t_end``."""
-    yield sim.timeout(warmup_ns)
-    for stats in kv.all_reader_stats():
-        stats.meter.start(sim.now)
-    yield sim.timeout(t_end - warmup_ns)
-    for stats in kv.all_reader_stats():
-        stats.meter.stop(sim.now)
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,22 @@
-"""Pluggable read protocols for the microbenchmark reader loop.
+"""Pluggable read protocols for the reader loops.
 
 Each mechanism in Table 1's design space is one :class:`ReadProtocol`
 strategy: it knows how to build its atomicity mechanism (and therefore
 its wire layout), how to issue one one-sided operation, and how to
 complete it — including any post-transfer software check, retry
-bookkeeping, and the ground-truth torn-read audit.  The reader loop in
-:mod:`repro.workloads.microbench` is mechanism-agnostic; adding a new
-scenario is a subclass plus :func:`register_protocol`, never a fork of
-the loop.
+bookkeeping, and the ground-truth torn-read audit.  The reader loops —
+:mod:`repro.workloads.microbench` and the sharded store's
+:class:`~repro.objstore.session.ReaderSession` — are mechanism-agnostic
+and bind a protocol to exactly what it reads (see
+:class:`ReadProtocol`); adding a new scenario is a subclass plus
+:func:`register_protocol`, never a fork of a loop.
 
-Registered names double as the ``MicrobenchConfig.mechanism`` values.
+Registered names double as the ``mechanism`` config values.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 from repro.atomicity.mechanisms import (
     AtomicityMechanism,
@@ -22,11 +24,10 @@ from repro.atomicity.mechanisms import (
     HardwareSabreMechanism,
     PerCacheLineMechanism,
 )
+from repro.common.costs import SoftwareCosts
 from repro.common.errors import ConfigError
 from repro.objstore.layout import torn_words
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.workloads.microbench import Microbenchmark, MicrobenchConfig
+from repro.sim.stats import ReadStats
 
 #: name -> protocol class, in registration order (order is part of the
 #: public ``MECHANISMS`` tuple, so built-ins register in the legacy
@@ -57,7 +58,11 @@ def get_protocol(name: str) -> Type["ReadProtocol"]:
 
 
 class ReadProtocol:
-    """One atomic-read mechanism, bound to a running microbenchmark.
+    """One atomic-read mechanism, bound to what it reads: the simulator,
+    the reading (``src``) and data-owning (``dst``) nodes, the store on
+    ``dst`` and its software ``mechanism`` (``None`` = raw layout), the
+    application ``payload_len`` of every object, the software ``costs``
+    and the :class:`~repro.sim.stats.ReadStats` it records into.
 
     Subclasses override :meth:`make_mechanism` (layout + software
     check), ``hardware`` (issue SABRes vs plain remote reads), and
@@ -66,20 +71,30 @@ class ReadProtocol:
     itself (which reports whether it consumed a read).
     """
 
-    #: registry key; also the ``MicrobenchConfig.mechanism`` value.
+    #: registry key; also the ``mechanism`` config value.
     name = ""
     #: issue ``sabre_read`` (destination-side hardware) vs ``remote_read``.
     hardware = False
 
-    def __init__(self, bench: "Microbenchmark"):
-        self.bench = bench
-        self.cfg = bench.cfg
-        self.costs = bench.cfg.costs
-        self.stats = bench.stats
-        self.src = bench.src
-        self.dst = bench.dst
-        self.store = bench.store
-        self.mechanism = bench.mechanism
+    def __init__(
+        self,
+        sim,
+        src,
+        dst,
+        store,
+        mechanism: Optional[AtomicityMechanism],
+        payload_len: int,
+        costs: SoftwareCosts,
+        stats: ReadStats,
+    ):
+        self.sim = sim
+        self.src = src
+        self.dst = dst
+        self.store = store
+        self.mechanism = mechanism
+        self.payload_len = payload_len
+        self.costs = costs
+        self.stats = stats
         #: Observation carried by the most recent *consumed* read: the
         #: committed version the mechanism vouched for (for SABRes, the
         #: hardware-validated version from the completion) and the
@@ -96,7 +111,7 @@ class ReadProtocol:
 
     # -- construction hooks --------------------------------------------
     @staticmethod
-    def make_mechanism(cfg: "MicrobenchConfig") -> Optional[AtomicityMechanism]:
+    def make_mechanism(version_bits: int) -> Optional[AtomicityMechanism]:
         """The source-side software mechanism (None = raw layout)."""
         return None
 
@@ -124,7 +139,7 @@ class ReadProtocol:
         """One complete operation (including §7.2's retry-same-object
         policy), as a simulation generator returning whether a read was
         consumed (``False``: ``t_end`` arrived first)."""
-        sim = self.bench.cluster.sim
+        sim = self.sim
         t0 = sim.now
         while True:
             yield sim.timeout(self.costs.microbench_loop_ns)
@@ -143,7 +158,7 @@ class ReadProtocol:
                 self.audit(data)
                 self.stats.op_latency.add(sim.now - t0)
                 self.stats.transfer_latency.add(result.timings.end_to_end_ns)
-                self.stats.meter.record(self.cfg.payload_len)
+                self.stats.meter.record(self.payload_len)
                 return True
             self.stats.retries += 1
             if sim.now >= t_end:
@@ -172,7 +187,7 @@ class RawRemoteReadProtocol(ReadProtocol):
 
     def complete(self, result, buf: int, wire: int):
         raw = self.src.read_local(buf, wire)
-        strip = self.layout.unpack(raw, self.cfg.payload_len)
+        strip = self.layout.unpack(raw, self.payload_len)
         # The observation is recorded (a transaction still needs the
         # version it saw), but the payload is returned as None: no
         # audit, torn data is this baseline's expected behavior.
@@ -190,7 +205,7 @@ class HardwareSabreProtocol(ReadProtocol):
     hardware = True
 
     @staticmethod
-    def make_mechanism(cfg):
+    def make_mechanism(version_bits):
         return HardwareSabreMechanism()
 
     def complete(self, result, buf: int, wire: int):
@@ -198,13 +213,13 @@ class HardwareSabreProtocol(ReadProtocol):
             self.stats.sabre_aborts += 1
             return False, None
         raw = self.src.read_local(buf, wire)
-        strip = self.layout.unpack(raw, self.cfg.payload_len)
+        strip = self.layout.unpack(raw, self.payload_len)
         # Prefer the SABRe verdict's version (what the destination
         # hardware validated) over the transferred header.
         verdict = result.remote_version
         self.observe(strip.version if verdict is None else verdict, strip.data)
-        yield self.bench.cluster.sim.timeout(
-            self.costs.app_consume_ns(self.cfg.payload_len, "microbench")
+        yield self.sim.timeout(
+            self.costs.app_consume_ns(self.payload_len, "microbench")
         )
         return True, strip.data
 
@@ -221,11 +236,11 @@ class SoftwareCheckProtocol(ReadProtocol):
 
     def complete(self, result, buf: int, wire: int):
         mech = self.mechanism
-        yield self.bench.cluster.sim.timeout(
-            mech.check_cost_ns(self.costs, self.cfg.payload_len)
+        yield self.sim.timeout(
+            mech.check_cost_ns(self.costs, self.payload_len)
         )
         raw = self.src.read_local(buf, wire)
-        strip = mech.check(raw, self.cfg.payload_len)
+        strip = mech.check(raw, self.payload_len)
         if not strip.ok:
             self.stats.software_conflicts += 1
             return False, None
@@ -240,8 +255,8 @@ class PerCacheLineVersionsProtocol(SoftwareCheckProtocol):
     name = "percl_versions"
 
     @staticmethod
-    def make_mechanism(cfg):
-        return PerCacheLineMechanism(cfg.version_bits)
+    def make_mechanism(version_bits):
+        return PerCacheLineMechanism(version_bits)
 
 
 @register_protocol
@@ -251,7 +266,7 @@ class ChecksumProtocol(SoftwareCheckProtocol):
     name = "checksum"
 
     @staticmethod
-    def make_mechanism(cfg):
+    def make_mechanism(version_bits):
         return ChecksumMechanism()
 
 
@@ -266,9 +281,9 @@ class DrtmLockProtocol(ReadProtocol):
     name = "drtm_lock"
 
     def read_once(self, handle, buf: int, wire: int, t_end: float):
-        sim = self.bench.cluster.sim
-        cfg = self.cfg
+        sim = self.sim
         costs = self.costs
+        payload_len = self.payload_len
         t0 = sim.now
         version_addr = self.store.version_addr(handle.obj_id)
         while True:
@@ -313,12 +328,12 @@ class DrtmLockProtocol(ReadProtocol):
             yield self.src.remote_write(
                 self.dst.node_id, version_addr, observed.to_bytes(8, "little")
             )
-            self.observe(observed, bytes(raw[8 : 8 + cfg.payload_len]))
-            self.audit(bytes(raw[8 : 8 + cfg.payload_len]))
-            yield sim.timeout(costs.app_consume_ns(cfg.payload_len, "microbench"))
+            self.observe(observed, bytes(raw[8 : 8 + payload_len]))
+            self.audit(bytes(raw[8 : 8 + payload_len]))
+            yield sim.timeout(costs.app_consume_ns(payload_len, "microbench"))
             self.stats.op_latency.add(sim.now - t0)
             self.stats.transfer_latency.add(read.timings.end_to_end_ns)
-            self.stats.meter.record(cfg.payload_len)
+            self.stats.meter.record(payload_len)
             return True
 
 

@@ -38,12 +38,11 @@ from repro.common.rng import make_rng
 from repro.experiments import ExperimentSpec, Variant, register
 from repro.objstore.sharded import ShardedKV
 from repro.objstore.txn import TxnManager
-from repro.sim.stats import Samples
+from repro.sim.stats import Samples, meter_window
 from repro.workloads.mix import (
     DeploymentConfig,
     derive_shard_scaling,
     distinct_keys,
-    meter_window,
     service_totals,
     spawn_clients,
     txn_proc,
@@ -172,7 +171,8 @@ def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
             )
 
         spawn_clients(sim, kv.cfg.clients, [(cfg.sessions_per_client, client)])
-        sim.process(meter_window(sim, kv, cfg.warmup_ns, t_end))
+        meters = [stats.meter for stats in kv.all_reader_stats()]
+        sim.process(meter_window(sim, meters, cfg.warmup_ns, t_end))
         sim.run()
 
         totals = service_totals(kv)

@@ -40,13 +40,12 @@ from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.experiments import ExperimentSpec, QaCheck, Variant, register
 from repro.objstore.sharded import ShardedConfig, ShardedKV
-from repro.sim.stats import Samples
+from repro.sim.stats import Samples, meter_window
 from repro.workloads.generators import DISTRIBUTIONS
 from repro.workloads.mix import (
     DeploymentConfig,
     derive_shard_scaling,
     max_over_mean,
-    meter_window,
     read_update_proc,
     service_totals,
     spawn_clients,
@@ -153,7 +152,8 @@ def run_ycsb(cfg: YcsbConfig) -> YcsbResult:
             )
 
         spawn_clients(sim, kv.cfg.clients, [(cfg.readers_per_client, client)])
-        sim.process(meter_window(sim, kv, cfg.warmup_ns, t_end))
+        meters = [stats.meter for stats in kv.all_reader_stats()]
+        sim.process(meter_window(sim, meters, cfg.warmup_ns, t_end))
         sim.run()
 
         reader_stats = kv.all_reader_stats()

@@ -162,6 +162,100 @@ class TestRegistry:
             registry.get("temp_spec")
 
 
+def _layered_specs():
+    """Registered spec -> (the config class its point function builds,
+    the names its ``derive`` hook or point function consumes that are
+    not fields of that class).  ``None``: the spec builds no layered
+    config and all its names are its own."""
+    from repro.loadgen.sweep import SERVE_LOAD_SWEEP_SPEC
+    from repro.objstore.farm import FarmConfig
+    from repro.objstore.local import LocalReadConfig
+    from repro.workloads.availability import FailoverMixConfig
+    from repro.workloads.elastic import ElasticConfig
+    from repro.workloads.microbench import MicrobenchConfig
+    from repro.workloads.txn_mix import TxnMixConfig
+    from repro.workloads.ycsb import YcsbConfig
+
+    sweep = SERVE_LOAD_SWEEP_SPEC
+    return {
+        "fig1": (FarmConfig, ()),
+        "fig7a": (MicrobenchConfig, ("mode",)),
+        "fig7b": (MicrobenchConfig, ()),
+        "fig8": (MicrobenchConfig, ()),
+        "fig9a": (FarmConfig, ("build",)),
+        "fig9b": (FarmConfig, ()),
+        "fig10": (LocalReadConfig, ()),
+        "ablation_source_locking": (MicrobenchConfig, ()),
+        "ablation_skewed_access": (MicrobenchConfig, ()),
+        "ablation_software_mechanisms": (MicrobenchConfig, ()),
+        "ablation_locking_vs_occ": (MicrobenchConfig, ("mode",)),
+        "ablation_retry_policy": (MicrobenchConfig, ("policy",)),
+        "ablation_r2p2_distribution": (MicrobenchConfig, ("mode",)),
+        "ablation_stream_buffer_count": (MicrobenchConfig, ("stream_buffers",)),
+        "ablation_stream_buffer_depth": (MicrobenchConfig, ("depth",)),
+        "ycsb_latency": (YcsbConfig, ()),
+        "ycsb_shard_scaling": (YcsbConfig, ("shards",)),
+        "txn_abort_rate": (TxnMixConfig, ()),
+        "txn_shard_scaling": (TxnMixConfig, ("shards",)),
+        "failover_availability": (FailoverMixConfig, ()),
+        "failover_atomicity": (FailoverMixConfig, ()),
+        "gray_availability": (FailoverMixConfig, ()),
+        "partition_availability": (FailoverMixConfig, ()),
+        "elastic_scaling": (ElasticConfig, ()),
+        "hotkey_rebalance": (ElasticConfig, ()),
+        # Reads its own parameter names (a ServeSettings + a qps ladder).
+        "serve_load_sweep": (None, set(sweep.defaults) | set(sweep.axes)),
+        "table1": (None, ("cc_method",)),
+        "table2": (None, ("component", "cluster")),
+    }
+
+
+class TestLayeredConfigs:
+    @pytest.mark.parametrize("name", registry.names())
+    def test_every_spec_parameter_names_a_config_field(self, name):
+        """``from_params`` ignores a parameter that names no field, so a
+        misspelt default would silently do nothing: every key a spec
+        states must be a field of the config it builds, or a name its
+        ``derive``/point function is known to consume."""
+        import dataclasses
+
+        table = _layered_specs()
+        assert name in table, f"{name}: say which config its point function builds"
+        config_cls, consumed = table[name]
+        spec = registry.get(name)
+        stated = set(spec.defaults) | set(spec.axes)
+        for variant in spec.variants:
+            stated |= set(variant.params)
+        known = set(consumed)
+        if config_cls is not None:
+            known |= {f.name for f in dataclasses.fields(config_cls)}
+        assert stated <= known, sorted(stated - known)
+
+    def test_overridden_seed_reaches_an_ablation_that_states_none(self):
+        spec = registry.get("ablation_software_mechanisms")
+        axes = {"mechanism": ("sabre",)}
+        rows = {
+            seed: run_sweep(
+                spec, scale=0.02, axes=axes, overrides={"seed": seed}
+            ).rows
+            for seed in (1, 7)
+        }
+        assert rows[1] != rows[7]
+
+    def test_from_params_layers_defaults_point_and_extra(self):
+        from repro.workloads.microbench import MicrobenchConfig
+
+        cfg = MicrobenchConfig.from_params(
+            {"readers": 4, "duration_ns": 100_000.0, "mode": "ignored"},
+            0.5,
+            seed=9,
+        )
+        assert (cfg.readers, cfg.duration_ns, cfg.seed) == (4, 50_000.0, 9)
+        assert cfg.n_objects == MicrobenchConfig.n_objects
+        floor = MicrobenchConfig.from_params({}, 0.0)
+        assert floor.duration_ns == 30_000.0
+
+
 class TestFigureSpecs:
     def test_fig7a_parallel_sweep_byte_identical_to_serial(self):
         axes = {"object_size": (64, 512)}
