@@ -34,9 +34,7 @@ from repro.core.stream_buffer import _BLOCK_MASK, _BLOCK_SHIFT
 from repro.fabric.packets import (
     Packet,
     PacketKind,
-    block_payload_size,
     cas_reply,
-    sabre_reply,
     sabre_validation,
     write_ack,
 )
@@ -271,86 +269,49 @@ class R2P2Engine:
     # unroll stage (§4.2): issue loads while conditions hold
     # ------------------------------------------------------------------
     def _pump(self, entry: AttEntry) -> None:
-        """Issue loads while conditions hold.
+        """Issue loads while conditions hold, one ``call_at`` per block.
 
-        A run's timestamps are precomputed from the (private, serial)
-        issue server in one pass and injected with one
-        ``schedule_batch`` call; ``_may_issue`` is the single authority
-        over issue eligibility and stall accounting, consulted once per
-        block."""
+        ``_may_issue`` is the single authority over issue eligibility
+        and stall accounting, consulted once per block; a run stops at
+        the first block it refuses.  Each block is timed by the
+        (private, serial) issue server's arithmetic, inlined."""
         if entry.aborted or entry.finished:
             return
         total = entry.total_blocks
         req = entry.req_counter
         limit = total if total < req else req
-        offset = entry.issue_count
-        if offset >= limit or not self._may_issue(entry):
-            return
-        server = self.issue_server
         mode = self.mode
         spec = mode is SabreMode.SPECULATIVE
-        chip = self.chip
-        epoch = entry.epoch
-        service = self._issue_service
-
-        # First block inline — the common case is a single issue per
-        # arriving request packet, which must not pay for a batch.
-        addr = entry.base_addr + offset * CACHE_BLOCK
-        entry.issue_count = offset + 1
-        if (spec or mode is SabreMode.NO_SPECULATION) and (
-            (spec and entry.speculative) or offset == 0
-        ):
-            chip.subscribe(addr, entry.snoop_cb)
-            entry.subscribed_blocks.append(addr)
-        if spec and entry.speculative:
-            sb = entry.stream_buffer
-            if sb._base_block is not None and offset < sb._tracked:
-                sb._issued_bits |= 1 << offset
+        snoops = spec or mode is SabreMode.NO_SPECULATION
         sim = self.sim
         now = sim._now
-        next_free = server._next_free
-        if next_free < now:
-            next_free = now
-        next_free += service
-        server._next_free = next_free
-        server._busy_ns += service
-        server._bytes += self._block_cost
-        offset += 1
-        if offset >= limit or not self._may_issue(entry):
-            sim.call_at(next_free, self._start_read, entry, addr, offset - 1, epoch)
-            return
-
-        # Burst: precompute the rest of the run and bulk-inject it.
-        busy = server._busy_ns
-        nbytes = server._bytes
+        chip = self.chip
+        start_read = self._start_read
+        server = self.issue_server
+        service = self._issue_service
         block_cost = self._block_cost
         base = entry.base_addr
-        start_read = self._start_read
-        snoop_cb = entry.snoop_cb
-        entries = [(next_free, start_read, (entry, addr, offset - 1, epoch))]
-        while True:
+        epoch = entry.epoch
+        while entry.issue_count < limit and self._may_issue(entry):
+            offset = entry.issue_count
             addr = base + offset * CACHE_BLOCK
             entry.issue_count = offset + 1
-            # Past offset 0 the subscribe condition collapses to the
-            # open-window case, which is also the stream-buffer case.
-            if spec and entry.speculative:
-                chip.subscribe(addr, snoop_cb)
+            if snoops and ((spec and entry.speculative) or offset == 0):
+                chip.subscribe(addr, entry.snoop_cb)
                 entry.subscribed_blocks.append(addr)
+            if spec and entry.speculative:
                 sb = entry.stream_buffer
                 if sb._base_block is not None and offset < sb._tracked:
                     sb._issued_bits |= 1 << offset
-            start = next_free if next_free > now else now
-            next_free = start + service
-            busy += service
-            nbytes += block_cost
-            entries.append((next_free, start_read, (entry, addr, offset, epoch)))
-            offset += 1
-            if offset >= limit or not self._may_issue(entry):
-                break
-        server._next_free = next_free
-        server._busy_ns = busy
-        server._bytes = nbytes
-        sim.schedule_batch(entries)
+            # issue_server.request inlined (once per issued block).
+            next_free = server._next_free
+            if next_free < now:
+                next_free = now
+            next_free += service
+            server._next_free = next_free
+            server._busy_ns += service
+            server._bytes += block_cost
+            sim.call_at(next_free, start_read, entry, addr, offset, epoch)
 
     def _may_issue(self, entry: AttEntry) -> bool:
         offset = entry.issue_count

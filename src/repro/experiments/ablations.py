@@ -14,7 +14,7 @@ from typing import Any, Dict
 
 from repro.common.config import ClusterConfig, SabreMode
 from repro.experiments.registry import register
-from repro.experiments.spec import ExperimentSpec, Variant
+from repro.experiments.spec import ExperimentSpec
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
 

@@ -333,13 +333,17 @@ class Fabric:
         # Degradation costs one flag test while the fabric is healthy;
         # the multipliers apply at *send-fire time*, so a window that
         # opens mid-transfer slows exactly the packets sent inside it.
+        # ``drop`` windows still *deliver*: severing is enforced by the
+        # endpoints via :meth:`link_severed` before anything is posted,
+        # so packets already committed to the wire drain losslessly.
         link, deliver, server, header, floor = route
+        rate = server.rate
         if self._faulty:
             eff = self._degraded.get(key)
             if eff is not None:
-                return self._send_degraded(
-                    packet, link, deliver, server, header, floor, eff
-                )
+                _drop, lat_mult, bw_mult = eff
+                rate *= bw_mult
+                floor *= lat_mult
         link.packets_sent += 1
         sim = self.sim
         wire = header + packet.size_bytes
@@ -347,37 +351,12 @@ class Fabric:
         next_free = server._next_free
         if next_free > start:
             start = next_free
-        service = wire / server.rate
+        service = wire / rate
         next_free = start + service
         server._next_free = next_free
         server._busy_ns += service
         server._bytes += wire
         arrival = next_free + floor
-        sim.call_at(arrival, deliver, packet)
-        return arrival
-
-    def _send_degraded(
-        self, packet, link, deliver, server, header, floor, eff
-    ) -> float:
-        """The degraded-link variant of the inlined send: same
-        arithmetic with the composed multipliers applied.  ``drop``
-        windows still *deliver* — severing is enforced by the endpoints
-        via :meth:`link_severed` before anything is posted, so packets
-        already committed to the wire drain losslessly."""
-        _drop, lat_mult, bw_mult = eff
-        link.packets_sent += 1
-        sim = self.sim
-        wire = header + packet.size_bytes
-        start = sim._now
-        next_free = server._next_free
-        if next_free > start:
-            start = next_free
-        service = wire / (server.rate * bw_mult)
-        next_free = start + service
-        server._next_free = next_free
-        server._busy_ns += service
-        server._bytes += wire
-        arrival = next_free + floor * lat_mult
         sim.call_at(arrival, deliver, packet)
         return arrival
 

@@ -28,7 +28,7 @@ inside the fabric.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ClusterConfig, default_cluster
-from repro.core.design_space import CcMethod, CcSide, DESIGN_SPACE, design_space_table
+from repro.core.design_space import CcMethod, DESIGN_SPACE, design_space_table
 from repro.experiments import ExperimentSpec, SweepRunner, register
 
 TABLE1_HEADERS = ("cc_method", "source", "destination")

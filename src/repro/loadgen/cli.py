@@ -55,6 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="saturation sweep (implies --replay per step)",
     )
+    target.add_argument(
+        "--mechanism",
+        default="sabre",
+        help="read mechanism of the in-process cluster (--replay, --sweep)",
+    )
+    target.add_argument(
+        "--shards",
+        type=int,
+        default=4,
+        help="shards of the in-process cluster (--replay, --sweep)",
+    )
 
     load = parser.add_argument_group("load shape")
     load.add_argument("--qps", type=float, default=1000.0)
@@ -84,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, default=8)
     sweep.add_argument("--collapse-ratio", type=float, default=0.85)
     sweep.add_argument("--ops-per-step", type=int, default=2000)
-    sweep.add_argument("--mechanism", default="sabre")
-    sweep.add_argument("--shards", type=int, default=4)
 
     parser.add_argument("--output", help="write the JSON artifact here")
     return parser
@@ -147,7 +156,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_replay(args: argparse.Namespace) -> int:
     trace = build_trace(_trace_config(args))
     bridge = SimBridge(
-        ServeSettings(n_objects=args.objects, seed=args.seed)
+        ServeSettings(
+            mechanism=args.mechanism,
+            n_shards=args.shards,
+            n_objects=args.objects,
+            seed=args.seed,
+        )
     )
     bridge.warm()
     report = bridge.replay(trace)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 from urllib.parse import quote
 
 from repro.serve.ops import ArrivalTrace, TimedOp

@@ -20,7 +20,7 @@ Two consumers:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List
 
 from repro.common.errors import ConfigError
@@ -183,22 +183,11 @@ SWEEP_HEADERS = (
 
 
 def _sweep_point(ctx) -> Dict[str, float]:
-    p = ctx.params
-    cfg = SweepConfig(
-        qps_start=p["qps_start"],
-        qps_factor=p["qps_factor"],
-        max_steps=p["max_steps"],
-        collapse_ratio=p["collapse_ratio"],
-        ops_per_step=max(50, int(p["ops_per_step"] * ctx.scale)),
-        workload=p["workload"],
-        distribution=p["distribution"],
-        txn_fraction=p["txn_fraction"],
-        mechanism=p["mechanism"],
-        n_shards=p["n_shards"],
-        replication=p["replication"],
-        n_objects=p["n_objects"],
-        seed=p["seed"],
-    )
+    # Every parameter naming a field overrides it, so the spec states
+    # only what it changes; the step size scales with the sweep.
+    names = {f.name for f in fields(SweepConfig)}
+    cfg = SweepConfig(**{k: v for k, v in ctx.params.items() if k in names})
+    cfg.ops_per_step = max(50, int(cfg.ops_per_step * ctx.scale))
     result = run_sweep(cfg)
     v = ctx.variant
     return {
@@ -221,17 +210,10 @@ SERVE_LOAD_SWEEP_SPEC = register(
             Variant("percl", {"mechanism": "percl_versions"}),
         ),
         defaults={
-            "mechanism": "sabre",
             "qps_start": 8_000_000.0,
-            "qps_factor": 2.0,
             "max_steps": 4,
-            "collapse_ratio": 0.85,
             "ops_per_step": 600,
-            "distribution": "zipfian",
             "txn_fraction": 0.05,
-            "n_shards": 4,
-            "replication": 2,
-            "n_objects": 512,
             "seed": 23,
         },
         headers=SWEEP_HEADERS,

@@ -197,8 +197,9 @@ _COMPACT_MIN_CANCELLED = 64
 
 def block_mode() -> str:
     # A provenance label bench/run.py prints and its smoke test pins,
-    # like Simulator.scheduler: there is one block chain, nothing
-    # selects it, and the next benchmark PR drops the field.
+    # like Simulator.scheduler: there is one block chain (one call_at
+    # per block), nothing selects it, and the value stays "batched"
+    # until the next benchmark PR drops the field.
     return "batched"
 
 
@@ -274,7 +275,8 @@ class Simulator:
     @property
     def scheduler(self) -> str:
         # A provenance label bench/run.py prints and its smoke test
-        # pins; the next benchmark PR drops the field.
+        # pins (the scheduler is the deque + heap above, whatever the
+        # label says); the next benchmark PR drops the field.
         return "calendar"
 
     @property
@@ -288,9 +290,11 @@ class Simulator:
     ) -> ScheduledCall:
         """Run ``fn(*args)`` at ``now + delay``; FIFO among equal times.
 
-        Passing ``args`` positionally avoids a closure allocation per
-        scheduled call — the hot paths (packet delivery, block-read
-        completions) schedule bound methods with their arguments.
+        ``call_later``, :meth:`call_at` and :meth:`call_soon` are the
+        only ways to schedule a callback.  Passing ``args`` positionally
+        avoids a closure allocation per scheduled call — the hot paths
+        (packet delivery, block reads) schedule bound methods with
+        their arguments.
         Returns the scheduled-call handle; pass it to
         :meth:`cancel_call` to cancel before it fires."""
         # Written so that NaN is rejected too: it would sit in the heap
@@ -333,38 +337,6 @@ class Simulator:
         entry: ScheduledCall = [self._now, seq, fn, args]
         self._imm.append(entry)
         return entry
-
-    def schedule_batch(self, entries: list) -> list:
-        """Bulk-inject a run of ``(when, fn, args)`` callbacks.
-
-        Exactly equivalent to issuing one :meth:`call_at` per entry, in
-        order, from the current callback — same time normalization,
-        same consecutive sequence numbers — minus the per-call
-        overhead.  This is the batched block-stream kernel's primitive:
-        a transfer's unroll or issue burst computes its per-block
-        timestamps in one pass and lands here as one injection.
-
-        Returns the scheduled-call handles, in entry order.
-        """
-        now = self._now
-        seq = self._seq
-        imm = self._imm
-        heap = self._heap
-        handles = []
-        for when, fn, args in entries:
-            at = now + (when - now)
-            if not at >= now:
-                self._seq = seq
-                raise SimulationError(f"cannot schedule in the past: {when}")
-            seq += 1
-            entry: ScheduledCall = [at, seq, fn, args]
-            if at == now:
-                imm.append(entry)
-            else:
-                heappush(heap, entry)
-            handles.append(entry)
-        self._seq = seq
-        return handles
 
     def cancel_call(self, handle: ScheduledCall) -> None:
         """Cancel a scheduled callback (no-op if it already ran or was

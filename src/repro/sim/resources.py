@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import Event, Simulator
@@ -119,10 +118,6 @@ class BandwidthServer:
         ev = self.sim.event()
         ev.succeed(delay=done_at - self.sim.now)
         return ev
-
-    @property
-    def next_free(self) -> float:
-        return self._next_free
 
     def utilization(self, elapsed_ns: float) -> float:
         if elapsed_ns <= 0:

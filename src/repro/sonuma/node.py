@@ -11,7 +11,7 @@ to one destination R2P2 (§5.1).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.atomicity.locks import ReaderWriterLockTable
 from repro.common.config import ClusterConfig
@@ -35,7 +35,6 @@ from repro.sonuma.transfer import (
     OpKind,
     SourceTransfer,
     TransferResult,
-    TransferTimings,
     prune_straggler_book,
 )
 
@@ -165,42 +164,10 @@ class SoNode:
         cache-block-sized atomic RDMA offers (§1).  The completion's
         ``success`` reports whether the swap happened and
         ``cas_old_value`` the observed word."""
-        rmc = self.cfg.rmc
-        tid = next(self._tid)
-        transfer = SourceTransfer(
-            transfer_id=tid,
-            op=OpKind.REMOTE_CAS,
-            dst_node=dst_node,
-            remote_addr=remote_addr,
-            size_bytes=8,
-            local_addr=0,
-            total_blocks=1,
-            backend=tid % rmc.backends,
+        return self._post(
+            OpKind.REMOTE_CAS, dst_node, remote_addr, 8, 0,
+            cas_operands=(expected, desired),
         )
-        transfer.timings.posted = self.sim.now
-        self._transfers[tid] = transfer
-        completion = self.sim.event()
-        self._completions[tid] = completion
-        fabric = self.fabric
-        if not fabric.observed_alive(self.node_id, dst_node):
-            return self._fail_transfer(transfer)
-        if fabric.link_severed(self.node_id, dst_node):
-            fabric.partition_refusals += 1
-            return self._fail_transfer(transfer)
-        pickup = rmc.wq_post_ns + rmc.wq_pickup_ns
-
-        def unroll() -> None:
-            transfer.timings.pickup = self.sim.now
-            pkt = cas_request(
-                self.node_id, dst_node, tid, remote_addr, expected, desired
-            )
-            pkt.meta["r2p2"] = (remote_addr // CACHE_BLOCK) % rmc.backends
-            t = self._rgp[transfer.backend].request(self._rmc_cycle)
-            transfer.timings.first_request = max(t, self.sim.now)
-            self.sim.call_at(t, self.fabric.send, pkt)
-
-        self.sim.call_later(pickup, unroll)
-        return completion
 
     def _post(
         self,
@@ -210,6 +177,7 @@ class SoNode:
         size: int,
         local_addr: int,
         payload: Optional[bytes] = None,
+        cas_operands: Optional[Tuple[int, int]] = None,
     ) -> Event:
         if size <= 0:
             raise SimulationError(f"transfer size must be positive: {size}")
@@ -228,6 +196,7 @@ class SoNode:
             total_blocks=blocks_in(size),
             backend=backend,
             payload=payload,
+            cas_operands=cas_operands,
         )
         transfer.timings.posted = self.sim.now
         self._transfers[tid] = transfer
@@ -294,12 +263,12 @@ class SoNode:
     # RGP: source unrolling (§5)
     # ------------------------------------------------------------------
     def _unroll(self, transfer: SourceTransfer) -> None:
-        """Unroll one WQ entry into its registration/request packets.
+        """Unroll one WQ entry into its registration/request packets,
+        scheduling each packet's send (one ``call_at``) as it is built.
 
-        The whole run's send timestamps are computed in one pass — the
-        RGP is a private serial server, so its per-request completion
-        times are pure arithmetic — and injected with one
-        :meth:`~repro.sim.engine.Simulator.schedule_batch` call."""
+        The RGP is a private serial server, so each send time is pure
+        arithmetic: the float operations ``BandwidthServer.request``
+        performs, inlined, with the server written back once."""
         sim = self.sim
         now = sim._now
         transfer.timings.pickup = now
@@ -309,13 +278,10 @@ class SoNode:
         tid = transfer.transfer_id
         dst = transfer.dst_node
         op = transfer.op
-        # Serial-server bookkeeping inlined: the same float operations
-        # BandwidthServer.request performs, applied run-at-once.
         rate = rgp.rate
         next_free = rgp._next_free
         busy = rgp._busy_ns
         nbytes = rgp._bytes
-        entries = []
 
         if op is OpKind.SABRE:
             r2p2 = tid % dest_backends
@@ -331,12 +297,15 @@ class SoNode:
             next_free = start + service
             busy += service
             nbytes += self._rmc_cycle
-            entries.append((next_free, send, (reg,)))
+            sim.call_at(next_free, send, reg)
             # A SABRe stays pinned to one R2P2 (§5.1), so its whole
             # request run shares one meta dict (nobody mutates it).
             sabre_meta = {"r2p2": r2p2, "rgp": transfer.backend}
 
-        req_cost = self._rmc_cycle * self.cfg.rmc.rgp_request_cycles
+        if op is OpKind.REMOTE_CAS:
+            req_cost = self._rmc_cycle  # one word, built in one cycle
+        else:
+            req_cost = self._rmc_cycle * self.cfg.rmc.rgp_request_cycles
         service = req_cost / rate
         for offset in range(transfer.total_blocks):
             if op is OpKind.SABRE:
@@ -359,6 +328,11 @@ class SoNode:
                         "r2p2": (addr // CACHE_BLOCK) % dest_backends,
                     },
                 )
+            elif op is OpKind.REMOTE_CAS:
+                addr = transfer.remote_addr
+                expected, desired = transfer.cas_operands
+                pkt = cas_request(self.node_id, dst, tid, addr, expected, desired)
+                pkt.meta["r2p2"] = (addr // CACHE_BLOCK) % dest_backends
             else:
                 addr = transfer.remote_addr + offset * CACHE_BLOCK
                 size = transfer.size_bytes - offset * CACHE_BLOCK
@@ -384,12 +358,11 @@ class SoNode:
                 transfer.timings.first_request = (
                     next_free if next_free > now else now
                 )
-            entries.append((next_free, send, (pkt,)))
+            sim.call_at(next_free, send, pkt)
 
         rgp._next_free = next_free
         rgp._busy_ns = busy
         rgp._bytes = nbytes
-        sim.schedule_batch(entries)
 
     # ------------------------------------------------------------------
     # NI dispatch

@@ -99,6 +99,7 @@ class SourceTransfer:
     remote_version: Optional[int] = None
     completed: bool = False
     payload: Optional[bytes] = None  # outbound data for REMOTE_WRITE
+    cas_operands: Optional[Tuple[int, int]] = None  # (expected, desired)
     cas_old_value: Optional[int] = None
     cas_swapped: Optional[bool] = None
     #: The source-memory cell the landing buffer lies in, as

@@ -167,7 +167,7 @@ def _layered_specs():
     the names its ``derive`` hook or point function consumes that are
     not fields of that class).  ``None``: the spec builds no layered
     config and all its names are its own."""
-    from repro.loadgen.sweep import SERVE_LOAD_SWEEP_SPEC
+    from repro.loadgen.sweep import SweepConfig
     from repro.objstore.farm import FarmConfig
     from repro.objstore.local import LocalReadConfig
     from repro.workloads.availability import FailoverMixConfig
@@ -176,7 +176,6 @@ def _layered_specs():
     from repro.workloads.txn_mix import TxnMixConfig
     from repro.workloads.ycsb import YcsbConfig
 
-    sweep = SERVE_LOAD_SWEEP_SPEC
     return {
         "fig1": (FarmConfig, ()),
         "fig7a": (MicrobenchConfig, ("mode",)),
@@ -203,8 +202,7 @@ def _layered_specs():
         "partition_availability": (FailoverMixConfig, ()),
         "elastic_scaling": (ElasticConfig, ()),
         "hotkey_rebalance": (ElasticConfig, ()),
-        # Reads its own parameter names (a ServeSettings + a qps ladder).
-        "serve_load_sweep": (None, set(sweep.defaults) | set(sweep.axes)),
+        "serve_load_sweep": (SweepConfig, ()),
         "table1": (None, ("cc_method",)),
         "table2": (None, ("component", "cluster")),
     }

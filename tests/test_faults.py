@@ -151,22 +151,29 @@ class TestLinkDegradation:
         assert fabric.reachable(0, 1)
 
     def test_latency_multiplier_slows_delivery(self):
-        cluster = Cluster(ClusterConfig(nodes=2))
-        fabric, sim = cluster.fabric, cluster.sim
-        arrivals = []
-        fabric.attach(1, lambda p: arrivals.append(sim.now))
-        fabric.send(read_reply(0, 1, 1, 0, b"x" * 64))
-        sim.run()
-        healthy = arrivals[0]
+        def arrival(**degrade):
+            cluster = Cluster(ClusterConfig(nodes=2))
+            fabric, sim = cluster.fabric, cluster.sim
+            arrivals = []
+            fabric.attach(1, lambda p: arrivals.append(sim.now))
+            if degrade:
+                fabric.degrade_link(0, 1, **degrade)
+            fabric.send(read_reply(0, 1, 1, 0, b"x" * 64))
+            sim.run()
+            return arrivals[0]
 
-        cluster2 = Cluster(ClusterConfig(nodes=2))
-        fabric2, sim2 = cluster2.fabric, cluster2.sim
-        arrivals2 = []
-        fabric2.attach(1, lambda p: arrivals2.append(sim2.now))
-        fabric2.degrade_link(0, 1, latency_mult=3.0, bw_mult=0.5)
-        fabric2.send(read_reply(0, 1, 1, 0, b"x" * 64))
-        sim2.run()
-        assert arrivals2[0] > healthy
+        cfg = ClusterConfig().fabric
+        wire = cfg.header_bytes + 64
+        healthy = arrival()
+        assert healthy == wire / cfg.link_gbps + cfg.hop_latency_ns
+        # The multipliers scale the serializer rate and the propagation
+        # floor, exactly: bandwidth alone leaves the floor alone.
+        assert arrival(bw_mult=0.25) == (
+            wire / (cfg.link_gbps * 0.25) + cfg.hop_latency_ns
+        )
+        both = arrival(latency_mult=3.0, bw_mult=0.5)
+        assert both == wire / (cfg.link_gbps * 0.5) + cfg.hop_latency_ns * 3.0
+        assert both > healthy
 
     def test_drop_window_does_not_lose_inflight_packets(self):
         """The drain semantics: a drop window refuses *new*

@@ -284,6 +284,18 @@ class TestServeLoadSweepSpec:
         assert row["percl_peak_qps"] > 0
         assert row["sabre_violations"] == 0.0
 
+    def test_overrides_reach_the_sweep_config(self):
+        """Every ``SweepConfig`` field layers through the point, not
+        just the ones the spec states: a larger object moves the rows."""
+        axes = {"workload": ("C",)}
+        rows = [
+            SweepRunner(
+                SERVE_LOAD_SWEEP_SPEC, scale=0.02, axes=axes, overrides=over
+            ).run().rows
+            for over in ({}, {"object_size": 4096})
+        ]
+        assert rows[0] != rows[1]
+
     def test_qa_checks_pass_on_scaled_run(self):
         from repro.experiments.qa import evaluate
 
@@ -292,3 +304,24 @@ class TestServeLoadSweepSpec:
         ).run().rows
         report = evaluate("sweep", SERVE_LOAD_SWEEP_SPEC.qa_checks, rows)
         assert report.verdict == "pass"
+
+
+# ----------------------------------------------------------------------
+# the repro-load command line
+# ----------------------------------------------------------------------
+
+
+def test_replay_honours_mechanism_and_shards(capsys):
+    import json
+
+    from repro.loadgen.cli import main
+
+    def replay(*flags):
+        argv = ["--replay", "--qps", "500000", "--ops", "200", *flags]
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    sabre = replay()
+    assert replay("--mechanism", "sabre", "--shards", "4") == sabre
+    assert replay("--mechanism", "percl_versions")["mean_ns"] != sabre["mean_ns"]
+    assert replay("--shards", "2") != sabre

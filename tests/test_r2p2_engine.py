@@ -4,7 +4,7 @@ isolation."""
 
 import pytest
 
-from repro.common.config import NodeConfig
+from repro.common.config import NodeConfig, SabreMode
 from repro.common.units import CACHE_BLOCK
 from repro.core.r2p2 import R2P2Engine
 from repro.fabric.packets import (
@@ -20,7 +20,13 @@ from repro.sim.engine import Simulator
 class Harness:
     """An R2P2 wired to a real chip memory system and a packet sink."""
 
-    def __init__(self, **node_overrides):
+    def __init__(
+        self,
+        engine_cls=R2P2Engine,
+        chip_cls=ChipMemorySystem,
+        page_bytes=None,
+        **node_overrides,
+    ):
         import dataclasses
 
         self.sim = Simulator()
@@ -28,11 +34,13 @@ class Harness:
         if node_overrides:
             sabre = dataclasses.replace(cfg.sabre, **node_overrides)
             cfg = dataclasses.replace(cfg, sabre=sabre)
+        if page_bytes is not None:
+            cfg = dataclasses.replace(cfg, page_bytes=page_bytes)
         self.cfg = cfg
         mesh = Mesh(cfg.noc)
-        self.chip = ChipMemorySystem(self.sim, cfg, mesh)
+        self.chip = chip_cls(self.sim, cfg, mesh)
         self.sent = []
-        self.engine = R2P2Engine(
+        self.engine = engine_cls(
             self.sim,
             cfg,
             self.chip,
@@ -206,6 +214,105 @@ class TestStreamBufferLimits:
         vals = [p for p in h.sent if p.kind is PacketKind.SABRE_VALIDATION]
         assert len(vals) == 2
         assert all(v.meta["success"] for v in vals)
+
+
+class _RecordingChip(ChipMemorySystem):
+    """Logs every block a snoop subscribes to, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.subscribed = []
+
+    def subscribe(self, block_addr, snoop):
+        self.subscribed.append(block_addr)
+        super().subscribe(block_addr, snoop)
+
+
+class _RecordingEngine(R2P2Engine):
+    """Logs each block read as it starts: its time (the instant the
+    issue loop scheduled it for), offset and the stream buffer's issued
+    bits."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.started = []
+
+    def _start_read(self, entry, addr, offset, epoch):
+        self.started.append(
+            (self.sim.now, offset, entry.stream_buffer._issued_bits)
+        )
+        super()._start_read(entry, addr, offset, epoch)
+
+
+class _ReferenceEngine(_RecordingEngine):
+    """The issue step written plainly: one fresh
+    ``BandwidthServer.request`` and one ``call_at`` per block."""
+
+    def _pump(self, entry):
+        if entry.aborted or entry.finished:
+            return
+        spec = self.mode is SabreMode.SPECULATIVE
+        snoops = spec or self.mode is SabreMode.NO_SPECULATION
+        limit = min(entry.total_blocks, entry.req_counter)
+        while entry.issue_count < limit and self._may_issue(entry):
+            offset = entry.issue_count
+            addr = entry.block_addr(offset)
+            entry.issue_count += 1
+            if snoops and (entry.speculative and spec or offset == 0):
+                self.chip.subscribe(addr, entry.snoop_cb)
+                entry.subscribed_blocks.append(addr)
+            sb = entry.stream_buffer
+            if spec and entry.speculative and sb.can_issue(offset):
+                sb.mark_issued(offset)
+            done = self.issue_server.request(self._block_cost)
+            self.sim.call_at(
+                done, self._start_read, entry, addr, offset, entry.epoch
+            )
+
+
+class TestIssueLoopReference:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # The window bounded by the stream buffer's depth ...
+            dict(blocks=12, stream_buffer_depth=4),
+            # ... and by a page boundary (8-block pages: the two
+            # objects cross one at offsets 8 and 4).
+            dict(blocks=12, page_bytes=8 * CACHE_BLOCK),
+            dict(blocks=8, mode=SabreMode.NO_SPECULATION),
+            dict(blocks=8, mode=SabreMode.LOCKING),
+        ],
+        ids=["speculative_depth", "speculative_page", "no_speculation", "locking"],
+    )
+    def test_issue_loop_matches_per_block_request(self, case):
+        """Two SABRes share the issue server, so its queueing shows in
+        the times; both engines must start the same reads at the same
+        instants and subscribe the same blocks."""
+
+        def trace(engine_cls):
+            case_ = dict(case)
+            blocks = case_.pop("blocks")
+            h = Harness(engine_cls=engine_cls, chip_cls=_RecordingChip, **case_)
+            first = h.make_object(version=2, blocks=blocks)
+            second = h.make_object(version=4, blocks=blocks)
+            h.start_sabre(first, blocks, tid=1)
+            h.start_sabre(second, blocks, tid=2)
+            h.sim.run()
+            vals = [p for p in h.sent if p.kind is PacketKind.SABRE_VALIDATION]
+            assert [v.meta["success"] for v in vals] == [True, True]
+            stalls = {
+                name: h.engine.counters.get(name)
+                for name in ("stream_buffer_stalls", "page_boundary_stalls")
+            }
+            return h.engine.started, h.chip.subscribed, stalls
+
+        started, subscribed, stalls = trace(_RecordingEngine)
+        assert (started, subscribed, stalls) == trace(_ReferenceEngine)
+        assert len(started) == 2 * case["blocks"]
+        if "stream_buffer_depth" in case:
+            assert stalls["stream_buffer_stalls"] > 0
+        if "page_bytes" in case:
+            assert stalls["page_boundary_stalls"] > 0
 
 
 class TestProtocolErrors:

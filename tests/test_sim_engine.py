@@ -10,7 +10,7 @@ import random
 import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -499,18 +499,16 @@ def test_nan_times_are_rejected_not_scheduled(sim, alarm):
     ``call_at(inf)`` makes of ``inf - inf`` once the clock is at inf."""
     nan = float("nan")
     fired = []
+    sim.call_at(1.0, fired.append, "ok")
     for schedule in (
         lambda: sim.call_later(nan, fired.append, "later"),
         lambda: sim.call_at(nan, fired.append, "at"),
         lambda: sim.timeout(nan),
-        lambda: sim.schedule_batch(
-            [(1.0, fired.append, ("ok",)), (nan, fired.append, ("batch",))]
-        ),
     ):
         with pytest.raises(SimulationError):
             schedule()
     assert sim.run() == 1.0
-    assert fired == ["ok"]  # the batch entry ahead of the NaN landed
+    assert fired == ["ok"]  # nothing of the refused calls landed
     sim.call_later(float("inf"), fired.append, "end")
     assert sim.run() == float("inf")
     with pytest.raises(SimulationError):
@@ -550,154 +548,6 @@ def test_deep_pending_set_drains_in_order_through_run_slices(alarm):
 
 
 # ----------------------------------------------------------------------
-# schedule_batch: the kernel's scheduling primitive
-# ----------------------------------------------------------------------
-
-def _record(order, sim, tag):
-    order.append((sim.now, tag))
-
-
-def _dispatch_order(schedule):
-    """Dispatch order of ``schedule(sim, order)`` driven to completion,
-    and the callbacks the run scheduled.
-
-    ``schedule`` runs *inside* a callback (the realistic caller: the
-    block-stream kernel always schedules from within event dispatch).
-    """
-    sim = Simulator()
-    order = []
-    # Prime the scheduler: pending entries on both sides of the batch.
-    for d in (0.0, 10.0, 50.0, 90.0, 5_000.0, 9_000.0):
-        sim.call_later(d, _record, order, sim, f"prime@{d}")
-    sim.call_later(20.0, schedule, sim, order)
-    sim.run()
-    return order, sim.events_scheduled
-
-
-def _batch_via_call_at(entries):
-    def schedule(sim, order):
-        for when, tag in entries:
-            sim.call_at(when, _record, order, sim, tag)
-    return schedule
-
-
-def _batch_via_schedule_batch(entries):
-    def schedule(sim, order):
-        sim.schedule_batch(
-            [(when, _record, (order, sim, tag)) for when, tag in entries]
-        )
-    return schedule
-
-
-def _assert_batch_equivalent(entries):
-    """schedule_batch must dispatch exactly like per-entry call_at."""
-    a = _dispatch_order(_batch_via_call_at(entries))
-    b = _dispatch_order(_batch_via_schedule_batch(entries))
-    assert a == b, entries
-
-
-def test_schedule_batch_presorted_run():
-    # The kernel's common case: consecutive block timestamps landing
-    # in one gap between pending entries.
-    _assert_batch_equivalent([(21.0 + 2.0 * i, f"b{i}") for i in range(8)])
-
-
-def test_schedule_batch_spans_all_lanes():
-    # Immediate (when == now at schedule time 20.0), soon and
-    # far-future entries in one batch.
-    _assert_batch_equivalent(
-        [(20.0, "imm"), (25.0, "near1"), (30.0, "near2"), (8_000.0, "far")]
-    )
-
-
-def test_schedule_batch_run_leaves_the_gap():
-    # A run that starts between two existing entries (prime@50, prime@90)
-    # and then passes the later one.
-    _assert_batch_equivalent(
-        [(60.0, "in-gap1"), (65.0, "in-gap2"), (95.0, "past-gap")]
-    )
-
-
-def test_schedule_batch_out_of_order_input():
-    # Not presorted: dispatch order is still (when, seq).
-    _assert_batch_equivalent(
-        [(40.0, "x"), (22.0, "y"), (70.0, "z"), (22.0, "y2"), (41.0, "w")]
-    )
-
-
-def test_schedule_batch_equal_times_fifo():
-    # Equal timestamps dispatch in submission (seq) order.
-    _assert_batch_equivalent([(33.0, f"t{i}") for i in range(6)])
-
-
-def test_schedule_batch_past_time_raises_and_preserves_state():
-    sim = Simulator()
-    order = []
-    boom = []
-
-    def schedule(sim, order):
-        try:
-            sim.schedule_batch(
-                [
-                    (25.0, _record, (order, sim, "ok")),
-                    (1.0, _record, (order, sim, "past")),
-                ]
-            )
-        except SimulationError as exc:
-            boom.append(str(exc))
-
-    for d in (10.0, 50.0):
-        sim.call_later(d, _record, order, sim, f"prime@{d}")
-    sim.call_later(20.0, schedule, sim, order)
-    sim.run()
-    assert boom and "past" in boom[0]
-    # The pre-raise entry was injected and fires; nothing is duplicated.
-    assert (25.0, "ok") in order
-    assert [tag for _, tag in order].count("prime@50.0") == 1
-
-
-def test_schedule_batch_returns_cancellable_handles():
-    sim = Simulator()
-    order = []
-
-    def schedule(sim, order):
-        handles = sim.schedule_batch(
-            [
-                (25.0, _record, (order, sim, "keep")),
-                (26.0, _record, (order, sim, "drop")),
-                (27.0, _record, (order, sim, "keep2")),
-            ]
-        )
-        sim.cancel_call(handles[1])
-
-    sim.call_later(20.0, schedule, sim, order)
-    sim.run()
-    assert [tag for _, tag in order] == ["keep", "keep2"]
-    assert sim.events_cancelled == 1
-
-
-@given(
-    st.lists(
-        st.one_of(
-            # Equal times, the scheduling instant itself, a collision
-            # with a primed entry (20 + 70 = prime@90), the far future.
-            st.sampled_from([0.0, 5.0, 5.0, 70.0, 8_000.0]),
-            st.floats(0.0, 10_000.0),
-        ),
-        max_size=12,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_schedule_batch_random_programs_match_per_entry_call_at(offsets):
-    """The one contract the block-stream kernel relies on: a batch
-    dispatches in the same ``(when, seq)`` order, and leaves the same
-    ``events_scheduled``, as one ``call_at`` per entry."""
-    _assert_batch_equivalent(
-        [(20.0 + off, f"e{i}") for i, off in enumerate(offsets)]
-    )
-
-
-# ----------------------------------------------------------------------
 # property test: random programs against a reference model
 # ----------------------------------------------------------------------
 
@@ -730,9 +580,6 @@ class ModelSimulator:
 
     def call_soon(self, fn, *args):
         return self._push(self.now, fn, args)
-
-    def schedule_batch(self, entries):
-        return [self.call_at(when, fn, *args) for when, fn, args in entries]
 
     def cancel_call(self, handle):
         self.pending = [e for e in self.pending if e is not handle]
@@ -777,7 +624,6 @@ def _scripts(children):
             st.tuples(st.just("later"), DELAYS, children),
             st.tuples(st.just("at"), DELAYS, children),
             st.tuples(st.just("soon"), children),
-            st.tuples(st.just("batch"), st.lists(DELAYS, max_size=5), children),
             st.tuples(st.just("cancel"), st.integers(0, 10**6)),
             st.tuples(st.just("peek")),
         ),
@@ -810,16 +656,6 @@ def _execute(sim, log, handles, script):
                 )
             elif op == "soon":
                 handles.append(sim.call_soon(_fire, *ctx, tag, rest[0]))
-            elif op == "batch":
-                offsets, child = rest
-                handles.extend(
-                    sim.schedule_batch(
-                        [
-                            (sim.now + off, _fire, (*ctx, tag + i, child))
-                            for i, off in enumerate(offsets)
-                        ]
-                    )
-                )
             elif op == "cancel":
                 if handles:
                     sim.cancel_call(handles[rest[0] % len(handles)])
