@@ -12,10 +12,12 @@ The package builds the full system the paper evaluates:
 * **LightSABRes** — the paper's contribution: ATT, stream buffers, and
   the R2P2 engine with speculative / no-speculation / locking variants
   (:mod:`repro.core`),
-* software atomicity baselines (FaRM per-cache-line versions, Pilaf
-  checksums, lock tables) (:mod:`repro.atomicity`),
-* a FaRM-like distributed object store and KV application
-  (:mod:`repro.objstore`),
+* the software atomicity baselines' object layouts (FaRM per-cache-line
+  versions, Pilaf checksums) and a FaRM-like distributed object store
+  and KV application (:mod:`repro.objstore`), plus the lock table of
+  the locking variants (:mod:`repro.atomicity`),
+* one registered read protocol per Table 1 mechanism
+  (:mod:`repro.workloads.protocols`),
 * microbenchmarks and the per-figure experiment harness
   (:mod:`repro.workloads`, :mod:`repro.harness`).
 
@@ -40,13 +42,6 @@ Quick start::
         cluster.run()
 """
 
-from repro.atomicity.mechanisms import (
-    AtomicityMechanism,
-    ChecksumMechanism,
-    HardwareSabreMechanism,
-    PerCacheLineMechanism,
-    mechanism_by_name,
-)
 from repro.common.config import (
     ClusterConfig,
     NodeConfig,
@@ -81,16 +76,13 @@ from repro.workloads.ycsb import YcsbConfig, YcsbResult, run_ycsb
 __version__ = "1.0.0"
 
 __all__ = [
-    "AtomicityMechanism",
     "ChecksumLayout",
-    "ChecksumMechanism",
     "Cluster",
     "ClusterConfig",
     "DEFAULT_COSTS",
     "FarmConfig",
     "FarmKV",
     "FarmResult",
-    "HardwareSabreMechanism",
     "HashRing",
     "LocalReadConfig",
     "MicrobenchConfig",
@@ -101,7 +93,6 @@ __all__ = [
     "ObjectStore",
     "OpKind",
     "PerCacheLineLayout",
-    "PerCacheLineMechanism",
     "RawLayout",
     "RpcEndpoint",
     "SabreConfig",
@@ -114,7 +105,6 @@ __all__ = [
     "YcsbConfig",
     "YcsbResult",
     "default_cluster",
-    "mechanism_by_name",
     "run_farm",
     "run_local_reads",
     "run_microbench",

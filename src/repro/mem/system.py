@@ -287,20 +287,6 @@ class ChipMemorySystem:
             latency = latency * self._svc_mult
         return latency
 
-    def write_bytes(self, core: int, addr: int, data: bytes) -> float:
-        """Write a byte range block by block; returns total latency."""
-        block = self._block
-        total = 0.0
-        offset = 0
-        while offset < len(data):
-            baddr = (addr + offset) - ((addr + offset) % block)
-            chunk_end = min(len(data), offset + (baddr + block - (addr + offset)))
-            total += self.write_block(
-                core, addr + offset, data[offset:chunk_end]
-            )
-            offset = chunk_end
-        return total
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------

@@ -190,7 +190,7 @@ class FarmKV:
                         components["application"] += app
                         yield sim.timeout(app)
                 else:
-                    strip_ns = costs.strip_cost_ns(wire)
+                    strip_ns = layout.check_cost_ns(costs, cfg.payload_len)
                     components["stripping"] += strip_ns
                     yield sim.timeout(strip_ns)
                     raw = self.client.read_local(buf, wire)

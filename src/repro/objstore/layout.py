@@ -13,6 +13,11 @@ Three layouts from the paper's design space:
 * :class:`ChecksumLayout` — Pilaf's checksum-in-header (§2.1): readers
   recompute a checksum over the data and compare with the header.
 
+A layout is the whole software side of a Table 1 cell: its format
+(:meth:`~ObjectLayout.pack`), its post-transfer check
+(:meth:`~ObjectLayout.unpack`) and that check's CPU cost
+(:meth:`~ObjectLayout.check_cost_ns`).
+
 All layouts share the odd/even version convention (§4.2, Masstree
 style): an odd version means the object is locked by a writer.
 """
@@ -21,8 +26,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
+from repro.common.costs import SoftwareCosts
 from repro.common.units import CACHE_BLOCK
 
 #: Bytes of payload carried per 64 B line under per-cache-line versions.
@@ -92,8 +98,9 @@ class ObjectLayout(ABC):
     def unpack(self, raw: bytes, data_len: int) -> StripResult:
         """Extract (and for software-CC layouts, *validate*) the data."""
 
-    def num_blocks(self, data_len: int) -> int:
-        return (self.wire_size(data_len) + CACHE_BLOCK - 1) // CACHE_BLOCK
+    @abstractmethod
+    def check_cost_ns(self, costs: SoftwareCosts, data_len: int) -> float:
+        """CPU time a reader core spends on :meth:`unpack`'s check."""
 
     def read_version(self, raw: bytes) -> int:
         return int.from_bytes(
@@ -117,6 +124,9 @@ class RawLayout(ObjectLayout):
         # No self-validation possible: a raw layout read is only known
         # to be atomic if the hardware (SABRe) said so.
         return StripResult(ok=not is_locked(version), version=version, data=data)
+
+    def check_cost_ns(self, costs: SoftwareCosts, data_len: int) -> float:
+        return 0.0
 
 
 class PerCacheLineLayout(ObjectLayout):
@@ -171,6 +181,9 @@ class PerCacheLineLayout(ObjectLayout):
             data += line[8:]
         return StripResult(ok=ok, version=version, data=bytes(data[:data_len]))
 
+    def check_cost_ns(self, costs: SoftwareCosts, data_len: int) -> float:
+        return costs.strip_cost_ns(self.wire_size(data_len))
+
 
 class ChecksumLayout(ObjectLayout):
     """Pilaf-style checksummed objects: version + checksum header."""
@@ -194,12 +207,8 @@ class ChecksumLayout(ObjectLayout):
         ok = not is_locked(version) and fnv64(data) == stored
         return StripResult(ok=ok, version=version, data=data)
 
-
-def split_into_chunks(data: bytes, chunk: int) -> List[bytes]:
-    """Split ``data`` into ``chunk``-sized pieces (last may be short)."""
-    if chunk <= 0:
-        raise ValueError(f"chunk must be positive: {chunk}")
-    return [data[i : i + chunk] for i in range(0, len(data), chunk)] or [b""]
+    def check_cost_ns(self, costs: SoftwareCosts, data_len: int) -> float:
+        return costs.checksum_cost_ns(data_len)
 
 
 def torn_words(payload: bytes) -> Tuple[bool, set]:

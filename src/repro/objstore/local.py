@@ -107,7 +107,7 @@ def run_local_reads(cfg: LocalReadConfig) -> LocalReadResult:
                     # clean copy.  Traffic: the wire image in, plus the
                     # clean copy's write-allocate fill (RFO) and its dirty
                     # write-back when it ages out of the cache.
-                    compute = costs.strip_cost_ns(wire)
+                    compute = layout.check_cost_ns(costs, cfg.payload_len)
                     traffic = wire + 2 * cfg.payload_len
                 else:
                     # Unmodified store: the application walks the object in

@@ -80,7 +80,6 @@ class ReaderSession:
                 src=node,
                 dst=kv.shards[shard],
                 store=kv.stores[shard],
-                mechanism=kv.mechanism,
                 payload_len=kv.cfg.payload_len,
                 costs=kv.cfg.costs,
                 stats=self.stats[shard],

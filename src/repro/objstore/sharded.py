@@ -48,7 +48,6 @@ from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError, ShardCrashedError
 from repro.common.rng import make_rng
 from repro.objstore.layout import (
-    RawLayout,
     commit_version,
     is_locked,
     lock_version,
@@ -242,8 +241,7 @@ class ShardedKV:
         cfg.validate()
         self.cfg = cfg
         self.protocol_cls = _get_protocol(cfg.mechanism)
-        self.mechanism = self.protocol_cls.make_mechanism(cfg.version_bits)
-        self.layout = self.mechanism.layout if self.mechanism else RawLayout()
+        self.layout = self.protocol_cls.make_layout(cfg.version_bits)
 
         #: Shard slots built into the cluster: ring members first, then
         #: spare slots a live scale-out can activate.

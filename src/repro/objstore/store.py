@@ -13,7 +13,7 @@ that coherence invalidations fire in the right order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_BLOCK
@@ -225,12 +225,3 @@ class ObjectStore:
                 "commit_steps needs a prior lock acquisition"
             )
         return self._commit_tail(h, locked, data)
-
-    # ------------------------------------------------------------------
-    # region metadata (driver registration, §4.2)
-    # ------------------------------------------------------------------
-    def find_by_base(self, base_addr: int) -> Optional[ObjectHandle]:
-        for h in self._objects.values():
-            if h.base_addr == base_addr:
-                return h
-        return None

@@ -10,10 +10,8 @@ Simulator` and closes that gap:
   memory hierarchy, the :class:`~repro.workloads.protocols.
   ReadProtocol` registry, RPC worker pools, and whatever
   fault/failover/reshard managers are armed;
-* virtual time advances either **paced** against the wall clock
-  (interactive mode — the gateway's driver calls :meth:`run_until`
-  with a wall-derived target) or **as fast as possible** (load-test
-  mode — :meth:`run_pending` drains everything in flight in one call);
+* virtual time advances **as fast as possible**: :meth:`run_pending`
+  drains everything in flight in one call;
 * when the simulated read/write/transaction resolves, the request's
   completion callback fires *inside* the simulation (so all metrics
   are recorded in deterministic virtual time) and the gateway then
@@ -21,9 +19,9 @@ Simulator` and closes that gap:
 
 The bridge itself never touches the wall clock, asyncio, or sockets —
 :meth:`replay` runs an :class:`~repro.serve.ops.ArrivalTrace` to
-completion synchronously, which is what makes load-test mode
-deterministic: same seed + same trace => byte-identical metrics
-snapshot (``tests/test_serve.py`` pins this).
+completion synchronously, which is what makes serving deterministic:
+same seed + same trace => byte-identical metrics snapshot
+(``tests/test_serve.py`` pins this).
 
 Concurrency within the simulation is served by *session pools*:
 :class:`~repro.objstore.session.ReaderSession` holds a private landing
@@ -382,19 +380,10 @@ class SimBridge:
         return self.submitted - self.completed
 
     def run_pending(self) -> float:
-        """Load-test mode: run the simulation until everything in
-        flight completes (every op carries a virtual deadline, so this
-        always terminates).  Returns the virtual time reached."""
+        """Run the simulation until everything in flight completes
+        (every op carries a virtual deadline, so this always
+        terminates).  Returns the virtual time reached."""
         return self.sim.run()
-
-    def run_until(self, target_ns: float) -> float:
-        """Paced mode: advance virtual time to ``target_ns`` at most,
-        firing whatever is due.  Returns the virtual time reached."""
-        return self.sim.run(until=target_ns)
-
-    def next_event_ns(self) -> float:
-        """Virtual time of the next scheduled event (inf if idle)."""
-        return self.sim.peek()
 
     # ------------------------------------------------------------------
     # deterministic replay

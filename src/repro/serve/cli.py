@@ -6,7 +6,7 @@ win); see :mod:`repro.serve.settings` for the resolution order.
 Examples::
 
     repro-serve --port 8373 --shards 4 --mechanism sabre
-    REPRO_SERVE_MODE=paced repro-serve --time-scale 1000
+    REPRO_SERVE_MAX_SESSIONS=32 repro-serve --request-timeout-ns 2e6
     repro-serve --rate-limit-qps 500 --metrics-artifact final_metrics.prom
 """
 
@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from repro.common.errors import ConfigError
 from repro.serve.gateway import serve
-from repro.serve.settings import MODES, ServeSettings
+from repro.serve.settings import ServeSettings
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bridge = parser.add_argument_group("time bridge")
-    bridge.add_argument("--mode", choices=MODES)
-    bridge.add_argument("--time-scale", type=float, dest="time_scale")
     bridge.add_argument(
         "--request-timeout-ns", type=float, dest="request_timeout_ns"
     )
@@ -79,7 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     print(
         f"repro-serve: {settings.n_shards} shards x{settings.replication} "
-        f"({settings.mechanism}), mode={settings.mode}, "
+        f"({settings.mechanism}), "
         f"listening on http://{settings.host}:{settings.port}",
         flush=True,
     )

@@ -28,15 +28,10 @@ sizes.
 **The driver task** is the wall-clock half of the time bridge.  Socket
 handlers never touch the simulator; they enqueue ops on the bridge and
 await an :class:`asyncio.Future`.  One driver coroutine owns virtual
-time and advances it in the configured mode:
-
-* ``fast`` — whenever ops are pending, run the simulation to
-  quiescence (every op carries a virtual deadline, so each batch
-  terminates).  Virtual time leaps ahead of the wall clock; latencies
-  reported to clients are *virtual* nanoseconds.
-* ``paced`` — virtual time tracks the wall clock at ``time_scale``
-  virtual ns per wall ns, so a 5 us simulated read takes 5 us of wall
-  time at scale 1.0.
+time: whenever ops are pending, it runs the simulation to quiescence
+(every op carries a virtual deadline, so each batch terminates).
+Virtual time leaps ahead of the wall clock; latencies reported to
+clients are *virtual* nanoseconds.
 
 On SIGTERM/SIGINT the gateway stops accepting connections, lets
 in-flight requests finish (bounded by ``drain_timeout_s``), flushes a
@@ -81,6 +76,15 @@ REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+class BadRequest(Exception):
+    """A request the parser refuses: answered 400, then the connection
+    closes (its framing can no longer be trusted)."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class TokenBucket:
@@ -229,14 +233,8 @@ class Gateway:
         if self.settings.warmup_delay_s > 0:
             await asyncio.sleep(self.settings.warmup_delay_s)
         self.bridge.warm()
-        if self.settings.mode == "fast":
-            await self._drive_fast()
-        else:
-            await self._drive_paced()
-
-    async def _drive_fast(self) -> None:
-        """Load-test mode: batch-drain the simulation whenever work is
-        pending, otherwise sleep on the wake event."""
+        # Batch-drain the simulation whenever work is pending, otherwise
+        # sleep on the wake event.
         while True:
             await self._wake.wait()
             self._wake.clear()
@@ -245,27 +243,6 @@ class Gateway:
                 # Completions resolved futures synchronously; yield so
                 # their awaiting handlers run (and may submit more).
                 await asyncio.sleep(0)
-
-    async def _drive_paced(self) -> None:
-        """Interactive mode: virtual time tracks the wall clock at
-        ``time_scale`` virtual ns per wall ns."""
-        scale = self.settings.time_scale
-        start_wall = self._loop.time()
-        start_virtual = self.bridge.sim.now
-        while True:
-            elapsed_ns = (self._loop.time() - start_wall) * 1e9
-            self.bridge.run_until(start_virtual + elapsed_ns * scale)
-            next_ns = self.bridge.next_event_ns()
-            if next_ns == float("inf"):
-                wait_s = 0.05
-            else:
-                behind_ns = next_ns - (start_virtual + elapsed_ns * scale)
-                wait_s = min(max(behind_ns / scale / 1e9, 0.0), 0.05)
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=wait_s or 0.001)
-                self._wake.clear()
-            except asyncio.TimeoutError:
-                pass
 
     async def _submit(self, op: TimedOp) -> OpResult:
         assert self._loop is not None and self._wake is not None
@@ -295,6 +272,12 @@ class Gateway:
             while True:
                 try:
                     request = await self._read_request(reader)
+                except BadRequest as exc:
+                    self._http_errors.inc(reason=exc.reason)
+                    await self._write_response(
+                        writer, 400, {"error": str(exc)}, keep_alive=False
+                    )
+                    break
                 except (
                     asyncio.IncompleteReadError,
                     ConnectionError,
@@ -342,7 +325,14 @@ class Gateway:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0")
+        # ASCII digits only: int() would also take "+5", "5_0" and
+        # non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise BadRequest(
+                "bad_content_length", f"bad Content-Length: {raw_length!r}"
+            )
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise asyncio.LimitOverrunError("body too large", 0)
         body = await reader.readexactly(length) if length else b""

@@ -28,6 +28,7 @@ import math
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigError
+from repro.sim.stats import Samples
 
 #: Default latency buckets (nanoseconds of *virtual* time): the
 #: simulated cluster serves reads in ~1-10 us, transactions in tens of
@@ -131,8 +132,8 @@ class Histogram:
     load-test story also wants exact p50/p95/p99.  Both come from the
     same ``observe`` stream: buckets for ``_bucket``/``_sum``/
     ``_count``, the retained values for ``{quantile="..."}`` lines
-    (rendered under ``<name>_q``), computed with the same interpolation
-    as :class:`repro.sim.stats.Samples`.
+    (rendered under ``<name>_q``), each a
+    :meth:`repro.sim.stats.Samples.percentile`.
     """
 
     kind = "histogram"
@@ -153,7 +154,7 @@ class Histogram:
         self.bounds = bounds
         self._counts: Dict[LabelItems, List[int]] = {}
         self._sums: Dict[LabelItems, float] = {}
-        self._values: Dict[LabelItems, List[float]] = {}
+        self._values: Dict[LabelItems, Samples] = {}
 
     def observe(self, value: float, **labels: str) -> None:
         key = _label_items(labels)
@@ -161,7 +162,7 @@ class Histogram:
         if counts is None:
             counts = self._counts[key] = [0] * (len(self.bounds) + 1)
             self._sums[key] = 0.0
-            self._values[key] = []
+            self._values[key] = Samples()
         for i, bound in enumerate(self.bounds):
             if value <= bound:
                 counts[i] += 1
@@ -169,7 +170,7 @@ class Histogram:
         else:
             counts[-1] += 1
         self._sums[key] += value
-        self._values[key].append(value)
+        self._values[key].add(value)
 
     def count(self, **labels: str) -> int:
         counts = self._counts.get(_label_items(labels))
@@ -177,18 +178,9 @@ class Histogram:
 
     def quantile(self, q: float, **labels: str) -> float:
         values = self._values.get(_label_items(labels))
-        if not values:
+        if values is None:
             return math.nan
-        ordered = sorted(values)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = q * (len(ordered) - 1)
-        lo = int(math.floor(rank))
-        hi = int(math.ceil(rank))
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
+        return values.percentile(q * 100.0)
 
     def render(self) -> List[str]:
         lines: List[str] = []

@@ -23,12 +23,6 @@ from repro.workloads.mix import sharded_config
 
 ENV_PREFIX = "REPRO_SERVE_"
 
-#: Virtual-time pacing modes: ``paced`` advances virtual time against
-#: the wall clock (interactive mode); ``fast`` advances it
-#: as-fast-as-possible whenever requests are in flight (load-test
-#: mode, the only mode with a determinism story).
-MODES = ("paced", "fast")
-
 
 def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
@@ -59,10 +53,6 @@ class ServeSettings:
     n_clients: int = 2
 
     # -- time bridge ----------------------------------------------------
-    mode: str = "fast"
-    #: Virtual nanoseconds advanced per wall-clock nanosecond in
-    #: ``paced`` mode (1.0 = the simulated rack runs in real time).
-    time_scale: float = 1.0
     #: Per-request virtual-time budget; an op that cannot complete
     #: inside it answers 504.
     request_timeout_ns: float = 5_000_000.0
@@ -97,12 +87,6 @@ class ServeSettings:
         if not 0 <= self.port < 65536:
             # Port 0 asks the kernel for an ephemeral port (tests/CI).
             raise ConfigError(f"port out of range: {self.port}")
-        if self.mode not in MODES:
-            raise ConfigError(
-                f"unknown mode {self.mode!r}; choose from {MODES}"
-            )
-        if self.time_scale <= 0:
-            raise ConfigError(f"time_scale must be > 0: {self.time_scale}")
         if self.request_timeout_ns <= 0:
             raise ConfigError("request_timeout_ns must be > 0")
         if self.txn_max_attempts < 1:

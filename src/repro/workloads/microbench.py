@@ -22,7 +22,7 @@ from repro.common.config import ClusterConfig, LayeredConfig, SabreMode
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import make_rng
-from repro.objstore.layout import RawLayout, is_locked, stamped_payload
+from repro.objstore.layout import is_locked, stamped_payload
 from repro.objstore.store import ObjectStore
 from repro.sim.resources import FifoResource
 from repro.sim.stats import ReadStats, Samples, meter_window
@@ -191,9 +191,11 @@ class Microbenchmark:
         self.cluster = Cluster(cfg.cluster or ClusterConfig())
         self.dst = self.cluster.node(0)  # data owner
         self.src = self.cluster.node(1)  # readers
-        self.mechanism = protocol_cls.make_mechanism(cfg.version_bits)
-        layout = self.mechanism.layout if self.mechanism else RawLayout()
-        self.store = ObjectStore(self.dst.phys, layout, name="microbench")
+        self.store = ObjectStore(
+            self.dst.phys,
+            protocol_cls.make_layout(cfg.version_bits),
+            name="microbench",
+        )
         self.store.populate(
             range(cfg.n_objects), stamped_payload(0, cfg.payload_len)
         )
@@ -204,7 +206,6 @@ class Microbenchmark:
             src=self.src,
             dst=self.dst,
             store=self.store,
-            mechanism=self.mechanism,
             payload_len=cfg.payload_len,
             costs=cfg.costs,
             stats=self.stats,

@@ -1,10 +1,11 @@
 """Pluggable read protocols for the reader loops.
 
 Each mechanism in Table 1's design space is one :class:`ReadProtocol`
-strategy: it knows how to build its atomicity mechanism (and therefore
-its wire layout), how to issue one one-sided operation, and how to
-complete it — including any post-transfer software check, retry
-bookkeeping, and the ground-truth torn-read audit.  The reader loops —
+strategy: it knows the object layout it stores (and with it the
+software check and that check's cost), how to issue one one-sided
+operation, and how to complete it — including any post-transfer
+software check, retry bookkeeping, and the ground-truth torn-read
+audit.  The reader loops —
 :mod:`repro.workloads.microbench` and the sharded store's
 :class:`~repro.objstore.session.ReaderSession` — are mechanism-agnostic
 and bind a protocol to exactly what it reads (see
@@ -18,15 +19,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, Type
 
-from repro.atomicity.mechanisms import (
-    AtomicityMechanism,
-    ChecksumMechanism,
-    HardwareSabreMechanism,
-    PerCacheLineMechanism,
-)
 from repro.common.costs import SoftwareCosts
 from repro.common.errors import ConfigError
-from repro.objstore.layout import torn_words
+from repro.objstore.layout import (
+    ChecksumLayout,
+    ObjectLayout,
+    PerCacheLineLayout,
+    RawLayout,
+    torn_words,
+)
 from repro.sim.stats import ReadStats
 
 #: name -> protocol class, in registration order (order is part of the
@@ -60,12 +61,12 @@ def get_protocol(name: str) -> Type["ReadProtocol"]:
 class ReadProtocol:
     """One atomic-read mechanism, bound to what it reads: the simulator,
     the reading (``src``) and data-owning (``dst``) nodes, the store on
-    ``dst`` and its software ``mechanism`` (``None`` = raw layout), the
-    application ``payload_len`` of every object, the software ``costs``
-    and the :class:`~repro.sim.stats.ReadStats` it records into.
+    ``dst`` (laid out by :meth:`make_layout`), the application
+    ``payload_len`` of every object, the software ``costs`` and the
+    :class:`~repro.sim.stats.ReadStats` it records into.
 
-    Subclasses override :meth:`make_mechanism` (layout + software
-    check), ``hardware`` (issue SABRes vs plain remote reads), and
+    Subclasses override :meth:`make_layout` (format, software check and
+    its cost), ``hardware`` (issue SABRes vs plain remote reads), and
     either the :meth:`complete` hook or — for protocols with a wholly
     different wire dance, like DrTM source locking — :meth:`read_once`
     itself (which reports whether it consumed a read).
@@ -82,7 +83,6 @@ class ReadProtocol:
         src,
         dst,
         store,
-        mechanism: Optional[AtomicityMechanism],
         payload_len: int,
         costs: SoftwareCosts,
         stats: ReadStats,
@@ -91,7 +91,6 @@ class ReadProtocol:
         self.src = src
         self.dst = dst
         self.store = store
-        self.mechanism = mechanism
         self.payload_len = payload_len
         self.costs = costs
         self.stats = stats
@@ -111,9 +110,9 @@ class ReadProtocol:
 
     # -- construction hooks --------------------------------------------
     @staticmethod
-    def make_mechanism(version_bits: int) -> Optional[AtomicityMechanism]:
-        """The source-side software mechanism (None = raw layout)."""
-        return None
+    def make_layout(version_bits: int) -> ObjectLayout:
+        """The layout the store keeps objects in for this mechanism."""
+        return RawLayout()
 
     # -- shared helpers ------------------------------------------------
     @property
@@ -204,10 +203,6 @@ class HardwareSabreProtocol(ReadProtocol):
     name = "sabre"
     hardware = True
 
-    @staticmethod
-    def make_mechanism(version_bits):
-        return HardwareSabreMechanism()
-
     def complete(self, result, buf: int, wire: int):
         if not result.success:
             self.stats.sabre_aborts += 1
@@ -235,12 +230,10 @@ class SoftwareCheckProtocol(ReadProtocol):
     transfer, then pay a size-dependent software check."""
 
     def complete(self, result, buf: int, wire: int):
-        mech = self.mechanism
-        yield self.sim.timeout(
-            mech.check_cost_ns(self.costs, self.payload_len)
-        )
+        layout = self.layout
+        yield self.sim.timeout(layout.check_cost_ns(self.costs, self.payload_len))
         raw = self.src.read_local(buf, wire)
-        strip = mech.check(raw, self.payload_len)
+        strip = layout.unpack(raw, self.payload_len)
         if not strip.ok:
             self.stats.software_conflicts += 1
             return False, None
@@ -255,8 +248,8 @@ class PerCacheLineVersionsProtocol(SoftwareCheckProtocol):
     name = "percl_versions"
 
     @staticmethod
-    def make_mechanism(version_bits):
-        return PerCacheLineMechanism(version_bits)
+    def make_layout(version_bits):
+        return PerCacheLineLayout(version_bits)
 
 
 @register_protocol
@@ -266,8 +259,8 @@ class ChecksumProtocol(SoftwareCheckProtocol):
     name = "checksum"
 
     @staticmethod
-    def make_mechanism(version_bits):
-        return ChecksumMechanism()
+    def make_layout(version_bits):
+        return ChecksumLayout()
 
 
 @register_protocol

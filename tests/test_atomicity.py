@@ -1,57 +1,25 @@
-"""Unit tests for mechanisms and lock tables."""
+"""Unit tests for the software atomicity checks and the reader/writer lock table."""
 
 import pytest
 
-from repro.atomicity.locks import LeaseLockTable, ReaderWriterLockTable
-from repro.atomicity.mechanisms import (
-    ChecksumMechanism,
-    HardwareSabreMechanism,
-    PerCacheLineMechanism,
-    mechanism_by_name,
-)
-from repro.common.costs import DEFAULT_COSTS
+from repro.atomicity.locks import ReaderWriterLockTable
+from repro.objstore.layout import ChecksumLayout, PerCacheLineLayout
 
 
 class TestMechanisms:
-    def test_factory(self):
-        assert mechanism_by_name("sabre").hardware
-        assert not mechanism_by_name("percl_versions").zero_copy
-        with pytest.raises(ValueError):
-            mechanism_by_name("nope")
+    """The check each software mechanism applies to a read is its layout's unpack."""
 
     def test_percl_check_roundtrip(self):
-        m = PerCacheLineMechanism()
-        raw = m.layout.pack(2, b"d" * 100)
-        assert m.check(raw, 100).ok
-
-    def test_percl_cost_scales_with_wire_size(self):
-        m = PerCacheLineMechanism()
-        small = m.check_cost_ns(DEFAULT_COSTS, 128)
-        large = m.check_cost_ns(DEFAULT_COSTS, 8192)
-        assert large > small * 20  # roughly linear in size
-
-    def test_percl_8kb_strip_cost_near_paper(self):
-        """Fig. 1: stripping an 8 KB object costs on the order of 2 us."""
-        cost = PerCacheLineMechanism().check_cost_ns(DEFAULT_COSTS, 8192)
-        assert 1500.0 <= cost <= 3500.0
-
-    def test_checksum_cost_dwarfs_percl(self):
-        """§2.1: CRC64 is ~a dozen cycles/byte; stripping is far cheaper."""
-        data_len = 4096
-        crc = ChecksumMechanism().check_cost_ns(DEFAULT_COSTS, data_len)
-        strip = PerCacheLineMechanism().check_cost_ns(DEFAULT_COSTS, data_len)
-        assert crc > 5 * strip
-
-    def test_sabre_check_is_free_and_zero_copy(self):
-        m = HardwareSabreMechanism()
-        assert m.zero_copy and m.hardware
-        assert m.check_cost_ns(DEFAULT_COSTS, 8192) == 0.0
+        layout = PerCacheLineLayout()
+        raw = layout.pack(2, b"d" * 100)
+        result = layout.unpack(raw, 100)
+        assert result.ok and result.data == b"d" * 100
 
     def test_checksum_detects_corruption(self):
-        m = ChecksumMechanism()
-        raw = bytearray(m.layout.pack(0, b"data" * 8))
+        layout = ChecksumLayout()
+        raw = bytearray(layout.pack(0, b"data" * 8))
         raw[-1] ^= 1
-        assert not m.check(bytes(raw), 32).ok
+        assert not layout.unpack(bytes(raw), 32).ok
 
 
 class TestReaderWriterLocks:
@@ -92,35 +60,3 @@ class TestReaderWriterLocks:
         t.try_write_lock(0x1)
         t.try_read_lock(0x1)
         assert t.contended == 1
-
-
-class TestLeaseLocks:
-    def test_grant_and_expiry(self):
-        t = LeaseLockTable(lease_ns=100.0)
-        assert t.try_acquire(0x1, holder=1, now=0.0)
-        assert not t.try_acquire(0x1, holder=2, now=50.0)
-        assert t.try_acquire(0x1, holder=2, now=150.0)
-        assert t.expired_grants == 1
-
-    def test_release(self):
-        t = LeaseLockTable(lease_ns=100.0)
-        t.try_acquire(0x1, holder=1, now=0.0)
-        t.release(0x1, holder=1)
-        assert t.try_acquire(0x1, holder=2, now=1.0)
-
-    def test_clock_skew_hazard(self):
-        """With skewed clocks, the old holder still believes its lease is
-        valid after the manager re-granted it — the §2.1 safety concern."""
-        t = LeaseLockTable(lease_ns=100.0, clock_skew_ns=50.0)
-        t.try_acquire(0x1, holder=1, now=0.0)
-        assert t.try_acquire(0x1, holder=2, now=120.0)  # manager view: expired
-        assert t.holder_believes_valid(0x1, holder=2, now=120.0)
-        # Holder 1 is gone from the table, so its belief is moot; but in
-        # the window before re-grant it believed the lease held:
-        t2 = LeaseLockTable(lease_ns=100.0, clock_skew_ns=50.0)
-        t2.try_acquire(0x1, holder=1, now=0.0)
-        assert t2.holder_believes_valid(0x1, holder=1, now=120.0)
-
-    def test_bad_lease_rejected(self):
-        with pytest.raises(ValueError):
-            LeaseLockTable(lease_ns=0.0)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.costs import DEFAULT_COSTS
 from repro.objstore.layout import (
     DATA_PER_LINE,
     ChecksumLayout,
@@ -13,7 +14,6 @@ from repro.objstore.layout import (
     fnv64,
     is_locked,
     lock_version,
-    split_into_chunks,
     stamped_payload,
     torn_words,
 )
@@ -175,6 +175,33 @@ class TestChecksumLayout:
         assert layout.unpack(layout.pack(0, data), len(data)).ok
 
 
+class TestCheckCost:
+    """The reader-side CPU cost each layout's check charges."""
+
+    def test_percl_cost_scales_with_wire_size(self):
+        layout = PerCacheLineLayout()
+        small = layout.check_cost_ns(DEFAULT_COSTS, 128)
+        large = layout.check_cost_ns(DEFAULT_COSTS, 8192)
+        assert large > small * 20  # roughly linear in size
+
+    def test_percl_8kb_strip_cost_near_paper(self):
+        """Fig. 1: stripping an 8 KB object costs on the order of 2 us."""
+        cost = PerCacheLineLayout().check_cost_ns(DEFAULT_COSTS, 8192)
+        assert 1500.0 <= cost <= 3500.0
+
+    def test_checksum_cost_dwarfs_percl(self):
+        """§2.1: CRC64 is ~a dozen cycles/byte; stripping is far cheaper."""
+        data_len = 4096
+        crc = ChecksumLayout().check_cost_ns(DEFAULT_COSTS, data_len)
+        strip = PerCacheLineLayout().check_cost_ns(DEFAULT_COSTS, data_len)
+        assert crc > 5 * strip
+
+    def test_raw_check_is_free(self):
+        """SABRes leave the store unmodified: the reader's only check is
+        the completion's success flag, whatever the size (§7.2)."""
+        assert RawLayout().check_cost_ns(DEFAULT_COSTS, 8192) == 0.0
+
+
 class TestGroundTruth:
     def test_stamped_payload_word_pattern(self):
         payload = stamped_payload(7, 24)
@@ -203,9 +230,3 @@ class TestGroundTruth:
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=300))
     def test_stamped_payload_never_torn(self, version, length):
         assert torn_words(stamped_payload(version, length))[0] is False
-
-    def test_split_into_chunks(self):
-        assert split_into_chunks(b"abcdef", 4) == [b"abcd", b"ef"]
-        assert split_into_chunks(b"", 4) == [b""]
-        with pytest.raises(ValueError):
-            split_into_chunks(b"a", 0)

@@ -81,11 +81,6 @@ class TestWrites:
         chip.write_block(1, addr)
         assert chip.tier_of(addr) is AccessTier.L1
 
-    def test_write_bytes_spans_blocks(self, chip):
-        base = chip.phys.allocate(256)
-        chip.write_bytes(0, base + 32, b"q" * 100)
-        assert chip.read_bytes(base + 32, 100) == b"q" * 100
-
 
 class TestSnooping:
     def test_write_invalidation_delivered_synchronously(self, chip):

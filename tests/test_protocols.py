@@ -5,6 +5,8 @@ behavior in full microbenchmark runs."""
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.objstore.layout import ChecksumLayout, RawLayout
+from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.workloads import protocols
 from repro.workloads.generators import ZipfianPicker
 from repro.workloads.microbench import (
@@ -15,6 +17,7 @@ from repro.workloads.microbench import (
 from repro.workloads.protocols import (
     RawRemoteReadProtocol,
     ReadProtocol,
+    SoftwareCheckProtocol,
     get_protocol,
     protocol_names,
     register_protocol,
@@ -63,6 +66,77 @@ class TestProtocolRegistry:
     def test_unnamed_protocol_rejected(self):
         with pytest.raises(ConfigError):
             register_protocol(type("Anon", (ReadProtocol,), {}))
+
+
+class DoubleReadProtocol(ReadProtocol):
+    """The docs/architecture.md tutorial's protocol, verbatim: no
+    layout override (the store stays raw) and its own wire dance."""
+
+    name = "double_read"
+
+    def read_once(self, handle, buf, wire, t_end):
+        sim = self.sim
+        version_addr = self.store.version_addr(handle.obj_id)
+        t0 = sim.now
+        while True:
+            yield sim.timeout(self.costs.microbench_loop_ns)
+            read = yield self.issue(handle, wire, buf)
+            strip = self.layout.unpack(
+                self.src.read_local(buf, wire), self.payload_len
+            )
+            # Second round trip: just the 8 B version word.
+            yield self.src.remote_read(self.dst.node_id, version_addr, 8, buf)
+            again = int.from_bytes(self.src.read_local(buf, 8), "little")
+            if strip.ok and strip.version == again:
+                self.audit(strip.data)
+                self.stats.op_latency.add(sim.now - t0)
+                self.stats.transfer_latency.add(read.timings.end_to_end_ns)
+                self.stats.meter.record(self.payload_len)
+                return True
+            self.stats.software_conflicts += 1
+            self.stats.retries += 1
+            if sim.now >= t_end:
+                return False
+
+
+class ChecksumTwinProtocol(SoftwareCheckProtocol):
+    """A software-check cell declared by its layout alone."""
+
+    name = "test_checksum_twin"
+
+    @staticmethod
+    def make_layout(version_bits):
+        return ChecksumLayout()
+
+
+class TestOneClassPerMechanism:
+    """A new Table 1 cell is one registered class: its layout reaches
+    both stores, and its reads stay atomic under writers."""
+
+    @pytest.mark.parametrize(
+        "cls, layout_type",
+        [(DoubleReadProtocol, RawLayout), (ChecksumTwinProtocol, ChecksumLayout)],
+        ids=["double_read", "checksum_twin"],
+    )
+    def test_registered_class_runs_clean(self, cls, layout_type):
+        register_protocol(cls)
+        try:
+            result = contended(cls.name)
+            assert result.writer_updates > 0
+            assert result.ops_completed > 0
+            assert result.undetected_violations == 0
+            kv = ShardedKV(
+                ShardedConfig(
+                    n_shards=2, mechanism=cls.name, object_size=256, n_objects=8
+                )
+            )
+            try:
+                assert type(kv.layout) is layout_type
+                assert all(store.layout is kv.layout for store in kv.stores)
+            finally:
+                kv.close()
+        finally:
+            protocols._PROTOCOLS.pop(cls.name, None)
 
 
 def contended(mechanism, **kw):

@@ -33,11 +33,10 @@ class TestSettings:
         s = ServeSettings.from_env(
             environ={
                 "REPRO_SERVE_PORT": "9000",
-                "REPRO_SERVE_MODE": "paced",
-                "REPRO_SERVE_TIME_SCALE": "2.5",
+                "REPRO_SERVE_MAX_SESSIONS": "4",
             }
         )
-        assert (s.port, s.mode, s.time_scale) == (9000, "paced", 2.5)
+        assert (s.port, s.max_sessions) == (9000, 4)
 
     def test_overrides_beat_env(self):
         s = ServeSettings.from_env(
@@ -63,14 +62,13 @@ class TestSettings:
         "kwargs",
         [
             {"port": 70000},
-            {"mode": "warp"},
-            {"time_scale": 0.0},
             {"request_timeout_ns": -1.0},
             {"txn_max_attempts": 0},
             {"max_sessions": 0},
             {"rate_limit_qps": -1.0},
             {"n_clients": 0},
         ],
+        ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -135,6 +133,15 @@ class TestMetrics:
             s.add(v)
         for q in (0.5, 0.95, 0.99):
             assert h.quantile(q) == pytest.approx(s.percentile(q * 100))
+
+    def test_histogram_quantile_stays_between_observations(self):
+        """Two subnormal observations: the unclamped interpolation
+        underflowed to 0.0, outside ``[min, max]``."""
+        h = Histogram("lat", "help", buckets=(1e9,))
+        h.observe(5e-324)
+        h.observe(5e-324)
+        for q in (0.5, 0.95, 0.99):
+            assert h.quantile(q) == 5e-324
 
     def test_render_is_sorted_and_stable(self):
         m = MetricsRegistry()
@@ -510,6 +517,35 @@ class TestGateway:
                 status, _, conn = await _http(host, port, method, path, body)
                 conn[1].close()
                 assert status == expected, (method, path, status)
+            await gw.drain()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "5, 5", "+5", "5_0"])
+    def test_bad_content_length_answers_400_and_closes(self, length):
+        async def scenario():
+            gw = await _booted(_gateway_settings())
+            host, port = gw.settings.host, gw.port
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                f"PUT /v1/obj/key-1 HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {length}\r\n\r\nhello".encode()
+            )
+            await writer.drain()
+            # The server closes after answering (a parser that took the
+            # length would instead wait for a body or keep the line open).
+            reply = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in head
+            assert "Content-Length" in json.loads(body)["error"]
+            # The gateway survived: a fresh connection is served.
+            status, text, conn = await _http(host, port, "GET", "/metrics")
+            conn[1].close()
+            assert status == 200
+            samples = parse_samples(text)
+            assert samples['repro_http_errors_total{reason="bad_content_length"}'] == 1
             await gw.drain()
 
         asyncio.run(scenario())

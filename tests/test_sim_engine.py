@@ -658,9 +658,16 @@ def _execute(sim, log, handles, script):
                 handles.append(sim.call_soon(_fire, *ctx, tag, rest[0]))
             elif op == "cancel":
                 if handles:
-                    sim.cancel_call(handles[rest[0] % len(handles)])
-                    # The compaction policy's bound, where it is applied.
-                    assert sim.heap_size <= 2 * sim.live_calls + 64
+                    handle = handles[rest[0] % len(handles)]
+                    pending = handle[2] is not None
+                    sim.cancel_call(handle)
+                    # The compaction policy's bound, where it is applied:
+                    # after a cancel that took effect.  A no-op cancel (a
+                    # handle already fired or cancelled) applies nothing,
+                    # and live entries fired since the last compaction
+                    # may have left the cancelled ones in the majority.
+                    if pending:
+                        assert sim.heap_size <= 2 * sim.live_calls + 64
             else:
                 log.append(("peek", sim.peek()))
         except SimulationError:

@@ -47,12 +47,6 @@ class TestCreateAndRead:
         with pytest.raises(SimulationError):
             make_store().create(1, b"x", version=3)
 
-    def test_find_by_base(self):
-        store = make_store()
-        h = store.create(1, b"x")
-        assert store.find_by_base(h.base_addr) == h
-        assert store.find_by_base(h.base_addr + 64) is None
-
 
 class TestUpdates:
     def test_functional_write_bumps_version_by_two(self):
