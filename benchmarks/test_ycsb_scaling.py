@@ -8,12 +8,12 @@ torn-read audit stays clean despite the 50 % write mix.
 
 from conftest import run_once, show
 
-from repro.experiments import SweepRunner
+from repro.experiments import run_sweep
 from repro.workloads.ycsb import YCSB_SHARD_SCALING_SPEC
 
 
 def run_scaling(scale):
-    return SweepRunner(YCSB_SHARD_SCALING_SPEC, scale=scale).run()
+    return run_sweep(YCSB_SHARD_SCALING_SPEC, scale=scale)
 
 
 def test_ycsb_shard_scaling(benchmark, scale):

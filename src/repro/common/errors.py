@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any, Tuple, Type, Union
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
@@ -9,6 +11,20 @@ class ReproError(Exception):
 
 class ConfigError(ReproError):
     """An invalid or inconsistent configuration value."""
+
+
+def expect_type(
+    what: str, value: Any, types: Union[Type, Tuple[Type, ...]]
+) -> Any:
+    """Return ``value`` if it is an instance of ``types``, else raise
+    :class:`ConfigError` naming ``what``.  A bool never passes (JSON's
+    ``true`` is no count, seed or scale)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(
+            t.__name__ for t in (types if isinstance(types, tuple) else (types,))
+        )
+        raise ConfigError(f"{what} must be {names}, got {value!r}")
+    return value
 
 
 class SimulationError(ReproError):

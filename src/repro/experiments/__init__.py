@@ -1,6 +1,8 @@
 """Declarative experiment framework: specs, sweeps, campaigns.
 
-Quickstart::
+Quickstart — one call runs one sweep (``jobs > 1`` is a process pool;
+``context=CampaignContext(dir)`` journals every point so a re-run
+serves it from disk, ``result.points_cached`` saying how many)::
 
     from repro.experiments import registry, run_sweep
 
@@ -26,12 +28,7 @@ from repro.experiments.campaign import (
     CampaignStage,
     load_campaign,
 )
-from repro.experiments.context import (
-    CampaignContext,
-    MemoryContext,
-    RunContext,
-    point_key,
-)
+from repro.experiments.context import CampaignContext, point_key
 from repro.experiments.executors import (
     Executor,
     PoolExecutor,
@@ -42,12 +39,7 @@ from repro.experiments.executors import (
 )
 from repro.experiments.qa import QaCheck, QaReport
 from repro.experiments.registry import get, load_builtin, names, register
-from repro.experiments.runner import (
-    SweepResult,
-    SweepRunner,
-    merge_rows,
-    run_sweep,
-)
+from repro.experiments.runner import SweepResult, merge_rows, run_sweep
 from repro.experiments.spec import (
     ExperimentSpec,
     Point,
@@ -62,17 +54,14 @@ __all__ = [
     "CampaignStage",
     "Executor",
     "ExperimentSpec",
-    "MemoryContext",
     "Point",
     "PointContext",
     "PoolExecutor",
     "QaCheck",
     "QaReport",
-    "RunContext",
     "SerialExecutor",
     "SubprocessExecutor",
     "SweepResult",
-    "SweepRunner",
     "Variant",
     "execute_point",
     "get",

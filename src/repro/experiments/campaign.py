@@ -4,9 +4,9 @@ A :class:`CampaignSpec` is the ``executeppr``-style processing
 request: it names a sequence of *stages* (each a registered
 :class:`ExperimentSpec` — or a ``module:attr`` reference — plus axis
 subsets, parameter overrides, a seed root, a scale, and QA checks).
-:class:`CampaignRunner` executes the request through any
-:class:`~repro.experiments.executors.Executor` against any
-:class:`~repro.experiments.context.RunContext`:
+:class:`CampaignRunner` executes the request stage by stage through
+:func:`~repro.experiments.runner.run_sweep` and any
+:class:`~repro.experiments.executors.Executor`:
 
 * with a :class:`~repro.experiments.context.CampaignContext`, every
   completed point is journaled immediately, so a killed campaign
@@ -18,11 +18,13 @@ subsets, parameter overrides, a seed root, a scale, and QA checks).
 Requests load from JSON files or from Python files exposing a
 ``CAMPAIGN`` attribute (for campaigns that need closures or computed
 axes); both normalize through :meth:`CampaignSpec.to_dict`, which is
-what a campaign directory persists.
+what a campaign directory persists.  A malformed request raises
+:class:`~repro.common.errors.ConfigError`, never a bare ``TypeError``.
 """
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
 import os
@@ -31,16 +33,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, expect_type
 from repro.experiments import qa as qa_mod
-from repro.experiments.context import CampaignContext, RunContext, point_key
+from repro.experiments.context import CampaignContext, point_key
 from repro.experiments.executors import (
     Executor,
+    SerialExecutor,
     SubprocessExecutor,
     resolve_spec,
 )
 from repro.experiments.qa import QaCheck, QaReport
-from repro.experiments.runner import SweepResult, SweepRunner
+from repro.experiments.runner import SweepResult, run_sweep
+from repro.experiments.spec import ExperimentSpec
 
 
 @dataclass
@@ -56,8 +60,18 @@ class CampaignStage:
     qa: Sequence[QaCheck] = ()
 
     def __post_init__(self) -> None:
-        if not self.experiment:
+        if not expect_type("stage experiment", self.experiment, str):
             raise ConfigError("campaign stage needs an experiment reference")
+        expect_type("stage name", self.name, str)
+        if self.axes is not None:
+            for axis, values in expect_type("stage axes", self.axes, Mapping).items():
+                expect_type(f"values of axis {axis!r}", values, (list, tuple))
+        if self.overrides is not None:
+            expect_type("stage overrides", self.overrides, Mapping)
+        if self.base_seed is not None:
+            expect_type("stage base_seed", self.base_seed, int)
+        if self.scale is not None:
+            expect_type("stage scale", self.scale, (int, float))
         if not self.name:
             # module:attr references make poor filenames; use the attr.
             self.name = self.experiment.rsplit(":", 1)[-1]
@@ -78,14 +92,16 @@ class CampaignStage:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignStage":
+        expect_type("campaign stage", data, Mapping)
+        checks = expect_type("stage qa", data.get("qa", ()), (list, tuple))
         return cls(
-            experiment=data["experiment"],
+            experiment=data.get("experiment", ""),
             name=data.get("name", ""),
             axes=data.get("axes"),
             overrides=data.get("overrides"),
             base_seed=data.get("base_seed"),
             scale=data.get("scale"),
-            qa=tuple(QaCheck.from_dict(c) for c in data.get("qa", ())),
+            qa=tuple(QaCheck.from_dict(c) for c in checks),
         )
 
 
@@ -99,8 +115,10 @@ class CampaignSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
+        if not expect_type("campaign name", self.name, str):
             raise ConfigError("campaign needs a name")
+        expect_type("campaign scale", self.scale, (int, float))
+        expect_type("campaign description", self.description, str)
         if not self.stages:
             raise ConfigError(f"campaign {self.name!r} needs >= 1 stage")
         seen = set()
@@ -122,13 +140,13 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
+        expect_type("campaign request", data, Mapping)
+        stages = expect_type("campaign stages", data.get("stages", ()), (list, tuple))
         return cls(
             name=data.get("campaign") or data.get("name") or "",
             description=data.get("description", ""),
             scale=data.get("scale", 1.0),
-            stages=tuple(
-                CampaignStage.from_dict(s) for s in data.get("stages", ())
-            ),
+            stages=tuple(CampaignStage.from_dict(s) for s in stages),
         )
 
 
@@ -174,7 +192,6 @@ class StageResult:
     stage: str
     result: SweepResult
     qa: QaReport
-    journal_hits: int
     #: High-water mark of this process's resident set when the stage
     #: finished (MiB): non-decreasing across stages, so the stage that
     #: raised it is the first to show the new value.  Pool and
@@ -184,6 +201,11 @@ class StageResult:
     @property
     def verdict(self) -> str:
         return self.qa.verdict
+
+    @property
+    def journal_hits(self) -> int:
+        """Points of this stage served from the campaign journal."""
+        return self.result.points_cached
 
 
 @dataclass
@@ -203,6 +225,14 @@ class CampaignResult:
         return sum(s.journal_hits for s in self.stages)
 
 
+def _resolve_stage(
+    campaign: CampaignSpec, stage: CampaignStage
+) -> Tuple[ExperimentSpec, float]:
+    """The spec a stage runs and the scale it runs at."""
+    spec = resolve_spec(stage.experiment)
+    return spec, campaign.scale if stage.scale is None else stage.scale
+
+
 class CampaignRunner:
     """Execute a :class:`CampaignSpec` stage by stage.
 
@@ -215,24 +245,20 @@ class CampaignRunner:
         self,
         campaign: CampaignSpec,
         executor: Optional[Executor] = None,
-        context: Optional[RunContext] = None,
+        context: Optional[CampaignContext] = None,
     ):
         self.campaign = campaign
-        self.executor = executor
+        self.executor = executor if executor is not None else SerialExecutor()
         self.context = context
 
     # ------------------------------------------------------------------
-    def _stage_executor(self, stage: CampaignStage) -> Optional[Executor]:
+    def _stage_executor(self, stage: CampaignStage) -> Executor:
         """Subprocess workers resolve specs by reference, and the
         reference is per-stage — hand each stage its own copy."""
         executor = self.executor
         if isinstance(executor, SubprocessExecutor) and executor.ref is None:
-            return SubprocessExecutor(
-                workers=executor.workers,
-                command=executor.command,
-                ref=stage.experiment,
-                env=executor.env,
-            )
+            executor = copy.copy(executor)
+            executor.ref = stage.experiment
         return executor
 
     def run(self) -> CampaignResult:
@@ -248,31 +274,27 @@ class CampaignRunner:
         as it completes (artifacts are written before the yield, so a
         consumer crash never loses a finished stage)."""
         context = self.context
-        if isinstance(context, CampaignContext):
+        if context is not None:
             context.save_request(self.campaign.to_dict())
         for stage in self.campaign.stages:
-            spec = resolve_spec(stage.experiment)
-            scale = self.campaign.scale if stage.scale is None else stage.scale
-            hits_before = context.hits if context is not None else 0
-            runner = SweepRunner(
+            spec, scale = _resolve_stage(self.campaign, stage)
+            executor = self._stage_executor(stage)
+            result = run_sweep(
                 spec,
                 scale=scale,
                 axes=stage.axes,
                 overrides=stage.overrides,
                 base_seed=stage.base_seed,
-                executor=self._stage_executor(stage),
+                executor=executor,
                 context=context,
             )
-            result = runner.run()
-            hits = (context.hits - hits_before) if context is not None else 0
             # ru_maxrss is in KiB on Linux.
             peak_rss_mb = round(
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
             )
             checks = [*spec.qa_checks, *stage.qa]
             report = qa_mod.evaluate(stage.name, checks, result.rows)
-            if isinstance(context, CampaignContext):
-                executor = runner.executor
+            if context is not None:
                 context.write_stage_artifacts(
                     stage.name,
                     rows_payload=result.rows_json_dict(),
@@ -282,7 +304,7 @@ class CampaignRunner:
                         "scale": scale,
                         "executor": executor.describe(),
                         "points_total": result.points_total,
-                        "journal_hits": hits,
+                        "journal_hits": result.points_cached,
                         "elapsed_s": round(result.elapsed_s, 3),
                         "peak_rss_mb": peak_rss_mb,
                     },
@@ -292,10 +314,9 @@ class CampaignRunner:
                 stage=stage.name,
                 result=result,
                 qa=report,
-                journal_hits=hits,
                 peak_rss_mb=peak_rss_mb,
             )
-        if isinstance(context, CampaignContext):
+        if context is not None:
             context.close()
 
 
@@ -314,16 +335,11 @@ def campaign_status(
     done_keys = set(context.completed_keys())
     status: List[Tuple[str, int, int]] = []
     for stage in campaign.stages:
-        spec = resolve_spec(stage.experiment)
-        scale = campaign.scale if stage.scale is None else stage.scale
+        spec, scale = _resolve_stage(campaign, stage)
         points = spec.expand(
             axes=stage.axes, overrides=stage.overrides, base_seed=stage.base_seed
         )
-        done = sum(
-            1
-            for p in points
-            if point_key(spec.name, p, scale) in done_keys
-        )
+        done = sum(point_key(spec.name, p, scale) in done_keys for p in points)
         status.append((stage.name, done, len(points)))
     return status
 

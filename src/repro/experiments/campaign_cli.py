@@ -3,7 +3,7 @@
 Usage::
 
     repro-campaign run nightly.json --dir runs/nightly --jobs 4
-    repro-campaign run nightly.json --executor workers --workers 4
+    repro-campaign run nightly.json --workers 4   # subprocess workers
     repro-campaign resume runs/nightly          # continue after a kill
     repro-campaign status runs/nightly          # points done per stage
     repro-campaign report runs/nightly          # render the HTML weblog
@@ -11,7 +11,10 @@ Usage::
 The request is a JSON file (or a Python file exposing ``CAMPAIGN``)
 naming the stages; see ``examples/campaign.py``.  ``run`` persists the
 request inside the campaign directory, so ``resume``/``status``/
-``report`` need only the directory.
+``report`` need only the directory.  The executor follows the counts:
+``--workers N`` fans points out to worker processes, ``--jobs N > 1``
+runs a pool on this host, and otherwise the run is serial; giving both
+is an error (exit 2).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.common.errors import ConfigError
 from repro.experiments.campaign import (
@@ -36,29 +39,22 @@ from repro.experiments.executors import make_executor
 
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--executor",
-        choices=("serial", "pool", "workers"),
-        default="serial",
-        help="execution strategy (default: serial; 'workers' fans out "
-        "to subprocess/ssh workers)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
-        help="pool size for --executor pool (or serial with --jobs > 1)",
+        default=None,
+        help="run points in a pool of N processes on this host",
     )
     parser.add_argument(
         "--workers",
         type=int,
-        default=2,
-        help="worker count for --executor workers (default: 2)",
+        default=None,
+        help="fan points out to N worker subprocesses (see --worker-command)",
     )
     parser.add_argument(
         "--worker-command",
         default=None,
         metavar="CMD",
-        help="worker launch template for --executor workers; {python} "
+        help="worker launch template for --workers; {python} "
         "expands to this interpreter (default: '{python} -m "
         "repro.experiments.worker'; prefix with 'ssh host' for a "
         "remote worker)",
@@ -103,15 +99,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _execute(
-    campaign: CampaignSpec, context: CampaignContext, args: argparse.Namespace
+    campaign: CampaignSpec,
+    open_context: Callable[[], CampaignContext],
+    args: argparse.Namespace,
 ) -> int:
+    # The counts are checked before a campaign directory is created.
     executor = make_executor(
-        kind=args.executor,
         jobs=args.jobs,
         workers=args.workers,
         command=args.worker_command,
     )
-    result = CampaignRunner(campaign, executor=executor, context=context).run()
+    result = CampaignRunner(campaign, executor=executor, context=open_context()).run()
     _print_result(result)
     if args.qa_gate and result.verdict == "fail":
         return 3
@@ -155,11 +153,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run":
             campaign = load_campaign(args.request)
             root = args.campaign_dir or os.path.join("campaigns", campaign.name)
-            return _execute(campaign, CampaignContext(root), args)
+            return _execute(campaign, lambda: CampaignContext(root), args)
 
         if args.command == "resume":
             campaign, context = load_campaign_dir(args.campaign_dir)
-            return _execute(campaign, context, args)
+            return _execute(campaign, lambda: context, args)
 
         if args.command == "status":
             campaign, context = load_campaign_dir(args.campaign_dir)

@@ -1,20 +1,16 @@
-"""Run contexts: where completed point fragments live between runs.
+"""The campaign directory: the one store of completed point fragments.
 
-A *run context* answers two questions for the sweep/campaign machinery:
-"has this point already been computed?" and "remember this fragment".
-Two implementations cover the spectrum:
-
-* :class:`MemoryContext` — nothing persists; plain one-shot runs.
-* :class:`CampaignContext` — a campaign directory with an append-only
-  JSONL *journal* of completed point keys + fragments, the campaign
-  request, per-stage artifacts, and the HTML report.  A killed
-  campaign resumes from exactly the unfinished points: every fragment
-  is journaled (and flushed) the moment it completes, and corrupt or
-  truncated journal lines — the signature of a SIGKILL mid-write —
-  are skipped, so those points simply recompute.  ``--campaign-dir`` /
-  ``SweepRunner(context=CampaignContext(directory))`` open one of
-  these on the given directory: the journal is the only resumable
-  point store.
+:class:`CampaignContext` answers two questions for
+:func:`~repro.experiments.runner.run_sweep`: "has this point already
+been computed?" and "remember this fragment".  It owns a campaign
+directory holding an append-only JSONL *journal* of completed point
+keys + fragments, the campaign request, per-stage artifacts, and the
+HTML report.  A killed campaign resumes from exactly the unfinished
+points: every fragment is journaled (and flushed) the moment it
+completes, and corrupt or truncated journal lines — the signature of a
+SIGKILL mid-write — are skipped, so those points simply recompute.
+``--campaign-dir`` / ``run_sweep(spec, context=CampaignContext(dir))``
+open one; a run without one keeps nothing between runs.
 
 Keys come from :func:`point_key`: a content hash of the spec name,
 variant, scale, seed, and full parameter dict, so a journal can never
@@ -51,64 +47,17 @@ def point_key(spec_name: str, point: Point, scale: float) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a truncated file."""
+def atomic_write_json(path: str, payload: Any) -> None:
+    """Write-then-rename so readers never observe a truncated file; a
+    payload that does not serialize leaves ``path`` untouched."""
+    text = json.dumps(payload, indent=2) + "\n"
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
 
 
-def atomic_write_json(path: str, payload: Any) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
-# ----------------------------------------------------------------------
-# contexts
-# ----------------------------------------------------------------------
-
-
-class RunContext:
-    """Interface: lookup and record completed point fragments.
-
-    ``hits``/``misses`` count lookups, so callers can report exactly
-    how much work a resume or cached re-run skipped."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        fragment = self._load(key)
-        if fragment is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return fragment
-
-    def record(self, key: str, fragment: Dict[str, Any], stage: str = "") -> None:
-        raise NotImplementedError
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
-
-
-class MemoryContext(RunContext):
-    """Session-local context: completed points shared within a process."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._fragments: Dict[str, Dict[str, Any]] = {}
-
-    def record(self, key: str, fragment: Dict[str, Any], stage: str = "") -> None:
-        self._fragments[key] = dict(fragment)
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        fragment = self._fragments.get(key)
-        return dict(fragment) if fragment is not None else None
-
-
-class CampaignContext(RunContext):
+class CampaignContext:
     """A campaign directory: request + journal + artifacts + report.
 
     The journal is append-only JSONL — one ``{"stage", "key",
@@ -119,7 +68,6 @@ class CampaignContext(RunContext):
     always safe."""
 
     def __init__(self, root: str):
-        super().__init__()
         self.root = root
         os.makedirs(root, exist_ok=True)
         os.makedirs(self.artifact_dir, exist_ok=True)
@@ -181,7 +129,7 @@ class CampaignContext(RunContext):
         self._journal.write(blob + "\n")
         self._journal.flush()
 
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
         fragment = self._fragments.get(key)
         return dict(fragment) if fragment is not None else None
 

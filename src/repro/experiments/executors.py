@@ -85,8 +85,11 @@ class Executor:
     """Strategy interface: stream ``(index, fragment)`` for each point.
 
     Implementations may complete points in any order; callers
-    reassemble by ``point.index``.  ``describe()`` labels artifacts
-    and status output."""
+    reassemble by ``point.index``.  ``jobs`` is how many points run at
+    once (a class attribute here, so a subclass need not call
+    ``__init__``); ``describe()`` labels artifacts and status output."""
+
+    jobs: int = 1
 
     def run(
         self, spec: ExperimentSpec, points: Sequence[Point], scale: float
@@ -179,22 +182,18 @@ class PoolExecutor(Executor):
 DEFAULT_WORKER_COMMAND = "{python} -m repro.experiments.worker"
 
 
-def spec_ref(spec: ExperimentSpec) -> str:
-    """A worker-resolvable reference for ``spec``: its registry name.
+def resolve_spec(ref: str) -> ExperimentSpec:
+    """Resolve a spec reference: ``module:attr`` or a registry name.
 
     Workers are separate processes (possibly on other hosts), so they
-    cannot receive ``point_fn`` closures; they re-resolve the spec
-    from :mod:`repro.experiments.registry` (built-ins load
-    automatically) or from a ``module:attr`` path."""
-    return spec.name
-
-
-def resolve_spec(ref: str) -> ExperimentSpec:
-    """Resolve a spec reference: ``module:attr`` or a registry name."""
+    cannot receive ``point_fn`` closures; they re-resolve the spec the
+    same way.  A reference naming nothing raises :class:`ConfigError`."""
     if ":" in ref:
         module_name, attr = ref.split(":", 1)
-        module = importlib.import_module(module_name)
-        spec = getattr(module, attr)
+        try:
+            spec = getattr(importlib.import_module(module_name), attr)
+        except (ImportError, AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot resolve experiment {ref!r}: {exc}") from None
         if not isinstance(spec, ExperimentSpec):
             raise ConfigError(f"{ref!r} is not an ExperimentSpec")
         return spec
@@ -220,6 +219,7 @@ class SubprocessExecutor(Executor):
     spec itself never crosses the wire: workers re-resolve it by
     *reference* — the registry name, or ``module:attr`` for specs
     living outside the registry (set ``ref`` explicitly for those).
+    ``jobs`` is the worker count.
     """
 
     def __init__(
@@ -231,7 +231,7 @@ class SubprocessExecutor(Executor):
     ):
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        self.jobs = workers
         self.command = command or DEFAULT_WORKER_COMMAND
         self.ref = ref
         self.env = dict(env) if env is not None else None
@@ -262,8 +262,8 @@ class SubprocessExecutor(Executor):
     ) -> Iterator[Fragment]:
         if not points:
             return
-        ref = self.ref or spec_ref(spec)
-        chunks: List[List[Point]] = [[] for _ in range(min(self.workers, len(points)))]
+        ref = self.ref or spec.name
+        chunks: List[List[Point]] = [[] for _ in range(min(self.jobs, len(points)))]
         for i, point in enumerate(points):
             chunks[i % len(chunks)].append(point)
 
@@ -313,7 +313,7 @@ class SubprocessExecutor(Executor):
                     proc.wait()
 
     def describe(self) -> str:
-        return f"workers:{self.workers}"
+        return f"workers:{self.jobs}"
 
 
 class WorkerError(Exception):
@@ -361,27 +361,22 @@ def _feed_and_read(
 
 
 def make_executor(
-    kind: str = "serial",
-    jobs: int = 1,
-    workers: int = 2,
+    jobs: Optional[int] = None,
+    workers: Optional[int] = None,
     command: Optional[str] = None,
-    ref: Optional[str] = None,
 ) -> Executor:
-    """Build an executor from CLI-ish knobs.
+    """Build an executor from the CLI's counts.
 
-    ``kind`` is one of ``serial``, ``pool``, ``workers``.  As a
-    convenience, ``kind='serial'`` with ``jobs > 1`` upgrades to a
-    pool — that keeps ``--jobs N`` meaning what it always meant."""
+    ``workers`` means subprocess workers (launched from ``command``),
+    ``jobs > 1`` a pool on this host, and anything else a serial run.
+    Giving both counts is an error rather than one being ignored."""
+    if workers is not None:
+        if jobs is not None:
+            raise ConfigError("give --jobs or --workers, not both")
+        return SubprocessExecutor(workers=workers, command=command)
+    if command is not None:
+        raise ConfigError("--worker-command needs --workers")
+    jobs = 1 if jobs is None else jobs
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if kind == "serial":
-        return PoolExecutor(jobs) if jobs > 1 else SerialExecutor()
-    if kind == "pool":
-        return PoolExecutor(jobs)
-    if kind == "workers":
-        return SubprocessExecutor(workers=workers, command=command, ref=ref)
-    raise ConfigError(
-        f"unknown executor {kind!r}; expected serial, pool, or workers"
-    )
+    return PoolExecutor(jobs) if jobs > 1 else SerialExecutor()

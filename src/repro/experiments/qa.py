@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, expect_type
 
 #: Supported row aggregations.
 _AGGS = ("min", "max", "mean", "sum", "first", "last")
@@ -43,6 +43,11 @@ class QaCheck:
     label: str = ""
 
     def __post_init__(self) -> None:
+        expect_type("QA column", self.column, str)
+        expect_type("QA label", self.label, str)
+        for bound in (self.lo, self.hi):
+            if bound is not None:
+                expect_type(f"QA bound on {self.column!r}", bound, (int, float))
         if self.agg not in _AGGS:
             raise ConfigError(
                 f"QA agg must be one of {_AGGS}, got {self.agg!r}"
@@ -74,8 +79,9 @@ class QaCheck:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QaCheck":
+        expect_type("QA check", data, Mapping)
         return cls(
-            column=data["column"],
+            column=data.get("column"),
             agg=data.get("agg", "max"),
             lo=data.get("lo"),
             hi=data.get("hi"),

@@ -1,13 +1,12 @@
-"""Sweep execution for :class:`ExperimentSpec`.
+"""Sweep execution for :class:`ExperimentSpec`: one loop, :func:`run_sweep`.
 
-The runner is now a thin orchestration layer over three pluggable
-pieces (PR 9 split the old monolith):
-
-* point **expansion** stays pure in :mod:`repro.experiments.spec`;
-* an :class:`~repro.experiments.executors.Executor` turns pending
-  points into fragments (in-process, pool, or multi-host workers);
-* a :class:`~repro.experiments.context.RunContext` remembers completed
-  fragments (in memory, or in a campaign's crash-resumable journal).
+It expands the spec into points (pure, :mod:`repro.experiments.spec`),
+serves the points an optional
+:class:`~repro.experiments.context.CampaignContext` journal already
+holds, runs the rest through an
+:class:`~repro.experiments.executors.Executor` (in-process, pool, or
+multi-host workers), journals each fragment as it lands, and merges
+the fragments into rows in grid order.
 
 Determinism: every point re-seeds the worker's global RNG from a seed
 derived from ``(spec seed, spec name, point index, variant)``, and all
@@ -17,26 +16,18 @@ every executor produces byte-identical rows to a serial run.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigError
-from repro.experiments.context import RunContext, point_key
-from repro.experiments.executors import (
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    SubprocessExecutor,
-)
+from repro.experiments.context import CampaignContext, point_key
+from repro.experiments.executors import Executor, make_executor
 from repro.experiments.spec import ExperimentSpec, Point
 from repro.harness.report import format_table
 
 # ----------------------------------------------------------------------
-# result assembly (shared by SweepRunner and CampaignRunner)
+# result assembly
 # ----------------------------------------------------------------------
 
 
@@ -96,7 +87,6 @@ class SweepResult:
     points_cached: int
     elapsed_s: float
     description: str = ""
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     def table(self) -> str:
         return format_table(self.headers, self.rows)
@@ -128,125 +118,59 @@ class SweepResult:
         )
         return payload
 
-    def write_json(self, path: str) -> None:
-        # Write-then-rename: a run killed mid-write must never leave a
-        # truncated artifact for downstream tooling to choke on.
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-
 
 # ----------------------------------------------------------------------
-# the runner
+# the sweep loop
 # ----------------------------------------------------------------------
-
-
-class SweepRunner:
-    """Expand a spec and execute every point through an executor.
-
-    Parameters
-    ----------
-    spec:
-        The experiment to run.
-    scale:
-        Measurement-window scale factor forwarded to every point.
-    jobs:
-        Worker processes; 1 runs in-process (no pool).  Ignored when
-        an explicit ``executor`` is given.
-    axes:
-        Per-run axis overrides (e.g. a subset of object sizes).
-    overrides:
-        Parameter overrides merged over defaults/axis/variant values.
-    base_seed:
-        Override the spec's seed root for per-point worker seeding.
-    executor:
-        Execution strategy; defaults to serial (``jobs == 1``) or a
-        ``multiprocessing`` pool.
-    context:
-        Completed-fragment store consulted before executing and fed as
-        fragments complete (e.g. ``CampaignContext(directory)``, the
-        journal that serves finished points to later runs).
-    """
-
-    def __init__(
-        self,
-        spec: ExperimentSpec,
-        scale: float = 1.0,
-        jobs: int = 1,
-        axes: Optional[Mapping[str, Sequence[Any]]] = None,
-        overrides: Optional[Mapping[str, Any]] = None,
-        base_seed: Optional[int] = None,
-        executor: Optional[Executor] = None,
-        context: Optional[RunContext] = None,
-    ):
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        self.spec = spec
-        self.scale = scale
-        self.jobs = jobs
-        self.axes = axes
-        self.overrides = overrides
-        self.base_seed = base_seed
-        if executor is None:
-            executor = PoolExecutor(jobs) if jobs > 1 else SerialExecutor()
-        self.executor = executor
-        # Keep the artifact's reported parallelism truthful when the
-        # executor was handed in directly (e.g. by a campaign).
-        if isinstance(executor, PoolExecutor):
-            self.jobs = executor.jobs
-        elif isinstance(executor, SubprocessExecutor):
-            self.jobs = executor.workers
-        self.context = context
-
-    # ------------------------------------------------------------------
-    def run(self) -> SweepResult:
-        start = time.time()
-        points = self.spec.expand(
-            axes=self.axes, overrides=self.overrides, base_seed=self.base_seed
-        )
-        fragments: List[Optional[Dict[str, Any]]] = [None] * len(points)
-
-        pending: List[Point] = []
-        keys: Dict[int, str] = {}
-        if self.context is not None:
-            for point in points:
-                key = point_key(self.spec.name, point, self.scale)
-                keys[point.index] = key
-                known = self.context.get(key)
-                if known is not None:
-                    fragments[point.index] = known
-                else:
-                    pending.append(point)
-        else:
-            pending = list(points)
-
-        cached_count = len(points) - len(pending)
-        for index, fragment in self.executor.run(self.spec, pending, self.scale):
-            fragments[index] = fragment
-            if self.context is not None:
-                self.context.record(keys[index], fragment, stage=self.spec.name)
-
-        rows = merge_rows(self.spec, points, fragments)
-        return SweepResult(
-            spec_name=self.spec.name,
-            headers=result_headers(self.spec, rows),
-            rows=rows,
-            scale=self.scale,
-            jobs=self.jobs,
-            points_total=len(points),
-            points_cached=cached_count,
-            elapsed_s=time.time() - start,
-            description=self.spec.description,
-        )
 
 
 def run_sweep(
     spec: ExperimentSpec,
     scale: float = 1.0,
     jobs: int = 1,
-    **kwargs: Any,
+    axes: Optional[Mapping[str, Sequence[Any]]] = None,
+    overrides: Optional[Mapping[str, Any]] = None,
+    base_seed: Optional[int] = None,
+    executor: Optional[Executor] = None,
+    context: Optional[CampaignContext] = None,
 ) -> SweepResult:
-    """One-call convenience wrapper around :class:`SweepRunner`."""
-    return SweepRunner(spec, scale=scale, jobs=jobs, **kwargs).run()
+    """Expand ``spec``, serve what ``context`` holds, execute the rest,
+    journal each fragment as it lands, and merge rows in grid order.
+
+    ``scale`` is forwarded to every point; ``axes`` restricts axes to
+    subsets and ``overrides`` wins over defaults/axis/variant values;
+    ``base_seed`` replaces the spec's seed root.  ``executor`` defaults
+    to :func:`make_executor` of ``jobs``, and its ``jobs`` is what the
+    result reports.  ``context`` (e.g. ``CampaignContext(directory)``)
+    serves fragments journaled by earlier runs."""
+    start = time.time()
+    if executor is None:
+        executor = make_executor(jobs=jobs)
+    points = spec.expand(axes=axes, overrides=overrides, base_seed=base_seed)
+    fragments: List[Optional[Dict[str, Any]]] = [None] * len(points)
+    keys: Dict[int, str] = {}
+    pending: List[Point] = []
+    for point in points:
+        if context is not None:
+            keys[point.index] = point_key(spec.name, point, scale)
+            fragments[point.index] = context.get(keys[point.index])
+        if fragments[point.index] is None:
+            pending.append(point)
+
+    for index, fragment in executor.run(spec, pending, scale):
+        fragments[index] = fragment
+        if context is not None:
+            context.record(keys[index], fragment, stage=spec.name)
+
+    rows = merge_rows(spec, points, fragments)
+    return SweepResult(
+        spec_name=spec.name,
+        headers=result_headers(spec, rows),
+        rows=rows,
+        scale=scale,
+        jobs=executor.jobs,
+        points_total=len(points),
+        points_cached=len(points) - len(pending),
+        elapsed_s=time.time() - start,
+        description=spec.description,
+    )

@@ -6,9 +6,10 @@ as data: a grid of *axes* (one row per grid point), a list of
 an optional *derived-config hook*, and a point function that runs one
 ``(grid point, variant)`` cell and returns its column fragment.
 
-The spec never runs anything itself — :class:`repro.experiments.runner.
-SweepRunner` expands it into :class:`Point` objects and executes them,
-serially or across worker processes.
+The spec never runs anything itself —
+:func:`repro.experiments.runner.run_sweep` expands it into
+:class:`Point` objects and executes them, serially or across worker
+processes.
 """
 
 from __future__ import annotations

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.experiments import registry
 from repro.experiments.campaign import CampaignRunner, CampaignSpec, CampaignStage
-from repro.experiments.context import CampaignContext
-from repro.harness.report import format_table
+from repro.experiments.context import CampaignContext, atomic_write_json
+from repro.experiments.executors import make_executor
 
 
 def _parse_value(text: str) -> Any:
@@ -161,15 +160,10 @@ def main(argv=None) -> int:
                 for name in names
             ],
         )
-        context = None
-        if args.campaign_dir:
-            context = CampaignContext(args.campaign_dir)
-        from repro.experiments.executors import make_executor
-
         runner = CampaignRunner(
             campaign,
             executor=make_executor(jobs=args.jobs),
-            context=context,
+            context=CampaignContext(args.campaign_dir) if args.campaign_dir else None,
         )
         artifacts = {}
         for stage_result in runner.iter_run():
@@ -180,7 +174,7 @@ def main(argv=None) -> int:
                 else ""
             )
             print(f"=== {stage_result.stage} ({result.elapsed_s:.1f}s{cached}) ===")
-            print(format_table(result.headers, result.rows))
+            print(result.table())
             print()
             artifacts[stage_result.stage] = result.to_json_dict()
     except ConfigError as exc:
@@ -189,9 +183,7 @@ def main(argv=None) -> int:
 
     if args.json_out:
         payload = artifacts[names[0]] if len(names) == 1 else artifacts
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        atomic_write_json(args.json_out, payload)
         print(f"wrote {args.json_out}")
     return 0
 

@@ -6,7 +6,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ClusterConfig, default_cluster
 from repro.core.design_space import CcMethod, DESIGN_SPACE, design_space_table
-from repro.experiments import ExperimentSpec, SweepRunner, register
+from repro.experiments import ExperimentSpec, register, run_sweep
 
 TABLE1_HEADERS = ("cc_method", "source", "destination")
 
@@ -113,5 +113,5 @@ def table2_rows(
     cfg: Optional[ClusterConfig] = None,
 ) -> Tuple[Sequence[str], List[Dict]]:
     """Table 2: system parameters, read back from the live config."""
-    result = SweepRunner(TABLE2_SPEC, overrides={"cluster": cfg}).run()
+    result = run_sweep(TABLE2_SPEC, overrides={"cluster": cfg})
     return TABLE2_HEADERS, result.rows

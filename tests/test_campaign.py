@@ -7,16 +7,20 @@ the same campaign — pinned here at test scale and by the CI campaign
 smoke job at the CLI level (with a real SIGKILL).
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
 from repro.experiments import (
@@ -25,21 +29,22 @@ from repro.experiments import (
     CampaignSpec,
     CampaignStage,
     ExperimentSpec,
-    MemoryContext,
     PoolExecutor,
     QaCheck,
     SerialExecutor,
     SubprocessExecutor,
-    SweepRunner,
     Variant,
     make_executor,
     point_key,
+    registry,
+    run_sweep,
 )
 from repro.experiments import campaign_cli, qa
 from repro.experiments.campaign import campaign_status, load_campaign
 from repro.experiments.executors import resolve_spec
 from repro.experiments.runner import merge_rows
 from repro.experiments.worker import serve as worker_serve
+from repro.harness.cli import main as harness_main
 from repro.harness.htmlreport import render_campaign
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -86,12 +91,12 @@ def _mix_campaign(**stage_kwargs):
 
 class TestExecutors:
     def test_serial_pool_and_workers_byte_identical(self):
-        serial = SweepRunner(MIX_SPEC, executor=SerialExecutor()).run()
-        pool = SweepRunner(MIX_SPEC, executor=PoolExecutor(3)).run()
-        sub = SweepRunner(
+        serial = run_sweep(MIX_SPEC, executor=SerialExecutor())
+        pool = run_sweep(MIX_SPEC, executor=PoolExecutor(3))
+        sub = run_sweep(
             MIX_SPEC,
             executor=SubprocessExecutor(workers=2, ref=MIX_REF, env=_WORKER_ENV),
-        ).run()
+        )
         assert repr(serial.rows) == repr(pool.rows) == repr(sub.rows)
 
     def test_subprocess_executor_value_fidelity(self):
@@ -101,12 +106,12 @@ class TestExecutors:
             axes={"x": (1,)},
             point_fn=lambda ctx: {"t": (1, 2), "i": 3, "f": 3.0},
         )
-        sub = SweepRunner(
+        sub = run_sweep(
             spec,
             executor=SubprocessExecutor(
                 workers=1, ref="test_campaign:_TYPES_SPEC", env=_WORKER_ENV
             ),
-        ).run()
+        )
         row = sub.rows[0]
         assert row["t"] == (1, 2) and isinstance(row["t"], tuple)
         assert isinstance(row["i"], int) and isinstance(row["f"], float)
@@ -119,19 +124,33 @@ class TestExecutors:
             env=_WORKER_ENV,
         )
         with pytest.raises(ConfigError):
-            SweepRunner(MIX_SPEC, executor=executor).run()
+            run_sweep(MIX_SPEC, executor=executor)
 
     def test_make_executor_factory(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("serial", jobs=4), PoolExecutor)
-        assert isinstance(make_executor("pool", jobs=2), PoolExecutor)
-        assert isinstance(make_executor("workers", workers=3), SubprocessExecutor)
-        with pytest.raises(ConfigError):
-            make_executor("queue")
-        with pytest.raises(ConfigError):
-            make_executor("serial", jobs=0)
-        with pytest.raises(ConfigError):
-            make_executor("workers", workers=0)
+        """The counts choose the executor, and each reports its own
+        ``jobs`` — a subclass that skips ``__init__`` included."""
+        assert type(make_executor()) is SerialExecutor
+        assert type(make_executor(jobs=1)) is SerialExecutor
+        pool = make_executor(jobs=4)
+        assert isinstance(pool, PoolExecutor) and pool.jobs == 4
+        workers = make_executor(workers=3)
+        assert isinstance(workers, SubprocessExecutor) and workers.jobs == 3
+        assert workers.describe() == "workers:3"
+
+        class Bare(SerialExecutor):
+            def __init__(self):
+                pass
+
+        assert Bare().jobs == SerialExecutor().jobs == 1
+        for bad in (
+            {"jobs": 2, "workers": 2},
+            {"jobs": 1, "workers": 2},
+            {"jobs": 0},
+            {"workers": 0},
+            {"command": "{python} -m repro.experiments.worker"},
+        ):
+            with pytest.raises(ConfigError):
+                make_executor(**bad)
 
     def test_resolve_spec_registry_and_module(self):
         assert resolve_spec(MIX_REF) is MIX_SPEC
@@ -214,6 +233,14 @@ class TestJournal:
             ref_dir / "artifacts" / "mix.rows.json"
         ).read_bytes()
 
+    def test_point_key_is_pinned(self):
+        """Key derivation is the journal's format: a change to it
+        orphans every campaign directory already on disk."""
+        point = MIX_SPEC.expand()[0]
+        assert point_key(MIX_SPEC.name, point, 0.5) == (
+            "f893a47eb138caec5da26d80cd373a23d7fa8f7e1348b9a07050d0457fd92cbc"
+        )
+
     def test_corrupt_journal_lines_recompute_not_crash(self, tmp_path):
         from repro.experiments import execute_point
 
@@ -237,7 +264,9 @@ class TestJournal:
 
         # A campaign over the damaged journal completes with correct rows.
         result = CampaignRunner(_mix_campaign(), context=reopened).run()
-        clean = CampaignRunner(_mix_campaign(), context=MemoryContext()).run()
+        clean = CampaignRunner(
+            _mix_campaign(), context=CampaignContext(str(tmp_path / "clean"))
+        ).run()
         assert repr(result.stages[0].result.rows) == repr(clean.stages[0].result.rows)
         assert result.stages[0].journal_hits == 1
 
@@ -246,9 +275,9 @@ class TestJournal:
         fragment that parses but is not a dict — costs exactly that
         point, which recomputes to byte-identical rows."""
         cache_dir = tmp_path / "cache"
-        first = SweepRunner(
+        first = run_sweep(
             MIX_SPEC, context=CampaignContext(str(cache_dir))
-        ).run()
+        )
         journal = cache_dir / "journal.jsonl"
         lines = journal.read_text().splitlines()
         assert len(lines) == first.points_total > 2
@@ -257,15 +286,9 @@ class TestJournal:
         entry["fragment"] = 17  # valid JSON, not a fragment dict
         lines[1] = json.dumps(entry)
         journal.write_text("\n".join(lines) + "\n")
-        runner = SweepRunner(
-            MIX_SPEC, context=CampaignContext(str(cache_dir))
-        )
-        again = runner.run()
-        assert runner.context.journal_lines_skipped == 2
-        assert (runner.context.hits, runner.context.misses) == (
-            len(lines) - 2,
-            2,
-        )
+        context = CampaignContext(str(cache_dir))
+        again = run_sweep(MIX_SPEC, context=context)
+        assert context.journal_lines_skipped == 2
         assert again.points_cached == len(lines) - 2
         assert json.dumps(first.rows_json_dict()) == json.dumps(
             again.rows_json_dict()
@@ -278,7 +301,7 @@ class TestJournal:
             point_fn=lambda ctx: {"obj": object()},
         )
         context = CampaignContext(str(tmp_path / "u"))
-        result = SweepRunner(spec, context=context).run()
+        result = run_sweep(spec, context=context)
         assert result.rows[0]["x"] == 1
         context.close()
         reopened = CampaignContext(str(tmp_path / "u"))
@@ -286,7 +309,7 @@ class TestJournal:
 
 
 class TestMergeAndArtifacts:
-    def test_empty_fragment_is_not_missing(self):
+    def test_empty_fragment_is_not_missing(self, tmp_path):
         points = MIX_SPEC.expand(axes={"x": (1,)})
         rows_none = merge_rows(MIX_SPEC, points, [None, None])
         rows_empty = merge_rows(MIX_SPEC, points, [{}, {}])
@@ -297,26 +320,36 @@ class TestMergeAndArtifacts:
             axes={"x": (1, 2)},
             point_fn=lambda ctx: {},
         )
-        context = MemoryContext()
-        SweepRunner(spec, context=context).run()
-        second = SweepRunner(spec, context=context).run()
+        context = CampaignContext(str(tmp_path / "empty"))
+        run_sweep(spec, context=context)
+        second = run_sweep(spec, context=context)
         assert second.points_cached == 2
 
     def test_write_json_is_atomic(self, tmp_path):
+        """``repro-harness --json-out`` writes then renames (``indent=2``
+        plus a newline), so a failed write leaves the old file whole."""
         path = tmp_path / "out.json"
-        result = SweepRunner(MIX_SPEC).run()
-        result.write_json(str(path))
-        original = path.read_bytes()
-        json.loads(original)
-        assert not (tmp_path / "out.json.tmp").exists()
+        argv = [MIX_SPEC.name, "--json-out", str(path)]
+        registry.register(MIX_SPEC)
+        try:
+            assert harness_main(argv) == 0
+            original = path.read_bytes()
+            payload = json.loads(original)
+            assert payload["rows"] == run_sweep(MIX_SPEC).rows
+            assert original.decode() == json.dumps(payload, indent=2) + "\n"
+            assert not (tmp_path / "out.json.tmp").exists()
 
-        # A failed re-write (unserializable row) must leave the
-        # original artifact untouched, not truncated.
-        bad = SweepRunner(MIX_SPEC).run()
-        bad.rows[0]["poison"] = object()
-        with pytest.raises(TypeError):
-            bad.write_json(str(path))
-        assert path.read_bytes() == original
+            # A failed re-write (unserializable row) must leave the
+            # original artifact untouched, not truncated.
+            poisoned = dataclasses.replace(
+                MIX_SPEC, point_fn=lambda ctx: {"poison": object()}
+            )
+            registry.register(poisoned)
+            with pytest.raises(TypeError):
+                harness_main(argv)
+            assert path.read_bytes() == original
+        finally:
+            registry.unregister(MIX_SPEC.name)
 
     def test_stage_meta_records_peak_rss(self, tmp_path, capsys):
         """Each stage's ``meta.json`` carries the process's RSS
@@ -448,7 +481,113 @@ _QA_SPEC = ExperimentSpec(
 )
 
 
+#: The five malformed requests that once ended in a traceback.
+_MALFORMED_REQUESTS = (
+    {"campaign": "c", "stages": [{"experiment": "nope_mod:thing"}]},
+    {"campaign": "c", "stages": [{"name": "no_experiment"}]},
+    {"campaign": "c", "stages": ["fig7a"]},
+    {
+        "campaign": "c",
+        "stages": [{"experiment": "fig7a", "axes": {"object_size": 64}}],
+    },
+    ["fig7a"],
+)
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(
+        ["", "c", "fig10", MIX_REF, "nope_mod:thing", ":", ".rel:x", "os:path",
+         "object_size", "x", "max"]
+    )
+)
+_REQUEST_KEYS = st.sampled_from(
+    ["campaign", "name", "description", "scale", "stages", "experiment",
+     "axes", "overrides", "base_seed", "qa", "column", "agg", "lo", "hi",
+     "label", "x", "object_size"]
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_REQUEST_KEYS, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _mostly(good):
+    """``good`` three draws in four, arbitrary JSON otherwise, so both
+    outcomes of the property below keep occurring."""
+    return st.tuples(st.integers(0, 3), good, _JSON).map(
+        lambda t: t[2] if t[0] == 0 else t[1]
+    )
+
+
+_STAGES = st.fixed_dictionaries(
+    {"experiment": _mostly(st.sampled_from(["fig10", MIX_REF]))},
+    optional={
+        "name": _mostly(st.sampled_from(["s1", "s2"])),
+        "axes": _mostly(
+            st.dictionaries(
+                st.sampled_from(["x", "object_size"]),
+                st.lists(st.integers(1, 3), max_size=2),
+                max_size=1,
+            )
+        ),
+        "overrides": _mostly(st.dictionaries(_REQUEST_KEYS, _JSON_SCALARS, max_size=2)),
+        "base_seed": _mostly(st.integers(0, 9)),
+        "scale": _mostly(st.floats(0.1, 1.0)),
+        "qa": _mostly(
+            st.lists(
+                st.fixed_dictionaries(
+                    {"column": st.just("x"), "hi": st.integers(0, 5)}
+                ),
+                max_size=1,
+            )
+        ),
+    },
+)
+_REQUESTS = _mostly(
+    st.fixed_dictionaries(
+        {
+            "campaign": _mostly(st.just("c")),
+            "stages": _mostly(st.lists(_mostly(_STAGES), min_size=1, max_size=2)),
+        },
+        optional={
+            "scale": _mostly(st.floats(0.1, 1.0)),
+            "description": _mostly(st.just("d")),
+        },
+    )
+)
+
+
 class TestCampaignSpec:
+    @settings(max_examples=150, deadline=None)
+    @given(request=_REQUESTS)
+    @example(request={"experiment": "nope_mod:thing"})
+    @example(request=_MALFORMED_REQUESTS[0])
+    @example(request=_MALFORMED_REQUESTS[1])
+    @example(request=_MALFORMED_REQUESTS[2])
+    @example(request=_MALFORMED_REQUESTS[3])
+    @example(request=_MALFORMED_REQUESTS[4])
+    @example(request={"campaign": "c", "stages": [{"experiment": MIX_REF}]})
+    def test_any_json_request_loads_or_raises_config_error(self, request):
+        """A request file either loads into a campaign whose every stage
+        resolves (and persists back to JSON), or raises ConfigError."""
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "req.json")
+            with open(path, "w") as fh:
+                json.dump(request, fh)
+            try:
+                campaign = load_campaign(path)
+                for stage in campaign.stages:
+                    resolve_spec(stage.experiment)
+            except ConfigError:
+                return
+        assert isinstance(campaign, CampaignSpec)
+        json.dumps(campaign.to_dict())
+
     def test_duplicate_stage_names_rejected(self):
         with pytest.raises(ConfigError):
             CampaignSpec(
@@ -612,6 +751,24 @@ class TestCampaignCli:
             argv = ["run", str(path), "--dir", root, "--qa-gate"]
             assert campaign_cli.main(argv) == 0
             assert (warning in capsys.readouterr().err) is warns
+
+    def test_malformed_request_exits_2(self, tmp_path, capsys):
+        for i, request in enumerate(_MALFORMED_REQUESTS):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(request))
+            argv = ["run", str(path), "--dir", str(tmp_path / f"d{i}")]
+            assert campaign_cli.main(argv) == 2, request
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_jobs_and_workers_are_exclusive(self, tmp_path, capsys):
+        root = str(tmp_path / "camp")
+        argv = ["run", self._request(tmp_path), "--dir", root]
+        assert campaign_cli.main([*argv, "--jobs", "2", "--workers", "2"]) == 2
+        assert "not both" in capsys.readouterr().err
+        assert not os.path.exists(root)  # refused before the directory exists
+        assert campaign_cli.main([*argv, "--jobs", "2"]) == 0
+        meta = json.loads(Path(root, "artifacts", "mix.meta.json").read_text())
+        assert meta["executor"] == "pool:2"
 
     @pytest.mark.smoke
     def test_sigkill_then_resume_byte_identical(self, tmp_path):

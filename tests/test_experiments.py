@@ -10,11 +10,11 @@ from repro.common.errors import ConfigError
 from repro.experiments import (
     CampaignContext,
     ExperimentSpec,
-    SweepRunner,
     Variant,
     registry,
     run_sweep,
 )
+from repro.experiments.context import atomic_write_json
 from repro.harness.cli import main
 from repro.harness.fig7 import FIG7A_SPEC
 
@@ -64,13 +64,13 @@ class TestSpecExpansion:
             derive=lambda p: {**p, "doubled": p["x"] * 2},
             point_fn=lambda ctx: {"y": ctx.params["doubled"]},
         )
-        rows = SweepRunner(spec).run().rows
+        rows = run_sweep(spec).rows
         assert rows == [{"x": 2, "y": 4}, {"x": 4, "y": 8}]
 
 
 class TestSweepRunner:
     def test_rows_merge_variants(self):
-        result = SweepRunner(ECHO_SPEC).run()
+        result = run_sweep(ECHO_SPEC)
         assert result.headers == ("x", "a_value", "b_value")
         assert result.rows == [
             {"x": 1, "a_value": 10, "b_value": 100},
@@ -87,27 +87,23 @@ class TestSweepRunner:
             finalize_row=lambda row: {**row, "sum": row["a_value"] + row["b_value"]},
             point_fn=_echo_point,
         )
-        rows = SweepRunner(spec).run().rows
+        rows = run_sweep(spec).rows
         assert rows[0]["sum"] == 110
         assert rows[1]["sum"] == 220
 
     def test_parallel_matches_serial(self):
-        serial = SweepRunner(ECHO_SPEC).run()
-        parallel = SweepRunner(ECHO_SPEC, jobs=3).run()
+        serial = run_sweep(ECHO_SPEC)
+        parallel = run_sweep(ECHO_SPEC, jobs=3)
         assert serial.rows == parallel.rows
 
     def test_jobs_validation(self):
         with pytest.raises(ConfigError):
-            SweepRunner(ECHO_SPEC, jobs=0)
+            run_sweep(ECHO_SPEC, jobs=0)
 
     def test_cache_round_trip(self, tmp_path):
         cache = str(tmp_path / "cache")
-        cold = SweepRunner(ECHO_SPEC, context=CampaignContext(cache))
-        first = cold.run()
-        warm = SweepRunner(ECHO_SPEC, context=CampaignContext(cache))
-        second = warm.run()
-        assert (cold.context.hits, cold.context.misses) == (0, 6)
-        assert (warm.context.hits, warm.context.misses) == (6, 0)
+        first = run_sweep(ECHO_SPEC, context=CampaignContext(cache))
+        second = run_sweep(ECHO_SPEC, context=CampaignContext(cache))
         assert first.points_cached == 0
         assert second.points_cached == second.points_total == 6
         assert json.dumps(first.rows_json_dict()) == json.dumps(
@@ -119,19 +115,14 @@ class TestSweepRunner:
 
     def test_cache_key_depends_on_scale(self, tmp_path):
         cache = str(tmp_path / "cache")
-        SweepRunner(
-            ECHO_SPEC, scale=1.0, context=CampaignContext(cache)
-        ).run()
-        other = SweepRunner(
-            ECHO_SPEC, scale=0.5, context=CampaignContext(cache)
-        )
-        assert other.run().points_cached == 0
-        assert (other.context.hits, other.context.misses) == (0, 6)
+        run_sweep(ECHO_SPEC, scale=1.0, context=CampaignContext(cache))
+        other = run_sweep(ECHO_SPEC, scale=0.5, context=CampaignContext(cache))
+        assert other.points_cached == 0
 
     def test_json_artifact(self, tmp_path):
         path = tmp_path / "echo.json"
         result = run_sweep(ECHO_SPEC)
-        result.write_json(str(path))
+        atomic_write_json(str(path), result.to_json_dict())
         payload = json.loads(path.read_text())
         assert payload["experiment"] == "echo"
         assert payload["rows"] == result.rows
@@ -257,16 +248,14 @@ class TestLayeredConfigs:
 class TestFigureSpecs:
     def test_fig7a_parallel_sweep_byte_identical_to_serial(self):
         axes = {"object_size": (64, 512)}
-        serial = SweepRunner(FIG7A_SPEC, scale=0.1, axes=axes).run()
-        parallel = SweepRunner(FIG7A_SPEC, scale=0.1, axes=axes, jobs=2).run()
+        serial = run_sweep(FIG7A_SPEC, scale=0.1, axes=axes)
+        parallel = run_sweep(FIG7A_SPEC, scale=0.1, axes=axes, jobs=2)
         assert repr(serial.rows) == repr(parallel.rows)
 
     def test_registry_sweep_matches_direct_sweep(self):
         axes = {"object_size": (64, 512)}
         named = run_sweep(registry.get("fig7a"), scale=0.1, axes=axes)
-        direct = SweepRunner(
-            FIG7A_SPEC, scale=0.1, axes=axes, overrides={"seed": 5}
-        ).run()
+        direct = run_sweep(FIG7A_SPEC, scale=0.1, axes=axes, overrides={"seed": 5})
         assert named.headers == direct.headers
         assert repr(named.rows) == repr(direct.rows)
 

@@ -6,8 +6,7 @@ and the registered failover experiments."""
 import pytest
 
 from repro.common.errors import ConfigError, ShardCrashedError
-from repro.experiments import registry
-from repro.experiments.runner import SweepRunner
+from repro.experiments import registry, run_sweep
 from repro.objstore.failover import (
     FailoverManager,
     FailurePlan,
@@ -441,9 +440,9 @@ class TestSpecs:
         assert "failover_atomicity" in names
 
     def test_availability_reads_continue_during_outage(self):
-        result = SweepRunner(
+        result = run_sweep(
             FAILOVER_AVAILABILITY_SPEC, scale=0.2, axes={"cycles": (3,)}
-        ).run()
+        )
         (row,) = result.rows
         assert row["reads"] > 0
         assert row["reads_during_outage"] > 0
@@ -453,7 +452,7 @@ class TestSpecs:
         assert row["undetected_violations"] == 0
 
     def test_atomicity_zero_violations_across_cycles(self):
-        result = SweepRunner(FAILOVER_ATOMICITY_SPEC, scale=0.2).run()
+        result = run_sweep(FAILOVER_ATOMICITY_SPEC, scale=0.2)
         (row,) = result.rows
         for label in ("sabre", "percl", "checksum", "drtm"):
             assert row[f"{label}_violations"] == 0
@@ -461,8 +460,8 @@ class TestSpecs:
             assert row[f"{label}_reads"] > 0
 
     def test_atomicity_parallel_sweep_byte_identical_to_serial(self):
-        serial = SweepRunner(FAILOVER_ATOMICITY_SPEC, scale=0.1).run()
-        parallel = SweepRunner(FAILOVER_ATOMICITY_SPEC, scale=0.1, jobs=2).run()
+        serial = run_sweep(FAILOVER_ATOMICITY_SPEC, scale=0.1)
+        parallel = run_sweep(FAILOVER_ATOMICITY_SPEC, scale=0.1, jobs=2)
         assert repr(serial.rows) == repr(parallel.rows)
 
     def test_config_validation(self):

@@ -10,7 +10,7 @@ from repro.common.errors import (
     LinkPartitionedError,
     ShardCrashedError,
 )
-from repro.experiments.runner import SweepRunner
+from repro.experiments import run_sweep
 from repro.fabric.packets import read_reply
 from repro.faults import FaultInjector, FaultSchedule, FaultWindow
 from repro.sonuma.node import Cluster
@@ -469,17 +469,17 @@ class TestClockSkew:
 # ----------------------------------------------------------------------
 class TestFaultSweepDeterminism:
     def test_gray_parallel_sweep_byte_identical_to_serial(self):
-        serial = SweepRunner(GRAY_AVAILABILITY_SPEC, scale=0.1).run()
-        parallel = SweepRunner(
+        serial = run_sweep(GRAY_AVAILABILITY_SPEC, scale=0.1)
+        parallel = run_sweep(
             GRAY_AVAILABILITY_SPEC, scale=0.1, jobs=2
-        ).run()
+        )
         assert repr(serial.rows) == repr(parallel.rows)
 
     def test_partition_parallel_sweep_byte_identical_to_serial(self):
-        serial = SweepRunner(PARTITION_AVAILABILITY_SPEC, scale=0.1).run()
-        parallel = SweepRunner(
+        serial = run_sweep(PARTITION_AVAILABILITY_SPEC, scale=0.1)
+        parallel = run_sweep(
             PARTITION_AVAILABILITY_SPEC, scale=0.1, jobs=2
-        ).run()
+        )
         assert repr(serial.rows) == repr(parallel.rows)
 
 

@@ -7,7 +7,8 @@ import asyncio
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.experiments import SweepRunner, registry
+from repro import experiments
+from repro.experiments import registry
 from repro.loadgen.client import run_open_loop
 from repro.loadgen.sweep import (
     SERVE_LOAD_SWEEP_SPEC,
@@ -272,12 +273,10 @@ class TestServeLoadSweepSpec:
         fast; every point is a pure function of config + seed, so the
         rows must match byte for byte."""
         axes = {"workload": ("C",)}
-        serial = SweepRunner(
-            SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes=axes
-        ).run()
-        parallel = SweepRunner(
+        serial = experiments.run_sweep(SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes=axes)
+        parallel = experiments.run_sweep(
             SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes=axes, jobs=2
-        ).run()
+        )
         assert repr(serial.rows) == repr(parallel.rows)
         row = serial.rows[0]
         assert row["sabre_peak_qps"] > 0
@@ -289,9 +288,9 @@ class TestServeLoadSweepSpec:
         just the ones the spec states: a larger object moves the rows."""
         axes = {"workload": ("C",)}
         rows = [
-            SweepRunner(
+            experiments.run_sweep(
                 SERVE_LOAD_SWEEP_SPEC, scale=0.02, axes=axes, overrides=over
-            ).run().rows
+            ).rows
             for over in ({}, {"object_size": 4096})
         ]
         assert rows[0] != rows[1]
@@ -299,9 +298,9 @@ class TestServeLoadSweepSpec:
     def test_qa_checks_pass_on_scaled_run(self):
         from repro.experiments.qa import evaluate
 
-        rows = SweepRunner(
+        rows = experiments.run_sweep(
             SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes={"workload": ("B",)}
-        ).run().rows
+        ).rows
         report = evaluate("sweep", SERVE_LOAD_SWEEP_SPEC.qa_checks, rows)
         assert report.verdict == "pass"
 

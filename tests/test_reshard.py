@@ -10,7 +10,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
-from repro.experiments.runner import SweepRunner
+from repro.experiments import run_sweep
 from repro.objstore.layout import is_locked, stamped_payload
 from repro.objstore.reshard import (
     RebalanceConfig,
@@ -707,15 +707,15 @@ class TestElasticWorkload:
 
     def test_elastic_scaling_parallel_sweep_matches_serial(self):
         axes = {"target_shards": (8,)}
-        serial = SweepRunner(ELASTIC_SCALING_SPEC, scale=0.1, axes=axes).run()
-        parallel = SweepRunner(
+        serial = run_sweep(ELASTIC_SCALING_SPEC, scale=0.1, axes=axes)
+        parallel = run_sweep(
             ELASTIC_SCALING_SPEC, scale=0.1, axes=axes, jobs=2
-        ).run()
+        )
         assert repr(serial.rows) == repr(parallel.rows)
 
     def test_hotkey_rebalance_parallel_sweep_matches_serial(self):
-        serial = SweepRunner(HOTKEY_REBALANCE_SPEC, scale=0.1).run()
-        parallel = SweepRunner(HOTKEY_REBALANCE_SPEC, scale=0.1, jobs=2).run()
+        serial = run_sweep(HOTKEY_REBALANCE_SPEC, scale=0.1)
+        parallel = run_sweep(HOTKEY_REBALANCE_SPEC, scale=0.1, jobs=2)
         assert repr(serial.rows) == repr(parallel.rows)
 
 

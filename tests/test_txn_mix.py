@@ -5,7 +5,7 @@ the parallel-equals-serial determinism contract."""
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.experiments import SweepRunner, registry
+from repro.experiments import registry, run_sweep
 from repro.harness.cli import main
 from repro.workloads.txn_mix import (
     PROTOCOL_VARIANTS,
@@ -108,23 +108,23 @@ class TestSpecs:
 
     def test_abort_rate_parallel_sweep_byte_identical_to_serial(self):
         axes = {"rmw_fraction": (0.0, 0.75)}
-        serial = SweepRunner(TXN_ABORT_RATE_SPEC, scale=0.05, axes=axes).run()
-        parallel = SweepRunner(
+        serial = run_sweep(TXN_ABORT_RATE_SPEC, scale=0.05, axes=axes)
+        parallel = run_sweep(
             TXN_ABORT_RATE_SPEC, scale=0.05, axes=axes, jobs=4
-        ).run()
+        )
         assert repr(serial.rows) == repr(parallel.rows)
 
     def test_scaling_parallel_sweep_byte_identical_to_serial(self):
         axes = {"shards": (1, 2)}
-        serial = SweepRunner(TXN_SHARD_SCALING_SPEC, scale=0.05, axes=axes).run()
-        parallel = SweepRunner(
+        serial = run_sweep(TXN_SHARD_SCALING_SPEC, scale=0.05, axes=axes)
+        parallel = run_sweep(
             TXN_SHARD_SCALING_SPEC, scale=0.05, axes=axes, jobs=4
-        ).run()
+        )
         assert repr(serial.rows) == repr(parallel.rows)
 
     def test_abort_rate_grows_with_write_fraction_under_sabre(self):
         axes = {"rmw_fraction": (0.0, 1.0)}
-        result = SweepRunner(TXN_ABORT_RATE_SPEC, scale=0.2, axes=axes).run()
+        result = run_sweep(TXN_ABORT_RATE_SPEC, scale=0.2, axes=axes)
         ro, wr = result.rows
         assert ro["sabre_abort_rate"] == 0.0
         assert wr["sabre_abort_rate"] > 0.0
@@ -135,9 +135,9 @@ class TestSpecs:
             assert wr[f"{label}_torn_reads"] == 0
 
     def test_scaling_rows_shape(self):
-        result = SweepRunner(
+        result = run_sweep(
             TXN_SHARD_SCALING_SPEC, scale=0.05, axes={"shards": (2,)}
-        ).run()
+        )
         (row,) = result.rows
         assert row["shards"] == 2
         assert row["commits_per_us"] > 0

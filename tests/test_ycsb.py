@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.experiments import SweepRunner, registry
+from repro.experiments import registry, run_sweep
 from repro.harness.cli import main
 from repro.objstore.ring import HashRing
 from repro.workloads.ycsb import (
@@ -104,25 +104,25 @@ class TestSpecs:
 
     def test_scaling_parallel_sweep_byte_identical_to_serial(self):
         axes = {"shards": (1, 2)}
-        serial = SweepRunner(YCSB_SHARD_SCALING_SPEC, scale=0.05, axes=axes).run()
-        parallel = SweepRunner(
+        serial = run_sweep(YCSB_SHARD_SCALING_SPEC, scale=0.05, axes=axes)
+        parallel = run_sweep(
             YCSB_SHARD_SCALING_SPEC, scale=0.05, axes=axes, jobs=2
-        ).run()
+        )
         assert repr(serial.rows) == repr(parallel.rows)
 
     def test_scaling_rows_shape(self):
-        result = SweepRunner(
+        result = run_sweep(
             YCSB_SHARD_SCALING_SPEC, scale=0.05, axes={"shards": (2,)}
-        ).run()
+        )
         (row,) = result.rows
         assert row["shards"] == 2
         assert row["read_gbps"] > 0
         assert row["undetected_violations"] == 0
 
     def test_replication_clamped_to_single_shard(self):
-        result = SweepRunner(
+        result = run_sweep(
             YCSB_SHARD_SCALING_SPEC, scale=0.05, axes={"shards": (1,)}
-        ).run()
+        )
         assert result.rows[0]["read_gbps"] > 0
 
     def test_cli_lists_ycsb_experiments(self, capsys):
