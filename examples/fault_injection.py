@@ -6,7 +6,7 @@ Walks the fault-injection layer (`repro.faults`) end to end:
 1. a gray failure: a shard turns 10x slower mid-run — the client RPC
    watchdog fires against the slow-but-alive peer and *re-arms*
    instead of spuriously failing the call,
-2. an asymmetric partition: a drop window severs one client->shard
+2. an asymmetric partition: a partition window severs one client->shard
    link; new conversations fail fast with a typed
    ``LinkPartitionedError`` while everyone else keeps full access, and
    in-flight exchanges drain losslessly,
@@ -32,7 +32,8 @@ def demo_gray_failure() -> None:
     print("--- gray failure: slow-but-alive, watchdog re-arms ---")
     cfg = ShardedConfig(n_shards=4, replication=2, n_objects=32, object_size=256)
     with closing(ShardedKV(cfg)) as kv:
-        FailoverManager(kv, rpc_timeout_ns=300.0)  # watchdog far below one RTT
+        kv.arm_watchdogs(300.0)  # watchdog far below one RTT; armed first, it wins
+        FailoverManager(kv)
         key = kv.keys()[0]
         primary = kv.primary_of(key)
         FaultInjector(
@@ -48,7 +49,6 @@ def demo_gray_failure() -> None:
                     )
                 ]
             ),
-            kv=kv,
         )
         manager = TxnManager(kv)
         session = manager.session(0)
@@ -76,7 +76,7 @@ def demo_asymmetric_partition() -> None:
         fabric = kv.cluster.fabric
         shard_node = kv.shards[0].node_id
         client_a = kv.clients[0].node_id
-        token = fabric.degrade_link(client_a, shard_node, drop=True)
+        token = fabric.sever_link(client_a, shard_node)
         replies = {}
 
         def blocked_client():

@@ -47,6 +47,10 @@ from repro.experiments.runner import SweepResult, run_sweep
 from repro.experiments.spec import ExperimentSpec
 
 
+#: What one axis value may be: a request file's axes are lists of these.
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
 @dataclass
 class CampaignStage:
     """One stage of a campaign: a spec reference plus its knobs."""
@@ -66,6 +70,14 @@ class CampaignStage:
         if self.axes is not None:
             for axis, values in expect_type("stage axes", self.axes, Mapping).items():
                 expect_type(f"values of axis {axis!r}", values, (list, tuple))
+                for value in values:
+                    # A list or object would only fail inside a point
+                    # function, after the campaign has started.
+                    if not isinstance(value, _JSON_SCALARS):
+                        raise ConfigError(
+                            f"axis {axis!r} value {value!r} is not a JSON "
+                            "scalar (string, number, boolean or null)"
+                        )
         if self.overrides is not None:
             expect_type("stage overrides", self.overrides, Mapping)
         if self.base_seed is not None:

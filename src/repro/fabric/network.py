@@ -8,7 +8,7 @@ enough for the paper's latency model ("fixed latency per hop").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.common.config import FabricConfig
 from repro.common.errors import ConfigError
@@ -20,32 +20,22 @@ PacketHandler = Callable[[Packet], None]
 
 
 class LinkFault:
-    """One active degradation on a directed link — the token returned
-    by :meth:`Fabric.degrade_link` and consumed by
-    :meth:`Fabric.restore_link`.
+    """One open sever on a directed link — the token returned by
+    :meth:`Fabric.sever_link` and consumed by :meth:`Fabric.restore_link`.
 
-    Tokens on the same link *compose*: latency and bandwidth
-    multipliers multiply, and ``drop`` windows OR together.  ``drop``
-    severs *new* conversations (callers fail fast with a typed
-    :class:`~repro.common.errors.LinkPartitionedError`); packets are
-    never physically discarded, because the fabric is lossless and the
-    protocols above it (SABRe registration-before-request, RPC
-    request/reply pairing) are built on that guarantee.
+    Tokens on the same link compose: the link stays severed until the
+    last one is restored.  A sever refuses *new* conversations (callers
+    fail fast with a typed :class:`~repro.common.errors.
+    LinkPartitionedError`); packets are never physically discarded,
+    because the fabric is lossless and the protocols above it (SABRe
+    registration-before-request, RPC request/reply pairing) are built on
+    that guarantee.
     """
 
-    __slots__ = ("key", "drop", "latency_mult", "bw_mult")
+    __slots__ = ("key",)
 
-    def __init__(
-        self,
-        key: Tuple[int, int],
-        drop: bool,
-        latency_mult: float,
-        bw_mult: float,
-    ):
+    def __init__(self, key: Tuple[int, int]):
         self.key = key
-        self.drop = drop
-        self.latency_mult = latency_mult
-        self.bw_mult = bw_mult
 
 
 class Link:
@@ -92,16 +82,10 @@ class Fabric:
         self._routes: Dict[tuple[int, int], tuple] = {}
         self._alive = [True] * nodes
         self.packets_dropped = 0
-        #: (src, dst) -> active fault tokens on that directed link.
+        #: (src, dst) -> open sever tokens on that directed link; a key
+        #: is present only while at least one token is open.
         self._link_faults: Dict[Tuple[int, int], List[LinkFault]] = {}
-        #: (src, dst) -> composed (drop, latency_mult, bw_mult) — the
-        #: degradation table :meth:`send` consults.  Kept separate from
-        #: the token lists so the hot path reads one dict entry.
-        self._degraded: Dict[Tuple[int, int], Tuple[bool, float, float]] = {}
-        #: True iff any degradation is active: the only cost the fault
-        #: layer adds to a healthy fabric's per-packet path.
-        self._faulty = False
-        #: New calls/posts refused because a drop window severed the
+        #: New calls/posts refused because a partition window severed the
         #: link (incremented by the endpoints that fail fast).
         self.partition_refusals = 0
         #: Per-node clock skew: node ``i`` observes membership
@@ -133,12 +117,12 @@ class Fabric:
         receives: packets from or to it are silently dropped, which is
         how a crash looks to everyone else on a lossless fabric.
 
-        Membership is deliberately *orthogonal* to link degradation: a
-        node that crashes inside a partition window keeps its fault
+        Membership is deliberately *orthogonal* to severed links: a
+        node that crashes inside a partition window keeps its sever
         tokens, and the injector restores them on schedule regardless
         of the node's aliveness — so a recovered node comes back with
-        clean link tables once the window closes, never with leaked
-        degradation state."""
+        clean link tables once the window closes, never with a leaked
+        sever."""
         if not 0 <= node_id < self.nodes:
             raise ConfigError(f"node {node_id} outside fabric of {self.nodes}")
         if alive != self._alive[node_id]:
@@ -190,92 +174,42 @@ class Fabric:
         return state
 
     # ------------------------------------------------------------------
-    # link degradation (the injector's mutation surface)
+    # severed links (the injector's mutation surface)
     # ------------------------------------------------------------------
-    def degrade_link(
-        self,
-        src: int,
-        dst: int,
-        *,
-        drop: bool = False,
-        latency_mult: float = 1.0,
-        bw_mult: float = 1.0,
-    ) -> LinkFault:
-        """Open one degradation on the directed ``src -> dst`` link and
-        return its token (pass it to :meth:`restore_link` to close).
-
-        ``latency_mult`` scales the propagation floor, ``bw_mult``
-        scales the serialization rate (``< 1`` is slower), and ``drop``
-        severs new conversations (see :class:`LinkFault`).  Degradation
-        is directional — open the reverse key too for a symmetric
-        fault — and tokens on the same link compose."""
+    def sever_link(self, src: int, dst: int) -> LinkFault:
+        """Sever the directed ``src -> dst`` link and return the token
+        (pass it to :meth:`restore_link` to close).  A sever refuses new
+        conversations in both directions (see :meth:`link_severed`);
+        tokens on the same link compose."""
         if not 0 <= src < self.nodes or not 0 <= dst < self.nodes:
             raise ConfigError(
                 f"link ({src}, {dst}) outside fabric of {self.nodes}"
             )
         if src == dst:
-            raise ConfigError("cannot degrade a node's link to itself")
-        if latency_mult < 1.0:
-            raise ConfigError(
-                f"latency_mult must be >= 1 (got {latency_mult}); "
-                "degradation cannot speed a link up"
-            )
-        if not 0.0 < bw_mult <= 1.0:
-            raise ConfigError(f"bw_mult must be in (0, 1], got {bw_mult}")
-        if not drop and latency_mult == 1.0 and bw_mult == 1.0:
-            raise ConfigError("degradation must drop or slow the link")
-        fault = LinkFault((src, dst), drop, latency_mult, bw_mult)
-        self._link_faults.setdefault((src, dst), []).append(fault)
-        self._recompose((src, dst))
+            raise ConfigError("cannot sever a node's link to itself")
+        fault = LinkFault((src, dst))
+        self._link_faults.setdefault(fault.key, []).append(fault)
         return fault
 
     def restore_link(self, fault: LinkFault) -> None:
-        """Close one degradation window (idempotence is an error: a
-        double restore means the injector's bookkeeping is wrong)."""
+        """Close one sever (idempotence is an error: a double restore
+        means the injector's bookkeeping is wrong)."""
         tokens = self._link_faults.get(fault.key)
         if tokens is None or fault not in tokens:
             raise ConfigError(f"no active fault on link {fault.key}")
         tokens.remove(fault)
         if not tokens:
             del self._link_faults[fault.key]
-        self._recompose(fault.key)
-
-    def _recompose(self, key: Tuple[int, int]) -> None:
-        tokens = self._link_faults.get(key)
-        if not tokens:
-            self._degraded.pop(key, None)
-        else:
-            drop = False
-            lat = 1.0
-            bw = 1.0
-            for t in tokens:
-                drop = drop or t.drop
-                lat *= t.latency_mult
-                bw *= t.bw_mult
-            self._degraded[key] = (drop, lat, bw)
-        self._faulty = bool(self._degraded)
-
-    def degradation(
-        self, src: int, dst: int
-    ) -> Optional[Tuple[bool, float, float]]:
-        """The composed ``(drop, latency_mult, bw_mult)`` on the
-        directed link, or ``None`` when it is healthy."""
-        return self._degraded.get((src, dst))
 
     def link_severed(self, src: int, dst: int) -> bool:
-        """True when a drop window in *either* direction severs the
+        """True when a sever in *either* direction cuts the
         conversation: a request whose reply cannot return is as dead as
         one that cannot be sent."""
-        if not self._faulty:
-            return False
-        eff = self._degraded.get((src, dst))
-        if eff is not None and eff[0]:
-            return True
-        eff = self._degraded.get((dst, src))
-        return eff is not None and eff[0]
+        faults = self._link_faults
+        return bool(faults) and ((src, dst) in faults or (dst, src) in faults)
 
     def reachable(self, src: int, dst: int) -> bool:
-        """Both ends alive and no drop window between them — whether a
+        """Both ends alive and no sever between them — whether a
         conversation started now could complete."""
         return (
             self._alive[src]
@@ -329,21 +263,11 @@ class Fabric:
             self._routes[key] = route
         # The link's serialization + propagation arithmetic lives here,
         # on the per-packet hot path, not behind a Link method: the
-        # extra dispatch is measurable at fleet event rates.
-        # Degradation costs one flag test while the fabric is healthy;
-        # the multipliers apply at *send-fire time*, so a window that
-        # opens mid-transfer slows exactly the packets sent inside it.
-        # ``drop`` windows still *deliver*: severing is enforced by the
-        # endpoints via :meth:`link_severed` before anything is posted,
-        # so packets already committed to the wire drain losslessly.
+        # extra dispatch is measurable at fleet event rates.  A severed
+        # link still *delivers*: severing is enforced by the endpoints
+        # via :meth:`link_severed` before anything is posted, so packets
+        # already committed to the wire drain losslessly.
         link, deliver, server, header, floor = route
-        rate = server.rate
-        if self._faulty:
-            eff = self._degraded.get(key)
-            if eff is not None:
-                _drop, lat_mult, bw_mult = eff
-                rate *= bw_mult
-                floor *= lat_mult
         link.packets_sent += 1
         sim = self.sim
         wire = header + packet.size_bytes
@@ -351,7 +275,7 @@ class Fabric:
         next_free = server._next_free
         if next_free > start:
             start = next_free
-        service = wire / rate
+        service = wire / server.rate
         next_free = start + service
         server._next_free = next_free
         server._busy_ns += service

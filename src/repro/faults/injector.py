@@ -14,16 +14,18 @@ What each family touches when a window opens:
   answers everything, just slower; watchdogs must re-arm, not fail.
 * **straggler** — the RPC plane only: replication acks and handler
   service limp while one-sided reads keep full speed.
-* **partition** — :meth:`Fabric.degrade_link` tokens, expanded from
+* **partition** — :meth:`Fabric.sever_link` tokens, expanded from
   the window's (possibly wildcard) link spec.  Tokens are restored at
   close *regardless of node aliveness*, which is what keeps
-  ``set_alive`` and link degradation composable: a node that crashes
+  ``set_alive`` and severed links composable: a node that crashes
   inside a window and recovers after it rejoins with clean link
   tables.
 
 Overlapping windows stack: per-node multipliers are the product of the
-open windows (the injector keeps a stack per node), link tokens compose
-inside the fabric.
+open windows (the injector keeps a stack per node), sever tokens
+compose inside the fabric.  The injector touches the cluster only; the
+service's RPC watchdog is armed by :meth:`~repro.objstore.sharded.
+ShardedKV.arm_watchdogs`.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class FaultStats:
     straggler_windows: int = 0
     partition_windows: int = 0
     windows_closed: int = 0
-    #: Directed links a partition window degraded (post-wildcard).
-    links_degraded: int = 0
+    #: Directed links a partition window severed (post-wildcard).
+    links_severed: int = 0
     skewed_nodes: int = 0
 
     def as_dict(self) -> Dict[str, float]:
@@ -55,20 +57,10 @@ class FaultInjector:
     """Drives a :class:`FaultSchedule` against a cluster.
 
     ``cluster`` is any object with ``sim``, ``fabric``, and ``nodes``
-    (a :class:`~repro.sonuma.node.Cluster`); pass the owning
-    :class:`~repro.objstore.sharded.ShardedKV` as ``kv`` to also arm
-    the service-level failover machinery (client RPC watchdogs via
-    ``rpc_timeout_ns`` — armed only when the service has none yet, so
-    a :class:`~repro.objstore.failover.FailoverManager`'s choice wins).
+    (a :class:`~repro.sonuma.node.Cluster`).
     """
 
-    def __init__(
-        self,
-        cluster,
-        schedule: Optional[FaultSchedule] = None,
-        kv=None,
-        rpc_timeout_ns: Optional[float] = None,
-    ):
+    def __init__(self, cluster, schedule: Optional[FaultSchedule] = None):
         self.cluster = cluster
         self.schedule = schedule or FaultSchedule()
         self.stats = FaultStats()
@@ -99,10 +91,6 @@ class FaultInjector:
             if skew > 0:
                 self.stats.skewed_nodes += 1
 
-        if kv is not None and rpc_timeout_ns is not None:
-            if kv.rpc_timeout_ns is None:
-                kv.rpc_timeout_ns = rpc_timeout_ns
-
         sim = cluster.sim
         for idx, window in enumerate(self.schedule.windows):
             sim.call_at(window.start_ns, self._open_window, idx, window)
@@ -132,20 +120,13 @@ class FaultInjector:
         self.events.append((self.cluster.sim.now, "open", window))
         if window.kind == "partition":
             self.stats.partition_windows += 1
-            tokens = []
             fabric = self.cluster.fabric
-            for src, dst in self._expand_links(window):
-                tokens.append(
-                    fabric.degrade_link(
-                        src,
-                        dst,
-                        drop=window.drop,
-                        latency_mult=window.latency_mult,
-                        bw_mult=window.bw_mult,
-                    )
-                )
+            tokens = [
+                fabric.sever_link(src, dst)
+                for src, dst in self._expand_links(window)
+            ]
             self._tokens[idx] = tokens
-            self.stats.links_degraded += len(tokens)
+            self.stats.links_severed += len(tokens)
             return
         if window.kind == "gray":
             self.stats.gray_windows += 1
@@ -174,7 +155,7 @@ class FaultInjector:
         src, dst = window.src, window.dst
         if src is not None and dst is not None:
             return [(src, dst)]
-        if dst is not None:  # isolate/degrade the node's ingress
+        if dst is not None:  # isolate the node's ingress
             return [(s, dst) for s in range(n_nodes) if s != dst]
         return [(src, d) for d in range(n_nodes) if d != src]
 

@@ -35,7 +35,10 @@ session.ReaderSession.lookup` routes over serving replicas), writers
 redirect to the promotee
 (:meth:`ShardedKV.put` retries on the typed error), and transactions
 see crashed shards as forced aborts with the distinct ``abort_crash``
-reason (:class:`~repro.objstore.txn.TxnStats.crash_aborts`).
+reason (:class:`~repro.objstore.txn.TxnStats.crash_aborts`).  What
+keeps clients moving is the pair of failure timers a manager arms
+through :meth:`ShardedKV.arm_watchdogs`, the one place they are set: a
+2 µs bound on each read attempt and a 60 µs RPC watchdog.
 
 Everything is deterministic: crash/recover times come from the plan,
 failure notifications iterate endpoints and transfer tables in fixed
@@ -50,19 +53,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.objstore.sharded import ShardedKV
-
-#: Default bound on one read attempt while failover is active, so a
-#: crash mid-attempt re-routes to the promoted view promptly instead of
-#: hammering a dead shard until the op deadline.
-DEFAULT_REROUTE_CHECK_NS = 2_000.0
-
-#: Default client-side RPC watchdog (the lease timeout a FaRM client
-#: would arm).  Crash notifications fail pending calls first, so the
-#: watchdog almost never fires — but it is what bounds the damage if a
-#: reply goes missing some other way, and its cancel-on-reply pattern
-#: is exactly the load the simulator's heap compaction exists for.
-DEFAULT_RPC_TIMEOUT_NS = 60_000.0
+from repro.objstore.sharded import REROUTE_CHECK_NS, RPC_TIMEOUT_NS, ShardedKV
 
 #: Default re-sync cost model: a fixed reconfiguration handshake plus a
 #: per-object bulk-copy charge.
@@ -184,25 +175,20 @@ class FailoverStats:
 class FailoverManager:
     """Drives a :class:`FailurePlan` against a :class:`ShardedKV`.
 
-    Construction arms the service's failover machinery (attempt
-    re-route bounding and RPC watchdogs) and schedules every fault as
-    simulation events; :meth:`crash` / :meth:`recover` are also public
-    so tests can inject faults directly.
+    Construction arms the service's failure timers through
+    :meth:`ShardedKV.arm_watchdogs` (the attempt re-route bound and
+    the RPC watchdog) and schedules every fault as simulation events;
+    :meth:`crash` / :meth:`recover` are also public so tests can inject
+    faults directly.
     """
 
     def __init__(
         self,
         kv: ShardedKV,
         plan: Optional[FailurePlan] = None,
-        reroute_check_ns: float = DEFAULT_REROUTE_CHECK_NS,
-        rpc_timeout_ns: Optional[float] = DEFAULT_RPC_TIMEOUT_NS,
         resync_fixed_ns: float = DEFAULT_RESYNC_FIXED_NS,
         resync_ns_per_object: float = DEFAULT_RESYNC_NS_PER_OBJECT,
     ):
-        if reroute_check_ns <= 0:
-            raise ConfigError(
-                f"reroute_check_ns must be positive: {reroute_check_ns}"
-            )
         if resync_fixed_ns < 0 or resync_ns_per_object < 0:
             raise ConfigError("re-sync costs cannot be negative")
         self.kv = kv
@@ -214,8 +200,7 @@ class FailoverManager:
         #: Timeline of ``(t_ns, event, shard)`` strings for reporting.
         self.events: List[Tuple[float, str, int]] = []
 
-        kv.reroute_check_ns = reroute_check_ns
-        kv.rpc_timeout_ns = rpc_timeout_ns
+        kv.arm_watchdogs(RPC_TIMEOUT_NS, REROUTE_CHECK_NS)
 
         sim = kv.cluster.sim
         serving_again: Dict[int, Optional[float]] = {}

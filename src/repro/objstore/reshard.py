@@ -57,6 +57,11 @@ ex-extra stays on the placement tail (replicated-to, readable) for
 ``drain_ns`` before the placement collapses, so in-flight reads never
 land on a copy a newer write has left stale.
 
+Attaching a manager arms the same failure timers a
+:class:`~repro.objstore.failover.FailoverManager` arms, through
+:meth:`ShardedKV.arm_watchdogs` (first watchdog wins, tightest re-route
+bound), so the two managers compose in either order.
+
 Everything is deterministic: batch and key order are sorted, tokens
 come from a dedicated counter (disjoint from transaction tokens), and
 the copy path's cost is independent of block-execution mode — elastic
@@ -71,19 +76,20 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHE_BLOCK
-from repro.objstore.failover import (
-    DEFAULT_REROUTE_CHECK_NS,
-    DEFAULT_RPC_TIMEOUT_NS,
-)
 from repro.objstore.layout import is_locked, lock_version, stamped_payload
 from repro.objstore.ring import RangeDelta
 from repro.objstore.session import OUTAGE_POLL_NS
-from repro.objstore.sharded import LOCK_SPIN_NS, ShardedKV
+from repro.objstore.sharded import (
+    LOCK_SPIN_NS,
+    REROUTE_CHECK_NS,
+    RPC_TIMEOUT_NS,
+    ShardedKV,
+)
 
 #: Fixed per-vnode handoff handshake (ownership-transfer metadata, the
 #: coordination a FaRM-style reconfiguration round costs) charged
 #: before a batch's keys migrate.
-DEFAULT_HANDOFF_FIXED_NS = 400.0
+HANDOFF_FIXED_NS = 400.0
 
 #: Double-read grace after the last batch of a topology change: how
 #: long readers keep consulting old owners before placements collapse
@@ -186,27 +192,18 @@ class ReshardManager:
 
     Attach at most one per service; it may coexist with a
     :class:`~repro.objstore.failover.FailoverManager` (the fuzz lanes
-    run both).  Attaching arms the same client-side reroute/watchdog
-    bounds failover arms, so readers re-route promptly mid-handoff."""
+    run both).  Attaching arms the same failure timers failover arms
+    (:meth:`ShardedKV.arm_watchdogs`), so readers re-route promptly
+    mid-handoff."""
 
-    def __init__(
-        self,
-        kv: ShardedKV,
-        handoff_fixed_ns: float = DEFAULT_HANDOFF_FIXED_NS,
-        drain_ns: float = DEFAULT_DRAIN_NS,
-        reroute_check_ns: float = DEFAULT_REROUTE_CHECK_NS,
-        rpc_timeout_ns: Optional[float] = DEFAULT_RPC_TIMEOUT_NS,
-    ):
-        if handoff_fixed_ns < 0 or drain_ns < 0:
-            raise ConfigError("handoff/drain costs cannot be negative")
+    def __init__(self, kv: ShardedKV, drain_ns: float = DEFAULT_DRAIN_NS):
+        if drain_ns < 0:
+            raise ConfigError("drain time cannot be negative")
         self.kv = kv
-        self.handoff_fixed_ns = handoff_fixed_ns
         self.drain_ns = drain_ns
         self.stats = ReshardStats()
         self.events: List[Tuple[float, str, int]] = []
-        kv.reroute_check_ns = min(kv.reroute_check_ns, reroute_check_ns)
-        if kv.rpc_timeout_ns is None:
-            kv.rpc_timeout_ns = rpc_timeout_ns
+        kv.arm_watchdogs(RPC_TIMEOUT_NS, REROUTE_CHECK_NS)
         self._tokens = itertools.count(RESHARD_TOKEN_BASE)
         #: Topology mutex: one migration or promotion mutates placement
         #: at a time (concurrent plans queue behind it).
@@ -418,7 +415,7 @@ class ReshardManager:
                     kv.advance_epoch()
                 current_batch = batch
                 self.stats.vnode_handoffs += 1
-                yield sim.timeout(self.handoff_fixed_ns)
+                yield sim.timeout(HANDOFF_FIXED_NS)
             yield from self._migrate_key(idx, new_place)
         if current_batch is not None:
             kv.advance_epoch()

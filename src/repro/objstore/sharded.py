@@ -38,6 +38,7 @@ Timed loops live in the workload layer (:mod:`repro.workloads.ycsb`).
 from __future__ import annotations
 
 import itertools
+import math
 from functools import partial
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -72,6 +73,20 @@ def _get_protocol(name: str):
     from repro.workloads.protocols import get_protocol
 
     return get_protocol(name)
+
+#: Re-route bound the failover and reshard managers arm: the longest
+#: one read attempt may run, so a crash mid-attempt re-routes to the
+#: promoted view promptly instead of hammering a dead shard until the
+#: op deadline.
+REROUTE_CHECK_NS = 2_000.0
+
+#: Client-side RPC watchdog the failover and reshard managers arm (the
+#: lease timeout a FaRM client would arm).  Crash notifications fail
+#: pending calls first, so the watchdog almost never fires — but it is
+#: what bounds the damage if a reply goes missing some other way, and
+#: its cancel-on-reply pattern is exactly the load the simulator's heap
+#: compaction exists for.
+RPC_TIMEOUT_NS = 60_000.0
 
 #: Spin-wait between lock re-checks by a writer that found the object's
 #: version odd (same pacing as the microbenchmark's ``TimedWriter``).
@@ -316,11 +331,12 @@ class ShardedKV:
         #: read replicas).
         self.key_reads = [0] * cfg.n_objects
         #: Upper bound on one read attempt's deadline so a crash
-        #: mid-attempt re-routes promptly; ``inf`` (the default, no
-        #: failover manager attached) preserves the plain semantics.
-        self.reroute_check_ns = float("inf")
-        #: Client-side watchdog for write/lock RPCs (None disables);
-        #: the failover manager sets it to model lease timeouts.
+        #: mid-attempt re-routes promptly; ``inf`` (nothing armed)
+        #: preserves the plain semantics.  Written only by
+        #: :meth:`arm_watchdogs`.
+        self.reroute_check_ns = math.inf
+        #: Client-side watchdog for write/lock RPCs (None disables).
+        #: Written only by :meth:`arm_watchdogs`.
         self.rpc_timeout_ns: Optional[float] = None
 
         self._shard_rpc = [
@@ -338,6 +354,24 @@ class ShardedKV:
     def close(self) -> None:
         """Close the rack this service built (``Cluster.close``)."""
         self.cluster.close()
+
+    def arm_watchdogs(
+        self, rpc_timeout_ns: float, reroute_check_ns: float = math.inf
+    ) -> None:
+        """The one place the service's failure timers are set.  The
+        first RPC watchdog armed wins; the re-route bound is the
+        tightest any caller asked for.  So the answer does not depend
+        on which of the failover and reshard managers was built first,
+        and a caller that arms a shorter watchdog before building them
+        keeps it."""
+        if rpc_timeout_ns <= 0 or reroute_check_ns <= 0:
+            raise ConfigError(
+                f"failure timers must be positive: rpc_timeout_ns="
+                f"{rpc_timeout_ns}, reroute_check_ns={reroute_check_ns}"
+            )
+        if self.rpc_timeout_ns is None:
+            self.rpc_timeout_ns = rpc_timeout_ns
+        self.reroute_check_ns = min(self.reroute_check_ns, reroute_check_ns)
 
     # ------------------------------------------------------------------
     # key space and placement

@@ -55,6 +55,7 @@ from repro.serve.settings import ServeSettings
 #: Parser bounds: longest accepted header block and body.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
+_MAX_BODY_DIGITS = len(str(MAX_BODY_BYTES))
 
 #: Virtual-status -> HTTP status.
 STATUS_HTTP = {
@@ -71,6 +72,7 @@ REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -79,12 +81,14 @@ REASONS = {
 
 
 class BadRequest(Exception):
-    """A request the parser refuses: answered 400, then the connection
-    closes (its framing can no longer be trusted)."""
+    """A request the parser refuses: answered ``status`` (400 unless
+    said otherwise), then the connection closes (its framing can no
+    longer be trusted)."""
 
-    def __init__(self, reason: str, message: str):
+    def __init__(self, reason: str, message: str, status: int = 400):
         super().__init__(message)
         self.reason = reason
+        self.status = status
 
 
 class TokenBucket:
@@ -275,7 +279,7 @@ class Gateway:
                 except BadRequest as exc:
                     self._http_errors.inc(reason=exc.reason)
                     await self._write_response(
-                        writer, 400, {"error": str(exc)}, keep_alive=False
+                        writer, exc.status, {"error": str(exc)}, keep_alive=False
                     )
                     break
                 except (
@@ -332,9 +336,14 @@ class Gateway:
             raise BadRequest(
                 "bad_content_length", f"bad Content-Length: {raw_length!r}"
             )
-        length = int(raw_length)
-        if length > MAX_BODY_BYTES:
-            raise asyncio.LimitOverrunError("body too large", 0)
+        # Compare digit counts first: int() refuses strings past the
+        # interpreter's 4 300-digit limit.
+        digits = raw_length.lstrip("0") or "0"
+        if len(digits) > _MAX_BODY_DIGITS or int(digits) > MAX_BODY_BYTES:
+            raise BadRequest(
+                "body_too_large", f"body over {MAX_BODY_BYTES} bytes", status=413
+            )
+        length = int(digits)
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 

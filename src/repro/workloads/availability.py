@@ -36,7 +36,7 @@ from typing import Dict, List
 
 from repro.common.errors import ConfigError
 from repro.experiments import ExperimentSpec, Variant, register
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultInjector
 from repro.objstore.failover import FailoverManager, FailurePlan
 from repro.objstore.sharded import ShardedKV
 from repro.objstore.txn import TxnManager
@@ -50,8 +50,11 @@ from repro.workloads.mix import (
 from repro.workloads.protocols import DETECTING_VARIANTS
 
 
-#: Healthy time between one shard's recovery and the next crash, as a
-#: fraction of ``duration_ns``.
+#: The crash plan as fractions of ``duration_ns``: when the first shard
+#: crashes, how long each stays down, and the healthy time between one
+#: shard's recovery and the next crash.
+FIRST_CRASH_FRAC = 0.15
+DOWNTIME_FRAC = 0.12
 UPTIME_FRAC = 0.10
 
 
@@ -60,18 +63,13 @@ class FailoverMixConfig(ServiceMixConfig):
     """One failover run: a mixed read/write/txn load plus a cycle plan.
 
     The crash schedule is expressed as *fractions* of ``duration_ns``
-    (``first_crash_frac``, ``downtime_frac``, :data:`UPTIME_FRAC`) so the
-    same config scales with ``--scale`` sweeps without the plan falling
-    off the end of the run; the fault lane beyond crash cycles
-    (``fault_kind`` and friends) is placed the same way."""
+    (:data:`FIRST_CRASH_FRAC`, :data:`DOWNTIME_FRAC`,
+    :data:`UPTIME_FRAC`) so the same config scales with ``--scale``
+    sweeps without the plan falling off the end of the run; the fault
+    lane beyond crash cycles (``fault_kind`` and friends) is placed the
+    same way."""
 
     cycles: int = 3
-    first_crash_frac: float = 0.15
-    downtime_frac: float = 0.12
-    #: Clock skew applied to every *client* node's lease view (shards
-    #: stay synchronous): clients observe crashes late and their RPC
-    #: watchdogs stretch accordingly.
-    clock_skew_ns: float = 0.0
 
     def validate(self) -> None:
         super().validate()
@@ -82,46 +80,19 @@ class FailoverMixConfig(ServiceMixConfig):
                 "failover runs need replication >= 2 (a crashed singleton "
                 "has nothing to promote)"
             )
-        if not 0 < self.first_crash_frac < 1:
-            raise ConfigError("first_crash_frac must be in (0, 1)")
-        if self.downtime_frac <= 0:
-            raise ConfigError("downtime_frac must be positive")
         if self.plan().end_ns() > self.duration_ns:
             raise ConfigError(
-                "crash/recover plan extends past the run; shrink cycles or "
-                "the schedule fractions"
-            )
-        if self.clock_skew_ns < 0:
-            raise ConfigError(
-                f"clock_skew_ns cannot be negative: {self.clock_skew_ns}"
-            )
-        if self.fault_schedule().end_ns() > self.duration_ns:
-            raise ConfigError(
-                "fault schedule extends past the run; shrink fault_windows "
-                "or the window fractions"
+                "crash/recover plan extends past the run; shrink cycles"
             )
 
     def plan(self) -> FailurePlan:
         return FailurePlan.cycles(
             range(self.n_shards),
-            first_crash_ns=self.first_crash_frac * self.duration_ns,
-            downtime_ns=self.downtime_frac * self.duration_ns,
+            first_crash_ns=FIRST_CRASH_FRAC * self.duration_ns,
+            downtime_ns=DOWNTIME_FRAC * self.duration_ns,
             uptime_ns=UPTIME_FRAC * self.duration_ns,
             count=self.cycles,
         )
-
-    def fault_schedule(self, n_nodes: int = 0) -> FaultSchedule:
-        """The fault lane's windows (partition windows isolate one
-        shard at a time: every ingress link dropped) plus — when
-        ``n_nodes`` is known — the client clock-skew map."""
-        schedule = super().fault_schedule()
-        if self.clock_skew_ns > 0 and n_nodes > self.n_shards:
-            skews = {
-                node: self.clock_skew_ns
-                for node in range(self.n_shards, n_nodes)
-            }
-            schedule = schedule.merged(FaultSchedule((), skews))
-        return schedule
 
 
 @dataclass
@@ -184,9 +155,7 @@ def run_failover_mix(cfg: FailoverMixConfig) -> FailoverResult:
     with closing(ShardedKV(cfg.to_sharded())) as kv:
         manager = TxnManager(kv)
         injector = FailoverManager(kv, cfg.plan())
-        faults = FaultInjector(
-            kv.cluster, cfg.fault_schedule(len(kv.cluster.nodes)), kv=kv
-        )
+        faults = FaultInjector(kv.cluster, cfg.fault_schedule())
         sim = kv.cluster.sim
         t_end = cfg.duration_ns
 

@@ -48,12 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.errors import ConfigError
 from repro.experiments import ExperimentSpec, QaCheck, Variant, register
 from repro.faults import FaultInjector
-from repro.objstore.reshard import (
-    DEFAULT_DRAIN_NS,
-    RebalanceConfig,
-    ReshardManager,
-    ReshardStats,
-)
+from repro.objstore.reshard import RebalanceConfig, ReshardManager, ReshardStats
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.sim.stats import Samples
@@ -66,6 +61,12 @@ from repro.workloads.mix import (
 )
 from repro.workloads.protocols import DETECTING_VARIANTS
 
+#: When the topology change is scheduled and when the post-convergence
+#: window opens, as fractions of ``duration_ns``.
+SCALE_AT_FRAC = 0.30
+POST_FRAC = 0.60
+
+
 @dataclass
 class ElasticConfig(ServiceMixConfig):
     """One elastic run: a mixed load plus a planned topology change.
@@ -73,8 +74,8 @@ class ElasticConfig(ServiceMixConfig):
     ``target_shards`` above ``n_shards`` is a scale-out (spare slots
     join), below is a scale-in (the highest members drain out), equal
     means no topology change (the rebalance-only lane).  The change is
-    scheduled at ``scale_at_frac`` of ``duration_ns``; the post-
-    convergence window opens at ``post_frac``.  ``n_clients`` is an
+    scheduled at :data:`SCALE_AT_FRAC` of ``duration_ns``; the post-
+    convergence window opens at :data:`POST_FRAC`.  ``n_clients`` is an
     absolute count (not per-shard) so the elastic run and its fresh-
     target baseline drive identical load.  The fault lane (PR 7
     schedules) overlaps the migration window by default."""
@@ -85,9 +86,6 @@ class ElasticConfig(ServiceMixConfig):
     n_objects: int = 96
     duration_ns: float = 240_000.0
     warmup_ns: float = 5_000.0
-    scale_at_frac: float = 0.30
-    post_frac: float = 0.60
-    drain_ns: float = DEFAULT_DRAIN_NS
     #: Hotspot policy: off by default; when on, the promote/demote loop
     #: runs from warmup to the end of the run.
     rebalance: bool = False
@@ -112,12 +110,7 @@ class ElasticConfig(ServiceMixConfig):
                 f"target_shards={self.target_shards} below "
                 f"replication={self.replication}"
             )
-        if not 0 < self.scale_at_frac < self.post_frac <= 1:
-            raise ConfigError(
-                "need 0 < scale_at_frac < post_frac <= 1, got "
-                f"{self.scale_at_frac}/{self.post_frac}"
-            )
-        if self.warmup_ns >= self.scale_at_frac * self.duration_ns:
+        if self.warmup_ns >= SCALE_AT_FRAC * self.duration_ns:
             raise ConfigError("warmup must end before the topology change")
         self.rebalance_config().validate()
 
@@ -198,13 +191,13 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
     fault injector) and run the phased closed-loop mix."""
     cfg.validate()
     with closing(ShardedKV(cfg.to_sharded())) as kv:
-        manager = ReshardManager(kv, drain_ns=cfg.drain_ns)
+        manager = ReshardManager(kv)
         txns = TxnManager(kv) if cfg.txn_sessions_per_client else None
-        faults = FaultInjector(kv.cluster, cfg.fault_schedule(), kv=kv)
+        FaultInjector(kv.cluster, cfg.fault_schedule())
         sim = kv.cluster.sim
         t_end = cfg.duration_ns
-        t_scale = cfg.scale_at_frac * cfg.duration_ns
-        t_post = cfg.post_frac * cfg.duration_ns
+        t_scale = SCALE_AT_FRAC * cfg.duration_ns
+        t_post = POST_FRAC * cfg.duration_ns
 
         if cfg.target_shards > cfg.n_shards:
             manager.scale_out(cfg.target_shards - cfg.n_shards, at_ns=t_scale)

@@ -32,9 +32,10 @@ from repro.workloads.mix import (
 )
 from repro.workloads.protocols import DETECTING_VARIANTS
 
-#: RPC watchdog armed for fault-lane rounds (when no FailoverManager
-#: already chose one): short enough that gray windows make watchdogs
-#: fire against slow-but-alive shards, exercising the re-arm path.
+#: RPC watchdog armed for fault-lane rounds (when no failover or
+#: reshard manager armed one first): short enough that gray windows make
+#: watchdogs fire against slow-but-alive shards, exercising the re-arm
+#: path.
 FAULT_LANE_RPC_TIMEOUT_NS = 8_000.0
 
 #: Mechanisms whose consumed reads must never be torn.
@@ -217,7 +218,6 @@ def fuzz_round(
                         end_ns=start + width,
                         src=src,
                         dst=shard_node,
-                        drop=True,
                     )
                 )
         skews = {}
@@ -227,11 +227,9 @@ def fuzz_round(
         faults = None
         if fault_windows or skews:
             faults = FaultInjector(
-                kv.cluster,
-                FaultSchedule(fault_windows, skews),
-                kv=kv,
-                rpc_timeout_ns=FAULT_LANE_RPC_TIMEOUT_NS,
+                kv.cluster, FaultSchedule(fault_windows, skews)
             )
+            kv.arm_watchdogs(FAULT_LANE_RPC_TIMEOUT_NS)
         sim = kv.cluster.sim
         keys = kv.keys()
         t_end = duration_ns

@@ -164,6 +164,11 @@ class ServiceMixConfig(DeploymentConfig):
             raise ConfigError(
                 f"fault_windows cannot be negative: {self.fault_windows}"
             )
+        if self.fault_schedule().end_ns() > self.duration_ns:
+            raise ConfigError(
+                "fault schedule extends past the run; shrink fault_windows "
+                "or fault_first_frac"
+            )
 
     def to_sharded(self, **extra) -> ShardedConfig:
         return super().to_sharded(

@@ -562,6 +562,15 @@ _REQUESTS = _mostly(
 )
 
 
+#: A well-formed request except for one axis value that is a JSON
+#: list: it must be refused at load time, not inside a point function.
+_NESTED_AXIS_REQUEST = {
+    "campaign": "x",
+    "stages": [{"experiment": "table1", "axes": {"cc_method": [["locking"]]}}],
+}
+_SCALARS = (str, int, float, bool, type(None))
+
+
 class TestCampaignSpec:
     @settings(max_examples=150, deadline=None)
     @given(request=_REQUESTS)
@@ -572,9 +581,11 @@ class TestCampaignSpec:
     @example(request=_MALFORMED_REQUESTS[3])
     @example(request=_MALFORMED_REQUESTS[4])
     @example(request={"campaign": "c", "stages": [{"experiment": MIX_REF}]})
+    @example(request=_NESTED_AXIS_REQUEST)
     def test_any_json_request_loads_or_raises_config_error(self, request):
         """A request file either loads into a campaign whose every stage
-        resolves (and persists back to JSON), or raises ConfigError."""
+        resolves (and persists back to JSON) with only JSON scalars on
+        its axes, or raises ConfigError."""
         with tempfile.TemporaryDirectory() as root:
             path = os.path.join(root, "req.json")
             with open(path, "w") as fh:
@@ -587,6 +598,9 @@ class TestCampaignSpec:
                 return
         assert isinstance(campaign, CampaignSpec)
         json.dumps(campaign.to_dict())
+        for stage in campaign.stages:
+            for values in (stage.axes or {}).values():
+                assert all(isinstance(v, _SCALARS) for v in values)
 
     def test_duplicate_stage_names_rejected(self):
         with pytest.raises(ConfigError):
@@ -759,6 +773,14 @@ class TestCampaignCli:
             argv = ["run", str(path), "--dir", str(tmp_path / f"d{i}")]
             assert campaign_cli.main(argv) == 2, request
             assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_scalar_axis_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(_NESTED_AXIS_REQUEST))
+        root = tmp_path / "camp"
+        assert campaign_cli.main(["run", str(path), "--dir", str(root)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not root.exists()
 
     def test_jobs_and_workers_are_exclusive(self, tmp_path, capsys):
         root = str(tmp_path / "camp")

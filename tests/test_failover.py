@@ -470,10 +470,12 @@ class TestSpecs:
         with pytest.raises(ConfigError):
             FailoverMixConfig(cycles=-1).validate()
         with pytest.raises(ConfigError):
-            FailoverMixConfig(first_crash_frac=1.5).validate()
-        with pytest.raises(ConfigError):
             # Plan falls off the end of the run.
-            FailoverMixConfig(cycles=10, downtime_frac=0.2).validate()
+            FailoverMixConfig(cycles=10).validate()
+        with pytest.raises(ConfigError):
+            # So does the fault lane (first window at 0.2, five 0.15
+            # windows with 0.05 gaps: the last closes at 1.15).
+            FailoverMixConfig(fault_kind="gray", fault_windows=5).validate()
 
 
 class TestReviewRegressions:
@@ -483,7 +485,8 @@ class TestReviewRegressions:
         would be orphaned forever (and a slow put would double-apply).
         The watchdog re-arms while the peer's lease is intact."""
         kv = small_kv()
-        FailoverManager(kv, rpc_timeout_ns=100.0)  # far below one RTT
+        kv.arm_watchdogs(100.0)  # far below one RTT; armed first, it wins
+        FailoverManager(kv)
         manager = TxnManager(kv)
         session = manager.session(0)
         key = kv.keys()[0]
@@ -506,7 +509,8 @@ class TestReviewRegressions:
 
     def test_slow_put_does_not_double_apply(self):
         kv = small_kv()
-        FailoverManager(kv, rpc_timeout_ns=50.0)
+        kv.arm_watchdogs(50.0)
+        FailoverManager(kv)
         key = kv.keys()[0]
         idx = kv.key_index(key)
         primary = kv.primary_of(key)
@@ -730,7 +734,8 @@ class TestGrayFaultComposition:
         from repro.faults import FaultInjector, FaultSchedule, FaultWindow
 
         kv = small_kv()
-        FailoverManager(kv, rpc_timeout_ns=300.0)
+        kv.arm_watchdogs(300.0)
+        FailoverManager(kv)
         key = kv.keys()[0]
         idx = kv.key_index(key)
         primary = kv.primary_of(key)
@@ -747,7 +752,6 @@ class TestGrayFaultComposition:
                     )
                 ]
             ),
-            kv=kv,
         )
         manager = TxnManager(kv)
         session = manager.session(0)
@@ -787,3 +791,74 @@ class TestGrayFaultComposition:
         assert result.reads_during_fault > 0
         assert result.undetected_violations == 0
         assert result.reads_completed > result.reads_during_fault
+
+
+# ----------------------------------------------------------------------
+# which failure timers each lane runs with
+# ----------------------------------------------------------------------
+INF = float("inf")
+
+
+def _managed_timers(*managers):
+    """``(reroute_check_ns, rpc_timeout_ns)`` of a fresh service after
+    building ``managers`` on it, in order."""
+    from repro.objstore.reshard import ReshardManager
+
+    build = {"failover": FailoverManager, "reshard": ReshardManager}
+    kv = small_kv()
+    for name in managers:
+        build[name](kv)
+    return kv.reroute_check_ns, kv.rpc_timeout_ns
+
+
+def _fuzz_timers(monkeypatch, **lane):
+    """The timers one fuzz round ran with, read as its service closes."""
+    from repro.workloads.fuzz import fuzz_round
+
+    seen = []
+    close = ShardedKV.close
+
+    def recording_close(kv):
+        seen.append((kv.reroute_check_ns, kv.rpc_timeout_ns))
+        close(kv)
+
+    monkeypatch.setattr(ShardedKV, "close", recording_close)
+    fuzz_round("sabre", 4, seed=3, duration_ns=6_000.0, **lane)
+    (timers,) = seen
+    return timers
+
+
+class TestFailureTimers:
+    """Pin the (re-route bound, RPC watchdog) pair every lane runs with:
+    crash and reshard machinery arm (2 µs, 60 µs), the fault-only fuzz
+    lanes a short 8 µs watchdog and no re-route bound, and a healthy
+    service neither."""
+
+    @pytest.mark.parametrize(
+        "managers, expected",
+        [
+            ((), (INF, None)),
+            (("failover",), (2_000.0, 60_000.0)),
+            (("reshard",), (2_000.0, 60_000.0)),
+            (("reshard", "failover"), (2_000.0, 60_000.0)),
+        ],
+        ids=["healthy", "failover", "reshard", "reshard-then-failover"],
+    )
+    def test_managers_arm_timers(self, managers, expected):
+        assert _managed_timers(*managers) == expected
+
+    @pytest.mark.parametrize(
+        "lane, expected",
+        [
+            ({"gray_windows": 2}, (INF, 8_000.0)),
+            ({"partition_windows": 2}, (INF, 8_000.0)),
+            (
+                {"crash_cycles": 1, "gray_windows": 1, "skew_max_ns": 1_000.0},
+                (2_000.0, 60_000.0),
+            ),
+            ({"reshard_adds": 2, "gray_windows": 1}, (2_000.0, 60_000.0)),
+        ],
+        ids=["gray", "partition", "skew", "reshard"],
+    )
+    def test_fuzz_lane_timers(self, monkeypatch, lane, expected):
+        assert _fuzz_timers(monkeypatch, **lane) == expected

@@ -1,4 +1,4 @@
-"""Tests for the fault-injection layer: schedules, link degradation,
+"""Tests for the fault-injection layer: schedules, severed links,
 gray/straggler multipliers, clock skew, and their composition with the
 crash/failover machinery."""
 
@@ -12,7 +12,12 @@ from repro.common.errors import (
 )
 from repro.experiments import run_sweep
 from repro.fabric.packets import read_reply
-from repro.faults import FaultInjector, FaultSchedule, FaultWindow
+from repro.faults import (
+    FaultInjector,
+    FaultSchedule,
+    FaultWindow,
+    cycle_fault_schedule,
+)
 from repro.sonuma.node import Cluster
 from repro.sonuma.rpc import RpcEndpoint
 from repro.workloads.availability import (
@@ -41,17 +46,13 @@ class TestFaultSchedule:
                 [FaultWindow("gray", 0.0, 10.0, node=0, multiplier=0.5)]
             )
 
-    def test_partition_needs_an_endpoint_and_an_effect(self):
+    def test_partition_needs_an_endpoint(self):
         with pytest.raises(ConfigError):
-            FaultSchedule([FaultWindow("partition", 0.0, 10.0, drop=True)])
+            FaultSchedule([FaultWindow("partition", 0.0, 10.0)])
         with pytest.raises(ConfigError):
-            FaultSchedule(
-                [FaultWindow("partition", 0.0, 10.0, src=0, dst=1)]
-            )
-        with pytest.raises(ConfigError):
-            FaultSchedule(
-                [FaultWindow("partition", 0.0, 10.0, src=1, dst=1, drop=True)]
-            )
+            FaultSchedule([FaultWindow("partition", 0.0, 10.0, src=1, dst=1)])
+        # The links are the whole window: a partition severs them.
+        FaultSchedule([FaultWindow("partition", 0.0, 10.0, src=0, dst=1)])
 
     def test_negative_skew_rejected(self):
         with pytest.raises(ConfigError):
@@ -61,37 +62,34 @@ class TestFaultSchedule:
         sched = FaultSchedule(
             [
                 FaultWindow("gray", 50.0, 80.0, node=1, multiplier=2.0),
-                FaultWindow("partition", 10.0, 95.0, dst=0, drop=True),
+                FaultWindow("partition", 10.0, 95.0, dst=0),
             ]
         )
         assert [w.start_ns for w in sched.windows] == [10.0, 50.0]
         assert sched.end_ns() == 95.0
-        assert len(sched.windows_of("partition")) == 1
-
-    def test_merged_rejects_conflicting_skews(self):
-        a = FaultSchedule(clock_skew_ns={0: 5.0})
-        b = FaultSchedule(clock_skew_ns={0: 7.0})
-        with pytest.raises(ConfigError):
-            a.merged(b)
-        c = a.merged(FaultSchedule(clock_skew_ns={1: 3.0}))
-        assert c.clock_skew_ns == {0: 5.0, 1: 3.0}
 
     def test_cycle_builders_shape(self):
-        gray = FaultSchedule.gray_cycles(
-            [0, 1], first_ns=100.0, width_ns=50.0, gap_ns=25.0, count=3,
-            multiplier=4.0,
-        )
-        assert [w.node for w in gray.windows] == [0, 1, 0]
-        assert gray.windows[1].start_ns == 175.0
-        strag = FaultSchedule.straggler_cycles(
-            [2], first_ns=0.0, width_ns=10.0, gap_ns=0.0, count=2,
-            multiplier=3.0,
-        )
-        assert all(w.kind == "straggler" for w in strag.windows)
-        part = FaultSchedule.partition_cycles(
-            [(None, 0)], first_ns=5.0, width_ns=10.0, gap_ns=5.0, count=2
-        )
-        assert all(w.drop for w in part.windows)
+        def lane(kind, n_shards, count):
+            return cycle_fault_schedule(
+                kind, n_shards, count, duration_ns=1_000.0, first_frac=0.1,
+                width_frac=0.05, gap_frac=0.025, multiplier=4.0,
+            ).windows
+
+        gray = lane("gray", 2, 3)
+        assert [w.node for w in gray] == [0, 1, 0]
+        assert [(w.start_ns, w.end_ns) for w in gray] == [
+            (100.0, 150.0), (175.0, 225.0), (250.0, 300.0)
+        ]
+        assert all(w.multiplier == 4.0 for w in gray)
+        strag = lane("straggler", 1, 2)
+        assert [(w.kind, w.node) for w in strag] == [("straggler", 0)] * 2
+        # Partition windows isolate one shard at a time: every ingress
+        # link, no multiplier.
+        part = lane("partition", 2, 2)
+        assert [(w.src, w.dst, w.node) for w in part] == [
+            (None, 0, None), (None, 1, None)
+        ]
+        assert not lane("none", 2, 3) and not lane("gray", 2, 0)
 
     def test_injector_rejects_out_of_range_targets(self):
         cluster = Cluster(ClusterConfig(nodes=2))
@@ -107,23 +105,25 @@ class TestFaultSchedule:
 
 
 # ----------------------------------------------------------------------
-# fabric-level link degradation
+# fabric-level severed links
 # ----------------------------------------------------------------------
 class TestLinkDegradation:
     def test_degrade_and_restore_tokens_compose(self):
+        """Sever tokens on one link stack: it stays severed until the
+        last one is restored."""
         fabric = Cluster(ClusterConfig(nodes=3)).fabric
-        a = fabric.degrade_link(0, 1, latency_mult=2.0)
-        b = fabric.degrade_link(0, 1, drop=True, bw_mult=0.5)
-        assert fabric.degradation(0, 1) == (True, 2.0, 0.5)
+        a = fabric.sever_link(0, 1)
+        b = fabric.sever_link(0, 1)
+        assert fabric.link_severed(0, 1)
         fabric.restore_link(b)
-        assert fabric.degradation(0, 1) == (False, 2.0, 1.0)
+        assert fabric.link_severed(0, 1)
         fabric.restore_link(a)
-        assert fabric.degradation(0, 1) is None
-        assert not fabric._faulty
+        assert not fabric.link_severed(0, 1)
+        assert not fabric._link_faults
 
     def test_double_restore_is_an_error(self):
         fabric = Cluster(ClusterConfig(nodes=2)).fabric
-        tok = fabric.degrade_link(0, 1, drop=True)
+        tok = fabric.sever_link(0, 1)
         fabric.restore_link(tok)
         with pytest.raises(ConfigError):
             fabric.restore_link(tok)
@@ -131,17 +131,14 @@ class TestLinkDegradation:
     def test_degradation_validation(self):
         fabric = Cluster(ClusterConfig(nodes=2)).fabric
         with pytest.raises(ConfigError):
-            fabric.degrade_link(0, 0, drop=True)
+            fabric.sever_link(0, 0)
         with pytest.raises(ConfigError):
-            fabric.degrade_link(0, 1, latency_mult=0.5)
-        with pytest.raises(ConfigError):
-            fabric.degrade_link(0, 1, bw_mult=1.5)
-        with pytest.raises(ConfigError):
-            fabric.degrade_link(0, 1)  # no effect at all
+            fabric.sever_link(0, 2)  # outside the fabric
+        assert not fabric._link_faults
 
     def test_severed_is_bidirectional_reachable_is_not_confused(self):
         fabric = Cluster(ClusterConfig(nodes=3)).fabric
-        tok = fabric.degrade_link(0, 1, drop=True)
+        tok = fabric.sever_link(0, 1)
         assert fabric.link_severed(0, 1)
         assert fabric.link_severed(1, 0)  # replies cannot return either
         assert not fabric.link_severed(0, 2)
@@ -150,43 +147,34 @@ class TestLinkDegradation:
         fabric.restore_link(tok)
         assert fabric.reachable(0, 1)
 
-    def test_latency_multiplier_slows_delivery(self):
-        def arrival(**degrade):
+    def test_drop_window_does_not_lose_inflight_packets(self):
+        """The drain semantics: a drop window refuses *new*
+        conversations but never destroys packets already on the wire,
+        nor delays them: the arrival is the healthy serializer plus one
+        hop, to the bit, whether the window opened before the packet was
+        committed to the wire (the endpoints refuse, the fabric does
+        not) or after."""
+
+        def arrivals(sever_at):
             cluster = Cluster(ClusterConfig(nodes=2))
             fabric, sim = cluster.fabric, cluster.sim
-            arrivals = []
-            fabric.attach(1, lambda p: arrivals.append(sim.now))
-            if degrade:
-                fabric.degrade_link(0, 1, **degrade)
+            seen = []
+            fabric.attach(1, lambda p: seen.append(sim.now))
+            if sever_at == "before":
+                fabric.sever_link(0, 1)
             fabric.send(read_reply(0, 1, 1, 0, b"x" * 64))
+            if sever_at == "after":
+                fabric.sever_link(0, 1)
             sim.run()
-            return arrivals[0]
+            assert fabric.packets_dropped == 0
+            return seen
 
         cfg = ClusterConfig().fabric
         wire = cfg.header_bytes + 64
-        healthy = arrival()
-        assert healthy == wire / cfg.link_gbps + cfg.hop_latency_ns
-        # The multipliers scale the serializer rate and the propagation
-        # floor, exactly: bandwidth alone leaves the floor alone.
-        assert arrival(bw_mult=0.25) == (
-            wire / (cfg.link_gbps * 0.25) + cfg.hop_latency_ns
-        )
-        both = arrival(latency_mult=3.0, bw_mult=0.5)
-        assert both == wire / (cfg.link_gbps * 0.5) + cfg.hop_latency_ns * 3.0
-        assert both > healthy
-
-    def test_drop_window_does_not_lose_inflight_packets(self):
-        """The drain semantics: a drop window refuses *new*
-        conversations but never destroys packets already on the wire."""
-        cluster = Cluster(ClusterConfig(nodes=2))
-        fabric, sim = cluster.fabric, cluster.sim
-        arrivals = []
-        fabric.attach(1, lambda p: arrivals.append(sim.now))
-        fabric.send(read_reply(0, 1, 1, 0, b"x" * 64))
-        fabric.degrade_link(0, 1, drop=True)  # opens after the send
-        sim.run()
-        assert len(arrivals) == 1
-        assert fabric.packets_dropped == 0
+        healthy = arrivals(None)
+        assert healthy == [wire / cfg.link_gbps + cfg.hop_latency_ns]
+        assert arrivals("before") == healthy
+        assert arrivals("after") == healthy
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +191,7 @@ class TestRpcUnderFaults:
     def test_severed_link_refuses_new_calls_with_typed_error(self):
         cluster, a, b = make_pair()
         a.register("echo", lambda payload: (payload, 10.0))
-        cluster.fabric.degrade_link(1, 0, drop=True)
+        cluster.fabric.sever_link(1, 0)
         replies = []
 
         def client():
@@ -231,7 +219,7 @@ class TestRpcUnderFaults:
         cluster.sim.process(client())
         # Open the drop window while the request is being served.
         cluster.sim.call_at(
-            1_000.0, lambda: cluster.fabric.degrade_link(1, 0, drop=True)
+            1_000.0, lambda: cluster.fabric.sever_link(1, 0)
         )
         cluster.run()
         assert replies == [b"ok"]
@@ -344,7 +332,7 @@ class TestInjector:
         inj = FaultInjector(
             cluster,
             FaultSchedule(
-                [FaultWindow("partition", 10.0, 20.0, dst=2, drop=True)]
+                [FaultWindow("partition", 10.0, 20.0, dst=2)]
             ),
         )
         fabric = cluster.fabric
@@ -359,11 +347,11 @@ class TestInjector:
         cluster.sim.run()
         assert hit["severed"] == [True, True, True]
         assert hit["open_links"] == 3  # every ingress link, nothing else
-        assert inj.stats.links_degraded == 3
+        assert inj.stats.links_severed == 3
         assert not fabric._link_faults  # all restored at close
 
     def test_crash_inside_partition_window_recovers_clean(self):
-        """The composition fix: ``set_alive`` and link degradation never
+        """The composition fix: ``set_alive`` and severed links never
         leak into each other.  A node that crashes inside a partition
         window and recovers after it closes comes back with clean link
         tables and full reachability."""
@@ -371,7 +359,7 @@ class TestInjector:
         FaultInjector(
             cluster,
             FaultSchedule(
-                [FaultWindow("partition", 100.0, 300.0, dst=1, drop=True)]
+                [FaultWindow("partition", 100.0, 300.0, dst=1)]
             ),
         )
         fabric, sim = cluster.fabric, cluster.sim
@@ -392,7 +380,7 @@ class TestInjector:
                 still_down_link_clean=(
                     not fabric.alive(1)
                     and not fabric._link_faults
-                    and not fabric._faulty
+                    and not fabric.link_severed(0, 1)
                 )
             ),
         )
@@ -402,7 +390,7 @@ class TestInjector:
                 recovered_clean=(
                     fabric.alive(1)
                     and fabric.reachable(0, 1)
-                    and fabric.degradation(0, 1) is None
+                    and not fabric._link_faults
                 )
             ),
         )

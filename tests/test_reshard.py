@@ -633,7 +633,8 @@ class TestHotspotPolicy:
 class TestElasticWorkload:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            ElasticConfig(scale_at_frac=0.7, post_frac=0.6).validate()
+            # The fault lane's last window would close at 1.05 x the run.
+            ElasticConfig(fault_kind="gray", fault_windows=4).validate()
         with pytest.raises(ConfigError):
             ElasticConfig(warmup_ns=80_000.0).validate()
         with pytest.raises(ConfigError):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.serve.bridge import SimBridge
-from repro.serve.gateway import Gateway, TokenBucket
+from repro.serve.gateway import MAX_BODY_BYTES, Gateway, TokenBucket
 from repro.serve.metrics import (
     Histogram,
     MetricsRegistry,
@@ -546,6 +546,38 @@ class TestGateway:
             assert status == 200
             samples = parse_samples(text)
             assert samples['repro_http_errors_total{reason="bad_content_length"}'] == 1
+            await gw.drain()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "length", ["9" * 4301, str(MAX_BODY_BYTES + 1)], ids=["4301-digits", "limit+1"]
+    )
+    def test_oversized_content_length_answers_413_and_closes(self, length):
+        """A body over the limit is refused before it is read: 413 with
+        ``Connection: close``.  A length too long for ``int()`` (the
+        interpreter's 4 300-digit cap) takes the same path."""
+
+        async def scenario():
+            gw = await _booted(_gateway_settings())
+            host, port = gw.settings.host, gw.port
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                f"PUT /v1/obj/key-1 HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {length}\r\n\r\nhello".encode()
+            )
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 413 ")
+            assert b"Connection: close" in head
+            assert "error" in json.loads(body)
+            status, text, conn = await _http(host, port, "GET", "/metrics")
+            conn[1].close()
+            assert status == 200
+            samples = parse_samples(text)
+            assert samples['repro_http_errors_total{reason="body_too_large"}'] == 1
             await gw.drain()
 
         asyncio.run(scenario())
