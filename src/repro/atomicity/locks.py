@@ -64,6 +64,3 @@ class ReaderWriterLockTable:
         if not state.writer:
             raise RuntimeError(f"write_unlock without lock on {key:#x}")
         state.writer = False
-
-    def readers_of(self, key: int) -> int:
-        return self._state(key).readers

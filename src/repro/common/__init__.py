@@ -25,9 +25,7 @@ from repro.common.units import (
     GHZ,
     KB,
     MB,
-    cycles_to_ns,
     gbps_to_bytes_per_ns,
-    ns_to_cycles,
 )
 
 __all__ = [
@@ -50,8 +48,6 @@ __all__ = [
     "SabreConfig",
     "SabreMode",
     "SimulationError",
-    "cycles_to_ns",
     "gbps_to_bytes_per_ns",
-    "ns_to_cycles",
     "scaled_duration",
 ]

@@ -18,32 +18,11 @@ CACHE_BLOCK = 64
 GHZ = 1.0
 
 
-def cycles_to_ns(cycles: float, freq_ghz: float) -> float:
-    """Convert a cycle count at ``freq_ghz`` GHz to nanoseconds."""
-    if freq_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_ghz}")
-    return cycles / freq_ghz
-
-
-def ns_to_cycles(ns: float, freq_ghz: float) -> float:
-    """Convert nanoseconds to cycles at ``freq_ghz`` GHz."""
-    if freq_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_ghz}")
-    return ns * freq_ghz
-
-
 def gbps_to_bytes_per_ns(gbps: float) -> float:
     """Convert GB/s (1e9 bytes per second) to bytes per nanosecond."""
     if gbps < 0:
         raise ValueError(f"bandwidth must be non-negative, got {gbps}")
     return gbps  # 1e9 B/s == 1 B/ns
-
-
-def bytes_per_ns_to_gbps(bpn: float) -> float:
-    """Convert bytes per nanosecond back to GB/s."""
-    if bpn < 0:
-        raise ValueError(f"bandwidth must be non-negative, got {bpn}")
-    return bpn
 
 
 def blocks_in(size_bytes: int, block: int = CACHE_BLOCK) -> int:

@@ -5,7 +5,6 @@ LightSABRes destination-side hardware (ATT + stream buffers + R2P2).
 from repro.core.att import ActiveTransfersTable, AttEntry, SabreId
 from repro.core.design_space import DESIGN_SPACE, CcSide, CcMethod, design_space_table
 from repro.core.r2p2 import R2P2Engine
-from repro.core.stream_buffer import StreamBuffer
 
 __all__ = [
     "ActiveTransfersTable",
@@ -15,6 +14,5 @@ __all__ = [
     "DESIGN_SPACE",
     "R2P2Engine",
     "SabreId",
-    "StreamBuffer",
     "design_space_table",
 ]

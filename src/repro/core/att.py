@@ -5,6 +5,14 @@ size, the soNUMA request counter (§5.1), the issue counter, the
 speculation bit that marks the window of vulnerability, the version
 field recorded when the object's header is first read, and the
 pending-validate flag raised by ambiguous base-block invalidations.
+
+The paper's stream buffer (§4.1, Fig. 3: a base tag, a length and a
+bitvector per SABRe) is modelled by two things: the entry's
+``window``, the number of blocks the unroll stage may issue while the
+window of vulnerability is open, and the per-block snoop
+subscriptions the R2P2 holds on the chip's coherence directory, which
+do the address matching the bitvector's subtractor does in hardware.
+Its SRAM cost is sized in :class:`~repro.common.config.SabreConfig`.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.core.stream_buffer import StreamBuffer
+from repro.common.units import CACHE_BLOCK
 from repro.mem.backing import NO_CELL
 
 #: (source node, request-generation pipeline id, transfer id) — §5.1.
@@ -28,12 +36,12 @@ class AttEntry:
     base_addr: int
     total_blocks: int
     size_bytes: int
-    stream_buffer: StreamBuffer
-    registered_at: float
+    #: Blocks issuable during the window of vulnerability: the stream
+    #: buffer's depth, or the whole object if it is shorter (§4.1).
+    window: int
 
     req_counter: int = 0  # request packets received (§5.1 folding)
     issue_count: int = 0  # loads issued to the memory hierarchy
-    received_bits: int = 0  # replies back from memory (bitvector)
     replied_bits: int = 0  # replies sent to the source (bitvector)
     replied_count: int = 0
 
@@ -54,30 +62,12 @@ class AttEntry:
     #: ``SourceTransfer.landing_cell``).
     cell: Tuple[int, int, bytearray, int] = NO_CELL
 
-    def mark_received(self, offset: int) -> None:
-        self.received_bits |= 1 << offset
-
-    def is_received(self, offset: int) -> bool:
-        return bool(self.received_bits >> offset & 1)
-
-    def mark_replied(self, offset: int) -> bool:
-        """Record a reply for ``offset``; False if already replied."""
-        if self.replied_bits >> offset & 1:
-            return False
-        self.replied_bits |= 1 << offset
-        self.replied_count += 1
-        return True
-
-    @property
-    def all_replied(self) -> bool:
-        return self.replied_count >= self.total_blocks
-
     def block_addr(self, offset: int) -> int:
-        return self.base_addr + offset * 64
+        return self.base_addr + offset * CACHE_BLOCK
 
 
 class ActiveTransfersTable:
-    """Fixed-size table of ATT entries, one stream buffer each.
+    """Fixed-size table of ATT entries, one stream buffer's window each.
 
     When every entry is busy, new registrations queue (the R2P2 simply
     exerts backpressure; §4.1's sizing argument makes this rare for the
@@ -86,17 +76,17 @@ class ActiveTransfersTable:
     def __init__(self, entries: int, stream_buffer_depth: int):
         if entries < 1:
             raise SimulationError(f"ATT needs >= 1 entry: {entries}")
+        if stream_buffer_depth < 1:
+            raise SimulationError(
+                f"stream buffer depth must be >= 1: {stream_buffer_depth}"
+            )
         self.capacity = entries
+        self.depth = stream_buffer_depth
         self._entries: Dict[SabreId, AttEntry] = {}
         #: Bound ``dict.get`` over the live-entry map: the R2P2's
-        #: per-request lookup fast path (one packet per cache block
-        #: lands here, so the method-dispatch hop is worth skipping).
-        self.lookup_fast = self._entries.get
-        self._free_buffers: List[StreamBuffer] = [
-            StreamBuffer(stream_buffer_depth) for _ in range(entries)
-        ]
-        self.registrations = 0
-        self.peak_occupancy = 0
+        #: per-request lookup (one packet per cache block lands here,
+        #: so the method-dispatch hop is worth skipping).
+        self.lookup: Callable[[SabreId], Optional[AttEntry]] = self._entries.get
 
     # ------------------------------------------------------------------
     def has_free_entry(self) -> bool:
@@ -112,40 +102,31 @@ class ActiveTransfersTable:
         base_addr: int,
         total_blocks: int,
         size_bytes: int,
-        now: float,
     ) -> AttEntry:
         if sabre_id in self._entries:
             raise SimulationError(f"SABRe {sabre_id} already registered")
         if not self.has_free_entry():
             raise SimulationError("ATT full; caller must queue")
-        buffer = self._free_buffers.pop()
-        buffer.assign(base_addr, total_blocks)
+        if total_blocks < 1:
+            raise SimulationError(f"SABRe needs >= 1 block: {total_blocks}")
         entry = AttEntry(
             sabre_id=sabre_id,
             base_addr=base_addr,
             total_blocks=total_blocks,
             size_bytes=size_bytes,
-            stream_buffer=buffer,
-            registered_at=now,
+            window=min(self.depth, total_blocks),
         )
         self._entries[sabre_id] = entry
-        self.registrations += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         return entry
-
-    def lookup(self, sabre_id: SabreId) -> Optional[AttEntry]:
-        return self.lookup_fast(sabre_id)
 
     def free(self, entry: AttEntry) -> None:
         stored = self._entries.pop(entry.sabre_id, None)
         if stored is not entry:
             raise SimulationError(f"entry {entry.sabre_id} not active")
-        entry.stream_buffer.release()
-        self._free_buffers.append(entry.stream_buffer)
 
     def release(self) -> None:
-        """Forget every live entry, in place (``lookup_fast`` is bound
-        to this dict); their stream buffers are not returned."""
+        """Forget every live entry, in place (``lookup`` is bound to
+        this dict)."""
         self._entries.clear()
 
     def entries(self) -> List[AttEntry]:

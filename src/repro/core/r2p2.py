@@ -30,14 +30,7 @@ from repro.common.config import NodeConfig, SabreMode
 from repro.common.errors import ProtocolError
 from repro.common.units import CACHE_BLOCK
 from repro.core.att import ActiveTransfersTable, AttEntry, SabreId
-from repro.core.stream_buffer import _BLOCK_MASK, _BLOCK_SHIFT
-from repro.fabric.packets import (
-    Packet,
-    PacketKind,
-    cas_reply,
-    sabre_validation,
-    write_ack,
-)
+from repro.fabric.packets import Packet, PacketKind
 from repro.mem.system import ChipMemorySystem, InvalidationCause
 from repro.objstore.layout import is_locked
 from repro.sim.engine import Simulator
@@ -94,7 +87,7 @@ class R2P2Engine:
         self.issue_server = BandwidthServer(sim, 1.0, f"r2p2[{index}].issue")
         self.reply_server = BandwidthServer(sim, 1.0, f"r2p2[{index}].reply")
         self._version_offset = 0  # driver-registered header offset (§4.2)
-        self._att_lookup = self.att.lookup_fast
+        self._att_lookup = self.att.lookup
         self._phys = chip.phys
         # Per-block service times are loop invariants of the whole run:
         # the divisions below reproduce BandwidthServer.request's
@@ -171,8 +164,12 @@ class R2P2Engine:
             # The NI writes through the coherence domain: subscribers
             # (e.g. in-flight SABRes over this range) get invalidated.
             latency = self.chip.write_block(self._agent_core(), addr, payload)
-            ack = write_ack(
-                self.node_id, pkt.src_node, pkt.transfer_id, pkt.block_offset
+            ack = Packet(
+                PacketKind.WRITE_ACK,
+                self.node_id,
+                pkt.src_node,
+                pkt.transfer_id,
+                pkt.block_offset,
             )
             t_reply = self.reply_server.request(self._cycle)
             self.sim.call_later(
@@ -199,8 +196,13 @@ class R2P2Engine:
             if swapped:
                 word = (desired & (2**64 - 1)).to_bytes(8, "little")
                 self.chip.write_block(self._agent_core(), addr, word)
-            reply = cas_reply(
-                self.node_id, pkt.src_node, pkt.transfer_id, old, swapped
+            reply = Packet(
+                PacketKind.CAS_REPLY,
+                self.node_id,
+                pkt.src_node,
+                pkt.transfer_id,
+                size_bytes=8,
+                meta={"old_value": old, "swapped": swapped},
             )
             t_reply = self.reply_server.request(self._cycle)
             self.sim.call_at(t_reply, self.send_packet, reply)
@@ -234,7 +236,6 @@ class R2P2Engine:
             base_addr=pkt.meta["addr"],
             total_blocks=pkt.meta["total_blocks"],
             size_bytes=pkt.meta["size"],
-            now=self.sim.now,
         )
         entry.snoop_cb = self._make_snoop(entry)
         entry.req_counter = self._pending_requests.pop(sid, 0)
@@ -289,7 +290,6 @@ class R2P2Engine:
         start_read = self._start_read
         server = self.issue_server
         service = self._issue_service
-        block_cost = self._block_cost
         base = entry.base_addr
         epoch = entry.epoch
         while entry.issue_count < limit and self._may_issue(entry):
@@ -299,18 +299,12 @@ class R2P2Engine:
             if snoops and ((spec and entry.speculative) or offset == 0):
                 chip.subscribe(addr, entry.snoop_cb)
                 entry.subscribed_blocks.append(addr)
-            if spec and entry.speculative:
-                sb = entry.stream_buffer
-                if sb._base_block is not None and offset < sb._tracked:
-                    sb._issued_bits |= 1 << offset
             # issue_server.request inlined (once per issued block).
             next_free = server._next_free
             if next_free < now:
                 next_free = now
             next_free += service
             server._next_free = next_free
-            server._busy_ns += service
-            server._bytes += block_cost
             sim.call_at(next_free, start_read, entry, addr, offset, epoch)
 
     def _may_issue(self, entry: AttEntry) -> bool:
@@ -327,7 +321,7 @@ class R2P2Engine:
         # boundary (§4.1); afterwards both limits disappear.
         if not entry.speculative:
             return True
-        if not entry.stream_buffer.can_issue(offset):
+        if offset >= entry.window:
             self.counters.add("stream_buffer_stalls")
             return False
         page = self.cfg.page_bytes
@@ -354,16 +348,6 @@ class R2P2Engine:
             self._reply_data(entry, offset, junk=True)
             self._maybe_finish(entry)
             return
-        entry.received_bits |= 1 << offset  # mark_received, inlined
-        # StreamBuffer.mark_received inlined (once per received block).
-        sb = entry.stream_buffer
-        base = sb._base_block
-        if base is not None:
-            delta = entry.base_addr + offset * CACHE_BLOCK - base
-            if delta >= 0 and not delta & _BLOCK_MASK:
-                slot = delta >> _BLOCK_SHIFT
-                if slot < sb._tracked:
-                    sb._received_bits |= 1 << slot
         if offset == 0 and self.mode is not SabreMode.LOCKING:
             epoch_before = entry.epoch
             self._consume_version(entry)
@@ -468,12 +452,9 @@ class R2P2Engine:
         self.counters.add("hardware_retries")
         self._unsubscribe_all(entry)
         entry.issue_count = 0
-        entry.received_bits = 0
         entry.version = None
         entry.speculative = self.mode is SabreMode.SPECULATIVE
         entry.pending_validate = False
-        entry.stream_buffer.release()
-        entry.stream_buffer.assign(entry.base_addr, entry.total_blocks)
         self._pump(entry)
 
     def _unsubscribe_all(self, entry: AttEntry) -> None:
@@ -492,8 +473,9 @@ class R2P2Engine:
     # reply path
     # ------------------------------------------------------------------
     def _reply_data(self, entry: AttEntry, offset: int, junk: bool = False) -> None:
-        # mark_replied / block_payload_size / read_bytes / sabre_reply
-        # inlined: this runs once per transferred cache block.
+        # Runs once per transferred cache block: the reply-once guard,
+        # the (possibly partial) tail block's size and the memory read
+        # are all written out here.
         if entry.replied_bits >> offset & 1:
             return
         entry.replied_bits |= 1 << offset
@@ -537,8 +519,6 @@ class R2P2Engine:
         service = self._reply_service
         next_free = start + service
         server._next_free = next_free
-        server._busy_ns += service
-        server._bytes += self._cycle
         sim.call_at(next_free, self.send_packet, pkt)
 
     # ------------------------------------------------------------------
@@ -590,8 +570,13 @@ class R2P2Engine:
             self.counters.add("sabre_successes")
         self._unsubscribe_all(entry)
         src, _rgp, tid = entry.sabre_id
-        pkt = sabre_validation(self.node_id, src, tid, success)
-        pkt.meta["version"] = entry.version
+        pkt = Packet(
+            PacketKind.SABRE_VALIDATION,
+            self.node_id,
+            src,
+            tid,
+            meta={"success": success, "version": entry.version},
+        )
         t_reply = self.reply_server.request(self._cycle)
         self.sim.call_at(t_reply, self.send_packet, pkt)
         self.att.free(entry)

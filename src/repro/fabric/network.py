@@ -40,10 +40,10 @@ class LinkFault:
 
 class Link:
     """One direction of a node-to-node link: the serializer at the link
-    bandwidth, the fixed propagation per hop and the packet count.
-    :meth:`Fabric.send` does the per-packet arithmetic over them."""
+    bandwidth and the fixed propagation per hop.  :meth:`Fabric.send`
+    does the per-packet arithmetic over them."""
 
-    __slots__ = ("sim", "cfg", "hops", "server", "packets_sent", "_floor_ns", "_header_bytes")
+    __slots__ = ("sim", "cfg", "hops", "server", "_floor_ns", "_header_bytes")
 
     def __init__(
         self, sim: Simulator, cfg: FabricConfig, hops: int = 1, name: str = ""
@@ -54,7 +54,6 @@ class Link:
         self.cfg = cfg
         self.hops = hops
         self.server = BandwidthServer(sim, cfg.link_gbps, name)
-        self.packets_sent = 0
         self._floor_ns = hops * cfg.hop_latency_ns
         self._header_bytes = cfg.header_bytes
 
@@ -256,10 +255,8 @@ class Fabric:
             handler = self._handlers.get(dst)
             if handler is None:
                 raise ConfigError(f"no handler attached for node {dst}")
-            link = self._links.get(key)
-            if link is None:
-                link = self.link(src, dst)
-            route = (link, handler, link.server, link._header_bytes, link._floor_ns)
+            link = self.link(src, dst)
+            route = (handler, link.server, link._header_bytes, link._floor_ns)
             self._routes[key] = route
         # The link's serialization + propagation arithmetic lives here,
         # on the per-packet hot path, not behind a Link method: the
@@ -267,8 +264,7 @@ class Fabric:
         # link still *delivers*: severing is enforced by the endpoints
         # via :meth:`link_severed` before anything is posted, so packets
         # already committed to the wire drain losslessly.
-        link, deliver, server, header, floor = route
-        link.packets_sent += 1
+        deliver, server, header, floor = route
         sim = self.sim
         wire = header + packet.size_bytes
         start = sim._now
@@ -278,12 +274,6 @@ class Fabric:
         service = wire / server.rate
         next_free = start + service
         server._next_free = next_free
-        server._busy_ns += service
-        server._bytes += wire
         arrival = next_free + floor
         sim.call_at(arrival, deliver, packet)
         return arrival
-
-    def packets_on(self, src: int, dst: int) -> int:
-        link = self._links.get((src, dst))
-        return link.packets_sent if link else 0

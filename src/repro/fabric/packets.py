@@ -5,6 +5,10 @@ and replies (source unrolling, §5).  SABRes add two packet types (§5.2):
 the *registration* packet that precedes a SABRe's data requests and
 carries the total size, and the *validation* packet, the final
 payload-free reply carrying atomicity success/failure.
+
+Every packet is built as ``Packet(kind, src, dst, transfer_id, ...)``
+at the one place that sends it: the source RMC (``sonuma/node.py``),
+the R2P2 (``core/r2p2.py``) or the RPC endpoint (``sonuma/rpc.py``).
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
-
-from repro.common.units import CACHE_BLOCK
 
 
 class PacketKind(Enum):
@@ -36,23 +38,22 @@ class PacketKind(Enum):
 #: int compare instead of a frozenset probe through Enum.__hash__.
 ROUTE_REQUEST, ROUTE_REPLY, ROUTE_RPC = 0, 1, 2
 
-for _kind, _route, _rep in (
-    (PacketKind.READ_REQUEST, ROUTE_REQUEST, False),
-    (PacketKind.SABRE_REGISTRATION, ROUTE_REQUEST, False),
-    (PacketKind.SABRE_REQUEST, ROUTE_REQUEST, False),
-    (PacketKind.WRITE_REQUEST, ROUTE_REQUEST, False),
-    (PacketKind.CAS_REQUEST, ROUTE_REQUEST, False),
-    (PacketKind.READ_REPLY, ROUTE_REPLY, True),
-    (PacketKind.SABRE_REPLY, ROUTE_REPLY, True),
-    (PacketKind.SABRE_VALIDATION, ROUTE_REPLY, True),
-    (PacketKind.WRITE_ACK, ROUTE_REPLY, True),
-    (PacketKind.CAS_REPLY, ROUTE_REPLY, True),
-    (PacketKind.RPC_SEND, ROUTE_RPC, False),
-    (PacketKind.RPC_REPLY, ROUTE_RPC, True),
+for _kind, _route in (
+    (PacketKind.READ_REQUEST, ROUTE_REQUEST),
+    (PacketKind.SABRE_REGISTRATION, ROUTE_REQUEST),
+    (PacketKind.SABRE_REQUEST, ROUTE_REQUEST),
+    (PacketKind.WRITE_REQUEST, ROUTE_REQUEST),
+    (PacketKind.CAS_REQUEST, ROUTE_REQUEST),
+    (PacketKind.READ_REPLY, ROUTE_REPLY),
+    (PacketKind.SABRE_REPLY, ROUTE_REPLY),
+    (PacketKind.SABRE_VALIDATION, ROUTE_REPLY),
+    (PacketKind.WRITE_ACK, ROUTE_REPLY),
+    (PacketKind.CAS_REPLY, ROUTE_REPLY),
+    (PacketKind.RPC_SEND, ROUTE_RPC),
+    (PacketKind.RPC_REPLY, ROUTE_RPC),
 ):
     _kind.route = _route
-    _kind.reply_kind = _rep
-del _kind, _route, _rep
+del _kind, _route
 
 
 @dataclass(slots=True)
@@ -72,116 +73,3 @@ class Packet:
     size_bytes: int = 0
     payload: Optional[bytes] = None
     meta: dict[str, Any] = field(default_factory=dict)
-
-    def wire_bytes(self, header_bytes: int) -> int:
-        """Total bytes this packet occupies on a link."""
-        return header_bytes + self.size_bytes
-
-    @property
-    def is_reply(self) -> bool:
-        return self.kind.reply_kind
-
-
-def read_request(src: int, dst: int, transfer_id: int, block_offset: int) -> Packet:
-    return Packet(
-        PacketKind.READ_REQUEST, src, dst, transfer_id, block_offset, size_bytes=8
-    )
-
-
-def read_reply(
-    src: int, dst: int, transfer_id: int, block_offset: int, payload: bytes
-) -> Packet:
-    return Packet(
-        PacketKind.READ_REPLY,
-        src,
-        dst,
-        transfer_id,
-        block_offset,
-        size_bytes=len(payload),
-        payload=payload,
-    )
-
-
-def sabre_registration(
-    src: int, dst: int, transfer_id: int, total_blocks: int
-) -> Packet:
-    return Packet(
-        PacketKind.SABRE_REGISTRATION,
-        src,
-        dst,
-        transfer_id,
-        size_bytes=8,
-        meta={"total_blocks": total_blocks},
-    )
-
-
-def sabre_request(src: int, dst: int, transfer_id: int, block_offset: int) -> Packet:
-    return Packet(
-        PacketKind.SABRE_REQUEST, src, dst, transfer_id, block_offset, size_bytes=8
-    )
-
-
-def sabre_reply(
-    src: int, dst: int, transfer_id: int, block_offset: int, payload: bytes
-) -> Packet:
-    return Packet(
-        PacketKind.SABRE_REPLY,
-        src,
-        dst,
-        transfer_id,
-        block_offset,
-        size_bytes=len(payload),
-        payload=payload,
-    )
-
-
-def sabre_validation(src: int, dst: int, transfer_id: int, success: bool) -> Packet:
-    return Packet(
-        PacketKind.SABRE_VALIDATION,
-        src,
-        dst,
-        transfer_id,
-        size_bytes=0,
-        meta={"success": success},
-    )
-
-
-def block_payload_size(total_size: int, block_offset: int) -> int:
-    """Payload bytes carried by the reply for block ``block_offset`` of a
-    ``total_size``-byte transfer (the last block may be partial)."""
-    remaining = total_size - block_offset * CACHE_BLOCK
-    return max(0, min(CACHE_BLOCK, remaining))
-
-
-def write_ack(src: int, dst: int, transfer_id: int, block_offset: int) -> Packet:
-    return Packet(
-        PacketKind.WRITE_ACK, src, dst, transfer_id, block_offset, size_bytes=0
-    )
-
-
-def cas_request(
-    src: int, dst: int, transfer_id: int, addr: int, expected: int, desired: int
-) -> Packet:
-    """Remote compare-and-swap on a 64-bit word (cache-block atomic,
-    the strongest primitive plain RDMA offers, §1)."""
-    return Packet(
-        PacketKind.CAS_REQUEST,
-        src,
-        dst,
-        transfer_id,
-        size_bytes=24,
-        meta={"addr": addr, "expected": expected, "desired": desired},
-    )
-
-
-def cas_reply(
-    src: int, dst: int, transfer_id: int, old_value: int, swapped: bool
-) -> Packet:
-    return Packet(
-        PacketKind.CAS_REPLY,
-        src,
-        dst,
-        transfer_id,
-        size_bytes=8,
-        meta={"old_value": old_value, "swapped": swapped},
-    )

@@ -1,26 +1,14 @@
-"""Memory-hierarchy substrate: addresses, backing store, caches,
-coherence directory, and the per-chip memory system (Table 2)."""
+"""Memory-hierarchy substrate: backing store, caches, coherence
+directory, and the per-chip memory system (Table 2)."""
 
-from repro.mem.address import (
-    AddressRange,
-    block_base,
-    block_index,
-    block_span,
-    crosses_page_boundary,
-)
 from repro.mem.backing import PhysicalMemory
 from repro.mem.cache import LruCache
 from repro.mem.system import AccessTier, ChipMemorySystem, InvalidationCause
 
 __all__ = [
     "AccessTier",
-    "AddressRange",
     "ChipMemorySystem",
     "InvalidationCause",
     "LruCache",
     "PhysicalMemory",
-    "block_base",
-    "block_index",
-    "block_span",
-    "crosses_page_boundary",
 ]

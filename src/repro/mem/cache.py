@@ -29,24 +29,6 @@ class LruCache:
         self.misses = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def contains(self, block_addr: int) -> bool:
-        return block_addr in self._blocks
-
-    def is_dirty(self, block_addr: int) -> bool:
-        return self._blocks.get(block_addr, False)
-
-    def touch(self, block_addr: int) -> bool:
-        """Access ``block_addr``; returns hit/miss and refreshes LRU."""
-        if block_addr in self._blocks:
-            self._blocks.move_to_end(block_addr)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
     def insert(
         self, block_addr: int, dirty: bool = False
     ) -> Optional[tuple[int, bool]]:

@@ -217,10 +217,6 @@ class ChipMemorySystem:
             t = now + (t - now) * self._svc_mult
         return t, AccessTier.MEM
 
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        """Functional (zero-time) read of the backing bytes."""
-        return self.phys.read(addr, size)
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
@@ -316,14 +312,5 @@ class ChipMemorySystem:
     # ------------------------------------------------------------------
     # introspection helpers
     # ------------------------------------------------------------------
-    def tier_of(self, block_addr: int) -> AccessTier:
-        block = self.cfg.caches.block_bytes
-        baddr = block_addr - (block_addr % block)
-        if baddr in self._owner:
-            return AccessTier.L1
-        if self.llc.contains(baddr):
-            return AccessTier.LLC
-        return AccessTier.MEM
-
     def subscriber_count(self, block_addr: int) -> int:
         return len(self._subs.get(block_addr, ()))

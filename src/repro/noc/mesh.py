@@ -21,7 +21,7 @@ from repro.common.units import CACHE_BLOCK
 class Mesh:
     """Tile coordinates and XY-routing hop counts for one chip."""
 
-    __slots__ = ("cfg", "tiles", "_coords", "_hops", "_hop_lat", "_lat_cache", "_edge_tiles", "_top_row")
+    __slots__ = ("cfg", "tiles", "_hops", "_hop_lat", "_lat_cache", "_edge_tiles", "_top_row")
 
     def __init__(self, cfg: NocConfig):
         self.cfg = cfg
@@ -29,12 +29,12 @@ class Mesh:
         if self.tiles < 1:
             raise ConfigError("mesh must have at least one tile")
         width = cfg.width
-        self._coords = [(t % width, t // width) for t in range(self.tiles)]
+        coords = [(t % width, t // width) for t in range(self.tiles)]
         # Flat hop matrix: hops(src, dst) == _hops[src * tiles + dst].
         self._hops = [
             abs(sx - dx) + abs(sy - dy)
-            for (sx, sy) in self._coords
-            for (dx, dy) in self._coords
+            for (sx, sy) in coords
+            for (dx, dy) in coords
         ]
         self._hop_lat = [h * cfg.hop_ns for h in self._hops]
         #: (src, dst, payload) -> latency; payloads come from a handful
@@ -45,17 +45,12 @@ class Mesh:
         edge = [
             t
             for t in range(self.tiles)
-            if self._coords[t][0] in (0, width - 1)
+            if coords[t][0] in (0, width - 1)
         ]
         self._edge_tiles = edge
         self._top_row = list(range(width))
 
     # -- geometry ---------------------------------------------------------
-    def coord(self, tile: int) -> tuple[int, int]:
-        if not 0 <= tile < self.tiles:
-            raise ConfigError(f"tile {tile} outside mesh of {self.tiles}")
-        return self._coords[tile]
-
     def hops(self, src_tile: int, dst_tile: int) -> int:
         if not (0 <= src_tile < self.tiles and 0 <= dst_tile < self.tiles):
             raise ConfigError(
@@ -94,6 +89,3 @@ class Mesh:
     def rmc_tile(self, backend: int) -> int:
         """RMC backends / R2P2s spread along the top edge (Fig. 6)."""
         return self._top_row[backend % len(self._top_row)]
-
-    def mean_hops_to(self, dst_tile: int) -> float:
-        return sum(self.hops(t, dst_tile) for t in range(self.tiles)) / self.tiles

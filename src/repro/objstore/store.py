@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from repro.common.errors import SimulationError
-from repro.common.units import CACHE_BLOCK
-from repro.mem.address import AddressRange
+from repro.common.units import CACHE_BLOCK, blocks_in
 from repro.mem.backing import PhysicalMemory
 from repro.objstore.layout import (
     ObjectLayout,
@@ -43,12 +42,10 @@ class ObjectHandle:
     wire_size: int
 
     @property
-    def range(self) -> AddressRange:
-        return AddressRange(self.base_addr, self.wire_size)
-
-    @property
     def num_blocks(self) -> int:
-        return self.range.num_blocks()
+        # Objects start on a block boundary (``create``/``populate``
+        # allocate block-aligned).
+        return blocks_in(self.wire_size)
 
 
 class ObjectStore:

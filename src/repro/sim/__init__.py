@@ -7,7 +7,7 @@ trigger.  A cheap callback API (`Simulator.call_later`) serves hot
 paths where full process semantics would be wasteful.
 """
 
-from repro.sim.engine import Event, Interrupt, Process, Simulator, Timeout
+from repro.sim.engine import Event, Process, Simulator, Timeout
 from repro.sim.resources import BandwidthServer, FifoResource, MultiChannel
 from repro.sim.stats import Breakdown, Counter, Samples, ThroughputMeter
 
@@ -17,7 +17,6 @@ __all__ = [
     "Counter",
     "Event",
     "FifoResource",
-    "Interrupt",
     "MultiChannel",
     "Process",
     "Samples",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.common.errors import SimulationError
 
@@ -19,8 +19,8 @@ from repro.common.errors import SimulationError
 class Event:
     """A one-shot occurrence that callbacks and processes can wait on.
 
-    ``triggered`` means the outcome (value) has been decided and
-    dispatch is scheduled; ``dispatched`` means callbacks have run.
+    An event is *triggered* once its outcome (value) is decided and
+    its dispatch scheduled, and *dispatched* once its callbacks ran.
     Callbacks added before dispatch are queued; callbacks added after
     dispatch run on the next loop iteration.
     """
@@ -35,10 +35,6 @@ class Event:
         self._value: Any = None
         self._triggered = False
         self._dispatched = False
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
 
     @property
     def value(self) -> Any:
@@ -100,48 +96,22 @@ class Timeout(Event):
         sim.call_later(delay, self._dispatch)
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """Drives a generator; itself an event that triggers on return."""
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any]):
         super().__init__(sim)
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
-        sim.call_later(0.0, self._step, None, None)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if self._triggered:
-            return
-        target = self._waiting_on
-        if target is not None:
-            self._waiting_on = None
-        self.sim.call_later(0.0, self._step, None, Interrupt(cause))
+        sim.call_later(0.0, self._step, None)
 
     def _resume(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # stale wakeup (e.g. interrupted while waiting)
-        self._waiting_on = None
-        self._step(event.value, None)
+        self._step(event._value)
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._triggered:
-            return
+    def _step(self, value: Any) -> None:
         try:
-            if exc is not None:
-                target = self._gen.throw(exc)
-            else:
-                target = self._gen.send(value)
+            target = self._gen.send(value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -149,36 +119,7 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Events"
             )
-        self._waiting_on = target
         target.add_callback(self._resume)
-
-
-class AllOf(Event):
-    """Triggers when all child events have triggered.
-
-    The barrier's value is the list of child event values in *trigger*
-    order (the order the children completed, not construction order);
-    an empty barrier triggers immediately with ``[]``.
-    """
-
-    __slots__ = ("_pending", "_values")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        events = list(events)
-        self._pending = len(events)
-        self._values: list[Any] = []
-        if not events:
-            self.succeed([])
-            return
-        for ev in events:
-            ev.add_callback(self._child_done)
-
-    def _child_done(self, event: Event) -> None:
-        self._values.append(event.value)
-        self._pending -= 1
-        if self._pending == 0 and not self._triggered:
-            self.succeed(self._values)
 
 
 #: A scheduled callback: ``[when, seq, fn, args]``.  ``fn`` is set to
@@ -423,9 +364,6 @@ class Simulator:
 
     def process(self, gen: Generator[Event, Any, Any]) -> Process:
         return Process(self, gen)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- execution --------------------------------------------------------
     def run(self, until: float = float("inf")) -> float:

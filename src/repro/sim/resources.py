@@ -25,10 +25,6 @@ class FifoResource:
         self._in_use = 0
         self._waiters: deque[Event] = deque()
 
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         ev = self.sim.event()
         if self._in_use < self.capacity:
@@ -53,11 +49,11 @@ class BandwidthServer:
     ``nbytes / rate`` ns, FIFO.  O(1) per request and *one* event per
     completion, which keeps block-granularity simulation fast.
 
-    ``request`` returns the absolute completion time; callers either
-    schedule their own continuation or ask for an event.
+    ``request`` returns the absolute completion time; callers schedule
+    their own continuation.
     """
 
-    __slots__ = ("sim", "rate", "name", "_next_free", "_busy_ns", "_bytes")
+    __slots__ = ("sim", "rate", "name", "_next_free")
 
     def __init__(self, sim: Simulator, bytes_per_ns: float, name: str = ""):
         if bytes_per_ns <= 0:
@@ -66,8 +62,6 @@ class BandwidthServer:
         self.rate = bytes_per_ns
         self.name = name
         self._next_free = 0.0
-        self._busy_ns = 0.0
-        self._bytes = 0
 
     def request(self, nbytes: float, extra_latency: float = 0.0) -> float:
         """Occupy the channel for ``nbytes``; return completion time.
@@ -83,11 +77,8 @@ class BandwidthServer:
         next_free = self._next_free
         if next_free > start:
             start = next_free
-        service = nbytes / self.rate
-        next_free = start + service
+        next_free = start + nbytes / self.rate
         self._next_free = next_free
-        self._busy_ns += service
-        self._bytes += nbytes
         return next_free + extra_latency
 
     def request_at(
@@ -106,27 +97,9 @@ class BandwidthServer:
         next_free = self._next_free
         if next_free > start:
             start = next_free
-        service = nbytes / self.rate
-        next_free = start + service
+        next_free = start + nbytes / self.rate
         self._next_free = next_free
-        self._busy_ns += service
-        self._bytes += nbytes
         return next_free + extra_latency
-
-    def request_event(self, nbytes: float, extra_latency: float = 0.0) -> Event:
-        done_at = self.request(nbytes, extra_latency)
-        ev = self.sim.event()
-        ev.succeed(delay=done_at - self.sim.now)
-        return ev
-
-    def utilization(self, elapsed_ns: float) -> float:
-        if elapsed_ns <= 0:
-            return 0.0
-        return min(1.0, self._busy_ns / elapsed_ns)
-
-    @property
-    def bytes_served(self) -> int:
-        return int(self._bytes)
 
 
 class MultiChannel:
@@ -165,11 +138,3 @@ class MultiChannel:
         self, addr: int, nbytes: float, extra_latency: float = 0.0
     ) -> float:
         return self.channel_for(addr).request(nbytes, extra_latency)
-
-    @property
-    def bytes_served(self) -> int:
-        return sum(ch.bytes_served for ch in self.channels)
-
-    @property
-    def total_rate(self) -> float:
-        return sum(ch.rate for ch in self.channels)

@@ -49,10 +49,6 @@ class Samples:
             return math.nan
         return sum(self._values) / len(self._values)
 
-    @property
-    def total(self) -> float:
-        return sum(self._values)
-
     def percentile(self, p: float) -> float:
         if not self._values:
             return math.nan
@@ -72,22 +68,6 @@ class Samples:
         # ``[a, b]`` by underflow for subnormals and by one ulp when
         # ``a == b``.
         return min(max(a * (1 - frac) + b * frac, a), b)
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(95.0)
-
-    @property
-    def max(self) -> float:
-        return max(self._values) if self._values else math.nan
-
-    @property
-    def min(self) -> float:
-        return min(self._values) if self._values else math.nan
 
 
 class ThroughputMeter:
@@ -138,12 +118,6 @@ class ThroughputMeter:
         if self.elapsed_ns <= 0:
             return 0.0
         return self._bytes / self.elapsed_ns
-
-    @property
-    def mops(self) -> float:
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self._ops / self.elapsed_ns * 1e3
 
     def absorb(self, other: "ThroughputMeter") -> None:
         """Fold another (stopped) meter's measurements into this one:
@@ -208,19 +182,5 @@ class Breakdown:
         for name, value in values.items():
             self.add(name, value)
 
-    def mean(self, component: str) -> float:
-        return self._samples[component].mean
-
     def means(self) -> Dict[str, float]:
         return {c: self._samples[c].mean for c in self.components}
-
-    @property
-    def total_mean(self) -> float:
-        means = [m for m in self.means().values() if not math.isnan(m)]
-        return sum(means)
-
-    def share(self, component: str) -> float:
-        total = self.total_mean
-        if total <= 0:
-            return math.nan
-        return self.mean(component) / total

@@ -19,12 +19,7 @@ from repro.common.errors import ProtocolError, SimulationError
 from repro.common.units import CACHE_BLOCK, blocks_in
 from repro.core.r2p2 import R2P2Engine
 from repro.fabric.network import Fabric
-from repro.fabric.packets import (
-    Packet,
-    PacketKind,
-    cas_request,
-    sabre_registration,
-)
+from repro.fabric.packets import Packet, PacketKind
 from repro.mem.backing import PhysicalMemory
 from repro.mem.system import ChipMemorySystem
 from repro.noc.mesh import Mesh
@@ -280,23 +275,23 @@ class SoNode:
         op = transfer.op
         rate = rgp.rate
         next_free = rgp._next_free
-        busy = rgp._busy_ns
-        nbytes = rgp._bytes
 
         if op is OpKind.SABRE:
             r2p2 = tid % dest_backends
-            reg = sabre_registration(self.node_id, dst, tid, transfer.total_blocks)
-            reg.meta.update(
-                addr=transfer.remote_addr,
-                size=transfer.size_bytes,
-                r2p2=r2p2,
-                rgp=transfer.backend,
+            reg = Packet(
+                PacketKind.SABRE_REGISTRATION, self.node_id, dst, tid,
+                size_bytes=8,
+                meta={
+                    "total_blocks": transfer.total_blocks,
+                    "addr": transfer.remote_addr,
+                    "size": transfer.size_bytes,
+                    "r2p2": r2p2,
+                    "rgp": transfer.backend,
+                },
             )
             start = next_free if next_free > now else now
             service = self._rmc_cycle / rate
             next_free = start + service
-            busy += service
-            nbytes += self._rmc_cycle
             sim.call_at(next_free, send, reg)
             # A SABRe stays pinned to one R2P2 (§5.1), so its whole
             # request run shares one meta dict (nobody mutates it).
@@ -331,8 +326,16 @@ class SoNode:
             elif op is OpKind.REMOTE_CAS:
                 addr = transfer.remote_addr
                 expected, desired = transfer.cas_operands
-                pkt = cas_request(self.node_id, dst, tid, addr, expected, desired)
-                pkt.meta["r2p2"] = (addr // CACHE_BLOCK) % dest_backends
+                pkt = Packet(
+                    PacketKind.CAS_REQUEST, self.node_id, dst, tid,
+                    size_bytes=24,
+                    meta={
+                        "addr": addr,
+                        "expected": expected,
+                        "desired": desired,
+                        "r2p2": (addr // CACHE_BLOCK) % dest_backends,
+                    },
+                )
             else:
                 addr = transfer.remote_addr + offset * CACHE_BLOCK
                 size = transfer.size_bytes - offset * CACHE_BLOCK
@@ -352,8 +355,6 @@ class SoNode:
                 )
             start = next_free if next_free > now else now
             next_free = start + service
-            busy += service
-            nbytes += req_cost
             if offset == 0:
                 transfer.timings.first_request = (
                     next_free if next_free > now else now
@@ -361,8 +362,6 @@ class SoNode:
             sim.call_at(next_free, send, pkt)
 
         rgp._next_free = next_free
-        rgp._busy_ns = busy
-        rgp._bytes = nbytes
 
     # ------------------------------------------------------------------
     # NI dispatch
@@ -425,8 +424,6 @@ class SoNode:
         service = self._rcp_service
         next_free = start + service
         rcp._next_free = next_free
-        rcp._busy_ns += service
-        rcp._bytes += self._rmc_cycle
         # The clock reading at the reply's RCP exit: call_at's
         # arithmetic, so the value is the one an event there would see.
         exit_at = now + (next_free - now)

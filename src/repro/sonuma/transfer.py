@@ -107,13 +107,3 @@ class SourceTransfer:
     #: lands: replies of many transfers interleave, so the memory's own
     #: one-entry cache would miss on nearly every one of them.
     landing_cell: Tuple[int, int, bytearray, int] = NO_CELL
-
-    @property
-    def data_done(self) -> bool:
-        return self.replies_received >= self.total_blocks
-
-    @property
-    def done(self) -> bool:
-        if self.op is OpKind.SABRE:
-            return self.data_done and self.validation is not None
-        return self.data_done

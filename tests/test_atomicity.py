@@ -27,7 +27,11 @@ class TestReaderWriterLocks:
         t = ReaderWriterLockTable()
         assert t.try_read_lock(0x100)
         assert t.try_read_lock(0x100)
-        assert t.readers_of(0x100) == 2
+        # Both must unlock before a writer gets in.
+        t.read_unlock(0x100)
+        assert not t.try_write_lock(0x100)
+        t.read_unlock(0x100)
+        assert t.try_write_lock(0x100)
 
     def test_writer_excludes_readers(self):
         t = ReaderWriterLockTable()

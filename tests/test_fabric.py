@@ -5,49 +5,80 @@ import pytest
 from repro.common.config import FabricConfig
 from repro.common.errors import ConfigError
 from repro.fabric.network import Fabric, Link
-from repro.fabric.packets import (
-    PacketKind,
-    block_payload_size,
-    read_reply,
-    read_request,
-    sabre_registration,
-    sabre_validation,
-)
+from repro.fabric.packets import ROUTE_REPLY, ROUTE_REQUEST, Packet, PacketKind
 from repro.sim.engine import Simulator
+from repro.sonuma.node import Cluster
+
+
+def wire(op_name, size):
+    """Every packet a two-node cluster puts on the fabric while node 1
+    runs one ``op_name`` of ``size`` bytes against node 0."""
+    sent = []
+    with Cluster() as cluster:
+        real_send = cluster.fabric.send
+
+        def send(pkt):
+            sent.append(pkt)
+            return real_send(pkt)
+
+        cluster.fabric.send = send
+        base = cluster.node(0).phys.allocate(size)
+        client = cluster.node(1)
+        buf = client.alloc_buffer(size)
+
+        def proc():
+            yield getattr(client, op_name)(0, base, size, buf)
+
+        cluster.sim.process(proc())
+        cluster.run()
+    return sent
+
+
+def of_kind(packets, kind):
+    return sorted(
+        (p for p in packets if p.kind is kind), key=lambda p: p.block_offset
+    )
 
 
 class TestPackets:
     def test_read_request_shape(self):
-        pkt = read_request(0, 1, transfer_id=7, block_offset=3)
-        assert pkt.kind is PacketKind.READ_REQUEST
-        assert pkt.block_offset == 3
-        assert not pkt.is_reply
+        """A 130-B remote read unrolls into one request per block, each
+        naming its block's address and the bytes it wants."""
+        requests = of_kind(wire("remote_read", 130), PacketKind.READ_REQUEST)
+        assert [p.block_offset for p in requests] == [0, 1, 2]
+        assert [p.meta["size"] for p in requests] == [64, 64, 2]
+        assert all(p.kind.route == ROUTE_REQUEST for p in requests)
 
     def test_reply_carries_payload(self):
-        pkt = read_reply(1, 0, 7, 0, b"x" * 64)
-        assert pkt.is_reply
-        assert pkt.size_bytes == 64
-        assert pkt.wire_bytes(header_bytes=16) == 80
+        replies = of_kind(wire("remote_read", 130), PacketKind.READ_REPLY)
+        assert [p.size_bytes for p in replies] == [64, 64, 2]
+        assert [len(p.payload) for p in replies] == [64, 64, 2]
+        assert all(p.kind.route == ROUTE_REPLY for p in replies)
 
     def test_registration_and_validation_meta(self):
-        reg = sabre_registration(0, 1, 7, total_blocks=9)
+        """The source's registration carries the SABRe's shape; the
+        R2P2's validation is payload-free and carries the verdict."""
+        sent = wire("sabre_read", 9 * 64)
+        (reg,) = of_kind(sent, PacketKind.SABRE_REGISTRATION)
         assert reg.meta["total_blocks"] == 9
-        val = sabre_validation(1, 0, 7, success=False)
-        assert val.meta["success"] is False
-        assert val.size_bytes == 0
+        assert reg.meta["size"] == 9 * 64
+        (val,) = of_kind(sent, PacketKind.SABRE_VALIDATION)
+        assert val.meta["success"] is True
+        assert val.size_bytes == 0 and val.payload is None
 
     def test_sequence_numbers_unique(self):
-        a = read_request(0, 1, 1, 0)
-        b = read_request(0, 1, 1, 1)
+        a = Packet(PacketKind.READ_REQUEST, 0, 1, 1, 0, size_bytes=8)
+        b = Packet(PacketKind.READ_REQUEST, 0, 1, 1, 1, size_bytes=8)
         # Packets are told apart by identity: no process-global
         # counter stamps them.
         assert a is not b
 
     def test_block_payload_size_partial_tail(self):
-        assert block_payload_size(130, 0) == 64
-        assert block_payload_size(130, 1) == 64
-        assert block_payload_size(130, 2) == 2
-        assert block_payload_size(130, 3) == 0
+        """A 130-B SABRe: the R2P2's three replies carry 64, 64 and 2
+        bytes."""
+        replies = of_kind(wire("sabre_read", 130), PacketKind.SABRE_REPLY)
+        assert [p.size_bytes for p in replies] == [64, 64, 2]
+        assert [len(p.payload) for p in replies] == [64, 64, 2]
 
 
 class TestLink:
@@ -56,7 +87,7 @@ class TestLink:
         fabric = Fabric(sim, FabricConfig(), nodes=2)
         arrivals = []
         fabric.attach(1, lambda p: arrivals.append(sim.now))
-        pkt = sabre_validation(0, 1, 1, True)  # 0-byte payload
+        pkt = Packet(PacketKind.SABRE_VALIDATION, 0, 1, 1)  # 0-byte payload
         assert fabric.send(pkt) == pytest.approx(35.16)
         sim.run()
         # 16 B header at 100 GBps = 0.16 ns + 35 ns propagation.
@@ -68,7 +99,9 @@ class TestLink:
         arrivals = []
         fabric.attach(1, lambda p: arrivals.append(sim.now))
         for i in range(3):
-            fabric.send(read_reply(0, 1, 1, i, b"p" * 64))
+            fabric.send(Packet(
+                PacketKind.READ_REPLY, 0, 1, 1, i, size_bytes=64, payload=b"p" * 64
+            ))
         sim.run()
         assert len(arrivals) == 3
         # Each 80-byte packet serializes for 0.8 ns.
@@ -87,7 +120,7 @@ class TestFabric:
         seen = []
         fabric.attach(0, lambda p: seen.append(("n0", p.kind)))
         fabric.attach(1, lambda p: seen.append(("n1", p.kind)))
-        fabric.send(read_request(0, 1, 1, 0))
+        fabric.send(Packet(PacketKind.READ_REQUEST, 0, 1, 1, 0, size_bytes=8))
         sim.run()
         assert seen == [("n1", PacketKind.READ_REQUEST)]
 
@@ -107,7 +140,7 @@ class TestFabric:
         sim = Simulator()
         fabric = Fabric(sim, FabricConfig(), nodes=2)
         with pytest.raises(ConfigError):
-            fabric.send(read_request(0, 1, 1, 0))
+            fabric.send(Packet(PacketKind.READ_REQUEST, 0, 1, 1, 0, size_bytes=8))
 
     def test_bad_node_attach_rejected(self):
         sim = Simulator()
@@ -118,8 +151,11 @@ class TestFabric:
     def test_packet_counting(self):
         sim = Simulator()
         fabric = Fabric(sim, FabricConfig(), nodes=2)
-        fabric.attach(1, lambda p: None)
-        fabric.send(read_request(0, 1, 1, 0))
-        fabric.send(read_request(0, 1, 1, 1))
-        assert fabric.packets_on(0, 1) == 2
-        assert fabric.packets_on(1, 0) == 0
+        arrived = {0: [], 1: []}
+        fabric.attach(0, arrived[0].append)
+        fabric.attach(1, arrived[1].append)
+        fabric.send(Packet(PacketKind.READ_REQUEST, 0, 1, 1, 0, size_bytes=8))
+        fabric.send(Packet(PacketKind.READ_REQUEST, 0, 1, 1, 1, size_bytes=8))
+        sim.run()
+        assert [p.block_offset for p in arrived[1]] == [0, 1]
+        assert arrived[0] == []

@@ -60,8 +60,8 @@ class TestReadPath:
         base = run_farm(small_cfg(use_sabre=False))
         sabre = run_farm(small_cfg(use_sabre=True))
         assert (
-            sabre.breakdown.mean("framework")
-            < base.breakdown.mean("framework")
+            sabre.breakdown.means()["framework"]
+            < base.breakdown.means()["framework"]
         )
 
     def test_sabre_application_component_larger(self):
@@ -70,8 +70,8 @@ class TestReadPath:
         base = run_farm(small_cfg(use_sabre=False, object_size=4096))
         sabre = run_farm(small_cfg(use_sabre=True, object_size=4096))
         assert (
-            sabre.breakdown.mean("application")
-            > base.breakdown.mean("application")
+            sabre.breakdown.means()["application"]
+            > base.breakdown.means()["application"]
         )
 
     def test_improvement_grows_with_object_size(self):

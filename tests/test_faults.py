@@ -11,7 +11,7 @@ from repro.common.errors import (
     ShardCrashedError,
 )
 from repro.experiments import run_sweep
-from repro.fabric.packets import read_reply
+from repro.fabric.packets import Packet, PacketKind
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -162,7 +162,9 @@ class TestLinkDegradation:
             fabric.attach(1, lambda p: seen.append(sim.now))
             if sever_at == "before":
                 fabric.sever_link(0, 1)
-            fabric.send(read_reply(0, 1, 1, 0, b"x" * 64))
+            fabric.send(Packet(
+                PacketKind.READ_REPLY, 0, 1, 1, 0, size_bytes=64, payload=b"x" * 64
+            ))
             if sever_at == "after":
                 fabric.sever_link(0, 1)
             sim.run()

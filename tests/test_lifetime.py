@@ -169,7 +169,7 @@ def test_closed_rack_is_terminal_but_readable():
             node.phys.write(addr, b"\x01" * 8)
         with pytest.raises(SimulationError, match="unmapped address"):
             node.chip.write_block(0, addr, b"\x01" * 8)
-        assert node.in_flight == 0 and len(node.chip.llc) == 0
+        assert node.in_flight == 0 and not node.chip.llc._blocks
         assert all(r2p2.att.occupancy == 0 for r2p2 in node.r2p2s)
 
 

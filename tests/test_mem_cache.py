@@ -1,27 +1,36 @@
-"""Unit tests for the LRU cache model."""
+"""Unit tests for the LRU cache model.
+
+The chip's read path works on ``LruCache._blocks`` (address -> dirty,
+in LRU order) directly, so the tests observe residency there."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.config import NodeConfig
 from repro.common.errors import SimulationError
 from repro.mem.cache import LruCache
+from repro.mem.system import ChipMemorySystem
+from repro.noc.mesh import Mesh
+from repro.sim.engine import Simulator
 
 
 def test_insert_and_contains():
     c = LruCache(4)
     assert c.insert(0) is None
-    assert c.contains(0)
-    assert not c.contains(64)
+    assert 0 in c._blocks
+    assert 64 not in c._blocks
 
 
 def test_touch_hit_miss_counting():
-    c = LruCache(4)
-    c.insert(0)
-    assert c.touch(0)
-    assert not c.touch(64)
-    assert c.hits == 1
-    assert c.misses == 1
+    """The chip's reads count the LLC's hits and misses."""
+    cfg = NodeConfig()
+    chip = ChipMemorySystem(Simulator(), cfg, Mesh(cfg.noc))
+    addr = chip.phys.allocate(64)
+    chip.read_block(0, addr)
+    chip.read_block(0, addr)
+    assert chip.llc.misses == 1
+    assert chip.llc.hits == 1
 
 
 def test_eviction_is_lru_order():
@@ -30,7 +39,7 @@ def test_eviction_is_lru_order():
     c.insert(64)
     evicted = c.insert(128)
     assert evicted == (0, False)
-    assert not c.contains(0)
+    assert 0 not in c._blocks
     assert c.evictions == 1
 
 
@@ -38,7 +47,7 @@ def test_touch_refreshes_lru():
     c = LruCache(2)
     c.insert(0)
     c.insert(64)
-    c.touch(0)  # 64 becomes LRU
+    c.insert(0)  # a re-insert refreshes: 64 becomes LRU
     evicted = c.insert(128)
     assert evicted == (64, False)
 
@@ -54,14 +63,14 @@ def test_reinsert_keeps_dirty_bit_sticky():
     c = LruCache(2)
     c.insert(0, dirty=True)
     c.insert(0, dirty=False)
-    assert c.is_dirty(0)
+    assert c._blocks[0] is True
 
 
 def test_mark_clean():
     c = LruCache(2)
     c.insert(0, dirty=True)
     c.mark_clean(0)
-    assert not c.is_dirty(0)
+    assert c._blocks[0] is False
 
 
 def test_invalidate():
@@ -69,7 +78,7 @@ def test_invalidate():
     c.insert(0)
     assert c.invalidate(0)
     assert not c.invalidate(0)
-    assert len(c) == 0
+    assert not c._blocks
 
 
 def test_zero_capacity_rejected():
@@ -81,9 +90,8 @@ def test_zero_capacity_rejected():
 def test_never_exceeds_capacity(accesses):
     c = LruCache(8)
     for a in accesses:
-        if not c.touch(a * 64):
-            c.insert(a * 64)
-        assert len(c) <= 8
+        c.insert(a * 64)
+        assert len(c._blocks) <= 8
 
 
 @given(st.lists(st.integers(min_value=0, max_value=31), max_size=200))
@@ -91,6 +99,5 @@ def test_most_recent_always_resident(accesses):
     c = LruCache(4)
     for a in accesses:
         addr = a * 64
-        if not c.touch(addr):
-            c.insert(addr)
-        assert c.contains(addr)
+        c.insert(addr)
+        assert next(reversed(c._blocks)) == addr

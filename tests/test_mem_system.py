@@ -62,7 +62,7 @@ class TestWrites:
     def test_write_updates_bytes_immediately(self, chip):
         addr = _alloc_block(chip)
         chip.write_block(0, addr, b"Z" * 64)
-        assert chip.read_bytes(addr, 64) == b"Z" * 64
+        assert chip.phys.read(addr, 64) == b"Z" * 64
 
     def test_write_hit_on_own_m_copy_is_cheap(self, chip):
         addr = _alloc_block(chip)
@@ -79,7 +79,9 @@ class TestWrites:
         addr = _alloc_block(chip)
         chip.write_block(0, addr)
         chip.write_block(1, addr)
-        assert chip.tier_of(addr) is AccessTier.L1
+        assert chip._owner[addr] == 1  # the directory's M-state owner
+        _done, tier = chip.read_block(0, addr)
+        assert tier is AccessTier.L1
 
 
 class TestSnooping:
@@ -142,5 +144,5 @@ class TestBandwidthContention:
         for i in range(n):
             done, _ = chip.read_block(0, base + 64 * i)
             last = max(last, done)
-        floor = (n * 64) / chip.dram.total_rate
+        floor = (n * 64) / sum(ch.rate for ch in chip.dram.channels)
         assert last >= floor

@@ -13,15 +13,16 @@ def mesh():
 
 
 def test_coord_layout(mesh):
-    assert mesh.coord(0) == (0, 0)
-    assert mesh.coord(3) == (3, 0)
-    assert mesh.coord(4) == (0, 1)
-    assert mesh.coord(15) == (3, 3)
+    """Row-major tiles: 3 is the top row's far end, 4 starts row 1."""
+    assert mesh.hops(0, 3) == 3
+    assert mesh.hops(0, 4) == 1
+    assert mesh.hops(3, 4) == 4
+    assert mesh.hops(0, 15) == 6
 
 
 def test_coord_out_of_range(mesh):
     with pytest.raises(ConfigError):
-        mesh.coord(16)
+        mesh.hops(0, 16)
 
 
 def test_hops_manhattan(mesh):
@@ -55,17 +56,18 @@ def test_llc_bank_interleaving(mesh):
 
 def test_mc_tiles_on_edges(mesh):
     for ch in range(4):
-        x, _ = mesh.coord(mesh.mc_tile(ch))
-        assert x in (0, 3)
+        assert mesh.mc_tile(ch) % 4 in (0, 3)
 
 
 def test_rmc_tiles_on_top_row(mesh):
     for backend in range(4):
-        tile = mesh.rmc_tile(backend)
-        assert mesh.coord(tile)[1] == 0
+        assert mesh.rmc_tile(backend) < 4
     assert len({mesh.rmc_tile(b) for b in range(4)}) == 4
 
 
 def test_mean_hops_symmetricish(mesh):
     # Mean distance to a corner exceeds mean distance to the center.
-    assert mesh.mean_hops_to(0) > mesh.mean_hops_to(5)
+    def mean_hops_to(dst):
+        return sum(mesh.hops(t, dst) for t in range(mesh.tiles)) / mesh.tiles
+
+    assert mean_hops_to(0) > mean_hops_to(5)

@@ -3,15 +3,13 @@
 isolation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import NodeConfig, SabreMode
 from repro.common.units import CACHE_BLOCK
 from repro.core.r2p2 import R2P2Engine
-from repro.fabric.packets import (
-    PacketKind,
-    sabre_registration,
-    sabre_request,
-)
+from repro.fabric.packets import Packet, PacketKind
 from repro.mem.system import ChipMemorySystem
 from repro.noc.mesh import Mesh
 from repro.sim.engine import Simulator
@@ -55,14 +53,27 @@ class Harness:
         self.chip.phys.write_u64(base, version)
         return base
 
+    def register(self, base: int, blocks: int, tid: int = 1) -> None:
+        self.engine.handle_packet(Packet(
+            PacketKind.SABRE_REGISTRATION, 1, 0, tid, size_bytes=8,
+            meta={
+                "total_blocks": blocks,
+                "addr": base,
+                "size": blocks * CACHE_BLOCK,
+                "rgp": 0,
+            },
+        ))
+
+    def request(self, tid: int, offset: int) -> None:
+        self.engine.handle_packet(Packet(
+            PacketKind.SABRE_REQUEST, 1, 0, tid, offset, size_bytes=8,
+            meta={"rgp": 0},
+        ))
+
     def start_sabre(self, base: int, blocks: int, tid: int = 1) -> None:
-        reg = sabre_registration(1, 0, tid, blocks)
-        reg.meta.update(addr=base, size=blocks * CACHE_BLOCK, rgp=0)
-        self.engine.handle_packet(reg)
+        self.register(base, blocks, tid)
         for off in range(blocks):
-            req = sabre_request(1, 0, tid, off)
-            req.meta["rgp"] = 0
-            self.engine.handle_packet(req)
+            self.request(tid, off)
 
     def replies(self):
         return [p for p in self.sent if p.kind is PacketKind.SABRE_REPLY]
@@ -107,22 +118,16 @@ class TestBasicLifecycle:
         """issue_count never exceeds the request counter (§5.1)."""
         h = Harness()
         base = h.make_object(version=2, blocks=8)
-        reg = sabre_registration(1, 0, 9, 8)
-        reg.meta.update(addr=base, size=8 * CACHE_BLOCK, rgp=0)
-        h.engine.handle_packet(reg)
+        h.register(base, 8, tid=9)
         for off in range(3):  # only 3 of 8 requests received
-            req = sabre_request(1, 0, 9, off)
-            req.meta["rgp"] = 0
-            h.engine.handle_packet(req)
+            h.request(9, off)
         entry = h.engine.att.entries()[0]
         h.sim.run()
         assert entry.issue_count == 3
         assert len(h.replies()) == 3
         assert h.validation() is None  # not complete yet
         for off in range(3, 8):
-            req = sabre_request(1, 0, 9, off)
-            req.meta["rgp"] = 0
-            h.engine.handle_packet(req)
+            h.request(9, off)
         h.sim.run()
         assert h.validation() is not None
 
@@ -216,6 +221,50 @@ class TestStreamBufferLimits:
         assert all(v.meta["success"] for v in vals)
 
 
+class _VersionReplyEngine(R2P2Engine):
+    """Records the issue count when the version block's memory reply
+    arrives: the end of the window of vulnerability."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.issued_at_version = []
+
+    def _on_mem_reply(self, entry, offset, epoch=0):
+        if offset == 0:
+            self.issued_at_version.append(entry.issue_count)
+        super()._on_mem_reply(entry, offset, epoch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(min_value=1, max_value=40),
+    blocks=st.integers(min_value=1, max_value=48),
+    page_blocks=st.sampled_from([4, 8, 16, 64, 32768]),
+    lead=st.integers(min_value=0, max_value=70),
+)
+def test_window_bounds_issue_until_version_reply(depth, blocks, page_blocks, lead):
+    """During the window of vulnerability the unroll stage issues at
+    most ``min(depth, blocks, blocks left before the page end)`` loads;
+    once the version is read the rest follow, and the SABRe validates
+    with exactly ``blocks`` replies (§4.1)."""
+    page = page_blocks * CACHE_BLOCK
+    h = Harness(
+        engine_cls=_VersionReplyEngine, page_bytes=page, stream_buffer_depth=depth
+    )
+    if lead:
+        h.chip.phys.allocate(lead * CACHE_BLOCK)  # start the object mid-page
+    base = h.make_object(version=2, blocks=blocks)
+    h.start_sabre(base, blocks)
+    h.sim.run()
+    to_page_end = (page - base % page) // CACHE_BLOCK
+    # Every request is in before the first memory reply, so the bound
+    # is met exactly.
+    assert h.engine.issued_at_version == [min(depth, blocks, to_page_end)]
+    assert h.validation().meta["success"] is True
+    assert len(h.replies()) == blocks
+    assert sorted(p.block_offset for p in h.replies()) == list(range(blocks))
+
+
 class _RecordingChip(ChipMemorySystem):
     """Logs every block a snoop subscribes to, in order."""
 
@@ -230,17 +279,14 @@ class _RecordingChip(ChipMemorySystem):
 
 class _RecordingEngine(R2P2Engine):
     """Logs each block read as it starts: its time (the instant the
-    issue loop scheduled it for), offset and the stream buffer's issued
-    bits."""
+    issue loop scheduled it for) and offset."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.started = []
 
     def _start_read(self, entry, addr, offset, epoch):
-        self.started.append(
-            (self.sim.now, offset, entry.stream_buffer._issued_bits)
-        )
+        self.started.append((self.sim.now, offset))
         super()._start_read(entry, addr, offset, epoch)
 
 
@@ -261,9 +307,6 @@ class _ReferenceEngine(_RecordingEngine):
             if snoops and (entry.speculative and spec or offset == 0):
                 self.chip.subscribe(addr, entry.snoop_cb)
                 entry.subscribed_blocks.append(addr)
-            sb = entry.stream_buffer
-            if spec and entry.speculative and sb.can_issue(offset):
-                sb.mark_issued(offset)
             done = self.issue_server.request(self._block_cost)
             self.sim.call_at(
                 done, self._start_read, entry, addr, offset, entry.epoch
@@ -320,14 +363,11 @@ class TestProtocolErrors:
         from repro.common.errors import ProtocolError
 
         h = Harness()
-        req = sabre_request(1, 0, 99, 0)
-        req.meta["rgp"] = 0
         with pytest.raises(ProtocolError):
-            h.engine.handle_packet(req)
+            h.request(99, 0)
 
     def test_unroutable_kind_rejected(self):
         from repro.common.errors import ProtocolError
-        from repro.fabric.packets import Packet
 
         h = Harness()
         with pytest.raises(ProtocolError):

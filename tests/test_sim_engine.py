@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import _COMPACT_MIN_CANCELLED, Interrupt, Simulator
+from repro.sim.engine import _COMPACT_MIN_CANCELLED, Simulator
 
 
 @pytest.fixture
@@ -79,7 +79,6 @@ def test_timeout_process():
     p = sim.process(proc())
     sim.run()
     assert seen == [4.0, 10.0]
-    assert p.triggered
     assert p.value == "done"
 
 
@@ -136,91 +135,6 @@ def test_process_waiting_on_process():
     sim.process(parent())
     sim.run()
     assert log == [(3.0, "child-result")]
-
-
-def test_all_of_barrier():
-    sim = Simulator()
-    log = []
-
-    def waiter():
-        yield sim.all_of([sim.timeout(2.0), sim.timeout(8.0), sim.timeout(5.0)])
-        log.append(sim.now)
-
-    sim.process(waiter())
-    sim.run()
-    assert log == [8.0]
-
-
-def test_all_of_empty_triggers_immediately():
-    sim = Simulator()
-    log = []
-
-    def waiter():
-        value = yield sim.all_of([])
-        log.append((sim.now, value))
-
-    sim.process(waiter())
-    sim.run()
-    assert log == [(0.0, [])]
-
-
-def test_all_of_value_collects_children_in_trigger_order():
-    """Regression: a non-empty AllOf used to succeed with ``None``
-    while an empty one succeeded with ``[]``.  The barrier's value is
-    now always a list — the child values in completion order."""
-    sim = Simulator()
-    log = []
-
-    def waiter():
-        value = yield sim.all_of(
-            [
-                sim.timeout(6.0, "slow"),
-                sim.timeout(1.0, "fast"),
-                sim.timeout(3.0, "mid"),
-            ]
-        )
-        log.append((sim.now, value))
-
-    sim.process(waiter())
-    sim.run()
-    assert log == [(6.0, ["fast", "mid", "slow"])]
-
-
-def test_all_of_includes_already_triggered_children():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed("early")
-    log = []
-
-    def waiter():
-        value = yield sim.all_of([ev, sim.timeout(2.0, "late")])
-        log.append(value)
-
-    sim.process(waiter())
-    sim.run()
-    assert log == [["early", "late"]]
-
-
-def test_interrupt_breaks_wait():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            log.append("slept")
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-
-    p = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(4.0)
-        p.interrupt("wake-up")
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [("interrupted", 4.0, "wake-up")]
 
 
 def test_yielding_non_event_raises():

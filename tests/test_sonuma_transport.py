@@ -9,7 +9,7 @@ import pytest
 from repro.common.config import ClusterConfig, SabreMode
 from repro.common.errors import ProtocolError, SimulationError
 from repro.core.r2p2 import R2P2Engine
-from repro.fabric.packets import PacketKind, sabre_reply, sabre_validation
+from repro.fabric.packets import Packet, PacketKind
 from repro.mem.backing import PhysicalMemory
 from repro.objstore.layout import RawLayout, stamped_payload
 from repro.objstore.store import ObjectStore
@@ -24,6 +24,14 @@ def two_nodes(mode=SabreMode.SPECULATIVE, **sabre_kwargs):
         node = dataclasses.replace(cfg.node, sabre=sabre)
         cfg = dataclasses.replace(cfg, node=node)
     return Cluster(cfg)
+
+
+def sabre_reply(tid, offset, payload):
+    """A SABRe data reply from node 0's R2P2 to node 1."""
+    return Packet(
+        PacketKind.SABRE_REPLY, 0, 1, tid, offset,
+        size_bytes=len(payload), payload=payload,
+    )
 
 
 def make_object(cluster, payload_len=1000, version=4, obj_id=1):
@@ -333,9 +341,9 @@ class TestRcpAccounting:
         # A straggler that was on the wire at abort time still vanishes;
         # a reply nobody ever asked for still trips the invariant.
         tid = results[0].transfer_id
-        src._handle_packet(sabre_reply(0, 1, tid, 0, bytes(64)))
+        src._handle_packet(sabre_reply(tid, 0, bytes(64)))
         with pytest.raises(ProtocolError):
-            src._handle_packet(sabre_reply(0, 1, tid + 1, 0, bytes(64)))
+            src._handle_packet(sabre_reply(tid + 1, 0, bytes(64)))
 
     def test_validation_overtaking_data_replies_completes_once(self):
         """Were SABRe requests striped over the R2P2s (§5.1's rejected
@@ -358,11 +366,13 @@ class TestRcpAccounting:
 
         sim.process(proc())
         first, second = b"a" * 64, b"b" * 64
-        validation = sabre_validation(0, 1, tid, success=True)
+        validation = Packet(
+            PacketKind.SABRE_VALIDATION, 0, 1, tid, meta={"success": True}
+        )
         for when, pkt in (
-            (300.0, sabre_reply(0, 1, tid, 0, first)),
+            (300.0, sabre_reply(tid, 0, first)),
             (300.2, validation),
-            (300.4, sabre_reply(0, 1, tid, 1, second)),
+            (300.4, sabre_reply(tid, 1, second)),
         ):
             sim.call_at(when, src._handle_packet, pkt)
         cluster.run()

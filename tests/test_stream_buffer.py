@@ -1,112 +1,167 @@
-"""Unit tests for stream buffers (address-range snooping, §4.1)."""
+"""The stream buffer (§4.1, Fig. 3) as the model keeps it: an ATT
+entry's ``window`` (how many blocks may be issued while the object's
+version is unread) plus the per-block snoop subscriptions the R2P2
+holds on the chip's directory, which match addresses the way the
+hardware buffer's subtractor does.  Every test drives the R2P2 (or the
+ATT it registers into) and observes what it does; the buffer's SRAM
+sizing is ``SabreConfig``'s (tests/test_calibration.py)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
-from repro.core.stream_buffer import StreamBuffer
+from repro.common.units import CACHE_BLOCK
+from repro.core.att import ActiveTransfersTable
+from test_r2p2_engine import Harness
+
+
+def watched(h, base, blocks):
+    """Per block of ``[base, base + blocks)``: is a snoop subscribed?"""
+    return [h.chip.subscriber_count(base + k * CACHE_BLOCK) for k in range(blocks)]
 
 
 def test_assign_and_release():
-    sb = StreamBuffer(depth=8)
-    assert not sb.busy
-    sb.assign(0x1000, 4)
-    assert sb.busy
-    assert sb.base_block == 0x1000
-    sb.release()
-    assert not sb.busy
+    """A registration binds a window to the SABRe's range; completion
+    frees the entry and every subscription."""
+    h = Harness()
+    base = h.make_object(version=2, blocks=4)
+    h.start_sabre(base, 4)
+    (entry,) = h.engine.att.entries()
+    assert entry.base_addr == base and entry.window == 4
+    assert watched(h, base, 4) == [1, 1, 1, 1]
+    h.sim.run()
+    assert h.engine.att.occupancy == 0
+    assert watched(h, base, 4) == [0, 0, 0, 0]
 
 
 def test_double_assign_rejected():
-    sb = StreamBuffer(depth=8)
-    sb.assign(0x1000, 2)
+    att = ActiveTransfersTable(4, 8)
+    att.register((0, 0, 1), 0x1000, 2, 128)
     with pytest.raises(SimulationError):
-        sb.assign(0x2000, 2)
+        att.register((0, 0, 1), 0x2000, 2, 128)
 
 
 def test_bad_depth_rejected():
     with pytest.raises(SimulationError):
-        StreamBuffer(depth=0)
+        ActiveTransfersTable(4, 0)
 
 
 def test_bad_total_rejected():
-    sb = StreamBuffer(depth=8)
+    att = ActiveTransfersTable(4, 8)
     with pytest.raises(SimulationError):
-        sb.assign(0x1000, 0)
+        att.register((0, 0, 1), 0x1000, 0, 0)
+    assert att.occupancy == 0
 
 
 class TestSubtractor:
     def test_slot_lookup_by_arithmetic(self):
-        sb = StreamBuffer(depth=8)
-        sb.assign(0x1000, 4)
-        assert sb.slot_of(0x1000) == 0
-        assert sb.slot_of(0x1040) == 1
-        assert sb.slot_of(0x10C0) == 3
+        """Window slot k watches block ``base + k * 64``."""
+        h = Harness(stream_buffer_depth=3)
+        base = h.make_object(version=2, blocks=6)
+        h.start_sabre(base, 6)
+        assert watched(h, base, 6) == [1, 1, 1, 0, 0, 0]
 
     def test_outside_range_no_match(self):
-        sb = StreamBuffer(depth=8)
-        sb.assign(0x1000, 4)
-        assert sb.slot_of(0x0FC0) is None  # below base
-        assert sb.slot_of(0x1100) is None  # past the 4 tracked blocks
-        assert sb.slot_of(0x1001) is None  # unaligned
+        """Writes below the base and past the window do not touch the
+        SABRe."""
+        h = Harness(stream_buffer_depth=4)
+        below = h.chip.phys.allocate(CACHE_BLOCK)
+        base = h.make_object(version=2, blocks=8)
+        assert below == base - CACHE_BLOCK
+        h.start_sabre(base, 8)
+        (entry,) = h.engine.att.entries()
+        h.chip.write_block(0, below)
+        h.chip.write_block(0, base + 4 * CACHE_BLOCK)
+        assert not entry.aborted and not entry.pending_validate
+        h.sim.run()
+        assert h.validation().meta["success"] is True
 
     def test_tracking_limited_to_depth(self):
-        """SABRes longer than the buffer only track ``depth`` blocks:
+        """SABRes longer than the buffer only watch ``depth`` blocks:
         the unroll stage stalls past that during the window (§4.1)."""
-        sb = StreamBuffer(depth=4)
-        sb.assign(0x1000, 100)
-        assert sb.tracked_slots == 4
-        assert sb.slot_of(0x1000 + 3 * 64) == 3
-        assert sb.slot_of(0x1000 + 4 * 64) is None
+        h = Harness(stream_buffer_depth=4)
+        base = h.make_object(version=2, blocks=100)
+        h.start_sabre(base, 100)
+        (entry,) = h.engine.att.entries()
+        assert entry.window == 4
+        assert watched(h, base, 5) == [1, 1, 1, 1, 0]
 
     def test_unassigned_matches_nothing(self):
-        sb = StreamBuffer(depth=4)
-        assert sb.slot_of(0x1000) is None
-        assert not sb.matches(0x1000)
+        """Before its registration a SABRe watches nothing, so an
+        earlier write cannot reach it."""
+        h = Harness()
+        base = h.make_object(version=2, blocks=2)
+        h.chip.write_block(0, base + CACHE_BLOCK)
+        assert watched(h, base, 2) == [0, 0]
+        h.start_sabre(base, 2)
+        h.sim.run()
+        assert h.validation().meta["success"] is True
 
 
 class TestIssueTracking:
     def test_issue_and_receive(self):
-        sb = StreamBuffer(depth=8)
-        sb.assign(0x1000, 3)
-        sb.mark_issued(0)
-        sb.mark_issued(1)
-        assert sb.is_issued(0) and sb.is_issued(1) and not sb.is_issued(2)
-        assert sb.mark_received(0x1040)
-        assert sb.is_received(1)
-        assert not sb.is_received(0)
+        """Every block of the window is issued at once; each memory
+        reply is answered exactly once."""
+        h = Harness(stream_buffer_depth=8)
+        base = h.make_object(version=2, blocks=3)
+        h.start_sabre(base, 3)
+        (entry,) = h.engine.att.entries()
+        assert entry.issue_count == 3
+        h.sim.run()
+        assert sorted(p.block_offset for p in h.replies()) == [0, 1, 2]
+        assert entry.replied_bits == 0b111 and entry.replied_count == 3
 
     def test_cannot_issue_past_tracked(self):
-        sb = StreamBuffer(depth=2)
-        sb.assign(0x1000, 8)
-        assert sb.can_issue(0) and sb.can_issue(1)
-        assert not sb.can_issue(2)
-        with pytest.raises(SimulationError):
-            sb.mark_issued(2)
+        h = Harness(stream_buffer_depth=2)
+        base = h.make_object(version=2, blocks=8)
+        h.start_sabre(base, 8)
+        (entry,) = h.engine.att.entries()
+        assert entry.issue_count == 2
+        assert h.engine.counters.get("stream_buffer_stalls") > 0
+        h.sim.run()
+        assert len(h.replies()) == 8
 
     def test_receive_outside_range_ignored(self):
-        sb = StreamBuffer(depth=4)
-        sb.assign(0x1000, 2)
-        assert not sb.mark_received(0x5000)
+        """Once the version is read the data blocks stop being
+        watched: only the base block's subscription stays."""
+        h = Harness()
+        base = h.make_object(version=2, blocks=16)
+        h.start_sabre(base, 16)
+        (entry,) = h.engine.att.entries()
+        while entry.speculative:
+            h.sim.run(until=h.sim.now + 1.0)
+        assert watched(h, base, 4) == [1, 0, 0, 0]
+        h.chip.write_block(0, base + CACHE_BLOCK)
+        assert not entry.aborted
 
     def test_is_base(self):
-        sb = StreamBuffer(depth=4)
-        sb.assign(0x1000, 2)
-        assert sb.is_base(0x1000)
-        assert not sb.is_base(0x1040)
+        """An invalidation of the base block is ambiguous: it marks the
+        SABRe for validation instead of aborting it."""
+        h = Harness()
+        base = h.make_object(version=2, blocks=2)
+        h.start_sabre(base, 2)
+        (entry,) = h.engine.att.entries()
+        h.chip.write_block(0, base)
+        assert entry.pending_validate and not entry.aborted
+        h.chip.write_block(0, base + CACHE_BLOCK)
+        assert entry.aborted
 
 
+@settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=1 << 20).map(lambda v: v * 64),
-    st.integers(min_value=1, max_value=64),
-    st.integers(min_value=1, max_value=64),
+    lead=st.integers(min_value=0, max_value=8),
+    total=st.integers(min_value=1, max_value=64),
+    depth=st.integers(min_value=1, max_value=64),
 )
-def test_slot_arithmetic_property(base, total, depth):
-    sb = StreamBuffer(depth=depth)
-    sb.assign(base, total)
+def test_slot_arithmetic_property(lead, total, depth):
+    """Wherever the object lies, the window watches exactly its first
+    ``min(depth, total)`` blocks and nothing around them."""
+    h = Harness(stream_buffer_depth=depth)
+    h.chip.phys.allocate((lead + 1) * CACHE_BLOCK)
+    base = h.make_object(version=2, blocks=total + 1)
+    h.start_sabre(base, total)
     tracked = min(depth, total)
-    for slot in range(tracked):
-        assert sb.slot_of(base + slot * 64) == slot
-    assert sb.slot_of(base + tracked * 64) is None
-    assert sb.slot_of(base - 64) is None
+    assert watched(h, base - CACHE_BLOCK, total + 2) == (
+        [0] + [1] * tracked + [0] * (total + 1 - tracked)
+    )

@@ -1,17 +1,12 @@
-"""Unit tests for repro.common.units."""
+"""Unit tests for repro.common.units and the cycle times the configs
+derive from their clocks."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.units import (
-    CACHE_BLOCK,
-    blocks_in,
-    bytes_per_ns_to_gbps,
-    cycles_to_ns,
-    gbps_to_bytes_per_ns,
-    ns_to_cycles,
-)
+from repro.common.config import RmcConfig
+from repro.common.units import CACHE_BLOCK, blocks_in, gbps_to_bytes_per_ns
 
 
 def test_cache_block_is_64_bytes():
@@ -19,28 +14,17 @@ def test_cache_block_is_64_bytes():
 
 
 def test_cycles_to_ns_at_2ghz():
-    assert cycles_to_ns(6, 2.0) == pytest.approx(3.0)
+    assert 6 * RmcConfig(freq_ghz=2.0).cycle_ns == pytest.approx(3.0)
 
 
 def test_cycles_to_ns_at_1ghz():
-    assert cycles_to_ns(7, 1.0) == pytest.approx(7.0)
-
-
-def test_ns_to_cycles_roundtrip():
-    assert ns_to_cycles(cycles_to_ns(128, 2.0), 2.0) == pytest.approx(128)
-
-
-def test_zero_frequency_rejected():
-    with pytest.raises(ValueError):
-        cycles_to_ns(1, 0.0)
-    with pytest.raises(ValueError):
-        ns_to_cycles(1, -1.0)
+    # Table 2's RMC clock: one cycle per nanosecond.
+    assert 7 * RmcConfig().cycle_ns == pytest.approx(7.0)
 
 
 def test_gbps_conversion_identity():
     # 1 GB/s == 1 byte/ns by definition of our units.
     assert gbps_to_bytes_per_ns(100.0) == pytest.approx(100.0)
-    assert bytes_per_ns_to_gbps(25.6) == pytest.approx(25.6)
 
 
 def test_negative_bandwidth_rejected():
@@ -72,5 +56,6 @@ def test_blocks_in_covers_size(size):
     st.floats(min_value=0.001, max_value=1e6, allow_nan=False),
     st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
 )
-def test_cycle_conversion_roundtrip(ns, freq):
-    assert cycles_to_ns(ns_to_cycles(ns, freq), freq) == pytest.approx(ns)
+def test_cycle_conversion_roundtrip(cycles, freq):
+    ns = cycles * RmcConfig(freq_ghz=freq).cycle_ns
+    assert ns * freq == pytest.approx(cycles)
