@@ -82,22 +82,16 @@ def execute_point(spec: ExperimentSpec, point: Point, scale: float) -> Dict[str,
 
 
 class Executor:
-    """Strategy interface: stream ``(index, fragment)`` for each point.
+    """Strategy interface: ``run(spec, points, scale)`` streams
+    ``(index, fragment)`` for each point, and ``describe()`` labels
+    artifacts and status output; every executor below defines both.
 
     Implementations may complete points in any order; callers
     reassemble by ``point.index``.  ``jobs`` is how many points run at
     once (a class attribute here, so a subclass need not call
-    ``__init__``); ``describe()`` labels artifacts and status output."""
+    ``__init__``)."""
 
     jobs: int = 1
-
-    def run(
-        self, spec: ExperimentSpec, points: Sequence[Point], scale: float
-    ) -> Iterator[Fragment]:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 class SerialExecutor(Executor):

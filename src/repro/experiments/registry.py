@@ -42,10 +42,6 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
-def unregister(name: str) -> None:
-    _REGISTRY.pop(name, None)
-
-
 def load_builtin() -> None:
     """Import every module that defines built-in specs (idempotent)."""
     global _builtin_loaded

@@ -80,7 +80,6 @@ class Fabric:
         #: when a handler changes.
         self._routes: Dict[tuple[int, int], tuple] = {}
         self._alive = [True] * nodes
-        self.packets_dropped = 0
         #: (src, dst) -> open sever tokens on that directed link; a key
         #: is present only while at least one token is open.
         self._link_faults: Dict[Tuple[int, int], List[LinkFault]] = {}
@@ -247,7 +246,6 @@ class Fabric:
         dst = packet.dst_node
         alive = self._alive
         if not (alive[src] and alive[dst]):
-            self.packets_dropped += 1
             return self.sim._now
         key = (src, dst)
         route = self._routes.get(key)

@@ -30,7 +30,7 @@ ShardedKV.arm_watchdogs`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -48,9 +48,6 @@ class FaultStats:
     #: Directed links a partition window severed (post-wildcard).
     links_severed: int = 0
     skewed_nodes: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        return asdict(self)
 
 
 class FaultInjector:
@@ -102,17 +99,6 @@ class FaultInjector:
         meter reads against this, mirroring ``FailoverManager.
         any_down``."""
         return self._open > 0
-
-    def active_multiplier(self, node_id: int) -> float:
-        """The composed service multiplier a gray/straggler target is
-        running at (1.0 when healthy) — introspection for tests."""
-        chip = 1.0
-        for m in self._chip_stack.get(node_id, ()):
-            chip *= m
-        rpc = 1.0
-        for m in self._rpc_stack.get(node_id, ()):
-            rpc *= m
-        return max(chip, rpc)
 
     # ------------------------------------------------------------------
     def _open_window(self, idx: int, window: FaultWindow) -> None:

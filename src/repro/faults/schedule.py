@@ -108,9 +108,6 @@ class FaultSchedule:
                 raise ConfigError(f"clock skew cannot be negative: {skew}")
         self.clock_skew_ns: Dict[int, float] = skews
 
-    def __len__(self) -> int:
-        return len(self.windows)
-
     def __bool__(self) -> bool:
         return bool(self.windows) or any(self.clock_skew_ns.values())
 

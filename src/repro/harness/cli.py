@@ -101,7 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--base-seed",
         type=int,
         default=None,
-        help="override the spec's seed root for per-point seeding",
+        help="override the spec's seed root for per-point seeding; it "
+        "moves journal keys and any user point function that reads "
+        "ctx.seed, but no built-in spec's rows (--overrides seed=N does)",
     )
     parser.add_argument(
         "--axes",

@@ -17,7 +17,7 @@ class LruCache:
     source of LightSABRes' "false alarm" validate path (§4.2).
     """
 
-    __slots__ = ("capacity", "name", "_blocks", "hits", "misses", "evictions")
+    __slots__ = ("capacity", "name", "_blocks")
 
     def __init__(self, capacity_blocks: int, name: str = ""):
         if capacity_blocks < 1:
@@ -25,9 +25,6 @@ class LruCache:
         self.capacity = capacity_blocks
         self.name = name
         self._blocks: "OrderedDict[int, bool]" = OrderedDict()  # addr -> dirty
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def insert(
         self, block_addr: int, dirty: bool = False
@@ -41,7 +38,6 @@ class LruCache:
         evicted = None
         if len(self._blocks) >= self.capacity:
             evicted = self._blocks.popitem(last=False)
-            self.evictions += 1
         self._blocks[block_addr] = dirty
         return evicted
 

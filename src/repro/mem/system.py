@@ -49,7 +49,7 @@ SnoopCallback = Callable[[int, InvalidationCause], None]
 class ChipMemorySystem:
     """Memory hierarchy of one 16-core chip (Table 2)."""
 
-    __slots__ = ("sim", "cfg", "mesh", "phys", "name", "llc", "_l1", "_owner", "dram", "_subs", "_l1_lat", "_llc_lat", "_block", "_tiles", "_mem_extra", "_llc_path", "_upgrade_path", "reads", "writes", "invalidations_sent", "_svc_mult", "_svc_slow")
+    __slots__ = ("sim", "cfg", "mesh", "phys", "name", "llc", "_l1", "_owner", "dram", "_subs", "_l1_lat", "_llc_lat", "_block", "_tiles", "_mem_extra", "_llc_path", "_upgrade_path", "_svc_mult", "_svc_slow")
 
     def __init__(
         self,
@@ -88,9 +88,6 @@ class ChipMemorySystem:
         self._llc_path: Dict[tuple, float] = {}
         #: (core_tile, bank) -> write-upgrade latency.
         self._upgrade_path: Dict[tuple, float] = {}
-        self.reads = 0
-        self.writes = 0
-        self.invalidations_sent = 0
         # Gray-failure dial: scales every access latency served here.
         # The boolean gate keeps the healthy fast path at one flag test.
         self._svc_mult = 1.0
@@ -133,7 +130,6 @@ class ChipMemorySystem:
         subs = self._subs.get(block_addr)
         if not subs:
             return
-        self.invalidations_sent += len(subs)
         for snoop in list(subs):
             snoop(block_addr, cause)
 
@@ -149,7 +145,6 @@ class ChipMemorySystem:
         channels is modeled; the caller schedules its continuation at
         ``completion_time`` and reads bytes from :attr:`phys` then.
         """
-        self.reads += 1
         block = self._block
         mesh = self.mesh
         baddr = block_addr - (block_addr % block)
@@ -178,11 +173,9 @@ class ChipMemorySystem:
 
         # LruCache.touch inlined — the LLC hit is the dominant outcome
         # once a transfer is streaming.
-        llc = self.llc
-        blocks = llc._blocks
+        blocks = self.llc._blocks
         if baddr in blocks:
             blocks.move_to_end(baddr)
-            llc.hits += 1
             # Composite LLC-hit latency memoized per (agent, bank):
             # request hop + tag latency + data return with payload.
             key = (agent_tile, bank)
@@ -197,7 +190,6 @@ class ChipMemorySystem:
             if self._svc_slow:
                 lat = lat * self._svc_mult
             return self.sim._now + lat, AccessTier.LLC
-        llc.misses += 1
         t = self.sim._now + mesh.latency_ns(agent_tile, bank)
 
         # LLC miss: go to memory through the block's home channel.
@@ -228,7 +220,6 @@ class ChipMemorySystem:
         Byte mutation and invalidation delivery happen *now*,
         synchronously, preserving invalidate-before-write ordering.
         """
-        self.writes += 1
         block = self._block
         baddr = block_addr - (block_addr % block)
         if data is not None:

@@ -23,7 +23,7 @@ under *real* crashes instead of only under contention:
   requests are fenced by every RPC handler.
 * On a **recovery** the node's NI comes back, but the shard does not
   serve again until a timed **re-sync** completes: the manager charges
-  ``resync_fixed_ns + resync_ns_per_object x hosted objects`` of
+  ``RESYNC_FIXED_NS + RESYNC_NS_PER_OBJECT x hosted objects`` of
   simulated time, then copies the current committed image of every
   hosted object from that object's current primary and re-admits the
   shard (another epoch bump).  Requests arriving in the window between
@@ -49,16 +49,16 @@ version), so failover runs are byte-identical under parallel sweeps.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.objstore.sharded import REROUTE_CHECK_NS, RPC_TIMEOUT_NS, ShardedKV
 
-#: Default re-sync cost model: a fixed reconfiguration handshake plus a
+#: The re-sync cost model: a fixed reconfiguration handshake plus a
 #: per-object bulk-copy charge.
-DEFAULT_RESYNC_FIXED_NS = 5_000.0
-DEFAULT_RESYNC_NS_PER_OBJECT = 120.0
+RESYNC_FIXED_NS = 5_000.0
+RESYNC_NS_PER_OBJECT = 120.0
 
 
 # ----------------------------------------------------------------------
@@ -168,9 +168,6 @@ class FailoverStats:
     #: Simulated time spent in re-syncs.
     resync_ns: float = 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        return asdict(self)
-
 
 class FailoverManager:
     """Drives a :class:`FailurePlan` against a :class:`ShardedKV`.
@@ -182,20 +179,10 @@ class FailoverManager:
     faults directly.
     """
 
-    def __init__(
-        self,
-        kv: ShardedKV,
-        plan: Optional[FailurePlan] = None,
-        resync_fixed_ns: float = DEFAULT_RESYNC_FIXED_NS,
-        resync_ns_per_object: float = DEFAULT_RESYNC_NS_PER_OBJECT,
-    ):
-        if resync_fixed_ns < 0 or resync_ns_per_object < 0:
-            raise ConfigError("re-sync costs cannot be negative")
+    def __init__(self, kv: ShardedKV, plan: Optional[FailurePlan] = None):
         self.kv = kv
         self.plan = plan or FailurePlan()
         self.stats = FailoverStats()
-        self.resync_fixed_ns = resync_fixed_ns
-        self.resync_ns_per_object = resync_ns_per_object
         self.down: set = set()
         #: Timeline of ``(t_ns, event, shard)`` strings for reporting.
         self.events: List[Tuple[float, str, int]] = []
@@ -250,7 +237,7 @@ class FailoverManager:
         because replica *membership* never changes (promotions only
         reorder it)."""
         hosted = len(self.kv.hosted_on(shard))
-        return self.resync_fixed_ns + self.resync_ns_per_object * hosted
+        return RESYNC_FIXED_NS + RESYNC_NS_PER_OBJECT * hosted
 
     # ------------------------------------------------------------------
     def crash(self, shard: int) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.config import ClusterConfig, LayeredConfig
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
@@ -139,9 +139,6 @@ class FarmKV:
         return self._rpc_client.call(
             self.owner.node_id, "farm_put", obj_id.to_bytes(8, "little") + data
         )
-
-    def keys(self) -> List[str]:
-        return list(self._keys)
 
     # ------------------------------------------------------------------
     # read path: the Fig. 9 lookup loop

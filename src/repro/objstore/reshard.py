@@ -20,7 +20,7 @@ rebalance policy loop promotes extra read replicas for hot keys.
    then per-key migration (below), then an epoch bump that redirects
    writers of the batch to the new owner through the existing
    busy/fenced retry path with their *remaining* deadline budget.
-4. *Drain*, then prune: after ``drain_ns`` of double-read grace the
+4. *Drain*, then prune: after :data:`DRAIN_NS` of double-read grace the
    migrated keys' placements collapse to exactly the fresh-ring replica
    lists and the double-read marks drop.  A finished migration is
    placement-identical to a fresh deployment at the new shard count.
@@ -45,17 +45,18 @@ their successors, and only when nothing routes to the shard anymore is
 it demoted back to a spare slot.
 
 **Hotspot rebalancing** (:meth:`start_rebalancer`): a policy loop
-samples the per-key consumed-read counters every ``interval_ns``,
-promotes extra read replicas for keys concentrating more than
-``hot_share`` of the interval's reads (Zipfian heads), and demotes
-them once their share falls below ``cool_share``.  Promotion reuses
-the migration copy path (lock, timed copy, placement append, epoch
-bump), so a promoted replica is committed-fresh and covered by the
-primary's replication fan-out from the moment readers can reach it;
-demotion mirrors the migration drain — routing stops at once but the
-ex-extra stays on the placement tail (replicated-to, readable) for
-``drain_ns`` before the placement collapses, so in-flight reads never
-land on a copy a newer write has left stale.
+samples the per-key consumed-read counters every
+:data:`REBALANCE_INTERVAL_NS`, promotes extra read replicas for keys
+concentrating more than :data:`HOT_SHARE` of the interval's reads
+(Zipfian heads), and demotes them once their share falls below
+:data:`COOL_SHARE`.  Promotion reuses the migration copy path (lock,
+timed copy, placement append, epoch bump), so a promoted replica is
+committed-fresh and covered by the primary's replication fan-out from
+the moment readers can reach it; demotion mirrors the migration drain
+— routing stops at once but the ex-extra stays on the placement tail
+(replicated-to, readable) for :data:`DRAIN_NS` before the placement
+collapses, so in-flight reads never land on a copy a newer write has
+left stale.
 
 Attaching a manager arms the same failure timers a
 :class:`~repro.objstore.failover.FailoverManager` arms, through
@@ -95,7 +96,19 @@ HANDOFF_FIXED_NS = 400.0
 #: long readers keep consulting old owners before placements collapse
 #: to the fresh-ring lists.  Covers every in-flight read that computed
 #: its route against the pre-flip view (bounded by the reroute check).
-DEFAULT_DRAIN_NS = 5_000.0
+DRAIN_NS = 5_000.0
+
+#: The hotspot policy.  Every ``REBALANCE_INTERVAL_NS`` the loop looks
+#: at the consumed-read counters' delta.  A key concentrating
+#: ``>= HOT_SHARE`` of the interval's reads gains an extra read replica
+#: (up to the ``max_extra`` the loop was started with); a promoted key
+#: falling below ``COOL_SHARE`` loses them again.  Intervals with fewer
+#: than ``REBALANCE_MIN_READS`` reads only demote (no promotion on
+#: noise).
+REBALANCE_INTERVAL_NS = 20_000.0
+HOT_SHARE = 0.06
+COOL_SHARE = 0.02
+REBALANCE_MIN_READS = 32
 
 #: Migration lock tokens live in their own number space, far above any
 #: transaction token (:class:`~repro.objstore.txn.TxnManager` counts
@@ -152,35 +165,6 @@ class ReshardStats:
     migration_ns: float = 0.0
 
 
-@dataclass
-class RebalanceConfig:
-    """Hotspot policy knobs.
-
-    Every ``interval_ns`` the loop looks at the consumed-read counters'
-    delta.  A key concentrating ``>= hot_share`` of the interval's
-    reads gains an extra read replica (up to ``max_extra``); a promoted
-    key falling below ``cool_share`` loses them again.  Intervals with
-    fewer than ``min_reads`` total reads only demote (no promotion on
-    noise)."""
-
-    interval_ns: float = 20_000.0
-    hot_share: float = 0.06
-    cool_share: float = 0.02
-    max_extra: int = 2
-    min_reads: int = 32
-
-    def validate(self) -> None:
-        if self.interval_ns <= 0:
-            raise ConfigError("rebalance interval must be positive")
-        if not 0.0 < self.cool_share <= self.hot_share <= 1.0:
-            raise ConfigError(
-                "need 0 < cool_share <= hot_share <= 1, got "
-                f"{self.cool_share}/{self.hot_share}"
-            )
-        if self.max_extra < 0 or self.min_reads < 0:
-            raise ConfigError("max_extra/min_reads cannot be negative")
-
-
 # ----------------------------------------------------------------------
 # the manager
 # ----------------------------------------------------------------------
@@ -196,11 +180,8 @@ class ReshardManager:
     (:meth:`ShardedKV.arm_watchdogs`), so readers re-route promptly
     mid-handoff."""
 
-    def __init__(self, kv: ShardedKV, drain_ns: float = DEFAULT_DRAIN_NS):
-        if drain_ns < 0:
-            raise ConfigError("drain time cannot be negative")
+    def __init__(self, kv: ShardedKV):
         self.kv = kv
-        self.drain_ns = drain_ns
         self.stats = ReshardStats()
         self.events: List[Tuple[float, str, int]] = []
         kv.arm_watchdogs(RPC_TIMEOUT_NS, REROUTE_CHECK_NS)
@@ -425,7 +406,7 @@ class ReshardManager:
         to exactly the fresh-ring replica lists."""
         kv = self.kv
         sim = kv.cluster.sim
-        yield sim.timeout(self.drain_ns)
+        yield sim.timeout(DRAIN_NS)
         for idx in moved:
             kv.collapse(idx)
             kv.double_read.discard(idx)
@@ -563,20 +544,15 @@ class ReshardManager:
     # ------------------------------------------------------------------
     # hotspot rebalancing
     # ------------------------------------------------------------------
-    def start_rebalancer(
-        self,
-        cfg: Optional[RebalanceConfig] = None,
-        until_ns: float = float("inf"),
-    ):
-        """Run the promote/demote policy loop until ``until_ns`` (or
+    def start_rebalancer(self, max_extra: int, until_ns: float = float("inf")):
+        """Run the promote/demote policy loop, giving a hot key at most
+        ``max_extra`` extra read replicas, until ``until_ns`` (or
         :meth:`stop_rebalancer`).  An unbounded loop keeps the event
         heap non-empty forever — pass ``until_ns`` when the run relies
         on ``sim.run()`` draining."""
-        cfg = cfg or RebalanceConfig()
-        cfg.validate()
         self._stop_rebalance = False
         return self.kv.cluster.sim.process(
-            self._rebalance_loop(cfg, until_ns)
+            self._rebalance_loop(max_extra, until_ns)
         )
 
     def stop_rebalancer(self) -> None:
@@ -585,13 +561,13 @@ class ReshardManager:
     def _routed_snapshot(self) -> List[int]:
         return [s.reads_routed for s in self.kv.merged_shard_stats()]
 
-    def _rebalance_loop(self, cfg: RebalanceConfig, until_ns: float):
+    def _rebalance_loop(self, max_extra: int, until_ns: float):
         kv = self.kv
         sim = kv.cluster.sim
         last = list(kv.key_reads)
         last_routed = self._routed_snapshot()
         while not self._stop_rebalance and sim.now < until_ns:
-            yield sim.timeout(min(cfg.interval_ns, until_ns - sim.now))
+            yield sim.timeout(min(REBALANCE_INTERVAL_NS, until_ns - sim.now))
             if self._stop_rebalance:
                 return
             current = list(kv.key_reads)
@@ -607,23 +583,20 @@ class ReshardManager:
             total = sum(delta)
             for idx in sorted(kv.hot_replicas):
                 share = delta[idx] / total if total else 0.0
-                if share < cfg.cool_share:
+                if share < COOL_SHARE:
                     self._demote(idx)
-            if total < cfg.min_reads:
+            if total < REBALANCE_MIN_READS:
                 continue
             ranked = sorted(
                 range(len(delta)), key=lambda i: (-delta[i], i)
             )
             for idx in ranked:
-                if delta[idx] / total < cfg.hot_share:
+                if delta[idx] / total < HOT_SHARE:
                     break
-                yield from self._promote(idx, cfg, routed_delta)
+                yield from self._promote(idx, max_extra, routed_delta)
 
     def _promote(
-        self,
-        idx: int,
-        cfg: RebalanceConfig,
-        routed: Optional[Sequence[int]] = None,
+        self, idx: int, max_extra: int, routed: Optional[Sequence[int]] = None
     ):
         """Add one extra read replica for hot key ``idx`` (lock, timed
         copy, placement append, epoch bump — the migration copy path,
@@ -632,7 +605,7 @@ class ReshardManager:
         if self._busy or idx in kv.double_read:
             return
         extras = kv.hot_replicas.get(idx, [])
-        if len(extras) >= cfg.max_extra:
+        if len(extras) >= max_extra:
             return
         placed = kv.placement(idx)
         # Coldest serving member over the *sampling interval* first:
@@ -669,7 +642,7 @@ class ReshardManager:
 
         Routing stops immediately (the lookup rotation keys off
         ``hot_replicas``), but — mirroring the migration drain — the
-        ex-extras stay on the placement tail for ``drain_ns``: still
+        ex-extras stay on the placement tail for :data:`DRAIN_NS`: still
         replicated-to and still readable, so an in-flight read that
         computed its route pre-demotion can never consume a copy a
         subsequent write has left stale.  Only after the grace does
@@ -690,7 +663,7 @@ class ReshardManager:
         re-promotion) in which case it stays."""
         kv = self.kv
         sim = kv.cluster.sim
-        yield sim.timeout(self.drain_ns)
+        yield sim.timeout(DRAIN_NS)
         fresh = set(
             kv.ring.replicas(kv.key_name(idx), kv.cfg.replication)
         )

@@ -93,10 +93,6 @@ class HashRing:
             self._points
         )
 
-    def primary(self, key: str) -> int:
-        """The shard owning ``key``."""
-        return self._points[self._slot(key)][1]
-
     def replicas(self, key: str, n: int) -> Tuple[int, ...]:
         """``min(n, shards)`` distinct shards for ``key``, primary
         first, in ring walk order (the standard consistent-hashing

@@ -122,9 +122,6 @@ class ObjectStore:
     def __contains__(self, obj_id: int) -> bool:
         return obj_id in self._objects
 
-    def object_ids(self) -> List[int]:
-        return list(self._objects)
-
     # ------------------------------------------------------------------
     # functional access (zero simulated time)
     # ------------------------------------------------------------------

@@ -102,9 +102,6 @@ class Counter:
         key = _label_items(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
-    def value(self, **labels: str) -> float:
-        return self._series.get(_label_items(labels), 0.0)
-
     def samples(self) -> List[Tuple[str, LabelItems, float]]:
         return [(self.name, k, v) for k, v in self._series.items()]
 
@@ -171,10 +168,6 @@ class Histogram:
             counts[-1] += 1
         self._sums[key] += value
         self._values[key].add(value)
-
-    def count(self, **labels: str) -> int:
-        counts = self._counts.get(_label_items(labels))
-        return sum(counts) if counts else 0
 
     def quantile(self, q: float, **labels: str) -> float:
         values = self._values.get(_label_items(labels))
@@ -254,9 +247,6 @@ class MetricsRegistry:
         per-shard counters).  Collector samples are assumed
         deterministic; wall-clock data belongs in ``volatile`` metrics."""
         self._collectors.append(collector)
-
-    def get(self, name: str):
-        return self._metrics[name]
 
     def render(self, include_volatile: bool = True) -> str:
         """The full exposition text, deterministically ordered.

@@ -15,7 +15,7 @@ seed that generated it.  The same trace drives both serving modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 
@@ -52,30 +52,6 @@ class TimedOp:
         if self.kind == "txn" and not (self.read_keys or self.write_keys):
             raise ConfigError("txn op needs read and/or write keys")
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "op_id": self.op_id,
-            "at_ns": self.at_ns,
-            "kind": self.kind,
-        }
-        if self.kind == "txn":
-            out["read_keys"] = list(self.read_keys)
-            out["write_keys"] = list(self.write_keys)
-        else:
-            out["key"] = self.key
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TimedOp":
-        return cls(
-            op_id=int(data["op_id"]),
-            at_ns=float(data["at_ns"]),
-            kind=data["kind"],
-            key=data.get("key", ""),
-            read_keys=tuple(data.get("read_keys", ())),
-            write_keys=tuple(data.get("write_keys", ())),
-        )
-
 
 @dataclass
 class ArrivalTrace:
@@ -93,31 +69,6 @@ class ArrivalTrace:
         order = [(op.at_ns, op.op_id) for op in self.ops]
         if order != sorted(order):
             raise ConfigError("trace ops must be sorted by (at_ns, op_id)")
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    @property
-    def span_ns(self) -> float:
-        """Arrival span: last arrival minus first (0 for <2 ops)."""
-        if len(self.ops) < 2:
-            return 0.0
-        return self.ops[-1].at_ns - self.ops[0].at_ns
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "offered_qps": self.offered_qps,
-            "seed": self.seed,
-            "ops": [op.to_dict() for op in self.ops],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ArrivalTrace":
-        return cls(
-            ops=[TimedOp.from_dict(op) for op in data.get("ops", ())],
-            offered_qps=float(data.get("offered_qps", 0.0)),
-            seed=int(data.get("seed", 0)),
-        )
 
 
 def merge_sorted(traces: Sequence[ArrivalTrace]) -> ArrivalTrace:

@@ -8,7 +8,6 @@ Resolution order, lowest to highest precedence:
 
 Every field maps to exactly one env var: ``field_name`` upper-cased
 with the ``REPRO_SERVE_`` prefix (``port`` -> ``REPRO_SERVE_PORT``).
-Booleans accept ``1/0/true/false/yes/no``.
 """
 
 from __future__ import annotations
@@ -22,15 +21,6 @@ from repro.objstore.sharded import ShardedConfig
 from repro.workloads.mix import sharded_config
 
 ENV_PREFIX = "REPRO_SERVE_"
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}")
 
 
 @dataclass
@@ -138,8 +128,6 @@ class ServeSettings:
                     values[field.name] = int(raw)
                 elif field.type in ("float", float):
                     values[field.name] = float(raw)
-                elif field.type in ("bool", bool):
-                    values[field.name] = _parse_bool(raw)
                 else:
                     values[field.name] = raw
             except ValueError as exc:
@@ -155,6 +143,3 @@ class ServeSettings:
         settings = cls(**values)
         settings.validate()
         return settings
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)

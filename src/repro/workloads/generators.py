@@ -79,11 +79,8 @@ class ZipfianPicker:
         n = len(self._ids)
         weights = [1.0 / math.pow(rank, theta) for rank in range(1, n + 1)]
         total = 0.0
-        self._cdf: List[float] = []
-        for w in weights:
+        for w in weights:  # left to right, as the golden rows were drawn
             total += w
-            self._cdf.append(total)
-        self._total = total
         # Vose alias construction: scale each probability by n, split
         # into sub-unit ("small") and super-unit ("large") columns, and
         # let each column donate its excess to fill one small column.
@@ -116,13 +113,6 @@ class ZipfianPicker:
         if u - i < self._prob[i]:
             return self._ids[i]
         return self._ids[self._alias[i]]
-
-    def hot_fraction(self, top_n: int) -> float:
-        """Probability mass on the ``top_n`` most popular objects."""
-        if top_n <= 0:
-            return 0.0
-        top_n = min(top_n, len(self._cdf))
-        return self._cdf[top_n - 1] / self._total
 
 
 def make_picker(

@@ -325,31 +325,29 @@ class TestMergeAndArtifacts:
         second = run_sweep(spec, context=context)
         assert second.points_cached == 2
 
-    def test_write_json_is_atomic(self, tmp_path):
+    def test_write_json_is_atomic(self, tmp_path, monkeypatch):
         """``repro-harness --json-out`` writes then renames (``indent=2``
         plus a newline), so a failed write leaves the old file whole."""
         path = tmp_path / "out.json"
         argv = [MIX_SPEC.name, "--json-out", str(path)]
-        registry.register(MIX_SPEC)
-        try:
-            assert harness_main(argv) == 0
-            original = path.read_bytes()
-            payload = json.loads(original)
-            assert payload["rows"] == run_sweep(MIX_SPEC).rows
-            assert original.decode() == json.dumps(payload, indent=2) + "\n"
-            assert not (tmp_path / "out.json.tmp").exists()
+        # monkeypatch puts the registry back as it found it.
+        monkeypatch.setitem(registry._REGISTRY, MIX_SPEC.name, MIX_SPEC)
+        assert harness_main(argv) == 0
+        original = path.read_bytes()
+        payload = json.loads(original)
+        assert payload["rows"] == run_sweep(MIX_SPEC).rows
+        assert original.decode() == json.dumps(payload, indent=2) + "\n"
+        assert not (tmp_path / "out.json.tmp").exists()
 
-            # A failed re-write (unserializable row) must leave the
-            # original artifact untouched, not truncated.
-            poisoned = dataclasses.replace(
-                MIX_SPEC, point_fn=lambda ctx: {"poison": object()}
-            )
-            registry.register(poisoned)
-            with pytest.raises(TypeError):
-                harness_main(argv)
-            assert path.read_bytes() == original
-        finally:
-            registry.unregister(MIX_SPEC.name)
+        # A failed re-write (unserializable row) must leave the
+        # original artifact untouched, not truncated.
+        poisoned = dataclasses.replace(
+            MIX_SPEC, point_fn=lambda ctx: {"poison": object()}
+        )
+        registry.register(poisoned)
+        with pytest.raises(TypeError):
+            harness_main(argv)
+        assert path.read_bytes() == original
 
     def test_stage_meta_records_peak_rss(self, tmp_path, capsys):
         """Each stage's ``meta.json`` carries the process's RSS

@@ -142,13 +142,14 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             registry.get("not_an_experiment")
 
-    def test_register_and_unregister(self):
+    def test_register_and_unregister(self, monkeypatch):
+        """A registered spec is found by name; once it leaves the
+        registry (monkeypatch takes it out again) the name is unknown."""
         spec = ExperimentSpec(name="temp_spec", point_fn=lambda ctx: {"v": 1})
-        registry.register(spec)
-        try:
+        with monkeypatch.context() as patch:
+            patch.setitem(registry._REGISTRY, "temp_spec", spec)
+            assert registry.register(spec) is spec
             assert registry.get("temp_spec") is spec
-        finally:
-            registry.unregister("temp_spec")
         with pytest.raises(ConfigError):
             registry.get("temp_spec")
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.errors import ConfigError, ShardCrashedError
 from repro.experiments import registry, run_sweep
+from repro.objstore import failover
 from repro.objstore.failover import (
     FailoverManager,
     FailurePlan,
@@ -220,11 +221,12 @@ class TestFencing:
         assert manager.stats[primary].fenced_locks == 1
         assert not is_locked(kv.stores[primary].current_version(idx))
 
-    def test_rejoining_shard_fences_until_resync_completes(self):
+    def test_rejoining_shard_fences_until_resync_completes(self, monkeypatch):
         """Between NI-up and re-sync-end the shard is alive but not
         serving: requests reaching it are fenced."""
+        monkeypatch.setattr(failover, "RESYNC_FIXED_NS", 10_000.0)
         kv = small_kv()
-        fm = FailoverManager(kv, resync_fixed_ns=10_000.0)
+        fm = FailoverManager(kv)
         sim = kv.cluster.sim
         key = kv.keys()[0]
         idx = kv.key_index(key)
@@ -288,11 +290,11 @@ class TestResync:
         kv.cluster.sim.run()
         assert not is_locked(store.current_version(idx))
 
-    def test_resync_charges_simulated_time(self):
+    def test_resync_charges_simulated_time(self, monkeypatch):
+        monkeypatch.setattr(failover, "RESYNC_FIXED_NS", 1_000.0)
+        monkeypatch.setattr(failover, "RESYNC_NS_PER_OBJECT", 10.0)
         kv = small_kv()
-        fm = FailoverManager(
-            kv, resync_fixed_ns=1_000.0, resync_ns_per_object=10.0
-        )
+        fm = FailoverManager(kv)
         sim = kv.cluster.sim
         fm.crash(2)
         fm.recover(2)

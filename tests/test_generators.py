@@ -95,7 +95,7 @@ class TestAliasZipfianDistribution:
         draws = 20_000
         observed = counts_of(picker, draws, 100)
         head = sum(observed[:10]) / draws
-        assert head == pytest.approx(picker.hot_fraction(10), abs=0.03)
+        assert head == pytest.approx(sum(zipf_probs(100, 0.99)[:10]), abs=0.03)
 
 
 class TestUniformPickerBoundaries:

@@ -76,7 +76,7 @@ class TestTrace:
     def test_duration_overrides_n_ops(self):
         cfg = TraceConfig(qps=1000.0, n_ops=5, duration_s=1.0)
         assert cfg.total_ops() == 1000
-        assert len(build_trace(cfg)) == 1000
+        assert len(build_trace(cfg).ops) == 1000
 
     @pytest.mark.parametrize(
         "kwargs",

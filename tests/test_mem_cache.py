@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.common.config import NodeConfig
 from repro.common.errors import SimulationError
 from repro.mem.cache import LruCache
-from repro.mem.system import ChipMemorySystem
+from repro.mem.system import AccessTier, ChipMemorySystem
 from repro.noc.mesh import Mesh
 from repro.sim.engine import Simulator
 
@@ -23,14 +23,17 @@ def test_insert_and_contains():
 
 
 def test_touch_hit_miss_counting():
-    """The chip's reads count the LLC's hits and misses."""
+    """A chip read misses the LLC once, then hits it: the block turns
+    resident, the tier drops from memory to the LLC, and so does the
+    latency."""
     cfg = NodeConfig()
     chip = ChipMemorySystem(Simulator(), cfg, Mesh(cfg.noc))
     addr = chip.phys.allocate(64)
-    chip.read_block(0, addr)
-    chip.read_block(0, addr)
-    assert chip.llc.misses == 1
-    assert chip.llc.hits == 1
+    miss_at, miss_tier = chip.read_block(0, addr)
+    assert addr in chip.llc._blocks
+    hit_at, hit_tier = chip.read_block(0, addr)
+    assert (miss_tier, hit_tier) == (AccessTier.MEM, AccessTier.LLC)
+    assert 0 < hit_at < miss_at
 
 
 def test_eviction_is_lru_order():
@@ -40,7 +43,7 @@ def test_eviction_is_lru_order():
     evicted = c.insert(128)
     assert evicted == (0, False)
     assert 0 not in c._blocks
-    assert c.evictions == 1
+    assert list(c._blocks) == [64, 128]
 
 
 def test_touch_refreshes_lru():

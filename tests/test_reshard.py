@@ -12,11 +12,8 @@ from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.experiments import run_sweep
 from repro.objstore.layout import is_locked, stamped_payload
-from repro.objstore.reshard import (
-    RebalanceConfig,
-    ReshardManager,
-    ReshardOp,
-)
+from repro.objstore import reshard
+from repro.objstore.reshard import ReshardManager, ReshardOp
 from repro.objstore.ring import HashRing
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.workloads.elastic import (
@@ -84,7 +81,7 @@ def audit_at_rest(kv):
     bad = []
     for shard in kv.member_shards():
         store = kv.stores[shard]
-        for idx in store.object_ids():
+        for idx in store._objects:
             version = store.current_version(idx)
             handle = store.handle(idx)
             raw = store.phys.read(handle.base_addr, handle.wire_size)
@@ -128,24 +125,24 @@ class TestIncrementalRing:
 
     def test_add_deltas_name_exactly_the_moved_keys(self):
         ring = HashRing(range(4), vnodes=32, seed=9)
-        old = {k: ring.primary(k) for k in KEYS}
+        old = {k: ring.replicas(k, 1)[0] for k in KEYS}
         deltas = ring.add_shard(4)
         assert deltas
         for key in KEYS:
             h = ring.key_hash(key)
             covering = [d for d in deltas if d.covers(h)]
-            if ring.primary(key) != old[key]:
+            if ring.replicas(key, 1)[0] != old[key]:
                 # A moved key is covered by exactly one delta and that
                 # delta names both sides of the move.
                 assert len(covering) == 1
                 assert covering[0].old_shard == old[key]
-                assert covering[0].new_shard == ring.primary(key) == 4
+                assert covering[0].new_shard == ring.replicas(key, 1)[0] == 4
             else:
                 assert not covering
 
     def test_remove_deltas_name_exactly_the_moved_keys(self):
         ring = HashRing(range(5), vnodes=32, seed=9)
-        old = {k: ring.primary(k) for k in KEYS}
+        old = {k: ring.replicas(k, 1)[0] for k in KEYS}
         deltas = ring.remove_shard(1)
         for key in KEYS:
             h = ring.key_hash(key)
@@ -153,9 +150,9 @@ class TestIncrementalRing:
             if old[key] == 1:
                 assert len(covering) == 1
                 assert covering[0].old_shard == 1
-                assert covering[0].new_shard == ring.primary(key)
+                assert covering[0].new_shard == ring.replicas(key, 1)[0]
             else:
-                assert ring.primary(key) == old[key]
+                assert ring.replicas(key, 1)[0] == old[key]
                 assert not covering
 
 
@@ -172,7 +169,7 @@ class TestRingCollisions:
     def test_colliding_points_order_by_shard_then_vnode(self):
         ring = _CollidingRing((1, 2), vnodes=8, seed=1)
         # Within every equal-hash run the tuple-smallest shard owns.
-        assert all(ring.primary(k) == 1 for k in KEYS)
+        assert all(ring.replicas(k, 1)[0] == 1 for k in KEYS)
         # Shadowed shards still appear in successor lists (the walk
         # covers every point, collisions included).
         assert all(sorted(ring.replicas(k, 2)) == [1, 2] for k in KEYS)
@@ -185,12 +182,12 @@ class TestRingCollisions:
         deltas = ring.add_shard(0)
         fresh = _CollidingRing((0, 1, 2), vnodes=8, seed=1)
         assert ring._points == fresh._points
-        assert [ring.primary(k) for k in KEYS] == [
-            fresh.primary(k) for k in KEYS
+        assert [ring.replicas(k, 1)[0] for k in KEYS] == [
+            fresh.replicas(k, 1)[0] for k in KEYS
         ]
         # Shard 0 sorts ahead of shard 1 at every collision point, so
         # it takes over every run head — and the deltas say so exactly.
-        assert all(ring.primary(k) == 0 for k in KEYS)
+        assert all(ring.replicas(k, 1)[0] == 0 for k in KEYS)
         assert deltas
         for d in deltas:
             assert (d.old_shard, d.new_shard) == (1, 0)
@@ -202,15 +199,15 @@ class TestRingCollisions:
         (hash, shard) tuple moves no keys and must say so: zero deltas,
         primaries untouched."""
         ring = _CollidingRing((0, 1), vnodes=8, seed=1)
-        old = {k: ring.primary(k) for k in KEYS}
+        old = {k: ring.replicas(k, 1)[0] for k in KEYS}
         deltas = ring.add_shard(2)
         assert deltas == []
-        assert {k: ring.primary(k) for k in KEYS} == old
+        assert {k: ring.replicas(k, 1)[0] for k in KEYS} == old
         # The shadowed member is still reachable as a replica.
         assert all(2 in ring.replicas(k, 3) for k in KEYS)
         # And removing it is a no-op for ownership, symmetrically.
         assert ring.remove_shard(2) == []
-        assert {k: ring.primary(k) for k in KEYS} == old
+        assert {k: ring.replicas(k, 1)[0] for k in KEYS} == old
 
 
 # ----------------------------------------------------------------------
@@ -507,27 +504,19 @@ class TestMigrationWriteAccounting:
 class TestHotspotPolicy:
     def test_rebalance_config_validation(self):
         with pytest.raises(ConfigError):
-            RebalanceConfig(interval_ns=0.0).validate()
-        with pytest.raises(ConfigError):
-            RebalanceConfig(hot_share=0.1, cool_share=0.2).validate()
-        with pytest.raises(ConfigError):
-            RebalanceConfig(max_extra=-1).validate()
+            ElasticConfig(max_extra_replicas=-1).validate()
+        assert 0.0 < reshard.COOL_SHARE <= reshard.HOT_SHARE <= 1.0
 
-    def test_hot_key_promoted_then_demoted(self):
+    def test_hot_key_promoted_then_demoted(self, monkeypatch):
         """A key concentrating reads gains extra replicas; once its
         share cools the extras drop and placement collapses back."""
+        monkeypatch.setattr(reshard, "REBALANCE_INTERVAL_NS", 4_000.0)
+        monkeypatch.setattr(reshard, "HOT_SHARE", 0.3)
+        monkeypatch.setattr(reshard, "COOL_SHARE", 0.05)
+        monkeypatch.setattr(reshard, "REBALANCE_MIN_READS", 8)
         kv = ShardedKV(elastic_cfg(max_shards=4, n_objects=32))
         manager = ReshardManager(kv)
-        manager.start_rebalancer(
-            RebalanceConfig(
-                interval_ns=4_000.0,
-                hot_share=0.3,
-                cool_share=0.05,
-                max_extra=2,
-                min_reads=8,
-            ),
-            until_ns=60_000.0,
-        )
+        manager.start_rebalancer(2, until_ns=60_000.0)
         sim = kv.cluster.sim
         t_hot_end = 30_000.0
         base_width = len(kv.placement(0))
@@ -552,21 +541,21 @@ class TestHotspotPolicy:
         ) == 0
         audit_at_rest(kv)
 
-    def test_repromotion_refreshes_stale_at_rest_image(self):
+    def test_repromotion_refreshes_stale_at_rest_image(self, monkeypatch):
         """Regression: promote -> demote -> write -> re-promote onto
         the same shard.  The ex-extra still holds an at-rest copy from
         its first tour; the re-promotion must overwrite it with the
         current committed image, never serve the stale one."""
+        monkeypatch.setattr(reshard, "DRAIN_NS", 500.0)
         kv = ShardedKV(elastic_cfg(n_shards=3, max_shards=3, n_objects=4))
-        manager = ReshardManager(kv, drain_ns=500.0)
+        manager = ReshardManager(kv)
         sim = kv.cluster.sim
         idx = 0
         key = kv.key_name(idx)
         done = []
 
         def driver():
-            cfg = RebalanceConfig()
-            yield from manager._promote(idx, cfg)
+            yield from manager._promote(idx, 2)
             extra = kv.hot_replicas[idx][0]
             manager._demote(idx)
             yield sim.timeout(1_000.0)  # past the drain: extra pruned
@@ -576,7 +565,7 @@ class TestHotspotPolicy:
                 ack = yield kv.put(0, key, t_end=sim.now + 50_000.0)
                 assert ack is not None
             yield sim.timeout(2_000.0)  # replication fan-out drains
-            yield from manager._promote(idx, cfg)
+            yield from manager._promote(idx, 2)
             assert kv.hot_replicas[idx] == [extra]
             v_primary = kv.stores[kv.placement(idx)[0]].current_version(
                 idx
@@ -590,19 +579,20 @@ class TestHotspotPolicy:
         assert done
         audit_at_rest(kv)
 
-    def test_demote_keeps_extra_readable_for_drain_grace(self):
+    def test_demote_keeps_extra_readable_for_drain_grace(self, monkeypatch):
         """Mirror of the migration drain: a demoted extra stops being
         routed to immediately but stays on the placement tail — still
-        replicated-to — for ``drain_ns``, so an in-flight read routed
+        replicated-to — for ``DRAIN_NS``, so an in-flight read routed
         pre-demotion can never consume a stale copy."""
+        monkeypatch.setattr(reshard, "DRAIN_NS", 2_000.0)
         kv = ShardedKV(elastic_cfg(n_shards=3, max_shards=3, n_objects=4))
-        manager = ReshardManager(kv, drain_ns=2_000.0)
+        manager = ReshardManager(kv)
         sim = kv.cluster.sim
         idx = 0
         done = []
 
         def driver():
-            yield from manager._promote(idx, RebalanceConfig())
+            yield from manager._promote(idx, 2)
             extra = kv.hot_replicas[idx][0]
             manager._demote(idx)
             # Routing stopped at once ...

@@ -91,7 +91,6 @@ class TestMetrics:
         c.inc(op="get")
         c.inc(2, op="get")
         c.inc(op="put")
-        assert c.value(op="get") == 3
         samples = parse_samples(m.render())
         assert samples['x_total{op="get"}'] == 3
         assert samples['x_total{op="put"}'] == 1
@@ -106,7 +105,7 @@ class TestMetrics:
         g = m.gauge("g", "help")
         g.set(5)
         g.dec()
-        assert g.value() == 4
+        assert parse_samples(m.render()) == {"g": 4}
 
     def test_duplicate_name_rejected(self):
         m = MetricsRegistry()
@@ -123,7 +122,6 @@ class TestMetrics:
         assert 'lat_bucket{le="100"} 2' in lines
         assert 'lat_bucket{le="+Inf"} 3' in lines
         assert "lat_count 3" in lines
-        assert h.count() == 3
 
     def test_histogram_quantiles_match_samples(self):
         h = Histogram("lat", "help", buckets=(1e9,))
@@ -185,12 +183,6 @@ class TestOps:
         with pytest.raises(ConfigError):
             TimedOp(op_id=0, at_ns=0.0, kind="txn")
 
-    def test_op_round_trip(self):
-        op = TimedOp(
-            op_id=3, at_ns=10.0, kind="txn", read_keys=("a",), write_keys=("b",)
-        )
-        assert TimedOp.from_dict(op.to_dict()) == op
-
     def test_trace_must_be_sorted(self):
         ops = [
             TimedOp(op_id=0, at_ns=10.0, kind="get", key="a"),
@@ -210,7 +202,7 @@ class TestOps:
         )
         merged = merge_sorted([t1, t2])
         assert [op.op_id for op in merged.ops] == [0, 1]
-        assert merged.span_ns == 5.0
+        assert [op.at_ns for op in merged.ops] == [0.0, 5.0]
         assert merged.offered_qps == 30.0
 
 
@@ -294,8 +286,8 @@ class TestBridge:
             _trace(bridge, [(0.0, "get", k) for k in keys])
         )
         assert report.n_ok == len(keys)
-        waits = bridge.metrics.get("repro_session_waits_total")
-        assert waits.value(pool="reader") > 0
+        samples = parse_samples(bridge.metrics.render())
+        assert samples['repro_session_waits_total{pool="reader"}'] > 0
         # FIFO: completion order follows arrival (op_id) order.
         finished = [r.op.op_id for r in report.results]
         assert finished == sorted(finished)

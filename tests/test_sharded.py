@@ -30,25 +30,25 @@ class TestHashRing:
         keys = [f"key-{i}" for i in range(200)]
         a = HashRing(range(4), vnodes=32, seed=9)
         b = HashRing(range(4), vnodes=32, seed=9)
-        assert [a.primary(k) for k in keys] == [b.primary(k) for k in keys]
+        assert [a.replicas(k, 1) for k in keys] == [b.replicas(k, 1) for k in keys]
         assert [a.replicas(k, 3) for k in keys] == [b.replicas(k, 3) for k in keys]
 
     def test_different_seed_reshuffles_placement(self):
         keys = [f"key-{i}" for i in range(200)]
         a = HashRing(range(4), vnodes=32, seed=9)
         b = HashRing(range(4), vnodes=32, seed=10)
-        assert [a.primary(k) for k in keys] != [b.primary(k) for k in keys]
+        assert [a.replicas(k, 1) for k in keys] != [b.replicas(k, 1) for k in keys]
 
     def test_replicas_distinct_and_primary_first(self):
         ring = HashRing(range(5), vnodes=16, seed=3)
         for i in range(100):
             replicas = ring.replicas(f"key-{i}", 3)
             assert len(set(replicas)) == 3
-            assert replicas[0] == ring.primary(f"key-{i}")
+            assert replicas[0] == ring.replicas(f"key-{i}", 1)[0]
 
     def test_all_shards_receive_keys(self):
         ring = HashRing(range(4), vnodes=64, seed=1)
-        owners = {ring.primary(f"key-{i}") for i in range(512)}
+        owners = {ring.replicas(f"key-{i}", 1)[0] for i in range(512)}
         assert owners == {0, 1, 2, 3}
 
     def test_validation(self):
@@ -66,7 +66,7 @@ class TestHashRing:
         for key in ("a", "b", "key-7"):
             replicas = ring.replicas(key, 10)
             assert sorted(replicas) == [0, 1, 2]
-            assert replicas[0] == ring.primary(key)
+            assert replicas[0] == ring.replicas(key, 1)[0]
 
     def test_replicas_property_over_seeds(self):
         """Property sweep: for every (seed, vnodes, shard count) and
@@ -83,7 +83,7 @@ class TestHashRing:
                         full = ring.replicas(key, shards + 3)
                         assert len(full) == shards
                         assert len(set(full)) == shards
-                        assert full[0] == ring.primary(key)
+                        assert full[0] == ring.replicas(key, 1)[0]
                         for n in range(1, shards + 1):
                             prefix = ring.replicas(key, n)
                             assert len(prefix) == n

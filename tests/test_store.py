@@ -117,7 +117,7 @@ class TestHandles:
         store = make_store()
         store.create(5, b"x")
         store.create(9, b"y")
-        assert sorted(store.object_ids()) == [5, 9]
+        assert 5 in store and 9 in store and 7 not in store
         assert len(store) == 2
 
 
@@ -154,7 +154,7 @@ class TestPopulate:
         handles = bulk.populate(range(n), data)
 
         assert handles == [looped.handle(i) for i in range(n)]
-        assert bulk.object_ids() == looped.object_ids()
+        assert list(bulk._objects) == list(looped._objects)
         for i in range(n):
             assert bulk.read_raw(i) == looped.read_raw(i)
             assert bulk.read(i).ok

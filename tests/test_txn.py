@@ -301,29 +301,23 @@ class TestStats:
         assert row["validation_aborts"] == 4
 
     def test_an_added_counter_needs_no_further_edits(self):
-        """The three counter bags state their fields once: a field
-        added to any of them shows up in ``as_dict`` (and ``merge``),
-        in declaration order, without touching either method."""
+        """The counter bag states its fields once: a field added to it
+        shows up in ``as_dict`` and ``merge``, in declaration order,
+        without touching either method."""
         from dataclasses import dataclass, fields
 
-        from repro.faults.injector import FaultStats
-        from repro.objstore.failover import FailoverStats
+        @dataclass
+        class Grown(TxnStats):
+            added_later: int = 0
 
-        for bag in (TxnStats, FailoverStats, FaultStats):
-
-            @dataclass
-            class Grown(bag):
-                added_later: int = 0
-
-            names = [f.name for f in fields(bag)] + ["added_later"]
-            grown = Grown(**{name: i + 1 for i, name in enumerate(names)})
-            assert list(grown.as_dict().items()) == [
-                (name, i + 1) for i, name in enumerate(names)
-            ]
-            if hasattr(bag, "merge"):
-                grown.merge(Grown(added_later=5))
-                assert grown.added_later == len(names) + 5
-                assert grown.as_dict()[names[0]] == 1
+        names = [f.name for f in fields(TxnStats)] + ["added_later"]
+        grown = Grown(**{name: i + 1 for i, name in enumerate(names)})
+        assert list(grown.as_dict().items()) == [
+            (name, i + 1) for i, name in enumerate(names)
+        ]
+        grown.merge(Grown(added_later=5))
+        assert grown.added_later == len(names) + 5
+        assert grown.as_dict()[names[0]] == 1
 
     def test_outcome_abort_total(self):
         outcome = TxnOutcome(committed=False, lock_aborts=2, validation_aborts=3)

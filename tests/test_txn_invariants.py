@@ -155,7 +155,7 @@ class TestVnodeBalance:
         ring = HashRing(range(4), vnodes=64, seed=seed)
         counts = {shard: 0 for shard in range(4)}
         for i in range(4096):
-            counts[ring.primary(f"key-{i}")] += 1
+            counts[ring.replicas(f"key-{i}", 1)[0]] += 1
         assert all(count > 0 for count in counts.values())
         assert max(counts.values()) / min(counts.values()) <= 2.0
 
@@ -167,7 +167,7 @@ class TestVnodeBalance:
             ring = HashRing(range(4), vnodes=1, seed=seed)
             counts = {shard: 0 for shard in range(4)}
             for i in range(4096):
-                counts[ring.primary(f"key-{i}")] += 1
+                counts[ring.replicas(f"key-{i}", 1)[0]] += 1
             lightest = max(min(counts.values()), 1)
             worst = max(worst, max(counts.values()) / lightest)
         assert worst > 2.0
@@ -226,7 +226,7 @@ def assert_at_rest(kv: ShardedKV) -> None:
     for shard, store in enumerate(kv.stores):
         locked = [
             obj
-            for obj in store.object_ids()
+            for obj in store._objects
             if is_locked(store.current_version(obj))
         ]
         assert not locked, f"shard {shard} left objects {locked} locked"

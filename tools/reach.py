@@ -11,14 +11,26 @@ either dead, or reached only by unit tests, which stay green whatever
 the simulator does; ``tools/reach_allow.txt`` names the few that are
 kept anyway, one reason each.
 
-The drivers:
+The drivers, one per non-test entry point (``tests/test_reach.py``
+holds every console script and example to this list):
 
 * ``tools/golden.py --check`` — every golden spec, fuzz lane and the
   replay, seed 1;
+* ``SABRES_BENCH_SCALE=0.25 pytest benchmarks --benchmark-disable``
+  — the paper's tables and figures (pytest-benchmark pauses the trace
+  hook around every timed call, so the timing is off);
 * every ``examples/*.py``;
-* ``repro-harness list``, ``table1`` and ``table2``;
-* ``bench/run.py --smoke --workload W`` for ``paper_figs``,
-  ``kv_mixed`` and ``chaos_elastic``.
+* ``repro-harness list``, ``table1``, ``table2`` and one sweep with
+  ``--axes`` and ``--overrides``;
+* ``repro-campaign`` run serially, with ``--jobs 2`` and with
+  ``--workers 1``, then ``status``, ``resume`` and ``report``
+  (``tools/reach_drivers.py campaign``; the subprocess worker is
+  traced too, forked pool workers are not);
+* ``repro-serve`` with ``repro-load --url`` against it, a malformed
+  request, a ``/metrics`` scrape and the SIGTERM drain, then
+  ``repro-load --replay`` and ``--sweep``
+  (``tools/reach_drivers.py serve``);
+* ``bench/run.py --smoke --workload W`` for every workload.
 
 The trace hook is not ``cProfile`` because ``bench/run.py`` profiles
 its own cycles with ``cProfile`` and Python has one profile hook.
@@ -26,9 +38,10 @@ its own cycles with ``cProfile`` and Python has one profile hook.
 Usage::
 
     python tools/reach.py                   # list every unreached def
-    python tools/reach.py --check --packages common,sim,noc,mem,fabric,core,sonuma,atomicity
+    python tools/reach.py --check --jobs 2
         # exit 1 on an unreached def outside the allowlist, or an
-        # allowlisted def the census reached (minutes: the nightly job)
+        # allowlisted def the census reached; exit 2 if a driver
+        # failed (~4 min on 2 CPUs: the nightly job)
     python tools/reach.py --check-allowlist
         # exit 1 if an allowlisted name is no longer a def, or has no
         # reason (milliseconds: tier-1)
@@ -51,28 +64,55 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
 ALLOW_PATH = os.path.join(ROOT, "tools", "reach_allow.txt")
+COMPOSITE = os.path.join(ROOT, "tools", "reach_drivers.py")
 
-BENCH_WORKLOADS = ("paper_figs", "kv_mixed", "chaos_elastic")
+BENCH_WORKLOADS = ("paper_figs", "kv_mixed", "chaos_elastic", "serve_http")
+
+#: Stands in a driver's argv for the file its traced subprocesses
+#: (``tools/reach.py --child {out} -- ...``) write what they entered to.
+SUB_OUT = "{out}"
+
+#: ``(label, argv, env)``: ``argv`` runs as ``python argv`` with ``env``
+#: layered over this process's environment.
+Driver = Tuple[str, List[str], Dict[str, str]]
 
 #: (path, first line) -> (qualified name, lines): the first line is the
 #: first decorator's, as it is a code object's ``co_firstlineno``.
 Defs = Dict[Tuple[str, int], Tuple[str, int]]
 
 
-def drivers() -> List[Tuple[str, List[str]]]:
-    """``(label, argv)`` per driver; ``argv`` runs as ``python argv``."""
-    out = [("golden", [os.path.join(ROOT, "tools", "golden.py"), "--check"])]
-    examples = os.path.join(ROOT, "examples")
-    for name in sorted(os.listdir(examples)):
-        if name.endswith(".py"):
-            out.append((f"examples/{name}", [os.path.join(examples, name)]))
-    for command in ("list", "table1", "table2"):
-        out.append((f"harness {command}", ["-m", "repro.harness.cli", command]))
+def drivers() -> List[Driver]:
+    """Every driver, the long ones first so ``--jobs`` workers finish
+    together."""
+    out: List[Driver] = [
+        ("golden", [os.path.join(ROOT, "tools", "golden.py"), "--check"], {}),
+        ("benchmarks", ["-m", "pytest", os.path.join(ROOT, "benchmarks"), "-q",
+                        "-p", "no:cacheprovider", "--benchmark-disable"],
+         {"SABRES_BENCH_SCALE": "0.25"}),
+    ]
     for workload in BENCH_WORKLOADS:
         out.append((
             f"bench {workload}",
             [os.path.join(ROOT, "bench", "run.py"), "--smoke", "--workload", workload],
+            {},
         ))
+    examples = os.path.join(ROOT, "examples")
+    for name in sorted(os.listdir(examples)):
+        if name.endswith(".py"):
+            out.append((f"examples/{name}", [os.path.join(examples, name)], {}))
+    out += [
+        ("repro-campaign run/status/resume/report",
+         [COMPOSITE, "campaign", SUB_OUT], {}),
+        ("repro-serve + repro-load", [COMPOSITE, "serve"], {}),
+    ]
+    for command in ("list", "table1", "table2"):
+        out.append((f"harness {command}", ["-m", "repro.harness.cli", command], {}))
+    out.append((
+        "harness fig10 --axes --overrides",
+        ["-m", "repro.harness.cli", "fig10", "--scale", "0.05",
+         "--axes", "object_size=128,1024", "--overrides", "seed=3"],
+        {},
+    ))
     return out
 
 
@@ -131,7 +171,8 @@ def load_allowlist() -> Dict[str, str]:
 # ----------------------------------------------------------------------
 def _traced_child(out_path: str, argv: List[str]) -> int:
     """Run ``argv`` as ``python argv`` would, under the call hook, and
-    write what it entered under ``src/repro`` to ``out_path``."""
+    add what it entered under ``src/repro`` to ``out_path`` (several
+    children may report to one file, one after another)."""
     import threading
 
     seen: Set = set()
@@ -157,42 +198,50 @@ def _traced_child(out_path: str, argv: List[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
         prefix = PACKAGE + os.sep
+        entered = {
+            (c.co_filename, c.co_firstlineno)
+            for c in seen if c.co_filename.startswith(prefix)
+        }
+        entered.update(_load_pairs(out_path))
         with open(out_path, "w") as fh:
-            json.dump(sorted(
-                [c.co_filename, c.co_firstlineno]
-                for c in seen if c.co_filename.startswith(prefix)
-            ), fh)
+            json.dump(sorted(entered), fh)
     return code
 
 
+def _load_pairs(path: str) -> Set[Tuple[str, int]]:
+    if not os.path.exists(path):
+        return set()
+    with open(path) as fh:
+        return {tuple(pair) for pair in json.load(fh)}
+
+
 def census(
-    jobs: int, runs: Sequence[Tuple[str, List[str]]]
+    jobs: int, runs: Sequence[Driver]
 ) -> Tuple[Set[Tuple[str, int]], List[str]]:
-    """Every ``(path, first line)`` the drivers ``runs`` entered, and
-    the drivers that failed."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    """Every ``(path, first line)`` the drivers ``runs`` entered, their
+    traced subprocesses included, and the drivers that failed."""
+    base_env = dict(os.environ)
+    base_env["PYTHONPATH"] = SRC + os.pathsep + base_env.get("PYTHONPATH", "")
     reached: Set[Tuple[str, int]] = set()
     failures: List[str] = []
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
 
         def one(k_driver):
-            k, (label, argv) = k_driver
+            k, (label, argv, env) = k_driver
             out = os.path.join(tmp, f"{k}.json")
+            sub_out = os.path.join(tmp, f"{k}.sub.json")
+            argv = [arg.replace(SUB_OUT, sub_out) for arg in argv]
             done = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--child", out, "--", *argv],
-                cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                text=True,
+                cwd=tmp, env={**base_env, **env}, stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, text=True,
             )
             print(f"  {label}: exit {done.returncode}", file=sys.stderr, flush=True)
             # golden.py exits 3 when this libm differs from the hashes'.
             ok = done.returncode == 0 or (label == "golden" and done.returncode == 3)
             if not ok:
                 failures.append(f"{label} exited {done.returncode}:\n{done.stderr[-2000:]}")
-            if os.path.exists(out):
-                with open(out) as fh:
-                    return [tuple(pair) for pair in json.load(fh)]
-            return []
+            return _load_pairs(out) | _load_pairs(sub_out)
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             for pairs in pool.map(one, enumerate(runs)):
