@@ -11,7 +11,7 @@ Runs the registered ``ablation_locking_vs_occ`` experiment spec.
 from conftest import run_once, show
 
 from repro.experiments import registry, run_sweep
-from repro.harness.report import format_table
+from repro.experiments.runner import format_table
 
 
 def test_locking_vs_occ(benchmark, scale):

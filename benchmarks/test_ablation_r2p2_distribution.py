@@ -14,7 +14,7 @@ Runs the registered ``ablation_r2p2_distribution`` experiment spec
 from conftest import run_once, show
 
 from repro.experiments import registry, run_sweep
-from repro.harness.report import format_table
+from repro.experiments.runner import format_table
 
 
 def test_r2p2_distribution(benchmark, scale):

@@ -12,7 +12,7 @@ Runs the registered ``ablation_retry_policy`` experiment spec.
 from conftest import run_once, show
 
 from repro.experiments import registry, run_sweep
-from repro.harness.report import format_table
+from repro.experiments.runner import format_table
 
 
 def test_retry_policy(benchmark, scale):

@@ -12,7 +12,7 @@ Runs the registered ``ablation_skewed_access`` experiment spec.
 from conftest import run_once, show
 
 from repro.experiments import registry, run_sweep
-from repro.harness.report import format_table
+from repro.experiments.runner import format_table
 
 THETAS = (0.0, 0.99)
 

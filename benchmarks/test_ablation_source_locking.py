@@ -12,7 +12,7 @@ Runs the registered ``ablation_source_locking`` experiment spec.
 from conftest import run_once, show
 
 from repro.experiments import registry, run_sweep
-from repro.harness.report import format_table
+from repro.experiments.runner import format_table
 
 MECHANISMS = ("sabre", "percl_versions", "drtm_lock")
 

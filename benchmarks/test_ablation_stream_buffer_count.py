@@ -10,7 +10,7 @@ Runs the registered ``ablation_stream_buffer_count`` experiment spec.
 from conftest import run_once, show
 
 from repro.experiments import registry, run_sweep
-from repro.harness.report import format_table
+from repro.experiments.runner import format_table
 
 
 def test_stream_buffer_count_sweep(benchmark, scale):

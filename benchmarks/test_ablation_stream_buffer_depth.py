@@ -12,7 +12,7 @@ Runs the registered ``ablation_stream_buffer_depth`` experiment spec.
 from conftest import run_once, show
 
 from repro.experiments import registry, run_sweep
-from repro.harness.report import format_table
+from repro.experiments.runner import format_table
 
 
 def test_stream_buffer_depth_sweep(benchmark, scale):

@@ -2,7 +2,7 @@
 
 from conftest import run_once, show
 
-from repro.harness.report import format_table
+from repro.experiments.runner import format_table
 from repro.harness.tables import table2_rows
 
 

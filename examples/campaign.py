@@ -17,6 +17,7 @@ Run:  PYTHONPATH=src python examples/campaign.py
 
 import tempfile
 
+from repro.common import scaled_duration
 from repro.experiments import (
     CampaignContext,
     CampaignRunner,
@@ -27,7 +28,7 @@ from repro.experiments import (
     Variant,
     register,
 )
-from repro.harness.report import scaled_duration
+from repro.experiments.htmlreport import render_campaign
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
 
@@ -101,8 +102,6 @@ def main() -> None:
         f"({resumed.elapsed_s:.2f}s; kill -9 mid-campaign and it resumes "
         "from the unfinished points the same way)"
     )
-
-    from repro.harness.htmlreport import render_campaign
 
     page = render_campaign(CampaignContext(root))
     print(f"report: {page}")

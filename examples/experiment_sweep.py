@@ -14,8 +14,8 @@ Run:  PYTHONPATH=src python examples/experiment_sweep.py
 """
 
 from repro.experiments import ExperimentSpec, Variant, register, run_sweep
+from repro.objstore.protocols import HardwareSabreProtocol, register_protocol
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
-from repro.workloads.protocols import HardwareSabreProtocol, register_protocol
 
 
 @register_protocol

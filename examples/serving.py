@@ -17,7 +17,7 @@ Run:  PYTHONPATH=src python examples/serving.py
 import asyncio
 
 from repro.loadgen.client import run_open_loop
-from repro.loadgen.sweep import SweepConfig, run_sweep
+from repro.loadgen.sweep import SaturationConfig, run_saturation
 from repro.loadgen.trace import TraceConfig, build_trace
 from repro.serve.bridge import SimBridge
 from repro.serve.gateway import Gateway
@@ -75,8 +75,8 @@ def demo_live_gateway() -> None:
 
 def demo_saturation_sweep() -> None:
     print("\n--- saturation sweep (virtual time, tiny) ---")
-    result = run_sweep(
-        SweepConfig(
+    result = run_saturation(
+        SaturationConfig(
             qps_start=8_000_000.0,
             qps_factor=4.0,
             max_steps=3,

@@ -12,12 +12,12 @@ The package builds the full system the paper evaluates:
 * **LightSABRes** — the paper's contribution: ATT, stream buffers, and
   the R2P2 engine with speculative / no-speculation / locking variants
   (:mod:`repro.core`),
+* the version-word convention and the lock table of the locking
+  variants (:mod:`repro.atomicity`),
 * the software atomicity baselines' object layouts (FaRM per-cache-line
-  versions, Pilaf checksums) and a FaRM-like distributed object store
-  and KV application (:mod:`repro.objstore`), plus the lock table of
-  the locking variants (:mod:`repro.atomicity`),
-* one registered read protocol per Table 1 mechanism
-  (:mod:`repro.workloads.protocols`),
+  versions, Pilaf checksums), one read protocol per Table 1 mechanism,
+  and a FaRM-like distributed object store and KV application
+  (:mod:`repro.objstore`),
 * microbenchmarks and the per-figure experiment harness
   (:mod:`repro.workloads`, :mod:`repro.harness`).
 

@@ -1,13 +1,13 @@
-"""Lock tables for the locking atomicity variants (Table 1).
+"""The version word and lock table of the atomicity variants (Table 1).
 
-:class:`~repro.atomicity.locks.ReaderWriterLockTable` is the shared-
-reader / exclusive-writer state behind destination-side locking
-SABRes (R2P2 ``LOCKING`` mode) and the timed writers that share it.
-The software mechanisms' formats and checks are object layouts
-(:mod:`repro.objstore.layout`), each cell of Table 1 is one registered
-read protocol (:mod:`repro.workloads.protocols`), and the
-destination-side hardware mechanism (LightSABRes) lives in
-:mod:`repro.core`.
+:mod:`repro.atomicity.locks` holds the odd/even version convention of
+§4.2 that R2P2 (:mod:`repro.core`) and the software writers
+(:mod:`repro.objstore`) share, and the shared-reader /
+exclusive-writer :class:`~repro.atomicity.locks.ReaderWriterLockTable`
+behind destination-side locking SABRes (R2P2 ``LOCKING`` mode).  The
+software mechanisms' formats and checks are object layouts
+(:mod:`repro.objstore.layout`), and each cell of Table 1 is one
+registered read protocol (:mod:`repro.objstore.protocols`).
 """
 
 from repro.atomicity.locks import ReaderWriterLockTable

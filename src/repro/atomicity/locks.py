@@ -1,16 +1,40 @@
-"""Reader-writer lock table for destination-side locking SABRes.
+"""The version word of §4.2 and the reader-writer lock table.
 
-The paper (§3.2) notes that a locking implementation of SABRes needs
-*shared reader locks* so concurrent readers do not serialize.  The
-table is a functional state machine; timing is charged by the callers.
-DrTM-style source locking needs no table: ``DrtmLockProtocol`` CASes
-the object's version word (:mod:`repro.workloads.protocols`).
+An object's 8 B header is a version word; an odd version means a writer
+holds the object (Masstree style).  R2P2 (:mod:`repro.core`) refuses to
+start a read of a locked object, and the software writers
+(:mod:`repro.objstore`) lock and commit through the same helpers.
+Destination-side locking SABRes need *shared reader locks* (§3.2):
+:class:`ReaderWriterLockTable` is that state machine, timed by its
+callers.  DrTM-style source locking needs no table: it CASes the
+version word (:mod:`repro.objstore.protocols`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict
+
+_U64 = 2**64 - 1
+
+
+def is_locked(version: int) -> bool:
+    """Odd versions mean a writer holds the object (§4.2)."""
+    return version % 2 == 1
+
+
+def lock_version(version: int) -> int:
+    """The version a writer publishes when acquiring the object."""
+    if is_locked(version):
+        raise ValueError(f"object already locked (version {version})")
+    return (version + 1) & _U64
+
+
+def commit_version(version: int) -> int:
+    """The version a writer publishes when releasing the object."""
+    if not is_locked(version):
+        raise ValueError(f"object not locked (version {version})")
+    return (version + 1) & _U64
 
 
 @dataclass

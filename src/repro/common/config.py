@@ -248,6 +248,11 @@ def scaled_duration(base_ns: float, scale: float, floor_ns: float = 30_000.0) ->
     return max(floor_ns, base_ns * scale)
 
 
+#: Scalar field annotation -> the value types it takes (a bool is never
+#: a number).  Fields of any other type are not checked.
+_SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
 class LayeredConfig:
     """Mixin for the run-config dataclasses (anything with a
     ``duration_ns`` field) an experiment point is turned into."""
@@ -258,9 +263,19 @@ class LayeredConfig:
         parameter naming a field overrides it — so a spec's
         ``defaults`` state only what the experiment changes —
         ``duration_ns`` is scaled by the sweep's ``scale``, and
-        ``extra`` wins over both."""
-        names = {f.name for f in dataclasses.fields(cls)}
-        values = {k: v for k, v in params.items() if k in names}
+        ``extra`` wins over both.  A parameter of the wrong type for a
+        scalar field raises :class:`ConfigError` naming the field."""
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        values = {k: v for k, v in params.items() if k in fields}
+        for name, value in values.items():
+            kind = getattr(fields[name], "__name__", fields[name])
+            types = _SCALAR_TYPES.get(kind)
+            if types and (
+                isinstance(value, bool) != (kind == "bool")
+                or not isinstance(value, types)
+            ):
+                what = f"{cls.__name__}.{name}"
+                raise ConfigError(f"{what} must be {kind}, got {value!r}")
         values["duration_ns"] = scaled_duration(
             params.get("duration_ns", cls.duration_ns), scale
         )

@@ -25,14 +25,13 @@ from __future__ import annotations
 from typing import Callable, Deque, Dict, Optional, Set
 from collections import deque
 
-from repro.atomicity.locks import ReaderWriterLockTable
+from repro.atomicity.locks import ReaderWriterLockTable, is_locked
 from repro.common.config import NodeConfig, SabreMode
 from repro.common.errors import ProtocolError
 from repro.common.units import CACHE_BLOCK
 from repro.core.att import ActiveTransfersTable, AttEntry, SabreId
 from repro.fabric.packets import Packet, PacketKind
 from repro.mem.system import ChipMemorySystem, InvalidationCause
-from repro.objstore.layout import is_locked
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthServer
 from repro.sim.stats import Counter

@@ -35,6 +35,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.context import CampaignContext
 from repro.experiments.executors import make_executor
+from repro.experiments.htmlreport import render_campaign
 
 
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
@@ -176,8 +177,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "report":
-            from repro.harness.htmlreport import render_campaign
-
             _, context = load_campaign_dir(args.campaign_dir)
             path = render_campaign(context)
             print(f"wrote {path}")

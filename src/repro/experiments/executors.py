@@ -45,6 +45,7 @@ from typing import (
 )
 
 from repro.common.errors import ConfigError
+from repro.experiments import registry
 from repro.experiments.spec import ExperimentSpec, Point, PointContext
 
 #: One completed point: ``(point.index, column fragment)``.
@@ -191,8 +192,6 @@ def resolve_spec(ref: str) -> ExperimentSpec:
         if not isinstance(spec, ExperimentSpec):
             raise ConfigError(f"{ref!r} is not an ExperimentSpec")
         return spec
-    from repro.experiments import registry
-
     return registry.get(ref)
 
 

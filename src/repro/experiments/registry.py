@@ -1,11 +1,13 @@
 """Global experiment registry.
 
 Specs register by name; the CLI (and anything else) can list and run
-them uniformly.  Built-in specs live in the figure/table harness
-modules and :mod:`repro.experiments.ablations`; they self-register on
-import, and :func:`load_builtin` imports them all lazily (the harness
-modules import :mod:`repro.experiments`, so eager imports here would
-cycle).
+them uniformly.  Built-in specs live in the packages above this one —
+the figure, table and ablation modules of :mod:`repro.harness`, the
+workload specs of :mod:`repro.workloads` and the saturation sweep of
+:mod:`repro.loadgen` — and self-register on import.  The framework
+never imports them in an import statement: :func:`load_builtin` names
+them by string, the framework's one plugin seam, so every package
+import still points down the layer order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ _BUILTIN_MODULES = (
     "repro.harness.fig9",
     "repro.harness.fig10",
     "repro.harness.tables",
-    "repro.experiments.ablations",
+    "repro.harness.ablations",
     "repro.workloads.ycsb",
     "repro.workloads.txn_mix",
     "repro.workloads.availability",

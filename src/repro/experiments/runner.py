@@ -24,11 +24,33 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.experiments.context import CampaignContext, point_key
 from repro.experiments.executors import Executor, make_executor
 from repro.experiments.spec import ExperimentSpec, Point
-from repro.harness.report import format_table
 
 # ----------------------------------------------------------------------
 # result assembly
 # ----------------------------------------------------------------------
+
+
+def _fmt(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    return str(value)
+
+
+def format_table(headers: Sequence[str], rows: List[Dict[str, Any]]) -> str:
+    """Render dict rows as an aligned text table (column order follows
+    ``headers``; missing cells render empty)."""
+    cells = [[_fmt(row.get(h, "")) for h in headers] for row in rows]
+    widths = [
+        max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
+        for i, h in enumerate(headers)
+    ]
+    lines = [
+        "  ".join(h.rjust(w) for h, w in zip(headers, widths)),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row_cells in cells:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row_cells, widths)))
+    return "\n".join(lines)
 
 
 def _json_safe(value: Any) -> Any:

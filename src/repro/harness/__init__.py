@@ -1,5 +1,1 @@
 """Experiment harness: one module per paper figure/table."""
-
-from repro.harness.report import format_table
-
-__all__ = ["format_table"]

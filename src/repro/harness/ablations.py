@@ -15,6 +15,7 @@ from typing import Any, Dict
 from repro.common.config import ClusterConfig, SabreMode
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
+from repro.harness.fig7 import FIG7A_SPEC
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
 
@@ -265,40 +266,34 @@ def _r2p2_distribution_finalize(row: Dict) -> Dict:
     }
 
 
-def _register_r2p2_distribution() -> None:
-    # Reuses fig7a's point function, defaults, derive hook and variants
-    # on a 3-size grid.
-    from repro.harness.fig7 import FIG7A_SPEC
-
-    register(
-        ExperimentSpec(
-            name="ablation_r2p2_distribution",
-            description="single-R2P2 pinning cost vs the per-block-striped "
-            "remote-read lower bound",
-            axes={"object_size": (512, 2048, 8192)},
-            # Only the two variants the finalize hook reads — running
-            # fig7a's no-speculation variant here would be wasted sims.
-            variants=tuple(
-                v
-                for v in FIG7A_SPEC.variants
-                if v.name in ("remote_read_ns", "sabre_ns")
-            ),
-            defaults=FIG7A_SPEC.defaults,
-            derive=FIG7A_SPEC.derive,
-            finalize_row=_r2p2_distribution_finalize,
-            headers=(
-                "object_size",
-                "pinned_sabre_ns",
-                "striped_lower_bound_ns",
-                "pinning_cost",
-            ),
-            point_fn=FIG7A_SPEC.point_fn,
-            base_seed=FIG7A_SPEC.base_seed,
-        )
+# Reuses fig7a's point function, defaults, derive hook and variants
+# on a 3-size grid.
+register(
+    ExperimentSpec(
+        name="ablation_r2p2_distribution",
+        description="single-R2P2 pinning cost vs the per-block-striped "
+        "remote-read lower bound",
+        axes={"object_size": (512, 2048, 8192)},
+        # Only the two variants the finalize hook reads — running
+        # fig7a's no-speculation variant here would be wasted sims.
+        variants=tuple(
+            v
+            for v in FIG7A_SPEC.variants
+            if v.name in ("remote_read_ns", "sabre_ns")
+        ),
+        defaults=FIG7A_SPEC.defaults,
+        derive=FIG7A_SPEC.derive,
+        finalize_row=_r2p2_distribution_finalize,
+        headers=(
+            "object_size",
+            "pinned_sabre_ns",
+            "striped_lower_bound_ns",
+            "pinning_cost",
+        ),
+        point_fn=FIG7A_SPEC.point_fn,
+        base_seed=FIG7A_SPEC.base_seed,
     )
-
-
-_register_r2p2_distribution()
+)
 
 
 # ----------------------------------------------------------------------

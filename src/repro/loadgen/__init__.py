@@ -17,14 +17,14 @@ saturation signal (Schroeder et al., NSDI'06).
 """
 
 from repro.loadgen.client import LoadReport, run_open_loop
-from repro.loadgen.sweep import SweepConfig, run_sweep
+from repro.loadgen.sweep import SaturationConfig, run_saturation
 from repro.loadgen.trace import TraceConfig, build_trace
 
 __all__ = [
     "LoadReport",
-    "SweepConfig",
+    "SaturationConfig",
     "TraceConfig",
     "build_trace",
     "run_open_loop",
-    "run_sweep",
+    "run_saturation",
 ]

@@ -26,7 +26,7 @@ from urllib.parse import urlparse
 
 from repro.common.errors import ConfigError
 from repro.loadgen.client import run_open_loop
-from repro.loadgen.sweep import SweepConfig, run_sweep, write_artifact
+from repro.loadgen.sweep import SaturationConfig, run_saturation, write_artifact
 from repro.loadgen.trace import TraceConfig, build_trace
 from repro.serve.bridge import SimBridge
 from repro.serve.settings import ServeSettings
@@ -122,8 +122,8 @@ def _emit(payload: dict, output: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _run_sweep(args: argparse.Namespace) -> int:
-    cfg = SweepConfig(
+def _run_saturation(args: argparse.Namespace) -> int:
+    cfg = SaturationConfig(
         qps_start=args.qps_start,
         qps_factor=args.qps_factor,
         max_steps=args.steps,
@@ -138,7 +138,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         n_objects=args.objects,
         seed=args.seed,
     )
-    result = run_sweep(cfg)
+    result = run_saturation(cfg)
     summary = result.to_dict()
     del summary["config"]  # keep stdout focused; the artifact has it all
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -192,7 +192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.sweep:
-            return _run_sweep(args)
+            return _run_saturation(args)
         if args.replay:
             return _run_replay(args)
         return _run_live(args)

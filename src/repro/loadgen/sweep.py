@@ -20,7 +20,7 @@ Two consumers:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List
 
 from repro.common.errors import ConfigError
@@ -32,7 +32,7 @@ from repro.serve.settings import ServeSettings
 
 
 @dataclass
-class SweepConfig:
+class SaturationConfig:
     """One saturation sweep."""
 
     qps_start: float = 4_000_000.0
@@ -95,8 +95,8 @@ class SweepConfig:
 
 
 @dataclass
-class SweepResult:
-    config: SweepConfig
+class SaturationResult:
+    config: SaturationConfig
     steps: List[Dict[str, float]] = field(default_factory=list)
 
     @property
@@ -131,8 +131,6 @@ class SweepResult:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        from dataclasses import asdict
-
         return {
             "config": asdict(self.config),
             "steps": self.steps,
@@ -143,10 +141,10 @@ class SweepResult:
         }
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
+def run_saturation(cfg: SaturationConfig) -> SaturationResult:
     """Run the sweep (deterministic: fresh cluster per step)."""
     cfg.validate()
-    result = SweepResult(config=cfg)
+    result = SaturationResult(config=cfg)
     qps = cfg.qps_start
     for step in range(cfg.max_steps):
         bridge = SimBridge(cfg.serve_settings())
@@ -161,7 +159,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return result
 
 
-def write_artifact(result: SweepResult, path: str) -> None:
+def write_artifact(result: SaturationResult, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -185,10 +183,10 @@ SWEEP_HEADERS = (
 def _sweep_point(ctx) -> Dict[str, float]:
     # Every parameter naming a field overrides it, so the spec states
     # only what it changes; the step size scales with the sweep.
-    names = {f.name for f in fields(SweepConfig)}
-    cfg = SweepConfig(**{k: v for k, v in ctx.params.items() if k in names})
+    names = {f.name for f in fields(SaturationConfig)}
+    cfg = SaturationConfig(**{k: v for k, v in ctx.params.items() if k in names})
     cfg.ops_per_step = max(50, int(cfg.ops_per_step * ctx.scale))
-    result = run_sweep(cfg)
+    result = run_saturation(cfg)
     v = ctx.variant
     return {
         f"{v}_peak_qps": result.peak_qps,

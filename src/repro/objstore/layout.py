@@ -19,7 +19,8 @@ A layout is the whole software side of a Table 1 cell: its format
 (:meth:`~ObjectLayout.check_cost_ns`).
 
 All layouts share the odd/even version convention (§4.2, Masstree
-style): an odd version means the object is locked by a writer.
+style) of :mod:`repro.atomicity.locks`: an odd version means the
+object is locked by a writer.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.atomicity.locks import is_locked
 from repro.common.costs import SoftwareCosts
 from repro.common.units import CACHE_BLOCK
 
@@ -36,25 +38,6 @@ DATA_PER_LINE = CACHE_BLOCK - 8
 
 VERSION_BYTES = 8
 _U64 = 2**64 - 1
-
-
-def is_locked(version: int) -> bool:
-    """Odd versions mean a writer holds the object (§4.2)."""
-    return version % 2 == 1
-
-
-def lock_version(version: int) -> int:
-    """The version a writer publishes when acquiring the object."""
-    if is_locked(version):
-        raise ValueError(f"object already locked (version {version})")
-    return (version + 1) & _U64
-
-
-def commit_version(version: int) -> int:
-    """The version a writer publishes when releasing the object."""
-    if not is_locked(version):
-        raise ValueError(f"object not locked (version {version})")
-    return (version + 1) & _U64
 
 
 def fnv64(data: bytes) -> int:

@@ -75,9 +75,10 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.atomicity.locks import is_locked, lock_version
 from repro.common.errors import ConfigError
 from repro.common.units import CACHE_BLOCK
-from repro.objstore.layout import is_locked, lock_version, stamped_payload
+from repro.objstore.layout import stamped_payload
 from repro.objstore.ring import RangeDelta
 from repro.objstore.session import OUTAGE_POLL_NS
 from repro.objstore.sharded import (

@@ -11,11 +11,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
+from repro.objstore.protocols import ReadProtocol
 from repro.sim.stats import ReadStats
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.objstore.sharded import ShardedKV
-    from repro.workloads.protocols import ReadProtocol
 
 #: How long a client waits before re-checking the view when *no*
 #: replica of a key is serving (total outage, e.g. replication=1 and
@@ -74,7 +74,7 @@ class ReaderSession:
         self.stats: List[ShardStats] = [
             ShardStats() for _ in range(kv.provisioned)
         ]
-        self._protocols: List["ReadProtocol"] = [
+        self._protocols: List[ReadProtocol] = [
             kv.protocol_cls(
                 sim=kv.cluster.sim,
                 src=node,

@@ -16,7 +16,7 @@ plus a set of client nodes on one lossless fabric:
   owner's *timed* memory hierarchy — so destination-side SABRe
   hardware snoops them exactly as it snoops local writers — and are
   replicated to the backups asynchronously.
-* **Reads** go through the pluggable :class:`~repro.workloads.
+* **Reads** go through the pluggable :class:`~repro.objstore.
   protocols.ReadProtocol` strategies unchanged: every Table 1
   mechanism (``remote_read``, ``sabre``, ``percl_versions``,
   ``checksum``, ``drtm_lock``) works against the sharded store.  A
@@ -44,16 +44,13 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.atomicity.locks import commit_version, is_locked, lock_version
 from repro.common.config import ClusterConfig, FabricConfig, NodeConfig
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError, ShardCrashedError
 from repro.common.rng import make_rng
-from repro.objstore.layout import (
-    commit_version,
-    is_locked,
-    lock_version,
-    stamped_payload,
-)
+from repro.objstore.layout import stamped_payload
+from repro.objstore.protocols import get_protocol
 from repro.objstore.ring import HashRing
 from repro.objstore.session import (
     OUTAGE_POLL_NS,
@@ -65,14 +62,6 @@ from repro.sim.stats import Samples
 from repro.sonuma.node import Cluster
 from repro.sonuma.rpc import RpcEndpoint
 
-
-def _get_protocol(name: str):
-    """Late import: :mod:`repro.workloads` re-exports the YCSB layer,
-    which imports this module back — resolving the protocol registry at
-    call time keeps the cycle out of import order."""
-    from repro.workloads.protocols import get_protocol
-
-    return get_protocol(name)
 
 #: Re-route bound the failover and reshard managers arm: the longest
 #: one read attempt may run, so a crash mid-attempt re-routes to the
@@ -161,7 +150,7 @@ class ShardedConfig:
     fabric: Optional[FabricConfig] = None
 
     def validate(self) -> None:
-        _get_protocol(self.mechanism)  # raises ConfigError when unknown
+        get_protocol(self.mechanism)  # raises ConfigError when unknown
         if self.n_shards < 1:
             raise ConfigError("need at least one shard")
         if self.n_clients < 0:
@@ -255,7 +244,7 @@ class ShardedKV:
     def __init__(self, cfg: ShardedConfig):
         cfg.validate()
         self.cfg = cfg
-        self.protocol_cls = _get_protocol(cfg.mechanism)
+        self.protocol_cls = get_protocol(cfg.mechanism)
         self.layout = self.protocol_cls.make_layout(cfg.version_bits)
 
         #: Shard slots built into the cluster: ring members first, then

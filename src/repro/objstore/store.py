@@ -15,16 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
+from repro.atomicity.locks import commit_version, is_locked, lock_version
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_BLOCK, blocks_in
 from repro.mem.backing import PhysicalMemory
-from repro.objstore.layout import (
-    ObjectLayout,
-    StripResult,
-    commit_version,
-    is_locked,
-    lock_version,
-)
+from repro.objstore.layout import ObjectLayout, StripResult
 
 VERSION_BYTES = 8
 

@@ -6,7 +6,7 @@ atomicity mechanisms Table 1 compares (§2.1).  This module adds that
 layer on top of :class:`~repro.objstore.sharded.ShardedKV`:
 
 * A :class:`TxnSession` executes the **read phase** through the
-  session's pluggable :class:`~repro.workloads.protocols.ReadProtocol`
+  session's pluggable :class:`~repro.objstore.protocols.ReadProtocol`
   — each consumed read carries the committed version the mechanism
   vouched for (for SABRes, the hardware verdict's version) plus the
   payload snapshot, recorded as a :class:`TxnRead`.
@@ -54,18 +54,13 @@ import itertools
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.atomicity.locks import commit_version, is_locked, lock_version
 from repro.common.errors import (
     ConfigError,
     LinkPartitionedError,
     ShardCrashedError,
 )
-from repro.objstore.layout import (
-    commit_version,
-    is_locked,
-    lock_version,
-    stamped_payload,
-    torn_words,
-)
+from repro.objstore.layout import stamped_payload, torn_words
 from repro.objstore.session import OUTAGE_POLL_NS, ReaderSession
 from repro.objstore.sharded import (
     REPLY_BUSY,

@@ -7,7 +7,7 @@ Simulator` and closes that gap:
 * every request is **injected as a scheduled event** at a virtual
   arrival time (``max(now, stamp)``) and runs as a simulation process
   through the exact machinery the in-process harnesses use — the timed
-  memory hierarchy, the :class:`~repro.workloads.protocols.
+  memory hierarchy, the :class:`~repro.objstore.protocols.
   ReadProtocol` registry, RPC worker pools, and whatever
   fault/failover/reshard managers are armed;
 * virtual time advances **as fast as possible**: :meth:`run_pending`

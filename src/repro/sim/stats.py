@@ -150,7 +150,7 @@ def meter_window(sim, meters, warmup_ns: float, t_end: float):
 class ReadStats:
     """What a read protocol records about the reads of one reader (or
     one reader's view of one shard): every
-    :class:`~repro.workloads.protocols.ReadProtocol` writes these seven
+    :class:`~repro.objstore.protocols.ReadProtocol` writes these seven
     and nothing else."""
 
     def __init__(self) -> None:

@@ -38,6 +38,7 @@ from repro.common.errors import ConfigError
 from repro.experiments import ExperimentSpec, Variant, register
 from repro.faults import FaultInjector
 from repro.objstore.failover import FailoverManager, FailurePlan
+from repro.objstore.protocols import DETECTING_VARIANTS
 from repro.objstore.sharded import ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.sim.stats import Samples
@@ -47,7 +48,6 @@ from repro.workloads.mix import (
     service_totals,
     spawn_clients,
 )
-from repro.workloads.protocols import DETECTING_VARIANTS
 
 
 #: The crash plan as fractions of ``duration_ns``: when the first shard

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.errors import ConfigError
 from repro.experiments import ExperimentSpec, QaCheck, Variant, register
 from repro.faults import FaultInjector
+from repro.objstore.protocols import DETECTING_VARIANTS
 from repro.objstore.reshard import ReshardManager, ReshardStats
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
@@ -60,7 +61,6 @@ from repro.workloads.mix import (
     service_totals,
     spawn_clients,
 )
-from repro.workloads.protocols import DETECTING_VARIANTS
 
 #: When the topology change is scheduled and when the post-convergence
 #: window opens, as fractions of ``duration_ns``.

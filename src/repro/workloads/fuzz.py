@@ -20,6 +20,7 @@ from contextlib import closing
 from repro.common.rng import derive_seed, make_rng
 from repro.faults import FaultInjector, FaultSchedule, FaultWindow
 from repro.objstore.failover import FailoverManager, FailurePlan
+from repro.objstore.protocols import DETECTING_VARIANTS
 from repro.objstore.reshard import ReshardManager
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
@@ -30,7 +31,6 @@ from repro.workloads.mix import (
     unmetered,
     writer_proc,
 )
-from repro.workloads.protocols import DETECTING_VARIANTS
 
 #: RPC watchdog armed for fault-lane rounds (when no failover or
 #: reshard manager armed one first): short enough that gray windows make

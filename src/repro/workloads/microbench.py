@@ -7,9 +7,9 @@ stamped with the committed version): a mechanism that lets a torn read
 through increments ``undetected_violations`` — zero for LightSABRes by
 construction, non-zero for the Fig. 2 straw man.
 
-The per-mechanism read logic lives in :mod:`repro.workloads.protocols`;
+The per-mechanism read logic lives in :mod:`repro.objstore.protocols`;
 the reader loops here are mechanism-agnostic and dispatch through the
-:class:`~repro.workloads.protocols.ReadProtocol` registry.
+:class:`~repro.objstore.protocols.ReadProtocol` registry.
 """
 
 from __future__ import annotations
@@ -18,17 +18,18 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.atomicity.locks import is_locked
 from repro.common.config import ClusterConfig, LayeredConfig, SabreMode
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import make_rng
-from repro.objstore.layout import is_locked, stamped_payload
+from repro.objstore.layout import stamped_payload
+from repro.objstore.protocols import get_protocol, protocol_names
 from repro.objstore.store import ObjectStore
 from repro.sim.resources import FifoResource
 from repro.sim.stats import ReadStats, Samples, meter_window
 from repro.sonuma.node import Cluster, SoNode
 from repro.workloads.generators import CrewPartition, make_picker
-from repro.workloads.protocols import get_protocol, protocol_names
 
 #: Mechanisms the microbenchmark understands — the registered
 #: :class:`ReadProtocol` names.  ``remote_read`` is the pure-transport

@@ -14,7 +14,7 @@ key popularity is uniform or Zipfian (reusing
 :mod:`repro.workloads.generators`), so hot-key contention — and with
 it lock conflicts and validation aborts — is tunable the same way the
 YCSB suite tunes it.  Every consumed read still flows through the
-pluggable :class:`~repro.workloads.protocols.ReadProtocol`, so all
+pluggable :class:`~repro.objstore.protocols.ReadProtocol`, so all
 five Table 1 mechanisms run the exact same transactions.
 
 Two experiments register with the framework:
@@ -36,6 +36,7 @@ from typing import Dict, List
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.experiments import ExperimentSpec, Variant, register
+from repro.objstore.protocols import PROTOCOL_VARIANTS
 from repro.objstore.sharded import ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.sim.stats import Samples, meter_window
@@ -47,7 +48,6 @@ from repro.workloads.mix import (
     spawn_clients,
     txn_proc,
 )
-from repro.workloads.protocols import PROTOCOL_VARIANTS
 
 
 @dataclass

@@ -15,7 +15,7 @@ C          0 %         read only (user-profile cache)
 ========  ===========  =============================
 
 Reads are one-sided atomic object reads through whichever
-:class:`~repro.workloads.protocols.ReadProtocol` the config names;
+:class:`~repro.objstore.protocols.ReadProtocol` the config names;
 writes ship to the primary shard over an RPC and replicate to the
 backups.  Every consumed read is audited against ground truth, so
 ``undetected_violations`` stays the repo-wide safety metric.

@@ -26,8 +26,8 @@ import os
 
 import pytest
 
+from repro.objstore.protocols import protocol_names
 from repro.workloads.fuzz import DETECTING, fuzz_round
-from repro.workloads.protocols import protocol_names
 
 SHARD_COUNTS = (1, 4)
 

@@ -42,10 +42,10 @@ from repro.experiments import (
 from repro.experiments import campaign_cli, qa
 from repro.experiments.campaign import campaign_status, load_campaign
 from repro.experiments.executors import resolve_spec
+from repro.experiments.htmlreport import render_campaign
 from repro.experiments.runner import merge_rows
 from repro.experiments.worker import serve as worker_serve
 from repro.harness.cli import main as harness_main
-from repro.harness.htmlreport import render_campaign
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TESTS_DIR = Path(__file__).resolve().parent

@@ -2,10 +2,14 @@
 sweep execution (serial, parallel, cached), the registry, and the CLI
 surface built on top of it."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.config import LayeredConfig
 from repro.common.errors import ConfigError
 from repro.experiments import (
     CampaignContext,
@@ -159,7 +163,7 @@ def _layered_specs():
     the names its ``derive`` hook or point function consumes that are
     not fields of that class).  ``None``: the spec builds no layered
     config and all its names are its own."""
-    from repro.loadgen.sweep import SweepConfig
+    from repro.loadgen.sweep import SaturationConfig
     from repro.objstore.farm import FarmConfig
     from repro.objstore.local import LocalReadConfig
     from repro.workloads.availability import FailoverMixConfig
@@ -194,7 +198,7 @@ def _layered_specs():
         "partition_availability": (FailoverMixConfig, ()),
         "elastic_scaling": (ElasticConfig, ()),
         "hotkey_rebalance": (ElasticConfig, ()),
-        "serve_load_sweep": (SweepConfig, ()),
+        "serve_load_sweep": (SaturationConfig, ()),
         "table1": (None, ("cc_method",)),
         "table2": (None, ("component", "cluster")),
     }
@@ -207,8 +211,6 @@ class TestLayeredConfigs:
         misspelt default would silently do nothing: every key a spec
         states must be a field of the config it builds, or a name its
         ``derive``/point function is known to consume."""
-        import dataclasses
-
         table = _layered_specs()
         assert name in table, f"{name}: say which config its point function builds"
         config_cls, consumed = table[name]
@@ -244,6 +246,68 @@ class TestLayeredConfigs:
         assert cfg.n_objects == MicrobenchConfig.n_objects
         floor = MicrobenchConfig.from_params({}, 0.0)
         assert floor.duration_ns == 30_000.0
+
+
+def _scalar_fields():
+    """(run-config class, field, annotation) for every scalar field of
+    the configs the registered specs build."""
+    classes = {
+        cls
+        for cls, _consumed in _layered_specs().values()
+        if cls is not None and issubclass(cls, LayeredConfig)
+    }
+    return sorted(
+        (
+            (cls, f.name, f.type)
+            for cls in classes
+            for f in dataclasses.fields(cls)
+            if f.type in ("int", "float", "bool", "str")
+        ),
+        key=lambda t: (t[0].__name__, t[1]),
+    )
+
+
+def _fits(annotation, value):
+    """An int field takes an int but not a bool, a float field an int
+    or a float, bool and str fields only their own type."""
+    if annotation == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    types = {"int": int, "float": (int, float), "str": str}[annotation]
+    return isinstance(value, types)
+
+
+class TestWrongTypeOverrides:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_wrong_type_scalar_is_a_config_error(self, data):
+        cls, name, annotation = data.draw(st.sampled_from(_scalar_fields()))
+        value = data.draw(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(),
+                st.floats(),
+                st.text(max_size=4),
+                st.lists(st.integers(), max_size=2),
+            ).filter(lambda v: not _fits(annotation, v))
+        )
+        with pytest.raises(ConfigError, match=f"{cls.__name__}.{name} must be"):
+            cls.from_params({name: value}, 1.0)
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--overrides", 'duration_ns="abc"', "duration_ns must be float"),
+            ("--axes", "object_size=abc", "object_size must be int"),
+            ("--overrides", "seed=1.5", "seed must be int"),
+        ],
+    )
+    def test_cli_exits_2_naming_the_field(self, capsys, flag, value, field):
+        assert main(["fig10", "--scale", "0.02", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: LocalReadConfig.") and field in err
 
 
 class TestFigureSpecs:

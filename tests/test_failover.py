@@ -5,6 +5,7 @@ and the registered failover experiments."""
 
 import pytest
 
+from repro.atomicity.locks import is_locked
 from repro.common.errors import ConfigError, ShardCrashedError
 from repro.experiments import registry, run_sweep
 from repro.objstore import failover
@@ -13,7 +14,6 @@ from repro.objstore.failover import (
     FailurePlan,
     ShardFault,
 )
-from repro.objstore.layout import is_locked
 from repro.objstore.sharded import REPLY_FENCED, ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.workloads.availability import (

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from repro.common import scaled_duration
 from repro.experiments import registry, run_sweep
+from repro.experiments.runner import format_table
 from repro.harness.cli import main
-from repro.harness.report import format_table, scaled_duration
 from repro.harness.tables import table1, table2_rows
 
 SCALE = 0.25  # small measurement windows: fast but still meaningful

@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.atomicity.locks import commit_version, is_locked, lock_version
 from repro.common.costs import DEFAULT_COSTS
 from repro.objstore.layout import (
     DATA_PER_LINE,
     ChecksumLayout,
     PerCacheLineLayout,
     RawLayout,
-    commit_version,
     fnv64,
-    is_locked,
-    lock_version,
     stamped_payload,
     torn_words,
 )

@@ -7,14 +7,13 @@ import asyncio
 import pytest
 
 from repro.common.errors import ConfigError
-from repro import experiments
-from repro.experiments import registry
+from repro.experiments import registry, run_sweep
 from repro.loadgen.client import run_open_loop
 from repro.loadgen.sweep import (
     SERVE_LOAD_SWEEP_SPEC,
-    SweepConfig,
-    SweepResult,
-    run_sweep,
+    SaturationConfig,
+    SaturationResult,
+    run_saturation,
     write_artifact,
 )
 from repro.loadgen.trace import TraceConfig, build_trace
@@ -175,20 +174,20 @@ def _small_sweep(**overrides):
         seed=6,
     )
     cfg.update(overrides)
-    return SweepConfig(**cfg)
+    return SaturationConfig(**cfg)
 
 
 class TestSweep:
     def test_sweep_is_deterministic(self):
-        first = run_sweep(_small_sweep())
-        second = run_sweep(_small_sweep())
+        first = run_saturation(_small_sweep())
+        second = run_saturation(_small_sweep())
         assert first.to_dict() == second.to_dict()
         assert first.steps
         assert first.peak_qps > 0
         assert first.undetected_violations == 0
 
     def test_sweep_steps_offered_qps_geometrically(self):
-        result = run_sweep(_small_sweep())
+        result = run_saturation(_small_sweep())
         offered = [step["offered_qps"] for step in result.steps]
         for prev, cur in zip(offered, offered[1:]):
             assert cur == pytest.approx(prev * 4.0)
@@ -201,7 +200,7 @@ class TestSweep:
     def test_artifact_round_trip(self, tmp_path):
         import json
 
-        result = run_sweep(_small_sweep(max_steps=1))
+        result = run_saturation(_small_sweep(max_steps=1))
         path = tmp_path / "sweep.json"
         write_artifact(result, str(path))
         payload = json.loads(path.read_text())
@@ -211,17 +210,17 @@ class TestSweep:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            run_sweep(_small_sweep(qps_factor=1.0))
+            run_saturation(_small_sweep(qps_factor=1.0))
         with pytest.raises(ConfigError):
-            run_sweep(_small_sweep(qps_start=0.0))
+            run_saturation(_small_sweep(qps_start=0.0))
         with pytest.raises(ConfigError):
-            run_sweep(_small_sweep(collapse_ratio=0.0))
+            run_saturation(_small_sweep(collapse_ratio=0.0))
         with pytest.raises(ConfigError):
-            run_sweep(_small_sweep(ops_per_step=0))
+            run_saturation(_small_sweep(ops_per_step=0))
 
     def test_result_properties_on_synthetic_steps(self):
         cfg = _small_sweep()
-        result = SweepResult(
+        result = SaturationResult(
             config=cfg,
             steps=[
                 {
@@ -241,9 +240,9 @@ class TestSweep:
         assert result.collapsed
         assert result.knee_qps == 1e6
         assert result.peak_qps == 1.2e6
-        empty = SweepResult(config=cfg)
+        empty = SaturationResult(config=cfg)
         assert not empty.collapsed and empty.peak_qps == 0.0
-        first_dies = SweepResult(
+        first_dies = SaturationResult(
             config=cfg,
             steps=[
                 {
@@ -273,8 +272,8 @@ class TestServeLoadSweepSpec:
         fast; every point is a pure function of config + seed, so the
         rows must match byte for byte."""
         axes = {"workload": ("C",)}
-        serial = experiments.run_sweep(SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes=axes)
-        parallel = experiments.run_sweep(
+        serial = run_sweep(SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes=axes)
+        parallel = run_sweep(
             SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes=axes, jobs=2
         )
         assert repr(serial.rows) == repr(parallel.rows)
@@ -284,11 +283,11 @@ class TestServeLoadSweepSpec:
         assert row["sabre_violations"] == 0.0
 
     def test_overrides_reach_the_sweep_config(self):
-        """Every ``SweepConfig`` field layers through the point, not
+        """Every ``SaturationConfig`` field layers through the point, not
         just the ones the spec states: a larger object moves the rows."""
         axes = {"workload": ("C",)}
         rows = [
-            experiments.run_sweep(
+            run_sweep(
                 SERVE_LOAD_SWEEP_SPEC, scale=0.02, axes=axes, overrides=over
             ).rows
             for over in ({}, {"object_size": 4096})
@@ -298,7 +297,7 @@ class TestServeLoadSweepSpec:
     def test_qa_checks_pass_on_scaled_run(self):
         from repro.experiments.qa import evaluate
 
-        rows = experiments.run_sweep(
+        rows = run_sweep(
             SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes={"workload": ("B",)}
         ).rows
         report = evaluate("sweep", SERVE_LOAD_SWEEP_SPEC.qa_checks, rows)

@@ -5,22 +5,22 @@ behavior in full microbenchmark runs."""
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.objstore import protocols
 from repro.objstore.layout import ChecksumLayout, RawLayout
-from repro.objstore.sharded import ShardedConfig, ShardedKV
-from repro.workloads import protocols
-from repro.workloads.generators import ZipfianPicker
-from repro.workloads.microbench import (
-    MECHANISMS,
-    MicrobenchConfig,
-    run_microbench,
-)
-from repro.workloads.protocols import (
+from repro.objstore.protocols import (
     RawRemoteReadProtocol,
     ReadProtocol,
     SoftwareCheckProtocol,
     get_protocol,
     protocol_names,
     register_protocol,
+)
+from repro.objstore.sharded import ShardedConfig, ShardedKV
+from repro.workloads.generators import ZipfianPicker
+from repro.workloads.microbench import (
+    MECHANISMS,
+    MicrobenchConfig,
+    run_microbench,
 )
 
 

@@ -8,11 +8,12 @@ import os
 
 import pytest
 
+from repro.atomicity.locks import is_locked
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.experiments import run_sweep
-from repro.objstore.layout import is_locked, stamped_payload
 from repro.objstore import reshard
+from repro.objstore.layout import stamped_payload
 from repro.objstore.reshard import ReshardManager, ReshardOp
 from repro.objstore.ring import HashRing
 from repro.objstore.sharded import ShardedConfig, ShardedKV

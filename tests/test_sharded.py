@@ -4,8 +4,9 @@ and the SABRe safety property under concurrent shard writers."""
 
 import pytest
 
+from repro.atomicity.locks import is_locked
 from repro.common.errors import ConfigError
-from repro.objstore.layout import is_locked, stamped_payload
+from repro.objstore.layout import stamped_payload
 from repro.objstore.ring import HashRing
 from repro.objstore.session import ShardStats
 from repro.objstore.sharded import ShardedConfig, ShardedKV

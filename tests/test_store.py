@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.atomicity.locks import is_locked
 from repro.common.errors import SimulationError
 from repro.mem.backing import PhysicalMemory
 from repro.objstore.layout import (
     ChecksumLayout,
     PerCacheLineLayout,
     RawLayout,
-    is_locked,
     stamped_payload,
 )
 from repro.objstore.store import ObjectStore

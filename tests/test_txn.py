@@ -5,8 +5,9 @@ per-shard txn stats account for all of it."""
 
 import pytest
 
+from repro.atomicity.locks import is_locked
 from repro.common.errors import ConfigError
-from repro.objstore.layout import is_locked, stamped_payload
+from repro.objstore.layout import stamped_payload
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager, TxnOutcome, TxnStats
 

@@ -12,12 +12,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.objstore.layout import is_locked, stamped_payload
+from repro.atomicity.locks import is_locked
+from repro.objstore.layout import stamped_payload
+from repro.objstore.protocols import protocol_names
 from repro.objstore.ring import HashRing
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager, _encode_u64s
 from repro.workloads.elastic import ElasticConfig, run_elastic
-from repro.workloads.protocols import protocol_names
 from repro.workloads.txn_mix import TxnMixConfig, run_txn_mix
 
 DETECTING = ("sabre", "percl_versions", "checksum", "drtm_lock")

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.experiments import registry, run_sweep
 from repro.harness.cli import main
+from repro.objstore.protocols import protocol_names
 from repro.workloads.txn_mix import (
     PROTOCOL_VARIANTS,
     TXN_ABORT_RATE_SPEC,
@@ -14,7 +15,6 @@ from repro.workloads.txn_mix import (
     TxnMixConfig,
     run_txn_mix,
 )
-from repro.workloads.protocols import protocol_names
 
 
 def tiny_cfg(**kw):
