@@ -41,7 +41,7 @@ class AttEntry:
     window: int
 
     req_counter: int = 0  # request packets received (§5.1 folding)
-    issue_count: int = 0  # loads issued to the memory hierarchy
+    issue_count: int = 0  # loads issued (once aborted: offsets flushed)
     replied_bits: int = 0  # replies sent to the source (bitvector)
     replied_count: int = 0
 

@@ -463,10 +463,15 @@ class R2P2Engine:
 
     def _flush_junk(self, entry: AttEntry) -> None:
         """Reply to received-but-never-issued requests after an abort so
-        the one-reply-per-request flow-control invariant holds."""
+        the one-reply-per-request flow-control invariant holds.  An
+        aborted entry never issues again, so ``issue_count`` carries the
+        flushed mark: each offset is flushed once, however many
+        requests arrive after the abort."""
         limit = min(entry.total_blocks, entry.req_counter)
         for offset in range(entry.issue_count, limit):
             self._reply_data(entry, offset, junk=True)
+        if limit > entry.issue_count:
+            entry.issue_count = limit
 
     # ------------------------------------------------------------------
     # reply path

@@ -21,7 +21,7 @@ from repro.common.units import CACHE_BLOCK
 class Mesh:
     """Tile coordinates and XY-routing hop counts for one chip."""
 
-    __slots__ = ("cfg", "tiles", "_hops", "_hop_lat", "_lat_cache", "_edge_tiles", "_top_row")
+    __slots__ = ("cfg", "tiles", "_hops", "_lat_cache", "_edge_tiles", "_top_row")
 
     def __init__(self, cfg: NocConfig):
         self.cfg = cfg
@@ -36,7 +36,6 @@ class Mesh:
             for (sx, sy) in coords
             for (dx, dy) in coords
         ]
-        self._hop_lat = [h * cfg.hop_ns for h in self._hops]
         #: (src, dst, payload) -> latency; payloads come from a handful
         #: of distinct sizes (block, header, object ladder), so this
         #: stays small and config-keyed by construction (one cache per

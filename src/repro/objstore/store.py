@@ -12,8 +12,11 @@ that coherence invalidations fire in the right order.
 
 from __future__ import annotations
 
+import operator
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.atomicity.locks import commit_version, is_locked, lock_version
 from repro.common.errors import SimulationError
@@ -43,6 +46,70 @@ class ObjectHandle:
         return blocks_in(self.wire_size)
 
 
+def _id_order(ids: Sequence[int]) -> Optional[Sequence[int]]:
+    """The positions of ``ids`` in ascending id order, or None when the
+    ids already ascend (every range of positive step, and each id list
+    the sharded store populates): then a run costs nothing beyond its
+    ids, and otherwise one machine int per id.  Raises on a repeated
+    id."""
+    n = len(ids)
+    if isinstance(ids, range):
+        return None if ids.step > 0 else range(n - 1, -1, -1)
+    if all(map(operator.lt, ids, ids[1:])):
+        return None
+    order = array("q", sorted(range(n), key=ids.__getitem__))
+    if any(ids[a] == ids[b] for a, b in zip(order, order[1:])):
+        raise SimulationError("populate: obj_ids repeats an id")
+    return order
+
+
+class PopulatedRun:
+    """The objects one :meth:`ObjectStore.populate` call placed: the
+    call's ids in order (``ids``: its range, or an ``array`` of them),
+    the cells they got (``addrs``, the range
+    :meth:`PhysicalMemory.allocate_cells` returned) and their shape.
+    It holds no handle: iterating it yields each id's handle as
+    :meth:`ObjectStore.handle` makes and caches it."""
+
+    __slots__ = ("_store", "ids", "_order", "addrs", "data_len", "wire_size")
+
+    def __init__(
+        self,
+        store: ObjectStore,
+        ids: Sequence[int],
+        order: Optional[Sequence[int]],
+        addrs: range,
+        data_len: int,
+        wire_size: int,
+    ):
+        self._store = store
+        self.ids = ids
+        #: :func:`_id_order` of ``ids``.
+        self._order = order
+        self.addrs = addrs
+        self.data_len = data_len
+        self.wire_size = wire_size
+
+    def position(self, obj_id: int) -> Optional[int]:
+        """``obj_id``'s index in the run, or None if the run lacks it:
+        a binary search over the ids in ascending order."""
+        ids = self.ids
+        order = self._order
+        if order is None:
+            i = bisect_left(ids, obj_id)
+            return i if i < len(ids) and ids[i] == obj_id else None
+        i = bisect_left(order, obj_id, key=ids.__getitem__)
+        if i < len(order) and ids[order[i]] == obj_id:
+            return order[i]
+        return None
+
+    def __iter__(self) -> Iterator[ObjectHandle]:
+        return map(self._store.handle, self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Iterable) and list(self) == list(other)
+
+
 class ObjectStore:
     """A node-local object store with a fixed layout."""
 
@@ -55,14 +122,18 @@ class ObjectStore:
         self.phys = phys
         self.layout = layout
         self.name = name
+        #: The handles made so far: every created object's, and every
+        #: populated object's from its first :meth:`handle`.
         self._objects: Dict[int, ObjectHandle] = {}
+        self._runs: List[PopulatedRun] = []
+        self._count = 0
 
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
     def create(self, obj_id: int, data: bytes, version: int = 0) -> ObjectHandle:
         """Allocate and initialize an object with a committed image."""
-        if obj_id in self._objects:
+        if obj_id in self:
             raise SimulationError(f"object {obj_id} already exists")
         if is_locked(version):
             raise SimulationError("initial version must be even (committed)")
@@ -70,25 +141,29 @@ class ObjectStore:
         base = self.phys.allocate(max(wire, CACHE_BLOCK), align=CACHE_BLOCK)
         handle = ObjectHandle(obj_id, base, len(data), wire)
         self._objects[obj_id] = handle
+        self._count += 1
         self.phys.write(base, self.layout.pack(version, data))
         return handle
 
     def populate(
         self, obj_ids: Iterable[int], data: bytes, version: int = 0
-    ) -> List[ObjectHandle]:
+    ) -> Iterable[ObjectHandle]:
         """Create every object of ``obj_ids`` with the same committed
         image, at the addresses one :meth:`create` per id would have
         used: the image is packed once and the objects are the cells of
-        one memory region.  Refuses before it allocates anything."""
-        ids = list(obj_ids)
+        one memory region.  Refuses before it allocates anything.
+
+        The call is recorded as one :class:`PopulatedRun` (returned)
+        and makes no handle: :meth:`handle` makes each on first use.
+        A ``range`` of ids costs the same whatever its length."""
+        ids = obj_ids if isinstance(obj_ids, range) else array("q", obj_ids)
         if is_locked(version):
             raise SimulationError("initial version must be even (committed)")
-        fresh = set(ids)
-        if len(fresh) != len(ids):
-            raise SimulationError("populate: obj_ids repeats an id")
-        taken = fresh & self._objects.keys()
-        if taken:
-            raise SimulationError(f"object {min(taken)} already exists")
+        order = _id_order(ids)
+        if self._count:
+            taken = [obj_id for obj_id in ids if obj_id in self]
+            if taken:
+                raise SimulationError(f"object {min(taken)} already exists")
         if not ids:
             return []
         wire = self.layout.wire_size(len(data))
@@ -98,24 +173,35 @@ class ObjectStore:
             CACHE_BLOCK,
             self.layout.pack(version, data),
         )
-        handles = [
-            ObjectHandle(obj_id, base, len(data), wire)
-            for obj_id, base in zip(ids, addrs)
-        ]
-        self._objects.update(zip(ids, handles))
-        return handles
+        run = PopulatedRun(self, ids, order, addrs, len(data), wire)
+        self._runs.append(run)
+        self._count += len(ids)
+        return run
 
     def handle(self, obj_id: int) -> ObjectHandle:
+        """``obj_id``'s placement.  A populated object's handle is made
+        from its run on first use and cached, like a created one's."""
         try:
             return self._objects[obj_id]
         except KeyError:
-            raise SimulationError(f"unknown object {obj_id}") from None
+            pass
+        for run in self._runs:
+            pos = run.position(obj_id)
+            if pos is not None:
+                handle = ObjectHandle(
+                    obj_id, run.addrs[pos], run.data_len, run.wire_size
+                )
+                self._objects[obj_id] = handle
+                return handle
+        raise SimulationError(f"unknown object {obj_id}")
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return self._count
 
     def __contains__(self, obj_id: int) -> bool:
-        return obj_id in self._objects
+        return obj_id in self._objects or any(
+            run.position(obj_id) is not None for run in self._runs
+        )
 
     # ------------------------------------------------------------------
     # functional access (zero simulated time)

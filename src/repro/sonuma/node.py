@@ -46,7 +46,7 @@ CRASH_NOTICE_NS = 40.0
 class SoNode:
     """One rack node: chip + memory + RMC + NI."""
 
-    __slots__ = ("sim", "node_id", "cfg", "cluster_cfg", "fabric", "mesh", "phys", "chip", "counters", "lock_table", "r2p2s", "_tid", "_transfers", "_completions", "_aborted", "_rgp", "_rcp", "_rmc_cycle", "_rcp_service", "_rpc_handler", "_alive_vec", "rpc_endpoint")
+    __slots__ = ("sim", "node_id", "cfg", "fabric", "mesh", "phys", "chip", "counters", "lock_table", "r2p2s", "_tid", "_transfers", "_completions", "_aborted", "_rgp", "_rcp", "_rmc_cycle", "_rcp_service", "_rpc_handler", "_alive_vec", "rpc_endpoint")
 
     def __init__(
         self,
@@ -57,7 +57,6 @@ class SoNode:
     ):
         self.sim = sim
         self.node_id = node_id
-        self.cluster_cfg = cluster_cfg
         self.cfg = cluster_cfg.node
         self.fabric = fabric
         self.phys = PhysicalMemory(base=0x100000 * (node_id + 1))
@@ -258,8 +257,11 @@ class SoNode:
     # RGP: source unrolling (§5)
     # ------------------------------------------------------------------
     def _unroll(self, transfer: SourceTransfer) -> None:
-        """Unroll one WQ entry into its registration/request packets,
-        scheduling each packet's send (one ``call_at``) as it is built.
+        """Unroll one WQ entry: send its registration packet (SABRe
+        only), then schedule one :meth:`_send_request` per cache block
+        (one ``call_at``) at the time the RGP sends it.  The request
+        packet is built when its slot fires, so the RGP's backlog
+        holds ``(transfer, offset)`` pairs, not packets.
 
         The RGP is a private serial server, so each send time is pure
         arithmetic: the float operations ``BandwidthServer.request``
@@ -268,8 +270,7 @@ class SoNode:
         now = sim._now
         transfer.timings.pickup = now
         rgp = self._rgp[transfer.backend]
-        dest_backends = self.cfg.rmc.backends
-        send = self.fabric.send
+        send_request = self._send_request
         tid = transfer.transfer_id
         dst = transfer.dst_node
         op = transfer.op
@@ -277,7 +278,7 @@ class SoNode:
         next_free = rgp._next_free
 
         if op is OpKind.SABRE:
-            r2p2 = tid % dest_backends
+            r2p2 = tid % self.cfg.rmc.backends
             reg = Packet(
                 PacketKind.SABRE_REGISTRATION, self.node_id, dst, tid,
                 size_bytes=8,
@@ -292,10 +293,10 @@ class SoNode:
             start = next_free if next_free > now else now
             service = self._rmc_cycle / rate
             next_free = start + service
-            sim.call_at(next_free, send, reg)
+            sim.call_at(next_free, self.fabric.send, reg)
             # A SABRe stays pinned to one R2P2 (§5.1), so its whole
             # request run shares one meta dict (nobody mutates it).
-            sabre_meta = {"r2p2": r2p2, "rgp": transfer.backend}
+            transfer.request_meta = {"r2p2": r2p2, "rgp": transfer.backend}
 
         if op is OpKind.REMOTE_CAS:
             req_cost = self._rmc_cycle  # one word, built in one cycle
@@ -303,65 +304,74 @@ class SoNode:
             req_cost = self._rmc_cycle * self.cfg.rmc.rgp_request_cycles
         service = req_cost / rate
         for offset in range(transfer.total_blocks):
-            if op is OpKind.SABRE:
-                pkt = Packet(
-                    PacketKind.SABRE_REQUEST, self.node_id, dst, tid,
-                    offset, size_bytes=8, meta=sabre_meta,
-                )
-            elif op is OpKind.REMOTE_WRITE:
-                addr = transfer.remote_addr + offset * CACHE_BLOCK
-                lo = offset * CACHE_BLOCK
-                hi = min(len(transfer.payload), lo + CACHE_BLOCK)
-                payload = transfer.payload[lo:hi]
-                pkt = Packet(
-                    PacketKind.WRITE_REQUEST, self.node_id, dst, tid,
-                    offset,
-                    size_bytes=len(payload) + 8,
-                    payload=payload,
-                    meta={
-                        "addr": addr,
-                        "r2p2": (addr // CACHE_BLOCK) % dest_backends,
-                    },
-                )
-            elif op is OpKind.REMOTE_CAS:
-                addr = transfer.remote_addr
-                expected, desired = transfer.cas_operands
-                pkt = Packet(
-                    PacketKind.CAS_REQUEST, self.node_id, dst, tid,
-                    size_bytes=24,
-                    meta={
-                        "addr": addr,
-                        "expected": expected,
-                        "desired": desired,
-                        "r2p2": (addr // CACHE_BLOCK) % dest_backends,
-                    },
-                )
-            else:
-                addr = transfer.remote_addr + offset * CACHE_BLOCK
-                size = transfer.size_bytes - offset * CACHE_BLOCK
-                if size > CACHE_BLOCK:
-                    size = CACHE_BLOCK
-                pkt = Packet(
-                    PacketKind.READ_REQUEST, self.node_id, dst, tid,
-                    offset,
-                    size_bytes=8,
-                    meta={
-                        "addr": addr,
-                        "size": size,
-                        # Remote reads balance across R2P2s per block
-                        # (§7.1): steer by block *address*.
-                        "r2p2": (addr // CACHE_BLOCK) % dest_backends,
-                    },
-                )
             start = next_free if next_free > now else now
             next_free = start + service
             if offset == 0:
                 transfer.timings.first_request = (
                     next_free if next_free > now else now
                 )
-            sim.call_at(next_free, send, pkt)
+            sim.call_at(next_free, send_request, transfer, offset)
 
         rgp._next_free = next_free
+
+    def _send_request(self, transfer: SourceTransfer, offset: int) -> None:
+        """Build the request packet for block ``offset`` of ``transfer``
+        as the RGP sends it, and put it on the fabric."""
+        op = transfer.op
+        dst = transfer.dst_node
+        tid = transfer.transfer_id
+        dest_backends = self.cfg.rmc.backends
+        if op is OpKind.SABRE:
+            pkt = Packet(
+                PacketKind.SABRE_REQUEST, self.node_id, dst, tid,
+                offset, size_bytes=8, meta=transfer.request_meta,
+            )
+        elif op is OpKind.REMOTE_WRITE:
+            addr = transfer.remote_addr + offset * CACHE_BLOCK
+            lo = offset * CACHE_BLOCK
+            hi = min(len(transfer.payload), lo + CACHE_BLOCK)
+            payload = transfer.payload[lo:hi]
+            pkt = Packet(
+                PacketKind.WRITE_REQUEST, self.node_id, dst, tid,
+                offset,
+                size_bytes=len(payload) + 8,
+                payload=payload,
+                meta={
+                    "addr": addr,
+                    "r2p2": (addr // CACHE_BLOCK) % dest_backends,
+                },
+            )
+        elif op is OpKind.REMOTE_CAS:
+            addr = transfer.remote_addr
+            expected, desired = transfer.cas_operands
+            pkt = Packet(
+                PacketKind.CAS_REQUEST, self.node_id, dst, tid,
+                size_bytes=24,
+                meta={
+                    "addr": addr,
+                    "expected": expected,
+                    "desired": desired,
+                    "r2p2": (addr // CACHE_BLOCK) % dest_backends,
+                },
+            )
+        else:
+            addr = transfer.remote_addr + offset * CACHE_BLOCK
+            size = transfer.size_bytes - offset * CACHE_BLOCK
+            if size > CACHE_BLOCK:
+                size = CACHE_BLOCK
+            pkt = Packet(
+                PacketKind.READ_REQUEST, self.node_id, dst, tid,
+                offset,
+                size_bytes=8,
+                meta={
+                    "addr": addr,
+                    "size": size,
+                    # Remote reads balance across R2P2s per block
+                    # (§7.1): steer by block *address*.
+                    "r2p2": (addr // CACHE_BLOCK) % dest_backends,
+                },
+            )
+        self.fabric.send(pkt)
 
     # ------------------------------------------------------------------
     # NI dispatch

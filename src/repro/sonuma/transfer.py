@@ -102,6 +102,9 @@ class SourceTransfer:
     cas_operands: Optional[Tuple[int, int]] = None  # (expected, desired)
     cas_old_value: Optional[int] = None
     cas_swapped: Optional[bool] = None
+    #: The meta dict every request packet of a SABRe shares (its R2P2
+    #: and RGP), set when the RGP picks the transfer up.
+    request_meta: Optional[Dict[str, int]] = None
     #: The source-memory cell the landing buffer lies in, as
     #: ``PhysicalMemory._locate`` caches it, found when the first reply
     #: lands: replies of many transfers interleave, so the memory's own

@@ -82,7 +82,8 @@ def audit_at_rest(kv):
     bad = []
     for shard in kv.member_shards():
         store = kv.stores[shard]
-        for idx in store._objects:
+        hosted = [idx for idx in range(kv.cfg.n_objects) if idx in store]
+        for idx in hosted:
             version = store.current_version(idx)
             handle = store.handle(idx)
             raw = store.phys.read(handle.base_addr, handle.wire_size)

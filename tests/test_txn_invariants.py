@@ -227,8 +227,8 @@ def assert_at_rest(kv: ShardedKV) -> None:
     for shard, store in enumerate(kv.stores):
         locked = [
             obj
-            for obj in store._objects
-            if is_locked(store.current_version(obj))
+            for obj in range(kv.cfg.n_objects)
+            if obj in store and is_locked(store.current_version(obj))
         ]
         assert not locked, f"shard {shard} left objects {locked} locked"
         assert not kv.lock_holders[shard], (
