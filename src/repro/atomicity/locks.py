@@ -48,9 +48,6 @@ class ReaderWriterLockTable:
 
     def __init__(self) -> None:
         self._locks: Dict[int, _LockState] = {}
-        self.reader_acquisitions = 0
-        self.writer_acquisitions = 0
-        self.contended = 0
 
     def _state(self, key: int) -> _LockState:
         state = self._locks.get(key)
@@ -62,10 +59,8 @@ class ReaderWriterLockTable:
     def try_read_lock(self, key: int) -> bool:
         state = self._state(key)
         if state.writer:
-            self.contended += 1
             return False
         state.readers += 1
-        self.reader_acquisitions += 1
         return True
 
     def read_unlock(self, key: int) -> None:
@@ -77,10 +72,8 @@ class ReaderWriterLockTable:
     def try_write_lock(self, key: int) -> bool:
         state = self._state(key)
         if state.writer or state.readers > 0:
-            self.contended += 1
             return False
         state.writer = True
-        self.writer_acquisitions += 1
         return True
 
     def write_unlock(self, key: int) -> None:

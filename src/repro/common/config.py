@@ -119,8 +119,6 @@ class RmcConfig:
 
     freq_ghz: float = 1.0
     backends: int = 4
-    #: Target per-R2P2 peak bandwidth used for stream-buffer sizing (§5.1).
-    r2p2_peak_gbps: float = 20.0
     #: RGP backend occupancy per unrolled request, in RMC cycles.  Three
     #: cycles per 64 B request = 21.3 GBps per pipeline, matching the
     #: paper's 20 GBps per-R2P2 sustained-bandwidth target (§5.1) that
@@ -253,6 +251,22 @@ def scaled_duration(base_ns: float, scale: float, floor_ns: float = 30_000.0) ->
 _SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
+def check_scalars(cls, values: Mapping[str, Any]) -> None:
+    """Raise :class:`ConfigError` naming ``<cls>.<field>`` if a value in
+    ``values`` (field name -> value) has the wrong type for a scalar
+    field of the dataclass ``cls``."""
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name, value in values.items():
+        kind = getattr(kinds[name], "__name__", kinds[name])
+        types = _SCALAR_TYPES.get(kind)
+        if types and (
+            isinstance(value, bool) != (kind == "bool")
+            or not isinstance(value, types)
+        ):
+            what = f"{cls.__name__}.{name}"
+            raise ConfigError(f"{what} must be {kind}, got {value!r}")
+
+
 class LayeredConfig:
     """Mixin for the run-config dataclasses (anything with a
     ``duration_ns`` field) an experiment point is turned into."""
@@ -265,17 +279,9 @@ class LayeredConfig:
         ``duration_ns`` is scaled by the sweep's ``scale``, and
         ``extra`` wins over both.  A parameter of the wrong type for a
         scalar field raises :class:`ConfigError` naming the field."""
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        fields = {f.name for f in dataclasses.fields(cls)}
         values = {k: v for k, v in params.items() if k in fields}
-        for name, value in values.items():
-            kind = getattr(fields[name], "__name__", fields[name])
-            types = _SCALAR_TYPES.get(kind)
-            if types and (
-                isinstance(value, bool) != (kind == "bool")
-                or not isinstance(value, types)
-            ):
-                what = f"{cls.__name__}.{name}"
-                raise ConfigError(f"{what} must be {kind}, got {value!r}")
+        check_scalars(cls, values)
         values["duration_ns"] = scaled_duration(
             params.get("duration_ns", cls.duration_ns), scale
         )

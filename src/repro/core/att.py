@@ -49,7 +49,6 @@ class AttEntry:
     speculative: bool = True  # set during the window of vulnerability
     pending_validate: bool = False  # base-block invalidation seen
     aborted: bool = False
-    abort_cause: Optional[str] = None
     validating: bool = False
     finished: bool = False
     retries: int = 0  # hardware-retry ablation (§5.1)

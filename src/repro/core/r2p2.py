@@ -126,7 +126,6 @@ class R2P2Engine:
     # stateless remote reads (original soNUMA RRPP)
     # ------------------------------------------------------------------
     def _handle_read_request(self, pkt: Packet) -> None:
-        self.counters.add("read_requests")
         t_issue = self.issue_server.request(self._block_cost)
         self.sim.call_at(t_issue, self._start_remote_read, pkt)
 
@@ -154,7 +153,6 @@ class R2P2Engine:
     # primitives: cache-block-sized atomicity only, §1)
     # ------------------------------------------------------------------
     def _handle_write_request(self, pkt: Packet) -> None:
-        self.counters.add("write_requests")
         addr = pkt.meta["addr"]
         payload = pkt.payload or b""
         t_issue = self.issue_server.request(self._block_cost)
@@ -179,7 +177,6 @@ class R2P2Engine:
         self.sim.call_at(t_issue, perform)
 
     def _handle_cas_request(self, pkt: Packet) -> None:
-        self.counters.add("cas_requests")
         addr = pkt.meta["addr"]
         expected = pkt.meta["expected"]
         desired = pkt.meta["desired"]
@@ -408,7 +405,6 @@ class R2P2Engine:
                 # Ambiguous: writer conflict or eviction.  Never abort
                 # outright; re-check the version in the validate stage.
                 entry.pending_validate = True
-                self.counters.add("base_invalidations")
                 return
             if entry.speculative:
                 # Any other matching invalidation during the window is
@@ -437,7 +433,6 @@ class R2P2Engine:
             self._hardware_retry(entry)
             return
         entry.aborted = True
-        entry.abort_cause = cause
         self.counters.add("sabre_aborts")
         self.counters.add(f"abort_{cause}")
         self._unsubscribe_all(entry)
@@ -547,7 +542,6 @@ class R2P2Engine:
             return
         # Validate stage: re-read the header and compare versions.
         entry.validating = True
-        self.counters.add("validate_rereads")
         t_issue = self.issue_server.request(self._cycle)
 
         def start_reread() -> None:
@@ -560,10 +554,9 @@ class R2P2Engine:
             )
             ok = current == entry.version and not is_locked(current)
             if not ok:
-                self.counters.add("validate_failures")
-                entry.aborted = True
-                entry.abort_cause = "validate_mismatch"
-                self.counters.add("sabre_aborts")
+                # Every reply is out, so this abort cannot retry and
+                # has no junk left to flush: it only counts its cause.
+                self._abort(entry, "validate_mismatch")
             self._send_validation(entry, success=ok)
 
         self.sim.call_at(t_issue, start_reread)

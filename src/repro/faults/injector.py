@@ -44,10 +44,6 @@ class FaultStats:
     gray_windows: int = 0
     straggler_windows: int = 0
     partition_windows: int = 0
-    windows_closed: int = 0
-    #: Directed links a partition window severed (post-wildcard).
-    links_severed: int = 0
-    skewed_nodes: int = 0
 
 
 class FaultInjector:
@@ -85,8 +81,6 @@ class FaultInjector:
                     f"skew map names node {node_id}; cluster has {n_nodes}"
                 )
             fabric.set_clock_skew(node_id, skew)
-            if skew > 0:
-                self.stats.skewed_nodes += 1
 
         sim = cluster.sim
         for idx, window in enumerate(self.schedule.windows):
@@ -112,7 +106,6 @@ class FaultInjector:
                 for src, dst in self._expand_links(window)
             ]
             self._tokens[idx] = tokens
-            self.stats.links_severed += len(tokens)
             return
         if window.kind == "gray":
             self.stats.gray_windows += 1
@@ -124,7 +117,6 @@ class FaultInjector:
 
     def _close_window(self, idx: int, window: FaultWindow) -> None:
         self._open -= 1
-        self.stats.windows_closed += 1
         self.events.append((self.cluster.sim.now, "close", window))
         if window.kind == "partition":
             fabric = self.cluster.fabric

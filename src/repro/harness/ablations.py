@@ -12,7 +12,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict
 
-from repro.common.config import ClusterConfig, SabreMode
+from repro.common.config import (
+    ClusterConfig,
+    SabreConfig,
+    SabreMode,
+    check_scalars,
+)
+from repro.common.errors import ConfigError
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
 from repro.harness.fig7 import FIG7A_SPEC
@@ -21,7 +27,10 @@ from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
 def _cluster_with_sabre(**fields: Any) -> ClusterConfig:
     """A default cluster with some SABRe-unit fields replaced — the
-    shared rebuild dance behind the hardware-knob derive hooks."""
+    shared rebuild dance behind the hardware-knob derive hooks.  A
+    value of the wrong type raises :class:`ConfigError` naming the
+    ``SabreConfig`` field, as ``LayeredConfig.from_params`` does."""
+    check_scalars(SabreConfig, fields)
     cfg = ClusterConfig()
     sabre = dataclasses.replace(cfg.node.sabre, **fields)
     return dataclasses.replace(
@@ -208,9 +217,19 @@ register(
 # ----------------------------------------------------------------------
 
 
+#: Who sees an abort: software through the CQ, or nobody (the NI
+#: retries it).
+_RETRY_POLICIES = ("software_abort", "hardware_retry")
+
+
 def _retry_policy_derive(params: Dict[str, Any]) -> Dict[str, Any]:
+    policy = params["policy"]
+    if policy not in _RETRY_POLICIES:
+        raise ConfigError(
+            f"policy must be one of {_RETRY_POLICIES}, got {policy!r}"
+        )
     params["cluster"] = _cluster_with_sabre(
-        hardware_retry=params["policy"] == "hardware_retry"
+        hardware_retry=policy == "hardware_retry"
     )
     return params
 
@@ -230,7 +249,7 @@ register(
         name="ablation_retry_policy",
         description="abort exposure policy under contention: software-"
         "exposed CQ failures vs transparent hardware retry",
-        axes={"policy": ("software_abort", "hardware_retry")},
+        axes={"policy": _RETRY_POLICIES},
         defaults={
             "object_size": 512,
             "n_objects": 24,

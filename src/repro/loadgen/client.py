@@ -79,14 +79,12 @@ class _ConnPool:
         self.host = host
         self.port = port
         self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self.opened = 0
 
     async def acquire(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         while self._idle:
             reader, writer = self._idle.pop()
             if not writer.is_closing():
                 return reader, writer
-        self.opened += 1
         return await asyncio.open_connection(self.host, self.port)
 
     def release(

@@ -165,8 +165,6 @@ class FailoverStats:
     failed_transfers: int = 0
     #: Objects copied back onto rejoining shards.
     resynced_objects: int = 0
-    #: Simulated time spent in re-syncs.
-    resync_ns: float = 0.0
 
 
 class FailoverManager:
@@ -311,9 +309,7 @@ class FailoverManager:
         shard was rejoining."""
         kv = self.kv
         sim = kv.cluster.sim
-        cost = self._resync_cost(shard)
-        self.stats.resync_ns += cost
-        yield sim.timeout(cost)
+        yield sim.timeout(self._resync_cost(shard))
         self.stats.resynced_objects += kv.resync_shard(shard)
         kv.mark_serving(shard)
         self.down.discard(shard)

@@ -146,7 +146,6 @@ class ReshardStats:
     """Counters over every executed topology change and rebalance."""
 
     shards_added: int = 0
-    shards_removed: int = 0
     #: Per-vnode handoff batches executed (one handshake charge each).
     vnode_handoffs: int = 0
     #: Keys whose placement was migrated (flipped) by a topology change.
@@ -158,12 +157,6 @@ class ReshardStats:
     #: Outer retries of a per-key migration after the locked source
     #: crashed mid-copy (token revalidation caught it).
     migration_retries: int = 0
-    #: Spin-waits behind a writer/transaction lock before a migration
-    #: could lock its source, or behind a straggler replica update
-    #: still writing a copy a migration wants to overwrite.
-    lock_waits: int = 0
-    #: Total simulated time spent inside topology changes.
-    migration_ns: float = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +287,6 @@ class ReshardManager:
         while self._busy:
             yield sim.timeout(OUTAGE_POLL_NS)
         self._busy = True
-        t0 = sim.now
         try:
             for op in ops:
                 try:
@@ -312,7 +304,6 @@ class ReshardManager:
         finally:
             self._busy = False
             self.migrating -= 1
-            self.stats.migration_ns += sim.now - t0
 
     def _add(self, shard: int):
         kv = self.kv
@@ -349,7 +340,6 @@ class ReshardManager:
         yield from self._run_batches(plan)
         yield from self._drain_and_prune([idx for _b, idx, _p in plan])
         kv.deactivate_shard(shard)
-        self.stats.shards_removed += 1
         self.events.append((sim.now, "removed", shard))
 
     def _plan_moves(
@@ -435,7 +425,6 @@ class ReshardManager:
                 continue
             version = kv.stores[src].current_version(idx)
             if is_locked(version):
-                self.stats.lock_waits += 1
                 yield sim.timeout(LOCK_SPIN_NS)
                 continue
             token = next(self._tokens)
@@ -470,7 +459,6 @@ class ReshardManager:
                     and kv.serving[dest]
                     and is_locked(kv.stores[dest].current_version(idx))
                 ):
-                    self.stats.lock_waits += 1
                     yield sim.timeout(LOCK_SPIN_NS)
                     if not self._still_mine(src, idx, token):
                         lost = True

@@ -20,19 +20,16 @@ from repro.common.rng import derive_seed
 @dataclass(frozen=True)
 class RangeDelta:
     """One moved arc of the ring: key hashes in the cyclic half-open
-    interval ``[lo, hi)`` changed primary owner from ``old_shard`` to
-    ``new_shard`` because ``new_shard``'s virtual node ``vnode`` was
-    inserted (or removed — then the names read the other way: the
-    departing vnode's arc is handed *to* ``new_shard``).  ``lo >= hi``
-    means the arc wraps through zero.  Incremental
+    interval ``[lo, hi)`` changed primary owner because virtual node
+    ``vnode`` was inserted (the arc moves to its shard) or removed (the
+    arc moves to its successor's).  ``lo >= hi`` means the arc wraps
+    through zero.  Incremental
     :meth:`HashRing.add_shard` / :meth:`HashRing.remove_shard` report
     exactly these arcs, and only these arcs, so a migration plan can
     touch only the keys that actually moved."""
 
     lo: int
     hi: int
-    old_shard: int
-    new_shard: int
     vnode: int
 
     def covers(self, h: int) -> bool:
@@ -151,15 +148,7 @@ class HashRing:
             self._hashes.insert(i, point[0])
             if head and old_owner != shard:
                 lo = self._points[(i - 1) % len(self._points)][0]
-                deltas.append(
-                    RangeDelta(
-                        lo=lo,
-                        hi=point[0],
-                        old_shard=old_owner,
-                        new_shard=shard,
-                        vnode=v,
-                    )
-                )
+                deltas.append(RangeDelta(lo=lo, hi=point[0], vnode=v))
         self.shard_ids.append(shard)
         return deltas
 
@@ -191,14 +180,6 @@ class HashRing:
                 new_owner = self._points[i % n][1]
                 if new_owner != shard:
                     lo = self._points[(i - 1) % n][0]
-                    deltas.append(
-                        RangeDelta(
-                            lo=lo,
-                            hi=point[0],
-                            old_shard=shard,
-                            new_shard=new_owner,
-                            vnode=v,
-                        )
-                    )
+                    deltas.append(RangeDelta(lo=lo, hi=point[0], vnode=v))
         self.shard_ids.remove(shard)
         return deltas

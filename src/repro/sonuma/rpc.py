@@ -66,8 +66,6 @@ class RpcEndpoint:
         #: is read-only downstream, so every call to the same handler
         #: can carry the same dict instead of allocating one per call.
         self._name_meta: Dict[str, Dict[str, str]] = {}
-        self.served = 0
-        self.failed_calls = 0
         self.timed_out_calls = 0
         #: Watchdogs that fired against a live peer and re-armed — how
         #: often gray failures *tested* the slow-not-dead hardening.
@@ -121,7 +119,6 @@ class RpcEndpoint:
             # packets, so no reply can ever arrive).  A skewed caller
             # that has not yet observed a crash sends anyway; its call
             # is failed when the delayed crash notification reaches it.
-            self.failed_calls += 1
             self.sim.call_later(
                 self._dispatch_ns,
                 lambda: completion.succeed(
@@ -134,7 +131,6 @@ class RpcEndpoint:
             # is sent (in-flight exchanges drain — the fabric stays
             # lossless).  The typed subclass keeps every crash-handling
             # path working while letting tests tell the cases apart.
-            self.failed_calls += 1
             fabric.partition_refusals += 1
             self.sim.call_later(
                 self._dispatch_ns,
@@ -185,7 +181,6 @@ class RpcEndpoint:
         now = self.sim.now
         self._failed = prune_straggler_book(self._failed, now)
         self._failed[rpc_id] = now
-        self.failed_calls += 1
         completion.succeed(error)
         return True
 
@@ -306,7 +301,6 @@ class RpcEndpoint:
                 complete(reply_payload)
 
         def complete(reply_payload: bytes) -> None:
-            self.served += 1
             try:
                 reply = Packet(
                     PacketKind.RPC_REPLY,

@@ -108,8 +108,6 @@ class FailoverResult:
     lock_aborts: int
     validation_aborts: int
     retries: int
-    write_retries: int
-    busy_rejects: int
     fenced_rejects: int
     crash_redirects: int
     undetected_violations: int
@@ -194,7 +192,7 @@ def run_failover_mix(cfg: FailoverMixConfig) -> FailoverResult:
                 if faults.any_active():
                     window["writes_during_fault"] += 1
 
-        def on_txn(outcome, _t0, _write_keys) -> None:
+        def on_txn(outcome, _t0) -> None:
             if in_window():
                 window["commits"] += int(outcome.committed)
                 window["crash_aborts"] += outcome.crash_aborts
@@ -215,8 +213,6 @@ def run_failover_mix(cfg: FailoverMixConfig) -> FailoverResult:
             read_latency=read_latency,
             **window,
             retries=totals["retries"],
-            write_retries=totals["write_retries"],
-            busy_rejects=totals["busy_rejects"],
             fenced_rejects=totals["fenced_rejects"],
             crash_redirects=totals["crash_redirects"],
             undetected_violations=totals["undetected_violations"],

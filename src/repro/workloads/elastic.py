@@ -78,8 +78,10 @@ class ElasticConfig(ServiceMixConfig):
     scheduled at :data:`SCALE_AT_FRAC` of ``duration_ns``; the post-
     convergence window opens at :data:`POST_FRAC`.  ``n_clients`` is an
     absolute count (not per-shard) so the elastic run and its fresh-
-    target baseline drive identical load.  The fault lane (PR 7
-    schedules) overlaps the migration window by default."""
+    target baseline drive identical load.  The fault lane's first
+    window opens with the change, so it overlaps the migration window."""
+
+    FAULT_FIRST_FRAC = SCALE_AT_FRAC
 
     target_shards: int = 8
     n_clients: int = 4
@@ -91,7 +93,6 @@ class ElasticConfig(ServiceMixConfig):
     #: runs from warmup to the end of the run.
     rebalance: bool = False
     max_extra_replicas: int = 2
-    fault_first_frac: float = 0.30
     #: Run the fresh-target baseline over the same post window and
     #: report ``convergence_ratio`` (doubles the run cost; the parity
     #: artifacts and fuzz lanes switch it off).
@@ -141,8 +142,6 @@ class ElasticResult:
     undetected_violations: int
     torn_reads_observed: int
     retries: int
-    write_retries: int
-    busy_rejects: int
     fenced_rejects: int
     reshard_redirects: int
     crash_redirects: int
@@ -238,7 +237,7 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
             if ack is not None and p:
                 phase_writes[p] += 1
 
-        def on_txn(outcome, _t0, _write_keys) -> None:
+        def on_txn(outcome, _t0) -> None:
             if phase():
                 commits[0] += int(outcome.committed)
 
@@ -280,8 +279,6 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
                 txns.merged_stats().torn_reads_observed if txns else 0
             ),
             retries=totals["retries"],
-            write_retries=totals["write_retries"],
-            busy_rejects=totals["busy_rejects"],
             fenced_rejects=totals["fenced_rejects"],
             reshard_redirects=totals["reshard_redirects"],
             crash_redirects=totals["crash_redirects"],

@@ -141,7 +141,6 @@ class TimedWriter:
         self.use_lock_table = use_lock_table
         self._rng = make_rng(seed, "writer", core)
         self.updates = 0
-        self.lock_spins = 0
 
     def process(self, until_ns: float):
         sim = self.node.sim
@@ -157,14 +156,12 @@ class TimedWriter:
                     acquired = self.node.lock_table.try_write_lock(handle.base_addr)
                     if acquired:
                         break
-                    self.lock_spins += 1
                     yield sim.timeout(25.0)
                     if sim.now >= until_ns:
                         return
             while is_locked(self.store.current_version(obj_id)):
                 # A DrTM-style reader holds the version-word lock (or a
                 # concurrent writer in LOCKING mode): wait it out.
-                self.lock_spins += 1
                 yield sim.timeout(25.0)
                 if sim.now >= until_ns:
                     return

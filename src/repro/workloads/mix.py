@@ -116,6 +116,15 @@ class DeploymentConfig(LayeredConfig):
         )
 
 
+#: Reader processes per client node in every closed-loop service
+#: load (YCSB and the mixed loads).
+READERS_PER_CLIENT = 2
+
+#: The mixed loads' transaction shape: keys read, and how many of them
+#: are written.
+MIX_TXN_SIZE = 3
+MIX_WRITES_PER_TXN = 1
+
 #: Fault lanes a mixed load can schedule on top of its own event.
 LANE_FAULT_KINDS = ("none", *FAULT_KINDS)
 
@@ -132,29 +141,27 @@ class ServiceMixConfig(DeploymentConfig):
     straggler or partition windows round-robining over the shards,
     placed as fractions of ``duration_ns``."""
 
-    readers_per_client: int = 2
+    #: Where the fault lane's first window opens, as a fraction of
+    #: ``duration_ns`` (a per-class constant, not a field).
+    FAULT_FIRST_FRAC = 0.2
+
     writers_per_client: int = 1
     txn_sessions_per_client: int = 1
-    txn_size: int = 3
-    writes_per_txn: int = 1
     write_pause_ns: float = 150.0
     fallback_after_ns: float = 0.0
     fault_kind: str = "none"
     fault_windows: int = 0
-    fault_first_frac: float = 0.2
     gray_multiplier: float = 8.0
 
     def validate(self) -> None:
         super().validate()
-        if self.readers_per_client < 1:
-            raise ConfigError("need at least one reader per client")
         if self.writers_per_client < 0 or self.txn_sessions_per_client < 0:
             raise ConfigError("process counts cannot be negative")
-        if self.txn_sessions_per_client:
-            if not 1 <= self.txn_size <= self.n_objects:
-                raise ConfigError("txn_size must be in [1, n_objects]")
-            if not 0 <= self.writes_per_txn <= self.txn_size:
-                raise ConfigError("writes_per_txn must be in [0, txn_size]")
+        if self.txn_sessions_per_client and self.n_objects < MIX_TXN_SIZE:
+            raise ConfigError(
+                f"transactions read {MIX_TXN_SIZE} distinct keys; "
+                f"n_objects={self.n_objects} is fewer"
+            )
         if self.fault_kind not in LANE_FAULT_KINDS:
             raise ConfigError(
                 f"unknown fault_kind {self.fault_kind!r}; pick from "
@@ -166,8 +173,7 @@ class ServiceMixConfig(DeploymentConfig):
             )
         if self.fault_schedule().end_ns() > self.duration_ns:
             raise ConfigError(
-                "fault schedule extends past the run; shrink fault_windows "
-                "or fault_first_frac"
+                "fault schedule extends past the run; shrink fault_windows"
             )
 
     def to_sharded(self, **extra) -> ShardedConfig:
@@ -183,7 +189,7 @@ class ServiceMixConfig(DeploymentConfig):
             self.n_shards,
             self.fault_windows,
             self.duration_ns,
-            self.fault_first_frac,
+            self.FAULT_FIRST_FRAC,
             FAULT_WIDTH_FRAC,
             FAULT_GAP_FRAC,
             self.gray_multiplier,
@@ -258,13 +264,13 @@ def writer_proc(sim, kv, client: int, next_key, pause, t_end: float, observe):
 
 def txn_proc(sim, session, next_txn, t_end: float, observe):
     """Closed-loop transactions; ``next_txn()`` returns ``(keys,
-    write_keys)`` and ``observe(outcome, t0, write_keys)`` follows each
-    resolved transaction."""
+    write_keys)`` and ``observe(outcome, t0)`` follows each resolved
+    transaction."""
     while sim.now < t_end:
         keys, write_keys = next_txn()
         t0 = sim.now
         outcome = yield from session.run(keys, write_keys, t_end)
-        observe(outcome, t0, write_keys)
+        observe(outcome, t0)
 
 
 def read_update_proc(
@@ -306,9 +312,9 @@ def spawn_clients(sim, n_clients: int, roles: Sequence[Role]) -> None:
 def service_roles(kv, txns, cfg, on_read, on_write, on_txn) -> List[Role]:
     """The reader / writer / transaction roles of a mixed service load
     (the failover and elastic mixes): ``cfg`` supplies the per-client
-    process counts, the transaction shape and the writer pause; every
-    process draws keys from its own ``(role, client, thread)``-labelled
-    picker and runs to ``cfg.duration_ns``.  ``txns`` (the
+    writer and session counts and the writer pause; every process draws
+    keys from its own ``(role, client, thread)``-labelled picker and
+    runs to ``cfg.duration_ns``.  ``txns`` (the
     :class:`~repro.objstore.txn.TxnManager`) may be ``None`` when
     ``cfg.txn_sessions_per_client`` is 0."""
     sim = kv.cluster.sim
@@ -342,13 +348,13 @@ def service_roles(kv, txns, cfg, on_read, on_write, on_txn) -> List[Role]:
         pick = cfg.picker(("txn", client, thread))
 
         def next_txn():
-            keys = distinct_keys(kv, pick, cfg.txn_size)
-            return keys, keys[: cfg.writes_per_txn]
+            keys = distinct_keys(kv, pick, MIX_TXN_SIZE)
+            return keys, keys[:MIX_WRITES_PER_TXN]
 
         return txn_proc(sim, txns.session(client), next_txn, t_end, on_txn)
 
     return [
-        (cfg.readers_per_client, reader),
+        (READERS_PER_CLIENT, reader),
         (cfg.writers_per_client, writer),
         (cfg.txn_sessions_per_client, txn),
     ]
@@ -369,8 +375,6 @@ _READ_COUNTERS = (
 )
 _WRITE_COUNTERS = (
     "primary_updates",
-    "write_retries",
-    "busy_rejects",
     "fenced_rejects",
     "crash_redirects",
     "reshard_redirects",

@@ -49,6 +49,9 @@ from repro.workloads.mix import (
     txn_proc,
 )
 
+#: Transaction sessions per client node.
+TXN_SESSIONS_PER_CLIENT = 2
+
 
 @dataclass
 class TxnMixConfig(DeploymentConfig):
@@ -57,7 +60,6 @@ class TxnMixConfig(DeploymentConfig):
     txn_size: int = 4
     writes_per_txn: int = 2
     rmw_fraction: float = 0.5
-    sessions_per_client: int = 2
     object_size: int = 256
     n_objects: int = 128
     warmup_ns: float = 20_000.0
@@ -76,8 +78,6 @@ class TxnMixConfig(DeploymentConfig):
             )
         if not 0.0 <= self.rmw_fraction <= 1.0:
             raise ConfigError(f"rmw_fraction must be in [0, 1]: {self.rmw_fraction}")
-        if self.sessions_per_client < 1:
-            raise ConfigError("need at least one session per client")
         super().validate()
 
 
@@ -86,8 +86,6 @@ class TxnMixResult:
     config: TxnMixConfig
     commit_latency: Samples
     commits: int
-    rmw_commits: int
-    ro_commits: int
     attempts: int
     lock_aborts: int
     validation_aborts: int
@@ -95,7 +93,6 @@ class TxnMixResult:
     retries: int
     sabre_aborts: int
     software_conflicts: int
-    read_retries: int
     undetected_violations: int
     torn_reads_observed: int
     txn_rows: List[Dict[str, int]]
@@ -130,8 +127,6 @@ def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
         # In-window counters, keyed by the TxnMixResult field they fill.
         window = {
             "commits": 0,
-            "rmw_commits": 0,
-            "ro_commits": 0,
             "attempts": 0,
             "lock_aborts": 0,
             "validation_aborts": 0,
@@ -139,7 +134,7 @@ def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
             "retries": 0,
         }
 
-        def observe(outcome, t0: float, write_keys) -> None:
+        def observe(outcome, t0: float) -> None:
             if not cfg.warmup_ns <= sim.now <= t_end:
                 return
             window["attempts"] += outcome.attempts
@@ -153,7 +148,6 @@ def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
             if outcome.committed:
                 commit_latency.add(sim.now - t0)
                 window["commits"] += 1
-                window["rmw_commits" if write_keys else "ro_commits"] += 1
 
         def client(client: int, thread: int):
             rng = make_rng(cfg.seed, "txn-mix", client, thread)
@@ -170,7 +164,7 @@ def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
                 sim, manager.session(client), next_txn, t_end, observe
             )
 
-        spawn_clients(sim, kv.cfg.clients, [(cfg.sessions_per_client, client)])
+        spawn_clients(sim, kv.cfg.clients, [(TXN_SESSIONS_PER_CLIENT, client)])
         meters = [stats.meter for stats in kv.all_reader_stats()]
         sim.process(meter_window(sim, meters, cfg.warmup_ns, t_end))
         sim.run()
@@ -182,7 +176,6 @@ def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
             **window,
             sabre_aborts=totals["sabre_aborts"],
             software_conflicts=totals["software_conflicts"],
-            read_retries=totals["retries"],
             undetected_violations=totals["undetected_violations"],
             torn_reads_observed=manager.merged_stats().torn_reads_observed,
             txn_rows=manager.txn_rows(),

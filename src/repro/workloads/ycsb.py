@@ -43,6 +43,7 @@ from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.sim.stats import Samples, meter_window
 from repro.workloads.generators import DISTRIBUTIONS
 from repro.workloads.mix import (
+    READERS_PER_CLIENT,
     DeploymentConfig,
     derive_shard_scaling,
     max_over_mean,
@@ -61,7 +62,6 @@ class YcsbConfig(DeploymentConfig):
 
     workload: str = "B"
     distribution: str = "zipfian"
-    readers_per_client: int = 2
     object_size: int = 1024
     n_objects: int = 512
     duration_ns: float = 150_000.0
@@ -74,8 +74,6 @@ class YcsbConfig(DeploymentConfig):
                 f"unknown YCSB workload {self.workload!r}; "
                 f"choose from {sorted(YCSB_MIXES)}"
             )
-        if self.readers_per_client < 1:
-            raise ConfigError("need at least one reader per client")
         super().validate()
 
     @property
@@ -151,7 +149,7 @@ def run_ycsb(cfg: YcsbConfig) -> YcsbResult:
                 on_update,
             )
 
-        spawn_clients(sim, kv.cfg.clients, [(cfg.readers_per_client, client)])
+        spawn_clients(sim, kv.cfg.clients, [(READERS_PER_CLIENT, client)])
         meters = [stats.meter for stats in kv.all_reader_stats()]
         sim.process(meter_window(sim, meters, cfg.warmup_ns, t_end))
         sim.run()

@@ -60,7 +60,11 @@ class TestReaderWriterLocks:
         assert t.try_write_lock(0x200)
 
     def test_contention_counted(self):
+        """A held write lock refuses every other acquisition until it
+        is released."""
         t = ReaderWriterLockTable()
-        t.try_write_lock(0x1)
-        t.try_read_lock(0x1)
-        assert t.contended == 1
+        assert t.try_write_lock(0x1)
+        assert not t.try_read_lock(0x1)
+        assert not t.try_write_lock(0x1)
+        t.write_unlock(0x1)
+        assert t.try_read_lock(0x1)

@@ -14,6 +14,10 @@ from repro.noc.mesh import Mesh
 from repro.sim.engine import Simulator
 from repro.sonuma.node import Cluster
 
+#: The paper's per-R2P2 peak bandwidth target, in GBps, that its
+#: Little's-law stream-buffer sizing assumes (§5.1).
+R2P2_PEAK_GBPS = 20.0
+
 
 def fresh_chip():
     sim = Simulator()
@@ -71,8 +75,7 @@ class TestStreamBufferSizing:
         from 20 GBps x ~90 ns / 64 B ~= 28."""
         cfg = default_cluster()
         sabre = cfg.node.sabre
-        rmc = cfg.node.rmc
-        required = rmc.r2p2_peak_gbps * 90.0 / 64.0
+        required = R2P2_PEAK_GBPS * 90.0 / 64.0
         assert sabre.stream_buffer_depth >= required
         assert sabre.stream_buffer_depth <= 2 * required  # not oversized
 

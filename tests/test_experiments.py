@@ -4,6 +4,7 @@ surface built on top of it."""
 
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +309,44 @@ class TestWrongTypeOverrides:
         assert main(["fig10", "--scale", "0.02", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: LocalReadConfig.") and field in err
+
+
+    #: (spec, the override its derive hook consumes, the error).
+    SABRE_HOOK_CASES = [
+        (
+            "ablation_stream_buffer_count",
+            {"stream_buffers": "abc"},
+            "SabreConfig.stream_buffers must be int, got 'abc'",
+        ),
+        (
+            "ablation_stream_buffer_depth",
+            {"depth": "abc"},
+            "SabreConfig.stream_buffer_depth must be int, got 'abc'",
+        ),
+        (
+            "ablation_stream_buffer_depth",
+            {"depth": 1.5},
+            "SabreConfig.stream_buffer_depth must be int, got 1.5",
+        ),
+        ("ablation_retry_policy", {"policy": 1.5}, "policy must be one of"),
+    ]
+
+    def test_the_cases_cover_every_sabre_derive_hook(self):
+        hooks = {
+            name
+            for name in registry.names()
+            if registry.get(name).derive is not None
+            and "_cluster_with_sabre" in registry.get(name).derive.__code__.co_names
+        }
+        assert hooks == {spec for spec, _o, _e in self.SABRE_HOOK_CASES}
+
+    @pytest.mark.parametrize("spec, override, error", SABRE_HOOK_CASES)
+    def test_a_derive_hook_refuses_a_wrong_type(self, spec, override, error):
+        """A parameter a ``derive`` hook consumes into ``SabreConfig``
+        is type-checked like one ``from_params`` consumes, before any
+        point runs."""
+        with pytest.raises(ConfigError, match=re.escape(error)):
+            registry.get(spec).expand(overrides=override)
 
 
 class TestFigureSpecs:

@@ -298,10 +298,14 @@ class TestResync:
         sim = kv.cluster.sim
         fm.crash(2)
         fm.recover(2)
+        # The shard serves again exactly when its re-sync charge ends.
+        cost = 1_000.0 + 10.0 * len(kv.hosted_on(2))
+        serving = {}
+        sim.call_at(cost - 1.0, lambda: serving.update(before=kv.serving[2]))
+        sim.call_at(cost + 1.0, lambda: serving.update(after=kv.serving[2]))
         sim.run()
-        hosted = len(kv.hosted_on(2))
-        assert sim.now >= 1_000.0 + 10.0 * hosted
-        assert fm.stats.resync_ns == 1_000.0 + 10.0 * hosted
+        assert sim.now >= cost
+        assert serving == {"before": False, "after": True}
 
 
 class TestTxnForcedAborts:

@@ -212,7 +212,8 @@ def make_pair():
 class TestRpcUnderFaults:
     def test_severed_link_refuses_new_calls_with_typed_error(self):
         cluster, a, b = make_pair()
-        a.register("echo", lambda payload: (payload, 10.0))
+        served = []
+        a.register("echo", lambda payload: (served.append(payload) or payload, 10.0))
         cluster.fabric.sever_link(1, 0)
         replies = []
 
@@ -225,7 +226,7 @@ class TestRpcUnderFaults:
         assert isinstance(replies[0], LinkPartitionedError)
         assert isinstance(replies[0], ShardCrashedError)  # crash paths work
         assert cluster.fabric.partition_refusals == 1
-        assert a.served == 0  # nothing reached the server
+        assert served == []  # nothing reached the server
 
     def test_inflight_call_drains_through_drop_window(self):
         """A call issued before the window opens completes: requests
@@ -297,7 +298,7 @@ class TestInjector:
         assert probes["during"] == (6.0, 6.0, True)
         assert probes["after"] == (1.0, 1.0, False)
         assert inj.stats.gray_windows == 1
-        assert inj.stats.windows_closed == 1
+        assert [e[1] for e in inj.events] == ["open", "close"]
 
     def test_straggler_window_slows_rpc_plane_only(self):
         cluster = Cluster(ClusterConfig(nodes=2))
@@ -369,7 +370,6 @@ class TestInjector:
         cluster.sim.run()
         assert hit["severed"] == [True, True, True]
         assert hit["open_links"] == 3  # every ingress link, nothing else
-        assert inj.stats.links_severed == 3
         assert not fabric._link_faults  # all restored at close
 
     def test_crash_inside_partition_window_recovers_clean(self):
@@ -531,7 +531,7 @@ class TestWindowBoundaryMetering:
         # over, the multiplier restored, nothing meters against it.
         assert probes[200.0] == (False, 1.0)
         assert probes[250.0] == (False, 1.0)
-        assert inj.stats.windows_closed == 1
+        assert [e[1] for e in inj.events] == ["open", "close"]
 
     def test_back_to_back_windows_hand_off_at_the_shared_boundary(self):
         """Adjacent windows [100,200) + [200,300): at the shared instant
@@ -548,4 +548,4 @@ class TestWindowBoundaryMetering:
         assert probes[200.0] == (True, 3.0)
         assert probes[250.0] == (True, 3.0)
         assert inj.stats.gray_windows == 2
-        assert inj.stats.windows_closed == 2
+        assert [e[1] for e in inj.events] == ["open", "close", "open", "close"]

@@ -142,6 +142,33 @@ class TestContendedRuns:
         )
         assert result.undetected_violations == 0
 
+    @pytest.mark.parametrize(
+        "mode", [SabreMode.SPECULATIVE, SabreMode.NO_SPECULATION]
+    )
+    def test_every_abort_counts_its_cause(self, mode):
+        """The NI's verdict is one abort bit per SABRe, and each abort
+        counts its cause beside it, so ``sabre_aborts`` is the sum of
+        the ``abort_<cause>`` counters — the validate stage's aborts
+        included."""
+        result = quick(
+            "sabre",
+            object_size=1024,
+            readers=4,
+            writers=8,
+            duration_ns=60_000.0,
+            warmup_ns=20_000.0,
+            seed=1,
+            cluster=ClusterConfig().with_sabre_mode(mode),
+        )
+        counters = result.destination_counters
+        causes = {
+            name: count for name, count in counters.items()
+            if name.startswith("abort_")
+        }
+        assert causes.get("abort_validate_mismatch", 0) > 0
+        assert sum(causes.values()) == counters["sabre_aborts"]
+        assert counters["sabre_aborts"] == result.sabre_aborts
+
     def test_async_window_transport_mode(self):
         result = quick("sabre", async_window=4, readers=4)
         assert result.ops_completed > 20

@@ -149,8 +149,8 @@ class TestBaseBlockAmbiguity:
         cluster.sim.process(proc())
         cluster.run()
         assert not results[0].success
-        assert dst.counters.get("validate_rereads") == 1
-        assert dst.counters.get("validate_failures") == 1
+        assert dst.counters.get("abort_validate_mismatch") == 1
+        assert dst.counters.get("sabre_aborts") == 1
 
     def test_base_eviction_false_alarm_validates_successfully(self):
         """An eviction-triggered invalidation of the base block is a
@@ -171,6 +171,11 @@ class TestBaseBlockAmbiguity:
                 dst.chip.read_block(0, filler + 64 * i)
 
         cluster.sim.call_later(300.0, evict_base)
+        entries = []
+        cluster.sim.call_later(
+            301.0,
+            lambda: entries.extend(e for r in dst.r2p2s for e in r.att.entries()),
+        )
         buf = src.alloc_buffer(handle.wire_size)
         results = []
 
@@ -181,8 +186,8 @@ class TestBaseBlockAmbiguity:
         cluster.sim.process(proc())
         cluster.run()
         assert results[0].success  # no writer: atomicity holds
-        assert dst.counters.get("validate_rereads") == 1
-        assert dst.counters.get("validate_failures") == 0
+        assert [e.validating for e in entries] == [True]  # re-read ran
+        assert dst.counters.get("sabre_aborts") == 0
         raw = src.read_local(buf, handle.wire_size)
         assert RawLayout().unpack(raw, payload_len).data == stamped_payload(
             4, payload_len

@@ -1,11 +1,15 @@
 """The reachability census tool (``tools/reach.py``): its allowlist
-names only live defs, and the census sees what a driver calls and
-nothing else.  The census over the real drivers takes minutes and runs
-in the nightly CI job."""
+names only live defs and state, the census sees what a driver calls
+and nothing else, and ``--state`` flags exactly the state the non-test
+surface stores and never reads, or never sets.  The census over the
+real drivers takes minutes and runs in the nightly CI job; ``--state
+--check`` runs here."""
 
 import ast
 import importlib.util
 import os
+
+import pytest
 
 _ROOT = os.path.join(os.path.dirname(__file__), "..")
 _TOOL = os.path.join(_ROOT, "tools", "reach.py")
@@ -100,3 +104,151 @@ def test_a_traced_subprocess_reports_into_the_drivers_census(tmp_path):
         name for key, (name, _lines) in reach.all_defs().items() if key in reached
     }
     assert "repro.common.units:blocks_in" in names
+
+
+# ----------------------------------------------------------------------
+# --state: write-only and never-set state
+# ----------------------------------------------------------------------
+@pytest.mark.smoke
+def test_state_census_is_empty_outside_the_allowlist(capsys):
+    assert reach.main(["--state", "--check"]) == 0, capsys.readouterr().out
+
+
+_MODULE = '''
+from dataclasses import dataclass
+
+
+@dataclass
+class ProbeStats:
+    kept: int = 0
+    dropped: int = 0
+
+
+@dataclass
+class ProbeConfig:
+    used: int = 1
+    unset: int = 2
+
+
+class Probe:
+    def __init__(self, counters, cfg):
+        self.counters = counters
+        self.stats = ProbeStats()
+        self.hits = 0
+        self.used = cfg.used + cfg.unset
+
+    def bump(self):
+        self.hits += 1
+        self.stats.kept += 1
+        self.stats.dropped += 1
+        self.counters.add("probe_events")
+        self.counters.add(f"probe_cause_{self.used}")
+'''
+
+_DRIVER = '''
+from repro.probe import Probe, ProbeConfig
+
+probe = Probe({}, ProbeConfig(used=3))
+print(probe.stats.kept, probe.used)
+'''
+
+#: What the module above stores and never reads, and the config field
+#: nothing sets.
+_PROBE_FINDINGS = {
+    ("repro.probe:Probe.hits", "attr", "write-only"),
+    ("repro.probe:ProbeStats.dropped", "field", "write-only"),
+    ("repro.probe:counters.probe_events", "counter", "write-only"),
+    ("repro.probe:counters.probe_cause_*", "counter", "write-only"),
+    ("repro.probe:ProbeConfig.unset", "config", "never set"),
+}
+
+
+def _tree(root, module=_MODULE, driver=_DRIVER, allow=""):
+    for rel, text in (
+        ("src/repro/probe.py", module),
+        ("examples/driver.py", driver),
+        ("tests/test_probe.py", "probe.hits; counters.get('probe_events')\n"),
+        ("tools/reach_allow.txt", allow),
+    ):
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(root)
+
+
+def _findings(root):
+    return set(reach._Program(root).findings())
+
+
+def test_state_flags_each_kind_and_ignores_test_reads(tmp_path):
+    """One write-only attribute, field and counter name each (an
+    f-string name by its literal head) and one never-set config field
+    are flagged; the test file that reads two of them does not count."""
+    assert _findings(_tree(tmp_path)) == _PROBE_FINDINGS
+
+
+@pytest.mark.parametrize(
+    "read, cleared",
+    [
+        ("getattr(probe, 'hits')", "repro.probe:Probe.hits"),
+        ("hasattr(probe.stats, 'dropped')", "repro.probe:ProbeStats.dropped"),
+        ("probe.stats.dropped", "repro.probe:ProbeStats.dropped"),
+        ("probe.counters.get('probe_events')", "repro.probe:counters.probe_events"),
+        ("probe.counters.get('probe_cause_3')", "repro.probe:counters.probe_cause_*"),
+        ("ProbeConfig(unset=4)", "repro.probe:ProbeConfig.unset"),
+        ("{'unset': 4}", "repro.probe:ProbeConfig.unset"),
+        ("'--unset'", "repro.probe:ProbeConfig.unset"),
+        ("__import__('dataclasses').asdict(probe.stats)",
+         "repro.probe:ProbeStats.dropped"),
+    ],
+)
+def test_one_read_or_set_clears_exactly_its_finding(tmp_path, read, cleared):
+    root = _tree(tmp_path, driver=_DRIVER + read + "\n")
+    assert _findings(root) == {f for f in _PROBE_FINDINGS if f[0] != cleared}
+
+
+def test_state_check_fails_outside_the_allowlist_and_on_a_stale_entry(
+    tmp_path, capsys
+):
+    allow = "".join(f"{name} kept for a reason\n" for name, _k, _r in _PROBE_FINDINGS)
+    root = _tree(tmp_path, allow=allow)
+    assert reach.state_census(root, check=True) == 0
+    # Drop one entry: its state is flagged.
+    root = _tree(tmp_path, allow=allow.replace("repro.probe:Probe.hits", "#"))
+    assert reach.state_census(root, check=True) == 1
+    assert "WRITE-ONLY attr    repro.probe:Probe.hits" in capsys.readouterr().out
+    # Read an allowlisted piece of state: its entry is stale.
+    root = _tree(tmp_path, driver=_DRIVER + "probe.hits\n", allow=allow)
+    assert reach.state_census(root, check=True) == 1
+    assert "READ       repro.probe:Probe.hits" in capsys.readouterr().out
+    assert reach.state_census(root, check=False) == 0
+
+
+def test_an_allowlisted_piece_of_state_passes_the_allowlist_check():
+    """``--check-allowlist`` takes state names as well as defs."""
+    state = reach._Program().state_names()
+    allow = reach.load_allowlist()
+    assert "repro.sonuma.transfer:TransferTimings.pickup" in allow
+    assert {name for name in allow if name in state}
+
+
+@pytest.mark.parametrize("source, flagged", [("environ", False), ("defaults", True)])
+def test_a_class_built_from_environ_sets_every_field(tmp_path, source, flagged):
+    """A ``REPRO_*`` variable sets a field of a class that builds itself
+    from ``environ`` over its own ``fields``; the same class built from
+    anything else sets nothing."""
+    module = _MODULE + f'''
+
+@dataclass
+class EnvSettings:
+    knob: int = 1
+
+    @classmethod
+    def build(cls, {source}):
+        import dataclasses
+        return cls(**{{f.name: {source}["REPRO_" + f.name] for f in dataclasses.fields(cls)}})
+'''
+    driver = _DRIVER + "from repro.probe import EnvSettings\nEnvSettings.build({}).knob\n"
+    found = _findings(_tree(tmp_path, module=module, driver=driver))
+    knob = ("repro.probe:EnvSettings.knob", "config", "never set")
+    assert found == _PROBE_FINDINGS | ({knob} if flagged else set())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.r2p2 import R2P2Engine
 from repro.sonuma.node import Cluster
 from repro.sonuma.transfer import OpKind
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
@@ -38,16 +39,24 @@ class TestRemoteWrite:
         assert result.op is OpKind.REMOTE_WRITE
         assert dst.phys.read(addr, 128) == b"payload!" * 16
 
-    def test_multi_block_write_acked_per_block(self, cluster):
+    def test_multi_block_write_acked_per_block(self, cluster, monkeypatch):
         dst, src = cluster.node(0), cluster.node(1)
         addr = dst.phys.allocate(512)
+        served = []
+        handle = R2P2Engine._handle_write_request
+
+        def counted(engine, pkt):
+            served.append(pkt.block_offset)
+            handle(engine, pkt)
+
+        monkeypatch.setattr(R2P2Engine, "_handle_write_request", counted)
 
         def gen():
             return (yield src.remote_write(0, addr, bytes(range(256)) * 2))
 
         result = run_proc(cluster, gen())
         assert result.success
-        assert dst.counters.get("write_requests") == 8
+        assert sorted(served) == list(range(8))
 
     def test_write_invalidates_inflight_sabre(self, cluster):
         """A one-sided write races an in-flight SABRe over the same

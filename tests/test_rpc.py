@@ -16,7 +16,8 @@ def make_pair():
 
 def test_round_trip():
     cluster, a, b = make_pair()
-    a.register("echo", lambda payload: (payload[::-1], 10.0))
+    served = []
+    a.register("echo", lambda payload: (served.append(payload) or payload[::-1], 10.0))
     replies = []
 
     def client():
@@ -26,7 +27,7 @@ def test_round_trip():
     cluster.sim.process(client())
     cluster.run()
     assert replies == [b"olleh"]
-    assert a.served == 1
+    assert served == [b"hello"]
 
 
 def test_rpc_latency_includes_dispatch_and_service():
@@ -101,7 +102,7 @@ def test_generator_handler_yields_simulation_time():
     assert done[0][1] == b"ABC"
     # 2 fabric hops (70) + dispatch (180) + yields (700) + service (100).
     assert done[0][0] >= 1050.0
-    assert a.served == 1
+    assert len(done) == 1
 
 
 def test_generator_handler_holds_worker_while_running():
@@ -193,7 +194,6 @@ def test_watchdog_rearms_against_slow_but_alive_peer():
     # The reply arrived despite several watchdog deadlines passing.
     assert replies == [b"done"]
     assert b.timed_out_calls == 0
-    assert b.failed_calls == 0
     assert b.watchdog_rearms > 0
 
 

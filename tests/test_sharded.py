@@ -338,7 +338,6 @@ class TestSafety:
             mechanism="sabre",
             n_shards=1,
             n_clients=3,
-            readers_per_client=2,
             replication=1,
             object_size=512,
             n_objects=8,  # hot objects: maximize reader/writer conflicts
@@ -381,7 +380,6 @@ class TestSafety:
             n_objects=64,
             duration_ns=40_000.0,
             warmup_ns=8_000.0,
-            readers_per_client=1,
             seed=5,
         )
         a = run_ycsb(YcsbConfig(**cfg))

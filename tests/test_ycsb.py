@@ -20,7 +20,6 @@ def tiny_cfg(**kw):
         distribution="uniform",
         n_shards=2,
         n_objects=64,
-        readers_per_client=1,
         duration_ns=40_000.0,
         warmup_ns=8_000.0,
         seed=3,
@@ -38,8 +37,6 @@ class TestConfig:
             tiny_cfg(workload="Z").validate()
         with pytest.raises(ConfigError):
             tiny_cfg(distribution="gaussian").validate()
-        with pytest.raises(ConfigError):
-            tiny_cfg(readers_per_client=0).validate()
         with pytest.raises(ConfigError):
             tiny_cfg(warmup_ns=50_000.0).validate()
         with pytest.raises(ConfigError):
@@ -76,7 +73,6 @@ class TestWorkloads:
             distribution="zipfian",
             zipf_theta=1.2,
             duration_ns=80_000.0,
-            readers_per_client=2,
         )
         result = run_ycsb(cfg)
         ring = HashRing(range(cfg.n_shards), vnodes=cfg.vnodes, seed=cfg.seed)

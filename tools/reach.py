@@ -35,6 +35,28 @@ holds every console script and example to this list):
 The trace hook is not ``cProfile`` because ``bench/run.py`` profiles
 its own cycles with ``cProfile`` and Python has one profile hook.
 
+``--state`` is the census's static half: a pure-``ast`` pass (no
+driver runs) over state rather than defs.  Only ``src/``, ``tools/``,
+``bench/`` and ``examples/`` read or set; ``tests/`` do neither.  It
+lists
+
+* *write-only* state, stored and never read:
+  - a ``self.<attr>`` stored in ``src/repro`` that nothing loads by
+    name (``getattr``/``hasattr`` with a string literal loads);
+  - a field of a ``src/repro`` dataclass (a ``*Config`` one too) that
+    nothing loads by name, unless its class is passed whole to
+    ``asdict``/``fields``/``vars``;
+  - a ``counters.add("<name>")`` name no ``.get("<name>")`` literal
+    reads (an f-string name such as ``abort_{cause}`` matches by its
+    literal head);
+* *never-set* config: a field of a ``*Config``/``*Settings`` dataclass
+  outside ``common/config.py`` and ``common/costs.py`` (Table 2 and
+  the cost model, settable or not) that no keyword to the class, a
+  subclass or ``replace``, no string literal (spec axis or default,
+  campaign request, CLI flag), no attribute store and no
+  ``REPRO_*`` variable (a class built from ``environ`` over its own
+  ``fields``) sets: such a knob is a constant.
+
 Usage::
 
     python tools/reach.py                   # list every unreached def
@@ -43,8 +65,12 @@ Usage::
         # allowlisted def the census reached; exit 2 if a driver
         # failed (~4 min on 2 CPUs: the nightly job)
     python tools/reach.py --check-allowlist
-        # exit 1 if an allowlisted name is no longer a def, or has no
-        # reason (milliseconds: tier-1)
+        # exit 1 if an allowlisted name is no longer a def or a piece
+        # of state, or has no reason (about a second: tier-1)
+    python tools/reach.py --state [--check]
+        # list write-only and never-set state; with --check, exit 1 on
+        # one outside the allowlist, or an allowlisted one now read or
+        # set (about a second: tier-1)
 """
 
 from __future__ import annotations
@@ -119,8 +145,8 @@ def drivers() -> List[Driver]:
 # ----------------------------------------------------------------------
 # the defs
 # ----------------------------------------------------------------------
-def module_name(path: str) -> str:
-    rel = os.path.relpath(path, SRC)[: -len(".py")].replace(os.sep, ".")
+def module_name(path: str, src: str = SRC) -> str:
+    rel = os.path.relpath(path, src)[: -len(".py")].replace(os.sep, ".")
     return rel[: -len(".__init__")] if rel.endswith(".__init__") else rel
 
 
@@ -151,10 +177,10 @@ def _collect(node: ast.AST, path: str, prefix: str, defs: Defs) -> None:
             _collect(child, path, prefix, defs)
 
 
-def load_allowlist() -> Dict[str, str]:
+def load_allowlist(path: str = ALLOW_PATH) -> Dict[str, str]:
     """Allowlisted name -> its reason (empty if the line gives none)."""
     allow: Dict[str, str] = {}
-    with open(ALLOW_PATH) as fh:
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -249,6 +275,278 @@ def census(
     return reached, failures
 
 
+# ----------------------------------------------------------------------
+# the state census (--state)
+# ----------------------------------------------------------------------
+#: Where a read or a set counts: never ``tests/``, whose reads stay
+#: green whatever the simulator does.
+READER_DIRS = ("src", "tools", "bench", "examples")
+
+#: Table 2's system description and the software cost model: every
+#: field is a paper or calibration parameter, settable or not.
+NEVER_SET_EXEMPT = ("repro.common.config", "repro.common.costs")
+
+WHOLE_READS = ("asdict", "fields", "vars")
+
+#: One piece of state: (name, kind, rule).  ``kind`` is ``attr``,
+#: ``field``, ``counter`` or ``config``; ``rule`` is ``write-only`` or
+#: ``never set``.
+Finding = Tuple[str, str, str]
+
+
+def _name_of(node: ast.AST) -> str:
+    """The last name of a ``Name`` or dotted ``Attribute``, else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
+
+
+def _str_or_prefix(node: ast.AST) -> Tuple[str, bool]:
+    """A string literal as ``(text, False)``; an f-string as its
+    literal head and ``True``; anything else as ``('', False)``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value, False
+    if isinstance(node, ast.JoinedStr):
+        head = ""
+        for part in node.values:
+            if not (isinstance(part, ast.Constant) and isinstance(part.value, str)):
+                break
+            head += part.value
+        return head, True
+    return "", False
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if _name_of(target) == "dataclass":
+            return True
+    return False
+
+
+def _own_fields(cls: ast.ClassDef) -> List[str]:
+    return [
+        stmt.target.id for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and "ClassVar" not in ast.unparse(stmt.annotation)
+    ]
+
+
+def _scoped(tree: ast.AST):
+    """Every node with the name of the class whose body (methods and
+    their closures included) it sits in, '' at module level."""
+    todo = [(tree, "")]
+    while todo:
+        node, owner = todo.pop()
+        yield node, owner
+        inner = node.name if isinstance(node, ast.ClassDef) else owner
+        todo.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
+class _Program:
+    """What ``src/repro`` stores, and what the non-test surface reads
+    and sets, by name."""
+
+    def __init__(self, root: str = ROOT):
+        self.classes: Dict[str, Tuple[str, ast.ClassDef]] = {}  # name -> (module, node)
+        self.attrs: Set[Tuple[str, str, str]] = set()  # (module, class, attr)
+        self.counters: Dict[Tuple[str, bool], str] = {}  # (name, is_prefix) -> module
+        self.loads: Set[str] = set()
+        self.gets: Set[Tuple[str, bool]] = set()
+        self.strings: Set[str] = set()
+        self.stores: Set[str] = set()
+        self.kwargs: Dict[str, Set[str]] = {}  # callee name -> keywords
+        self.typed: Dict[str, Set[str]] = {}  # attribute name -> names in its values
+        self.whole: List[Tuple[str, ast.AST]] = []  # (owner class, argument)
+        self.environ_users: Set[str] = set()  # classes whose code reads environ
+        package = os.path.join(root, "src", "repro")
+        for top in READER_DIRS:
+            for dirpath, dirs, files in os.walk(os.path.join(root, top)):
+                dirs[:] = sorted(d for d in dirs if not d.startswith((".", "_")))
+                for name in sorted(files):
+                    if not name.endswith(".py") or name.startswith("test_"):
+                        continue
+                    path = os.path.join(dirpath, name)
+                    with open(path) as fh:
+                        nodes = list(_scoped(ast.parse(fh.read(), path)))
+                    if path.startswith(package + os.sep):
+                        self._define(nodes, module_name(path, os.path.join(root, "src")))
+                    self._use(nodes)
+
+    def _define(self, nodes, module: str) -> None:
+        for node, owner in nodes:
+            if isinstance(node, ast.ClassDef):
+                self.classes[node.name] = (module, node)
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and owner:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                                and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                            self.attrs.add((module, owner, sub.attr))
+            elif (isinstance(node, ast.Call) and _name_of(node.func) == "add"
+                    and isinstance(node.func, ast.Attribute)
+                    and _name_of(node.func.value).endswith("counters") and node.args):
+                text, prefix = _str_or_prefix(node.args[0])
+                if text:
+                    self.counters.setdefault((text, prefix), module)
+
+    def _use(self, nodes) -> None:
+        for node, owner in nodes:
+            if _name_of(node) == "environ":
+                self.environ_users.add(owner)
+            if isinstance(node, ast.Attribute):
+                (self.stores if isinstance(node.ctx, ast.Store) else self.loads).add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                self.strings.add(node.value)
+                if node.value.startswith("--"):
+                    self.strings.add(node.value.strip("-").replace("-", "_"))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                typed = [n.id for part in (node.value, getattr(node, "annotation", None))
+                         if part is not None for n in ast.walk(part)
+                         if isinstance(n, ast.Name)]
+                for target in targets:
+                    name = _name_of(target)
+                    if name:
+                        self.typed.setdefault(name, set()).update(typed)
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _name_of(node.func)
+            if callee in ("getattr", "hasattr") and len(node.args) > 1:
+                text, prefix = _str_or_prefix(node.args[1])
+                if text and not prefix:
+                    self.loads.add(text)
+            elif callee == "get" and isinstance(node.func, ast.Attribute) and node.args:
+                text, prefix = _str_or_prefix(node.args[0])
+                if text:
+                    self.gets.add((text, prefix))
+            elif callee in WHOLE_READS and node.args:
+                self.whole.append((owner, node.args[0]))
+            self.kwargs.setdefault(callee, set()).update(
+                k.arg for k in node.keywords if k.arg
+            )
+
+    def mro(self, name: str) -> List[str]:
+        """``name`` and its bases defined in ``src/repro``, nearest first."""
+        out, todo = [], [name]
+        while todo:
+            cls = todo.pop(0)
+            if cls in self.classes and cls not in out:
+                out.append(cls)
+                todo.extend(_name_of(b) for b in self.classes[cls][1].bases)
+        return out
+
+    def subclasses(self, name: str) -> List[str]:
+        return [cls for cls in self.classes if name in self.mro(cls)]
+
+    def read_whole(self) -> Set[str]:
+        """Classes some ``asdict``/``fields``/``vars`` call reads in
+        full: ``self``/``cls`` is the enclosing class, a class name is
+        itself, and ``x.attr`` (subscripted or not) is every class that
+        some assignment to an ``attr`` names."""
+        out: Set[str] = set()
+        for owner, arg in self.whole:
+            while isinstance(arg, ast.Subscript):
+                arg = arg.value
+            name = _name_of(arg)
+            if isinstance(arg, ast.Name) and name in ("self", "cls"):
+                names = {owner}
+            elif isinstance(arg, ast.Name):
+                names = {name}
+            else:
+                names = self.typed.get(name, set())
+            for cls in names & set(self.classes):
+                out.update(self.mro(cls))
+        return out
+
+    def never_set(self, cls: str, field_name: str) -> bool:
+        # A class that builds itself from ``environ`` over its own
+        # ``fields(cls)``: a ``REPRO_*`` variable sets every field.
+        from_env = any(
+            owner == cls and _name_of(arg) == "cls" for owner, arg in self.whole
+        )
+        if cls in self.environ_users and from_env:
+            return False
+        if field_name in self.strings or field_name in self.stores:
+            return False
+        callees = self.subclasses(cls) + ["replace"]
+        return not any(field_name in self.kwargs.get(c, ()) for c in callees)
+
+    def config_fields(self) -> List[Tuple[str, str]]:
+        """Every ``(class, field)`` of a ``*Config``/``*Settings``
+        dataclass."""
+        return [
+            (cls, f) for cls, (_module, node) in sorted(self.classes.items())
+            if cls.endswith(("Config", "Settings")) and _is_dataclass(node)
+            for f in _own_fields(node)
+        ]
+
+    def findings(self) -> List[Finding]:
+        found: List[Finding] = []
+        whole = self.read_whole()
+        for cls, (module, node) in sorted(self.classes.items()):
+            if not _is_dataclass(node):
+                continue
+            for f in _own_fields(node):
+                name = f"{module}:{cls}.{f}"
+                if f not in self.loads and cls not in whole:
+                    found.append((name, "field", "write-only"))
+                elif (cls.endswith(("Config", "Settings")) and module not in NEVER_SET_EXEMPT
+                        and self.never_set(cls, f)):
+                    found.append((name, "config", "never set"))
+        for module, cls, attr in sorted(self.attrs):
+            declared = self.classes.get(cls, ("", None))
+            if declared[0] == module and attr in _own_fields(declared[1]):
+                continue
+            if attr not in self.loads:
+                found.append((f"{module}:{cls}.{attr}", "attr", "write-only"))
+        for (text, prefix), module in sorted(self.counters.items()):
+            read = any(
+                got.startswith(text) if prefix else
+                (got == text if not got_prefix else text.startswith(got))
+                for got, got_prefix in self.gets
+            )
+            if not read:
+                found.append((f"{module}:counters.{text}{'*' if prefix else ''}",
+                              "counter", "write-only"))
+        return found
+
+    def state_names(self) -> Set[str]:
+        """Every name a state finding could have, read or not."""
+        names = {
+            f"{module}:{cls}.{f}" for cls, (module, node) in self.classes.items()
+            if _is_dataclass(node) for f in _own_fields(node)
+        }
+        names.update(f"{m}:{cls}.{attr}" for m, cls, attr in self.attrs)
+        names.update(f"{m}:counters.{t}{'*' if p else ''}"
+                     for (t, p), m in self.counters.items())
+        return names
+
+
+def state_census(root: str = ROOT, check: bool = False) -> int:
+    """Print every piece of write-only or never-set state; with
+    ``check``, exit 1 on one the allowlist does not name, or on an
+    allowlisted one that is now read or set."""
+    program = _Program(root)
+    found = program.findings()
+    allow = load_allowlist(os.path.join(root, "tools", "reach_allow.txt"))
+    names = {name for name, _kind, _rule in found}
+    for name, kind, rule in found:
+        mark = "allowed  " if name in allow else rule.upper().replace(" ", "-")
+        print(f"{mark:10s} {kind:7s} {name}")
+    stale = sorted(n for n in allow if n in program.state_names() and n not in names)
+    for name in stale:
+        print(f"READ       {name} is allowlisted but is now read or set")
+    flagged = [n for n in names if n not in allow]
+    print(f"{len(found)} stored-and-unread or never-set names, "
+          f"{len(flagged)} outside the allowlist; "
+          f"{len(program.config_fields())} config fields")
+    return 1 if check and (flagged or stale) else 0
+
+
 def in_packages(name: str, packages: Sequence[str]) -> bool:
     if not packages:
         return True
@@ -257,11 +555,11 @@ def in_packages(name: str, packages: Sequence[str]) -> bool:
 
 
 def check_allowlist(defs: Defs) -> List[str]:
-    names = {name for name, _lines in defs.values()}
+    names = {name for name, _lines in defs.values()} | _Program().state_names()
     problems = []
     for name, reason in load_allowlist().items():
         if name not in names:
-            problems.append(f"allowlisted but no longer a def: {name}")
+            problems.append(f"allowlisted but no longer a def or state: {name}")
         if not reason:
             problems.append(f"allowlisted without a reason: {name}")
     return problems
@@ -277,11 +575,17 @@ def main(argv: Sequence[str] = None) -> int:
                       help="exit 1 on an unreached def the allowlist does not name")
     mode.add_argument("--check-allowlist", action="store_true",
                       help="only check that every allowlisted name is a def")
+    parser.add_argument("--state", action="store_true",
+                        help="list write-only and never-set state instead of "
+                             "unreached defs (with --check: exit 1 on one the "
+                             "allowlist does not name)")
     parser.add_argument("--packages", default="",
                         help="comma-separated repro subpackages to report on")
     parser.add_argument("--jobs", type=int, default=1,
                         help="drivers run at once (default 1)")
     args = parser.parse_args(argv)
+    if args.state:
+        return state_census(check=args.check)
     defs = all_defs()
 
     problems = check_allowlist(defs)
