@@ -2,8 +2,8 @@
 
 Every benchmark regenerates one of the paper's tables or figures at a
 reduced (but meaningful) measurement scale, prints the same rows the
-paper reports, and attaches the key numbers as pytest-benchmark
-``extra_info`` so they land in the JSON output.
+paper reports, and asserts the paper's bands on them.  They are plain
+tests: ``bench/run.py`` is the repo's timing tool.
 
 Set ``SABRES_BENCH_SCALE`` (default 0.25) to trade time for precision;
 1.0 reproduces the full-size runs.
@@ -23,11 +23,6 @@ def bench_scale() -> float:
 @pytest.fixture
 def scale() -> float:
     return bench_scale()
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
 def show(title: str, table: str) -> None:

@@ -8,16 +8,14 @@ it never aborts.
 Runs the registered ``ablation_locking_vs_occ`` experiment spec.
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.experiments import registry, run_sweep
 from repro.experiments.runner import format_table
 
 
-def test_locking_vs_occ(benchmark, scale):
-    rows = run_once(
-        benchmark, run_sweep, registry.get("ablation_locking_vs_occ"), scale=scale
-    ).rows
+def test_locking_vs_occ(scale):
+    rows = run_sweep(registry.get("ablation_locking_vs_occ"), scale=scale).rows
     show(
         "Ablation: destination-side OCC vs locking (8 readers, 2 writers)",
         format_table(
@@ -32,6 +30,3 @@ def test_locking_vs_occ(benchmark, scale):
     assert occ["aborts"] > 0
     assert locking["lock_waits"] > 0
     assert occ["torn_reads"] == locking["torn_reads"] == 0
-    benchmark.extra_info["occ_over_locking"] = round(
-        occ["goodput_gbps"] / max(locking["goodput_gbps"], 1e-9), 3
-    )

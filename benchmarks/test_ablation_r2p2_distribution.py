@@ -11,16 +11,14 @@ Runs the registered ``ablation_r2p2_distribution`` experiment spec
 (which reuses the fig7a point function on a 3-size grid).
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.experiments import registry, run_sweep
 from repro.experiments.runner import format_table
 
 
-def test_r2p2_distribution(benchmark, scale):
-    rows = run_once(
-        benchmark, run_sweep, registry.get("ablation_r2p2_distribution"), scale=scale
-    ).rows
+def test_r2p2_distribution(scale):
+    rows = run_sweep(registry.get("ablation_r2p2_distribution"), scale=scale).rows
     show(
         "Ablation: single-R2P2 pinning vs striped lower bound",
         format_table(
@@ -33,6 +31,3 @@ def test_r2p2_distribution(benchmark, scale):
     # visible only above 2 KB) — the design choice is cheap.
     for row in rows:
         assert -0.05 <= row["pinning_cost"] < 0.20
-    benchmark.extra_info["pinning_cost_by_size"] = {
-        r["object_size"]: round(r["pinning_cost"], 3) for r in rows
-    }

@@ -9,16 +9,14 @@ but cannot eliminate retries and keeps the R2P2 busy longer.
 Runs the registered ``ablation_retry_policy`` experiment spec.
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.experiments import registry, run_sweep
 from repro.experiments.runner import format_table
 
 
-def test_retry_policy(benchmark, scale):
-    rows = run_once(
-        benchmark, run_sweep, registry.get("ablation_retry_policy"), scale=scale
-    ).rows
+def test_retry_policy(scale):
+    rows = run_sweep(registry.get("ablation_retry_policy"), scale=scale).rows
     show(
         "Ablation: abort exposure policy under contention",
         format_table(
@@ -33,8 +31,3 @@ def test_retry_policy(benchmark, scale):
     assert hardware["cq_failures"] <= software["cq_failures"]
     # ...and is always safe.
     assert software["torn_reads"] == hardware["torn_reads"] == 0
-    benchmark.extra_info["hw_retries"] = hardware["hw_retries"]
-    benchmark.extra_info["cq_failures_sw_vs_hw"] = (
-        software["cq_failures"],
-        hardware["cq_failures"],
-    )

@@ -9,7 +9,7 @@ atomicity still holds.
 Runs the registered ``ablation_skewed_access`` experiment spec.
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.experiments import registry, run_sweep
 from repro.experiments.runner import format_table
@@ -17,10 +17,8 @@ from repro.experiments.runner import format_table
 THETAS = (0.0, 0.99)
 
 
-def test_skewed_access(benchmark, scale):
-    rows = run_once(
-        benchmark, run_sweep, registry.get("ablation_skewed_access"), scale=scale
-    ).rows
+def test_skewed_access(scale):
+    rows = run_sweep(registry.get("ablation_skewed_access"), scale=scale).rows
     show(
         "Ablation: uniform vs Zipfian key popularity (1 KB, 8 writers)",
         format_table(
@@ -43,6 +41,3 @@ def test_skewed_access(benchmark, scale):
         )
     for row in rows:
         assert row["torn_reads"] == 0
-    benchmark.extra_info["sabre_gbps_by_theta"] = {
-        theta: round(by[(theta, "sabre")]["goodput_gbps"], 2) for theta in THETAS
-    }

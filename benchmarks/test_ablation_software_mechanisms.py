@@ -7,18 +7,14 @@ size and break zero-copy.  LightSABRes remove the check entirely.
 Runs the registered ``ablation_software_mechanisms`` experiment spec.
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.experiments import registry, run_sweep
 from repro.experiments.runner import format_table
 
-MECHANISMS = ("sabre", "percl_versions", "checksum")
 
-
-def test_software_mechanism_ladder(benchmark, scale):
-    rows = run_once(
-        benchmark, run_sweep, registry.get("ablation_software_mechanisms"), scale=scale
-    ).rows
+def test_software_mechanism_ladder(scale):
+    rows = run_sweep(registry.get("ablation_software_mechanisms"), scale=scale).rows
     show(
         "Ablation: atomicity mechanism cost ladder (2 KB objects)",
         format_table(("mechanism", "mean_latency_ns", "goodput_gbps"), rows),
@@ -30,6 +26,3 @@ def test_software_mechanism_ladder(benchmark, scale):
     assert sabre < percl < checksum
     # §2.1: checksums cost microseconds for KB-sized objects.
     assert checksum > 5 * percl
-    benchmark.extra_info["latency_ladder_ns"] = {
-        m: round(by_mech[m]["mean_latency_ns"], 1) for m in MECHANISMS
-    }

@@ -9,18 +9,14 @@ become the bottleneck too, hardware SABRes.
 Runs the registered ``ablation_source_locking`` experiment spec.
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.experiments import registry, run_sweep
 from repro.experiments.runner import format_table
 
-MECHANISMS = ("sabre", "percl_versions", "drtm_lock")
 
-
-def test_source_locking_vs_alternatives(benchmark, scale):
-    rows = run_once(
-        benchmark, run_sweep, registry.get("ablation_source_locking"), scale=scale
-    ).rows
+def test_source_locking_vs_alternatives(scale):
+    rows = run_sweep(registry.get("ablation_source_locking"), scale=scale).rows
     show(
         "Ablation: Table 1 cells on one workload (512 B, 4 readers, 2 writers)",
         format_table(
@@ -40,6 +36,3 @@ def test_source_locking_vs_alternatives(benchmark, scale):
     # Everyone is safe; only the costs differ.
     for row in rows:
         assert row["torn_reads"] == 0
-    benchmark.extra_info["latency_ladder_ns"] = {
-        m: round(by_mech[m]["mean_latency_ns"], 1) for m in MECHANISMS
-    }

@@ -9,16 +9,14 @@ SABRes; depth beyond the bandwidth-delay product buys nothing.
 Runs the registered ``ablation_stream_buffer_depth`` experiment spec.
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.experiments import registry, run_sweep
 from repro.experiments.runner import format_table
 
 
-def test_stream_buffer_depth_sweep(benchmark, scale):
-    rows = run_once(
-        benchmark, run_sweep, registry.get("ablation_stream_buffer_depth"), scale=scale
-    ).rows
+def test_stream_buffer_depth_sweep(scale):
+    rows = run_sweep(registry.get("ablation_stream_buffer_depth"), scale=scale).rows
     show(
         "Ablation: stream buffer depth vs 8 KB SABRe latency",
         format_table(("depth", "sabre_8kb_latency_ns"), rows),
@@ -29,6 +27,3 @@ def test_stream_buffer_depth_sweep(benchmark, scale):
     assert lat[8] > lat[32]
     # Beyond the bandwidth-delay product there is nothing left to win.
     assert abs(lat[128] - lat[32]) < 0.05 * lat[32]
-    benchmark.extra_info["latency_by_depth"] = {
-        d: round(v, 1) for d, v in lat.items()
-    }

@@ -5,15 +5,13 @@ beat per-cache-line versions everywhere; the advantage grows with
 object size (15-97 % across 128 B-8 KB).
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.experiments import registry, run_sweep
 
 
-def test_fig8_conflicts(benchmark, scale):
-    result = run_once(
-        benchmark,
-        run_sweep,
+def test_fig8_conflicts(scale):
+    result = run_sweep(
         registry.get("fig8"),
         scale=scale,
         axes={"writers": (0, 8, 16)},
@@ -33,8 +31,3 @@ def test_fig8_conflicts(benchmark, scale):
     assert by_key[(1024, 16)]["sabre_gbps"] < by_key[(1024, 0)]["sabre_gbps"]
     assert by_key[(1024, 16)]["sabre_aborts"] > 0
     assert by_key[(1024, 16)]["percl_conflicts"] > 0
-
-    benchmark.extra_info["advantage_by_size_no_writers"] = {
-        s: round(by_key[(s, 0)]["sabre_advantage"], 3) for s in (128, 1024, 8192)
-    }
-    benchmark.extra_info["paper_bands"] = "15% (128B) -> 87-97% (8KB)"

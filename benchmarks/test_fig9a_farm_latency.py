@@ -6,13 +6,13 @@ framework component shrinks (zero-copy, smaller instruction
 footprint), the application component grows (LLC- vs L1-resident).
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.experiments import registry, run_sweep
 
 
-def test_fig9a_farm_latency(benchmark, scale):
-    result = run_once(benchmark, run_sweep, registry.get("fig9a"), scale=scale)
+def test_fig9a_farm_latency(scale):
+    result = run_sweep(registry.get("fig9a"), scale=scale)
     rows = result.rows
     show("Fig. 9a: FaRM lookup latency breakdown (ns)", result.table())
     by = {(r["object_size"], r["build"]): r for r in rows}
@@ -28,7 +28,3 @@ def test_fig9a_farm_latency(benchmark, scale):
     assert 0.2 <= small <= 0.5  # paper: 35 %
     assert 0.35 <= large <= 0.7  # paper: 52 %
     assert large > small
-
-    benchmark.extra_info["improvement_128B"] = round(small, 3)
-    benchmark.extra_info["improvement_8KB"] = round(large, 3)
-    benchmark.extra_info["paper_bands"] = "35% (128B) -> 52% (8KB)"

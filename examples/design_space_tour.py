@@ -13,7 +13,8 @@ variant this library implements and contrasts their behavior:
 Run:  python examples/design_space_tour.py
 """
 
-from repro import ClusterConfig, MicrobenchConfig, SabreMode, run_microbench
+from repro import MicrobenchConfig, SabreMode, run_microbench
+from repro.common.config import sabre_cluster
 from repro.core.design_space import design_space_table
 
 VARIANTS = (
@@ -42,7 +43,7 @@ def main() -> None:
             writer_think_ns=1000.0,
             duration_ns=120_000.0,
             warmup_ns=15_000.0,
-            cluster=ClusterConfig().with_sabre_mode(mode),
+            cluster=sabre_cluster(mode=mode),
         )
         result = run_microbench(cfg)
         conflicts = result.sabre_aborts + result.software_conflicts

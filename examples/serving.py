@@ -77,13 +77,10 @@ def demo_saturation_sweep() -> None:
     print("\n--- saturation sweep (virtual time, tiny) ---")
     result = run_saturation(
         SaturationConfig(
-            qps_start=8_000_000.0,
-            qps_factor=4.0,
-            max_steps=3,
-            ops_per_step=400,
-            workload="C",
-            seed=6,
-        )
+            qps_start=8_000_000.0, qps_factor=4.0, max_steps=3, ops_per_step=400
+        ),
+        ServeSettings(seed=6),
+        TraceConfig(workload="C", seed=6),
     )
     for step in result.steps:
         print(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.common.errors import ConfigError
 from repro.common.units import CACHE_BLOCK, KB, MB
@@ -221,12 +221,6 @@ class ClusterConfig:
             raise ConfigError("cluster needs at least one node")
         self.node.validate()
 
-    def with_sabre_mode(self, mode: SabreMode) -> "ClusterConfig":
-        """Convenience: same cluster with a different SABRe CC variant."""
-        sabre = dataclasses.replace(self.node.sabre, mode=mode)
-        node = dataclasses.replace(self.node, sabre=sabre)
-        return dataclasses.replace(self, node=node)
-
 
 def default_cluster() -> ClusterConfig:
     """The paper's evaluated system: two directly-connected 16-core
@@ -251,6 +245,17 @@ def scaled_duration(base_ns: float, scale: float, floor_ns: float = 30_000.0) ->
 _SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
+def check_scalar(what: str, kind: str, value: Any) -> None:
+    """Raise :class:`ConfigError` naming ``what`` unless ``value`` fits
+    the scalar annotation ``kind`` (any other annotation fits all)."""
+    types = _SCALAR_TYPES.get(kind)
+    if types and (
+        isinstance(value, bool) != (kind == "bool")
+        or not isinstance(value, types)
+    ):
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+
+
 def check_scalars(cls, values: Mapping[str, Any]) -> None:
     """Raise :class:`ConfigError` naming ``<cls>.<field>`` if a value in
     ``values`` (field name -> value) has the wrong type for a scalar
@@ -258,13 +263,49 @@ def check_scalars(cls, values: Mapping[str, Any]) -> None:
     kinds = {f.name: f.type for f in dataclasses.fields(cls)}
     for name, value in values.items():
         kind = getattr(kinds[name], "__name__", kinds[name])
-        types = _SCALAR_TYPES.get(kind)
-        if types and (
-            isinstance(value, bool) != (kind == "bool")
-            or not isinstance(value, types)
-        ):
-            what = f"{cls.__name__}.{name}"
-            raise ConfigError(f"{what} must be {kind}, got {value!r}")
+        check_scalar(f"{cls.__name__}.{name}", kind, value)
+
+
+def check_choice(name: str, value: Any, choices: Sequence[Any]) -> Any:
+    """``value``, or :class:`ConfigError` naming ``name`` if it is not
+    one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {tuple(choices)}, got {value!r}")
+    return value
+
+
+def from_fields(cls, values: Mapping[str, Any], **extra):
+    """``cls`` built from every entry of ``values`` that names one of
+    its fields, then ``extra`` (what the caller derives) on top: the
+    one path from a parameter — a spec point's, or a field of another
+    config — to a field.  An entry of the wrong type for a scalar field
+    raises :class:`ConfigError` naming ``<cls>.<field>``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    picked = {k: v for k, v in values.items() if k in names}
+    check_scalars(cls, picked)
+    picked.update(extra)
+    return cls(**picked)
+
+
+def sabre_cluster(**fields: Any) -> ClusterConfig:
+    """The default cluster with some SABRe-unit (:class:`SabreConfig`)
+    fields replaced: how a derive hook turns a hardware-knob parameter
+    into the point's cluster.  ``mode`` takes a :class:`SabreMode` or
+    its value; a value outside the modes, or of the wrong type for a
+    scalar field, raises :class:`ConfigError` naming
+    ``SabreConfig.<field>``."""
+    if "mode" in fields:
+        mode = fields["mode"]
+        if isinstance(mode, SabreMode):
+            mode = mode.value
+        modes = tuple(m.value for m in SabreMode)
+        fields["mode"] = SabreMode(check_choice("SabreConfig.mode", mode, modes))
+    check_scalars(SabreConfig, fields)
+    cfg = ClusterConfig()
+    sabre = dataclasses.replace(cfg.node.sabre, **fields)
+    return dataclasses.replace(
+        cfg, node=dataclasses.replace(cfg.node, sabre=sabre)
+    )
 
 
 class LayeredConfig:
@@ -273,17 +314,11 @@ class LayeredConfig:
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any], scale: float, **extra):
-        """Layer an experiment point over the config defaults: every
-        parameter naming a field overrides it — so a spec's
-        ``defaults`` state only what the experiment changes —
-        ``duration_ns`` is scaled by the sweep's ``scale``, and
-        ``extra`` wins over both.  A parameter of the wrong type for a
-        scalar field raises :class:`ConfigError` naming the field."""
-        fields = {f.name for f in dataclasses.fields(cls)}
-        values = {k: v for k, v in params.items() if k in fields}
-        check_scalars(cls, values)
-        values["duration_ns"] = scaled_duration(
-            params.get("duration_ns", cls.duration_ns), scale
-        )
-        values.update(extra)
-        return cls(**values)
+        """Layer an experiment point over the config defaults
+        (:func:`from_fields`) — so a spec's ``defaults`` state only
+        what the experiment changes — with ``duration_ns`` scaled by
+        the sweep's ``scale`` and ``extra`` winning over both."""
+        duration = params.get("duration_ns", cls.duration_ns)
+        check_scalars(cls, {"duration_ns": duration})
+        extra.setdefault("duration_ns", scaled_duration(duration, scale))
+        return from_fields(cls, params, **extra)

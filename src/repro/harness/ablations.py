@@ -9,33 +9,13 @@ are registered, so the CLI can run any of them with ``--jobs``/
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict
 
-from repro.common.config import (
-    ClusterConfig,
-    SabreConfig,
-    SabreMode,
-    check_scalars,
-)
-from repro.common.errors import ConfigError
+from repro.common.config import SabreMode, check_choice, sabre_cluster
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
 from repro.harness.fig7 import FIG7A_SPEC
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
-
-
-def _cluster_with_sabre(**fields: Any) -> ClusterConfig:
-    """A default cluster with some SABRe-unit fields replaced — the
-    shared rebuild dance behind the hardware-knob derive hooks.  A
-    value of the wrong type raises :class:`ConfigError` naming the
-    ``SabreConfig`` field, as ``LayeredConfig.from_params`` does."""
-    check_scalars(SabreConfig, fields)
-    cfg = ClusterConfig()
-    sabre = dataclasses.replace(cfg.node.sabre, **fields)
-    return dataclasses.replace(
-        cfg, node=dataclasses.replace(cfg.node, sabre=sabre)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +149,7 @@ register(
 
 
 def _locking_vs_occ_derive(params: Dict[str, Any]) -> Dict[str, Any]:
-    params["cluster"] = ClusterConfig().with_sabre_mode(SabreMode(params["mode"]))
+    params["cluster"] = sabre_cluster(mode=params["mode"])
     return params
 
 
@@ -223,12 +203,8 @@ _RETRY_POLICIES = ("software_abort", "hardware_retry")
 
 
 def _retry_policy_derive(params: Dict[str, Any]) -> Dict[str, Any]:
-    policy = params["policy"]
-    if policy not in _RETRY_POLICIES:
-        raise ConfigError(
-            f"policy must be one of {_RETRY_POLICIES}, got {policy!r}"
-        )
-    params["cluster"] = _cluster_with_sabre(
+    policy = check_choice("policy", params["policy"], _RETRY_POLICIES)
+    params["cluster"] = sabre_cluster(
         hardware_retry=policy == "hardware_retry"
     )
     return params
@@ -321,7 +297,7 @@ register(
 
 
 def _stream_buffer_count_derive(params: Dict[str, Any]) -> Dict[str, Any]:
-    params["cluster"] = _cluster_with_sabre(
+    params["cluster"] = sabre_cluster(
         stream_buffers=params["stream_buffers"]
     )
     return params
@@ -363,7 +339,7 @@ register(
 
 
 def _stream_buffer_depth_derive(params: Dict[str, Any]) -> Dict[str, Any]:
-    params["cluster"] = _cluster_with_sabre(stream_buffer_depth=params["depth"])
+    params["cluster"] = sabre_cluster(stream_buffer_depth=params["depth"])
     return params
 
 

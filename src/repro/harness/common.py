@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.common.config import ClusterConfig
+from repro.common.config import ClusterConfig, check_scalar
 
 
 def objects_for_memory_residency(
@@ -20,6 +20,7 @@ def derive_memory_resident(params: Dict[str, Any]) -> Dict[str, Any]:
     """Derived-config hook: size the store for the point's
     ``object_size`` (:func:`objects_for_memory_residency`) unless the
     point states an ``n_objects`` itself."""
+    check_scalar("object_size", "int", params["object_size"])
     params.setdefault(
         "n_objects", objects_for_memory_residency(params["object_size"])
     )

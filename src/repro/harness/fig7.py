@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.common.config import ClusterConfig, SabreMode
+from repro.common.config import SabreMode, sabre_cluster
 from repro.experiments import ExperimentSpec, Variant, register
 from repro.harness.common import derive_memory_resident
 from repro.workloads.generators import FIG7_SIZES
@@ -26,7 +26,7 @@ HEADERS_7B = ("object_size", "remote_read_gbps", "sabre_gbps")
 
 
 def _fig7a_derive(params: Dict[str, Any]) -> Dict[str, Any]:
-    params["cluster"] = ClusterConfig().with_sabre_mode(params["mode"])
+    params["cluster"] = sabre_cluster(mode=params["mode"])
     return derive_memory_resident(params)
 
 

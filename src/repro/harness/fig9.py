@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro.common.config import check_choice
 from repro.experiments import ExperimentSpec, Variant, register
 from repro.harness.common import derive_memory_resident
 from repro.objstore.farm import FarmConfig, run_farm
@@ -34,8 +35,12 @@ HEADERS_9B = ("object_size", "percl_gbps", "sabre_gbps", "improvement")
 _FIG9_DEFAULTS = {"seed": 3, "duration_ns": 150_000.0, "warmup_ns": 10_000.0}
 
 
+#: Fig. 9a's two builds of the FaRM lookup path.
+_BUILDS = ("percl", "sabre")
+
+
 def _fig9a_derive(params: Dict[str, Any]) -> Dict[str, Any]:
-    params["use_sabre"] = params["build"] == "sabre"
+    params["use_sabre"] = check_choice("build", params["build"], _BUILDS) == "sabre"
     return derive_memory_resident(params)
 
 
@@ -55,7 +60,7 @@ FIG9A_SPEC = register(
     ExperimentSpec(
         name="fig9a",
         description="FaRM KV lookup latency breakdown: perCL vs SABRe builds",
-        axes={"object_size": FIG1_SIZES, "build": ("percl", "sabre")},
+        axes={"object_size": FIG1_SIZES, "build": _BUILDS},
         defaults=_FIG9_DEFAULTS,
         derive=_fig9a_derive,
         headers=HEADERS_9A,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.config import ClusterConfig, default_cluster
+from repro.common.config import ClusterConfig, check_choice, default_cluster
+from repro.common.errors import ConfigError
 from repro.core.design_space import CcMethod, DESIGN_SPACE, design_space_table
 from repro.experiments import ExperimentSpec, register, run_sweep
 
@@ -17,7 +18,8 @@ def table1() -> str:
 
 
 def _table1_point(ctx) -> Dict:
-    method = CcMethod(ctx.params["cc_method"])
+    methods = tuple(m.value for m in CcMethod)
+    method = CcMethod(check_choice("cc_method", ctx.params["cc_method"], methods))
     cells = {"source": "", "destination": ""}
     for point in DESIGN_SPACE:
         if point.method is method:
@@ -92,8 +94,14 @@ _COMPONENT_FORMATTERS: Dict[str, Callable[[ClusterConfig], str]] = {
 
 def _table2_point(ctx) -> Dict:
     cluster = ctx.params.get("cluster") or default_cluster()
-    formatter = _COMPONENT_FORMATTERS[ctx.params["component"]]
-    return {"parameters": formatter(cluster)}
+    if not isinstance(cluster, ClusterConfig):
+        raise ConfigError(
+            f"cluster must be a ClusterConfig or None, got {cluster!r}"
+        )
+    component = check_choice(
+        "component", ctx.params["component"], tuple(_COMPONENT_FORMATTERS)
+    )
+    return {"parameters": _COMPONENT_FORMATTERS[component](cluster)}
 
 
 TABLE2_SPEC = register(

@@ -24,6 +24,7 @@ import sys
 from typing import List, Optional
 from urllib.parse import urlparse
 
+from repro.common.config import from_fields
 from repro.common.errors import ConfigError
 from repro.loadgen.client import run_open_loop
 from repro.loadgen.sweep import SaturationConfig, run_saturation, write_artifact
@@ -35,9 +36,13 @@ from repro.workloads.ycsb import YCSB_MIXES
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag that sets a config field stores under the field's own
+    name and has no default of its own: an unset flag leaves the
+    config's default, so each default has one home."""
     parser = argparse.ArgumentParser(
         prog="repro-load",
         description="Open-loop load harness for the repro-serve gateway.",
+        argument_default=argparse.SUPPRESS,
     )
     target = parser.add_argument_group("target")
     target.add_argument(
@@ -48,40 +53,41 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument(
         "--replay",
         action="store_true",
+        default=False,
         help="replay in virtual time on an in-process cluster instead",
     )
     target.add_argument(
         "--sweep",
         action="store_true",
+        default=False,
         help="saturation sweep (implies --replay per step)",
     )
     target.add_argument(
         "--mechanism",
-        default="sabre",
         help="read mechanism of the in-process cluster (--replay, --sweep)",
     )
     target.add_argument(
         "--shards",
         type=int,
-        default=4,
+        dest="n_shards",
         help="shards of the in-process cluster (--replay, --sweep)",
     )
 
     load = parser.add_argument_group("load shape")
-    load.add_argument("--qps", type=float, default=1000.0)
-    load.add_argument("--ops", type=int, default=1000)
+    load.add_argument("--qps", type=float)
+    load.add_argument("--ops", type=int, dest="n_ops")
     load.add_argument(
         "--duration",
         type=float,
-        default=0.0,
+        dest="duration_s",
         help="seconds of offered load (overrides --ops)",
     )
-    load.add_argument("--mix", choices=sorted(YCSB_MIXES), default="B")
-    load.add_argument("--distribution", choices=DISTRIBUTIONS, default="zipfian")
-    load.add_argument("--zipf-theta", type=float, default=0.99)
-    load.add_argument("--txn-fraction", type=float, default=0.0)
-    load.add_argument("--objects", type=int, default=512)
-    load.add_argument("--seed", type=int, default=1)
+    load.add_argument("--mix", choices=sorted(YCSB_MIXES), dest="workload")
+    load.add_argument("--distribution", choices=DISTRIBUTIONS)
+    load.add_argument("--zipf-theta", type=float)
+    load.add_argument("--txn-fraction", type=float)
+    load.add_argument("--objects", type=int, dest="n_objects")
+    load.add_argument("--seed", type=int)
     load.add_argument(
         "--time-scale",
         type=float,
@@ -90,28 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = parser.add_argument_group("sweep shape")
-    sweep.add_argument("--qps-start", type=float, default=4_000_000.0)
-    sweep.add_argument("--qps-factor", type=float, default=2.0)
-    sweep.add_argument("--steps", type=int, default=8)
-    sweep.add_argument("--collapse-ratio", type=float, default=0.85)
-    sweep.add_argument("--ops-per-step", type=int, default=2000)
+    sweep.add_argument("--qps-start", type=float)
+    sweep.add_argument("--qps-factor", type=float)
+    sweep.add_argument("--steps", type=int, dest="max_steps")
+    sweep.add_argument("--collapse-ratio", type=float)
+    sweep.add_argument("--ops-per-step", type=int)
 
-    parser.add_argument("--output", help="write the JSON artifact here")
+    parser.add_argument("--output", default=None, help="write the JSON artifact here")
     return parser
-
-
-def _trace_config(args: argparse.Namespace) -> TraceConfig:
-    return TraceConfig(
-        qps=args.qps,
-        n_ops=args.ops,
-        duration_s=args.duration,
-        workload=args.mix,
-        distribution=args.distribution,
-        zipf_theta=args.zipf_theta,
-        txn_fraction=args.txn_fraction,
-        n_objects=args.objects,
-        seed=args.seed,
-    )
 
 
 def _emit(payload: dict, output: Optional[str]) -> None:
@@ -122,23 +114,12 @@ def _emit(payload: dict, output: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _run_saturation(args: argparse.Namespace) -> int:
-    cfg = SaturationConfig(
-        qps_start=args.qps_start,
-        qps_factor=args.qps_factor,
-        max_steps=args.steps,
-        collapse_ratio=args.collapse_ratio,
-        ops_per_step=args.ops_per_step,
-        workload=args.mix,
-        distribution=args.distribution,
-        zipf_theta=args.zipf_theta,
-        txn_fraction=args.txn_fraction,
-        mechanism=args.mechanism,
-        n_shards=args.shards,
-        n_objects=args.objects,
-        seed=args.seed,
+def _run_saturation(
+    args: argparse.Namespace, settings: ServeSettings, trace: TraceConfig
+) -> int:
+    result = run_saturation(
+        from_fields(SaturationConfig, vars(args)), settings, trace
     )
-    result = run_saturation(cfg)
     summary = result.to_dict()
     del summary["config"]  # keep stdout focused; the artifact has it all
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -153,32 +134,25 @@ def _run_saturation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_replay(args: argparse.Namespace) -> int:
-    trace = build_trace(_trace_config(args))
-    bridge = SimBridge(
-        ServeSettings(
-            mechanism=args.mechanism,
-            n_shards=args.shards,
-            n_objects=args.objects,
-            seed=args.seed,
-        )
-    )
+def _run_replay(
+    args: argparse.Namespace, settings: ServeSettings, trace: TraceConfig
+) -> int:
+    bridge = SimBridge(settings)
     bridge.warm()
-    report = bridge.replay(trace)
+    report = bridge.replay(build_trace(trace))
     payload = report.to_row()
     payload["errors_by_status"] = report.errors_by_status
     _emit(payload, args.output)
     return 0
 
 
-def _run_live(args: argparse.Namespace) -> int:
+def _run_live(args: argparse.Namespace, trace: TraceConfig) -> int:
     parsed = urlparse(args.url)
     if parsed.scheme != "http" or not parsed.hostname:
         raise ConfigError(f"need an http://host:port URL, got {args.url!r}")
-    trace = build_trace(_trace_config(args))
     report = asyncio.run(
         run_open_loop(
-            trace,
+            build_trace(trace),
             parsed.hostname,
             parsed.port or 80,
             time_scale=args.time_scale,
@@ -191,11 +165,15 @@ def _run_live(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # One cluster and one op mix, whatever the mode: every flag
+        # that names a field sets it the same way in all three.
+        settings = from_fields(ServeSettings, vars(args))
+        trace = from_fields(TraceConfig, vars(args))
         if args.sweep:
-            return _run_saturation(args)
+            return _run_saturation(args, settings, trace)
         if args.replay:
-            return _run_replay(args)
-        return _run_live(args)
+            return _run_replay(args, settings, trace)
+        return _run_live(args, trace)
     except ConfigError as exc:
         print(f"repro-load: {exc}", file=sys.stderr)
         return 2

@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 from urllib.parse import quote
 
 from repro.serve.ops import ArrivalTrace, TimedOp
 from repro.sim.stats import Samples
+
+#: Seconds a request may wait for its response before it counts as a
+#: transport error.
+REQUEST_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -42,7 +46,6 @@ class LoadReport:
     p99_ms: float
     mean_ms: float
     transport_errors: int
-    per_op: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def achieved_ratio(self) -> float:
@@ -50,8 +53,8 @@ class LoadReport:
             return 1.0
         return self.achieved_qps / self.offered_qps
 
-    def to_dict(self, include_ops: bool = False) -> Dict[str, Any]:
-        out = {
+    def to_dict(self) -> Dict[str, Any]:
+        return {
             "offered_qps": self.offered_qps,
             "achieved_qps": self.achieved_qps,
             "achieved_ratio": self.achieved_ratio,
@@ -66,9 +69,6 @@ class LoadReport:
             "mean_ms": self.mean_ms,
             "transport_errors": self.transport_errors,
         }
-        if include_ops:
-            out["ops"] = self.per_op
-        return out
 
 
 class _ConnPool:
@@ -147,22 +147,20 @@ async def run_open_loop(
     host: str,
     port: int,
     time_scale: float = 1.0,
-    request_timeout_s: float = 30.0,
-    keep_per_op: bool = False,
 ) -> LoadReport:
     """Drive ``trace`` against a live gateway.
 
     ``time_scale`` compresses the virtual arrival stamps onto the wall
     clock: wall seconds between arrivals = virtual ns gap / 1e9 /
     ``time_scale``.  The default 1.0 replays virtual nanoseconds as
-    wall nanoseconds — against the fast-mode gateway the trace's QPS
-    *is* the wall QPS asked of the server.
+    wall nanoseconds, so the trace's QPS *is* the wall QPS asked of the
+    server.  A response that takes longer than
+    :data:`REQUEST_TIMEOUT_S` counts as a transport error.
     """
     loop = asyncio.get_running_loop()
     pool = _ConnPool(host, port)
     latencies = Samples("load_wall_s")
     status_counts: Dict[int, int] = {}
-    per_op: List[Dict[str, Any]] = []
     transport_errors = 0
     tasks: List[asyncio.Task] = []
 
@@ -176,7 +174,7 @@ async def run_open_loop(
                 conn[1].write(payload)
                 await conn[1].drain()
                 status = await asyncio.wait_for(
-                    _read_response(conn[0]), request_timeout_s
+                    _read_response(conn[0]), REQUEST_TIMEOUT_S
                 )
                 pool.release(conn)
             except BaseException:
@@ -191,18 +189,8 @@ async def run_open_loop(
         ):
             transport_errors += 1
             return
-        wall_s = loop.time() - t0
-        latencies.add(wall_s)
+        latencies.add(loop.time() - t0)
         status_counts[status] = status_counts.get(status, 0) + 1
-        if keep_per_op:
-            per_op.append(
-                {
-                    "op_id": op.op_id,
-                    "kind": op.kind,
-                    "status": status,
-                    "wall_ms": wall_s * 1e3,
-                }
-            )
 
     start = loop.time()
     for op in trace.ops:
@@ -233,5 +221,4 @@ async def run_open_loop(
         p99_ms=latencies.percentile(99.0) * 1e3,
         mean_ms=latencies.mean * 1e3,
         transport_errors=transport_errors,
-        per_op=per_op,
     )

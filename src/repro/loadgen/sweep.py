@@ -20,9 +20,10 @@ Two consumers:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List
 
+from repro.common.config import from_fields
 from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.experiments import ExperimentSpec, QaCheck, Variant, register
@@ -33,7 +34,9 @@ from repro.serve.settings import ServeSettings
 
 @dataclass
 class SaturationConfig:
-    """One saturation sweep."""
+    """One saturation sweep's steps.  The cluster under test is a
+    :class:`ServeSettings` and the op mix a :class:`TraceConfig`; each
+    step replays that trace at its own offered QPS."""
 
     qps_start: float = 4_000_000.0
     qps_factor: float = 2.0
@@ -41,19 +44,6 @@ class SaturationConfig:
     #: Achieved/offered ratio below which the step counts as collapsed.
     collapse_ratio: float = 0.85
     ops_per_step: int = 2_000
-    workload: str = "B"
-    distribution: str = "zipfian"
-    zipf_theta: float = 0.99
-    txn_fraction: float = 0.0
-    mechanism: str = "sabre"
-    n_shards: int = 4
-    replication: int = 2
-    n_objects: int = 512
-    object_size: int = 1024
-    n_clients: int = 2
-    max_sessions: int = 16
-    request_timeout_ns: float = 5_000_000.0
-    seed: int = 1
 
     def validate(self) -> None:
         if self.qps_start <= 0:
@@ -66,37 +56,13 @@ class SaturationConfig:
             raise ConfigError("collapse_ratio must be in (0, 1]")
         if self.ops_per_step < 1:
             raise ConfigError("need at least one op per step")
-        self.serve_settings().validate()
-
-    def serve_settings(self) -> ServeSettings:
-        return ServeSettings(
-            mechanism=self.mechanism,
-            n_shards=self.n_shards,
-            replication=min(self.replication, self.n_shards),
-            n_objects=self.n_objects,
-            object_size=self.object_size,
-            n_clients=self.n_clients,
-            max_sessions=self.max_sessions,
-            request_timeout_ns=self.request_timeout_ns,
-            seed=self.seed,
-        )
-
-    def trace_config(self, qps: float, step: int) -> TraceConfig:
-        return TraceConfig(
-            qps=qps,
-            n_ops=self.ops_per_step,
-            workload=self.workload,
-            distribution=self.distribution,
-            zipf_theta=self.zipf_theta,
-            txn_fraction=self.txn_fraction,
-            n_objects=self.n_objects,
-            seed=derive_seed(self.seed, "load-sweep", step),
-        )
 
 
 @dataclass
 class SaturationResult:
     config: SaturationConfig
+    settings: ServeSettings = field(default_factory=ServeSettings)
+    trace: TraceConfig = field(default_factory=TraceConfig)
     steps: List[Dict[str, float]] = field(default_factory=list)
 
     @property
@@ -132,7 +98,11 @@ class SaturationResult:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "config": asdict(self.config),
+            "config": {
+                "sweep": asdict(self.config),
+                "serve": asdict(self.settings),
+                "trace": asdict(self.trace),
+            },
             "steps": self.steps,
             "peak_qps": self.peak_qps,
             "knee_qps": self.knee_qps,
@@ -141,16 +111,33 @@ class SaturationResult:
         }
 
 
-def run_saturation(cfg: SaturationConfig) -> SaturationResult:
-    """Run the sweep (deterministic: fresh cluster per step)."""
+def run_saturation(
+    cfg: SaturationConfig, settings: ServeSettings, trace: TraceConfig
+) -> SaturationResult:
+    """Run the sweep (deterministic: fresh cluster per step).  Step
+    ``k`` replays ``trace`` with ``ops_per_step`` ops at its offered
+    QPS, on RNG streams derived from ``trace.seed`` and ``k``."""
     cfg.validate()
-    result = SaturationResult(config=cfg)
+    if trace.n_objects != settings.n_objects:
+        raise ConfigError(
+            f"the trace draws from {trace.n_objects} objects, the cluster "
+            f"holds {settings.n_objects}"
+        )
+    result = SaturationResult(config=cfg, settings=settings, trace=trace)
     qps = cfg.qps_start
     for step in range(cfg.max_steps):
-        bridge = SimBridge(cfg.serve_settings())
+        arrivals = build_trace(
+            replace(
+                trace,
+                qps=qps,
+                n_ops=cfg.ops_per_step,
+                duration_s=0.0,
+                seed=derive_seed(trace.seed, "load-sweep", step),
+            )
+        )
+        bridge = SimBridge(settings)
         bridge.warm()
-        trace = build_trace(cfg.trace_config(qps, step))
-        report = bridge.replay(trace)
+        report = bridge.replay(arrivals)
         row = {"step": float(step), **report.to_row()}
         result.steps.append(row)
         if report.achieved_ratio < cfg.collapse_ratio:
@@ -181,12 +168,16 @@ SWEEP_HEADERS = (
 
 
 def _sweep_point(ctx) -> Dict[str, float]:
-    # Every parameter naming a field overrides it, so the spec states
-    # only what it changes; the step size scales with the sweep.
-    names = {f.name for f in fields(SaturationConfig)}
-    cfg = SaturationConfig(**{k: v for k, v in ctx.params.items() if k in names})
+    # Every parameter naming a field of the sweep, the cluster or the
+    # op mix overrides it, so the spec states only what it changes; the
+    # step size scales with the sweep.
+    cfg = from_fields(SaturationConfig, ctx.params)
     cfg.ops_per_step = max(50, int(cfg.ops_per_step * ctx.scale))
-    result = run_saturation(cfg)
+    result = run_saturation(
+        cfg,
+        from_fields(ServeSettings, ctx.params),
+        from_fields(TraceConfig, ctx.params),
+    )
     v = ctx.variant
     return {
         f"{v}_peak_qps": result.peak_qps,

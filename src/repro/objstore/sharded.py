@@ -45,7 +45,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.atomicity.locks import commit_version, is_locked, lock_version
-from repro.common.config import ClusterConfig, FabricConfig, NodeConfig
+from repro.common.config import ClusterConfig, from_fields
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError, ShardCrashedError
 from repro.common.rng import make_rng
@@ -146,8 +146,14 @@ class ShardedConfig:
     #: replica (0 disables fallback; reads then retry the primary only).
     fallback_after_ns: float = 0.0
     costs: SoftwareCosts = field(default_factory=lambda: DEFAULT_COSTS)
-    node: Optional[NodeConfig] = None
-    fabric: Optional[FabricConfig] = None
+
+    @classmethod
+    def of(cls, source: object, **derived) -> "ShardedConfig":
+        """The deployment ``source`` describes — a workload config or the
+        serve settings: each field of this class that ``source`` has, by
+        name (:func:`~repro.common.config.from_fields`), then what the
+        caller derives (an elastic run's ``max_shards``)."""
+        return from_fields(cls, vars(source), **derived)
 
     def validate(self) -> None:
         get_protocol(self.mechanism)  # raises ConfigError when unknown
@@ -185,12 +191,7 @@ class ShardedConfig:
         return self.object_size - 8
 
     def cluster_config(self) -> ClusterConfig:
-        kwargs = {"nodes": self.provisioned_shards + self.clients}
-        if self.node is not None:
-            kwargs["node"] = self.node
-        if self.fabric is not None:
-            kwargs["fabric"] = self.fabric
-        return ClusterConfig(**kwargs)
+        return ClusterConfig(nodes=self.provisioned_shards + self.clients)
 
 
 # ----------------------------------------------------------------------

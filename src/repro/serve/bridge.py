@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.common.errors import ConfigError
-from repro.objstore.sharded import ShardedKV
+from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.ops import ArrivalTrace, TimedOp
@@ -165,7 +165,7 @@ class SimBridge:
     def __init__(self, settings: ServeSettings):
         settings.validate()
         self.settings = settings
-        self.kv = ShardedKV(settings.sharded_config())
+        self.kv = ShardedKV(ShardedConfig.of(settings))
         self.txn = TxnManager(self.kv)
         self.sim = self.kv.cluster.sim
         self.ready = False

@@ -57,6 +57,9 @@ MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
 _MAX_BODY_DIGITS = len(str(MAX_BODY_BYTES))
 
+#: ``/metrics``' media type: the Prometheus text exposition format.
+PROMETHEUS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
+
 #: Virtual-status -> HTTP status.
 STATUS_HTTP = {
     "ok": 200,
@@ -353,12 +356,12 @@ class Gateway:
         status: int,
         payload: Dict,
         keep_alive: bool,
-        content_type: str = "application/json",
     ) -> None:
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
+        if isinstance(payload, str):  # only /metrics answers text
+            body, content_type = payload.encode("utf-8"), PROMETHEUS_TEXT
         else:
             body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+            content_type = "application/json"
         reason = REASONS.get(status, "Unknown")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"

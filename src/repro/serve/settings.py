@@ -18,7 +18,6 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.common.errors import ConfigError
 from repro.objstore.sharded import ShardedConfig
-from repro.workloads.mix import sharded_config
 
 ENV_PREFIX = "REPRO_SERVE_"
 
@@ -31,7 +30,7 @@ class ServeSettings:
     host: str = "127.0.0.1"
     port: int = 8373
 
-    # -- cluster --------------------------------------------------------
+    # -- cluster (the ShardedConfig fields, by name) ----------------------
     n_shards: int = 4
     replication: int = 2
     mechanism: str = "sabre"
@@ -73,6 +72,11 @@ class ServeSettings:
     #: (empty disables the artifact).
     metrics_artifact: str = ""
 
+    def __post_init__(self) -> None:
+        # At most one replica per shard: ``--shards 1`` serves
+        # unreplicated rather than refusing the default replication.
+        self.replication = min(self.replication, self.n_shards)
+
     def validate(self) -> None:
         if not 0 <= self.port < 65536:
             # Port 0 asks the kernel for an ephemeral port (tests/CI).
@@ -89,14 +93,7 @@ class ServeSettings:
             raise ConfigError("need at least one client node")
         if self.max_sessions < 1:
             raise ConfigError("need at least one session per pool")
-        self.sharded_config().validate()
-
-    def sharded_config(self) -> ShardedConfig:
-        return sharded_config(
-            self,
-            replication=min(self.replication, self.n_shards),
-            fallback_after_ns=self.fallback_after_ns,
-        )
+        ShardedConfig.of(self).validate()
 
     @property
     def burst(self) -> float:

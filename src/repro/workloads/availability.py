@@ -39,7 +39,7 @@ from repro.experiments import ExperimentSpec, Variant, register
 from repro.faults import FaultInjector
 from repro.objstore.failover import FailoverManager, FailurePlan
 from repro.objstore.protocols import DETECTING_VARIANTS
-from repro.objstore.sharded import ShardedKV
+from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.sim.stats import Samples
 from repro.workloads.mix import (
@@ -150,7 +150,7 @@ def run_failover_mix(cfg: FailoverMixConfig) -> FailoverResult:
     """Build the service + txn layer + fault injector and run the
     closed-loop mix to ``duration_ns``."""
     cfg.validate()
-    with closing(ShardedKV(cfg.to_sharded())) as kv:
+    with closing(ShardedKV(ShardedConfig.of(cfg))) as kv:
         manager = TxnManager(kv)
         injector = FailoverManager(kv, cfg.plan())
         faults = FaultInjector(kv.cluster, cfg.fault_schedule())

@@ -115,11 +115,6 @@ class ElasticConfig(ServiceMixConfig):
         if self.max_extra_replicas < 0:
             raise ConfigError("max_extra_replicas cannot be negative")
 
-    def to_sharded(self) -> ShardedConfig:
-        return super().to_sharded(
-            max_shards=max(self.n_shards, self.target_shards)
-        )
-
 
 @dataclass
 class ElasticResult:
@@ -182,7 +177,8 @@ def run_elastic(cfg: ElasticConfig) -> ElasticResult:
     """Build the service + reshard manager (+ optional txn layer and
     fault injector) and run the phased closed-loop mix."""
     cfg.validate()
-    with closing(ShardedKV(cfg.to_sharded())) as kv:
+    max_shards = max(cfg.n_shards, cfg.target_shards)  # room to scale out
+    with closing(ShardedKV(ShardedConfig.of(cfg, max_shards=max_shards))) as kv:
         manager = ReshardManager(kv)
         txns = TxnManager(kv) if cfg.txn_sessions_per_client else None
         FaultInjector(kv.cluster, cfg.fault_schedule())

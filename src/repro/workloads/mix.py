@@ -23,7 +23,9 @@ are plain generators :meth:`Simulator.process` drives directly.
 
 :class:`DeploymentConfig` is the matching single settings object: the
 fields that describe *which service is deployed and for how long*,
-declared once with defaults that each workload config overrides.
+declared once with defaults that each workload config overrides.  The
+deployment itself is :meth:`ShardedConfig.of` the config: every
+``ShardedConfig`` field it has, by name.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.common.config import LayeredConfig
+from repro.common.config import LayeredConfig, check_scalar
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError
 from repro.faults import FAULT_KINDS, FaultSchedule, cycle_fault_schedule
@@ -42,26 +44,6 @@ from repro.workloads.generators import DISTRIBUTIONS, make_picker
 # ----------------------------------------------------------------------
 # deployment config
 # ----------------------------------------------------------------------
-
-#: Fields any settings object must carry to describe a deployment.
-_DEPLOYMENT_FIELDS = (
-    "n_shards",
-    "n_clients",
-    "replication",
-    "mechanism",
-    "object_size",
-    "n_objects",
-    "seed",
-)
-
-
-def sharded_config(cfg, **extra) -> ShardedConfig:
-    """The one config -> :class:`ShardedConfig` mapping: the deployment
-    fields of ``cfg`` plus whatever ``extra`` a caller derives."""
-    fields = {name: getattr(cfg, name) for name in _DEPLOYMENT_FIELDS}
-    fields.update(extra)
-    return ShardedConfig(**fields)
-
 
 @dataclass
 class DeploymentConfig(LayeredConfig):
@@ -98,16 +80,7 @@ class DeploymentConfig(LayeredConfig):
             raise ConfigError("warmup cannot be negative")
         if self.warmup_ns >= self.duration_ns:
             raise ConfigError("warmup must end before the run does")
-        self.to_sharded().validate()
-
-    def to_sharded(self, **extra) -> ShardedConfig:
-        return sharded_config(
-            self,
-            version_bits=self.version_bits,
-            vnodes=self.vnodes,
-            costs=self.costs,
-            **extra,
-        )
+        ShardedConfig.of(self).validate()
 
     def picker(self, label: object):
         """This run's key-popularity picker on RNG stream ``label``."""
@@ -176,11 +149,6 @@ class ServiceMixConfig(DeploymentConfig):
                 "fault schedule extends past the run; shrink fault_windows"
             )
 
-    def to_sharded(self, **extra) -> ShardedConfig:
-        return super().to_sharded(
-            fallback_after_ns=self.fallback_after_ns, **extra
-        )
-
     def fault_schedule(self) -> FaultSchedule:
         """The fault lane's windows over the *starting* member shards
         (node ids ``0..n_shards-1``)."""
@@ -203,6 +171,8 @@ def derive_shard_scaling(params: Dict) -> Dict:
     rack)."""
     out = dict(params)
     shards = out.pop("shards")
+    check_scalar("shards", "int", shards)
+    check_scalar("replication", "int", out["replication"])
     out["n_shards"] = shards
     out["n_clients"] = shards
     out["replication"] = min(out["replication"], shards)

@@ -37,7 +37,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.experiments import ExperimentSpec, Variant, register
 from repro.objstore.protocols import PROTOCOL_VARIANTS
-from repro.objstore.sharded import ShardedKV
+from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.sim.stats import Samples, meter_window
 from repro.workloads.mix import (
@@ -118,7 +118,7 @@ class TxnMixResult:
 def run_txn_mix(cfg: TxnMixConfig) -> TxnMixResult:
     """Build the sharded service + txn layer and run the closed loop."""
     cfg.validate()
-    with closing(ShardedKV(cfg.to_sharded())) as kv:
+    with closing(ShardedKV(ShardedConfig.of(cfg))) as kv:
         manager = TxnManager(kv)
         sim = kv.cluster.sim
         t_end = cfg.duration_ns

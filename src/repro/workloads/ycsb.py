@@ -80,9 +80,6 @@ class YcsbConfig(DeploymentConfig):
     def write_fraction(self) -> float:
         return YCSB_MIXES[self.workload]
 
-    def to_sharded(self) -> ShardedConfig:
-        return super().to_sharded(fallback_after_ns=self.fallback_after_ns)
-
 
 @dataclass
 class YcsbResult:
@@ -118,7 +115,7 @@ class YcsbResult:
 def run_ycsb(cfg: YcsbConfig) -> YcsbResult:
     """Build the sharded service and run the closed-loop YCSB mix."""
     cfg.validate()
-    with closing(ShardedKV(cfg.to_sharded())) as kv:
+    with closing(ShardedKV(ShardedConfig.of(cfg))) as kv:
         sim = kv.cluster.sim
         t_end = cfg.duration_ns
         write_frac = cfg.write_fraction

@@ -16,6 +16,7 @@ from repro.common.config import (
     SabreConfig,
     SabreMode,
     default_cluster,
+    sabre_cluster,
 )
 from repro.common.errors import ConfigError
 
@@ -76,11 +77,13 @@ def test_validate_rejects_bad_page_size():
         node.validate()
 
 
-def test_with_sabre_mode_switches_only_mode():
+def test_sabre_cluster_switches_only_mode():
     cfg = default_cluster()
-    other = cfg.with_sabre_mode(SabreMode.LOCKING)
-    assert other.node.sabre.mode is SabreMode.LOCKING
-    assert other.node.sabre.stream_buffers == cfg.node.sabre.stream_buffers
+    for mode in (SabreMode.LOCKING, "locking"):
+        other = sabre_cluster(mode=mode)
+        assert other.node.sabre.mode is SabreMode.LOCKING
+        sabre = dataclasses.replace(other.node.sabre, mode=SabreMode.SPECULATIVE)
+        assert dataclasses.replace(other.node, sabre=sabre) == cfg.node
     assert cfg.node.sabre.mode is SabreMode.SPECULATIVE  # original untouched
 
 

@@ -22,6 +22,7 @@ from repro.experiments import (
 from repro.experiments.context import atomic_write_json
 from repro.harness.cli import main
 from repro.harness.fig7 import FIG7A_SPEC
+from repro.sim.engine import Simulator
 
 
 def _echo_point(ctx):
@@ -160,13 +161,16 @@ class TestRegistry:
 
 
 def _layered_specs():
-    """Registered spec -> (the config class its point function builds,
-    the names its ``derive`` hook or point function consumes that are
-    not fields of that class).  ``None``: the spec builds no layered
+    """Registered spec -> (the config class its point function builds —
+    or the classes, when it builds several from one point — and the
+    names its ``derive`` hook or point function consumes that are not
+    fields of those classes).  ``None``: the spec builds no layered
     config and all its names are its own."""
     from repro.loadgen.sweep import SaturationConfig
+    from repro.loadgen.trace import TraceConfig
     from repro.objstore.farm import FarmConfig
     from repro.objstore.local import LocalReadConfig
+    from repro.serve.settings import ServeSettings
     from repro.workloads.availability import FailoverMixConfig
     from repro.workloads.elastic import ElasticConfig
     from repro.workloads.microbench import MicrobenchConfig
@@ -199,10 +203,17 @@ def _layered_specs():
         "partition_availability": (FailoverMixConfig, ()),
         "elastic_scaling": (ElasticConfig, ()),
         "hotkey_rebalance": (ElasticConfig, ()),
-        "serve_load_sweep": (SaturationConfig, ()),
+        "serve_load_sweep": ((SaturationConfig, ServeSettings, TraceConfig), ()),
         "table1": (None, ("cc_method",)),
         "table2": (None, ("component", "cluster")),
     }
+
+
+def _classes(built):
+    """The config classes one ``_layered_specs`` entry builds."""
+    if built is None:
+        return ()
+    return built if isinstance(built, tuple) else (built,)
 
 
 class TestLayeredConfigs:
@@ -220,8 +231,8 @@ class TestLayeredConfigs:
         for variant in spec.variants:
             stated |= set(variant.params)
         known = set(consumed)
-        if config_cls is not None:
-            known |= {f.name for f in dataclasses.fields(config_cls)}
+        for cls in _classes(config_cls):
+            known |= {f.name for f in dataclasses.fields(cls)}
         assert stated <= known, sorted(stated - known)
 
     def test_overridden_seed_reaches_an_ablation_that_states_none(self):
@@ -254,8 +265,9 @@ def _scalar_fields():
     the configs the registered specs build."""
     classes = {
         cls
-        for cls, _consumed in _layered_specs().values()
-        if cls is not None and issubclass(cls, LayeredConfig)
+        for built, _consumed in _layered_specs().values()
+        for cls in _classes(built)
+        if issubclass(cls, LayeredConfig)
     }
     return sorted(
         (
@@ -277,6 +289,24 @@ def _fits(annotation, value):
         return False
     types = {"int": int, "float": (int, float), "str": str}[annotation]
     return isinstance(value, types)
+
+
+def _stated_cases():
+    """(spec, key, bad value) for every key a registered spec states in
+    its defaults, axes or variant params: a value of the wrong type,
+    and for a string key (every one of them names a choice) a value
+    outside its choices too."""
+    cases = []
+    for name in registry.names():
+        spec = registry.get(name)
+        stated = dict(spec.defaults)
+        stated.update((axis, values[0]) for axis, values in spec.axes.items())
+        for variant in spec.variants:
+            stated.update(variant.params)
+        for key, value in sorted(stated.items()):
+            bad = (1.5, "bogus") if isinstance(value, str) else ("abc",)
+            cases.extend((name, key, b) for b in bad)
+    return cases
 
 
 class TestWrongTypeOverrides:
@@ -329,14 +359,27 @@ class TestWrongTypeOverrides:
             "SabreConfig.stream_buffer_depth must be int, got 1.5",
         ),
         ("ablation_retry_policy", {"policy": 1.5}, "policy must be one of"),
+        ("fig7a", {"mode": "bogus"}, "SabreConfig.mode must be one of"),
+        (
+            "ablation_r2p2_distribution",
+            {"mode": 1.5},
+            "SabreConfig.mode must be one of",
+        ),
+        (
+            "ablation_locking_vs_occ",
+            {"mode": "bogus"},
+            "SabreConfig.mode must be one of",
+        ),
     ]
 
     def test_the_cases_cover_every_sabre_derive_hook(self):
+        """A SABRe derive hook is one whose points carry a ``cluster``
+        it built: selected by what the hook does, not by its name."""
         hooks = {
             name
             for name in registry.names()
             if registry.get(name).derive is not None
-            and "_cluster_with_sabre" in registry.get(name).derive.__code__.co_names
+            and any("cluster" in p.params for p in registry.get(name).expand())
         }
         assert hooks == {spec for spec, _o, _e in self.SABRE_HOOK_CASES}
 
@@ -347,6 +390,21 @@ class TestWrongTypeOverrides:
         point runs."""
         with pytest.raises(ConfigError, match=re.escape(error)):
             registry.get(spec).expand(overrides=override)
+
+    @pytest.mark.parametrize("name, key, value", _stated_cases())
+    def test_every_stated_parameter_is_checked(self, monkeypatch, name, key, value):
+        """Every key a registered spec states, set to a value of the
+        wrong type or outside its choices, is refused with a
+        :class:`ConfigError` naming it — wherever it is read (a config
+        field, a derive hook, a table point) and before any simulation
+        runs."""
+
+        def no_run(*_args, **_kwargs):
+            raise AssertionError(f"a simulation ran with {key}={value!r}")
+
+        monkeypatch.setattr(Simulator, "run", no_run)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            run_sweep(registry.get(name), scale=0.01, overrides={key: value})
 
 
 class TestFigureSpecs:

@@ -387,7 +387,7 @@ class TestMixDeterminismAndHeap:
         cancelled-entry compaction keeps the event heap proportional to
         live work instead of growing with every completed RPC."""
         cfg = FailoverMixConfig(**self.CFG)
-        kv = ShardedKV(cfg.to_sharded())
+        kv = ShardedKV(ShardedConfig.of(cfg))
         manager = TxnManager(kv)
         fm = FailoverManager(kv, cfg.plan())
         sim = kv.cluster.sim

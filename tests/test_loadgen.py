@@ -3,9 +3,11 @@ client against a live gateway, the saturation sweep, and the
 registered ``serve_load_sweep`` experiment."""
 
 import asyncio
+from dataclasses import fields
 
 import pytest
 
+from repro.common.config import from_fields
 from repro.common.errors import ConfigError
 from repro.experiments import registry, run_sweep
 from repro.loadgen.client import run_open_loop
@@ -165,7 +167,9 @@ class TestOpenLoopClient:
 
 
 def _small_sweep(**overrides):
-    cfg = dict(
+    """The sweep, its cluster and its op mix, as ``run_saturation``
+    takes them; each override goes to the class with that field."""
+    params = dict(
         qps_start=8_000_000.0,
         qps_factor=4.0,
         max_steps=3,
@@ -173,21 +177,24 @@ def _small_sweep(**overrides):
         workload="C",
         seed=6,
     )
-    cfg.update(overrides)
-    return SaturationConfig(**cfg)
+    params.update(overrides)
+    return tuple(
+        from_fields(cls, params)
+        for cls in (SaturationConfig, ServeSettings, TraceConfig)
+    )
 
 
 class TestSweep:
     def test_sweep_is_deterministic(self):
-        first = run_saturation(_small_sweep())
-        second = run_saturation(_small_sweep())
+        first = run_saturation(*_small_sweep())
+        second = run_saturation(*_small_sweep())
         assert first.to_dict() == second.to_dict()
         assert first.steps
         assert first.peak_qps > 0
         assert first.undetected_violations == 0
 
     def test_sweep_steps_offered_qps_geometrically(self):
-        result = run_saturation(_small_sweep())
+        result = run_saturation(*_small_sweep())
         offered = [step["offered_qps"] for step in result.steps]
         for prev, cur in zip(offered, offered[1:]):
             assert cur == pytest.approx(prev * 4.0)
@@ -200,26 +207,36 @@ class TestSweep:
     def test_artifact_round_trip(self, tmp_path):
         import json
 
-        result = run_saturation(_small_sweep(max_steps=1))
+        result = run_saturation(*_small_sweep(max_steps=1))
         path = tmp_path / "sweep.json"
         write_artifact(result, str(path))
         payload = json.loads(path.read_text())
         assert payload["peak_qps"] == result.peak_qps
-        assert payload["config"]["workload"] == "C"
+        assert payload["config"]["trace"]["workload"] == "C"
+        assert payload["config"]["serve"]["seed"] == 6
         assert len(payload["steps"]) == len(result.steps)
+
+    def test_each_setting_has_one_class(self):
+        """The sweep declares only its steps: the cluster is a
+        ``ServeSettings`` and the op mix a ``TraceConfig``."""
+        names = [
+            {f.name for f in fields(cls)}
+            for cls in (SaturationConfig, ServeSettings, TraceConfig)
+        ]
+        assert not names[0] & (names[1] | names[2])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            run_saturation(_small_sweep(qps_factor=1.0))
+            run_saturation(*_small_sweep(qps_factor=1.0))
         with pytest.raises(ConfigError):
-            run_saturation(_small_sweep(qps_start=0.0))
+            run_saturation(*_small_sweep(qps_start=0.0))
         with pytest.raises(ConfigError):
-            run_saturation(_small_sweep(collapse_ratio=0.0))
+            run_saturation(*_small_sweep(collapse_ratio=0.0))
         with pytest.raises(ConfigError):
-            run_saturation(_small_sweep(ops_per_step=0))
+            run_saturation(*_small_sweep(ops_per_step=0))
 
     def test_result_properties_on_synthetic_steps(self):
-        cfg = _small_sweep()
+        cfg = _small_sweep()[0]
         result = SaturationResult(
             config=cfg,
             steps=[

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import ClusterConfig, SabreMode
+from repro.common.config import SabreMode, sabre_cluster
 from repro.common.errors import ConfigError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.stats import ThroughputMeter
@@ -126,7 +126,7 @@ class TestContendedRuns:
             n_objects=16,
             duration_ns=80_000.0,
             writer_think_ns=500.0,
-            cluster=ClusterConfig().with_sabre_mode(SabreMode.LOCKING),
+            cluster=sabre_cluster(mode=SabreMode.LOCKING),
         )
         assert result.sabre_aborts == 0
         assert result.undetected_violations == 0
@@ -138,7 +138,7 @@ class TestContendedRuns:
             writers=4,
             n_objects=8,
             duration_ns=80_000.0,
-            cluster=ClusterConfig().with_sabre_mode(SabreMode.NO_SPECULATION),
+            cluster=sabre_cluster(mode=SabreMode.NO_SPECULATION),
         )
         assert result.undetected_violations == 0
 
@@ -158,7 +158,7 @@ class TestContendedRuns:
             duration_ns=60_000.0,
             warmup_ns=20_000.0,
             seed=1,
-            cluster=ClusterConfig().with_sabre_mode(mode),
+            cluster=sabre_cluster(mode=mode),
         )
         counters = result.destination_counters
         causes = {

@@ -10,7 +10,7 @@ from collections import Counter as PyCounter
 
 import pytest
 
-from repro.common.config import ClusterConfig, SabreMode
+from repro.common.config import SabreMode, sabre_cluster
 from repro.fabric.packets import PacketKind
 from repro.objstore.layout import RawLayout, stamped_payload
 from repro.objstore.store import ObjectStore
@@ -43,7 +43,7 @@ def run_contended_microbench(mode=SabreMode.SPECULATIVE, **kw):
         duration_ns=50_000.0,
         warmup_ns=6_000.0,
         seed=21,
-        cluster=ClusterConfig().with_sabre_mode(mode),
+        cluster=sabre_cluster(mode=mode),
     )
     defaults.update(kw)
     bench = Microbenchmark(MicrobenchConfig(**defaults))

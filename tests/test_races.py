@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.common.config import ClusterConfig, SabreMode
+from repro.common.config import SabreMode, sabre_cluster
 from repro.objstore.layout import RawLayout, stamped_payload, torn_words
 from repro.objstore.store import ObjectStore
 from repro.sonuma.node import Cluster
@@ -21,7 +21,7 @@ PAYLOAD_LEN = 100  # wire = 108 B -> 2 cache blocks
 
 
 def build_race(mode):
-    cluster = Cluster(ClusterConfig().with_sabre_mode(mode))
+    cluster = Cluster(sabre_cluster(mode=mode))
     dst, src = cluster.node(0), cluster.node(1)
     store = ObjectStore(dst.phys, RawLayout())
     store.create(1, stamped_payload(0, PAYLOAD_LEN), version=0)
@@ -124,7 +124,7 @@ class TestBaseBlockAmbiguity:
     def test_post_window_write_caught_by_validate_stage(self):
         """A writer that starts after the version read must be caught by
         the validate stage's version re-read (§4.2)."""
-        cluster = Cluster(ClusterConfig().with_sabre_mode(SabreMode.SPECULATIVE))
+        cluster = Cluster(sabre_cluster(mode=SabreMode.SPECULATIVE))
         dst, src = cluster.node(0), cluster.node(1)
         store = ObjectStore(dst.phys, RawLayout())
         payload_len = 8000  # long transfer: plenty of post-window time
@@ -156,7 +156,7 @@ class TestBaseBlockAmbiguity:
         """An eviction-triggered invalidation of the base block is a
         false alarm: the validate stage re-reads the version, finds it
         unchanged, and confirms success (§4.2)."""
-        cluster = Cluster(ClusterConfig().with_sabre_mode(SabreMode.SPECULATIVE))
+        cluster = Cluster(sabre_cluster(mode=SabreMode.SPECULATIVE))
         dst, src = cluster.node(0), cluster.node(1)
         store = ObjectStore(dst.phys, RawLayout())
         payload_len = 8000
@@ -199,7 +199,7 @@ class TestHardwareRetry:
         """§5.1 ablation: with hardware retry enabled and a conflict
         detected before any reply left, the R2P2 retries internally and
         the source still sees one successful completion."""
-        cfg = ClusterConfig().with_sabre_mode(SabreMode.SPECULATIVE)
+        cfg = sabre_cluster(mode=SabreMode.SPECULATIVE)
         sabre = dataclasses.replace(cfg.node.sabre, hardware_retry=True)
         node = dataclasses.replace(cfg.node, sabre=sabre)
         cfg = dataclasses.replace(cfg, node=node)

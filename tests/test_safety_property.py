@@ -9,7 +9,7 @@ ground-truth stamp audit in the microbenchmark does the checking.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import ClusterConfig, SabreMode
+from repro.common.config import SabreMode, sabre_cluster
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
 SOUND_MODES = (
@@ -35,7 +35,7 @@ def run_schedule(mode: SabreMode, params: dict):
         mechanism="sabre",
         duration_ns=30_000.0,
         warmup_ns=4_000.0,
-        cluster=ClusterConfig().with_sabre_mode(mode),
+        cluster=sabre_cluster(mode=mode),
         **params,
     )
     return run_microbench(cfg)

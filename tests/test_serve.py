@@ -8,6 +8,7 @@ import math
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.objstore.sharded import ShardedConfig
 from repro.serve.bridge import SimBridge
 from repro.serve.gateway import MAX_BODY_BYTES, Gateway, TokenBucket
 from repro.serve.metrics import (
@@ -76,7 +77,7 @@ class TestSettings:
 
     def test_replication_clamped_to_shards(self):
         s = ServeSettings.from_env(environ={}, n_shards=1, replication=3)
-        assert s.sharded_config().replication == 1
+        assert s.replication == ShardedConfig.of(s).replication == 1
 
 
 # ----------------------------------------------------------------------
@@ -512,6 +513,40 @@ class TestGateway:
             await gw.drain()
 
         asyncio.run(scenario())
+
+    def test_content_type_per_route(self):
+        """``/metrics`` answers the Prometheus text format; ``/v1/*``
+        answers JSON."""
+
+        async def content_type(host, port, path):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                f"GET {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n"
+                f"Connection: close\r\n\r\n".encode()
+            )
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            head = reply.partition(b"\r\n\r\n")[0].decode("latin-1")
+            for line in head.split("\r\n"):
+                name, _, value = line.partition(":")
+                if name.lower() == "content-type":
+                    return value.strip()
+            return None
+
+        async def scenario():
+            gw = await _booted(_gateway_settings())
+            host, port = gw.settings.host, gw.port
+            types = {
+                path: await content_type(host, port, path)
+                for path in ("/metrics", "/v1/obj/key-1")
+            }
+            await gw.drain()
+            return types
+
+        types = asyncio.run(scenario())
+        assert types["/metrics"] == "text/plain; version=0.0.4; charset=utf-8"
+        assert types["/v1/obj/key-1"] == "application/json"
 
     @pytest.mark.parametrize("length", ["abc", "-1", "5, 5", "+5", "5_0"])
     def test_bad_content_length_answers_400_and_closes(self, length):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from repro.common.config import ClusterConfig, SabreMode
+from repro.common.config import ClusterConfig, SabreMode, sabre_cluster
 from repro.common.errors import ProtocolError, SimulationError
 from repro.core.r2p2 import R2P2Engine
 from repro.fabric.packets import Packet, PacketKind
@@ -18,7 +18,7 @@ from repro.sonuma.transfer import OpKind
 
 
 def two_nodes(mode=SabreMode.SPECULATIVE, **sabre_kwargs):
-    cfg = ClusterConfig().with_sabre_mode(mode)
+    cfg = sabre_cluster(mode=mode)
     if sabre_kwargs:
         sabre = dataclasses.replace(cfg.node.sabre, **sabre_kwargs)
         node = dataclasses.replace(cfg.node, sabre=sabre)
@@ -168,7 +168,7 @@ class TestSabre:
         assert 50.0 <= penalty <= 150.0
 
     def test_att_backpressure_with_one_stream_buffer(self):
-        cfg = ClusterConfig().with_sabre_mode(SabreMode.SPECULATIVE)
+        cfg = sabre_cluster(mode=SabreMode.SPECULATIVE)
         sabre = dataclasses.replace(cfg.node.sabre, stream_buffers=1)
         rmc = dataclasses.replace(cfg.node.rmc, backends=1)
         node = dataclasses.replace(cfg.node, sabre=sabre, rmc=rmc)

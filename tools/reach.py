@@ -16,9 +16,8 @@ holds every console script and example to this list):
 
 * ``tools/golden.py --check`` — every golden spec, fuzz lane and the
   replay, seed 1;
-* ``SABRES_BENCH_SCALE=0.25 pytest benchmarks --benchmark-disable``
-  — the paper's tables and figures (pytest-benchmark pauses the trace
-  hook around every timed call, so the timing is off);
+* ``SABRES_BENCH_SCALE=0.25 pytest benchmarks`` — the paper's tables
+  and figures;
 * every ``examples/*.py``;
 * ``repro-harness list``, ``table1``, ``table2`` and one sweep with
   ``--axes`` and ``--overrides``;
@@ -113,7 +112,7 @@ def drivers() -> List[Driver]:
     out: List[Driver] = [
         ("golden", [os.path.join(ROOT, "tools", "golden.py"), "--check"], {}),
         ("benchmarks", ["-m", "pytest", os.path.join(ROOT, "benchmarks"), "-q",
-                        "-p", "no:cacheprovider", "--benchmark-disable"],
+                        "-p", "no:cacheprovider"],
          {"SABRES_BENCH_SCALE": "0.25"}),
     ]
     for workload in BENCH_WORKLOADS:
