@@ -57,7 +57,7 @@ def demo_scale_out() -> None:
             pick = make_rng(5, "demo-writer", label)
             while sim.now < t_end:
                 yield kv.put(client, keys[pick.randrange(len(keys))], t_end)
-                yield sim.timeout(pick.uniform(20.0, 120.0))
+                yield pick.uniform(20.0, 120.0)
 
         for i in range(2):
             sim.process(reader(kv.reader_session(i), i))

@@ -30,9 +30,7 @@ class BeltAndSuspendersProtocol(HardwareSabreProtocol):
         if ok:
             # Redundant paranoia pass over the received bytes, charged
             # at Pilaf's checksum rate.
-            yield self.sim.timeout(
-                self.costs.checksum_cost_ns(self.payload_len)
-            )
+            yield self.costs.checksum_cost_ns(self.payload_len)
         return ok, data
 
 

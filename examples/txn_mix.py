@@ -78,7 +78,7 @@ def demo_conflict() -> None:
             # Wait for the transaction's read, then commit a conflicting
             # update before its lock lands.
             while not session.reader.stats[primary].op_latency.values:
-                yield sim.timeout(50.0)
+                yield 50.0
             idx = kv.key_index(key)
             from repro.objstore.layout import stamped_payload
 

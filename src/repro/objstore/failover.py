@@ -309,7 +309,7 @@ class FailoverManager:
         shard was rejoining."""
         kv = self.kv
         sim = kv.cluster.sim
-        yield sim.timeout(self._resync_cost(shard))
+        yield self._resync_cost(shard)
         self.stats.resynced_objects += kv.resync_shard(shard)
         kv.mark_serving(shard)
         self.down.discard(shard)

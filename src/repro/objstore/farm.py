@@ -163,7 +163,7 @@ class FarmKV:
                 # only) intermediate-buffer management.
                 fw = costs.framework_ns(zero_copy=cfg.use_sabre, wire_bytes=wire)
                 components["framework"] += fw
-                yield sim.timeout(fw)
+                yield fw
 
                 if cfg.use_sabre:
                     ev = self.client.sabre_read(
@@ -185,11 +185,11 @@ class FarmKV:
                         # Zero-copy: the app walks an LLC-resident object.
                         app = costs.app_consume_ns(cfg.payload_len, "llc")
                         components["application"] += app
-                        yield sim.timeout(app)
+                        yield app
                 else:
                     strip_ns = layout.check_cost_ns(costs, cfg.payload_len)
                     components["stripping"] += strip_ns
-                    yield sim.timeout(strip_ns)
+                    yield strip_ns
                     raw = self.client.read_local(buf, wire)
                     strip = layout.unpack(raw, cfg.payload_len)
                     ok = strip.ok
@@ -198,7 +198,7 @@ class FarmKV:
                         # The strip left the clean object in the L1d.
                         app = costs.app_consume_ns(cfg.payload_len, "l1")
                         components["application"] += app
-                        yield sim.timeout(app)
+                        yield app
 
                 if ok:
                     if data is not None and torn_words(data)[0]:

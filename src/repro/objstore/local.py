@@ -101,7 +101,7 @@ def run_local_reads(cfg: LocalReadConfig) -> LocalReadResult:
                 obj_id = rng.randrange(n_objects)
                 handle = store.handle(obj_id)
                 t0 = sim.now
-                yield sim.timeout(costs.local_fixed_ns)
+                yield costs.local_fixed_ns
                 if cfg.percl_layout:
                     # Strip+check reads the inflated wire image and writes a
                     # clean copy.  Traffic: the wire image in, plus the
@@ -117,7 +117,7 @@ def run_local_reads(cfg: LocalReadConfig) -> LocalReadResult:
                 mem_done = _bulk_dram(node, handle.base_addr, traffic)
                 compute_done = sim.now + compute
                 finish = max(mem_done, compute_done)
-                yield sim.timeout(finish - sim.now)
+                yield finish - sim.now
                 latency.add(sim.now - t0)
                 meter.record(cfg.payload_len)
 

@@ -141,7 +141,7 @@ class ReadProtocol:
         sim = self.sim
         t0 = sim.now
         while True:
-            yield sim.timeout(self.costs.microbench_loop_ns)
+            yield self.costs.microbench_loop_ns
             result = yield self.issue(handle, wire, buf)
             if result.crashed:
                 # Destination died under the transfer: the landing
@@ -213,9 +213,7 @@ class HardwareSabreProtocol(ReadProtocol):
         # hardware validated) over the transferred header.
         verdict = result.remote_version
         self.observe(strip.version if verdict is None else verdict, strip.data)
-        yield self.sim.timeout(
-            self.costs.app_consume_ns(self.payload_len, "microbench")
-        )
+        yield self.costs.app_consume_ns(self.payload_len, "microbench")
         return True, strip.data
 
     def async_ok(self, result) -> bool:
@@ -231,7 +229,7 @@ class SoftwareCheckProtocol(ReadProtocol):
 
     def complete(self, result, buf: int, wire: int):
         layout = self.layout
-        yield self.sim.timeout(layout.check_cost_ns(self.costs, self.payload_len))
+        yield layout.check_cost_ns(self.costs, self.payload_len)
         raw = self.src.read_local(buf, wire)
         strip = layout.unpack(raw, self.payload_len)
         if not strip.ok:
@@ -280,7 +278,7 @@ class DrtmLockProtocol(ReadProtocol):
         t0 = sim.now
         version_addr = self.store.version_addr(handle.obj_id)
         while True:
-            yield sim.timeout(costs.microbench_loop_ns)
+            yield costs.microbench_loop_ns
             probe = yield self.src.remote_read(
                 self.dst.node_id, version_addr, 8, buf
             )
@@ -323,7 +321,7 @@ class DrtmLockProtocol(ReadProtocol):
             )
             self.observe(observed, bytes(raw[8 : 8 + payload_len]))
             self.audit(bytes(raw[8 : 8 + payload_len]))
-            yield sim.timeout(costs.app_consume_ns(payload_len, "microbench"))
+            yield costs.app_consume_ns(payload_len, "microbench")
             self.stats.op_latency.add(sim.now - t0)
             self.stats.transfer_latency.add(read.timings.end_to_end_ns)
             self.stats.meter.record(payload_len)

@@ -285,7 +285,7 @@ class ReshardManager:
         sim = self.kv.cluster.sim
         self.migrating += 1
         while self._busy:
-            yield sim.timeout(OUTAGE_POLL_NS)
+            yield OUTAGE_POLL_NS
         self._busy = True
         try:
             for op in ops:
@@ -387,7 +387,7 @@ class ReshardManager:
                     kv.advance_epoch()
                 current_batch = batch
                 self.stats.vnode_handoffs += 1
-                yield sim.timeout(HANDOFF_FIXED_NS)
+                yield HANDOFF_FIXED_NS
             yield from self._migrate_key(idx, new_place)
         if current_batch is not None:
             kv.advance_epoch()
@@ -397,7 +397,7 @@ class ReshardManager:
         to exactly the fresh-ring replica lists."""
         kv = self.kv
         sim = kv.cluster.sim
-        yield sim.timeout(DRAIN_NS)
+        yield DRAIN_NS
         for idx in moved:
             kv.collapse(idx)
             kv.double_read.discard(idx)
@@ -421,11 +421,11 @@ class ReshardManager:
         while True:
             src = kv.current_primary(idx)
             if src is None:
-                yield sim.timeout(OUTAGE_POLL_NS)
+                yield OUTAGE_POLL_NS
                 continue
             version = kv.stores[src].current_version(idx)
             if is_locked(version):
-                yield sim.timeout(LOCK_SPIN_NS)
+                yield LOCK_SPIN_NS
                 continue
             token = next(self._tokens)
             core = kv.next_writer_core(src)
@@ -435,7 +435,7 @@ class ReshardManager:
             # is in its double-read window before the first yield, so a
             # detecting protocol always has a committed copy to walk to.
             kv.double_read.add(idx)
-            yield sim.timeout(max(latency, floor))
+            yield max(latency, floor)
             if not self._still_mine(src, idx, token):
                 self.stats.migration_retries += 1
                 continue
@@ -459,7 +459,7 @@ class ReshardManager:
                     and kv.serving[dest]
                     and is_locked(kv.stores[dest].current_version(idx))
                 ):
-                    yield sim.timeout(LOCK_SPIN_NS)
+                    yield LOCK_SPIN_NS
                     if not self._still_mine(src, idx, token):
                         lost = True
                         break
@@ -478,7 +478,7 @@ class ReshardManager:
             # (Functionally first — the token check above means no one
             # else wrote the header while we held it.)
             latency = kv.unlock_object(src, idx, core, version)
-            yield sim.timeout(max(latency, floor))
+            yield max(latency, floor)
             self.stats.keys_migrated += 1
             return
 
@@ -523,11 +523,11 @@ class ReshardManager:
             latency = node.chip.write_block(
                 core, handle.base_addr + off, image[off : off + CACHE_BLOCK]
             )
-            yield sim.timeout(max(latency, floor))
+            yield max(latency, floor)
         latency = node.chip.write_block(
             core, vaddr, version.to_bytes(8, "little")
         )
-        yield sim.timeout(max(latency, floor))
+        yield max(latency, floor)
         self.stats.replica_copies += 1
 
     # ------------------------------------------------------------------
@@ -556,7 +556,7 @@ class ReshardManager:
         last = list(kv.key_reads)
         last_routed = self._routed_snapshot()
         while not self._stop_rebalance and sim.now < until_ns:
-            yield sim.timeout(min(REBALANCE_INTERVAL_NS, until_ns - sim.now))
+            yield min(REBALANCE_INTERVAL_NS, until_ns - sim.now)
             if self._stop_rebalance:
                 return
             current = list(kv.key_reads)
@@ -652,7 +652,7 @@ class ReshardManager:
         re-promotion) in which case it stays."""
         kv = self.kv
         sim = kv.cluster.sim
-        yield sim.timeout(DRAIN_NS)
+        yield DRAIN_NS
         fresh = set(
             kv.ring.replicas(kv.key_name(idx), kv.cfg.replication)
         )

@@ -152,7 +152,7 @@ class ReaderSession:
             if not route:
                 # Total outage for this key: every replica is down.
                 # Wait out a slice of it (bounded by the deadline).
-                yield sim.timeout(min(OUTAGE_POLL_NS, t_end - sim.now))
+                yield min(OUTAGE_POLL_NS, t_end - sim.now)
                 continue
             # During a migration's double-read window every reader must
             # consult both owners, even with fallback disabled: the walk

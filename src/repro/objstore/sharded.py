@@ -623,7 +623,7 @@ class ShardedKV:
                     # view until a shard rejoins or the deadline hits.
                     if sim.now >= t_end:
                         return None
-                    yield sim.timeout(min(OUTAGE_POLL_NS, t_end - sim.now))
+                    yield min(OUTAGE_POLL_NS, t_end - sim.now)
                     continue
                 ws = self.write_stats[primary]
                 ws.writes_routed += 1
@@ -668,7 +668,7 @@ class ShardedKV:
                     PUT_BACKOFF_CAP_NS,
                     PUT_BACKOFF_BASE_NS * (2.0 ** min(bounces - 1, 16)),
                 )
-                yield sim.timeout(backoff * backoff_rng.uniform(0.5, 1.5))
+                yield backoff * backoff_rng.uniform(0.5, 1.5)
 
         return self.cluster.sim.process(retrying_put())
 
@@ -744,10 +744,8 @@ class ShardedKV:
         # The lock step is applied before the first yield: between the
         # lock check above and this store no other process can run, so
         # two concurrent writers cannot both see an even version.
-        # Delays are yielded as bare floats — the RPC dispatcher's
-        # trampoline fast path — so the per-block interleaving points
-        # (where readers can observe partial images) cost one scheduled
-        # callback each instead of a Timeout event.
+        # Each per-block delay is an interleaving point where readers
+        # can observe a partial image.
         block_floor = cfg.costs.writer_block_ns
         chip = self.shards[shard].chip
         addr, chunk = steps[0]

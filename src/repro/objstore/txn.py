@@ -283,8 +283,7 @@ class TxnManager:
                 latency += max(block_ns, costs.writer_block_ns)
             # Lock hold time is simulated time: the timed stores above
             # (plus the writer's fixed overhead) are charged before the
-            # reply leaves, and the locks stay odd throughout.  Bare
-            # float yields ride the RPC dispatcher's fast path.
+            # reply leaves, and the locks stay odd throughout.
             yield costs.writer_fixed_ns + latency
             return _OK + _encode_u64s(pre), 0.0
 
@@ -468,7 +467,7 @@ class TxnSession:
                 # Total outage for this key: poll the view.
                 if sim.now >= t_end:
                     return None
-                yield sim.timeout(min(OUTAGE_POLL_NS, t_end - sim.now))
+                yield min(OUTAGE_POLL_NS, t_end - sim.now)
                 continue
             self.reader.stats[shard].reads_routed += 1
             # Bound the attempt when failover is active so a crash
@@ -644,7 +643,7 @@ class TxnSession:
                 if not isinstance(reply, LinkPartitionedError):
                     break
                 stats.release_retries += 1
-                yield sim.timeout(RELEASE_RETRY_NS)
+                yield RELEASE_RETRY_NS
 
     @staticmethod
     def _touched_shards(reads: Dict[str, TxnRead]):

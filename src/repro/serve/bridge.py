@@ -45,12 +45,6 @@ from repro.serve.ops import ArrivalTrace, TimedOp
 from repro.serve.settings import ServeSettings
 from repro.sim.stats import Samples
 
-#: Response statuses an op can resolve to (HTTP mapping in the
-#: gateway: ok=200, timeout=504, conflict=409, not_found=404,
-#: bad_request=400, unavailable=503).
-STATUSES = ("ok", "timeout", "conflict", "not_found", "bad_request")
-
-
 @dataclass
 class OpResult:
     """One completed request, stamped in virtual time."""

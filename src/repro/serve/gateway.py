@@ -16,8 +16,9 @@ Endpoints (HTTP/1.1 with keep-alive, JSON bodies):
 
 Status mapping: simulated-deadline expiry answers **504**, transaction
 retry exhaustion **409**, unknown keys **404**, malformed requests
-**400**, rate-limit rejections **429** (token bucket over all ``/v1/``
-traffic), and requests arriving during drain **503**.
+**400** (an oversized header block **431**, body **413**), rate-limit
+rejections **429** (token bucket over all ``/v1/`` traffic), and
+requests arriving during drain **503**.
 
 The gateway is written against :mod:`asyncio` directly — no HTTP
 framework — because the container bakes in only the standard library.
@@ -60,13 +61,14 @@ _MAX_BODY_DIGITS = len(str(MAX_BODY_BYTES))
 #: ``/metrics``' media type: the Prometheus text exposition format.
 PROMETHEUS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Virtual-status -> HTTP status.
+#: The status an op resolves to in the bridge -> HTTP status.  The
+#: gateway's own answers (400, 405, 429, 431, 503, ...) never reach
+#: the bridge.
 STATUS_HTTP = {
     "ok": 200,
     "timeout": 504,
     "conflict": 409,
     "not_found": 404,
-    "bad_request": 400,
 }
 
 REASONS = {
@@ -77,6 +79,7 @@ REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -84,9 +87,9 @@ REASONS = {
 
 
 class BadRequest(Exception):
-    """A request the parser refuses: answered ``status`` (400 unless
-    said otherwise), then the connection closes (its framing can no
-    longer be trusted)."""
+    """A request the gateway refuses before serving it: answered
+    ``status`` (400 unless said otherwise) with ``Connection: close``,
+    counted on ``repro_http_errors_total`` by ``reason``."""
 
     def __init__(self, reason: str, message: str, status: int = 400):
         super().__init__(message)
@@ -179,7 +182,7 @@ class Gateway:
         self._server = await asyncio.start_server(
             self._handle_connection, self.settings.host, self.settings.port
         )
-        self._driver_task = asyncio.ensure_future(self._drive())
+        self._driver_task = asyncio.ensure_future(self._drive_sim())
 
     @property
     def port(self) -> int:
@@ -235,7 +238,7 @@ class Gateway:
     # ------------------------------------------------------------------
     # the driver: wall clock -> virtual time
     # ------------------------------------------------------------------
-    async def _drive(self) -> None:
+    async def _drive_sim(self) -> None:
         assert self._loop is not None and self._wake is not None
         if self.settings.warmup_delay_s > 0:
             await asyncio.sleep(self.settings.warmup_delay_s)
@@ -279,25 +282,21 @@ class Gateway:
             while True:
                 try:
                     request = await self._read_request(reader)
+                    if request is None:
+                        break
+                    method, path, headers, body = request
+                    status, payload = await self._dispatch(method, path, body)
                 except BadRequest as exc:
                     self._http_errors.inc(reason=exc.reason)
                     await self._write_response(
                         writer, exc.status, {"error": str(exc)}, keep_alive=False
                     )
                     break
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    asyncio.LimitOverrunError,
-                ):
+                except (asyncio.IncompleteReadError, ConnectionError):
                     break
-                if request is None:
-                    break
-                method, path, headers, body = request
                 keep_alive = (
                     headers.get("connection", "keep-alive").lower() != "close"
                 )
-                status, payload = await self._dispatch(method, path, body)
                 await self._write_response(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
@@ -318,13 +317,21 @@ class Gateway:
             if not exc.partial:
                 return None
             raise
-        if len(head) > MAX_HEADER_BYTES:
-            raise asyncio.LimitOverrunError("header block too large", 0)
+        except asyncio.LimitOverrunError:
+            # Past the stream's buffer limit, which is above ours.
+            head = None
+        if head is None or len(head) > MAX_HEADER_BYTES:
+            raise BadRequest(
+                "header_too_large",
+                f"header block over {MAX_HEADER_BYTES} bytes",
+                status=431,
+            )
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
-            self._http_errors.inc(reason="bad_request_line")
-            return None
+            raise BadRequest(
+                "bad_request_line", f"bad request line: {lines[0][:80]!r}"
+            )
         method, target, _version = parts
         headers: Dict[str, str] = {}
         for line in lines[1:]:
@@ -434,14 +441,15 @@ class Gateway:
                 return 405, {"error": "txn requires POST"}
             try:
                 spec = json.loads(body.decode("utf-8") or "{}")
+                if not isinstance(spec, dict):
+                    raise TypeError(f"not a JSON object: {spec!r:.80}")
                 read_keys = tuple(str(k) for k in spec.get("read_keys", ()))
                 write_keys = tuple(str(k) for k in spec.get("write_keys", ()))
                 op = self._make_op(
                     "txn", read_keys=read_keys, write_keys=write_keys
                 )
             except (ValueError, TypeError, ConfigError) as exc:
-                self._http_errors.inc(reason="bad_txn_body")
-                return 400, {"error": f"bad txn body: {exc}"}
+                raise BadRequest("bad_txn_body", f"bad txn body: {exc}")
             result = await self._submit(op)
             return STATUS_HTTP[result.status], result.to_dict()
         self._http_errors.inc(reason="unknown_path")

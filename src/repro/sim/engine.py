@@ -53,16 +53,14 @@ class Event:
         else:
             self._callbacks = [cbs, fn]
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger this event ``delay`` ns from now (default: now)."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger this event now: its callbacks run on the immediate
+        lane."""
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        if delay == 0.0:
-            self.sim.call_soon(self._dispatch)
-        else:
-            self.sim.call_later(delay, self._dispatch)
+        self.sim.call_soon(self._dispatch)
         return self
 
     def _dispatch(self) -> None:
@@ -78,33 +76,23 @@ class Event:
             cbs(self)
 
 
-class Timeout(Event):
-    """An event that triggers after a fixed delay."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if not delay >= 0:  # also rejects NaN
-            raise SimulationError(f"negative timeout: {delay}")
-        # Fields set directly (not via Event.__init__): timeouts are
-        # the most-allocated event type on the hot path.
-        self.sim = sim
-        self._callbacks = None
-        self._value = value
-        self._triggered = True
-        self._dispatched = False
-        sim.call_later(delay, self._dispatch)
-
-
 class Process(Event):
-    """Drives a generator; itself an event that triggers on return."""
+    """Drives a generator; itself an event that triggers on return.
+
+    The generator waits in one of two ways: it yields an :class:`Event`
+    and is resumed with the event's value once it dispatches, or it
+    yields a bare ``int``/``float`` delay in ns and is resumed with
+    ``None`` that much later.  A delay is one scheduled callback, in the
+    ``(when, seq)`` slot an event dispatching at that time would take,
+    with no event allocated.  :meth:`Simulator.process` schedules the
+    first step.
+    """
 
     __slots__ = ("_gen",)
 
-    def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any]):
+    def __init__(self, sim: "Simulator", gen: Generator[Any, Any, Any]):
         super().__init__(sim)
         self._gen = gen
-        sim.call_later(0.0, self._step, None)
 
     def _resume(self, event: Event) -> None:
         self._step(event._value)
@@ -115,11 +103,17 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        if not isinstance(target, Event):
+        cls = type(target)
+        if cls is float or cls is int:
+            # call_later refuses a negative or NaN delay.
+            self.sim.call_later(target, self._step, None)
+        elif isinstance(target, Event):
+            target.add_callback(self._resume)
+        else:
             raise SimulationError(
-                f"process yielded {target!r}; processes must yield Events"
+                f"process yielded {target!r}; processes must yield "
+                f"Events or delays"
             )
-        target.add_callback(self._resume)
 
 
 #: A scheduled callback: ``[when, seq, fn, args]``.  ``fn`` is set to
@@ -359,11 +353,10 @@ class Simulator:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
-    def process(self, gen: Generator[Event, Any, Any]) -> Process:
-        return Process(self, gen)
+    def process(self, gen: Generator[Any, Any, Any]) -> Process:
+        proc = Process(self, gen)
+        self.call_soon(proc._step, None)
+        return proc
 
     # -- execution --------------------------------------------------------
     def run(self, until: float = float("inf")) -> float:

@@ -137,12 +137,12 @@ class ThroughputMeter:
 
 def meter_window(sim, meters, warmup_ns: float, t_end: float):
     """Process body: start every meter in ``meters`` at the end of
-    warm-up and stop it at ``t_end`` (reached as two timeouts, so the
+    warm-up and stop it at ``t_end`` (reached as two delays, so the
     stop instant is ``(now + warmup_ns) + (t_end - warmup_ns)``)."""
-    yield sim.timeout(warmup_ns)
+    yield warmup_ns
     for meter in meters:
         meter.start(sim.now)
-    yield sim.timeout(t_end - warmup_ns)
+    yield t_end - warmup_ns
     for meter in meters:
         meter.stop(sim.now)
 

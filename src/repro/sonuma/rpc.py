@@ -20,7 +20,7 @@ from repro.common.errors import (
     ShardCrashedError,
 )
 from repro.fabric.packets import Packet, PacketKind
-from repro.sim.engine import Event
+from repro.sim.engine import Event, Process, Simulator
 from repro.sim.resources import FifoResource
 from repro.sonuma.transfer import prune_straggler_book
 
@@ -28,16 +28,50 @@ from repro.sonuma.transfer import prune_straggler_book
 RpcReply = Tuple[bytes, float]
 
 #: Handler: payload -> reply, either directly or as a *generator* that
-#: yields simulation events (timed memory writes, nested RPCs, ...)
-#: before returning the reply tuple — used by services whose request
-#: handling has internal timing structure, like the sharded store's
-#: replicated writes.  Generator handlers may also yield a bare
-#: ``float`` — a plain delay in ns — which the dispatcher turns into a
-#: scheduled continuation without allocating a Timeout event (the
-#: per-block fast path of the sharded store's update loop).
+#: waits like any simulation process — it yields events (nested RPCs,
+#: ...) or bare delays in ns (timed memory writes) — before returning
+#: the reply tuple.  Used by services whose request handling has
+#: internal timing structure, like the sharded store's replicated
+#: writes.
 RpcHandler = Callable[
     [bytes], Union[RpcReply, Generator[Union[Event, float], Any, RpcReply]]
 ]
+
+
+class _HandlerProcess(Process):
+    """A generator handler, stepped by the engine's :class:`Process`.
+
+    The dispatcher runs the first step inside its own callback and the
+    return value goes straight to ``finish``, so a handler costs no
+    scheduled callback beyond the ones its waits take.  The worker
+    slot is released if a step raises before the handler returned;
+    after that, ``finish`` releases on its own error paths."""
+
+    __slots__ = ("_finish", "_release")
+
+    def __init__(
+        self,
+        sim: Simulator,
+        gen: Generator[Any, Any, RpcReply],
+        finish: Callable[[RpcReply], None],
+        release: Callable[[], None],
+    ):
+        super().__init__(sim, gen)
+        self._finish = finish
+        self._release = release
+
+    def succeed(self, value: Any = None) -> "_HandlerProcess":
+        self._triggered = True
+        self._finish(value)
+        return self
+
+    def _step(self, value: Any) -> None:
+        try:
+            Process._step(self, value)
+        except BaseException:
+            if not self._triggered:
+                self._release()
+            raise
 
 
 class RpcEndpoint:
@@ -251,12 +285,12 @@ class RpcEndpoint:
         """Serve one request on the worker pool.
 
         This is a *flattened* version of the obvious generator process
-        (``yield acquire; yield timeout(dispatch); run handler; yield
-        timeout(service); reply``): the common request/reply shape
-        costs two scheduled callbacks instead of a full
+        (``yield acquire; yield dispatch_ns; run handler; yield
+        service_ns; reply``): the common request/reply shape costs two
+        scheduled callbacks instead of a full
         :class:`~repro.sim.engine.Process` plus one event per step.
-        Generator handlers are driven by the same minimal trampoline
-        (:meth:`_drive`), one callback per yielded event.
+        Generator handlers run as a :class:`_HandlerProcess`, one
+        callback per wait.
         """
         name = pkt.meta["name"]
         handler = self._handlers.get(name)
@@ -278,7 +312,9 @@ class RpcEndpoint:
                 self._workers.release()
                 raise
             if type(outcome) is GeneratorType:
-                self._drive(outcome, None, finish)
+                _HandlerProcess(
+                    sim, outcome, finish, self._workers.release
+                )._step(None)
             else:
                 finish(outcome)
 
@@ -315,43 +351,3 @@ class RpcEndpoint:
                 self._workers.release()
 
         self._workers.acquire().add_callback(granted)
-
-    def _drive(
-        self,
-        gen: Generator[Event, Any, RpcReply],
-        send_value: Any,
-        finish: Callable[[RpcReply], None],
-    ) -> None:
-        """Minimal trampoline for generator handlers: step the
-        generator, park its continuation directly on the yielded event
-        — no per-step :class:`Process` machinery.  The worker slot is
-        released on the error path so a raising handler cannot strand
-        the pool."""
-        try:
-            target = gen.send(send_value)
-        except StopIteration as stop:
-            finish(stop.value)
-            return
-        except BaseException:
-            self._workers.release()
-            raise
-        cls = type(target)
-        if cls is float or cls is int:
-            # A bare delay: schedule the continuation directly.  Same
-            # (when, seq) position as a Timeout's dispatch would get,
-            # minus the event allocation and callback plumbing.
-            try:
-                self.sim.call_later(target, self._drive, gen, None, finish)
-            except BaseException:
-                self._workers.release()  # e.g. a negative computed delay
-                raise
-            return
-        if not isinstance(target, Event):
-            self._workers.release()
-            raise ProtocolError(
-                f"RPC handler yielded {target!r}; handlers must "
-                f"yield Events or float delays"
-            )
-        target.add_callback(
-            lambda ev: self._drive(gen, ev.value, finish)
-        )

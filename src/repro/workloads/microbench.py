@@ -156,27 +156,27 @@ class TimedWriter:
                     acquired = self.node.lock_table.try_write_lock(handle.base_addr)
                     if acquired:
                         break
-                    yield sim.timeout(25.0)
+                    yield 25.0
                     if sim.now >= until_ns:
                         return
             while is_locked(self.store.current_version(obj_id)):
                 # A DrTM-style reader holds the version-word lock (or a
                 # concurrent writer in LOCKING mode): wait it out.
-                yield sim.timeout(25.0)
+                yield 25.0
                 if sim.now >= until_ns:
                     return
             committed = self.store.current_version(obj_id) + 2
             data = stamped_payload(committed, handle.data_len)
             steps, _version = self.store.update_steps(obj_id, data)
-            yield sim.timeout(self.costs.writer_fixed_ns)
+            yield self.costs.writer_fixed_ns
             for addr, chunk in steps:
                 latency = self.node.chip.write_block(self.core, addr, chunk)
-                yield sim.timeout(max(latency, self.costs.writer_block_ns))
+                yield max(latency, self.costs.writer_block_ns)
             if self.use_lock_table:
                 self.node.lock_table.write_unlock(handle.base_addr)
             self.updates += 1
             if self.think_ns > 0:
-                yield sim.timeout(self.think_ns)
+                yield self.think_ns
 
 
 class Microbenchmark:
@@ -264,7 +264,7 @@ class Microbenchmark:
 
         while sim.now < t_end:
             yield window.acquire()
-            yield sim.timeout(issue_gap)
+            yield issue_gap
             handle = self.store.handle(picker.pick())
             buf = free_bufs.pop()
             ev = self.protocol.issue(handle, wire, buf)
@@ -304,7 +304,7 @@ class Microbenchmark:
         meter = self.stats.meter
         sim.process(meter_window(sim, [meter], cfg.warmup_ns, t_end))
         if cfg.async_window > 1:
-            # The stop instant as ``meter_window``'s two timeouts reach
+            # The stop instant as ``meter_window``'s two delays reach
             # it, which need not equal ``t_end`` bit for bit.  Past it
             # there is only the drain of the windows' in-flight
             # transfers, which the (stopped) meter ignores: end the run

@@ -229,7 +229,7 @@ def writer_proc(sim, kv, client: int, next_key, pause, t_end: float, observe):
     while sim.now < t_end:
         ack = yield kv.put(client, next_key(), t_end)
         observe(ack)
-        yield sim.timeout(pause())
+        yield pause()
 
 
 def txn_proc(sim, session, next_txn, t_end: float, observe):

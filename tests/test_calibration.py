@@ -41,7 +41,7 @@ class TestMemoryAnchors:
                 done, tier = chip.read_block(i % 16, addr)
                 assert tier is AccessTier.MEM
                 samples.append(done - sim.now)
-                yield sim.timeout(1000.0)
+                yield 1000.0
 
         sim.process(prober())
         sim.run()

@@ -328,7 +328,7 @@ class TestTxnForcedAborts:
 
         def racer():
             while manager.stats[primary].lock_rpcs == 0:
-                yield sim.timeout(5.0)
+                yield 5.0
             fm.crash(primary)
 
         sim.process(txn())
@@ -406,7 +406,7 @@ class TestMixDeterminismAndHeap:
             keys = kv.keys()
             while sim.now < t_end:
                 yield kv.put(client, keys[i % len(keys)])
-                yield sim.timeout(100.0)
+                yield 100.0
                 i += 1
 
         def txn(session, label):
@@ -420,7 +420,7 @@ class TestMixDeterminismAndHeap:
         def monitor():
             while sim.now < t_end:
                 peak["heap"] = max(peak["heap"], sim.heap_size)
-                yield sim.timeout(250.0)
+                yield 250.0
 
         for client in range(4):
             sim.process(reader(kv.reader_session(client), client))
@@ -595,7 +595,7 @@ class TestReviewRegressions:
             fm.crash(old_primary)
             fm.recover(old_primary)
             while not kv.serving[old_primary]:
-                yield sim.timeout(500.0)
+                yield 500.0
             # The straggling commit reaches the demoted, re-synced shard.
             yield kv.client_rpc(0).call(
                 kv.shards[old_primary].node_id,
@@ -638,7 +638,7 @@ class TestReviewRegressions:
             fm.crash(shard)
             fm.recover(shard)
             while not kv.serving[shard]:
-                yield sim.timeout(500.0)
+                yield 500.0
             assert not is_locked(kv.stores[shard].current_version(idx))
             # The shard was demoted; route the new lock to the current
             # primary... but the ABA hazard is on the *same* store, so

@@ -79,7 +79,7 @@ class DoubleReadProtocol(ReadProtocol):
         version_addr = self.store.version_addr(handle.obj_id)
         t0 = sim.now
         while True:
-            yield sim.timeout(self.costs.microbench_loop_ns)
+            yield self.costs.microbench_loop_ns
             read = yield self.issue(handle, wire, buf)
             strip = self.layout.unpack(
                 self.src.read_local(buf, wire), self.payload_len

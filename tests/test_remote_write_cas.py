@@ -84,7 +84,7 @@ class TestRemoteWrite:
             # Posting at 30 ns puts the write's arrival (~95 ns: WQ +
             # unroll + fabric hop) inside the SABRe's window of
             # vulnerability (subscriptions ~65 ns, header reply ~143 ns).
-            yield cluster.sim.timeout(30.0)
+            yield 30.0
             yield src.remote_write(0, handle.base_addr + 64, b"X" * 64)
 
         cluster.sim.process(sabre_reader())

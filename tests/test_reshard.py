@@ -60,7 +60,7 @@ def run_mixed_load(kv, t_end, n_readers=2, n_writers=2, seed=5):
         while sim.now < t_end:
             ack = yield kv.put(client, keys[pick.randrange(len(keys))], t_end)
             acked[0] += int(ack is not None)
-            yield sim.timeout(pick.uniform(20.0, 120.0))
+            yield pick.uniform(20.0, 120.0)
 
     for i in range(n_readers):
         sim.process(reader(kv.reader_session(i % kv.cfg.clients), i))
@@ -483,7 +483,7 @@ class TestMigrationWriteAccounting:
                 p = kv.placement(idx)
                 kv.flip(idx, (p[1], p[0]))
                 kv.advance_epoch()
-                yield sim.timeout(1.0)
+                yield 1.0
 
         sim.process(flipper())
         done = []
@@ -561,13 +561,13 @@ class TestHotspotPolicy:
             yield from manager._promote(idx, 2)
             extra = kv.hot_replicas[idx][0]
             manager._demote(idx)
-            yield sim.timeout(1_000.0)  # past the drain: extra pruned
+            yield 1_000.0  # past the drain: extra pruned
             assert extra not in kv.placement(idx)
             stale = kv.stores[extra].current_version(idx)
             for _ in range(3):
                 ack = yield kv.put(0, key, t_end=sim.now + 50_000.0)
                 assert ack is not None
-            yield sim.timeout(2_000.0)  # replication fan-out drains
+            yield 2_000.0  # replication fan-out drains
             yield from manager._promote(idx, 2)
             assert kv.hot_replicas[idx] == [extra]
             v_primary = kv.stores[kv.placement(idx)[0]].current_version(
@@ -605,12 +605,12 @@ class TestHotspotPolicy:
             # ... and still covered by the replication fan-out:
             ack = yield kv.put(0, kv.key_name(idx), t_end=sim.now + 10_000.0)
             assert ack is not None
-            yield sim.timeout(1_000.0)  # replication drains (< grace)
+            yield 1_000.0  # replication drains (< grace)
             v_primary = kv.stores[kv.placement(idx)[0]].current_version(
                 idx
             )
             assert kv.stores[extra].current_version(idx) == v_primary
-            yield sim.timeout(2_000.0)  # past the grace: now pruned
+            yield 2_000.0  # past the grace: now pruned
             assert extra not in kv.placement(idx)
             done.append(True)
 

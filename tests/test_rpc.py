@@ -86,8 +86,8 @@ def test_generator_handler_yields_simulation_time():
     cluster, a, b = make_pair()
 
     def handler(payload):
-        yield cluster.sim.timeout(400.0)
-        yield cluster.sim.timeout(300.0)
+        yield 400.0
+        yield 300.0
         return payload.upper(), 100.0
 
     a.register("timed", handler)
@@ -109,7 +109,7 @@ def test_generator_handler_holds_worker_while_running():
     cluster, a, b = make_pair()
 
     def slow(payload):
-        yield cluster.sim.timeout(1000.0)
+        yield 1000.0
         return b"", 0.0
 
     a.register("slow_gen", slow)
@@ -160,7 +160,7 @@ def test_raising_handler_paths_never_strand_the_worker_pool():
     cluster, a, b = make_pair()
 
     def broken(payload: bytes):
-        yield cluster.sim.timeout(5.0)
+        yield 5.0
         # falls off the end: StopIteration value is None
 
     a.register("broken", broken)
@@ -170,6 +170,26 @@ def test_raising_handler_paths_never_strand_the_worker_pool():
         cluster.run()
     # The slot was released on the error path: a later healthy call is
     # served instead of queueing forever behind a leaked slot.
+    done = b.call(0, "healthy", b"y")
+    cluster.run()
+    assert done.value == b"ok"
+
+
+def test_handler_raising_after_a_wait_frees_its_worker_slot():
+    """A generator handler that raises after its first wait (not on
+    its first step, and not by falling off the end) must give its
+    worker slot back: a later healthy call is still served."""
+    cluster, a, b = make_pair()
+
+    def raises_later(payload: bytes):
+        yield 5.0
+        raise KeyError(payload)
+
+    a.register("raises_later", raises_later)
+    a.register("healthy", lambda payload: (b"ok", 0.0))
+    b.call(0, "raises_later", b"x")
+    with pytest.raises(KeyError):
+        cluster.run()
     done = b.call(0, "healthy", b"y")
     cluster.run()
     assert done.value == b"ok"

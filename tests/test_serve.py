@@ -609,6 +609,55 @@ class TestGateway:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "request_bytes, status, reason",
+        [
+            (b"GARBAGE\r\nHost: t\r\n\r\n", 400, "bad_request_line"),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                + b"x" * (20 * 1024)
+                + b"\r\n\r\n",
+                431,
+                "header_too_large",
+            ),
+            (
+                b"POST /v1/txn HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 3\r\n\r\n[1]",
+                400,
+                "bad_txn_body",
+            ),
+        ],
+        ids=["request-line", "header-block", "txn-list"],
+    )
+    def test_malformed_request_answers_typed_4xx_and_closes(
+        self, request_bytes, status, reason
+    ):
+        """A request line that is not three words, a header block over
+        ``MAX_HEADER_BYTES`` and a txn body that is valid JSON but not
+        an object are each answered, not dropped: a typed 4xx with
+        ``Connection: close``, counted by reason."""
+
+        async def scenario():
+            gw = await _booted(_gateway_settings())
+            host, port = gw.settings.host, gw.port
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(request_bytes)
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
+            assert b"Connection: close" in head
+            assert "error" in json.loads(body)
+            got, text, conn = await _http(host, port, "GET", "/metrics")
+            conn[1].close()
+            assert got == 200
+            samples = parse_samples(text)
+            assert samples[f'repro_http_errors_total{{reason="{reason}"}}'] == 1
+            await gw.drain()
+
+        asyncio.run(scenario())
+
     def test_rate_limit_answers_429(self):
         async def scenario():
             gw = await _booted(

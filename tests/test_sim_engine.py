@@ -70,9 +70,9 @@ def test_timeout_process():
     seen = []
 
     def proc():
-        yield sim.timeout(4.0)
+        yield 4.0
         seen.append(sim.now)
-        yield sim.timeout(6.0)
+        yield 6.0
         seen.append(sim.now)
         return "done"
 
@@ -88,7 +88,7 @@ def test_process_waits_on_event():
     seen = []
 
     def opener():
-        yield sim.timeout(7.0)
+        yield 7.0
         gate.succeed("opened")
 
     def waiter():
@@ -125,7 +125,7 @@ def test_process_waiting_on_process():
     log = []
 
     def child():
-        yield sim.timeout(3.0)
+        yield 3.0
         return "child-result"
 
     def parent():
@@ -141,7 +141,7 @@ def test_yielding_non_event_raises():
     sim = Simulator()
 
     def bad():
-        yield 42
+        yield "42"
 
     sim.process(bad())
     with pytest.raises(SimulationError):
@@ -150,8 +150,38 @@ def test_yielding_non_event_raises():
 
 def test_negative_timeout_rejected():
     sim = Simulator()
+
+    def bad():
+        yield -0.5
+
+    sim.process(bad())
     with pytest.raises(SimulationError):
-        sim.timeout(-0.5)
+        sim.run()
+
+
+def test_delay_continuation_is_fifo_among_equal_times():
+    """A process's bare-delay continuation takes the ``(when, seq)``
+    slot of the moment it yields: among callbacks due at the same
+    time it fires after those scheduled before the yield and before
+    those scheduled after it."""
+    sim = Simulator()
+    order = []
+
+    def proc():
+        order.append("start")
+        yield 5.0
+        order.append("proc")
+
+    sim.call_later(5.0, order.append, "before")
+    sim.process(proc())
+    sim.call_later(5.0, order.append, "queued")  # before the first step
+    sim.run(until=1.0)
+    sim.call_later(4.0, order.append, "after")
+    sim.run()
+    assert order == ["start", "before", "queued", "proc", "after"]
+    # Three callbacks, the first step, the one continuation and the
+    # process's own dispatch on return: the delay allocated no event.
+    assert sim.events_fired == 6
 
 
 def test_peek():
@@ -417,10 +447,16 @@ def test_nan_times_are_rejected_not_scheduled(sim, alarm):
     for schedule in (
         lambda: sim.call_later(nan, fired.append, "later"),
         lambda: sim.call_at(nan, fired.append, "at"),
-        lambda: sim.timeout(nan),
     ):
         with pytest.raises(SimulationError):
             schedule()
+
+    def sleeps_nan():
+        yield nan
+
+    sim.process(sleeps_nan())
+    with pytest.raises(SimulationError):  # the process's first step
+        sim.run()
     assert sim.run() == 1.0
     assert fired == ["ok"]  # nothing of the refused calls landed
     sim.call_later(float("inf"), fired.append, "end")

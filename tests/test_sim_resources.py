@@ -111,13 +111,13 @@ class TestFifoResource:
 
         def holder():
             yield res.acquire()
-            yield sim.timeout(10.0)
+            yield 10.0
             res.release()
 
         def waiter(tag):
             yield res.acquire()
             order.append((tag, sim.now))
-            yield sim.timeout(5.0)
+            yield 5.0
             res.release()
 
         sim.process(holder())

@@ -123,7 +123,7 @@ class TestValidationAborts:
             # Wait until the txn's read completed, then sneak a
             # committed update in before its validate RPC lands.
             while not session.reader.stats[primary].op_latency.values:
-                yield sim.timeout(50.0)
+                yield 50.0
             kv.stores[primary].write(idx, stamped_payload(2, kv.cfg.payload_len))
 
         sim.process(txn())
@@ -152,7 +152,7 @@ class TestValidationAborts:
 
         def racer():
             while not session.reader.stats[primary].op_latency.values:
-                yield sim.timeout(50.0)
+                yield 50.0
             kv.stores[primary].write(idx, stamped_payload(2, kv.cfg.payload_len))
 
         sim.process(txn())
@@ -183,7 +183,7 @@ class TestValidationAborts:
 
         def racer():
             while not session.reader.stats[primary].op_latency.values:
-                yield sim.timeout(50.0)
+                yield 50.0
             if not raced["done"]:
                 raced["done"] = True
                 kv.stores[primary].write(

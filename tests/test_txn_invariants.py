@@ -58,7 +58,7 @@ def run_schedule(
         while sim.now < t_end:
             for idx in range(0, 16, 3):
                 yield kv.put(1, kv.key_name(idx))
-                yield sim.timeout(120.0)
+                yield 120.0
 
     sim.process(txns())
     if with_writers:
@@ -203,7 +203,7 @@ def services(monkeypatch):
                         kv.census_held += 1
                         if not is_locked(kv.stores[shard].current_version(obj)):
                             kv.census_orphans.append((sim.now, shard, obj, token))
-                yield sim.timeout(CENSUS_EVERY_NS)
+                yield CENSUS_EVERY_NS
 
         sim.process(census())
 
