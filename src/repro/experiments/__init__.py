@@ -9,7 +9,7 @@ serves it from disk, ``result.points_cached`` saying how many)::
     result = run_sweep(registry.get("fig7a"), scale=0.25, jobs=4)
     print(result.table())
 
-Campaigns (resumable, multi-host, self-reporting)::
+Campaigns (resumable, self-reporting)::
 
     from repro.experiments import CampaignSpec, CampaignStage, CampaignRunner
     from repro.experiments.context import CampaignContext
@@ -33,7 +33,6 @@ from repro.experiments.executors import (
     Executor,
     PoolExecutor,
     SerialExecutor,
-    SubprocessExecutor,
     execute_point,
     make_executor,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "QaCheck",
     "QaReport",
     "SerialExecutor",
-    "SubprocessExecutor",
     "SweepResult",
     "Variant",
     "execute_point",

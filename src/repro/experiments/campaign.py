@@ -24,7 +24,6 @@ what a campaign directory persists.  A malformed request raises
 
 from __future__ import annotations
 
-import copy
 import importlib.util
 import json
 import os
@@ -36,13 +35,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.common.errors import ConfigError, expect_type
 from repro.experiments import qa as qa_mod
 from repro.experiments.context import CampaignContext, point_key
-from repro.experiments.executors import (
-    Executor,
-    SerialExecutor,
-    SubprocessExecutor,
-    resolve_spec,
-)
+from repro.experiments.executors import Executor, SerialExecutor
 from repro.experiments.qa import QaCheck, QaReport
+from repro.experiments.registry import resolve_spec
 from repro.experiments.runner import SweepResult, run_sweep
 from repro.experiments.spec import ExperimentSpec
 
@@ -206,8 +201,8 @@ class StageResult:
     qa: QaReport
     #: High-water mark of this process's resident set when the stage
     #: finished (MiB): non-decreasing across stages, so the stage that
-    #: raised it is the first to show the new value.  Pool and
-    #: subprocess workers are not in it.
+    #: raised it is the first to show the new value.  Pool workers are
+    #: not in it.
     peak_rss_mb: float = 0.0
 
     @property
@@ -264,15 +259,6 @@ class CampaignRunner:
         self.context = context
 
     # ------------------------------------------------------------------
-    def _stage_executor(self, stage: CampaignStage) -> Executor:
-        """Subprocess workers resolve specs by reference, and the
-        reference is per-stage — hand each stage its own copy."""
-        executor = self.executor
-        if isinstance(executor, SubprocessExecutor) and executor.ref is None:
-            executor = copy.copy(executor)
-            executor.ref = stage.experiment
-        return executor
-
     def run(self) -> CampaignResult:
         start = time.time()
         out = CampaignResult(campaign=self.campaign.name)
@@ -290,14 +276,13 @@ class CampaignRunner:
             context.save_request(self.campaign.to_dict())
         for stage in self.campaign.stages:
             spec, scale = _resolve_stage(self.campaign, stage)
-            executor = self._stage_executor(stage)
             result = run_sweep(
                 spec,
                 scale=scale,
                 axes=stage.axes,
                 overrides=stage.overrides,
                 base_seed=stage.base_seed,
-                executor=executor,
+                executor=self.executor,
                 context=context,
             )
             # ru_maxrss is in KiB on Linux.
@@ -314,7 +299,7 @@ class CampaignRunner:
                         "stage": stage.name,
                         "experiment": stage.experiment,
                         "scale": scale,
-                        "executor": executor.describe(),
+                        "executor": self.executor.describe(),
                         "points_total": result.points_total,
                         "journal_hits": result.points_cached,
                         "elapsed_s": round(result.elapsed_s, 3),

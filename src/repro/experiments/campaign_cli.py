@@ -3,7 +3,6 @@
 Usage::
 
     repro-campaign run nightly.json --dir runs/nightly --jobs 4
-    repro-campaign run nightly.json --workers 4   # subprocess workers
     repro-campaign resume runs/nightly          # continue after a kill
     repro-campaign status runs/nightly          # points done per stage
     repro-campaign report runs/nightly          # render the HTML weblog
@@ -11,10 +10,9 @@ Usage::
 The request is a JSON file (or a Python file exposing ``CAMPAIGN``)
 naming the stages; see ``examples/campaign.py``.  ``run`` persists the
 request inside the campaign directory, so ``resume``/``status``/
-``report`` need only the directory.  The executor follows the counts:
-``--workers N`` fans points out to worker processes, ``--jobs N > 1``
-runs a pool on this host, and otherwise the run is serial; giving both
-is an error (exit 2).
+``report`` need only the directory.  ``--jobs N > 1`` runs the points
+in a pool on this host, and otherwise the run is serial; ``--jobs`` below
+1 is an error (exit 2), refused before the campaign directory exists.
 """
 
 from __future__ import annotations
@@ -44,21 +42,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="run points in a pool of N processes on this host",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan points out to N worker subprocesses (see --worker-command)",
-    )
-    parser.add_argument(
-        "--worker-command",
-        default=None,
-        metavar="CMD",
-        help="worker launch template for --workers; {python} "
-        "expands to this interpreter (default: '{python} -m "
-        "repro.experiments.worker'; prefix with 'ssh host' for a "
-        "remote worker)",
     )
     parser.add_argument(
         "--qa-gate",
@@ -104,12 +87,8 @@ def _execute(
     open_context: Callable[[], CampaignContext],
     args: argparse.Namespace,
 ) -> int:
-    # The counts are checked before a campaign directory is created.
-    executor = make_executor(
-        jobs=args.jobs,
-        workers=args.workers,
-        command=args.worker_command,
-    )
+    # The count is checked before a campaign directory is created.
+    executor = make_executor(jobs=args.jobs)
     result = CampaignRunner(campaign, executor=executor, context=open_context()).run()
     _print_result(result)
     if args.qa_gate and result.verdict == "fail":

@@ -96,7 +96,7 @@ class CampaignContext:
     # -- journal -------------------------------------------------------
     def _replay_journal(self) -> None:
         try:
-            fh = open(self.journal_path)
+            fh = open(self.journal_path, "rb")
         except OSError:
             return
         with fh:
@@ -105,12 +105,13 @@ class CampaignContext:
                 if not line:
                     continue
                 try:
-                    entry = json.loads(line)
+                    entry = json.loads(line.decode("utf-8"))
                     fragment = entry["fragment"]
                     key = entry["key"]
                 except (ValueError, TypeError, KeyError):
-                    # Truncated tail from a killed writer, or garbage:
-                    # drop the line; the point recomputes.
+                    # Truncated tail from a killed writer, or garbage
+                    # (bytes that are not UTF-8 included): drop the
+                    # line; the point recomputes.
                     self.journal_lines_skipped += 1
                     continue
                 if not isinstance(fragment, dict) or not isinstance(key, str):

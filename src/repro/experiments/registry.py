@@ -6,8 +6,9 @@ the figure, table and ablation modules of :mod:`repro.harness`, the
 workload specs of :mod:`repro.workloads` and the saturation sweep of
 :mod:`repro.loadgen` — and self-register on import.  The framework
 never imports them in an import statement: :func:`load_builtin` names
-them by string, the framework's one plugin seam, so every package
-import still points down the layer order.
+them by string, and :func:`resolve_spec` imports a ``module:attr``
+spec reference the same way: this module is the framework's one plugin
+seam, so every package import still points down the layer order.
 """
 
 from __future__ import annotations
@@ -64,6 +65,24 @@ def get(name: str) -> ExperimentSpec:
         raise ConfigError(
             f"unknown experiment {name!r}; registered: {', '.join(names())}"
         ) from None
+
+
+def resolve_spec(ref: str) -> ExperimentSpec:
+    """Resolve a spec reference: ``module:attr`` or a registry name.
+
+    A campaign stage names its spec this way, so a request file can
+    run a spec that lives outside the registry.  A reference naming
+    nothing raises :class:`ConfigError`."""
+    if ":" in ref:
+        module_name, attr = ref.split(":", 1)
+        try:
+            spec = getattr(importlib.import_module(module_name), attr)
+        except (ImportError, AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot resolve experiment {ref!r}: {exc}") from None
+        if not isinstance(spec, ExperimentSpec):
+            raise ConfigError(f"{ref!r} is not an ExperimentSpec")
+        return spec
+    return get(ref)
 
 
 def names() -> Tuple[str, ...]:

@@ -4,9 +4,9 @@ It expands the spec into points (pure, :mod:`repro.experiments.spec`),
 serves the points an optional
 :class:`~repro.experiments.context.CampaignContext` journal already
 holds, runs the rest through an
-:class:`~repro.experiments.executors.Executor` (in-process, pool, or
-multi-host workers), journals each fragment as it lands, and merges
-the fragments into rows in grid order.
+:class:`~repro.experiments.executors.Executor` (in-process or a pool
+on this host), journals each fragment as it lands, and merges the
+fragments into rows in grid order.
 
 Determinism: every point re-seeds the worker's global RNG from a seed
 derived from ``(spec seed, spec name, point index, variant)``, and all

@@ -13,6 +13,7 @@ with the ``REPRO_SERVE_`` prefix (``port`` -> ``REPRO_SERVE_PORT``).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
@@ -81,18 +82,29 @@ class ServeSettings:
         if not 0 <= self.port < 65536:
             # Port 0 asks the kernel for an ephemeral port (tests/CI).
             raise ConfigError(f"port out of range: {self.port}")
-        if self.request_timeout_ns <= 0:
-            raise ConfigError("request_timeout_ns must be > 0")
+        # NaN fails every comparison and infinity breaks the virtual
+        # deadline every op carries, so each float must be finite.
+        timeout = self.request_timeout_ns
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigError(
+                f"request_timeout_ns must be finite and > 0, got {timeout!r}"
+            )
+        for name in (
+            "rate_limit_qps",
+            "rate_limit_burst",
+            "warmup_delay_s",
+            "drain_timeout_s",
+            "fallback_after_ns",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
         if self.txn_max_attempts < 1:
             raise ConfigError("txn_max_attempts must be >= 1")
-        if self.rate_limit_qps < 0 or self.rate_limit_burst < 0:
-            raise ConfigError("rate limit values cannot be negative")
-        if self.warmup_delay_s < 0 or self.drain_timeout_s < 0:
-            raise ConfigError("delay/drain values cannot be negative")
         if self.n_clients < 1:
-            raise ConfigError("need at least one client node")
+            raise ConfigError("n_clients must be >= 1 (one client node)")
         if self.max_sessions < 1:
-            raise ConfigError("need at least one session per pool")
+            raise ConfigError("max_sessions must be >= 1 (one session per pool)")
         ShardedConfig.of(self).validate()
 
     @property

@@ -2,7 +2,7 @@
 journal, QA scoring, the HTML report, and the ``repro-campaign`` CLI.
 
 The acceptance bar for the whole layer is byte-identical row artifacts
-across serial, pooled, multi-host, and kill-then-resume executions of
+across serial, pooled, and kill-then-resume executions of
 the same campaign — pinned here at test scale and by the CI campaign
 smoke job at the CLI level (with a real SIGKILL).
 """
@@ -32,7 +32,6 @@ from repro.experiments import (
     PoolExecutor,
     QaCheck,
     SerialExecutor,
-    SubprocessExecutor,
     Variant,
     make_executor,
     point_key,
@@ -41,14 +40,12 @@ from repro.experiments import (
 )
 from repro.experiments import campaign_cli, qa
 from repro.experiments.campaign import campaign_status, load_campaign
-from repro.experiments.executors import resolve_spec
 from repro.experiments.htmlreport import render_campaign
+from repro.experiments.registry import resolve_spec
 from repro.experiments.runner import merge_rows
-from repro.experiments.worker import serve as worker_serve
 from repro.harness.cli import main as harness_main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-TESTS_DIR = Path(__file__).resolve().parent
 
 
 def _mix_point(ctx):
@@ -73,12 +70,8 @@ MIX_SPEC = ExperimentSpec(
     point_fn=_mix_point,
 )
 
-#: module:attr reference workers can re-resolve (tests dir on PYTHONPATH).
+#: A module:attr stage reference (the tests dir is on sys.path).
 MIX_REF = "test_campaign:MIX_SPEC"
-
-_WORKER_ENV = {
-    "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(TESTS_DIR)])
-}
 
 
 def _mix_campaign(**stage_kwargs):
@@ -90,108 +83,47 @@ def _mix_campaign(**stage_kwargs):
 
 
 class TestExecutors:
-    def test_serial_pool_and_workers_byte_identical(self):
+    def test_serial_and_pool_byte_identical(self):
         serial = run_sweep(MIX_SPEC, executor=SerialExecutor())
         pool = run_sweep(MIX_SPEC, executor=PoolExecutor(3))
-        sub = run_sweep(
-            MIX_SPEC,
-            executor=SubprocessExecutor(workers=2, ref=MIX_REF, env=_WORKER_ENV),
-        )
-        assert repr(serial.rows) == repr(pool.rows) == repr(sub.rows)
+        assert repr(serial.rows) == repr(pool.rows)
 
-    def test_subprocess_executor_value_fidelity(self):
-        # Tuples and int-vs-float must survive the wire exactly.
+    def test_pool_executor_value_fidelity(self):
+        # Tuples and int-vs-float must survive the fork exactly.  Two
+        # points, because a pool runs a single point in process.
         spec = ExperimentSpec(
             name="campaign_types",
-            axes={"x": (1,)},
-            point_fn=lambda ctx: {"t": (1, 2), "i": 3, "f": 3.0},
+            axes={"x": (1, 2)},
+            point_fn=lambda ctx: {"t": (1, ctx.params["x"]), "i": 3, "f": 3.0},
         )
-        sub = run_sweep(
-            spec,
-            executor=SubprocessExecutor(
-                workers=1, ref="test_campaign:_TYPES_SPEC", env=_WORKER_ENV
-            ),
-        )
-        row = sub.rows[0]
-        assert row["t"] == (1, 2) and isinstance(row["t"], tuple)
-        assert isinstance(row["i"], int) and isinstance(row["f"], float)
-
-    def test_dead_worker_surfaces_as_config_error(self):
-        executor = SubprocessExecutor(
-            workers=1,
-            command="{python} -c 'import sys; sys.exit(3)'",
-            ref=MIX_REF,
-            env=_WORKER_ENV,
-        )
-        with pytest.raises(ConfigError):
-            run_sweep(MIX_SPEC, executor=executor)
+        pool = run_sweep(spec, executor=PoolExecutor(2))
+        assert pool.jobs == 2
+        for row, x in zip(pool.rows, (1, 2)):
+            assert row["t"] == (1, x) and isinstance(row["t"], tuple)
+            assert isinstance(row["i"], int) and isinstance(row["f"], float)
 
     def test_make_executor_factory(self):
-        """The counts choose the executor, and each reports its own
+        """The count chooses the executor, and each reports its own
         ``jobs`` — a subclass that skips ``__init__`` included."""
         assert type(make_executor()) is SerialExecutor
         assert type(make_executor(jobs=1)) is SerialExecutor
         pool = make_executor(jobs=4)
         assert isinstance(pool, PoolExecutor) and pool.jobs == 4
-        workers = make_executor(workers=3)
-        assert isinstance(workers, SubprocessExecutor) and workers.jobs == 3
-        assert workers.describe() == "workers:3"
 
         class Bare(SerialExecutor):
             def __init__(self):
                 pass
 
         assert Bare().jobs == SerialExecutor().jobs == 1
-        for bad in (
-            {"jobs": 2, "workers": 2},
-            {"jobs": 1, "workers": 2},
-            {"jobs": 0},
-            {"workers": 0},
-            {"command": "{python} -m repro.experiments.worker"},
-        ):
+        for bad in (0, -1):
             with pytest.raises(ConfigError):
-                make_executor(**bad)
+                make_executor(jobs=bad)
 
     def test_resolve_spec_registry_and_module(self):
         assert resolve_spec(MIX_REF) is MIX_SPEC
         assert resolve_spec("fig10").name == "fig10"
         with pytest.raises(ConfigError):
             resolve_spec("not_an_experiment")
-
-
-_TYPES_SPEC = ExperimentSpec(
-    name="campaign_types",
-    axes={"x": (1,)},
-    point_fn=lambda ctx: {"t": (1, 2), "i": 3, "f": 3.0},
-)
-
-
-class TestWorkerProtocol:
-    def test_serve_round_trip(self):
-        import base64
-        import io
-        import pickle
-
-        points = MIX_SPEC.expand()
-        payload = pickle.dumps(
-            {"ref": MIX_REF, "scale": 0.5, "points": points[:2]}
-        )
-        out = io.StringIO()
-        assert worker_serve(io.BytesIO(payload), out) == 0
-        lines = [json.loads(l) for l in out.getvalue().splitlines()]
-        assert [msg["index"] for msg in lines] == [0, 1]
-        fragment = pickle.loads(base64.b64decode(lines[0]["data"]))
-        assert fragment["a_value"] == 10
-
-    def test_serve_relays_errors(self):
-        import io
-        import pickle
-
-        payload = pickle.dumps({"ref": "nope_not_registered", "scale": 1.0, "points": []})
-        out = io.StringIO()
-        assert worker_serve(io.BytesIO(payload), out) == 1
-        msg = json.loads(out.getvalue())
-        assert "error" in msg
 
 
 class TestJournal:
@@ -257,9 +189,11 @@ class TestJournal:
             fh.write("total garbage\n")
             fh.write(json.dumps({"key": "k2", "fragment": 42}) + "\n")  # non-dict
             fh.write(json.dumps({"fragment": {"x": 1}}) + "\n")  # no key
+        with open(root / "journal.jsonl", "ab") as fh:
+            fh.write(b"\xff\xfe\n")  # not UTF-8
 
         reopened = CampaignContext(str(root))
-        assert reopened.journal_lines_skipped == 4
+        assert reopened.journal_lines_skipped == 5
         assert reopened.get(good_key) == good_fragment
 
         # A campaign over the damaged journal completes with correct rows.
@@ -723,6 +657,19 @@ class TestCampaignCli:
         out = capsys.readouterr().out
         assert "6/6 from journal" in out
 
+    def test_status_and_resume_skip_a_non_utf8_journal_line(self, tmp_path, capsys):
+        request = self._request(tmp_path)
+        root = tmp_path / "camp"
+        assert campaign_cli.main(["run", request, "--dir", str(root)]) == 0
+        with open(root / "journal.jsonl", "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        capsys.readouterr()
+        assert campaign_cli.main(["status", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "6/6 points" in out and "1 corrupt journal line(s) skipped" in out
+        assert campaign_cli.main(["resume", str(root)]) == 0
+        assert "6/6 from journal" in capsys.readouterr().out
+
     def test_qa_gate_exit_code(self, tmp_path, capsys):
         path = tmp_path / "req.json"
         path.write_text(
@@ -780,11 +727,11 @@ class TestCampaignCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not root.exists()
 
-    def test_jobs_and_workers_are_exclusive(self, tmp_path, capsys):
+    def test_bad_jobs_refused_before_the_directory_exists(self, tmp_path, capsys):
         root = str(tmp_path / "camp")
         argv = ["run", self._request(tmp_path), "--dir", root]
-        assert campaign_cli.main([*argv, "--jobs", "2", "--workers", "2"]) == 2
-        assert "not both" in capsys.readouterr().err
+        assert campaign_cli.main([*argv, "--jobs", "0"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(root)  # refused before the directory exists
         assert campaign_cli.main([*argv, "--jobs", "2"]) == 0
         meta = json.loads(Path(root, "artifacts", "mix.meta.json").read_text())

@@ -7,9 +7,9 @@ cannot hide a cycle.  Edges that all point down a total order leave no
 package cycle.
 
 The framework's plugin seam is not an ``ast`` edge and is not checked:
-``experiments.registry.load_builtin`` imports the spec-defining modules
-by name (``_BUILTIN_MODULES``), and ``experiments.executors.resolve_spec``
-imports a ``module:attr`` spec reference by name.  Upper layers
+``experiments.registry`` is the one module that loads specs by name —
+``load_builtin`` imports the spec-defining modules (``_BUILTIN_MODULES``)
+and ``resolve_spec`` a ``module:attr`` spec reference.  Upper layers
 register specs into the framework that way; the framework never names
 them in an import statement.
 """

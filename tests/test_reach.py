@@ -83,29 +83,6 @@ def test_every_entry_point_and_example_is_a_driver():
             assert os.path.realpath(os.path.join(examples, example)) in run, example
 
 
-def test_a_traced_subprocess_reports_into_the_drivers_census(tmp_path):
-    """``{out}`` in a driver's argv names the file its subprocesses
-    trace into, as the campaign driver's ``--worker-command`` does."""
-    script = tmp_path / "driver.py"
-    script.write_text(
-        "import subprocess, sys\n"
-        f"tool = {_TOOL!r}\n"
-        "inner = 'from repro.common.units import blocks_in; blocks_in(1)'\n"
-        "with open(sys.argv[2] + '.py', 'w') as fh:\n"
-        "    fh.write(inner)\n"
-        "sys.exit(subprocess.call([sys.executable, tool, '--child', sys.argv[1],\n"
-        "                          '--', sys.argv[2] + '.py']))\n"
-    )
-    reached, failures = reach.census(
-        1, [("nested", [str(script), reach.SUB_OUT, str(tmp_path / "inner")], {})]
-    )
-    assert failures == []
-    names = {
-        name for key, (name, _lines) in reach.all_defs().items() if key in reached
-    }
-    assert "repro.common.units:blocks_in" in names
-
-
 # ----------------------------------------------------------------------
 # --state: write-only and never-set state
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.objstore.sharded import ShardedConfig
+from repro.serve import cli
 from repro.serve.bridge import SimBridge
 from repro.serve.gateway import MAX_BODY_BYTES, Gateway, TokenBucket
 from repro.serve.metrics import (
@@ -55,6 +56,17 @@ class TestSettings:
         with pytest.raises(ConfigError):
             ServeSettings.from_env(environ={"REPRO_SERVE_PORT": "nope"})
 
+    def test_nan_env_value_rejected(self, monkeypatch, capsys):
+        """``float("nan")`` parses, so validation must refuse it: a NaN
+        deadline would answer every GET ``timeout`` at 0 ns."""
+        async def never_serve(settings):
+            raise AssertionError("a NaN timeout reached the server")
+
+        monkeypatch.setattr(cli, "serve", never_serve)
+        monkeypatch.setenv("REPRO_SERVE_REQUEST_TIMEOUT_NS", "nan")
+        assert cli.main([]) == 2
+        assert "request_timeout_ns" in capsys.readouterr().err
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError):
             ServeSettings.from_env(environ={}, no_such_setting=1)
@@ -68,11 +80,23 @@ class TestSettings:
             {"max_sessions": 0},
             {"rate_limit_qps": -1.0},
             {"n_clients": 0},
+            *(
+                pytest.param({name: bad}, id=f"{name}={bad}")
+                for name in (
+                    "request_timeout_ns",
+                    "rate_limit_qps",
+                    "rate_limit_burst",
+                    "warmup_delay_s",
+                    "drain_timeout_s",
+                    "fallback_after_ns",
+                )
+                for bad in (math.nan, math.inf)
+            ),
         ],
         ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_validation_rejects(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
             ServeSettings.from_env(environ={}, **kwargs)
 
     def test_replication_clamped_to_shards(self):

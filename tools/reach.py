@@ -21,10 +21,9 @@ holds every console script and example to this list):
 * every ``examples/*.py``;
 * ``repro-harness list``, ``table1``, ``table2`` and one sweep with
   ``--axes`` and ``--overrides``;
-* ``repro-campaign`` run serially, with ``--jobs 2`` and with
-  ``--workers 1``, then ``status``, ``resume`` and ``report``
-  (``tools/reach_drivers.py campaign``; the subprocess worker is
-  traced too, forked pool workers are not);
+* ``repro-campaign`` run serially and with ``--jobs 2``, then
+  ``status``, ``resume`` and ``report`` (``tools/reach_drivers.py
+  campaign``; forked pool workers are not traced);
 * ``repro-serve`` with ``repro-load --url`` against it, a malformed
   request, a ``/metrics`` scrape and the SIGTERM drain, then
   ``repro-load --replay`` and ``--sweep``
@@ -93,10 +92,6 @@ COMPOSITE = os.path.join(ROOT, "tools", "reach_drivers.py")
 
 BENCH_WORKLOADS = ("paper_figs", "kv_mixed", "chaos_elastic", "serve_http")
 
-#: Stands in a driver's argv for the file its traced subprocesses
-#: (``tools/reach.py --child {out} -- ...``) write what they entered to.
-SUB_OUT = "{out}"
-
 #: ``(label, argv, env)``: ``argv`` runs as ``python argv`` with ``env``
 #: layered over this process's environment.
 Driver = Tuple[str, List[str], Dict[str, str]]
@@ -127,7 +122,7 @@ def drivers() -> List[Driver]:
             out.append((f"examples/{name}", [os.path.join(examples, name)], {}))
     out += [
         ("repro-campaign run/status/resume/report",
-         [COMPOSITE, "campaign", SUB_OUT], {}),
+         [COMPOSITE, "campaign"], {}),
         ("repro-serve + repro-load", [COMPOSITE, "serve"], {}),
     ]
     for command in ("list", "table1", "table2"):
@@ -196,8 +191,7 @@ def load_allowlist(path: str = ALLOW_PATH) -> Dict[str, str]:
 # ----------------------------------------------------------------------
 def _traced_child(out_path: str, argv: List[str]) -> int:
     """Run ``argv`` as ``python argv`` would, under the call hook, and
-    add what it entered under ``src/repro`` to ``out_path`` (several
-    children may report to one file, one after another)."""
+    write what it entered under ``src/repro`` to ``out_path``."""
     import threading
 
     seen: Set = set()
@@ -227,7 +221,6 @@ def _traced_child(out_path: str, argv: List[str]) -> int:
             (c.co_filename, c.co_firstlineno)
             for c in seen if c.co_filename.startswith(prefix)
         }
-        entered.update(_load_pairs(out_path))
         with open(out_path, "w") as fh:
             json.dump(sorted(entered), fh)
     return code
@@ -243,8 +236,8 @@ def _load_pairs(path: str) -> Set[Tuple[str, int]]:
 def census(
     jobs: int, runs: Sequence[Driver]
 ) -> Tuple[Set[Tuple[str, int]], List[str]]:
-    """Every ``(path, first line)`` the drivers ``runs`` entered, their
-    traced subprocesses included, and the drivers that failed."""
+    """Every ``(path, first line)`` the drivers ``runs`` entered, and
+    the drivers that failed."""
     base_env = dict(os.environ)
     base_env["PYTHONPATH"] = SRC + os.pathsep + base_env.get("PYTHONPATH", "")
     reached: Set[Tuple[str, int]] = set()
@@ -254,8 +247,6 @@ def census(
         def one(k_driver):
             k, (label, argv, env) = k_driver
             out = os.path.join(tmp, f"{k}.json")
-            sub_out = os.path.join(tmp, f"{k}.sub.json")
-            argv = [arg.replace(SUB_OUT, sub_out) for arg in argv]
             done = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--child", out, "--", *argv],
                 cwd=tmp, env={**base_env, **env}, stdout=subprocess.DEVNULL,
@@ -266,7 +257,7 @@ def census(
             ok = done.returncode == 0 or (label == "golden" and done.returncode == 3)
             if not ok:
                 failures.append(f"{label} exited {done.returncode}:\n{done.stderr[-2000:]}")
-            return _load_pairs(out) | _load_pairs(sub_out)
+            return _load_pairs(out)
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             for pairs in pool.map(one, enumerate(runs)):

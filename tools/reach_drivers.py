@@ -2,11 +2,10 @@
 """The reachability census's composite drivers: entry points that only
 make sense as a sequence in one process.
 
-* ``campaign OUT`` — ``repro-campaign run`` on a one-stage request
-  three ways (serial, ``--jobs 2``, ``--workers 1``), then ``status``,
-  ``resume`` and ``report`` on the serial run's directory.  The
-  subprocess worker runs under ``tools/reach.py --child OUT``, so what
-  it calls lands in ``OUT``.
+* ``campaign`` — ``repro-campaign run`` on a one-stage request
+  serially and with ``--jobs 2``, byte-comparing the two runs'
+  ``rows.json``, then ``status``, ``resume`` and ``report`` on the
+  serial run's directory.
 * ``serve`` — ``repro-serve`` in this process on a free port with one
   ``REPRO_SERVE_*`` variable set; a client thread drives ``repro-load
   --url`` against it, sends one malformed request, scrapes
@@ -17,7 +16,7 @@ Each exits 0 only if every step did what it should.
 
 Usage::
 
-    PYTHONPATH=src python tools/reach_drivers.py campaign OUT
+    PYTHONPATH=src python tools/reach_drivers.py campaign
     PYTHONPATH=src python tools/reach_drivers.py serve
 """
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import shlex
 import signal
 import socket
 import sys
@@ -36,9 +34,7 @@ import urllib.error
 import urllib.request
 from typing import List
 
-REACH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reach.py")
-
-#: Two points, so the pool forks and the worker streams more than one.
+#: Two points, so the pool forks.
 CAMPAIGN_REQUEST = {
     "campaign": "reach",
     "scale": 0.05,
@@ -59,23 +55,15 @@ def _check(failures: List[str], what: str, ok: bool) -> None:
         failures.append(what)
 
 
-def campaign(trace_out: str) -> int:
+def campaign() -> int:
     from repro.experiments.campaign_cli import main
 
     failures: List[str] = []
-    worker = " ".join([
-        "{python}", shlex.quote(REACH), "--child", shlex.quote(trace_out),
-        "--", "-m", "repro.experiments.worker",
-    ])
     with tempfile.TemporaryDirectory(prefix="reach-campaign-") as tmp:
         request = os.path.join(tmp, "request.json")
         with open(request, "w") as fh:
             json.dump(CAMPAIGN_REQUEST, fh)
-        runs = {
-            "serial": [],
-            "jobs": ["--jobs", "2"],
-            "workers": ["--workers", "1", "--worker-command", worker],
-        }
+        runs = {"serial": [], "jobs": ["--jobs", "2"]}
         rows = {}
         for label, extra in runs.items():
             directory = os.path.join(tmp, label)
@@ -83,7 +71,7 @@ def campaign(trace_out: str) -> int:
             _check(failures, f"run {label} exits 0", code == 0)
             with open(os.path.join(directory, "artifacts", "fig10.rows.json")) as fh:
                 rows[label] = fh.read()
-        _check(failures, "every executor writes the same rows",
+        _check(failures, "serial and --jobs 2 write the same rows",
                len(set(rows.values())) == 1)
         directory = os.path.join(tmp, "serial")
         for command in ("status", "resume", "report"):
@@ -164,8 +152,8 @@ def serve() -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["campaign"] and len(sys.argv) == 3:
-        sys.exit(campaign(sys.argv[2]))
+    if sys.argv[1:] == ["campaign"]:
+        sys.exit(campaign())
     if sys.argv[1:] == ["serve"]:
         sys.exit(serve())
     sys.exit(__doc__)
