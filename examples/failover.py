@@ -17,7 +17,7 @@ Run:  PYTHONPATH=src python examples/failover.py
 
 from contextlib import closing
 
-from repro.objstore.failover import FailoverManager, FailurePlan
+from repro.faults import FailoverManager
 from repro.objstore.sharded import REPLY_FENCED, ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.workloads.availability import FailoverMixConfig, run_failover_mix

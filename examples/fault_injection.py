@@ -21,8 +21,12 @@ Run:  PYTHONPATH=src python examples/fault_injection.py
 from contextlib import closing
 
 from repro.common.errors import LinkPartitionedError
-from repro.faults import FaultInjector, FaultSchedule, FaultWindow
-from repro.objstore.failover import FailoverManager
+from repro.faults import (
+    FailoverManager,
+    FaultInjector,
+    FaultSchedule,
+    FaultWindow,
+)
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
 from repro.workloads.availability import FailoverMixConfig, run_failover_mix

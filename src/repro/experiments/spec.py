@@ -102,7 +102,6 @@ class ExperimentSpec:
     finalize_row: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
     headers: Sequence[str] = ()
     description: str = ""
-    base_seed: int = 1
     qa_checks: Sequence[Any] = ()
 
     def __post_init__(self) -> None:
@@ -121,7 +120,8 @@ class ExperimentSpec:
 
         Expansion order is deterministic: axes vary outermost-first in
         declaration order, variants innermost — matching the nesting of
-        the hand-rolled loops these specs replaced."""
+        the hand-rolled loops these specs replaced.  Point seeds derive
+        from ``base_seed``, else the spec's ``defaults["seed"]``, else 1."""
         grid = dict(self.axes)
         for axis, values in (axes or {}).items():
             if axis not in grid:
@@ -130,7 +130,8 @@ class ExperimentSpec:
                     f"axes are {tuple(grid)}"
                 )
             grid[axis] = tuple(values)
-        seed_root = self.base_seed if base_seed is None else base_seed
+        if base_seed is None:
+            base_seed = self.defaults.get("seed", 1)
 
         points: List[Point] = []
         for axis_values in _grid_product(grid):
@@ -151,7 +152,7 @@ class ExperimentSpec:
                         axis_values=dict(axis_values),
                         variant=variant,
                         params=params,
-                        seed=derive_seed(seed_root, self.name, index, variant.name),
+                        seed=derive_seed(base_seed, self.name, index, variant.name),
                     )
                 )
         return points

@@ -1,4 +1,4 @@
-"""Fault injection and recovery over the sharded FaRM service.
+"""Crash and recovery over the sharded FaRM service.
 
 The paper's premise is that atomicity mechanisms must hold while
 writers race readers; rack-scale systems additionally lose nodes
@@ -8,19 +8,21 @@ module brings that failure model to :class:`~repro.objstore.sharded.
 ShardedKV` so the backup-fallback, retry, and abort paths are exercised
 under *real* crashes instead of only under contention:
 
-* A :class:`FailurePlan` is data: a list of :class:`ShardFault` entries
-  (crash time, optional recovery time) validated for per-shard
-  ordering.  :meth:`FailurePlan.cycles` builds the standard soak shape
-  — repeated crash/recover cycles round-robining over shards.
-* A :class:`FailoverManager` turns the plan into simulation events.  On
-  a **crash** it expires the node's lease at the fabric (packets from
-  and to it vanish), fails every in-flight RPC addressed to it with a
-  typed :class:`~repro.common.errors.ShardCrashedError`, aborts every
-  in-flight one-sided transfer targeting it (``crashed`` CQ entries),
-  and drives the view change: the next serving replica of every key the
-  shard was primary for is *promoted* (permanently — the crashed shard
-  rejoins as a backup) and the configuration epoch is bumped so stale
-  requests are fenced by every RPC handler.
+* A crash is a :class:`~repro.faults.schedule.FaultWindow` of kind
+  ``"crash"``: shard ``node`` crashes at ``start_ns`` and rejoins at
+  ``end_ns`` (NI up; serving resumes after the timed re-sync).
+  :func:`~repro.faults.schedule.cycle_fault_schedule` builds the
+  standard soak shape — repeated crash/recover cycles round-robining
+  over shards.
+* A :class:`FailoverManager` turns the crash windows into simulation
+  events.  On a **crash** it expires the node's lease at the fabric
+  (packets from and to it vanish), fails every in-flight RPC addressed
+  to it with a typed :class:`~repro.common.errors.ShardCrashedError`,
+  aborts every in-flight one-sided transfer targeting it (``crashed``
+  CQ entries), and drives the view change: the next serving replica
+  of every key the shard was primary for is *promoted* (permanently —
+  the crashed shard rejoins as a backup) and the configuration epoch
+  is bumped so stale requests are fenced by every RPC handler.
 * On a **recovery** the node's NI comes back, but the shard does not
   serve again until a timed **re-sync** completes: the manager charges
   ``RESYNC_FIXED_NS + RESYNC_NS_PER_OBJECT x hosted objects`` of
@@ -40,7 +42,7 @@ keeps clients moving is the pair of failure timers a manager arms
 through :meth:`ShardedKV.arm_watchdogs`, the one place they are set: a
 2 µs bound on each read attempt and a 60 µs RPC watchdog.
 
-Everything is deterministic: crash/recover times come from the plan,
+Everything is deterministic: crash/recover times come from the schedule,
 failure notifications iterate endpoints and transfer tables in fixed
 order, and re-sync synthesizes committed images from the repo-wide
 ground-truth convention (a committed payload is fully determined by its
@@ -50,105 +52,16 @@ version), so failover runs are byte-identical under parallel sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
+from repro.faults.schedule import FaultSchedule
 from repro.objstore.sharded import REROUTE_CHECK_NS, RPC_TIMEOUT_NS, ShardedKV
 
 #: The re-sync cost model: a fixed reconfiguration handshake plus a
 #: per-object bulk-copy charge.
 RESYNC_FIXED_NS = 5_000.0
 RESYNC_NS_PER_OBJECT = 120.0
-
-
-# ----------------------------------------------------------------------
-# the plan
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardFault:
-    """One scheduled failure: ``shard`` crashes at ``crash_ns`` and —
-    unless ``recover_ns`` is ``None`` (it stays down) — rejoins at
-    ``recover_ns`` (NI up; serving resumes after the timed re-sync)."""
-
-    shard: int
-    crash_ns: float
-    recover_ns: Optional[float] = None
-
-    def validate(self) -> None:
-        if self.crash_ns < 0:
-            raise ConfigError(f"crash time cannot be negative: {self.crash_ns}")
-        if self.recover_ns is not None and self.recover_ns <= self.crash_ns:
-            raise ConfigError(
-                f"shard {self.shard}: recovery at {self.recover_ns} must "
-                f"follow the crash at {self.crash_ns}"
-            )
-
-
-class FailurePlan:
-    """A validated, time-ordered schedule of shard faults."""
-
-    def __init__(self, faults: Sequence[ShardFault] = ()):
-        faults = sorted(faults, key=lambda f: (f.crash_ns, f.shard))
-        last_end: Dict[int, float] = {}
-        for fault in faults:
-            fault.validate()
-            if fault.shard in last_end:
-                end = last_end[fault.shard]
-                if end is None or fault.crash_ns < end:
-                    raise ConfigError(
-                        f"shard {fault.shard}: fault at {fault.crash_ns} "
-                        "overlaps the previous one (or follows a permanent "
-                        "crash)"
-                    )
-            last_end[fault.shard] = fault.recover_ns
-        self.faults: Tuple[ShardFault, ...] = tuple(faults)
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    @classmethod
-    def cycles(
-        cls,
-        shards: Sequence[int],
-        first_crash_ns: float,
-        downtime_ns: float,
-        uptime_ns: float,
-        count: int,
-    ) -> "FailurePlan":
-        """``count`` crash/recover cycles round-robining over
-        ``shards``: one shard down at a time, each down for
-        ``downtime_ns``, with ``uptime_ns`` of full health in between."""
-        if not shards:
-            raise ConfigError("cycles need at least one shard to crash")
-        if count < 0:
-            raise ConfigError(f"cycle count cannot be negative: {count}")
-        if downtime_ns <= 0 or uptime_ns < 0:
-            raise ConfigError("downtime must be positive, uptime non-negative")
-        faults = []
-        t = first_crash_ns
-        for i in range(count):
-            shard = shards[i % len(shards)]
-            faults.append(ShardFault(shard, t, t + downtime_ns))
-            t += downtime_ns + uptime_ns
-        return cls(faults)
-
-    def end_ns(self) -> float:
-        """When the last scheduled event fires (0 for an empty plan);
-        workloads validate their duration covers it so no crash/recover
-        event outlives the measurement."""
-        end = 0.0
-        for fault in self.faults:
-            end = max(end, fault.crash_ns)
-            if fault.recover_ns is not None:
-                end = max(end, fault.recover_ns)
-        return end
-
-
-# ----------------------------------------------------------------------
-# the manager
-# ----------------------------------------------------------------------
 
 
 @dataclass
@@ -168,18 +81,21 @@ class FailoverStats:
 
 
 class FailoverManager:
-    """Drives a :class:`FailurePlan` against a :class:`ShardedKV`.
+    """Drives a schedule's crash windows against a :class:`ShardedKV`.
 
     Construction arms the service's failure timers through
     :meth:`ShardedKV.arm_watchdogs` (the attempt re-route bound and
-    the RPC watchdog) and schedules every fault as simulation events;
-    :meth:`crash` / :meth:`recover` are also public so tests can inject
-    faults directly.
+    the RPC watchdog) and schedules every crash window's crash and
+    recovery as simulation events; its other windows are the
+    :class:`~repro.faults.injector.FaultInjector`'s.  :meth:`crash` /
+    :meth:`recover` are also public so tests can inject faults
+    directly.
     """
 
-    def __init__(self, kv: ShardedKV, plan: Optional[FailurePlan] = None):
+    def __init__(
+        self, kv: ShardedKV, schedule: Optional[FaultSchedule] = None
+    ):
         self.kv = kv
-        self.plan = plan or FailurePlan()
         self.stats = FailoverStats()
         self.down: set = set()
         #: Timeline of ``(t_ns, event, shard)`` strings for reporting.
@@ -188,40 +104,31 @@ class FailoverManager:
         kv.arm_watchdogs(RPC_TIMEOUT_NS, REROUTE_CHECK_NS)
 
         sim = kv.cluster.sim
-        serving_again: Dict[int, Optional[float]] = {}
-        for fault in self.plan.faults:
-            if fault.shard >= kv.cfg.n_shards:
+        serving_again: Dict[int, float] = {}
+        for window in (schedule or FaultSchedule()).windows:
+            if window.kind != "crash":
+                continue
+            shard = window.node
+            if not 0 <= shard < kv.cfg.n_shards:
                 raise ConfigError(
-                    f"plan names shard {fault.shard}; deployment has "
+                    f"crash window names shard {shard}; deployment has "
                     f"{kv.cfg.n_shards}"
                 )
-            # The plan's per-shard ordering only checks recover_ns, but
-            # a shard stays down until its *timed re-sync* completes —
+            # A shard stays down until its *timed re-sync* completes —
             # a crash inside that window would fire mid-simulation
             # against a shard that is already down.  The re-sync cost
             # is a pure function of the (immutable) replica membership,
-            # so reject such plans here, at construction.
-            if fault.shard in serving_again:
-                prior = serving_again[fault.shard]
-                if prior is None or fault.crash_ns <= prior:
-                    raise ConfigError(
-                        f"shard {fault.shard}: crash at {fault.crash_ns} "
-                        f"lands before the previous fault's re-sync "
-                        f"completes (~{prior}); leave more uptime between "
-                        "cycles"
-                    )
-            serving_again[fault.shard] = (
-                None
-                if fault.recover_ns is None
-                else fault.recover_ns + self._resync_cost(fault.shard)
-            )
-            sim.call_at(
-                fault.crash_ns, lambda s=fault.shard: self.crash(s)
-            )
-            if fault.recover_ns is not None:
-                sim.call_at(
-                    fault.recover_ns, lambda s=fault.shard: self.recover(s)
+            # so reject such schedules here, at construction.
+            prior = serving_again.get(shard)
+            if prior is not None and window.start_ns <= prior:
+                raise ConfigError(
+                    f"shard {shard}: crash at {window.start_ns} lands "
+                    f"before the previous crash's re-sync completes "
+                    f"(~{prior}); leave more uptime between cycles"
                 )
+            serving_again[shard] = window.end_ns + self._resync_cost(shard)
+            sim.call_at(window.start_ns, lambda s=shard: self.crash(s))
+            sim.call_at(window.end_ns, lambda s=shard: self.recover(s))
 
     # ------------------------------------------------------------------
     def any_down(self) -> bool:

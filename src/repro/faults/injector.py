@@ -1,10 +1,11 @@
 """Schedule-driven fault injector over a soNUMA cluster.
 
 The execution half of :mod:`repro.faults.schedule`: construction turns
-every :class:`~repro.faults.schedule.FaultWindow` into two simulation
-events (open, close) and applies the clock-skew map, then the windows
-fire on the simulated clock — deterministic schedule-time triggers,
-never wall time.
+every :class:`~repro.faults.schedule.FaultWindow` but a crash into two
+simulation events (open, close) and applies the clock-skew map, then
+the windows fire on the simulated clock — deterministic schedule-time
+triggers, never wall time.  Crash windows are the
+:class:`~repro.faults.failover.FailoverManager`'s.
 
 What each family touches when a window opens:
 
@@ -47,7 +48,8 @@ class FaultStats:
 
 
 class FaultInjector:
-    """Drives a :class:`FaultSchedule` against a cluster.
+    """Drives a :class:`FaultSchedule`'s gray, straggler and partition
+    windows and its clock skews against a cluster.
 
     ``cluster`` is any object with ``sim``, ``fabric``, and ``nodes``
     (a :class:`~repro.sonuma.node.Cluster`).
@@ -55,27 +57,26 @@ class FaultInjector:
 
     def __init__(self, cluster, schedule: Optional[FaultSchedule] = None):
         self.cluster = cluster
-        self.schedule = schedule or FaultSchedule()
+        schedule = schedule or FaultSchedule()
         self.stats = FaultStats()
-        #: Timeline of ``(t_ns, event, window)`` for reporting.
-        self.events: List[Tuple[float, str, FaultWindow]] = []
         #: node id -> stack of open service multipliers, per plane.
         self._chip_stack: Dict[int, List[float]] = {}
         self._rpc_stack: Dict[int, List[float]] = {}
         #: open partition window -> its fabric tokens.
         self._tokens: Dict[int, List] = {}
         self._open = 0
+        windows = [w for w in schedule.windows if w.kind != "crash"]
 
         fabric = cluster.fabric
         n_nodes = len(cluster.nodes)
-        for window in self.schedule.windows:
+        for window in windows:
             for endpoint in (window.node, window.src, window.dst):
                 if endpoint is not None and not 0 <= endpoint < n_nodes:
                     raise ConfigError(
                         f"{window.kind} window names node {endpoint}; "
                         f"cluster has {n_nodes}"
                     )
-        for node_id, skew in sorted(self.schedule.clock_skew_ns.items()):
+        for node_id, skew in sorted(schedule.clock_skew_ns.items()):
             if node_id >= n_nodes:
                 raise ConfigError(
                     f"skew map names node {node_id}; cluster has {n_nodes}"
@@ -83,7 +84,7 @@ class FaultInjector:
             fabric.set_clock_skew(node_id, skew)
 
         sim = cluster.sim
-        for idx, window in enumerate(self.schedule.windows):
+        for idx, window in enumerate(windows):
             sim.call_at(window.start_ns, self._open_window, idx, window)
             sim.call_at(window.end_ns, self._close_window, idx, window)
 
@@ -97,7 +98,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def _open_window(self, idx: int, window: FaultWindow) -> None:
         self._open += 1
-        self.events.append((self.cluster.sim.now, "open", window))
         if window.kind == "partition":
             self.stats.partition_windows += 1
             fabric = self.cluster.fabric
@@ -117,7 +117,6 @@ class FaultInjector:
 
     def _close_window(self, idx: int, window: FaultWindow) -> None:
         self._open -= 1
-        self.events.append((self.cluster.sim.now, "close", window))
         if window.kind == "partition":
             fabric = self.cluster.fabric
             for token in self._tokens.pop(idx):

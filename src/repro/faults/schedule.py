@@ -1,43 +1,46 @@
-"""Composable fault schedules beyond clean crash/recover.
+"""The fault model's data: every timed fault is one window.
 
-:class:`~repro.objstore.failover.FailurePlan` models the one fault
-rack-scale papers always model — a shard dies, a backup is promoted.
-Real deployments mostly fail *around* that: a shard answers but 10x
-slower (gray failure), a switch port drops one direction of one link
-(asymmetric partition), a backup straggles behind the replication
+Rack-scale papers always model one fault — a shard dies, a backup is
+promoted.  Real deployments mostly fail *around* that: a shard answers
+but 10x slower (gray failure), a switch port drops one direction of one
+link (asymmetric partition), a backup straggles behind the replication
 fan-out, a skewed clock holds a lease long past its expiry.  This
 module is the data half of that failure model:
 
-* A :class:`FaultWindow` is one timed fault — gray, straggler, or
-  partition — with its target (and, for gray/straggler, severity).
+* A :class:`FaultWindow` is one timed fault — crash, gray, straggler,
+  or partition — with its target (and, for gray/straggler, severity).
 * A :class:`FaultSchedule` is a validated collection of windows plus a
   per-node clock-skew map; :func:`cycle_fault_schedule` builds the
-  service workloads' standard soak shape.
+  standard soak shape every workload's lane uses.
 
-Windows may overlap — unlike crashes, concurrent gray/partition faults
-compose (multipliers multiply, severs stack), and the injector
-(:class:`~repro.faults.injector.FaultInjector`) does the stacking.
-Everything is plain data with schedule-time triggers, so fault runs are
-deterministic and byte-identical under parallel sweeps.
+Crash windows change membership and are driven by
+:class:`~repro.faults.failover.FailoverManager`; the rest change
+*behavior* while membership holds and are driven by
+:class:`~repro.faults.injector.FaultInjector`.  Those may overlap —
+concurrent gray/partition faults compose (multipliers multiply, severs
+stack), and the injector does the stacking.  Everything is plain data
+with schedule-time triggers, so fault runs are deterministic and
+byte-identical under parallel sweeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 
-#: The fault families a window can carry (crash/recover stays with
-#: :class:`~repro.objstore.failover.FailurePlan` — it changes
-#: membership; these change *behavior* while membership holds).
-FAULT_KINDS = ("gray", "straggler", "partition")
+#: The fault families a window can carry.
+FAULT_KINDS = ("crash", "gray", "straggler", "partition")
 
 
 @dataclass(frozen=True)
 class FaultWindow:
     """One timed fault, open over ``[start_ns, end_ns)``.
 
+    * ``crash`` — shard ``node`` crashes at ``start_ns`` and rejoins at
+      ``end_ns``; it serves again once its timed re-sync completes.
     * ``gray`` — node ``node`` serves everything ``multiplier``x
       slower: RPC dispatch/service *and* its memory system.
     * ``straggler`` — node ``node``'s RPC plane (replication acks,
@@ -63,20 +66,18 @@ class FaultWindow:
             raise ConfigError(
                 f"unknown fault kind {self.kind!r}; pick from {FAULT_KINDS}"
             )
+        for name in ("start_ns", "end_ns", "multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{self.kind} window {name} must be finite, got "
+                    f"{getattr(self, name)}"
+                )
         if self.start_ns < 0 or self.end_ns <= self.start_ns:
             raise ConfigError(
                 f"{self.kind} window [{self.start_ns}, {self.end_ns}) "
                 "must be non-empty and non-negative"
             )
-        if self.kind in ("gray", "straggler"):
-            if self.node is None:
-                raise ConfigError(f"a {self.kind} window needs a target node")
-            if self.multiplier < 1.0:
-                raise ConfigError(
-                    f"{self.kind} multiplier must be >= 1, got "
-                    f"{self.multiplier} (a fault cannot speed a node up)"
-                )
-        else:  # partition
+        if self.kind == "partition":
             if self.src is None and self.dst is None:
                 raise ConfigError(
                     "a partition window needs src or dst (both None would "
@@ -84,6 +85,14 @@ class FaultWindow:
                 )
             if self.src is not None and self.src == self.dst:
                 raise ConfigError("a partition window needs src != dst")
+            return
+        if self.node is None:
+            raise ConfigError(f"a {self.kind} window needs a target node")
+        if self.multiplier < 1.0:
+            raise ConfigError(
+                f"{self.kind} multiplier must be >= 1, got "
+                f"{self.multiplier} (a fault cannot speed a node up)"
+            )
 
 
 class FaultSchedule:
@@ -104,8 +113,10 @@ class FaultSchedule:
         for node, skew in skews.items():
             if node < 0:
                 raise ConfigError(f"skewed node id cannot be negative: {node}")
-            if skew < 0:
-                raise ConfigError(f"clock skew cannot be negative: {skew}")
+            if not math.isfinite(skew) or skew < 0:
+                raise ConfigError(
+                    f"clock skew must be finite and non-negative: {skew}"
+                )
         self.clock_skew_ns: Dict[int, float] = skews
 
     def __bool__(self) -> bool:
@@ -113,37 +124,35 @@ class FaultSchedule:
 
     def end_ns(self) -> float:
         """When the last window closes (0 for an empty schedule);
-        workloads validate their duration covers it, mirroring
-        :meth:`FailurePlan.end_ns`."""
+        workloads validate their duration covers it, so no fault event
+        outlives the measurement."""
         return max((w.end_ns for w in self.windows), default=0.0)
 
 
 def cycle_fault_schedule(
     kind: str,
-    n_shards: int,
+    nodes: Sequence[int],
     count: int,
-    duration_ns: float,
-    first_frac: float,
-    width_frac: float,
-    gap_frac: float,
-    multiplier: float,
+    first_ns: float,
+    width_ns: float,
+    gap_ns: float,
+    multiplier: float = 1.0,
 ) -> FaultSchedule:
-    """The service workloads' fault lane: ``count`` windows of ``kind``
-    round-robining over shard nodes ``0..n_shards-1``, each
-    ``width_frac`` of ``duration_ns`` long with ``gap_frac`` of full
-    health in between, the first opening at ``first_frac`` — fractions,
-    so a config scales with ``--scale``.  Gray and straggler windows
-    slow their shard by ``multiplier``; partition windows isolate one
-    shard at a time (every ingress link severed).  ``kind="none"`` or
-    ``count <= 0`` is the empty schedule."""
+    """Every workload's fault lane: ``count`` windows of ``kind``
+    round-robining over ``nodes``, each ``width_ns`` long with
+    ``gap_ns`` of full health in between, the first opening at
+    ``first_ns``.  Crash windows take one shard down at a time; gray
+    and straggler windows slow their node by ``multiplier``; partition
+    windows isolate one node at a time (every ingress link severed).
+    ``kind="none"`` or ``count <= 0`` is the empty schedule."""
     if kind == "none" or count <= 0:
         return FaultSchedule()
-    width_ns = width_frac * duration_ns
-    step_ns = width_ns + gap_frac * duration_ns
-    start_ns = first_frac * duration_ns
+    if not nodes or gap_ns < 0:
+        raise ConfigError("a fault lane needs a node and a non-negative gap")
     windows = []
+    start_ns = first_ns
     for i in range(count):
-        target = i % n_shards
+        target = nodes[i % len(nodes)]
         if kind == "partition":
             where = dict(dst=target)
         else:
@@ -151,7 +160,7 @@ def cycle_fault_schedule(
         windows.append(
             FaultWindow(kind, start_ns, start_ns + width_ns, **where)
         )
-        # Accumulated, not ``first + i * step``: the window edges are
-        # part of every fault-lane result.
-        start_ns += step_ns
+        # Accumulated, not ``first + i * (width + gap)``: the window
+        # edges are part of every fault-lane result.
+        start_ns += width_ns + gap_ns
     return FaultSchedule(windows)

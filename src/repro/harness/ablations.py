@@ -60,7 +60,6 @@ register(
             "torn_reads",
         ),
         point_fn=_source_locking_point,
-        base_seed=13,
     )
 )
 
@@ -106,7 +105,6 @@ register(
             "torn_reads",
         ),
         point_fn=_skewed_access_point,
-        base_seed=41,
     )
 )
 
@@ -286,7 +284,6 @@ register(
             "pinning_cost",
         ),
         point_fn=FIG7A_SPEC.point_fn,
-        base_seed=FIG7A_SPEC.base_seed,
     )
 )
 

@@ -43,6 +43,5 @@ FIG10_SPEC = register(
         finalize_row=_fig10_finalize,
         headers=HEADERS,
         point_fn=_fig10_point,
-        base_seed=9,
     )
 )

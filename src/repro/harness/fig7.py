@@ -59,7 +59,6 @@ FIG7A_SPEC = register(
         derive=_fig7a_derive,
         headers=HEADERS_7A,
         point_fn=_fig7a_point,
-        base_seed=5,
     )
 )
 
@@ -89,6 +88,5 @@ FIG7B_SPEC = register(
         derive=derive_memory_resident,
         headers=HEADERS_7B,
         point_fn=_fig7b_point,
-        base_seed=5,
     )
 )

@@ -77,6 +77,5 @@ FIG8_SPEC = register(
         finalize_row=_fig8_finalize,
         headers=HEADERS,
         point_fn=_fig8_point,
-        base_seed=11,
     )
 )

@@ -65,7 +65,6 @@ FIG9A_SPEC = register(
         derive=_fig9a_derive,
         headers=HEADERS_9A,
         point_fn=_fig9a_point,
-        base_seed=3,
     )
 )
 
@@ -95,6 +94,5 @@ FIG9B_SPEC = register(
         finalize_row=_fig9b_finalize,
         headers=HEADERS_9B,
         point_fn=_fig9b_point,
-        base_seed=3,
     )
 )

@@ -207,7 +207,6 @@ SERVE_LOAD_SWEEP_SPEC = register(
         },
         headers=SWEEP_HEADERS,
         point_fn=_sweep_point,
-        base_seed=23,
         qa_checks=(
             QaCheck("sabre_peak_qps", agg="min", lo=0.0),
             QaCheck("sabre_violations", agg="max", hi=0.0),

@@ -2,7 +2,7 @@
 
 ROADMAP item 4's elastic half: the deployment's topology is no longer
 frozen at construction.  A :class:`ReshardManager` — the planned-change
-sibling of :class:`~repro.objstore.failover.FailoverManager`, sharing
+sibling of :class:`~repro.faults.failover.FailoverManager`, sharing
 its epoch fencing — executes scale-out/scale-in under load, and a small
 rebalance policy loop promotes extra read replicas for hot keys.
 
@@ -59,7 +59,7 @@ collapses, so in-flight reads never land on a copy a newer write has
 left stale.
 
 Attaching a manager arms the same failure timers a
-:class:`~repro.objstore.failover.FailoverManager` arms, through
+:class:`~repro.faults.failover.FailoverManager` arms, through
 :meth:`ShardedKV.arm_watchdogs` (first watchdog wins, tightest re-route
 bound), so the two managers compose in either order.
 
@@ -169,7 +169,7 @@ class ReshardManager:
     one :class:`ShardedKV`.
 
     Attach at most one per service; it may coexist with a
-    :class:`~repro.objstore.failover.FailoverManager` (the fuzz lanes
+    :class:`~repro.faults.failover.FailoverManager` (the fuzz lanes
     run both).  Attaching arms the same failure timers failover arms
     (:meth:`ShardedKV.arm_watchdogs`), so readers re-route promptly
     mid-handoff."""

@@ -30,7 +30,7 @@ plus a set of client nodes on one lossless fabric:
 
 The module is workload-agnostic and the one owner of the *service
 view* (placement, membership, serving flags, epoch, lock owners):
-:mod:`~repro.objstore.failover`, :mod:`~repro.objstore.reshard` and
+:mod:`~repro.faults.failover`, :mod:`~repro.objstore.reshard` and
 :mod:`~repro.objstore.txn` change it only through :class:`ShardedKV`.
 Timed loops live in the workload layer (:mod:`repro.workloads.ycsb`).
 """

@@ -2,8 +2,8 @@
 
 Closed-loop readers, writers, and small read-modify-write transactions
 drive :class:`~repro.objstore.sharded.ShardedKV` while a
-:class:`~repro.objstore.failover.FailoverManager` executes a
-crash/recover cycle plan (one shard down at a time, round-robin).  The
+:class:`~repro.faults.failover.FailoverManager` executes a lane of
+crash windows (one shard down at a time, round-robin).  The
 workload meters two things the contention-only suites cannot:
 
 * **availability** — reads and writes keep completing *while a primary
@@ -36,8 +36,12 @@ from typing import Dict, List
 
 from repro.common.errors import ConfigError
 from repro.experiments import ExperimentSpec, Variant, register
-from repro.faults import FaultInjector
-from repro.objstore.failover import FailoverManager, FailurePlan
+from repro.faults import (
+    FailoverManager,
+    FaultInjector,
+    FaultSchedule,
+    cycle_fault_schedule,
+)
 from repro.objstore.protocols import DETECTING_VARIANTS
 from repro.objstore.sharded import ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
@@ -50,7 +54,7 @@ from repro.workloads.mix import (
 )
 
 
-#: The crash plan as fractions of ``duration_ns``: when the first shard
+#: The crash lane as fractions of ``duration_ns``: when the first shard
 #: crashes, how long each stays down, and the healthy time between one
 #: shard's recovery and the next crash.
 FIRST_CRASH_FRAC = 0.15
@@ -60,14 +64,15 @@ UPTIME_FRAC = 0.10
 
 @dataclass
 class FailoverMixConfig(ServiceMixConfig):
-    """One failover run: a mixed read/write/txn load plus a cycle plan.
+    """One failover run: a mixed read/write/txn load plus ``cycles``
+    crash windows.
 
-    The crash schedule is expressed as *fractions* of ``duration_ns``
+    The crash windows are placed as *fractions* of ``duration_ns``
     (:data:`FIRST_CRASH_FRAC`, :data:`DOWNTIME_FRAC`,
     :data:`UPTIME_FRAC`) so the same config scales with ``--scale``
-    sweeps without the plan falling off the end of the run; the fault
+    sweeps without a crash falling off the end of the run; the fault
     lane beyond crash cycles (``fault_kind`` and friends) is placed the
-    same way."""
+    same way, and one schedule holds both."""
 
     cycles: int = 3
 
@@ -80,19 +85,19 @@ class FailoverMixConfig(ServiceMixConfig):
                 "failover runs need replication >= 2 (a crashed singleton "
                 "has nothing to promote)"
             )
-        if self.plan().end_ns() > self.duration_ns:
-            raise ConfigError(
-                "crash/recover plan extends past the run; shrink cycles"
-            )
 
-    def plan(self) -> FailurePlan:
-        return FailurePlan.cycles(
+    def fault_schedule(self) -> FaultSchedule:
+        """The fault lane's windows plus ``cycles`` crash windows."""
+        crashes = cycle_fault_schedule(
+            "crash",
             range(self.n_shards),
-            first_crash_ns=FIRST_CRASH_FRAC * self.duration_ns,
-            downtime_ns=DOWNTIME_FRAC * self.duration_ns,
-            uptime_ns=UPTIME_FRAC * self.duration_ns,
-            count=self.cycles,
+            self.cycles,
+            FIRST_CRASH_FRAC * self.duration_ns,
+            DOWNTIME_FRAC * self.duration_ns,
+            UPTIME_FRAC * self.duration_ns,
         )
+        lane = super().fault_schedule()
+        return FaultSchedule(lane.windows + crashes.windows)
 
 
 @dataclass
@@ -131,7 +136,7 @@ class FailoverResult:
     @property
     def outage_read_share(self) -> float:
         """Share of completed reads served while a shard was down —
-        the availability headline (0 when the plan has no cycles)."""
+        the availability headline (0 when the run has no cycles)."""
         if self.reads_completed <= 0:
             return math.nan
         return self.reads_during_outage / self.reads_completed
@@ -152,8 +157,9 @@ def run_failover_mix(cfg: FailoverMixConfig) -> FailoverResult:
     cfg.validate()
     with closing(ShardedKV(ShardedConfig.of(cfg))) as kv:
         manager = TxnManager(kv)
-        injector = FailoverManager(kv, cfg.plan())
-        faults = FaultInjector(kv.cluster, cfg.fault_schedule())
+        schedule = cfg.fault_schedule()
+        injector = FailoverManager(kv, schedule)
+        faults = FaultInjector(kv.cluster, schedule)
         sim = kv.cluster.sim
         t_end = cfg.duration_ns
 
@@ -290,7 +296,6 @@ FAILOVER_AVAILABILITY_SPEC = register(
         defaults={"seed": 29},
         headers=AVAILABILITY_HEADERS,
         point_fn=_availability_point,
-        base_seed=29,
     )
 )
 
@@ -361,7 +366,6 @@ GRAY_AVAILABILITY_SPEC = register(
         defaults={**_FAULT_SPEC_DEFAULTS, "seed": 37},
         headers=FAULT_HEADERS,
         point_fn=lambda ctx: _fault_point(ctx, "gray"),
-        base_seed=37,
     )
 )
 
@@ -384,7 +388,6 @@ PARTITION_AVAILABILITY_SPEC = register(
         },
         headers=FAULT_HEADERS,
         point_fn=lambda ctx: _fault_point(ctx, "partition"),
-        base_seed=41,
     )
 )
 
@@ -404,6 +407,5 @@ FAILOVER_ATOMICITY_SPEC = register(
         defaults={"n_objects": 32, "seed": 31},
         headers=ATOMICITY_HEADERS,
         point_fn=_atomicity_point,
-        base_seed=31,
     )
 )

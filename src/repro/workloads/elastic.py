@@ -328,7 +328,6 @@ ELASTIC_SCALING_SPEC = register(
         defaults={"seed": 43},
         headers=ELASTIC_HEADERS,
         point_fn=_elastic_point,
-        base_seed=43,
         qa_checks=tuple(
             QaCheck(f"{label}_violations", agg="max", hi=0.0)
             for label, _ in DETECTING_VARIANTS
@@ -380,7 +379,6 @@ HOTKEY_REBALANCE_SPEC = register(
         },
         headers=HOTKEY_HEADERS,
         point_fn=_hotkey_point,
-        base_seed=47,
         qa_checks=(QaCheck("undetected_violations", agg="max", hi=0.0),),
     )
 )

@@ -18,8 +18,13 @@ from __future__ import annotations
 from contextlib import closing
 
 from repro.common.rng import derive_seed, make_rng
-from repro.faults import FaultInjector, FaultSchedule, FaultWindow
-from repro.objstore.failover import FailoverManager, FailurePlan
+from repro.faults import (
+    FailoverManager,
+    FaultInjector,
+    FaultSchedule,
+    FaultWindow,
+    cycle_fault_schedule,
+)
 from repro.objstore.protocols import DETECTING_VARIANTS
 from repro.objstore.reshard import ReshardManager
 from repro.objstore.sharded import ShardedConfig, ShardedKV
@@ -174,12 +179,13 @@ def fuzz_round(
             downtime = period * rng.uniform(0.25, 0.5)
             injector = FailoverManager(
                 kv,
-                FailurePlan.cycles(
+                cycle_fault_schedule(
+                    "crash",
                     range(n_shards),
-                    first_crash_ns=period * rng.uniform(0.3, 0.7),
-                    downtime_ns=downtime,
-                    uptime_ns=period - downtime,
-                    count=crash_cycles,
+                    crash_cycles,
+                    period * rng.uniform(0.3, 0.7),
+                    downtime,
+                    period - downtime,
                 ),
             )
         fault_windows = []

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from repro.common.config import LayeredConfig, check_scalar
 from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.common.errors import ConfigError
-from repro.faults import FAULT_KINDS, FaultSchedule, cycle_fault_schedule
+from repro.faults import FaultSchedule, cycle_fault_schedule
 from repro.objstore.sharded import ShardedConfig
 from repro.workloads.generators import DISTRIBUTIONS, make_picker
 
@@ -98,8 +98,9 @@ READERS_PER_CLIENT = 2
 MIX_TXN_SIZE = 3
 MIX_WRITES_PER_TXN = 1
 
-#: Fault lanes a mixed load can schedule on top of its own event.
-LANE_FAULT_KINDS = ("none", *FAULT_KINDS)
+#: Fault lanes a mixed load can schedule on top of its own event
+#: (crashes are the failover mix's ``cycles``).
+LANE_FAULT_KINDS = ("none", "gray", "straggler", "partition")
 
 #: Width of each fault-lane window and the healthy gap between two,
 #: as fractions of ``duration_ns``.
@@ -146,7 +147,7 @@ class ServiceMixConfig(DeploymentConfig):
             )
         if self.fault_schedule().end_ns() > self.duration_ns:
             raise ConfigError(
-                "fault schedule extends past the run; shrink fault_windows"
+                "fault schedule extends past the run; schedule fewer windows"
             )
 
     def fault_schedule(self) -> FaultSchedule:
@@ -154,12 +155,11 @@ class ServiceMixConfig(DeploymentConfig):
         (node ids ``0..n_shards-1``)."""
         return cycle_fault_schedule(
             self.fault_kind,
-            self.n_shards,
+            range(self.n_shards),
             self.fault_windows,
-            self.duration_ns,
-            self.FAULT_FIRST_FRAC,
-            FAULT_WIDTH_FRAC,
-            FAULT_GAP_FRAC,
+            self.FAULT_FIRST_FRAC * self.duration_ns,
+            FAULT_WIDTH_FRAC * self.duration_ns,
+            FAULT_GAP_FRAC * self.duration_ns,
             self.gray_multiplier,
         )
 

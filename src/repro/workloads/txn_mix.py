@@ -232,7 +232,6 @@ TXN_ABORT_RATE_SPEC = register(
         defaults={**_TXN_SPEC_WINDOW, "distribution": "zipfian", "seed": 17},
         headers=ABORT_HEADERS,
         point_fn=_abort_rate_point,
-        base_seed=17,
     )
 )
 
@@ -264,6 +263,5 @@ TXN_SHARD_SCALING_SPEC = register(
         derive=derive_shard_scaling,
         headers=SCALING_HEADERS,
         point_fn=_txn_scaling_point,
-        base_seed=19,
     )
 )

@@ -233,7 +233,6 @@ YCSB_LATENCY_SPEC = register(
         finalize_row=_latency_finalize,
         headers=LATENCY_HEADERS,
         point_fn=_ycsb_latency_point,
-        base_seed=11,
         qa_checks=(
             QaCheck("sabre_read_ns", agg="min", lo=0.0),
             QaCheck("percl_read_ns", agg="min", lo=0.0),
@@ -270,7 +269,6 @@ YCSB_SHARD_SCALING_SPEC = register(
         derive=derive_shard_scaling,
         headers=SCALING_HEADERS,
         point_fn=_ycsb_scaling_point,
-        base_seed=13,
         qa_checks=(QaCheck("undetected_violations", agg="max", hi=0.0),),
     )
 )

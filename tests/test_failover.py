@@ -1,4 +1,4 @@
-"""Tests for the shard crash/failover subsystem: plan validation,
+"""Tests for the shard crash/failover subsystem: crash-window validation,
 typed in-flight failures, backup promotion and permanent re-routing,
 epoch fencing, timed re-sync, transaction forced aborts, determinism,
 and the registered failover experiments."""
@@ -8,11 +8,12 @@ import pytest
 from repro.atomicity.locks import is_locked
 from repro.common.errors import ConfigError, ShardCrashedError
 from repro.experiments import registry, run_sweep
-from repro.objstore import failover
-from repro.objstore.failover import (
+from repro.faults import (
     FailoverManager,
-    FailurePlan,
-    ShardFault,
+    FaultSchedule,
+    FaultWindow,
+    cycle_fault_schedule,
+    failover,
 )
 from repro.objstore.sharded import REPLY_FENCED, ShardedConfig, ShardedKV
 from repro.objstore.txn import TxnManager
@@ -50,33 +51,45 @@ def run_gen(kv, gen):
     return out[0]
 
 
+def crashes(*windows):
+    """A schedule of ``(shard, crash_ns, recover_ns)`` crash windows."""
+    return FaultSchedule(
+        [FaultWindow("crash", start, end, node=shard)
+         for shard, start, end in windows]
+    )
+
+
 class TestFailurePlan:
     def test_cycles_builder_round_robins(self):
-        plan = FailurePlan.cycles(
-            [0, 1], first_crash_ns=100.0, downtime_ns=50.0, uptime_ns=25.0,
-            count=3,
+        sched = cycle_fault_schedule(
+            "crash", [0, 1], 3, first_ns=100.0, width_ns=50.0, gap_ns=25.0
         )
-        assert [f.shard for f in plan.faults] == [0, 1, 0]
-        assert [f.crash_ns for f in plan.faults] == [100.0, 175.0, 250.0]
-        assert plan.faults[0].recover_ns == 150.0
-        assert plan.end_ns() == 300.0
+        assert [w.kind for w in sched.windows] == ["crash"] * 3
+        assert [w.node for w in sched.windows] == [0, 1, 0]
+        assert [w.start_ns for w in sched.windows] == [100.0, 175.0, 250.0]
+        assert sched.windows[0].end_ns == 150.0
+        assert sched.end_ns() == 300.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            FailurePlan([ShardFault(0, -1.0)])
+            crashes((0, -1.0, 10.0))
         with pytest.raises(ConfigError):
-            FailurePlan([ShardFault(0, 100.0, 50.0)])  # recover < crash
-        with pytest.raises(ConfigError):  # overlapping faults, one shard
-            FailurePlan([ShardFault(0, 0.0, 100.0), ShardFault(0, 50.0)])
-        with pytest.raises(ConfigError):  # fault after a permanent crash
-            FailurePlan([ShardFault(0, 0.0, None), ShardFault(0, 500.0)])
+            crashes((0, 100.0, 50.0))  # recover < crash
+        with pytest.raises(ConfigError):  # a crash names its shard
+            FaultSchedule([FaultWindow("crash", 0.0, 100.0)])
+        with pytest.raises(ConfigError):  # overlapping crashes, one shard
+            FailoverManager(
+                small_kv(), crashes((0, 0.0, 100.0), (0, 50.0, 200.0))
+            )
         with pytest.raises(ConfigError):
-            FailurePlan.cycles([], 0.0, 10.0, 10.0, 1)
+            cycle_fault_schedule("crash", [], 1, 0.0, 10.0, 10.0)
 
     def test_plan_must_name_real_shards(self):
         kv = small_kv(n_shards=2)
         with pytest.raises(ConfigError):
-            FailoverManager(kv, FailurePlan([ShardFault(7, 100.0)]))
+            FailoverManager(kv, crashes((7, 100.0, 200.0)))
+        with pytest.raises(ConfigError):
+            FailoverManager(kv, crashes((-1, 100.0, 200.0)))
 
 
 class TestCrash:
@@ -389,7 +402,7 @@ class TestMixDeterminismAndHeap:
         cfg = FailoverMixConfig(**self.CFG)
         kv = ShardedKV(ShardedConfig.of(cfg))
         manager = TxnManager(kv)
-        fm = FailoverManager(kv, cfg.plan())
+        fm = FailoverManager(kv, cfg.fault_schedule())
         sim = kv.cluster.sim
         t_end = cfg.duration_ns
         peak = {"heap": 0}
@@ -539,20 +552,17 @@ class TestReviewRegressions:
         kv = small_kv()
         with pytest.raises(ConfigError):
             FailoverManager(
-                kv,
-                FailurePlan(
-                    [ShardFault(0, 1_000.0, 2_000.0), ShardFault(0, 2_000.0)]
-                ),
+                kv, crashes((0, 1_000.0, 2_000.0), (0, 2_000.0, 3_000.0))
             )
         kv = small_kv()
         with pytest.raises(ConfigError):
-            # cycles() accepts uptime_ns=0, but back-to-back faults of
+            # The builder accepts gap_ns=0, but back-to-back crashes of
             # the same shard cannot fit its re-sync window.
             FailoverManager(
                 kv,
-                FailurePlan.cycles(
-                    [0], first_crash_ns=1_000.0, downtime_ns=2_000.0,
-                    uptime_ns=0.0, count=2,
+                cycle_fault_schedule(
+                    "crash", [0], 2, first_ns=1_000.0, width_ns=2_000.0,
+                    gap_ns=0.0,
                 ),
             )
 
@@ -560,9 +570,9 @@ class TestReviewRegressions:
         kv = small_kv()
         fm = FailoverManager(
             kv,
-            FailurePlan.cycles(
-                [0, 1], first_crash_ns=5_000.0, downtime_ns=5_000.0,
-                uptime_ns=20_000.0, count=4,
+            cycle_fault_schedule(
+                "crash", [0, 1], 4, first_ns=5_000.0, width_ns=5_000.0,
+                gap_ns=20_000.0,
             ),
         )
         kv.cluster.sim.run()

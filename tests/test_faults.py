@@ -78,8 +78,8 @@ class TestFaultSchedule:
     def test_cycle_builders_shape(self):
         def lane(kind, n_shards, count):
             return cycle_fault_schedule(
-                kind, n_shards, count, duration_ns=1_000.0, first_frac=0.1,
-                width_frac=0.05, gap_frac=0.025, multiplier=4.0,
+                kind, range(n_shards), count, first_ns=100.0, width_ns=50.0,
+                gap_ns=25.0, multiplier=4.0,
             ).windows
 
         gray = lane("gray", 2, 3)
@@ -96,7 +96,36 @@ class TestFaultSchedule:
         assert [(w.src, w.dst, w.node) for w in part] == [
             (None, 0, None), (None, 1, None)
         ]
+        # Crash windows take one shard down at a time.
+        crash = lane("crash", 2, 3)
+        assert [(w.kind, w.node) for w in crash] == [
+            ("crash", 0), ("crash", 1), ("crash", 0)
+        ]
+        assert [w.end_ns for w in crash] == [150.0, 225.0, 300.0]
         assert not lane("none", 2, 3) and not lane("gray", 2, 0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["start_ns", "end_ns", "multiplier"])
+    def test_non_finite_window_rejected(self, field, bad):
+        kw = dict(start_ns=0.0, end_ns=10.0, node=0, multiplier=2.0)
+        kw[field] = bad
+        with pytest.raises(ConfigError, match=field):
+            FaultSchedule([FaultWindow("gray", **kw)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_skew_rejected(self, bad):
+        with pytest.raises(ConfigError, match="skew"):
+            FaultSchedule(clock_skew_ns={0: bad})
+
+    def test_cli_infinite_multiplier_exits_2(self, capsys):
+        from repro.harness.cli import main
+
+        argv = [
+            "gray_availability", "--scale", "0.1", "--axes",
+            "fault_windows=2", "--overrides", "gray_multiplier=1e999",
+        ]
+        assert main(argv) == 2
+        assert "multiplier must be finite" in capsys.readouterr().err
 
     def test_injector_rejects_out_of_range_targets(self):
         cluster = Cluster(ClusterConfig(nodes=2))
@@ -298,7 +327,6 @@ class TestInjector:
         assert probes["during"] == (6.0, 6.0, True)
         assert probes["after"] == (1.0, 1.0, False)
         assert inj.stats.gray_windows == 1
-        assert [e[1] for e in inj.events] == ["open", "close"]
 
     def test_straggler_window_slows_rpc_plane_only(self):
         cluster = Cluster(ClusterConfig(nodes=2))
@@ -531,7 +559,7 @@ class TestWindowBoundaryMetering:
         # over, the multiplier restored, nothing meters against it.
         assert probes[200.0] == (False, 1.0)
         assert probes[250.0] == (False, 1.0)
-        assert [e[1] for e in inj.events] == ["open", "close"]
+        assert inj.stats.gray_windows == 1
 
     def test_back_to_back_windows_hand_off_at_the_shared_boundary(self):
         """Adjacent windows [100,200) + [200,300): at the shared instant
@@ -548,4 +576,3 @@ class TestWindowBoundaryMetering:
         assert probes[200.0] == (True, 3.0)
         assert probes[250.0] == (True, 3.0)
         assert inj.stats.gray_windows == 2
-        assert [e[1] for e in inj.events] == ["open", "close", "open", "close"]

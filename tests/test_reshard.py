@@ -237,10 +237,10 @@ class TestMembership:
             kv.deactivate_shard(0)  # placement still routes to it
 
     def test_spares_do_not_count_as_an_outage(self):
-        from repro.objstore.failover import FailoverManager, FailurePlan
+        from repro.faults import FailoverManager, FaultSchedule
 
         kv = ShardedKV(elastic_cfg(n_shards=2, max_shards=4))
-        injector = FailoverManager(kv, FailurePlan(faults=()))
+        injector = FailoverManager(kv, FaultSchedule())
         assert not injector.any_down()
 
     def test_reshard_op_validation(self):

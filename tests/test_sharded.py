@@ -561,7 +561,7 @@ class TestPutBackoffAccounting:
         assert gaps[-1] > gaps[0]
 
     def test_pairing_survives_promotion_mid_put(self):
-        from repro.objstore.failover import FailoverManager
+        from repro.faults import FailoverManager
 
         kv = self._kv()
         fm = FailoverManager(kv)
