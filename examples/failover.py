@@ -19,7 +19,6 @@ from contextlib import closing
 
 from repro.faults import FailoverManager
 from repro.objstore.sharded import REPLY_FENCED, ShardedConfig, ShardedKV
-from repro.objstore.txn import TxnManager
 from repro.workloads.availability import FailoverMixConfig, run_failover_mix
 
 

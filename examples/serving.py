@@ -49,7 +49,7 @@ def demo_live_gateway() -> None:
     print("\n--- live gateway + wall-clock open-loop client ---")
 
     async def scenario():
-        gw = Gateway(ServeSettings.from_env(environ={}, port=0))
+        gw = Gateway(ServeSettings(port=0))
         await gw.start()
         while not gw.bridge.ready:
             await asyncio.sleep(0.01)

@@ -16,8 +16,8 @@ into something a socket can talk to:
 * :mod:`repro.serve.metrics` — Prometheus-text-format counters,
   gauges, and histograms exporting every per-shard stat the cluster
   already collects.
-* :mod:`repro.serve.settings` — env-layered configuration
-  (``REPRO_SERVE_*`` variables overridden by CLI flags).
+* :mod:`repro.serve.settings` — the deployment's settings, one CLI
+  flag per field.
 
 The open-loop load generator lives in :mod:`repro.loadgen`.
 """

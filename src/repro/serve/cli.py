@@ -1,12 +1,9 @@
 """``repro-serve`` — boot the gateway over a simulated cluster.
 
-Every flag has a ``REPRO_SERVE_*`` environment-variable twin (flags
-win); see :mod:`repro.serve.settings` for the resolution order.
-
 Examples::
 
     repro-serve --port 8373 --shards 4 --mechanism sabre
-    REPRO_SERVE_MAX_SESSIONS=32 repro-serve --request-timeout-ns 2e6
+    repro-serve --max-sessions 32 --request-timeout-ns 2e6
     repro-serve --rate-limit-qps 500 --metrics-artifact final_metrics.prom
 """
 
@@ -17,15 +14,18 @@ import asyncio
 import sys
 from typing import List, Optional
 
+from repro.common.config import from_fields
 from repro.common.errors import ConfigError
 from repro.serve.gateway import serve
 from repro.serve.settings import ServeSettings
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag sets the field it stores under; an unset one keeps its default."""
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="HTTP gateway over the simulated sharded cluster.",
+        argument_default=argparse.SUPPRESS,
     )
     net = parser.add_argument_group("network")
     net.add_argument("--host", help="bind address (default 127.0.0.1)")
@@ -63,15 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def settings_from_args(args: argparse.Namespace) -> ServeSettings:
-    overrides = {k: v for k, v in vars(args).items() if v is not None}
-    return ServeSettings.from_env(**overrides)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        settings = settings_from_args(args)
+        settings = from_fields(ServeSettings, vars(args))
+        settings.validate()
     except ConfigError as exc:
         print(f"repro-serve: {exc}", file=sys.stderr)
         return 2

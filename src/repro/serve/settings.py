@@ -1,26 +1,15 @@
-"""Env-layered configuration for ``repro-serve``.
-
-Resolution order, lowest to highest precedence:
-
-1. dataclass defaults (a 4-shard SABRe cluster on ``127.0.0.1:8373``),
-2. ``REPRO_SERVE_*`` environment variables,
-3. explicit keyword overrides (the CLI passes parsed flags here).
-
-Every field maps to exactly one env var: ``field_name`` upper-cased
-with the ``REPRO_SERVE_`` prefix (``port`` -> ``REPRO_SERVE_PORT``).
-"""
+"""Configuration for ``repro-serve``: the dataclass defaults (a
+4-shard SABRe cluster on ``127.0.0.1:8373``) with the CLI's flags on
+top, each flag stored under its field's name
+(:func:`repro.common.config.from_fields`)."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
 
 from repro.common.errors import ConfigError
 from repro.objstore.sharded import ShardedConfig
-
-ENV_PREFIX = "REPRO_SERVE_"
 
 
 @dataclass
@@ -113,42 +102,3 @@ class ServeSettings:
         if self.rate_limit_burst > 0:
             return self.rate_limit_burst
         return max(self.rate_limit_qps, 1.0)
-
-    @classmethod
-    def from_env(
-        cls,
-        environ: Optional[Mapping[str, str]] = None,
-        **overrides: Any,
-    ) -> "ServeSettings":
-        """Layer env vars over defaults, then explicit overrides on
-        top.  ``overrides`` values of ``None`` mean "not given" (the
-        CLI passes every flag; unset ones arrive as None)."""
-        if environ is None:
-            import os
-
-            environ = os.environ
-        values: Dict[str, Any] = {}
-        for field in dataclasses.fields(cls):
-            raw = environ.get(ENV_PREFIX + field.name.upper())
-            if raw is None:
-                continue
-            try:
-                if field.type in ("int", int):
-                    values[field.name] = int(raw)
-                elif field.type in ("float", float):
-                    values[field.name] = float(raw)
-                else:
-                    values[field.name] = raw
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad {ENV_PREFIX + field.name.upper()}={raw!r}: {exc}"
-                ) from None
-        known = {f.name for f in dataclasses.fields(cls)}
-        for name, value in overrides.items():
-            if name not in known:
-                raise ConfigError(f"unknown setting {name!r}")
-            if value is not None:
-                values[name] = value
-        settings = cls(**values)
-        settings.validate()
-        return settings

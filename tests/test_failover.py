@@ -6,7 +6,7 @@ and the registered failover experiments."""
 import pytest
 
 from repro.atomicity.locks import is_locked
-from repro.common.errors import ConfigError, ShardCrashedError
+from repro.common.errors import ConfigError
 from repro.experiments import registry, run_sweep
 from repro.faults import (
     FailoverManager,

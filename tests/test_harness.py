@@ -1,8 +1,6 @@
 """Smoke tests: every figure/table harness runs end to end at a small
 scale and reproduces the paper's qualitative claims."""
 
-import math
-
 import pytest
 
 from repro.common import scaled_duration

@@ -117,7 +117,7 @@ class TestOpenLoopClient:
         )
 
         async def scenario():
-            gw = Gateway(ServeSettings.from_env(environ={}, port=0))
+            gw = Gateway(ServeSettings(port=0))
             await gw.start()
             for _ in range(200):
                 if gw.bridge.ready:

@@ -9,8 +9,6 @@ LightSABRes' stream-buffer snooping aborts instead.
 
 import dataclasses
 
-import pytest
-
 from repro.common.config import SabreMode, sabre_cluster
 from repro.objstore.layout import RawLayout, stamped_payload, torn_words
 from repro.objstore.store import ObjectStore

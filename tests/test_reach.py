@@ -209,23 +209,34 @@ def test_an_allowlisted_piece_of_state_passes_the_allowlist_check():
     assert {name for name in allow if name in state}
 
 
-@pytest.mark.parametrize("source, flagged", [("environ", False), ("defaults", True)])
-def test_a_class_built_from_environ_sets_every_field(tmp_path, source, flagged):
-    """A ``REPRO_*`` variable sets a field of a class that builds itself
-    from ``environ`` over its own ``fields``; the same class built from
-    anything else sets nothing."""
-    module = _MODULE + f'''
+_IMPORTS = '''"""Mentions Counter, which is not a use."""
+import os.path
+from collections import Counter, OrderedDict
+from typing import TYPE_CHECKING
+import json  # noqa: F401
 
-@dataclass
-class EnvSettings:
-    knob: int = 1
+__all__ = ["OrderedDict"]
 
-    @classmethod
-    def build(cls, {source}):
-        import dataclasses
-        return cls(**{{f.name: {source}["REPRO_" + f.name] for f in dataclasses.fields(cls)}})
+if TYPE_CHECKING:
+    from decimal import Decimal
+
+
+def f(x: "Decimal") -> None:
+    return os.path
 '''
-    driver = _DRIVER + "from repro.probe import EnvSettings\nEnvSettings.build({}).knob\n"
-    found = _findings(_tree(tmp_path, module=module, driver=driver))
-    knob = ("repro.probe:EnvSettings.knob", "config", "never set")
-    assert found == _PROBE_FINDINGS | ({knob} if flagged else set())
+
+
+@pytest.mark.parametrize("where", ["src/repro/probe_use.py", "tests/test_use.py",
+                                   "benchmarks/bench_use.py", "src/repro/pkg/__init__.py"])
+def test_an_unused_import_is_flagged_wherever_it_is(tmp_path, where):
+    """A docstring mention is no use; a quoted annotation, an
+    ``__all__`` entry and a ``noqa: F401`` line are; a package's
+    ``__init__.py`` re-exports."""
+    root = _tree(tmp_path)
+    (tmp_path / where).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / where).write_text(_IMPORTS)
+    unused = _findings(root) - _PROBE_FINDINGS
+    if where.endswith("__init__.py"):
+        assert unused == set()
+    else:
+        assert unused == {(f"{where}:Counter", "import", "unused")}

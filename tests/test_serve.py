@@ -29,47 +29,26 @@ from repro.sim.stats import Samples
 
 class TestSettings:
     def test_defaults_validate(self):
-        ServeSettings.from_env(environ={})
+        ServeSettings().validate()
 
-    def test_env_layering(self):
-        s = ServeSettings.from_env(
-            environ={
-                "REPRO_SERVE_PORT": "9000",
-                "REPRO_SERVE_MAX_SESSIONS": "4",
-            }
-        )
-        assert (s.port, s.max_sessions) == (9000, 4)
+    def test_every_flag_sets_a_field(self):
+        """An unset flag is absent, not None, and every flag stores under
+        a field's name, so ``from_fields`` drops none of them."""
+        parser = cli.build_parser()
+        assert vars(parser.parse_args([])) == {}
+        fields = set(ServeSettings.__dataclass_fields__)
+        dests = {a.dest for a in parser._actions if a.option_strings} - {"help"}
+        assert dests <= fields
 
-    def test_overrides_beat_env(self):
-        s = ServeSettings.from_env(
-            environ={"REPRO_SERVE_PORT": "9000"}, port=9001
-        )
-        assert s.port == 9001
-
-    def test_none_override_means_not_given(self):
-        s = ServeSettings.from_env(
-            environ={"REPRO_SERVE_PORT": "9000"}, port=None
-        )
-        assert s.port == 9000
-
-    def test_bad_env_value_rejected(self):
-        with pytest.raises(ConfigError):
-            ServeSettings.from_env(environ={"REPRO_SERVE_PORT": "nope"})
-
-    def test_nan_env_value_rejected(self, monkeypatch, capsys):
+    def test_nan_flag_value_rejected(self, monkeypatch, capsys):
         """``float("nan")`` parses, so validation must refuse it: a NaN
         deadline would answer every GET ``timeout`` at 0 ns."""
         async def never_serve(settings):
             raise AssertionError("a NaN timeout reached the server")
 
         monkeypatch.setattr(cli, "serve", never_serve)
-        monkeypatch.setenv("REPRO_SERVE_REQUEST_TIMEOUT_NS", "nan")
-        assert cli.main([]) == 2
+        assert cli.main(["--request-timeout-ns", "nan"]) == 2
         assert "request_timeout_ns" in capsys.readouterr().err
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigError):
-            ServeSettings.from_env(environ={}, no_such_setting=1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -97,10 +76,10 @@ class TestSettings:
     )
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
-            ServeSettings.from_env(environ={}, **kwargs)
+            ServeSettings(**kwargs).validate()
 
     def test_replication_clamped_to_shards(self):
-        s = ServeSettings.from_env(environ={}, n_shards=1, replication=3)
+        s = ServeSettings(n_shards=1, replication=3)
         assert s.replication == ShardedConfig.of(s).replication == 1
 
 
@@ -457,7 +436,7 @@ async def _http(host, port, method, path, body=b"", keep=None):
 def _gateway_settings(**overrides):
     overrides.setdefault("port", 0)
     overrides.setdefault("drain_timeout_s", 5.0)
-    return ServeSettings.from_env(environ={}, **overrides)
+    return ServeSettings(**overrides)
 
 
 async def _booted(settings):

@@ -51,9 +51,12 @@ lists
   outside ``common/config.py`` and ``common/costs.py`` (Table 2 and
   the cost model, settable or not) that no keyword to the class, a
   subclass or ``replace``, no string literal (spec axis or default,
-  campaign request, CLI flag), no attribute store and no
-  ``REPRO_*`` variable (a class built from ``environ`` over its own
-  ``fields``) sets: such a knob is a constant.
+  campaign request, CLI flag) and no attribute store sets: such a
+  knob is a constant;
+* *unused* imports in those and ``tests/``/``benchmarks/``: a name
+  used only in a string (a docstring) is unused, one in a quoted
+  annotation or ``__all__`` is not; an ``__init__.py`` or a ``# noqa:
+  F401`` line re-exports, and the allowlist names no import.
 
 Usage::
 
@@ -77,6 +80,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -271,6 +275,8 @@ def census(
 #: Where a read or a set counts: never ``tests/``, whose reads stay
 #: green whatever the simulator does.
 READER_DIRS = ("src", "tools", "bench", "examples")
+#: Where only the unused-import check looks.
+IMPORT_ONLY_DIRS = ("tests", "benchmarks")
 
 #: Table 2's system description and the software cost model: every
 #: field is a paper or calibration parameter, settable or not.
@@ -350,17 +356,24 @@ class _Program:
         self.kwargs: Dict[str, Set[str]] = {}  # callee name -> keywords
         self.typed: Dict[str, Set[str]] = {}  # attribute name -> names in its values
         self.whole: List[Tuple[str, ast.AST]] = []  # (owner class, argument)
-        self.environ_users: Set[str] = set()  # classes whose code reads environ
+        self.unused_imports: List[str] = []  # "<file>:<name>"
         package = os.path.join(root, "src", "repro")
-        for top in READER_DIRS:
+        for top in READER_DIRS + IMPORT_ONLY_DIRS:
             for dirpath, dirs, files in os.walk(os.path.join(root, top)):
                 dirs[:] = sorted(d for d in dirs if not d.startswith((".", "_")))
                 for name in sorted(files):
-                    if not name.endswith(".py") or name.startswith("test_"):
+                    if not name.endswith(".py"):
                         continue
                     path = os.path.join(dirpath, name)
                     with open(path) as fh:
-                        nodes = list(_scoped(ast.parse(fh.read(), path)))
+                        source = fh.read()
+                    tree = ast.parse(source, path)
+                    if name != "__init__.py":
+                        self._check_imports(tree, source.splitlines(),
+                                            os.path.relpath(path, root))
+                    if top in IMPORT_ONLY_DIRS or name.startswith("test_"):
+                        continue
+                    nodes = list(_scoped(tree))
                     if path.startswith(package + os.sep):
                         self._define(nodes, module_name(path, os.path.join(root, "src")))
                     self._use(nodes)
@@ -383,10 +396,25 @@ class _Program:
                 if text:
                     self.counters.setdefault((text, prefix), module)
 
+    def _check_imports(self, tree: ast.AST, lines: List[str], rel: str) -> None:
+        imported: List[str] = []
+        used: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if (getattr(node, "module", "") != "__future__"
+                        and "noqa: F401" not in lines[node.lineno - 1]):
+                    imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.Assign) and "__all__" in map(_name_of, node.targets):
+                used.update(_str_or_prefix(c)[0] for c in ast.walk(node.value))
+            annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            for sub in ast.walk(annotation) if annotation else ():
+                used.update(re.findall(r"\w+", _str_or_prefix(sub)[0]))
+        self.unused_imports += [f"{rel}:{name}" for name in imported if name not in used]
+
     def _use(self, nodes) -> None:
         for node, owner in nodes:
-            if _name_of(node) == "environ":
-                self.environ_users.add(owner)
             if isinstance(node, ast.Attribute):
                 (self.stores if isinstance(node.ctx, ast.Store) else self.loads).add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -453,13 +481,6 @@ class _Program:
         return out
 
     def never_set(self, cls: str, field_name: str) -> bool:
-        # A class that builds itself from ``environ`` over its own
-        # ``fields(cls)``: a ``REPRO_*`` variable sets every field.
-        from_env = any(
-            owner == cls and _name_of(arg) == "cls" for owner, arg in self.whole
-        )
-        if cls in self.environ_users and from_env:
-            return False
         if field_name in self.strings or field_name in self.stores:
             return False
         callees = self.subclasses(cls) + ["replace"]
@@ -502,6 +523,7 @@ class _Program:
             if not read:
                 found.append((f"{module}:counters.{text}{'*' if prefix else ''}",
                               "counter", "write-only"))
+        found += [(name, "import", "unused") for name in self.unused_imports]
         return found
 
     def state_names(self) -> Set[str]:
@@ -531,7 +553,7 @@ def state_census(root: str = ROOT, check: bool = False) -> int:
     for name in stale:
         print(f"READ       {name} is allowlisted but is now read or set")
     flagged = [n for n in names if n not in allow]
-    print(f"{len(found)} stored-and-unread or never-set names, "
+    print(f"{len(found)} stored-and-unread, never-set or unused names, "
           f"{len(flagged)} outside the allowlist; "
           f"{len(program.config_fields())} config fields")
     return 1 if check and (flagged or stale) else 0

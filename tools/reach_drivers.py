@@ -6,8 +6,8 @@ make sense as a sequence in one process.
   serially and with ``--jobs 2``, byte-comparing the two runs'
   ``rows.json``, then ``status``, ``resume`` and ``report`` on the
   serial run's directory.
-* ``serve`` — ``repro-serve`` in this process on a free port with one
-  ``REPRO_SERVE_*`` variable set; a client thread drives ``repro-load
+* ``serve`` — ``repro-serve`` in this process on a free port with
+  ``--max-sessions 8``; a client thread drives ``repro-load
   --url`` against it, sends one malformed request, scrapes
   ``/metrics`` and sends SIGTERM; after the drain, ``repro-load
   --replay`` and ``--sweep`` run in process.
@@ -132,12 +132,12 @@ def serve() -> int:
 
     failures: List[str] = []
     port = _free_port()
-    os.environ["REPRO_SERVE_MAX_SESSIONS"] = "8"
     with tempfile.TemporaryDirectory(prefix="reach-serve-") as tmp:
         artifact = os.path.join(tmp, "final.prom")
         client = threading.Thread(target=_client, args=(port, tmp, failures))
         client.start()
-        code = serve_main(["--port", str(port), "--metrics-artifact", artifact])
+        code = serve_main(["--port", str(port), "--max-sessions", "8",
+                           "--metrics-artifact", artifact])
         client.join(timeout=60)
         _check(failures, "repro-serve drains and exits 0 on SIGTERM",
                code == 0 and os.path.exists(artifact) and not client.is_alive())
