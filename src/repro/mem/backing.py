@@ -5,13 +5,14 @@ real bytes so that atomicity violations (torn reads) are observable
 facts, not modeling assumptions.  Allocation is a simple bump allocator
 over contiguous regions; a region is one cell, or — for a store
 populated in one pass — a run of equal cells that bounds every access
-to the cell it starts in.
+to the cell it starts in.  A cell's bytes exist from its first access
+(a read or a write): until then it is the region's image, held once.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -30,10 +31,14 @@ class PhysicalMemory:
         self._next = base
         self._alignment = alignment
         self._starts: List[int] = []
-        #: ``(base, buffer, stride, cell)``: cells of ``cell`` bytes
-        #: every ``stride`` bytes from ``base`` (one cell spanning the
-        #: whole buffer for :meth:`allocate`).
-        self._regions: List[Tuple[int, bytearray, int, int]] = []
+        #: ``(base, end, stride, cell, image, cells)``: cells of
+        #: ``cell`` bytes every ``stride`` bytes from ``base`` up to
+        #: ``base + end`` (one cell for :meth:`allocate`), each starting
+        #: as ``image``; ``cells`` maps a cell's index to its bytes,
+        #: made on the cell's first access.
+        self._regions: List[
+            Tuple[int, int, int, int, bytes, Dict[int, bytearray]]
+        ] = []
         #: Last cell hit by :meth:`_locate`, as ``(lo, hi, buffer,
         #: address of buffer[0])`` — accesses cluster on one object
         #: (block-by-block reads/writes), so this short-circuits the
@@ -51,7 +56,12 @@ class PhysicalMemory:
         the addresses ``count`` successive ``allocate(size, align)``
         calls would return (the returned range), each starting with
         ``image`` and zeroed after it.  An access must stay inside the
-        cell it starts in, as if each cell were its own region."""
+        cell it starts in, as if each cell were its own region.
+
+        No cell's bytes are made here: the region holds ``image`` once,
+        and a cell gets its own ``size`` bytes (the image copied in)
+        the first time a read or a write reaches it, so a store costs
+        the objects a run touches."""
         if size <= 0:
             raise SimulationError(f"allocation size must be positive: {size}")
         if count <= 0:
@@ -65,25 +75,25 @@ class PhysicalMemory:
         if base % align:
             base += align - (base % align)
         stride = size + (-size % align)
-        buf = bytearray(stride)
-        buf[: len(image)] = image
-        buf *= count
         # The last cell carries no padding: the next allocation starts
         # (aligned) right after its ``size`` bytes.
-        del buf[len(buf) - (stride - size) :]
-        self._next = base + len(buf)
+        end = (count - 1) * stride + size
+        self._next = base + end
         self._starts.append(base)
-        self._regions.append((base, buf, stride, size))
+        self._regions.append((base, end, stride, size, bytes(image), {}))
         return range(base, base + count * stride, stride)
 
     def release(self) -> None:
-        """Give every region's bytes back and unmap everything: each
-        later access raises the unmapped-address error.  The buffers
-        are emptied in place, so the cells that transfers and ATT
-        entries cached (``(lo, hi, buffer, origin)``, like ``_last``)
-        cannot keep the bytes alive."""
-        for _base, buf, _stride, _cell in self._regions:
-            buf.clear()
+        """Give every cell's bytes back and unmap everything: each
+        later access raises the unmapped-address error.  The cells are
+        emptied in place, so the ones that transfers and ATT entries
+        cached (``(lo, hi, buffer, origin)``, like ``_last``) cannot
+        keep the bytes alive."""
+        for region in self._regions:
+            cells = region[5]
+            for buf in cells.values():
+                buf.clear()
+            cells.clear()
         self._starts.clear()
         self._regions.clear()
         self._last = NO_CELL
@@ -95,17 +105,21 @@ class PhysicalMemory:
         idx = bisect.bisect_right(self._starts, addr) - 1
         if idx < 0:
             raise SimulationError(f"access to unmapped address {addr:#x}")
-        base, buf, stride, cell = self._regions[idx]
+        base, end, stride, cell, image, cells = self._regions[idx]
         offset = addr - base
-        within = offset % stride
-        if offset >= len(buf) or within + size > cell:
+        index, within = divmod(offset, stride)
+        if offset >= end or within + size > cell:
             raise SimulationError(
                 f"access [{addr:#x}, +{size}) overruns region at "
                 f"{addr - within:#x}"
             )
+        buf = cells.get(index)
+        if buf is None:
+            buf = cells[index] = bytearray(cell)
+            buf[: len(image)] = image
         lo = addr - within
-        self._last = (lo, lo + cell, buf, base)
-        return buf, offset
+        self._last = (lo, lo + cell, buf, lo)
+        return buf, within
 
     def read(self, addr: int, size: int) -> bytes:
         lo, hi, buf, origin = self._last

@@ -4,7 +4,9 @@ The loop dispatches callbacks strictly in ``(time, sequence)`` order,
 so the same seeds produce the same event order and byte-identical
 sweep artifacts.  Zero-delay callbacks (event dispatch, process
 starts) ride a FIFO deque with no ordering work at all; every other
-callback sits in one binary heap.  See :class:`Simulator`.
+callback sits in one binary heap, but for a run of evenly spaced
+calls (:meth:`Simulator.call_run`), which keeps only its next call
+there.  See :class:`Simulator`.
 """
 
 from __future__ import annotations
@@ -138,6 +140,48 @@ def block_mode() -> str:
     return "batched"
 
 
+class _Run:
+    """The calls of one :meth:`Simulator.call_run` not yet fired.  Only
+    call ``i`` is in the heap; firing it pushes call ``i + 1`` before
+    ``fn`` runs, so nothing can pop in between."""
+
+    __slots__ = ("sim", "fn", "args", "origin", "t", "step", "seq", "i", "count")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        first: float,
+        step: float,
+        count: int,
+        fn: Callable[..., None],
+        args: tuple,
+    ) -> None:
+        self.sim = sim
+        self.fn = fn
+        self.args = args
+        #: The clock at scheduling time, which normalises each time the
+        #: way call_at would have then.
+        self.origin = sim._now
+        self.t = first
+        self.step = step
+        self.seq = sim._seq + 1
+        self.i = 0
+        self.count = count
+
+    def fire(self) -> None:
+        i = self.i
+        self.i = nxt = i + 1
+        if nxt < self.count:
+            self.t = t = self.t + self.step
+            origin = self.origin
+            sim = self.sim
+            sim._backlog -= 1
+            heappush(
+                sim._heap, [origin + (t - origin), self.seq + nxt, self.fire, ()]
+            )
+        self.fn(*self.args, i)
+
+
 class _RunClosed(Exception):
     """Unwinds :meth:`Simulator.run` when :meth:`Simulator.close` is
     called from inside one of its callbacks."""
@@ -165,7 +209,8 @@ class Simulator:
       ``(when, seq)``: scheduling and consuming cost no comparisons.
     * ``_heap`` — everything else, a binary heap (``heapq``) ordered by
       the entries themselves; ``seq`` is unique, so a comparison never
-      reaches ``fn``.
+      reaches ``fn``.  A run (:meth:`call_run`) has one entry here, its
+      next call; ``_backlog`` counts the calls after it.
 
     The run loop fires whichever head is smaller.  Both containers
     mutate **in place** (never rebound), so the loop can hold direct
@@ -178,6 +223,7 @@ class Simulator:
         "_running",
         "_closed",
         "_cancelled",
+        "_backlog",
         "compactions",
         "events_fired",
         "events_cancelled",
@@ -191,6 +237,8 @@ class Simulator:
         self._running = False
         self._closed = False
         self._cancelled = 0
+        #: Calls of pending runs (:meth:`call_run`) not yet in the heap.
+        self._backlog = 0
         self.compactions = 0
         self.events_fired = 0
         #: Monotonic count of :meth:`cancel_call` cancellations — unlike
@@ -225,11 +273,11 @@ class Simulator:
     ) -> ScheduledCall:
         """Run ``fn(*args)`` at ``now + delay``; FIFO among equal times.
 
-        ``call_later``, :meth:`call_at` and :meth:`call_soon` are the
-        only ways to schedule a callback.  Passing ``args`` positionally
-        avoids a closure allocation per scheduled call — the hot paths
-        (packet delivery, block reads) schedule bound methods with
-        their arguments.
+        ``call_later``, :meth:`call_at`, :meth:`call_soon` and
+        :meth:`call_run` are the only ways to schedule a callback.
+        Passing ``args`` positionally avoids a closure allocation per
+        scheduled call — the hot paths (packet delivery, block reads)
+        schedule bound methods with their arguments.
         Returns the scheduled-call handle; pass it to
         :meth:`cancel_call` to cancel before it fires."""
         # Written so that NaN is rejected too: it would sit in the heap
@@ -272,6 +320,37 @@ class Simulator:
         entry: ScheduledCall = [self._now, seq, fn, args]
         self._imm.append(entry)
         return entry
+
+    def call_run(
+        self,
+        first: float,
+        step: float,
+        count: int,
+        fn: Callable[..., None],
+        *args: Any,
+    ) -> None:
+        """Run ``fn(*args, i)`` for each ``i`` in ``range(count)``, at
+        ``first`` and then every ``step`` ns: the times, sequence
+        numbers and order that ``count`` :meth:`call_at` calls made now
+        would give, each time the running sum ``t = t + step``.
+
+        The run takes its ``count`` sequence numbers now, but only its
+        next call is in the heap; it counts in ``events_scheduled``,
+        ``heap_size`` and ``live_calls`` like ``count`` entries.  A run
+        returns no handle and cannot be cancelled; :meth:`drop_pending`
+        and :meth:`close` drop it."""
+        if count <= 0:
+            return
+        now = self._now
+        at = now + (first - now)
+        if not (at >= now and step >= 0):
+            raise SimulationError(
+                f"cannot schedule in the past: {first} every {step}"
+            )
+        run = _Run(self, first, step, count, fn, args)
+        self._seq += count
+        self._backlog += count - 1
+        heappush(self._heap, [at, run.seq, run.fire, ()])
 
     def cancel_call(self, handle: ScheduledCall) -> None:
         """Cancel a scheduled callback (no-op if it already ran or was
@@ -317,6 +396,7 @@ class Simulator:
         self._imm.clear()
         self._heap.clear()
         self._cancelled = 0
+        self._backlog = 0
 
     def close(self) -> None:
         """End this simulation for good: drop what is pending and
@@ -340,9 +420,9 @@ class Simulator:
 
     @property
     def heap_size(self) -> int:
-        """Total pending entries, including not-yet-reaped
-        cancellations."""
-        return len(self._imm) + len(self._heap)
+        """Total pending callbacks, including not-yet-reaped
+        cancellations and the calls runs have not yet pushed."""
+        return len(self._imm) + len(self._heap) + self._backlog
 
     @property
     def live_calls(self) -> int:

@@ -259,9 +259,10 @@ class SoNode:
     def _unroll(self, transfer: SourceTransfer) -> None:
         """Unroll one WQ entry: send its registration packet (SABRe
         only), then schedule one :meth:`_send_request` per cache block
-        (one ``call_at``) at the time the RGP sends it.  The request
-        packet is built when its slot fires, so the RGP's backlog
-        holds ``(transfer, offset)`` pairs, not packets.
+        at the time the RGP sends it, as one run
+        (:meth:`Simulator.call_run`).  The request packet is built when
+        its send fires, so a transfer's backlog is one pending run: its
+        next send in the heap, the rest a count.
 
         The RGP is a private serial server, so each send time is pure
         arithmetic: the float operations ``BandwidthServer.request``
@@ -270,7 +271,6 @@ class SoNode:
         now = sim._now
         transfer.timings.pickup = now
         rgp = self._rgp[transfer.backend]
-        send_request = self._send_request
         tid = transfer.transfer_id
         dst = transfer.dst_node
         op = transfer.op
@@ -303,15 +303,15 @@ class SoNode:
         else:
             req_cost = self._rmc_cycle * self.cfg.rmc.rgp_request_cycles
         service = req_cost / rate
-        for offset in range(transfer.total_blocks):
-            start = next_free if next_free > now else now
-            next_free = start + service
-            if offset == 0:
-                transfer.timings.first_request = (
-                    next_free if next_free > now else now
-                )
-            sim.call_at(next_free, send_request, transfer, offset)
-
+        start = next_free if next_free > now else now
+        next_free = first = start + service
+        transfer.timings.first_request = first
+        blocks = transfer.total_blocks
+        sim.call_run(first, service, blocks, self._send_request, transfer)
+        # Each later send starts where the one before ended (never
+        # before ``now``), so the run's sum is the server's clock.
+        for _ in range(blocks - 1):
+            next_free = next_free + service
         rgp._next_free = next_free
 
     def _send_request(self, transfer: SourceTransfer, offset: int) -> None:

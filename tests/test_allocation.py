@@ -2,6 +2,7 @@
 handle on its first use, the RGP builds a request packet when it sends
 it, and an aborted SABRe flushes each unissued offset once."""
 
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -14,7 +15,7 @@ from repro.fabric.packets import Packet, PacketKind
 from repro.mem.backing import PhysicalMemory
 from repro.objstore.layout import RawLayout, stamped_payload
 from repro.objstore.store import ObjectStore
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, _Run
 from repro.sonuma.node import SoNode
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
@@ -83,29 +84,41 @@ SENDS = (Fabric.send, SoNode._send)
 @pytest.mark.parametrize("mechanism", ["sabre", "remote_read"])
 def test_stopped_run_holds_no_unsent_request_packet(monkeypatch, mechanism):
     """At the instant a fig7b-shaped asynchronous run stops at its
-    meter, the RGPs still hold a deep backlog of scheduled sends, and
-    none of them holds a request packet: each is built when it goes."""
+    meter, the RGPs still owe a deep backlog of sends, held as one
+    pending run per transfer with only its next send in the heap, and
+    no request packet exists for any of them: each is built when it
+    goes."""
     seen = []
     drop = Simulator.drop_pending
 
     def census(sim):
         if not seen:
             pending = [e for e in chain(sim._imm, sim._heap) if e[2] is not None]
-            unsent = [
+            heads = Counter(
+                fn.__self__
+                for _at, _seq, fn, _args in pending
+                if isinstance(getattr(fn, "__self__", None), _Run)
+            )
+            unsent = sum(run.count - run.i for run in heads)
+            packets = [
                 args[0]
                 for _at, _seq, fn, args in pending
-                if getattr(fn, "__func__", fn) in SENDS
-                and isinstance(args[0], Packet)
-                and args[0].kind in REQUEST_KINDS
+                if getattr(fn, "__func__", fn) in SENDS and args
+            ] + [arg for run in heads for arg in run.args]
+            requests = [
+                p for p in packets
+                if isinstance(p, Packet) and p.kind in REQUEST_KINDS
             ]
-            seen.append((len(pending), unsent))
+            seen.append((unsent, heads, sim._backlog, requests))
         drop(sim)
 
     monkeypatch.setattr(Simulator, "drop_pending", census)
     run_microbench(MicrobenchConfig(**{**FIG7B, "mechanism": mechanism}))
-    (pending, unsent), = seen
-    assert pending > 10_000  # the backlog is there to be counted
-    assert len(unsent) == 0
+    (unsent, heads, backlog, requests), = seen
+    assert unsent > 10_000  # the backlog is there to be counted
+    assert max(heads.values()) == 1  # one send in the heap per run
+    assert unsent == len(heads) + backlog  # the rest are a count
+    assert requests == []
 
 
 # ----------------------------------------------------------------------

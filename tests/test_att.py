@@ -54,7 +54,7 @@ def test_double_free_rejected():
         att.free(entry)
 
 
-def test_peak_occupancy_tracked():
+def test_occupancy_counts_live_entries():
     att = make_att(entries=3)
     entries = [
         att.register((0, 0, i), 0x1000 * (i + 1), 2, 128)

@@ -1,5 +1,8 @@
 """Unit tests for the physical backing store."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -82,3 +85,73 @@ def test_write_read_roundtrip(data, offset):
     base = mem.allocate(len(data) + 64)
     mem.write(base + offset, data)
     assert mem.read(base + offset, len(data)) == data
+
+
+# ----------------------------------------------------------------------
+# cells made on first access
+# ----------------------------------------------------------------------
+
+IMAGE = bytes(range(1, 41))
+
+
+def cells(count=8, size=100):
+    mem = PhysicalMemory()
+    return mem, mem.allocate_cells(count, size, 64, IMAGE)
+
+
+def test_untouched_cell_reads_the_image():
+    mem, addrs = cells()
+    for addr in addrs:
+        assert mem.read(addr, 100) == IMAGE + bytes(60)
+    assert mem.read(addrs[5] + 38, 4) == IMAGE[38:] + bytes(2)
+
+
+def test_write_to_a_cell_is_invisible_next_door():
+    mem, addrs = cells()
+    mem.write(addrs[3], b"\xff" * 100)
+    assert mem.read(addrs[3], 100) == b"\xff" * 100
+    for addr in (addrs[2], addrs[4]):
+        assert mem.read(addr, 100) == IMAGE + bytes(60)
+    # Again once the neighbours exist, through a read of the written one.
+    mem.write(addrs[4] + 99, b"\x07")
+    assert mem.read(addrs[3], 100) == b"\xff" * 100
+    assert mem.read(addrs[4], 100) == IMAGE + bytes(59) + b"\x07"
+
+
+def test_cell_boundary_and_region_end_errors():
+    mem, addrs = cells()
+    after = mem.allocate(64)
+    assert addrs.step == 128 and after == addrs[-1] + 128
+    cases = [
+        (addrs[2] + 96, 8, addrs[2]),  # across the cell's end
+        (addrs[2] + 100, 4, addrs[2]),  # in the padding after it
+        (addrs[-1] + 100, 1, addrs[-1]),  # past the region's end
+    ]
+    for addr, size, cell in cases:
+        message = f"access [{addr:#x}, +{size}) overruns region at {cell:#x}"
+        with pytest.raises(SimulationError) as err:
+            mem.read(addr, size)
+        assert str(err.value) == message
+        with pytest.raises(SimulationError) as err:
+            mem.write(addr, bytes(size))
+        assert str(err.value) == message
+    with pytest.raises(SimulationError, match="unmapped address 0x100"):
+        mem.read(0x100, 1)
+    assert mem.read(addrs[2] + 92, 8) == bytes(8)
+
+
+def test_a_store_costs_the_cells_it_touches():
+    """Touching n of N cells allocates about n cells' bytes, not the
+    N x stride of the whole region."""
+    count, size, touched = 512, 8192, 16
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mem = PhysicalMemory()
+        addrs = mem.allocate_cells(count, size, 64, IMAGE)
+        for addr in addrs[::count // touched]:
+            mem.read(addr, 8)
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert touched * size <= grown <= touched * (size + 512) + 4096

@@ -420,6 +420,56 @@ def test_infinite_delay_fires_and_run_terminates(sim):
     assert sim.heap_size == 0
 
 
+def _fired_times(schedule):
+    """The ``(time, index)`` of every call ``schedule(sim, fire)`` makes
+    on a simulator whose clock stands at 1.0."""
+    sim = Simulator()
+    sim.call_at(1.0, lambda: None)
+    sim.run()
+    fired = []
+    schedule(sim, lambda i: fired.append((sim.now, i)))
+    sim.run()
+    return fired
+
+
+@pytest.mark.parametrize(
+    "first, step", [(2.0**53 + 2, 2.0), (3.0, 0.1), (1.0, 0.0), (2.0, math.inf)]
+)
+def test_run_times_are_the_call_at_times(first, step):
+    """Each call of a run fires when the ``call_at`` of the running sum
+    would: ``now + (t - now)``, which is not ``t`` once ``t - now``
+    rounds (2**53 + 2 fires at 2**53), and the sum is not
+    ``first + i * step`` (3.0 + 0.1 + 0.1 + 0.1 > 3.3)."""
+
+    def loop(sim, fire):
+        t = first
+        for i in range(5):
+            sim.call_at(t, fire, i)
+            t = t + step
+
+    via_run = _fired_times(lambda sim, fire: sim.call_run(first, step, 5, fire))
+    assert via_run == _fired_times(loop)
+
+
+def test_run_keeps_one_entry_but_counts_every_call(sim):
+    sim.call_run(10.0, 1.0, 1000, lambda i: None)
+    assert len(sim._heap) == 1
+    assert sim.heap_size == sim.live_calls == sim.events_scheduled == 1000
+    sim.run(until=500.0)
+    assert len(sim._heap) == 1 and sim.live_calls == 509
+    sim.drop_pending()
+    assert sim.heap_size == 0 and not sim._heap
+
+
+def test_run_refuses_a_past_start_or_a_negative_step(sim):
+    sim.call_later(5.0, lambda: None)
+    sim.run()
+    for first, step in ((4.0, 1.0), (6.0, -1.0), (math.nan, 1.0), (6.0, math.nan)):
+        with pytest.raises(SimulationError, match="past"):
+            sim.call_run(first, step, 3, lambda i: None)
+    assert sim.events_scheduled == 1 and sim.heap_size == 0
+
+
 @pytest.fixture
 def alarm():
     """A hang is a failure: SIGALRM aborts the test after 10 s."""
@@ -506,12 +556,14 @@ INF = float("inf")
 
 class ModelSimulator:
     """The reference scheduler: one list, stably re-sorted by
-    ``(when, seq)`` on every insert; cancelling removes the entry."""
+    ``(when, seq)`` on every insert; cancelling removes the entry, and
+    a run is ``count`` plain :meth:`call_at` calls."""
 
     def __init__(self):
         self.now = 0.0
         self.events_scheduled = self.events_fired = 0
         self.pending = []
+        self.closed = False
 
     def _push(self, when, fn, args):
         if not when >= self.now:
@@ -531,6 +583,12 @@ class ModelSimulator:
     def call_soon(self, fn, *args):
         return self._push(self.now, fn, args)
 
+    def call_run(self, first, step, count, fn, *args):
+        t = first
+        for i in range(count):
+            self.call_at(t, fn, *args, i)
+            t = t + step
+
     def cancel_call(self, handle):
         self.pending = [e for e in self.pending if e is not handle]
 
@@ -540,13 +598,23 @@ class ModelSimulator:
     def drop_pending(self):
         self.pending = []
 
+    def close(self):
+        self.pending = []
+        self.closed = True
+
     def run(self, until=INF):
+        if self.closed:
+            raise SimulationError("simulator is closed")
         if until < self.now:
             return self.now
         while self.pending and self.pending[0][0] <= until:
             self.now, _seq, fn, args = self.pending.pop(0)
             self.events_fired += 1
             fn(*args)
+            if self.closed:
+                # What the closing callback scheduled never fires.
+                self.pending = []
+                return self.now
         if until != INF:
             self.now = until
         return self.now
@@ -568,12 +636,16 @@ DELAYS = st.one_of(
 
 def _scripts(children):
     """What a callback does when it fires: schedule more callbacks
-    (each running ``children``), cancel earlier handles, peek."""
+    (each running ``children``) or a run of them, cancel earlier
+    handles, peek."""
     return st.lists(
         st.one_of(
             st.tuples(st.just("later"), DELAYS, children),
             st.tuples(st.just("at"), DELAYS, children),
             st.tuples(st.just("soon"), children),
+            st.tuples(
+                st.just("run"), DELAYS, DELAYS, st.integers(0, 4), children
+            ),
             st.tuples(st.just("cancel"), st.integers(0, 10**6)),
             st.tuples(st.just("peek")),
         ),
@@ -584,8 +656,8 @@ def _scripts(children):
 SCRIPTS = st.recursive(st.just([]), _scripts, max_leaves=10)
 
 
-def _fire(sim, log, handles, tag, script):
-    log.append((sim.now, tag))
+def _fire(sim, log, handles, tag, script, *index):
+    log.append((sim.now, tag, *index))
     _execute(sim, log, handles, script)
 
 
@@ -606,6 +678,14 @@ def _execute(sim, log, handles, script):
                 )
             elif op == "soon":
                 handles.append(sim.call_soon(_fire, *ctx, tag, rest[0]))
+            elif op == "run":
+                # No handle: a run cannot be cancelled.
+                offset, step, count, child = rest
+                sim.call_run(
+                    sim.now + offset, step, count, _fire, *ctx, tag, child
+                )
+            elif op == "close":
+                sim.close()
             elif op == "cancel":
                 if handles:
                     handle = handles[rest[0] % len(handles)]
@@ -667,6 +747,26 @@ class SchedulerMachine(RuleBasedStateMachine):
             assert sim.heap_size == sim.live_calls == 0
             assert sim.events_scheduled == scheduled
         assert self.sides[0][0]._cancelled == 0
+
+    @rule(script=SCRIPTS, delay=DELAYS, after=SCRIPTS)
+    def close_inside_a_callback(self, script, delay, after):
+        """A callback runs ``script``, closes, then runs ``after``: the
+        run returns there, and neither what was pending (runs included)
+        nor what ``after`` schedules fires.  Then a fresh pair."""
+        # A peek after the close would see the entry that ends the run.
+        after = [op for op in after if op[0] != "peek"]
+        closer = [("later", delay, script + [("close",)] + after)]
+        for sim, log, handles in self.sides:
+            _execute(sim, log, handles, closer)
+            sim.run()
+        self.engine_matches_model()
+        closed = [self.sides[0][0]._closed, self.sides[1][0].closed]
+        assert closed[0] == closed[1]  # unless the closer was cancelled
+        for sim, _, _ in self.sides:
+            if closed[0]:
+                with pytest.raises(SimulationError, match="closed"):
+                    sim.run()
+        self.sides = [(Simulator(), [], []), (ModelSimulator(), [], [])]
 
     @rule()
     def run_to_completion(self):

@@ -26,7 +26,7 @@ def two_nodes(mode=SabreMode.SPECULATIVE, **sabre_kwargs):
     return Cluster(cfg)
 
 
-def sabre_reply(tid, offset, payload):
+def make_sabre_reply(tid, offset, payload):
     """A SABRe data reply from node 0's R2P2 to node 1."""
     return Packet(
         PacketKind.SABRE_REPLY, 0, 1, tid, offset,
@@ -341,9 +341,9 @@ class TestRcpAccounting:
         # A straggler that was on the wire at abort time still vanishes;
         # a reply nobody ever asked for still trips the invariant.
         tid = results[0].transfer_id
-        src._handle_packet(sabre_reply(tid, 0, bytes(64)))
+        src._handle_packet(make_sabre_reply(tid, 0, bytes(64)))
         with pytest.raises(ProtocolError):
-            src._handle_packet(sabre_reply(tid + 1, 0, bytes(64)))
+            src._handle_packet(make_sabre_reply(tid + 1, 0, bytes(64)))
 
     def test_validation_overtaking_data_replies_completes_once(self):
         """Were SABRe requests striped over the R2P2s (§5.1's rejected
@@ -370,9 +370,9 @@ class TestRcpAccounting:
             PacketKind.SABRE_VALIDATION, 0, 1, tid, meta={"success": True}
         )
         for when, pkt in (
-            (300.0, sabre_reply(tid, 0, first)),
+            (300.0, make_sabre_reply(tid, 0, first)),
             (300.2, validation),
-            (300.4, sabre_reply(tid, 1, second)),
+            (300.4, make_sabre_reply(tid, 1, second)),
         ):
             sim.call_at(when, src._handle_packet, pkt)
         cluster.run()

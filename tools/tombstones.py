@@ -71,7 +71,7 @@ TOMBSTONES = (
               r"_issued_bits|_received_bits|received_bits|peak_occupancy|registered_at"
               r"|def (read_request|read_reply|sabre_request|sabre_reply"
               r"|sabre_registration|block_payload_size|interrupt|all_of|tier_of)\b",
-              "self._issued_bits = 0", "no bitvectors or test-only API", ("src",)),
+              "self._issued_bits = 0", "no bitvectors or test-only API", ("src", "tests")),
     Tombstone("The upper layers keep only what runs",
               r"RebalanceConfig|\.hot_fraction\(|def hot_fraction|active_multiplier"
               r"|invalidations_sent|packets_dropped|drain_ns=|resync_fixed_ns=",
