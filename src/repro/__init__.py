@@ -42,73 +42,60 @@ Quick start::
         cluster.run()
 """
 
-from repro.common.config import (
-    ClusterConfig,
-    NodeConfig,
-    SabreConfig,
-    SabreMode,
-    default_cluster,
-)
-from repro.common.costs import DEFAULT_COSTS, SoftwareCosts
-from repro.objstore.farm import FarmConfig, FarmKV, FarmResult, run_farm
-from repro.objstore.layout import (
-    ChecksumLayout,
-    ObjectLayout,
-    PerCacheLineLayout,
-    RawLayout,
-    stamped_payload,
-    torn_words,
-)
-from repro.objstore.local import LocalReadConfig, run_local_reads
-from repro.objstore.ring import HashRing
-from repro.objstore.sharded import ShardedConfig, ShardedKV
-from repro.objstore.store import ObjectHandle, ObjectStore
-from repro.sonuma.node import Cluster, SoNode
-from repro.sonuma.rpc import RpcEndpoint
-from repro.sonuma.transfer import OpKind, TransferResult
-from repro.workloads.microbench import (
-    MicrobenchConfig,
-    MicrobenchResult,
-    run_microbench,
-)
-from repro.workloads.ycsb import YcsbConfig, YcsbResult, run_ycsb
+import importlib
+
+#: Each exported name's home module.  A name is imported on first use
+#: (module ``__getattr__``), so ``import repro.<package>`` loads only
+#: what that package needs: ``repro-serve`` never loads the harness,
+#: the experiments or the workloads.
+_HOMES = {
+    "ChecksumLayout": "repro.objstore.layout",
+    "Cluster": "repro.sonuma.node",
+    "ClusterConfig": "repro.common.config",
+    "DEFAULT_COSTS": "repro.common.costs",
+    "FarmConfig": "repro.objstore.farm",
+    "FarmKV": "repro.objstore.farm",
+    "FarmResult": "repro.objstore.farm",
+    "HashRing": "repro.objstore.ring",
+    "LocalReadConfig": "repro.objstore.local",
+    "MicrobenchConfig": "repro.workloads.microbench",
+    "MicrobenchResult": "repro.workloads.microbench",
+    "NodeConfig": "repro.common.config",
+    "ObjectHandle": "repro.objstore.store",
+    "ObjectLayout": "repro.objstore.layout",
+    "ObjectStore": "repro.objstore.store",
+    "OpKind": "repro.sonuma.transfer",
+    "PerCacheLineLayout": "repro.objstore.layout",
+    "RawLayout": "repro.objstore.layout",
+    "RpcEndpoint": "repro.sonuma.rpc",
+    "SabreConfig": "repro.common.config",
+    "SabreMode": "repro.common.config",
+    "ShardedConfig": "repro.objstore.sharded",
+    "ShardedKV": "repro.objstore.sharded",
+    "SoNode": "repro.sonuma.node",
+    "SoftwareCosts": "repro.common.costs",
+    "TransferResult": "repro.sonuma.transfer",
+    "YcsbConfig": "repro.workloads.ycsb",
+    "YcsbResult": "repro.workloads.ycsb",
+    "default_cluster": "repro.common.config",
+    "run_farm": "repro.objstore.farm",
+    "run_local_reads": "repro.objstore.local",
+    "run_microbench": "repro.workloads.microbench",
+    "run_ycsb": "repro.workloads.ycsb",
+    "stamped_payload": "repro.objstore.layout",
+    "torn_words": "repro.objstore.layout",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ChecksumLayout",
-    "Cluster",
-    "ClusterConfig",
-    "DEFAULT_COSTS",
-    "FarmConfig",
-    "FarmKV",
-    "FarmResult",
-    "HashRing",
-    "LocalReadConfig",
-    "MicrobenchConfig",
-    "MicrobenchResult",
-    "NodeConfig",
-    "ObjectHandle",
-    "ObjectLayout",
-    "ObjectStore",
-    "OpKind",
-    "PerCacheLineLayout",
-    "RawLayout",
-    "RpcEndpoint",
-    "SabreConfig",
-    "SabreMode",
-    "ShardedConfig",
-    "ShardedKV",
-    "SoNode",
-    "SoftwareCosts",
-    "TransferResult",
-    "YcsbConfig",
-    "YcsbResult",
-    "default_cluster",
-    "run_farm",
-    "run_local_reads",
-    "run_microbench",
-    "run_ycsb",
-    "stamped_payload",
-    "torn_words",
-]
+__all__ = list(_HOMES)

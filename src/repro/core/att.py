@@ -122,10 +122,15 @@ class ActiveTransfersTable:
         stored = self._entries.pop(entry.sabre_id, None)
         if stored is not entry:
             raise SimulationError(f"entry {entry.sabre_id} not active")
+        # The snoop closure holds its entry: dropping it breaks the
+        # cycle, so reference counting frees a finished entry.
+        entry.snoop_cb = None
 
     def release(self) -> None:
         """Forget every live entry, in place (``lookup`` is bound to
-        this dict)."""
+        this dict), its snoop closure dropped as ``free`` does."""
+        for entry in self._entries.values():
+            entry.snoop_cb = None
         self._entries.clear()
 
     def entries(self) -> List[AttEntry]:

@@ -96,8 +96,10 @@ class R2P2Engine:
 
     def release(self) -> None:
         """Drop every SABRe this pipeline knows of: the ATT entries and
-        the registrations and requests queued behind them."""
+        the registrations and requests queued behind them, and the send
+        hook (a bound method of the node that holds this pipeline)."""
         self.att.release()
+        self.send_packet = None
         self._pending_registrations.clear()
         self._queued_sabres.clear()
         self._pending_requests.clear()

@@ -104,6 +104,12 @@ class Fabric:
         for key in [k for k in self._routes if k[1] == node_id]:
             del self._routes[key]
 
+    def release(self) -> None:
+        """Forget every node's packet sink and the routes to it (each
+        a bound method of its node)."""
+        self._handlers.clear()
+        self._routes.clear()
+
     # ------------------------------------------------------------------
     # membership (the failover subsystem's lease view)
     # ------------------------------------------------------------------

@@ -206,6 +206,7 @@ async def run_open_loop(
 
     n_ok = status_counts.get(200, 0)
     n_done = sum(status_counts.values())
+    p50, p95, p99 = latencies.percentiles((50.0, 95.0, 99.0))
     return LoadReport(
         offered_qps=trace.offered_qps * time_scale
         if trace.offered_qps
@@ -216,9 +217,9 @@ async def run_open_loop(
         n_ok=n_ok,
         n_errors=(n_done - n_ok) + transport_errors,
         status_counts=status_counts,
-        p50_ms=latencies.percentile(50.0) * 1e3,
-        p95_ms=latencies.percentile(95.0) * 1e3,
-        p99_ms=latencies.percentile(99.0) * 1e3,
+        p50_ms=p50 * 1e3,
+        p95_ms=p95 * 1e3,
+        p99_ms=p99 * 1e3,
         mean_ms=latencies.mean * 1e3,
         transport_errors=transport_errors,
     )

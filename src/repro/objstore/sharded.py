@@ -276,7 +276,9 @@ class ShardedKV:
 
         self.write_stats = [ShardWriteStats() for _ in range(self.provisioned)]
         self.write_latency = Samples("sharded_write_ns")
-        self.sessions: List[ReaderSession] = []
+        #: Each reader session's per-shard stats (not the session,
+        #: which refers back to this service).
+        self.session_stats: List[List[ShardStats]] = []
         self._wcore = [0] * self.provisioned
         self._put_seq = itertools.count()
 
@@ -576,7 +578,7 @@ class ShardedKV:
 
     def reader_session(self, client_index: int) -> ReaderSession:
         session = ReaderSession(self, client_index)
-        self.sessions.append(session)
+        self.session_stats.append(session.stats)
         return session
 
     # ------------------------------------------------------------------
@@ -781,14 +783,14 @@ class ShardedKV:
     def merged_shard_stats(self) -> List[ShardStats]:
         """Per-shard read stats folded across every reader session."""
         merged = [ShardStats() for _ in range(self.provisioned)]
-        for session in self.sessions:
-            for shard, stats in enumerate(session.stats):
+        for per_shard in self.session_stats:
+            for shard, stats in enumerate(per_shard):
                 merged[shard].merge(stats)
         return merged
 
     def all_reader_stats(self) -> List[ShardStats]:
         """Every session's per-shard stats (e.g. for meter windows)."""
-        return [s for session in self.sessions for s in session.stats]
+        return [s for per_shard in self.session_stats for s in per_shard]
 
     def shard_load(self) -> List[Dict[str, float]]:
         """Per-shard load/conflict table: one row per shard combining

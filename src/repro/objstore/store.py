@@ -13,6 +13,7 @@ that coherence invalidations fire in the right order.
 from __future__ import annotations
 
 import operator
+import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -82,7 +83,8 @@ class PopulatedRun:
         data_len: int,
         wire_size: int,
     ):
-        self._store = store
+        #: Weak: the store holds its runs.
+        self._store = weakref.ref(store)
         self.ids = ids
         #: :func:`_id_order` of ``ids``.
         self._order = order
@@ -104,7 +106,7 @@ class PopulatedRun:
         return None
 
     def __iter__(self) -> Iterator[ObjectHandle]:
-        return map(self._store.handle, self.ids)
+        return map(self._store().handle, self.ids)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Iterable) and list(self) == list(other)

@@ -201,7 +201,6 @@ class TxnManager:
     def __init__(self, kv: ShardedKV):
         self.kv = kv
         self.stats = [TxnStats() for _ in range(kv.provisioned)]
-        self.sessions: List["TxnSession"] = []
         #: Owner tokens, one per commit attempt (deterministic), so
         #: handlers can tell this attempt's locks from anyone else's.
         self._tokens = itertools.count(1)
@@ -213,9 +212,7 @@ class TxnManager:
             endpoint.register("txn_release", self._make_release_handler(shard))
 
     def session(self, client_index: int) -> "TxnSession":
-        session = TxnSession(self, client_index)
-        self.sessions.append(session)
-        return session
+        return TxnSession(self, client_index)
 
     # ------------------------------------------------------------------
     def merged_stats(self) -> TxnStats:

@@ -169,7 +169,6 @@ class SimBridge:
 
         self.submitted = 0
         self.completed = 0
-        self.latency = Samples("serve_virtual_ns")
 
         self.metrics = MetricsRegistry()
         m = self.metrics
@@ -365,7 +364,6 @@ class SimBridge:
         self._inflight.dec()
         self._requests_total.inc(op=result.op.kind, code=result.status)
         self._latency_hist.observe(result.latency_ns, op=result.op.kind)
-        self.latency.add(result.latency_ns)
         if callback is not None:
             callback(result)
 
@@ -421,6 +419,7 @@ class SimBridge:
             if r.finished_ns > last_finish:
                 last_finish = r.finished_ns
         makespan = max(last_finish - first_arrival, 0.0)
+        p50, p95, p99 = lat.percentiles((50.0, 95.0, 99.0))
         achieved = n_ok / makespan * 1e9 if makespan > 0 else 0.0
         return ReplayReport(
             offered_qps=trace.offered_qps,
@@ -430,9 +429,9 @@ class SimBridge:
             errors_by_status=errors,
             achieved_qps=achieved,
             makespan_ns=makespan,
-            p50_ns=lat.percentile(50.0),
-            p95_ns=lat.percentile(95.0),
-            p99_ns=lat.percentile(99.0),
+            p50_ns=p50,
+            p95_ns=p95,
+            p99_ns=p99,
             mean_ns=lat.mean,
             undetected_violations=self.undetected_violations(),
             results=results,

@@ -129,8 +129,8 @@ class Histogram:
     load-test story also wants exact p50/p95/p99.  Both come from the
     same ``observe`` stream: buckets for ``_bucket``/``_sum``/
     ``_count``, the retained values for ``{quantile="..."}`` lines
-    (rendered under ``<name>_q``), each a
-    :meth:`repro.sim.stats.Samples.percentile`.
+    (rendered under ``<name>_q``), all of one label set from one
+    :meth:`repro.sim.stats.Samples.percentiles` sort per scrape.
     """
 
     kind = "histogram"
@@ -169,11 +169,13 @@ class Histogram:
         self._sums[key] += value
         self._values[key].add(value)
 
-    def quantile(self, q: float, **labels: str) -> float:
+    def quantiles(self, **labels: str) -> List[float]:
+        """The ``SUMMARY_QUANTILES`` of one label set, from one sort of
+        its values (NaN each when it has none)."""
         values = self._values.get(_label_items(labels))
         if values is None:
-            return math.nan
-        return values.percentile(q * 100.0)
+            return [math.nan] * len(SUMMARY_QUANTILES)
+        return values.percentiles([q * 100.0 for q in SUMMARY_QUANTILES])
 
     def render(self) -> List[str]:
         lines: List[str] = []
@@ -196,8 +198,7 @@ class Histogram:
                 f"{_fmt(self._sums[key])}"
             )
             lines.append(f"{self.name}_count{_render_labels(key)} {cumulative}")
-            for q in SUMMARY_QUANTILES:
-                value = self.quantile(q, **dict(key))
+            for q, value in zip(SUMMARY_QUANTILES, self.quantiles(**dict(key))):
                 if math.isnan(value):
                     continue
                 items = key + (("quantile", _fmt(q)),)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence
 
 
 class Counter:
@@ -24,11 +25,16 @@ class Counter:
 
 
 class Samples:
-    """A collection of scalar samples with summary statistics."""
+    """A collection of scalar samples with summary statistics.
+
+    Values are stored in insertion order as C doubles (an
+    ``array("d")``, 8 bytes each where a list holds a 32-byte float
+    object per value), so ``values`` returns floats whatever number
+    type was added, and adding a non-number raises ``TypeError``."""
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._values: List[float] = []
+        self._values = array("d")
 
     def add(self, value: float) -> None:
         self._values.append(value)
@@ -41,7 +47,7 @@ class Samples:
 
     @property
     def values(self) -> List[float]:
-        return list(self._values)
+        return self._values.tolist()
 
     @property
     def mean(self) -> float:
@@ -50,24 +56,34 @@ class Samples:
         return sum(self._values) / len(self._values)
 
     def percentile(self, p: float) -> float:
+        return self.percentiles((p,))[0]
+
+    def percentiles(self, ps: Sequence[float]) -> List[float]:
+        """Each of ``ps`` (in [0, 100]) from one sort of the values,
+        linearly interpolated between the two nearest ranks."""
         if not self._values:
-            return math.nan
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
+            return [math.nan] * len(ps)
+        for p in ps:
+            if not 0.0 <= p <= 100.0:
+                raise ValueError(f"percentile must be in [0, 100], got {p}")
         ordered = sorted(self._values)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(math.floor(rank))
-        hi = int(math.ceil(rank))
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        a, b = ordered[lo], ordered[hi]
-        # Clamped to its two neighbours: the interpolation leaves
-        # ``[a, b]`` by underflow for subnormals and by one ulp when
-        # ``a == b``.
-        return min(max(a * (1 - frac) + b * frac, a), b)
+        return [_interpolate(ordered, p) for p in ps]
+
+
+def _interpolate(ordered: List[float], p: float) -> float:
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100.0) * (len(ordered) - 1)
+    lo = int(math.floor(rank))
+    hi = int(math.ceil(rank))
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    a, b = ordered[lo], ordered[hi]
+    # Clamped to its two neighbours: the interpolation leaves
+    # ``[a, b]`` by underflow for subnormals and by one ulp when
+    # ``a == b``.
+    return min(max(a * (1 - frac) + b * frac, a), b)
 
 
 class ThroughputMeter:

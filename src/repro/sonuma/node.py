@@ -522,7 +522,9 @@ class SoNode:
         """Empty, in place, everything here whose size grew with the
         run: memory, the chip's tables, the R2P2s' SABRe state, the
         transfer books and the RPC endpoint's call tables.  Counters
-        stay readable; memory reads as unmapped."""
+        stay readable; memory reads as unmapped.  The RPC endpoint is
+        detached, which with the R2P2s' release drops every reference
+        back to this node."""
         self.phys.release()
         self.chip.release()
         for r2p2 in self.r2p2s:
@@ -532,16 +534,19 @@ class SoNode:
         self._aborted.clear()
         if self.rpc_endpoint is not None:
             self.rpc_endpoint.release()
+            self.rpc_endpoint = None
+            self._rpc_handler = None
 
 
 class Cluster:
     """A soNUMA rack: N nodes on a lossless fabric (paper: N=2).
 
     Whoever builds a rack closes it when its results are out
-    (:meth:`close`, or ``with Cluster(cfg) as cluster:``): a rack is
-    cyclic garbage the moment it is dropped, and everything it held —
-    the object stores' bytes first — would otherwise stay allocated
-    until the next full collection."""
+    (:meth:`close`, or ``with Cluster(cfg) as cluster:``): an open rack
+    is cyclic (nodes and the fabric, R2P2s and RPC endpoints refer to
+    each other), so everything it held — the object stores' bytes first
+    — would otherwise stay allocated until the next full collection.
+    Closing empties that state and cuts those references."""
 
     def __init__(self, cfg: Optional[ClusterConfig] = None):
         self.cfg = cfg or ClusterConfig()
@@ -564,10 +569,12 @@ class Cluster:
         and every node's run-sized state is emptied in place.  A later
         :meth:`run` raises :class:`SimulationError` and a memory access
         the unmapped-address error; ``sim.now``, the event counts and
-        the counters stay readable."""
+        the counters stay readable.  No node is referred to by the
+        fabric or by its own parts afterwards."""
         self.sim.close()
         for node in self.nodes:
             node.release()
+        self.fabric.release()
 
     def __enter__(self) -> "Cluster":
         return self

@@ -115,10 +115,12 @@ class RpcEndpoint:
         self._handlers[name] = handler
 
     def release(self) -> None:
-        """Forget every call in flight and every remembered failure;
-        the watchdogs go with the simulator's pending set."""
+        """Forget every call in flight, every remembered failure and
+        every registered handler (whose closures hold the service); the
+        watchdogs go with the simulator's pending set."""
         self._pending.clear()
         self._failed.clear()
+        self._handlers.clear()
 
     # ------------------------------------------------------------------
     def call(

@@ -1,10 +1,10 @@
 """A rack's end of life: ``Cluster.close()`` and the one-shot entry
 points that call it.
 
-The memory tests run with the collector off under ``tracemalloc``: a
-finished rack is cyclic garbage, so what a run function leaves behind
-with ``gc`` disabled is what a long-lived worker carries from point to
-point until a full collection happens to run.
+The memory tests run with the collector off under ``tracemalloc``:
+what a run function leaves behind with ``gc`` disabled is cyclic
+garbage, which a long-lived worker carries from point to point until a
+full collection happens to run.
 """
 
 import gc
@@ -15,16 +15,20 @@ from dataclasses import fields
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.core.att import AttEntry
 from repro.mem.backing import PhysicalMemory
 from repro.sim.engine import Simulator
 from repro.sim.stats import Samples, ThroughputMeter
 from repro.sonuma.node import Cluster
+from repro.workloads.availability import FailoverMixConfig, run_failover_mix
+from repro.workloads.elastic import ElasticConfig, run_elastic
 from repro.workloads.fuzz import fuzz_round
 from repro.workloads.microbench import (
     Microbenchmark,
     MicrobenchConfig,
     run_microbench,
 )
+from repro.workloads.txn_mix import TxnMixConfig, run_txn_mix
 from repro.workloads.ycsb import YcsbConfig, run_ycsb
 
 pytestmark = pytest.mark.smoke
@@ -32,11 +36,11 @@ pytestmark = pytest.mark.smoke
 MIB = float(2**20)
 
 #: What one finished point may leave allocated, in MiB.  Measured with
-#: this file's configs: 0.38 for the fig7b point (13.3 before racks
-#: were closed, 8.0 of it the store), 0.86 for the YCSB run, 0.33 for
-#: the fuzz round.  A release that unmaps without emptying the cells
-#: leaves 1.88 after the fig7b point (the cells its ATT entries cached;
-#: 8.2 while a store's cells were one buffer).
+#: this file's configs: 0.20 for the fig7b point (0.38 while finished
+#: ATT entries were cyclic garbage, 13.3 before racks were closed, 8.0
+#: of it the store), 0.61 for the YCSB run, 0.22 for the fuzz round.
+#: A release that keeps the memory mapped leaves 2.78 after the fig7b
+#: point.
 LEFT_PER_POINT_MIB = 1.25
 
 #: The fig7b peak-bandwidth point: 8 KB x 1 000 objects, 16 readers
@@ -106,19 +110,78 @@ def test_fuzz_round_leaves_no_stores_behind():
 
 
 def test_release_that_keeps_the_buffers_fails_the_bound(monkeypatch):
-    """The control for the bound above: unmapping the regions without
-    emptying their cells leaves the bytes to the cells that transfers
-    and ATT entries cached, and the bound sees it.  The full fig7b
-    point, because what those cache grows with the SABRes a run made
-    (0.72 MiB after 6 us)."""
-
-    def unmap_only(phys):
-        phys._starts.clear()
-        phys._regions.clear()
-
-    monkeypatch.setattr(PhysicalMemory, "release", unmap_only)
+    """The control for the bound above: a release that keeps the
+    memory mapped leaves every cell the point touched to the closed
+    rack's cycles, and the bound sees it.  The full fig7b point,
+    because the cells made grow with the objects a run read.  (An
+    unmap-only release leaves 0.21 MiB: once regions and ATT entries
+    are gone, nothing refers to a cell.)"""
+    monkeypatch.setattr(PhysicalMemory, "release", lambda phys: None)
     left = left_behind_mib(fig7b_point)
     assert left > LEFT_PER_POINT_MIB
+
+
+def test_finished_att_entries_die_without_the_collector():
+    """An ATT entry's snoop closure holds the entry; freeing the entry
+    drops the closure, so reference counting alone frees a finished
+    SABRe's entry."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = fig7b_point()
+        finished = [
+            o for o in gc.get_objects() if isinstance(o, AttEntry) and o.finished
+        ]
+    finally:
+        gc.enable()
+    assert result.ops_completed > 0
+    assert finished == []
+
+
+#: One short run of each service workload: reads, writes, transactions,
+#: crashes with failover, and a live reshard.
+SERVICE_POINTS = {
+    "ycsb": lambda: run_ycsb(YcsbConfig(duration_ns=20_000.0, warmup_ns=5_000.0)),
+    "txn_mix": lambda: run_txn_mix(
+        TxnMixConfig(n_objects=256, duration_ns=30_000.0, warmup_ns=5_000.0)
+    ),
+    "failover": lambda: run_failover_mix(
+        FailoverMixConfig(n_objects=24, duration_ns=60_000.0, cycles=3, seed=41)
+    ),
+    "elastic": lambda: run_elastic(
+        ElasticConfig(duration_ns=40_000.0, compare_baseline=False, seed=43)
+    ),
+    "fuzz": lambda: fuzz_round(
+        "sabre", 2, seed=5, duration_ns=15_000.0, crash_cycles=1
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(SERVICE_POINTS))
+def test_a_closed_service_needs_no_collector(point):
+    """Once a service's rack is closed, its nodes, engines, RPC
+    endpoints, stores and sessions no longer refer back to one another,
+    so reference counting frees every object the run made once its
+    result is dropped: their memory never waits for a full
+    collection."""
+
+    def live():
+        return sum(type(o).__module__.startswith("repro.") for o in gc.get_objects())
+
+    run = SERVICE_POINTS[point]
+    run()  # first-use costs
+    gc.collect()
+    gc.disable()
+    try:
+        before = live()
+        result = run()
+        during = live()
+        del result
+        after = live()
+    finally:
+        gc.enable()
+    assert during > before
+    assert after == before
 
 
 def test_a_run_that_raises_still_closes_its_rack(monkeypatch):

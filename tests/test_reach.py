@@ -126,7 +126,7 @@ _DRIVER = '''
 from repro.probe import Probe, ProbeConfig
 
 probe = Probe({}, ProbeConfig(used=3))
-print(probe.stats.kept, probe.used)
+print(probe.stats.kept, probe.used, probe.counters)
 '''
 
 #: What the module above stores and never reads, and the config field
@@ -182,6 +182,40 @@ def test_state_flags_each_kind_and_ignores_test_reads(tmp_path):
 def test_one_read_or_set_clears_exactly_its_finding(tmp_path, read, cleared):
     root = _tree(tmp_path, driver=_DRIVER + read + "\n")
     assert _findings(root) == {f for f in _PROBE_FINDINGS if f[0] != cleared}
+
+
+_SINKS = '''
+class Recorder:
+    def __init__(self, registry):
+        self.history = []
+        self.hist = registry.histogram("h")
+        self.kept = []
+
+    def record(self, value):
+        self.history.append(value)
+        self.hist.observe(value)
+        self.kept.extend([value])
+        return len(self.kept)
+'''
+
+
+@pytest.mark.parametrize(
+    "read, flagged",
+    [
+        ("", {"history", "hist"}),
+        ("len(recorder.history)", {"hist"}),
+        ("print(recorder.hist)", {"history"}),
+    ],
+)
+def test_an_attribute_only_added_to_is_unread(tmp_path, read, flagged):
+    """An attribute loaded only as the receiver of ``add``/``append``/
+    ``extend``/``inc``/``observe`` is stored and never read; one other
+    load (``len(self.kept)``) reads it."""
+    root = _tree(tmp_path, driver=_DRIVER + read + "\n")
+    (tmp_path / "src/repro/recorder.py").write_text(_SINKS)
+    assert _findings(root) - _PROBE_FINDINGS == {
+        (f"repro.recorder:Recorder.{name}", "attr", "sink-only") for name in flagged
+    }
 
 
 def test_state_check_fails_outside_the_allowlist_and_on_a_stale_entry(

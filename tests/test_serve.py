@@ -14,6 +14,7 @@ from repro.serve.bridge import SimBridge
 from repro.serve.gateway import MAX_BODY_BYTES, Gateway, TokenBucket
 from repro.serve.metrics import (
     Histogram,
+    SUMMARY_QUANTILES,
     MetricsRegistry,
     parse_samples,
 )
@@ -133,8 +134,8 @@ class TestMetrics:
         for v in (3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0):
             h.observe(v)
             s.add(v)
-        for q in (0.5, 0.95, 0.99):
-            assert h.quantile(q) == pytest.approx(s.percentile(q * 100))
+        assert h.quantiles() == [s.percentile(q * 100) for q in SUMMARY_QUANTILES]
+        assert all(math.isnan(v) for v in h.quantiles(op="unobserved"))
 
     def test_histogram_quantile_stays_between_observations(self):
         """Two subnormal observations: the unclamped interpolation
@@ -142,8 +143,7 @@ class TestMetrics:
         h = Histogram("lat", "help", buckets=(1e9,))
         h.observe(5e-324)
         h.observe(5e-324)
-        for q in (0.5, 0.95, 0.99):
-            assert h.quantile(q) == 5e-324
+        assert h.quantiles() == [5e-324] * len(SUMMARY_QUANTILES)
 
     def test_render_is_sorted_and_stable(self):
         m = MetricsRegistry()

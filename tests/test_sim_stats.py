@@ -1,6 +1,8 @@
 """Unit tests for measurement utilities."""
 
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -57,6 +59,50 @@ class TestSamples:
         s.extend([5.0, -2.0, 9.0])
         assert s.percentile(0) == -2.0
         assert s.percentile(100) == 9.0
+
+    def test_ints_come_back_as_floats(self):
+        s = Samples()
+        s.add(3)
+        s.extend([1, 2])
+        assert s.values == [3.0, 1.0, 2.0]
+        assert all(type(v) is float for v in s.values)
+
+    def test_non_number_rejected(self):
+        s = Samples()
+        with pytest.raises(TypeError):
+            s.add("12")
+        with pytest.raises(TypeError):
+            s.add(None)
+        assert len(s) == 0
+
+    def test_percentiles_match_percentile(self):
+        s = Samples()
+        s.extend([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+        ps = (0.0, 50.0, 95.0, 99.0, 100.0)
+        assert s.percentiles(ps) == [s.percentile(p) for p in ps]
+        assert Samples().percentiles((50.0, 99.0)) == pytest.approx(
+            [math.nan, math.nan], nan_ok=True
+        )
+        with pytest.raises(ValueError):
+            s.percentiles((50.0, 101.0))
+
+    def test_stores_a_c_double_per_value(self):
+        """A float object per value is 32 bytes (24 for the object, 8
+        for the list slot); a C double is 8, plus growth slack."""
+        n = 100_000
+        rng = random.Random(1)
+        values = [rng.random() for _ in range(n)]  # fresh floats, made before tracing
+        s = Samples()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for v in values:
+                s.add(v * 3.0)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(s) == n
+        assert kept / n <= 9.0
 
     @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1))
     @example([5e-324, 5e-324])

@@ -40,7 +40,9 @@ lists
 
 * *write-only* state, stored and never read:
   - a ``self.<attr>`` stored in ``src/repro`` that nothing loads by
-    name (``getattr``/``hasattr`` with a string literal loads);
+    name (``getattr``/``hasattr`` with a string literal loads), or
+    loads only to call ``add``/``append``/``extend``/``inc``/
+    ``observe`` on it (*sink-only*: values go in, none come out);
   - a field of a ``src/repro`` dataclass (a ``*Config`` one too) that
     nothing loads by name, unless its class is passed whole to
     ``asdict``/``fields``/``vars``;
@@ -284,9 +286,13 @@ NEVER_SET_EXEMPT = ("repro.common.config", "repro.common.costs")
 
 WHOLE_READS = ("asdict", "fields", "vars")
 
+#: Methods that only take values in: ``x.attr.add(v)`` stores into
+#: ``attr`` rather than reading it.
+SINKS = ("add", "append", "extend", "inc", "observe")
+
 #: One piece of state: (name, kind, rule).  ``kind`` is ``attr``,
-#: ``field``, ``counter`` or ``config``; ``rule`` is ``write-only`` or
-#: ``never set``.
+#: ``field``, ``counter`` or ``config``; ``rule`` is ``write-only``,
+#: ``sink-only`` or ``never set``.
 Finding = Tuple[str, str, str]
 
 
@@ -350,6 +356,7 @@ class _Program:
         self.attrs: Set[Tuple[str, str, str]] = set()  # (module, class, attr)
         self.counters: Dict[Tuple[str, bool], str] = {}  # (name, is_prefix) -> module
         self.loads: Set[str] = set()
+        self.sinks: Set[str] = set()  # loaded as a SINKS call's receiver
         self.gets: Set[Tuple[str, bool]] = set()
         self.strings: Set[str] = set()
         self.stores: Set[str] = set()
@@ -414,9 +421,13 @@ class _Program:
         self.unused_imports += [f"{rel}:{name}" for name in imported if name not in used]
 
     def _use(self, nodes) -> None:
+        receivers: Set[int] = set()  # ids of SINKS receivers; a call comes before its parts
         for node, owner in nodes:
             if isinstance(node, ast.Attribute):
-                (self.stores if isinstance(node.ctx, ast.Store) else self.loads).add(node.attr)
+                if isinstance(node.ctx, ast.Store):
+                    self.stores.add(node.attr)
+                else:
+                    (self.sinks if id(node) in receivers else self.loads).add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 self.strings.add(node.value)
                 if node.value.startswith("--"):
@@ -433,6 +444,8 @@ class _Program:
             if not isinstance(node, ast.Call):
                 continue
             callee = _name_of(node.func)
+            if callee in SINKS and isinstance(node.func, ast.Attribute):
+                receivers.add(id(node.func.value))
             if callee in ("getattr", "hasattr") and len(node.args) > 1:
                 text, prefix = _str_or_prefix(node.args[1])
                 if text and not prefix:
@@ -513,7 +526,8 @@ class _Program:
             if declared[0] == module and attr in _own_fields(declared[1]):
                 continue
             if attr not in self.loads:
-                found.append((f"{module}:{cls}.{attr}", "attr", "write-only"))
+                rule = "sink-only" if attr in self.sinks else "write-only"
+                found.append((f"{module}:{cls}.{attr}", "attr", rule))
         for (text, prefix), module in sorted(self.counters.items()):
             read = any(
                 got.startswith(text) if prefix else

@@ -90,6 +90,15 @@ TOMBSTONES = (
               "every import points down; old homes stay gone"),
     Tombstone("Deleted names stay deleted", r"REPRO_SERVE_",
               "REPRO_SERVE_PORT=9000 repro-serve", "repro-serve takes flags only"),
+    Tombstone("The server keeps only what it reads",
+              r"serve_virtual_ns|(bridge|self)\.latency\b",
+              'self.latency = Samples("serve_virtual_ns")',
+              "per-request latency lives in repro_request_virtual_ns alone"),
+    Tombstone("The server keeps only what it reads", r"\.quantile\(", "h.quantile(0.5)",
+              "a scrape sorts once: Histogram.quantiles"),
+    Tombstone("A closed service needs no collector", r"\.sessions\b",
+              "for session in kv.sessions:",
+              "a service keeps its sessions' stats; a session refers back to it", CODE),
 )
 
 
